@@ -23,7 +23,7 @@ from .errors import (AmplitudeTooLarge, ContactGeomError, DegenerateContact,
                      DegenerateMetric, DegenerateParametrization, NotConverged,
                      NotTangent, OffSphere, ParseError, RangeError, StepTooLarge)
 from .flow import (FlowConfig, FlowReport, area, descend, descend_r_family,
-                   flow_step, theorem_probe, willmore_energy)
+                   flow_step, theorem_probe, willmore_energy, willmore_gradient)
 from .surface import (AdaptedFramePoint, FrameField, GridSpec, SurfaceGrid,
                       adapted_frame, contact_angle_field, sample, tangent_fields,
                       tangent_pair)

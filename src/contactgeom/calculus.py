@@ -43,9 +43,10 @@ class MetricField:
     def __post_init__(self):
         det = self.det
         if np.any(det <= 1e-12):
-            ij = np.unravel_index(np.argmin(det), det.shape)
+            ij = tuple(int(k) for k in np.unravel_index(np.argmin(det), det.shape))
             raise DegenerateMetric(
-                f"metric determinant {det[ij]:.3e} at node {ij} is not positive")
+                f"metric determinant {det[ij]:.3e} at node {ij} is not positive",
+                node=ij)
 
     @property
     def det(self):

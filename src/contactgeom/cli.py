@@ -27,7 +27,7 @@ from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
                        verify_minimality)
 from .errors import (AmplitudeTooLarge, ContactGeomError, OffSphere,
                      ParseError, RangeError)
-from .flow import FlowConfig, area, default_threads, descend, descend_r_family, theorem_probe
+from .flow import FlowConfig, area, descend, descend_r_family, theorem_probe
 from .sampleio import FIELDS_CSV_HEADER, FLOAT_FMT
 from .surface import GridSpec
 
@@ -187,6 +187,7 @@ def cmd_verify(args):
                    bound=IDENTITY_BOUNDS[args.identity],
                    order_threshold=ORDER_THRESHOLD,
                    passed=refinement_passed(report))
+    _check_finite(payload, f"identity_{args.identity}.json")
     os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, f"identity_{args.identity}.json"))
     for (n, linf, l2, excl) in report.levels:
@@ -199,9 +200,8 @@ def cmd_verify(args):
 
 def cmd_flow(args):
     params = _parse_params(args.param)
-    threads = args.threads if args.threads else default_threads()
     cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol,
-                     mode=args.mode, threads=threads)
+                     mode=args.mode)
     os.makedirs(args.out, exist_ok=True)
     try:
         if args.mode == "r-only":
@@ -223,6 +223,7 @@ def cmd_flow(args):
     payload = report.to_dict()
     payload.update(format_version=FORMAT_VERSION, surface=args.surface,
                    probe=probe)
+    _check_finite(payload, "flow_report.json")
     _write_json(payload, os.path.join(args.out, "flow_report.json"))
     rows = ["iteration,energy,max_H,beta_spread"]
     for (it, E, maxH, dev) in report.trace:
@@ -258,9 +259,6 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="contactgeom",
         description="contact-angle numerics for surfaces in the unit 3-sphere")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="worker threads for flow gradients "
-                         "(default: CONTACT_GEOM_THREADS or 1)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="field summaries and residuals for a surface")
@@ -309,8 +307,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads:
-        os.environ["CONTACT_GEOM_THREADS"] = str(args.threads)
     try:
         return args.func(args)
     except (OffSphere, ParseError) as exc:

@@ -32,6 +32,10 @@ class DegenerateContact(ContactGeomError):
 class DegenerateMetric(ContactGeomError):
     """First fundamental form is not positive definite at some node."""
 
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
+
 
 class StepTooLarge(ContactGeomError):
     """A flow step collapsed the parametrization."""

@@ -5,17 +5,20 @@ flat minimal torus (it is an unstable critical point of area), while E has
 minimal surfaces as genuine zero minima, so E is the descent objective.
 
 Full mode parametrizes the displacement by a coarse periodic control grid,
-upsampled to the working grid with periodic bicubic interpolation; the
-gradient with respect to the control values comes from symmetric finite
-differences of E (pure function evaluations, deterministic).  Each accepted
+upsampled to the working grid with periodic cubic-spline interpolation,
+which factors as psi = Bu c Bv^T with one 1-D matrix per axis.  The
+gradient is the closed-form first variation of E for a normal displacement
+psi e3 in S^3 (Weiner 1978), in the Weingarten sign of `calculus`:
+
+    dE = integral G psi dA,   G = Lap_g H + 2 H (H^2 - det S + 1),
+
+projected onto the controls as Bu^T (G sqrt(det g) w) Bv.  Each accepted
 backtracking step moves the surface along its current normals and
 re-linearizes.  r-only mode is a golden-section search on the discrete
 energy of the product-torus family.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ from scipy.ndimage import map_coordinates
 
 from . import catalog
 from .calculus import (first_fundamental_form, gaussian_curvature_extrinsic,
-                       shape_operator)
+                       laplace_beltrami, shape_operator)
 from .errors import StepTooLarge
 from .surface import GRAM_DET_TOL, contact_angle_field
 
@@ -39,11 +42,9 @@ class FlowConfig:
     tol: float = 1e-3              # stop tolerance on max |H|
     variant: str = "backtracking"  # or "fixed-step"
     control: tuple = (16, 16)      # coarse gradient grid (<= 16 per axis)
-    fd_delta: float = 1e-5
     armijo: float = 1e-4
     max_halvings: int = 60
     mode: str = "full"             # or "r-only"
-    threads: int = 1
     precondition: bool = True      # flat-torus Jacobi-symbol scaling
 
     def __post_init__(self):
@@ -112,6 +113,16 @@ def willmore_energy(grid):
     return _state(grid)[3]
 
 
+def willmore_gradient(grid, frames, metric, shape):
+    """Nodal first variation G of E for the normal displacement psi e3.
+
+    dE = integral G psi dA with G = Lap_g H + 2 H (H^2 - det S + 1); H is
+    taken as 0 on masked nodes, as in the energy.
+    """
+    H = np.where(frames.mask, 0.0, shape.H)
+    return laplace_beltrami(H, metric, grid) + 2.0 * H * (H ** 2 - shape.det + 1.0)
+
+
 def _moved_points(points, e3, psi):
     moved = points + psi[..., None] * e3
     return moved / np.linalg.norm(moved, axis=-1, keepdims=True)
@@ -145,14 +156,15 @@ def flow_step(grid, psi, step=1.0):
     return cand
 
 
-def _upsample(control, shape_fine):
-    """Periodic bicubic interpolation of a coarse control field."""
-    mu, mv = control.shape
-    nu, nv = shape_fine
-    iu = np.arange(nu) * (mu / nu)
-    iv = np.arange(nv) * (mv / nv)
-    IU, IV = np.meshgrid(iu, iv, indexing="ij")
-    return map_coordinates(control, [IU, IV], order=3, mode="grid-wrap")
+def _spline_factor(m, n):
+    """(n, m) matrix of periodic cubic-spline interpolation from m to n nodes.
+
+    Column k is the interpolant of the k-th unit control, so the separable
+    2-D interpolant of a control field c is Bu c Bv^T.
+    """
+    x = np.arange(n) * (m / n)
+    return np.stack([map_coordinates(e, [x], order=3, mode="grid-wrap")
+                     for e in np.eye(m)], axis=1)
 
 
 def _precondition(g):
@@ -174,36 +186,10 @@ def _precondition(g):
     return np.real(np.fft.ifft2(np.fft.fft2(g) / w))
 
 
-def _control_basis(control, shape_fine):
-    mu, mv = control
-    basis = []
-    for k in range(mu * mv):
-        c = np.zeros((mu, mv))
-        c[divmod(k, mv)] = 1.0
-        basis.append(_upsample(c, shape_fine))
-    return basis
-
-
-def _control_gradient(points, e3, grid, cfg, basis):
-    """Symmetric-difference gradient of E with respect to control values."""
-    mu, mv = cfg.control
-
-    def energy_of(psi):
-        moved = _moved_points(points, e3, psi)
-        return _state(grid.with_points(moved))[3]
-
-    tasks = []
-    for b in basis:
-        tasks.append(cfg.fd_delta * b)
-        tasks.append(-cfg.fd_delta * b)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            vals = list(pool.map(energy_of, tasks))
-    else:
-        vals = [energy_of(t) for t in tasks]
-    g = np.array([(vals[2 * k] - vals[2 * k + 1]) / (2.0 * cfg.fd_delta)
-                  for k in range(mu * mv)]).reshape(mu, mv)
-    return g
+def _control_gradient(grid, frames, metric, shape, Bu, Bv):
+    """dE/dc: the weighted first variation projected onto the controls."""
+    G = willmore_gradient(grid, frames, metric, shape)
+    return Bu.T @ (G * metric.sqrt_det * grid.calc.quad_weights()) @ Bv
 
 
 def descend(grid, config=None):
@@ -230,19 +216,18 @@ def descend(grid, config=None):
     converged = maxH < cfg.tol
     it = 0
     message = "already at tolerance" if converged else ""
-    basis = None
+    Bu, Bv = (_spline_factor(m, n)
+              for m, n in zip(cfg.control, grid.points.shape[:2]))
     t_next = cfg.step
 
     while not converged and it < cfg.max_iter:
-        if basis is None:
-            basis = _control_basis(cfg.control, grid.points.shape[:2])
-        g = _control_gradient(grid.points, frames.e3, grid, cfg, basis)
+        g = _control_gradient(grid, frames, metric, shape, Bu, Bv)
         if float(np.sum(g ** 2)) == 0.0:
             message = "zero gradient"
             break
         d_ctrl = -(_precondition(g) if cfg.precondition else g)
         slope = float(np.sum(g * d_ctrl))  # negative for a descent direction
-        psi_dir = _upsample(d_ctrl, grid.points.shape[:2])
+        psi_dir = Bu @ d_ctrl @ Bv.T
         t = t_next
         accepted = False
         for _ in range(cfg.max_halvings):
@@ -354,10 +339,3 @@ def theorem_probe(report, grid, beta_tol=5e-3, K_tol=5e-3):
         return out
     out["status"] = "pass" if K_inf < K_tol else "fail"
     return out
-
-
-def default_threads():
-    try:
-        return max(1, int(os.environ.get("CONTACT_GEOM_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from contactgeom import (GridSpec, build_analysis, first_fundamental_form,
-                         frame_gradient, gaussian_curvature_intrinsic,
+from contactgeom import (DegenerateMetric, GridSpec, build_analysis,
+                         first_fundamental_form, frame_gradient,
+                         gaussian_curvature_intrinsic,
                          laplace_beltrami, refinement_study, sample,
                          shape_operator, verify_curvature_identity,
                          verify_laplacian_identity, verify_minimality)
@@ -90,6 +91,15 @@ def test_flat_metric_gives_zero_at_roundoff():
                        G=np.ones((32, 32)))
     K = gaussian_curvature_intrinsic(flat, grid)
     assert np.max(np.abs(K)) < 1e-13
+
+
+def test_degenerate_metric_names_node():
+    E = np.ones((8, 8))
+    E[3, 5] = 0.0
+    with pytest.raises(DegenerateMetric) as exc:
+        MetricField(E=E, F=np.zeros((8, 8)), G=np.ones((8, 8)))
+    assert exc.value.node == (3, 5)
+    assert "(3, 5)" in str(exc.value)
 
 
 def test_intrinsic_extrinsic_agreement_128():

@@ -4,8 +4,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from contactgeom import contact_angle_field, load_samples
+from contactgeom import cli, contact_angle_field, load_samples
+from contactgeom.calculus import IdentityReport
 from contactgeom.cli import main
 from contactgeom.sampleio import FIELDS_CSV_HEADER
 
@@ -140,6 +142,23 @@ def test_flow_zero_steps_exit_5(tmp_path):
     rep = json.loads((tmp_path / "flow_report.json").read_text())
     assert rep["converged"] is False
     assert rep["probe"]["status"] == "inconclusive"
+
+
+def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
+    def nan_study(entry, identity, levels, band):
+        return IdentityReport(identity, math.nan, 0.0,
+                              levels=[(32, math.nan, 0.0, 0)], order=2.0)
+
+    monkeypatch.setattr(cli, "refinement_study", nan_study)
+    with pytest.raises(ValueError, match="identity_gauss.json"):
+        run(["verify", "--surface", "clifford", "--identity", "gauss",
+             "--refine", "32,64,128", "--out", str(tmp_path)])
+    monkeypatch.setattr(cli, "theorem_probe",
+                        lambda report, grid: {"status": "pass", "K_inf": math.nan})
+    with pytest.raises(ValueError, match="flow_report.json"):
+        run(["flow", "--surface", "rtorus", "--param", "r=0.885", "--mode",
+             "r-only", "--grid", "32x32", "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_catalog_list(capsys):

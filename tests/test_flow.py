@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from contactgeom import (FlowConfig, StepTooLarge, area, clifford, descend,
                          descend_r_family, flow_step, geodesic_sphere, perturb,
-                         r_torus, theorem_probe, willmore_energy)
-from contactgeom.flow import _state
+                         r_torus, theorem_probe, willmore_energy,
+                         willmore_gradient)
+from contactgeom.flow import (_control_gradient, _moved_points, _spline_factor,
+                              _state)
 
 
 def test_area_clifford():
@@ -76,16 +79,52 @@ def test_fixed_step_variant_descends():
     assert rep.energy[-1] < rep.energy[0]
 
 
-def test_gradient_deterministic_across_thread_counts():
-    from contactgeom.flow import _control_basis, _control_gradient, _state
-    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
-    frames = _state(grid)[0]
-    basis = _control_basis((8, 8), (32, 32))
-    cfg1 = FlowConfig(control=(8, 8), threads=1)
-    cfg2 = FlowConfig(control=(8, 8), threads=4)
-    g1 = _control_gradient(grid.points, frames.e3, grid, cfg1, basis)
-    g2 = _control_gradient(grid.points, frames.e3, grid, cfg2, basis)
-    assert np.array_equal(g1, g2)
+def _fd_control_gradient(grid, frames, Bu, Bv, delta=1e-5):
+    """Reference dE/dc by symmetric differences of the discrete energy."""
+    g = np.empty((Bu.shape[1], Bv.shape[1]))
+    for k in range(g.shape[0]):
+        for j in range(g.shape[1]):
+            psi = delta * np.outer(Bu[:, k], Bv[:, j])
+            Ep, Em = (_state(grid.with_points(
+                _moved_points(grid.points, frames.e3, s * psi)))[3]
+                for s in (1.0, -1.0))
+            g[k, j] = (Ep - Em) / (2.0 * delta)
+    return g
+
+
+def test_spline_factors_reproduce_bicubic_upsampling():
+    c = np.random.default_rng(0).standard_normal((16, 8))
+    IU, IV = np.meshgrid(np.arange(48) / 3.0, np.arange(32) / 4.0, indexing="ij")
+    ref = map_coordinates(c, [IU, IV], order=3, mode="grid-wrap")
+    Bu, Bv = _spline_factor(16, 48), _spline_factor(8, 32)
+    assert np.max(np.abs(Bu @ c @ Bv.T - ref)) < 1e-13
+
+
+def test_control_gradient_matches_finite_differences():
+    gaps = []
+    for n in (32, 64):
+        grid = perturb(clifford(), (1, 2), 0.05).sample(n=n)
+        frames, metric, shape, _, _ = _state(grid)
+        Bu, Bv = _spline_factor(8, n), _spline_factor(8, n)
+        g = _control_gradient(grid, frames, metric, shape, Bu, Bv)
+        g_fd = _fd_control_gradient(grid, frames, Bu, Bv)
+        gaps.append(np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd))
+    assert gaps[0] < 1e-3
+    assert gaps[1] < 0.1 * gaps[0]
+
+
+def test_willmore_gradient_r_torus_closed_form():
+    # G is constant on a product torus, and a constant displacement c moves
+    # r to r - c, so integral G dA = dE/dc = -dE/dr
+    for r in (0.4, 0.6, 1.0):
+        grid = r_torus(r).sample(n=32)
+        frames, metric, shape, _, _ = _state(grid)
+        G = willmore_gradient(grid, frames, metric, shape)
+        assert np.ptp(G) < 1e-11
+        dE_dc = (4.0 * np.pi ** 2 * np.cos(2 * r) * (1.0 + np.sin(2 * r) ** 2)
+                 / np.sin(2 * r) ** 2)
+        total = np.sum(G * metric.sqrt_det * grid.calc.quad_weights())
+        assert abs(total - dE_dc) < 1e-5 * abs(dE_dc)
 
 
 def test_flow_step_too_large():
