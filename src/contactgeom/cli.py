@@ -21,17 +21,20 @@ import sys
 
 import numpy as np
 
-from . import catalog, flow
+from . import catalog
 from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
                        build_analysis, refinement_passed, refinement_study,
                        verify_minimality)
 from .errors import (AmplitudeTooLarge, ContactGeomError, OffSphere,
                      ParseError, RangeError)
-from .flow import FlowConfig, area, descend, descend_r_family, theorem_probe
-from .sampleio import FIELDS_CSV_HEADER, FLOAT_FMT
+from .flow import (FlowConfig, area, descend, descend_r_family,
+                   energy_and_max_H, theorem_probe)
+from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
+                       write_table)
 from .surface import GridSpec
 
 FORMAT_VERSION = "1"
+TRACE_CSV_HEADER = "iteration,energy,max_H,beta_spread"
 
 
 def _fmt_floats(obj):
@@ -60,6 +63,15 @@ def _check_finite(obj, where="report"):
     if isinstance(obj, (list, tuple)):
         for v in obj:
             _check_finite(v, where)
+
+
+def _check_finite_table(table, columns, where):
+    """Raise ValueError naming the column and node of the first non-finite cell."""
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        *node, col = (int(k) for k in bad[0])
+        raise ValueError(f"non-finite {columns[col]} in {where} "
+                         f"at node {tuple(node)}")
 
 
 def _parse_grid(text):
@@ -113,6 +125,14 @@ def cmd_analyze(args):
     mask = frames.mask
     minim = verify_minimality(grid, analysis=an)
 
+    # each field is evaluated once: shape.H rebuilds the whole array per access
+    mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
+    U, V = grid.spec.mesh()
+    table = np.stack([U, V, *np.moveaxis(grid.points, -1, 0), frames.beta,
+                      an.K_ext, an.shape.H, an.res_curvature,
+                      np.where(mcode, 0.0, an.res_laplacian), mcode], axis=-1)
+    _check_finite_table(table, FIELDS_CSV_HEADER.split(","), "fields.csv")
+
     report = {
         "format_version": FORMAT_VERSION,
         "surface": grid.label,
@@ -145,27 +165,15 @@ def cmd_analyze(args):
             "tan_band_width": an.band,
         },
         "area": area(grid, an.metric),
-        "willmore_energy": flow.willmore_energy(grid),
+        "willmore_energy": energy_and_max_H(grid, frames, an.metric, an.shape)[0],
     }
     _check_finite(report)
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(report, os.path.join(args.out, "report.json"))
-
-    us, vs = grid.spec.us, grid.spec.vs
-    mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
-    lines = [FIELDS_CSV_HEADER]
-    for i in range(grid.spec.n_u):
-        for j in range(grid.spec.n_v):
-            p = grid.points[i, j]
-            row = [us[i], vs[j], p[0], p[1], p[2], p[3],
-                   frames.beta[i, j], an.K_ext[i, j], an.shape.H[i, j],
-                   an.res_curvature[i, j],
-                   0.0 if mcode[i, j] else an.res_laplacian[i, j]]
-            lines.append(",".join(FLOAT_FMT % x for x in row)
-                         + f",{int(mcode[i, j])}")
     with open(os.path.join(args.out, "fields.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(FIELDS_CSV_HEADER + "\n")
+        write_table(fh, table, FIELDS_ROW_FMT)
     print(f"analyze: wrote report.json and fields.csv to {args.out}")
     return 0
 
@@ -224,8 +232,13 @@ def cmd_flow(args):
     payload.update(format_version=FORMAT_VERSION, surface=args.surface,
                    probe=probe)
     _check_finite(payload, "flow_report.json")
+    for row in report.trace:
+        for name, x in zip(TRACE_CSV_HEADER.split(","), row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"non-finite {name} in trace.csv "
+                                 f"at iteration {row[0]}")
     _write_json(payload, os.path.join(args.out, "flow_report.json"))
-    rows = ["iteration,energy,max_H,beta_spread"]
+    rows = [TRACE_CSV_HEADER]
     for (it, E, maxH, dev) in report.trace:
         rows.append(",".join("" if x is None else FLOAT_FMT % x
                              if isinstance(x, float) else str(x)

@@ -96,16 +96,19 @@ def area(grid, metric=None):
     return float(np.sum(m.sqrt_det * w))
 
 
+def energy_and_max_H(grid, frames, metric, shape):
+    """E = integral of H^2 dA and max|H|, with H taken as 0 on masked nodes."""
+    H = np.where(frames.mask, 0.0, shape.H)
+    E = float(np.sum(H ** 2 * metric.sqrt_det * grid.calc.quad_weights()))
+    return E, float(np.max(np.abs(H)))
+
+
 def _state(grid):
     """Frames, shape, energy and max|H| for one grid; the flow's hot loop."""
     frames = contact_angle_field(grid)
     metric = first_fundamental_form(grid)
     shape = shape_operator(grid, frames)
-    w = grid.calc.quad_weights()
-    H = np.where(frames.mask, 0.0, shape.H)
-    E = float(np.sum(H ** 2 * metric.sqrt_det * w))
-    maxH = float(np.max(np.abs(H)))
-    return frames, metric, shape, E, maxH
+    return (frames, metric, shape) + energy_and_max_H(grid, frames, metric, shape)
 
 
 def willmore_energy(grid):

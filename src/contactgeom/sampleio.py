@@ -19,8 +19,21 @@ FORMAT_MAGIC = "S3SAMPLES"
 FORMAT_VERSION = "v1"
 FLOAT_FMT = "%.12e"
 FIELDS_CSV_HEADER = "u,v,x1,y1,x2,y2,beta,K,H,res_curvature,res_laplacian,masked"
+FIELDS_ROW_FMT = ",".join([FLOAT_FMT] * 11) + ",%d"
+SAMPLE_ROW_FMT = " ".join([FLOAT_FMT] * 6)
 
 _OFF_SPHERE_TOL = 1e-6
+
+
+def write_table(fh, table, row_fmt):
+    """Write table[i, j] as one row_fmt line per node, v-index fastest.
+
+    Lines are formatted one u-row at a time, so only one u-row of Python
+    floats and strings is alive at once, however large the grid.
+    """
+    block_fmt = (row_fmt + "\n") * table.shape[1]
+    for block in table:
+        fh.write(block_fmt % tuple(block.ravel().tolist()))
 
 
 def write_samples(grid, path):
@@ -32,15 +45,11 @@ def write_samples(grid, path):
         FLOAT_FMT % spec.u_range[0], FLOAT_FMT % spec.u_range[1],
         FLOAT_FMT % spec.v_range[0], FLOAT_FMT % spec.v_range[1],
     ])
-    us, vs = spec.us, spec.vs
-    lines = [header]
-    for i in range(spec.n_u):
-        for j in range(spec.n_v):
-            p = grid.points[i, j]
-            lines.append(" ".join(
-                FLOAT_FMT % x for x in (us[i], vs[j], p[0], p[1], p[2], p[3])))
+    U, V = spec.mesh()
+    table = np.stack([U, V, *np.moveaxis(grid.points, -1, 0)], axis=-1)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        write_table(fh, table, SAMPLE_ROW_FMT)
 
 
 def _parse_floats(tokens, lineno):

@@ -126,6 +126,11 @@ def test_sample_file_round_trip(tmp_path):
     grid = clifford().sample(n=32)
     path = tmp_path / "clifford.s3"
     write_samples(grid, str(path))
+    lines = path.read_text().splitlines()
+    us, vs = grid.spec.us, grid.spec.vs
+    assert lines[1:] == [
+        " ".join("%.12e" % x for x in (us[i], vs[j], *grid.points[i, j]))
+        for i in range(32) for j in range(32)]
     back = load_samples(str(path))
     assert back.spec.topology_u == "periodic"
     assert back.spec.n_u == 32 and back.spec.n_v == 32

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from contactgeom import cli, contact_angle_field, load_samples
-from contactgeom.calculus import IdentityReport
+from contactgeom import cli, contact_angle_field, flow, load_samples
+from contactgeom.calculus import (IdentityReport, ShapeOperatorField,
+                                  build_analysis)
 from contactgeom.cli import main
-from contactgeom.sampleio import FIELDS_CSV_HEADER
+from contactgeom.sampleio import FIELDS_CSV_HEADER, write_samples
+from contactgeom.surface import GridSpec, SurfaceGrid
 
 
 def run(argv):
@@ -43,6 +45,74 @@ def test_analyze_sphere_beta_field(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert abs(report["fields"]["K_ext"]["max"] - 1.0) < 2e-5
     assert report["fields"]["H"]["max_abs"] < 5e-6
+
+
+def _reference_fields_csv(grid):
+    """fields.csv formatted node by node from build_analysis output."""
+    an = build_analysis(grid)
+    H = an.shape.H
+    mcode = np.where(an.frames.mask, 1, np.where(an.tan_band, 2, 0))
+    us, vs = grid.spec.us, grid.spec.vs
+    lines = [FIELDS_CSV_HEADER]
+    for i in range(grid.spec.n_u):
+        for j in range(grid.spec.n_v):
+            p = grid.points[i, j]
+            row = [us[i], vs[j], p[0], p[1], p[2], p[3],
+                   an.frames.beta[i, j], an.K_ext[i, j], H[i, j],
+                   an.res_curvature[i, j],
+                   0.0 if mcode[i, j] else an.res_laplacian[i, j]]
+            lines.append(",".join("%.12e" % x for x in row)
+                         + f",{int(mcode[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def _polar_cap_file(path, n=17, half_width=0.3):
+    """Sample file of the chart (sqrt(1-u^2-v^2), 0, u, v) of the great sphere.
+
+    Its tangent plane is the contact plane at the centre node only.
+    """
+    spec = GridSpec(n, n, (-half_width, half_width), (-half_width, half_width),
+                    "chart", "chart")
+    U, V = spec.mesh()
+    pts = np.stack([np.sqrt(1.0 - U ** 2 - V ** 2), 0.0 * U, U, V], axis=-1)
+    write_samples(SurfaceGrid(spec, pts), str(path))
+    return str(path)
+
+
+def test_fields_csv_matches_node_by_node_reference(tmp_path):
+    cap = _polar_cap_file(tmp_path / "cap.s3")
+    cases = [(["--surface", "rtorus", "--param", "r=0.9", "--grid", "32x32"],
+              cli._load_surface("rtorus", {"r": 0.9}, (32, 32)), {0}),
+             (["--surface", cap], load_samples(cap), {0, 1})]
+    for k, (argv, grid, codes) in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert run(["analyze", *argv, "--out", str(out)]) == 0
+        text = (out / "fields.csv").read_text()
+        assert text == _reference_fields_csv(grid)
+        assert {int(ln.rsplit(",", 1)[1]) for ln in text.splitlines()[1:]} == codes
+        report = json.loads((out / "report.json").read_text())
+        assert report["willmore_energy"] == float(
+            "%.12e" % flow.willmore_energy(grid))
+
+
+def test_analyze_evaluates_H_a_fixed_number_of_times(tmp_path, monkeypatch):
+    # ShapeOperatorField.H rebuilds the whole array on every access, so a
+    # per-node read would make the writer quadratic in the node count
+    calls = []
+    H = ShapeOperatorField.H
+
+    def counted(self):
+        calls.append(1)
+        return H.fget(self)
+
+    monkeypatch.setattr(ShapeOperatorField, "H", property(counted))
+    counts = []
+    for n in (16, 32):
+        calls.clear()
+        assert run(["analyze", "--surface", "rtorus", "--param", "r=0.9",
+                    "--grid", f"{n}x{n}", "--out", str(tmp_path / str(n))]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_analyze_unknown_surface(tmp_path):
@@ -153,12 +223,36 @@ def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="identity_gauss.json"):
         run(["verify", "--surface", "clifford", "--identity", "gauss",
              "--refine", "32,64,128", "--out", str(tmp_path)])
+    descend_r_family = cli.descend_r_family
+
+    def nan_trace(*args, **kwargs):
+        report, grid = descend_r_family(*args, **kwargs)
+        it, E, maxH, _ = report.trace[-1]
+        report.trace[-1] = (it, E, maxH, math.nan)
+        return report, grid
+
+    monkeypatch.setattr(cli, "descend_r_family", nan_trace)
+    with pytest.raises(ValueError, match="beta_spread in trace.csv"):
+        run(["flow", "--surface", "rtorus", "--param", "r=0.885", "--mode",
+             "r-only", "--grid", "32x32", "--out", str(tmp_path)])
     monkeypatch.setattr(cli, "theorem_probe",
                         lambda report, grid: {"status": "pass", "K_inf": math.nan})
     with pytest.raises(ValueError, match="flow_report.json"):
         run(["flow", "--surface", "rtorus", "--param", "r=0.885", "--mode",
              "r-only", "--grid", "32x32", "--out", str(tmp_path)])
+
+    def nan_analysis(grid):
+        an = build_analysis(grid)
+        an.K_ext[3, 5] = math.nan
+        return an
+
+    monkeypatch.setattr(cli, "build_analysis", nan_analysis)
+    with pytest.raises(ValueError,
+                       match=r"non-finite K in fields.csv at node \(3, 5\)"):
+        run(["analyze", "--surface", "rtorus", "--param", "r=0.9",
+             "--grid", "16x16", "--out", str(tmp_path)])
     assert not list(tmp_path.glob("*.json"))
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_catalog_list(capsys):
