@@ -17,8 +17,11 @@ beta_1 = d beta(e1), beta_2 = d beta(e2):
     <D_{e1} e2, e1> = tan(beta) beta_2
     <D_{e2} e2, e1> = -tan(beta) (beta_1 + 2)
 
-The Laplacian and connection checks exclude nodes inside a configurable
-band around the tan poles beta = +-pi/2 and report how many were excluded.
+build_analysis forms every residual once per grid, with nodes inside a
+configurable band around the tan poles beta = +-pi/2 excluded from the
+Laplacian and connection norms; the verifiers read those residuals and
+report how many nodes were excluded.  The first fundamental form is the
+one `surface` caches on the grid (MetricField is re-exported from there).
 """
 
 import math
@@ -26,48 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetric
-from .surface import contact_angle_field, tangent_fields
+from .surface import MetricField, contact_angle_field
 
 TAN_BAND_DEFAULT = 1e-3
 
 
-@dataclass
-class MetricField:
-    """First fundamental form in the (Xu, Xv) basis."""
-
-    E: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-
-    def __post_init__(self):
-        det = self.det
-        if np.any(det <= 1e-12):
-            ij = tuple(int(k) for k in np.unravel_index(np.argmin(det), det.shape))
-            raise DegenerateMetric(
-                f"metric determinant {det[ij]:.3e} at node {ij} is not positive",
-                node=ij)
-
-    @property
-    def det(self):
-        return self.E * self.G - self.F * self.F
-
-    @property
-    def inv(self):
-        d = self.det
-        return self.G / d, -self.F / d, self.E / d  # g^uu, g^uv, g^vv
-
-    @property
-    def sqrt_det(self):
-        return np.sqrt(self.det)
-
-
 def first_fundamental_form(grid):
-    """Gram matrix of the tangent pair at every node."""
-    Xu, Xv = tangent_fields(grid)
-    return MetricField(E=np.sum(Xu * Xu, -1),
-                       F=np.sum(Xu * Xv, -1),
-                       G=np.sum(Xv * Xv, -1))
+    """Gram matrix of the tangent pair at every node, as cached on the grid."""
+    return grid.geometry[2]
 
 
 @dataclass
@@ -180,10 +149,6 @@ def tan_pole_distance(beta):
     return np.abs(np.remainder(beta, math.pi) - math.pi / 2.0)
 
 
-def _pole_band_mask(beta, band):
-    return tan_pole_distance(beta) < band
-
-
 @dataclass
 class IdentityReport:
     """Residual norms for one identity, optionally across refinement levels."""
@@ -255,7 +220,7 @@ def build_analysis(grid, band=TAN_BAND_DEFAULT):
     K_ext = gaussian_curvature_extrinsic(shape)
     gb = frame_gradient(frames.beta, frames, grid)
     lap = laplace_beltrami(frames.beta, metric, grid)
-    tan_band = _pole_band_mask(frames.beta, band)
+    tan_band = tan_pole_distance(frames.beta) < band
 
     res_curv = K_int - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
     tan_beta = np.where(tan_band, 0.0, np.tan(frames.beta))
@@ -291,35 +256,32 @@ def verify_curvature_identity(grid, analysis=None):
                           residual=an.res_curvature)
 
 
+def _band_report(name, an, res):
+    """Norms off the analysis' tan-pole band; band and masked nodes are excluded."""
+    linf, l2 = _norms(res, an.valid_off_band)
+    return IdentityReport(name, linf, l2,
+                          n_excluded=int(np.sum(an.tan_band & an.valid)) + an.frames.n_masked,
+                          residual=res)
+
+
 def verify_laplacian_identity(grid, band=0.05, analysis=None):
     """Residual of Lap(beta) = -tan(beta)((beta_1+2)^2 + beta_2^2).
 
-    Nodes within `band` of a tan pole are excluded and counted.
+    Nodes within `band` of a tan pole are excluded and counted; a given
+    analysis carries its own band.
     """
     an = analysis if analysis is not None else build_analysis(grid, band=band)
-    pole = _pole_band_mask(an.frames.beta, band)
-    valid = an.valid & ~pole
-    tan_beta = np.where(pole, 0.0, np.tan(an.frames.beta))
-    res = an.lap_beta + tan_beta * ((an.grad_beta.beta1 + 2.0) ** 2
-                                    + an.grad_beta.beta2 ** 2)
-    linf, l2 = _norms(res, valid)
-    return IdentityReport("laplacian", linf, l2,
-                          n_excluded=int(np.sum(pole & an.valid)) + an.frames.n_masked,
-                          residual=res)
+    return _band_report("laplacian", an, an.res_laplacian)
 
 
 def verify_connection_identity(grid, band=0.05, analysis=None):
-    """Residuals of theta_2^1(e_k) against tan(beta)beta_2 and -tan(beta)(beta_1+2)."""
+    """Residuals of theta_2^1(e_k) against tan(beta)beta_2 and -tan(beta)(beta_1+2).
+
+    Band handling as in verify_laplacian_identity.
+    """
     an = analysis if analysis is not None else build_analysis(grid, band=band)
-    pole = _pole_band_mask(an.frames.beta, band)
-    valid = an.valid & ~pole
-    tan_beta = np.where(pole, 0.0, np.tan(an.frames.beta))
-    res1, res2 = _connection_residuals(grid, an.frames, an.grad_beta, tan_beta)
-    res = np.maximum(np.abs(res1), np.abs(res2))
-    linf, l2 = _norms(res, valid)
-    return IdentityReport("connection", linf, l2,
-                          n_excluded=int(np.sum(pole & an.valid)) + an.frames.n_masked,
-                          residual=res)
+    res1, res2 = an.res_connection
+    return _band_report("connection", an, np.maximum(np.abs(res1), np.abs(res2)))
 
 
 def verify_gauss_agreement(grid, analysis=None):
@@ -387,10 +349,8 @@ def refinement_study(entry, identity, levels, band=0.05):
     last = None
     for n in levels:
         grid = entry.sample(entry.default_spec(int(n)))
-        if identity in ("laplacian", "connection"):
-            rep = IDENTITY_VERIFIERS[identity](grid, band=band)
-        else:
-            rep = IDENTITY_VERIFIERS[identity](grid)
+        rep = IDENTITY_VERIFIERS[identity](
+            grid, analysis=build_analysis(grid, band=band))
         rows.append((int(n), rep.linf, rep.l2, rep.n_excluded))
         last = rep
     order = observed_order([r[0] for r in rows], [r[1] for r in rows])

@@ -208,8 +208,7 @@ def cmd_verify(args):
 
 def cmd_flow(args):
     params = _parse_params(args.param)
-    cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol,
-                     mode=args.mode)
+    cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
     try:
         if args.mode == "r-only":

@@ -40,6 +40,10 @@ class DegenerateMetric(ContactGeomError):
 class StepTooLarge(ContactGeomError):
     """A flow step collapsed the parametrization."""
 
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
+
 
 class AmplitudeTooLarge(ContactGeomError):
     """Perturbation amplitude outside the supported bracket."""

@@ -4,7 +4,7 @@ The energy is E = sum H^2 sqrt(det g) du dv.  Area descent would escape the
 flat minimal torus (it is an unstable critical point of area), while E has
 minimal surfaces as genuine zero minima, so E is the descent objective.
 
-Full mode parametrizes the displacement by a coarse periodic control grid,
+descend parametrizes the displacement by a 16x16 periodic control grid,
 upsampled to the working grid with periodic cubic-spline interpolation,
 which factors as psi = Bu c Bv^T with one 1-D matrix per axis.  The
 gradient is the closed-form first variation of E for a normal displacement
@@ -12,10 +12,12 @@ psi e3 in S^3 (Weiner 1978), in the Weingarten sign of `calculus`:
 
     dE = integral G psi dA,   G = Lap_g H + 2 H (H^2 - det S + 1),
 
-projected onto the controls as Bu^T (G sqrt(det g) w) Bv.  Each accepted
-backtracking step moves the surface along its current normals and
-re-linearizes.  r-only mode is a golden-section search on the discrete
-energy of the product-torus family.
+projected onto the controls as Bu^T (G sqrt(det g) w) Bv and scaled by a
+fixed flat-torus preconditioner.  Each Armijo backtracking trial moves the
+surface along its current normals; the moved grid's tangents are formed
+once, and a collapsed parametrization halves the step.  descend_r_family
+is a golden-section search on the discrete energy of the product-torus
+family.
 """
 
 import math
@@ -27,10 +29,13 @@ from scipy.ndimage import map_coordinates
 from . import catalog
 from .calculus import (first_fundamental_form, gaussian_curvature_extrinsic,
                        laplace_beltrami, shape_operator)
-from .errors import StepTooLarge
-from .surface import GRAM_DET_TOL, contact_angle_field
+from .errors import DegenerateParametrization, StepTooLarge
+from .surface import contact_angle_field, tangent_fields
 
 GOLDEN_BRACKET = (0.3, 1.2)
+CONTROL = (16, 16)   # control grid of the displacement, per axis
+ARMIJO = 1e-4
+MAX_HALVINGS = 60
 
 
 @dataclass
@@ -40,22 +45,10 @@ class FlowConfig:
     step: float = 1.0
     max_iter: int = 500
     tol: float = 1e-3              # stop tolerance on max |H|
-    variant: str = "backtracking"  # or "fixed-step"
-    control: tuple = (16, 16)      # coarse gradient grid (<= 16 per axis)
-    armijo: float = 1e-4
-    max_halvings: int = 60
-    mode: str = "full"             # or "r-only"
-    precondition: bool = True      # flat-torus Jacobi-symbol scaling
 
     def __post_init__(self):
         if self.step <= 0 or self.tol <= 0:
             raise ValueError("step and tol must be positive")
-        if self.variant not in ("backtracking", "fixed-step"):
-            raise ValueError("variant must be 'backtracking' or 'fixed-step'")
-        if self.mode not in ("full", "r-only"):
-            raise ValueError("mode must be 'full' or 'r-only'")
-        if max(self.control) > 16:
-            raise ValueError("control grid capped at 16x16")
 
 
 @dataclass
@@ -132,31 +125,30 @@ def _moved_points(points, e3, psi):
 
 
 def _check_step(grid, moved):
+    """Grid on the moved points, its tangents formed (and cached) once.
+
+    Raises DegenerateParametrization when the moved parametrization collapses.
+    """
     cand = grid.with_points(moved)
-    Xu = cand.calc.du(moved)
-    Xv = cand.calc.dv(moved)
-    z = moved
-    Xu = Xu - np.sum(Xu * z, -1, keepdims=True) * z
-    Xv = Xv - np.sum(Xv * z, -1, keepdims=True) * z
-    det = (np.sum(Xu * Xu, -1) * np.sum(Xv * Xv, -1) - np.sum(Xu * Xv, -1) ** 2)
-    return cand, float(det.min())
+    tangent_fields(cand)
+    return cand
 
 
 def flow_step(grid, psi, step=1.0):
     """Move every node along its adapted normal by step*psi and renormalize.
 
-    Raises StepTooLarge when the moved grid's tangent Gram determinant
-    collapses below 1e-10.
+    Raises StepTooLarge, naming the node, when the moved grid's tangent Gram
+    determinant collapses below 1e-10.
     """
     psi = np.asarray(psi, float)
     if psi.shape != grid.points.shape[:2]:
         raise ValueError("psi must be a per-node scalar field")
     frames = contact_angle_field(grid)
     moved = _moved_points(grid.points, frames.e3, step * psi)
-    cand, mindet = _check_step(grid, moved)
-    if mindet < GRAM_DET_TOL:
-        raise StepTooLarge(f"moved grid has Gram determinant {mindet:.3e}")
-    return cand
+    try:
+        return _check_step(grid, moved)
+    except DegenerateParametrization as exc:
+        raise StepTooLarge(f"moved grid has {exc}", node=exc.node) from exc
 
 
 def _spline_factor(m, n):
@@ -198,17 +190,15 @@ def _control_gradient(grid, frames, metric, shape, Bu, Bv):
 def descend(grid, config=None):
     """Backtracking gradient descent of the Willmore-type energy.
 
-    Requires a doubly periodic initial grid in full mode.  Returns a
+    Requires a doubly periodic initial grid.  Returns a
     FlowReport; non-convergence is reported with converged=False rather
     than raised, and steps that would collapse the grid are absorbed as
     automatic step reductions.
     """
     cfg = config if config is not None else FlowConfig()
-    if cfg.mode == "r-only":
-        raise ValueError("use descend_r_family for r-only mode")
     spec = grid.spec
     if not (spec.topology_u == "periodic" and spec.topology_v == "periodic"):
-        raise ValueError("full-mode descent needs a compact (doubly periodic) surface")
+        raise ValueError("descent needs a compact (doubly periodic) surface")
 
     traj = []
     energies = []
@@ -220,7 +210,7 @@ def descend(grid, config=None):
     it = 0
     message = "already at tolerance" if converged else ""
     Bu, Bv = (_spline_factor(m, n)
-              for m, n in zip(cfg.control, grid.points.shape[:2]))
+              for m, n in zip(CONTROL, grid.points.shape[:2]))
     t_next = cfg.step
 
     while not converged and it < cfg.max_iter:
@@ -228,19 +218,20 @@ def descend(grid, config=None):
         if float(np.sum(g ** 2)) == 0.0:
             message = "zero gradient"
             break
-        d_ctrl = -(_precondition(g) if cfg.precondition else g)
+        d_ctrl = -_precondition(g)
         slope = float(np.sum(g * d_ctrl))  # negative for a descent direction
         psi_dir = Bu @ d_ctrl @ Bv.T
         t = t_next
         accepted = False
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             moved = _moved_points(grid.points, frames.e3, t * psi_dir)
-            cand, mindet = _check_step(grid, moved)
-            if mindet < GRAM_DET_TOL:
-                t *= 0.5  # StepTooLarge absorbed as a step reduction
+            try:
+                cand = _check_step(grid, moved)
+            except DegenerateParametrization:
+                t *= 0.5  # a collapsed step is absorbed as a step reduction
                 continue
             frames_c, metric_c, shape_c, E_c, maxH_c = _state(cand)
-            if cfg.variant == "fixed-step" or E_c <= E + cfg.armijo * t * slope:
+            if E_c <= E + ARMIJO * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -291,7 +282,7 @@ def _golden_min(f, a, b, tol=1e-9):
 
 def descend_r_family(r0, n=32, config=None):
     """Minimize the discrete energy over the product-torus family only."""
-    cfg = config if config is not None else FlowConfig(mode="r-only")
+    cfg = config if config is not None else FlowConfig()
     cache = {}
 
     def E_of(r):
@@ -328,9 +319,7 @@ def theorem_probe(report, grid, beta_tol=5e-3, K_tol=5e-3):
     if not report.converged:
         return {"status": "inconclusive",
                 "reason": "flow did not converge", "beta_spread": report.beta_spread}
-    frames = contact_angle_field(grid)
-    metric = first_fundamental_form(grid)
-    shape = shape_operator(grid, frames)
+    frames, _, shape, _, _ = _state(grid)
     K = gaussian_curvature_extrinsic(shape)
     spread = float(np.ptp(frames.beta[~frames.mask]))
     K_inf = float(np.max(np.abs(K[~frames.mask])))

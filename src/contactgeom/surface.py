@@ -23,7 +23,9 @@ is the primitive object here.
 
 Everything in this module is a pure function of its inputs; the only
 sequential piece is the sign/unwrap propagation, which follows a fixed
-spanning tree, so results never depend on evaluation order.
+spanning tree, so results never depend on evaluation order.  The tangent
+pair and its Gram matrix (MetricField) are formed once per grid and cached
+on it as SurfaceGrid.geometry; every consumer reads that copy.
 """
 
 import collections
@@ -33,7 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from . import ambient
-from .errors import DegenerateContact, DegenerateParametrization, OffSphere
+from .errors import (DegenerateContact, DegenerateMetric,
+                     DegenerateParametrization, OffSphere)
 from .gridops import GridCalc
 
 OFF_SPHERE_TOL = 1e-6
@@ -88,6 +91,36 @@ class GridSpec:
         return np.meshgrid(self.us, self.vs, indexing="ij")
 
 
+@dataclass
+class MetricField:
+    """First fundamental form in the (Xu, Xv) basis."""
+
+    E: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+
+    def __post_init__(self):
+        det = self.det
+        if np.any(det <= 1e-12):
+            ij = tuple(int(k) for k in np.unravel_index(np.argmin(det), det.shape))
+            raise DegenerateMetric(
+                f"metric determinant {det[ij]:.3e} at node {ij} is not positive",
+                node=ij)
+
+    @property
+    def det(self):
+        return self.E * self.G - self.F * self.F
+
+    @property
+    def inv(self):
+        d = self.det
+        return self.G / d, -self.F / d, self.E / d  # g^uu, g^uv, g^vv
+
+    @property
+    def sqrt_det(self):
+        return np.sqrt(self.det)
+
+
 class SurfaceGrid:
     """Grid of unit-sphere points with optional analytic parameter derivatives.
 
@@ -104,11 +137,33 @@ class SurfaceGrid:
         self.points = points
         self.partials = partials
         self.label = label
-        self._tangents = None
 
     @cached_property
     def calc(self):
         return GridCalc(self.spec)
+
+    @cached_property
+    def geometry(self):
+        """(Xu, Xv, metric): the tangent pair and its Gram matrix; see tangent_fields."""
+        if self.partials is not None:
+            Xu = self.partials["fu"]
+            Xv = self.partials["fv"]
+        else:
+            Xu = self.calc.du(self.points)
+            Xv = self.calc.dv(self.points)
+        z = self.points
+        Xu = Xu - np.sum(Xu * z, axis=-1, keepdims=True) * z
+        Xv = Xv - np.sum(Xv * z, axis=-1, keepdims=True) * z
+        E = np.sum(Xu * Xu, -1)
+        F = np.sum(Xu * Xv, -1)
+        G = np.sum(Xv * Xv, -1)
+        det = E * G - F * F
+        if np.any(det < GRAM_DET_TOL):
+            ij = np.unravel_index(np.argmin(det), det.shape)
+            raise DegenerateParametrization(
+                f"tangent Gram determinant {det[ij]:.3e} at node "
+                f"{tuple(int(k) for k in ij)}", node=tuple(int(k) for k in ij))
+        return Xu, Xv, MetricField(E, F, G)
 
     def with_points(self, points, partials=None, label=None):
         return SurfaceGrid(self.spec, points, partials,
@@ -167,30 +222,10 @@ def tangent_fields(grid):
     """Per-node tangent pair (Xu, Xv), analytic when stored, else 4th-order FD.
 
     Both routes project onto T_z S^3.  Raises DegenerateParametrization if
-    the Gram determinant drops below 1e-10 anywhere.
+    the Gram determinant drops below 1e-10 anywhere.  The pair and its Gram
+    matrix are computed once per grid and cached there.
     """
-    if grid._tangents is not None:
-        return grid._tangents
-    if grid.partials is not None:
-        Xu = grid.partials["fu"]
-        Xv = grid.partials["fv"]
-    else:
-        Xu = grid.calc.du(grid.points)
-        Xv = grid.calc.dv(grid.points)
-    z = grid.points
-    Xu = Xu - np.sum(Xu * z, axis=-1, keepdims=True) * z
-    Xv = Xv - np.sum(Xv * z, axis=-1, keepdims=True) * z
-    E = np.sum(Xu * Xu, -1)
-    F = np.sum(Xu * Xv, -1)
-    G = np.sum(Xv * Xv, -1)
-    det = E * G - F * F
-    if np.any(det < GRAM_DET_TOL):
-        ij = np.unravel_index(np.argmin(det), det.shape)
-        raise DegenerateParametrization(
-            f"tangent Gram determinant {det[ij]:.3e} at node "
-            f"{tuple(int(k) for k in ij)}", node=tuple(int(k) for k in ij))
-    grid._tangents = (Xu, Xv)
-    return grid._tangents
+    return grid.geometry[:2]
 
 
 def tangent_pair(grid, i, j):
@@ -244,7 +279,7 @@ class FrameField:
 def _raw_frames(z, Xu, Xv):
     """Vectorized pre-gauge frame construction.
 
-    Returns (e1, e2, e3, mask, (E, F, G), xi) where e1's sign is arbitrary
+    Returns (e1, e2, e3, mask, xi) where e1's sign is arbitrary
     per node (fixed later by the flood fill) and e2 already carries the
     (Xu, Xv)-orientation relative to this e1.
 
@@ -275,11 +310,7 @@ def _raw_frames(z, Xu, Xv):
     orient = (np.sum(Xu * e1, -1) * np.sum(Xv * cand, -1)
               - np.sum(Xu * cand, -1) * np.sum(Xv * e1, -1))
     e2 = np.where(orient[..., None] >= 0, cand, -cand)
-
-    E = np.sum(Xu * Xu, -1)
-    F = np.sum(Xu * Xv, -1)
-    G = np.sum(Xv * Xv, -1)
-    return e1, e2, e3, mask, (E, F, G), xi
+    return e1, e2, e3, mask, xi
 
 
 def adapted_frame(z, Xu, Xv):
@@ -292,7 +323,7 @@ def adapted_frame(z, Xu, Xv):
     z = np.asarray(getattr(z, "vec", z), float)
     Xu = np.asarray(getattr(Xu, "vec", Xu), float)
     Xv = np.asarray(getattr(Xv, "vec", Xv), float)
-    e1, e2, e3, mask, _, xi = _raw_frames(z, Xu, Xv)
+    e1, e2, e3, mask, xi = _raw_frames(z, Xu, Xv)
     if bool(np.any(mask)):
         raise DegenerateContact("tangent plane equals the contact plane; "
                                 "e1 is not determined")
@@ -383,7 +414,7 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
     nodes are masked.
     """
     Xu, Xv = tangent_fields(grid)
-    e1, e2, e3, mask, _, xi = _raw_frames(grid.points, Xu, Xv)
+    e1, e2, e3, mask, xi = _raw_frames(grid.points, Xu, Xv)
 
     n_masked = int(mask.sum())
     if n_masked > max_masked_fraction * mask.size:
@@ -434,10 +465,9 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
     sin_b = np.sum(xi * e3, -1)
 
     # (Xu, Xv)-coordinates of e1, e2 through the inverse metric
-    E = np.sum(Xu * Xu, -1)
-    F = np.sum(Xu * Xv, -1)
-    G = np.sum(Xv * Xv, -1)
-    det = E * G - F * F
+    metric = grid.geometry[2]
+    E, F, G, det = metric.E, metric.F, metric.G, metric.det
+
     def coords(e):
         r1 = np.sum(Xu * e, -1)
         r2 = np.sum(Xv * e, -1)

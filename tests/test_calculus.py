@@ -9,7 +9,8 @@ from contactgeom import (DegenerateMetric, GridSpec, build_analysis,
                          laplace_beltrami, refinement_study, sample,
                          shape_operator, verify_curvature_identity,
                          verify_laplacian_identity, verify_minimality)
-from contactgeom.calculus import MetricField, observed_order, refinement_passed
+from contactgeom.calculus import (MetricField, observed_order, refinement_passed,
+                                  tan_pole_distance)
 from contactgeom.catalog import clifford, geodesic_sphere, r_torus
 from contactgeom.surface import contact_angle_field
 
@@ -44,6 +45,11 @@ def test_metric_sphere_round(sphere64):
     assert np.max(np.abs(an.metric.G - np.sin(theta) ** 2)) < 1e-12
     assert np.max(np.abs(an.metric.F)) < 1e-12
     assert np.all(an.metric.det > 0)
+
+
+def test_analysis_reads_the_grid_metric(sphere64):
+    grid, an = sphere64
+    assert an.metric is first_fundamental_form(grid)
 
 
 # ---------------------------------------------------------- shape operator
@@ -244,6 +250,38 @@ def test_connection_identity_sphere_refines():
                            band=0.05)
     assert rep.order is not None and rep.order >= 1.7
     assert rep.linf < 1e-4
+
+
+def _band_residuals_reference(grid, band):
+    """Laplacian and connection residuals re-derived per band from an analysis."""
+    an = build_analysis(grid)
+    pole = tan_pole_distance(an.frames.beta) < band
+    valid = an.valid & ~pole
+    tan_beta = np.where(pole, 0.0, np.tan(an.frames.beta))
+    gb = an.grad_beta
+    lap = an.lap_beta + tan_beta * ((gb.beta1 + 2.0) ** 2 + gb.beta2 ** 2)
+    de2_u = grid.calc.du(an.frames.e2)
+    de2_v = grid.calc.dv(an.frames.e2)
+    comp = [np.sum((c[..., 0, None] * de2_u + c[..., 1, None] * de2_v)
+                   * an.frames.e1, -1)
+            for c in (an.frames.coeff1, an.frames.coeff2)]
+    res1 = comp[0] - tan_beta * gb.beta2
+    res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
+    conn = np.maximum(np.abs(res1), np.abs(res2))
+    return {"laplacian": (lap, valid), "connection": (conn, valid)}
+
+
+@pytest.mark.parametrize("identity", ["laplacian", "connection"])
+def test_refinement_wide_band_excludes_pole_rows(identity):
+    # beta = arcsin(x2) comes within 0.2 of a tan pole at the chart edges,
+    # so a 0.3 band drops whole rows of nodes there
+    rep = refinement_study(geodesic_sphere(), identity, [32, 64, 128], band=0.3)
+    assert [level[3] for level in rep.levels] == [128, 384, 1280]
+    for (n, linf, _, excluded) in rep.levels:
+        res, valid = _band_residuals_reference(geodesic_sphere().sample(n=n),
+                                               0.3)[identity]
+        assert excluded == int(np.sum(~valid))
+        assert linf == float(np.max(np.abs(res[valid])))
 
 
 def test_connection_constant_angle_r_torus():

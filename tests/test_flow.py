@@ -1,15 +1,18 @@
 """Area, Willmore energy, flow steps, descent and the rigidity probes."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from contactgeom import (FlowConfig, StepTooLarge, area, clifford, descend,
-                         descend_r_family, flow_step, geodesic_sphere, perturb,
-                         r_torus, theorem_probe, willmore_energy,
-                         willmore_gradient)
+from contactgeom import (DegenerateParametrization, FlowConfig, StepTooLarge,
+                         area, clifford, descend, descend_r_family, flow,
+                         flow_step, geodesic_sphere, perturb, r_torus,
+                         theorem_probe, willmore_energy, willmore_gradient)
 from contactgeom.flow import (_control_gradient, _moved_points, _spline_factor,
                               _state)
+from contactgeom.gridops import GridCalc
 
 
 def test_area_clifford():
@@ -71,14 +74,6 @@ def test_flow_step_constant_displacement_moves_along_family():
     assert np.max(np.abs(moved.points - target.points)) < 5.0 * c ** 2
 
 
-def test_fixed_step_variant_descends():
-    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
-    cfg = FlowConfig(step=0.05, max_iter=3, tol=1e-9, variant="fixed-step")
-    rep, _ = descend(grid, cfg)
-    assert rep.iterations == 3
-    assert rep.energy[-1] < rep.energy[0]
-
-
 def _fd_control_gradient(grid, frames, Bu, Bv, delta=1e-5):
     """Reference dE/dc by symmetric differences of the discrete energy."""
     g = np.empty((Bu.shape[1], Bv.shape[1]))
@@ -131,8 +126,42 @@ def test_flow_step_too_large():
     # psi = 1 drives the flat torus onto the circle (e^{iu}, 0): the
     # v-direction degenerates and the step must be rejected
     grid = clifford().sample(n=16)
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(StepTooLarge) as info:
         flow_step(grid, np.ones((16, 16)), 1.0)
+    exc = info.value
+    assert isinstance(exc.__cause__, DegenerateParametrization)
+    found = re.search(r"determinant (\S+) at node \((\d+), (\d+)\)", str(exc))
+    assert found is not None
+    assert float(found.group(1)) < 1e-10
+    assert exc.node == (int(found.group(2)), int(found.group(3)))
+    assert exc.node == exc.__cause__.node
+
+
+def test_line_search_trial_differentiates_moved_points_once(monkeypatch):
+    # the Gram check and the trial's state share one tangent computation
+    moved_arrays = []
+    counts = {}
+
+    def recorded(points, e3, psi):
+        moved = _moved_points(points, e3, psi)
+        moved_arrays.append(moved)
+        counts[id(moved)] = 0
+        return moved
+
+    du = GridCalc.du
+
+    def counted(self, f):
+        if any(f is m for m in moved_arrays):
+            counts[id(f)] += 1
+        return du(self, f)
+
+    monkeypatch.setattr(flow, "_moved_points", recorded)
+    monkeypatch.setattr(GridCalc, "du", counted)
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
+    rep, _ = descend(grid, FlowConfig(max_iter=3, tol=1e-9))
+    assert rep.iterations == 3
+    assert len(moved_arrays) >= 3
+    assert all(counts[id(m)] == 1 for m in moved_arrays)
 
 
 def test_descend_already_minimal():

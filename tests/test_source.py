@@ -1,0 +1,58 @@
+"""Dead-code guard over the package source, using only the standard library."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "contactgeom").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _read_names(tree):
+    """Identifiers a module reads: loaded names, attribute names, imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports are its public interface
+    unused = []
+    for path in [p for p in PACKAGE if p.name != "__init__.py"] + TESTS:
+        tree = _tree(path)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_module_names():
+    trees = {path: _tree(path) for path in PACKAGE + TESTS}
+    referenced = set().union(*(_read_names(t) for t in trees.values()))
+    dead = []
+    for path in PACKAGE:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{path.name}:{node.lineno} {name}" for name in defined
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in referenced]
+    assert dead == []

@@ -1,5 +1,7 @@
 """Grids, sampling, tangent pairs, adapted frames and the contact angle."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from contactgeom import (DegenerateContact, DegenerateParametrization, GridSpec,
                          OffSphere, adapted_frame, contact_angle_field,
                          reeb, sample, tangent_fields, tangent_pair)
 from contactgeom.ambient import jmul
-from contactgeom.catalog import clifford, geodesic_sphere, r_torus
+from contactgeom.catalog import (build, clifford, geodesic_sphere, names,
+                                 perturb, r_torus)
+from contactgeom.surface import _raw_frames
 
 RNG = np.random.default_rng(7)
 
@@ -229,3 +233,75 @@ def test_degenerate_fraction_guard():
     grid = sample(_polar_cap_chart(), spec)
     with pytest.raises(DegenerateContact):
         contact_angle_field(grid)
+
+
+def _flood_order(spec, mask):
+    """BFS visit order and parents over unmasked nodes, neighbours in the
+    order +u, -u, +v, -v; new components seeded at their smallest (i, j)."""
+    def step(k, d, n, topology):
+        return (k + d) % n if topology == "periodic" else min(max(k + d, 0), n - 1)
+
+    n, m = spec.n_u, spec.n_v
+    seen = mask.copy()
+    order, parents = [], []
+    for i0 in range(n):
+        for j0 in range(m):
+            if seen[i0, j0]:
+                continue
+            seen[i0, j0] = True
+            order.append((i0, j0))
+            parents.append(None)
+            queue = collections.deque([(i0, j0)])
+            while queue:
+                i, j = queue.popleft()
+                for nb in ((step(i, 1, n, spec.topology_u), j),
+                           (step(i, -1, n, spec.topology_u), j),
+                           (i, step(j, 1, m, spec.topology_v)),
+                           (i, step(j, -1, m, spec.topology_v))):
+                    if not seen[nb]:
+                        seen[nb] = True
+                        order.append(nb)
+                        parents.append((i, j))
+                        queue.append(nb)
+    return order, parents
+
+
+def _bfs_gauge(grid):
+    """Reference gauge, node by node: e1's sign by continuity along the BFS
+    tree (seeds take <e1, Xu> >= 0), beta unwrapped along the same tree."""
+    Xu, Xv = tangent_fields(grid)
+    e1, e2, e3, mask, xi = _raw_frames(grid.points, Xu, Xv)
+    e1_dot_xu = np.sum(e1 * Xu, -1)
+    order, parents = _flood_order(grid.spec, mask)
+    sign = np.ones(mask.shape)
+    for node, par in zip(order, parents):
+        if par is None:
+            sign[node] = 1.0 if e1_dot_xu[node] >= 0 else -1.0
+        else:
+            d = float(np.sum(e1[node] * e1[par], -1)) * sign[par]
+            sign[node] = 1.0 if d >= 0 else -1.0
+    e1 = sign[..., None] * e1
+    e2 = sign[..., None] * e2
+    beta = np.arctan2(np.sum(xi * e3, -1), np.sum(xi * e2, -1))
+    for node, par in zip(order, parents):
+        if par is not None:
+            beta[node] += 2.0 * np.pi * np.round((beta[par] - beta[node]) / (2.0 * np.pi))
+    return e1, beta, int(sign[order[0]])
+
+
+def test_sign_fills_match_node_by_node_bfs():
+    # the unmasked grids take the vectorized fill, the polar cap the BFS one;
+    # both must give the reference gauge bit for bit, with no holonomy
+    grids = [build(name).sample(n=32) for name in names()]
+    grids += [r_torus(1.0).sample(n=32),
+              perturb(clifford(), (1, 2), 0.05).sample(n=32),
+              sample(_polar_cap_chart(),
+                     GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart"))]
+    for grid in grids:
+        ff = contact_angle_field(grid)
+        e1, beta, seed_sign = _bfs_gauge(grid)
+        assert np.array_equal(ff.e1, e1), grid.label
+        assert np.array_equal(ff.beta, beta), grid.label
+        assert ff.seed_sign == seed_sign, grid.label
+        assert ff.sign_mismatches == 0, grid.label
+    assert ff.n_masked == 1  # the polar cap, last, took the masked path
