@@ -28,6 +28,10 @@ class DegenerateParametrization(ContactGeomError):
 class DegenerateContact(ContactGeomError):
     """The surface tangent plane coincides with the contact plane (e1 undefined)."""
 
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
+
 
 class DegenerateMetric(ContactGeomError):
     """First fundamental form is not positive definite at some node."""

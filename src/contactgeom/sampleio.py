@@ -105,6 +105,32 @@ def _grid_from_columns(u, v, pts4, lineno_base=1):
     return SurfaceGrid(spec, points / np.linalg.norm(points, axis=-1, keepdims=True))
 
 
+def _parse_rows(rows, lines, sep, n_cols, n_keep):
+    """Floats of the first n_keep columns, one array row per data row.
+
+    rows are the non-blank lines of lines after the first (the header).
+    One numpy conversion parses every row; on a ragged row or a bad token
+    the lines are re-read one by one, so that the ParseError names the
+    first bad line by its number in the file.
+    """
+    if rows:
+        try:
+            table = np.loadtxt(rows, delimiter=sep, comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is not None and table.shape[1] == n_cols:
+            return table[:, :n_keep]
+    data = []
+    for k, ln in enumerate(lines[1:], start=2):
+        if not ln.strip():
+            continue
+        toks = ln.split(sep)
+        if len(toks) != n_cols:
+            raise ParseError(f"expected {n_cols} columns, found {len(toks)}", line=k)
+        data.append(_parse_floats(toks[:n_keep], k))
+    return np.asarray(data, float).reshape(-1, n_keep)
+
+
 def read_samples(path):
     """Parse a native sample file or a fields.csv export into a SurfaceGrid."""
     from .surface import GridSpec, SurfaceGrid
@@ -115,15 +141,9 @@ def read_samples(path):
         raise ParseError("empty file", line=1)
 
     first = lines[0].strip()
+    rows = [ln for ln in lines[1:] if ln.strip()]
     if first == FIELDS_CSV_HEADER:
-        rows = [ln for ln in lines[1:] if ln.strip()]
-        data = []
-        for k, ln in enumerate(rows, start=2):
-            toks = ln.split(",")
-            if len(toks) != 12:
-                raise ParseError(f"expected 12 columns, found {len(toks)}", line=k)
-            data.append(_parse_floats(toks[:6], k))
-        arr = np.asarray(data, float)
+        arr = _parse_rows(rows, lines, ",", 12, 6)
         if len(arr) < 4:
             raise ParseError("too few rows for a grid", line=len(lines))
         return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6])
@@ -145,18 +165,10 @@ def read_samples(path):
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from None
 
-    rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != nu * nv:
         raise ParseError(f"expected {nu * nv} rows, found {len(rows)}",
                          line=len(lines))
-    points = np.empty((nu * nv, 4))
-    for k, ln in enumerate(rows, start=2):
-        toks = ln.split()
-        if len(toks) != 6:
-            raise ParseError(f"expected 6 columns, found {len(toks)}", line=k)
-        vals = _parse_floats(toks, k)
-        points[k - 2] = vals[2:6]
-    points = points.reshape(nu, nv, 4)
+    points = _parse_rows(rows, lines, None, 6, 6)[:, 2:6].reshape(nu, nv, 4)
     _check_on_sphere(points)
     points = points / np.linalg.norm(points, axis=-1, keepdims=True)
     return SurfaceGrid(spec, points, label=f"samples:{path}")

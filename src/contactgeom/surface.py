@@ -28,7 +28,6 @@ pair and its Gram matrix (MetricField) are formed once per grid and cached
 on it as SurfaceGrid.geometry; every consumer reads that copy.
 """
 
-import collections
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -351,34 +350,44 @@ def _grid_neighbors(spec):
     return up, um, vp, vm
 
 
-def _flood_order(spec, mask):
-    """Deterministic BFS visit order with parents, skipping masked nodes.
+def _flood_levels(spec, mask):
+    """Deterministic BFS over unmasked nodes, one level at a time.
 
-    New components are seeded at their smallest (i, j) in row-major order.
+    Returns a list of (nodes, parents) pairs of flat (row-major) node
+    indices; parents is None for the level that seeds a component.  Each
+    level lists its nodes in the order a FIFO BFS visits them: the previous
+    level's nodes in order, each gathering its unseen neighbours in the
+    order +u, -u, +v, -v, a node's first discoverer being its parent.  New
+    components are seeded at their smallest (i, j) in row-major order.
     """
-    n, m = spec.n_u, spec.n_v
     up, um, vp, vm = _grid_neighbors(spec)
-    seen = mask.copy()
-    order = []
-    parents = []
-    queue = collections.deque()
-    for i0 in range(n):
-        for j0 in range(m):
-            if seen[i0, j0]:
-                continue
-            seen[i0, j0] = True
-            order.append((i0, j0))
-            parents.append(None)
-            queue.append((i0, j0))
-            while queue:
-                i, j = queue.popleft()
-                for ni, nj in ((up[i], j), (um[i], j), (i, vp[j]), (i, vm[j])):
-                    if not seen[ni, nj]:
-                        seen[ni, nj] = True
-                        order.append((int(ni), int(nj)))
-                        parents.append((i, j))
-                        queue.append((int(ni), int(nj)))
-    return order, parents
+    m = spec.n_v
+    iu = m * np.arange(spec.n_u)[:, None]
+    iv = np.arange(m)[None, :]
+    nbr = np.stack([m * up[:, None] + iv, m * um[:, None] + iv,
+                    iu + vp[None, :], iu + vm[None, :]], axis=-1).reshape(-1, 4)
+    seen = mask.ravel().copy()
+    levels = []
+    seed = 0
+    while True:
+        seed += int(np.argmin(seen[seed:]))
+        if seen[seed]:
+            return levels
+        seen[seed] = True
+        frontier = np.array([seed])
+        levels.append((frontier, None))
+        while True:
+            cand = nbr[frontier].ravel()
+            fresh = ~seen[cand]
+            cand = cand[fresh]
+            if cand.size == 0:
+                break
+            _, first = np.unique(cand, return_index=True)
+            first.sort()
+            parents = np.repeat(frontier, 4)[fresh][first]
+            frontier = cand[first]
+            seen[frontier] = True
+            levels.append((frontier, parents))
 
 
 def _fill_signs_fast(e1, e1_dot_xu):
@@ -418,9 +427,10 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
 
     n_masked = int(mask.sum())
     if n_masked > max_masked_fraction * mask.size:
+        ij = tuple(int(k) for k in np.unravel_index(np.argmax(mask), mask.shape))
         raise DegenerateContact(
             f"{n_masked} of {mask.size} nodes are contact-degenerate "
-            f"(> {max_masked_fraction:.0%})")
+            f"(> {max_masked_fraction:.0%}), the first at node {ij}", node=ij)
 
     e1_dot_xu = np.sum(e1 * Xu, -1)
     if n_masked == 0:
@@ -430,18 +440,17 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
         beta = np.arctan2(np.sum(xi * e3, -1), np.sum(xi * e2, -1))
         beta = _unwrap_fast(beta)
     else:
-        order, parents = _flood_order(grid.spec, mask)
-        sign = np.ones(mask.shape)
-        seed_sign = 1
-        for (node, par) in zip(order, parents):
-            if par is None:
-                s = 1.0 if e1_dot_xu[node] >= 0 else -1.0
-                sign[node] = s
-                if node == order[0]:
-                    seed_sign = int(s)
+        levels = _flood_levels(grid.spec, mask)
+        e1_flat = e1.reshape(-1, 4)
+        sign = np.ones(mask.size)
+        for nodes, parents in levels:
+            if parents is None:
+                d = e1_dot_xu.ravel()[nodes]
             else:
-                d = float(np.sum(e1[node] * e1[par], -1)) * sign[par]
-                sign[node] = 1.0 if d >= 0 else -1.0
+                d = np.sum(e1_flat[nodes] * e1_flat[parents], -1) * sign[parents]
+            sign[nodes] = np.where(d >= 0, 1.0, -1.0)
+        seed_sign = int(sign[levels[0][0][0]]) if levels else 1
+        sign = sign.reshape(mask.shape)
 
         e1 = sign[..., None] * e1
         e2 = sign[..., None] * e2
@@ -449,9 +458,11 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
 
         # unwrap along the same tree (2 pi jumps only; masked nodes untouched)
         two_pi = 2.0 * np.pi
-        for (node, par) in zip(order, parents):
-            if par is not None:
-                beta[node] += two_pi * np.round((beta[par] - beta[node]) / two_pi)
+        beta_flat = beta.reshape(-1)
+        for nodes, parents in levels:
+            if parents is not None:
+                beta_flat[nodes] += two_pi * np.round(
+                    (beta_flat[parents] - beta_flat[nodes]) / two_pi)
 
     # holonomy diagnostic: cross edges where the propagated signs disagree
     up, um, vp, vm = _grid_neighbors(grid.spec)

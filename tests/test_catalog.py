@@ -7,7 +7,7 @@ from contactgeom import (AmplitudeTooLarge, OffSphere, ParseError, RangeError,
                          clifford, contact_angle_field, geodesic_sphere,
                          load_samples, perturb, r_torus, willmore_energy)
 from contactgeom.catalog import build, describe
-from contactgeom.sampleio import write_samples
+from contactgeom.sampleio import FIELDS_CSV_HEADER, write_samples
 from contactgeom.surface import sample, tangent_fields
 
 RNG = np.random.default_rng(3)
@@ -180,3 +180,66 @@ def test_sample_file_bad_header(tmp_path):
     path.write_text("NOTAFORMAT\n")
     with pytest.raises(ParseError):
         load_samples(str(path))
+
+
+def _sample_file_lines(fmt, tmp_path):
+    """Lines of an 8x8 clifford sample file, native or fields.csv, and the separator."""
+    grid = clifford().sample(n=8)
+    path = tmp_path / "clifford.s3"
+    write_samples(grid, str(path))
+    lines = path.read_text().splitlines()
+    if fmt == "native":
+        return lines, " "
+    # the analyzer's columns after the point are not read back
+    return [FIELDS_CSV_HEADER] + [",".join(ln.split() + ["0.0"] * 5 + ["0"])
+                                  for ln in lines[1:]], ","
+
+
+@pytest.mark.parametrize("fault", ["bad token", "wrong column count"])
+@pytest.mark.parametrize("fmt", ["native", "fields.csv"])
+def test_sample_file_error_names_file_line_after_blank_line(tmp_path, fmt, fault):
+    lines, sep = _sample_file_lines(fmt, tmp_path)
+    lines.insert(3, "")
+    toks = lines[9].split(sep)
+    if fault == "bad token":
+        toks[3] = "0x10"
+    else:
+        toks = toks[:-1]
+    lines[9] = sep.join(toks)
+    path = tmp_path / "bad.s3"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_samples(str(path))
+    assert err.value.line == 10
+    assert str(err.value).startswith("line 10: ")
+
+
+def test_sample_file_ragged_rows_fail_at_first_short_row(tmp_path):
+    # a 5-token row then a 7-token row keep the total count of tokens
+    lines, _ = _sample_file_lines("native", tmp_path)
+    lines[5] = lines[5].rsplit(" ", 1)[0]
+    lines[6] = lines[6] + " 0.0"
+    path = tmp_path / "bad.s3"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_samples(str(path))
+    assert err.value.line == 6
+    assert "found 5" in str(err.value)
+
+
+@pytest.mark.parametrize("fmt", ["native", "fields.csv"])
+def test_sample_file_reader_accepts_every_float_token(tmp_path, fmt):
+    # float() reads digit-group underscores; every token of the file is
+    # rewritten that way and must give the same points bit for bit
+    lines, sep = _sample_file_lines(fmt, tmp_path)
+    plain = tmp_path / "plain.s3"
+    plain.write_text("\n".join(lines) + "\n")
+    grouped = [lines[0]]
+    for ln in lines[1:]:
+        toks = ln.split(sep)
+        grouped.append(sep.join([t.replace("e", "_0e") for t in toks[:6]] + toks[6:]))
+    path = tmp_path / "grouped.s3"
+    path.write_text("\n".join(grouped) + "\n")
+    assert "_" in grouped[1]
+    assert np.array_equal(load_samples(str(path)).points,
+                          load_samples(str(plain)).points)

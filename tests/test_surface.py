@@ -11,7 +11,7 @@ from contactgeom import (DegenerateContact, DegenerateParametrization, GridSpec,
 from contactgeom.ambient import jmul
 from contactgeom.catalog import (build, clifford, geodesic_sphere, names,
                                  perturb, r_torus)
-from contactgeom.surface import _raw_frames
+from contactgeom.surface import _flood_levels, _raw_frames
 
 RNG = np.random.default_rng(7)
 
@@ -231,8 +231,13 @@ def test_degenerate_contact_masked_and_single_point():
 def test_degenerate_fraction_guard():
     spec = GridSpec(8, 8, (-1e-5, 1e-5), (-1e-5, 1e-5), "chart", "chart")
     grid = sample(_polar_cap_chart(), spec)
-    with pytest.raises(DegenerateContact):
+    with pytest.raises(DegenerateContact) as err:
         contact_angle_field(grid)
+    # the error names the first masked node in row-major order
+    mask = contact_angle_field(grid, max_masked_fraction=1.0).mask
+    first = tuple(int(k) for k in np.argwhere(mask)[0])
+    assert err.value.node == first
+    assert f"node {first}" in str(err.value)
 
 
 def _flood_order(spec, mask):
@@ -266,6 +271,85 @@ def _flood_order(spec, mask):
     return order, parents
 
 
+def _flatten_levels(levels, n_v):
+    """The package's BFS levels as one (i, j) visit order with parents."""
+    order, parents = [], []
+    for nodes, par in levels:
+        order += [divmod(int(k), n_v) for k in nodes]
+        parents += ([None] * len(nodes) if par is None
+                    else [divmod(int(k), n_v) for k in par])
+    return order, parents
+
+
+def _oracle_masks(rng, n, m, periodic_u, periodic_v):
+    """Masks for the BFS oracle: none, random, grid-splitting, isolated nodes."""
+    yield np.zeros((n, m), bool)
+    for p in (0.05, 0.2, 0.5):
+        yield rng.random((n, m)) < p
+    # masked lines cut the grid into several components: one line splits a
+    # chart axis, two lines split a periodic one
+    split = np.zeros((n, m), bool)
+    split[[n // 3] + ([2 * n // 3] if periodic_u else []), :] = True
+    split[:, [m // 2] + ([m - 2] if periodic_v else [])] = True
+    yield split
+    # isolated unmasked nodes: every other node of every other row kept
+    isolated = np.ones((n, m), bool)
+    isolated[::2, ::2] = False
+    isolated[0, :] = False
+    yield isolated | (rng.random((n, m)) < 0.1)
+
+
+@pytest.mark.parametrize("topology_u", ["periodic", "chart"])
+@pytest.mark.parametrize("topology_v", ["periodic", "chart"])
+def test_flood_levels_match_node_by_node_bfs(topology_u, topology_v):
+    rng = np.random.default_rng(11)
+    n_multi = n_single = 0
+    for trial in range(6):
+        n, m = (int(k) for k in rng.integers(8, 24, 2))
+        spec = GridSpec(n, m, topology_u=topology_u, topology_v=topology_v)
+        for mask in _oracle_masks(rng, n, m, topology_u == "periodic",
+                                  topology_v == "periodic"):
+            levels = _flood_levels(spec, mask)
+            assert _flatten_levels(levels, m) == _flood_order(spec, mask)
+            seeds = [k for k, (_, par) in enumerate(levels) if par is None]
+            n_multi += len(seeds) > 1
+            # a component of one node: its seed level is followed by another
+            # seed level or by nothing
+            n_single += any(k + 1 == len(levels) or levels[k + 1][1] is None
+                            for k in seeds)
+    assert n_multi >= 6 and n_single >= 6
+
+
+def _rotated_polar_cap(n, seed):
+    # the polar cap moved by a Haar-random U(2) matrix; U(2) commutes with
+    # z -> iz, so the centre stays the one contact-degenerate node
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    a = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    cap = _polar_cap_chart()
+
+    def point(A, B):
+        x = cap(A, B)
+        w = np.stack([x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]], -1) @ a.T
+        return np.stack([w[..., 0].real, w[..., 0].imag,
+                         w[..., 1].real, w[..., 1].imag], -1)
+
+    return sample(point, GridSpec(n, n, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart"),
+                  label=f"rotated cap {n}x{n}")
+
+
+def _past_the_equator_chart():
+    # chart of the great sphere y1 = 0 around the contact-degenerate pole
+    # (1, 0, 0, 0) that reaches past the equator x1 = 0; its gauge puts beta
+    # through pi there, so the masked fill has to unwrap it
+    def point(A, B):
+        return np.stack([np.cos(A) * np.cos(B), np.zeros_like(A),
+                         -np.sin(A), np.cos(A) * np.sin(B)], -1)
+
+    return sample(point, GridSpec(33, 33, (-1.2, 1.2), (-2.0, 2.0), "chart", "chart"),
+                  label="past the equator")
+
+
 def _bfs_gauge(grid):
     """Reference gauge, node by node: e1's sign by continuity along the BFS
     tree (seeds take <e1, Xu> >= 0), beta unwrapped along the same tree."""
@@ -290,18 +374,22 @@ def _bfs_gauge(grid):
 
 
 def test_sign_fills_match_node_by_node_bfs():
-    # the unmasked grids take the vectorized fill, the polar cap the BFS one;
-    # both must give the reference gauge bit for bit, with no holonomy
+    # the unmasked grids take the vectorized fill, the polar caps the
+    # level-by-level one; both must give the reference gauge bit for bit,
+    # with no holonomy
     grids = [build(name).sample(n=32) for name in names()]
     grids += [r_torus(1.0).sample(n=32),
-              perturb(clifford(), (1, 2), 0.05).sample(n=32),
-              sample(_polar_cap_chart(),
-                     GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart"))]
-    for grid in grids:
+              perturb(clifford(), (1, 2), 0.05).sample(n=32)]
+    caps = [sample(_polar_cap_chart(),
+                   GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart")),
+            _rotated_polar_cap(65, seed=5), _past_the_equator_chart()]
+    for grid in grids + caps:
         ff = contact_angle_field(grid)
         e1, beta, seed_sign = _bfs_gauge(grid)
         assert np.array_equal(ff.e1, e1), grid.label
         assert np.array_equal(ff.beta, beta), grid.label
         assert ff.seed_sign == seed_sign, grid.label
         assert ff.sign_mismatches == 0, grid.label
-    assert ff.n_masked == 1  # the polar cap, last, took the masked path
+        # the caps, and only they, take the masked path
+        assert ff.n_masked == (grid in caps), grid.label
+    assert np.sum(ff.beta != np.arctan2(ff.sin_beta, ff.cos_beta)) > 100
