@@ -5,10 +5,27 @@ Native format (diff-friendly, self-describing):
     S3SAMPLES v1 <nu> <nv> <topo_u> <topo_v> <u0> <u1> <v0> <v1>
     <u> <v> <x1> <y1> <x2> <y2>          (nu*nv rows, v-index fastest)
 
-All floats are written as %.12e.  read_samples also accepts the analyzer's
-fields.csv (recognized by its header line); grid shape is inferred from the
-u/v columns and an axis is treated as periodic when its node spacing wraps
-the range to 2*pi.
+All floats are written as %.12e, byte for byte what Python's `%` prints.
+read_samples also accepts the analyzer's fields.csv (recognized by its
+header line); grid shape is inferred from the u/v columns and an axis is
+treated as periodic when its node spacing wraps the range to 2*pi.
+
+write_table formats in numpy and holds one u-row of the table in text at a
+time.  A cell's digits come from k = floor(log10|x|) and y = |x| * 10**p,
+p = 12 - k, formed by multiplying or dividing by exact powers 10**j,
+|j| <= 22: once when |p| <= 22, twice when 22 < |p| <= 44.  y is rounded
+to the 13-digit mantissa M = round(y), carried to 10**12 and k+1 at 10**13.
+One correctly rounded operation misses the exact y by at most half an ulp,
+2**-10 ~ 9.8e-4 on [1e12, 1e13); two miss it by at most 2**-52 * 1e13 ~
+2.2e-3.  So when the fraction of y is more than 3e-3 from 1/2, M is the
+mantissa `%` prints.  A y outside [1e12, 1e13) means log10 was off by one
+near a power of ten.  A y inside while the exact value is just outside lies
+within 2.2e-3 of 1e12 or 1e13, where both exponents give the same digits.
+A line is printed by `%` instead when one of its cells fails these tests:
+a fraction within 3e-3 of 1/2, a y outside [1e12, 1e13), |x| outside
+[1e-32, 1e57) (every three-digit exponent and every subnormal), a value
+that is not finite, or a %d cell that is not one of the digits 0..9.
++-0.0 is written directly, with the sign of -0.0.
 """
 
 import numpy as np
@@ -25,15 +42,126 @@ SAMPLE_ROW_FMT = " ".join([FLOAT_FMT] * 6)
 _OFF_SPHERE_TOL = 1e-6
 
 
+# Cells with 1e-32 <= |x| < 1e57 are formatted from digits: their scale
+# exponent p = 12 - k has |p| <= 44 and splits into two exact powers of ten.
+_K_MIN, _K_MAX = -32, 56
+_P_SPLIT = 22
+# Half-width of the band around a rounding tie that is left to `%`.
+_TIE_MARGIN = 3e-3
+
+
+def _word(text):
+    """Four ASCII characters, with "\\0" as a sentinel byte, as one native uint32."""
+    return np.frombuffer(text.encode("ascii"), np.uint32)[0]
+
+
+def _scale_factors():
+    """Four (89,) tables, indexed by p + 44, with x * a / b * c / d == x * 10**p."""
+    pow10 = np.array([float(10 ** j) for j in range(_P_SPLIT + 1)])
+    p = np.arange(-2 * _P_SPLIT, 2 * _P_SPLIT + 1)
+    p1 = np.clip(p, -_P_SPLIT, _P_SPLIT)
+    p2 = p - p1
+    return (pow10[np.maximum(p1, 0)], pow10[np.maximum(-p1, 0)],
+            pow10[np.maximum(p2, 0)], pow10[np.maximum(-p2, 0)])
+
+
+_SCALE = _scale_factors()
+# k runs to _K_MAX + 1 after a carry
+_EXPONENT = np.array([_word("e%+03d" % k) for k in range(_K_MIN, _K_MAX + 2)])
+# Words of a cell: "{sep}{sign}{d}.", three of four digits, "e{sign}{dd}".
+_CELL_WORDS = 5
+# row format -> (separator, number of FLOAT_FMT cells, whether a %d cell ends it)
+_ROW_LAYOUTS = {FIELDS_ROW_FMT: (",", 11, True), SAMPLE_ROW_FMT: (" ", 6, False)}
+
+
+def _digit_words():
+    """(10000,) words: the four ASCII digits of 0..9999.
+
+    Built per write_table call: built on import, its temporaries raised
+    the peak RSS of every command by about 0.5 MB.
+    """
+    return (np.arange(10000, dtype=np.uint16)[:, None]
+            // np.array([1000, 100, 10, 1], np.uint16) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _lead_words(sep, n):
+    """(n, 20) first words of n cells, the first without sep; column sign*10 + d."""
+    return np.array([[_word(f"{lead}{sign}{d}.") for sign in ("\0", "-") for d in range(10)]
+                     for lead in ["\0"] + [sep] * (n - 1)])
+
+
+def _format_cells(x, cells, lead, digits):
+    """Write %.12e of the (n, c) floats x into cells (n, c, 5) of uint32 where exact.
+
+    Returns the (n, c) boolean array of cells whose bytes, with the 0
+    sentinels dropped, are `FLOAT_FMT % x` preceded by its separator; the
+    other cells hold zero digits.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(a))
+    inside = (k >= _K_MIN) & (k <= _K_MAX)
+    k[~inside] = 0.0
+    i = (12 + 2 * _P_SPLIT - k).astype(np.intp)
+    y = np.where(inside, a, 0.0) * _SCALE[0][i] / _SCALE[1][i] * _SCALE[2][i] / _SCALE[3][i]
+    m = np.floor(y)
+    frac = y - m
+    ok = (np.abs(frac - 0.5) > _TIE_MARGIN) & (y >= 1e12) & (y < 1e13)
+    m += frac > 0.5
+    carry = m == 1e13
+    m[carry] = 1e12
+    k += carry
+    ok |= a == 0.0
+    m[~ok] = 0.0
+
+    q, g3 = np.divmod(m.astype(np.intp), 10000)
+    q, g2 = np.divmod(q, 10000)
+    d0, g1 = np.divmod(q, 10000)
+    cells[..., 0] = lead.ravel()[d0 + 10 * np.signbit(x) + 20 * np.arange(x.shape[1])]
+    cells[..., 1] = digits[g1]
+    cells[..., 2] = digits[g2]
+    cells[..., 3] = digits[g3]
+    cells[..., 4] = _EXPONENT[(k - _K_MIN).astype(np.intp)]
+    return ok
+
+
 def write_table(fh, table, row_fmt):
     """Write table[i, j] as one row_fmt line per node, v-index fastest.
 
-    Lines are formatted one u-row at a time, so only one u-row of Python
-    floats and strings is alive at once, however large the grid.
+    row_fmt is FIELDS_ROW_FMT or SAMPLE_ROW_FMT, and the text is byte for
+    byte `row_fmt % tuple(row) + "\\n"` for every row (see the module
+    docstring for why).  Lines are built as fixed-width rows of uint32 words
+    with 0 sentinel bytes, one u-row at a time, so the memory in use follows
+    n_v, not the size of the table.  Lines with a cell outside the certified
+    set are formatted by `%` and spliced in.
     """
-    block_fmt = (row_fmt + "\n") * table.shape[1]
+    try:
+        sep, n_float, has_int = _ROW_LAYOUTS[row_fmt]
+    except KeyError:
+        raise ValueError(f"no fixed-width layout for row format {row_fmt!r}") from None
+    n_v, n_cols = table.shape[1:]
+    if n_cols != n_float + has_int:
+        raise ValueError(f"table has {n_cols} columns, row format {n_float + has_int}")
+    lead = _lead_words(sep, n_float)
+    digits = _digit_words()
+    digit_tail = np.array([_word(f"{sep}{d}\n\0") for d in range(10)])
+    buf = np.zeros((n_v, _CELL_WORDS * n_float + 1), np.uint32)
+    cells = buf[:, :-1].reshape(n_v, n_float, _CELL_WORDS)
+    buf[:, -1] = _word("\n\0\0\0")
     for block in table:
-        fh.write(block_fmt % tuple(block.ravel().tolist()))
+        ok = _format_cells(block[:, :n_float], cells, lead, digits).all(axis=1)
+        if has_int:
+            d = block[:, -1]
+            ok &= (d >= 0) & (d <= 9) & (d == np.floor(d))
+            buf[:, -1] = digit_tail[np.where(ok, d, 0).astype(np.intp)]
+        text = buf.tobytes().replace(b"\0", b"").decode("ascii")
+        if not ok.all():
+            lines = text.split("\n")
+            for r in np.flatnonzero(~ok):
+                lines[r] = row_fmt % tuple(block[r].tolist())
+            text = "\n".join(lines)
+        fh.write(text)
 
 
 def write_samples(grid, path):
@@ -68,37 +196,55 @@ def _check_on_sphere(points):
             f"{dev[ij]:.3e} from 1", node=tuple(int(k) for k in ij))
 
 
-def _grid_from_columns(u, v, pts4, lineno_base=1):
-    """Reconstruct a grid (nu, nv, ranges, topologies) from flat u/v columns."""
+def _grid_from_columns(u, v, pts4, linenos):
+    """Reconstruct a grid (nu, nv, ranges, topologies) from flat u/v columns.
+
+    linenos[r] is the file line of data row r.  A grid-shape ParseError
+    names the first row that breaks the u-major rectangular or
+    tensor-product shape, or the first row of the first u-block (v-column)
+    whose step from the one before differs from the first step.
+    """
     from .surface import GridSpec, SurfaceGrid
 
     total = len(u)
     nv = 1
     while nv < total and u[nv] == u[0]:
         nv += 1
-    if nv < 2 or total % nv != 0:
+    if nv < 2 or nv == total or total % nv != 0:
+        r = np.arange(total)
+        off = np.flatnonzero(u != u[r - r % nv])
+        if nv < 2:
+            row = 1  # a u-block of one node
+        elif off.size:
+            row = off[0]
+        elif nv == total:
+            row = total - 1  # one u-block; a second should follow this row
+        else:
+            row = total - total % nv  # the last u-block is short
         raise ParseError("rows do not form a rectangular u-major grid",
-                         line=lineno_base + nv)
+                         line=linenos[row])
     nu = total // nv
     U = u.reshape(nu, nv)
     V = v.reshape(nu, nv)
-    if not (np.all(U == U[:, :1]) and np.all(V == V[:1, :])):
+    off = np.flatnonzero((U != U[:, :1]) | (V != V[:1, :]))
+    if off.size:
         raise ParseError("u/v columns are not a tensor-product grid",
-                         line=lineno_base + 1)
+                         line=linenos[off[0]])
     us, vs = U[:, 0], V[0, :]
 
-    def axis(vals):
+    def axis(vals, stride):
         h = vals[1] - vals[0]
-        steps = np.diff(vals)
-        if np.any(np.abs(steps - h) > 1e-9 * max(1.0, abs(h))):
-            raise ParseError("non-uniform node spacing", line=lineno_base + 1)
+        off = np.flatnonzero(np.abs(np.diff(vals) - h) > 1e-9 * max(1.0, abs(h)))
+        if off.size:
+            raise ParseError("non-uniform node spacing",
+                             line=linenos[(off[0] + 1) * stride])
         span_wrap = vals[-1] - vals[0] + h
         if abs(span_wrap - 2.0 * np.pi) < 1e-6:
             return "periodic", (vals[0], vals[0] + 2.0 * np.pi)
         return "chart", (vals[0], vals[-1])
 
-    topo_u, u_range = axis(us)
-    topo_v, v_range = axis(vs)
+    topo_u, u_range = axis(us, nv)
+    topo_v, v_range = axis(vs, 1)
     spec = GridSpec(nu, nv, u_range, v_range, topo_u, topo_v)
     points = pts4.reshape(nu, nv, 4)
     _check_on_sphere(points)
@@ -146,7 +292,8 @@ def read_samples(path):
         arr = _parse_rows(rows, lines, ",", 12, 6)
         if len(arr) < 4:
             raise ParseError("too few rows for a grid", line=len(lines))
-        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6])
+        linenos = [k for k, ln in enumerate(lines[1:], start=2) if ln.strip()]
+        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6], linenos)
 
     head = first.split()
     if len(head) != 10 or head[0] != FORMAT_MAGIC:

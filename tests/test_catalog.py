@@ -227,6 +227,33 @@ def test_sample_file_ragged_rows_fail_at_first_short_row(tmp_path):
     assert "found 5" in str(err.value)
 
 
+@pytest.mark.parametrize("fault, line, message", [
+    ("non-uniform spacing", 27, "non-uniform node spacing"),
+    ("non-tensor grid", 16, "not a tensor-product grid"),
+    ("short u-block", 26, "rectangular"),
+    ("single u-block", 10, "rectangular"),
+])
+def test_fields_csv_grid_error_names_offending_row(tmp_path, fault, line, message):
+    # after the header and one blank line, data row r sits on file line r + 3
+    lines, _ = _sample_file_lines("fields.csv", tmp_path)
+    rows = [ln.split(",") for ln in lines[1:]]
+    if fault == "non-uniform spacing":
+        for toks in rows[24:32]:  # the fourth u-block of 8
+            toks[0] = repr(float(toks[0]) + 0.01)
+    elif fault == "non-tensor grid":
+        rows[13][1] = repr(float(rows[13][1]) + 0.01)
+    elif fault == "short u-block":
+        del rows[20]  # row 23 is now the first row of the fourth u-block
+    else:
+        rows = rows[:8]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([lines[0], ""] + [",".join(t) for t in rows]) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_samples(str(path))
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize("fmt", ["native", "fields.csv"])
 def test_sample_file_reader_accepts_every_float_token(tmp_path, fmt):
     # float() reads digit-group underscores; every token of the file is

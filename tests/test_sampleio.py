@@ -1,0 +1,138 @@
+"""write_table against Python's `%` formatting, and the memory it holds."""
+
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from contactgeom.sampleio import FIELDS_ROW_FMT, SAMPLE_ROW_FMT, write_table
+
+FORMATS = {"fields.csv": FIELDS_ROW_FMT, "sample file": SAMPLE_ROW_FMT}
+
+
+def _oracle(table, row_fmt):
+    return "".join(row_fmt % tuple(row) + "\n"
+                   for row in table.reshape(-1, table.shape[-1]).tolist())
+
+
+def _written(table, row_fmt):
+    fh = io.StringIO()
+    write_table(fh, table, row_fmt)
+    return fh.getvalue()
+
+
+def _table(values, row_fmt, n_v=7):
+    """values as the float cells of a table in row_fmt, %d cells cycling 0, 1, 2."""
+    n_float = 11 if row_fmt == FIELDS_ROW_FMT else 6
+    values = np.resize(np.asarray(values, float), (-(-len(values) // (n_float * n_v)),
+                                                   n_v, n_float))
+    if row_fmt == FIELDS_ROW_FMT:
+        flags = np.arange(values.shape[0] * n_v).reshape(-1, n_v, 1) % 3
+        values = np.concatenate([values, flags.astype(float)], axis=-1)
+    return values
+
+
+ADVERSARIAL = [
+    # ties when rounded to an integer, and two exact ties at the 13th digit
+    0.5, 2.5, 123456789012.5, 1234567890123.5, 9999999999999.5,
+    # round up to a mantissa of 10**13 and carry into the exponent
+    9.9999999999995, 9.9999999999995e-5, -9.99999999999951e40,
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1e22, 1e23,
+    1e-32, 1e57, np.nextafter(1e57, 0.0), np.nextafter(1e-32, 0.0),
+    np.inf, -np.inf, np.nan, 2.0 ** -40, -(2.0 ** 70), 1.0 / 3.0,
+    # near ties scaled by two roundings (|p| > 22): their computed fraction
+    # falls on the wrong side of 1/2 and within 1e-3 of it
+    9.5008752249085e40, 9.5579427818935e43, 9.7589912497005e-32,
+    9.7680528013965e-29, 2.9132921978505e-26, -7.8437390707965e-25,
+] + [y for k in range(-40, 41)
+     for x in (float(f"1e{k}"),)
+     for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf), -x)]
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_write_table_matches_percent_on_adversarial_values(name):
+    table = _table(ADVERSARIAL, FORMATS[name])
+    assert _written(table, FORMATS[name]) == _oracle(table, FORMATS[name])
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_lines_mixing_digit_and_percent_cells_keep_their_order(name):
+    # 1e300 has a three-digit exponent, nan is not finite and 1234567890123.5
+    # is a tie, so their lines are printed by %; the other lines of each
+    # u-row, and the other cells of those lines, are certified
+    row_fmt = FORMATS[name]
+    rng = np.random.default_rng(7)
+    table = _table(rng.standard_normal(3 * 8 * 11), row_fmt, n_v=8)
+    table[0, 0, 3] = 1e300
+    table[0, 7, 0] = np.nan
+    table[1, 4, 5] = 1234567890123.5
+    table[2, 2:6, 4] = -0.0
+    if row_fmt == FIELDS_ROW_FMT:
+        table[2, 1, -1] = 12.0  # %d of a number that is not one digit
+    assert _written(table, row_fmt) == _oracle(table, row_fmt)
+
+
+_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=-1e13, max_value=1e13),
+    st.sampled_from(ADVERSARIAL),
+    # a 13-digit mantissa with a half in the 14th digit: a tie or a near tie
+    st.builds(lambda m, k: (m + 0.5) * 10.0 ** k,
+              st.integers(10 ** 12, 10 ** 13 - 1), st.integers(-45, 30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=_cells),
+       st.sampled_from(sorted(FORMATS)),
+       st.lists(st.one_of(st.integers(0, 9).map(float),
+                          st.floats(min_value=-1e6, max_value=1e6)), min_size=6, max_size=6))
+@example(np.array([[0.5, 2.5], [123456789012.5, 9.9999999999995]]), "fields.csv",
+         [0.0, 1.0, 2.0, 2.5, -0.0, 10.0])
+def test_write_table_matches_percent_formatting(cells, name, ints):
+    row_fmt = FORMATS[name]
+    n_float = 11 if row_fmt == FIELDS_ROW_FMT else 6
+    n_u, n_v = cells.shape
+    table = np.resize(cells, (n_u, n_v, n_float))
+    if row_fmt == FIELDS_ROW_FMT:
+        flags = np.resize(np.array(ints), (n_u, n_v, 1))
+        table = np.concatenate([table, flags], axis=-1)
+    assert _written(table, row_fmt) == _oracle(table, row_fmt)
+
+
+def test_write_table_rejects_other_row_formats_and_column_counts():
+    with pytest.raises(ValueError):
+        _written(np.zeros((2, 2, 2)), "%.12e;%.12e")
+    with pytest.raises(ValueError):
+        _written(np.zeros((2, 2, 7)), SAMPLE_ROW_FMT)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def _peak_bytes(n_u, n_v):
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((n_u, n_v, 12))
+    table[..., -1] = rng.integers(0, 3, (n_u, n_v))
+    tracemalloc.start()
+    try:
+        write_table(_Discard(), table, FIELDS_ROW_FMT)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_table_memory_follows_one_u_row():
+    # The 256x256x12 table is 6.3 MB and its text about 14 MB; the writer holds
+    # one u-row (~0.5 MB measured).  Formatting the whole table at once would
+    # grow 4x with n_u and 16x from 64x64 to 256x256.
+    peak = _peak_bytes(256, 256)
+    assert peak < 2e6
+    assert peak < 1.25 * _peak_bytes(64, 256)
+    assert peak < 6 * _peak_bytes(64, 64)
