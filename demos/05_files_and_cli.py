@@ -2,7 +2,8 @@
 
 Grids round-trip through the native sample format; the analyzer's
 fields.csv is also accepted back as input.  The CLI mirrors the library
-and is scriptable through its exit codes.
+and is scriptable through its exit codes.  Everything the demo writes
+lives in a temporary directory that is deleted when the demo ends.
 """
 
 import json
@@ -15,26 +16,26 @@ from contactgeom import clifford, contact_angle_field, load_samples
 from contactgeom.cli import main as cli
 from contactgeom.sampleio import write_samples
 
-tmp = Path(tempfile.mkdtemp(prefix="contactgeom_demo_"))
+with tempfile.TemporaryDirectory(prefix="contactgeom_demo_") as workdir:
+    tmp = Path(workdir)
+    grid = clifford().sample(n=32)
+    write_samples(grid, tmp / "clifford.s3")
+    print("wrote", tmp / "clifford.s3")
+    back = load_samples(str(tmp / "clifford.s3"))
+    print("round trip: max point deviation =",
+          f"{np.max(np.abs(back.points - grid.points)):.2e},",
+          "max|beta| =", f"{np.max(np.abs(contact_angle_field(back).beta)):.2e}")
 
-grid = clifford().sample(n=32)
-write_samples(grid, tmp / "clifford.s3")
-print("wrote", tmp / "clifford.s3")
-back = load_samples(str(tmp / "clifford.s3"))
-print("round trip: max point deviation =",
-      f"{np.max(np.abs(back.points - grid.points)):.2e},",
-      "max|beta| =", f"{np.max(np.abs(contact_angle_field(back).beta)):.2e}")
+    print("\nCLI analyze on the sample file:")
+    rc = cli(["analyze", "--surface", str(tmp / "clifford.s3"), "--out", str(tmp)])
+    print("  exit code:", rc)
+    report = json.loads((tmp / "report.json").read_text())
+    print("  beta max:", report["fields"]["beta"]["max"], " area:", report["area"])
 
-print("\nCLI analyze on the sample file:")
-rc = cli(["analyze", "--surface", str(tmp / "clifford.s3"), "--out", str(tmp)])
-print("  exit code:", rc)
-report = json.loads((tmp / "report.json").read_text())
-print("  beta max:", report["fields"]["beta"]["max"], " area:", report["area"])
-
-print("\nCLI identity verification with refinement:")
-rc = cli(["verify", "--surface", "geodesic_sphere", "--identity", "curvature",
-          "--refine", "32,64,128", "--out", str(tmp)])
-print("  exit code:", rc)
+    print("\nCLI identity verification with refinement:")
+    rc = cli(["verify", "--surface", "geodesic_sphere", "--identity", "curvature",
+              "--refine", "32,64,128", "--out", str(tmp)])
+    print("  exit code:", rc)
 
 print("\nCLI catalog listing:")
 cli(["catalog", "list"])

@@ -7,9 +7,8 @@ refinement, and probes the rigidity of the flat minimal torus with a
 squared-mean-curvature descent.
 """
 
-from .ambient import (AmbientFrame, AmbientVector, UnitSpherePoint,
-                      canonical_frame, contact_project, frame_derivative_check,
-                      hermitian, inner, perp, reeb)
+from .ambient import (canonical_frame_vectors, contact_project, dot,
+                      frame_derivative_check, hermitian, perp, reeb)
 from .calculus import (IdentityReport, MetricField, ShapeOperatorField,
                        build_analysis, first_fundamental_form, frame_gradient,
                        gaussian_curvature_extrinsic, gaussian_curvature_intrinsic,
@@ -20,12 +19,11 @@ from .calculus import (IdentityReport, MetricField, ShapeOperatorField,
 from .catalog import (CatalogEntry, clifford, geodesic_sphere, load_samples,
                       perturb, r_torus)
 from .errors import (AmplitudeTooLarge, ContactGeomError, DegenerateContact,
-                     DegenerateMetric, DegenerateParametrization, NotConverged,
-                     NotTangent, OffSphere, ParseError, RangeError, StepTooLarge)
+                     DegenerateMetric, DegenerateParametrization, NotTangent,
+                     OffSphere, ParseError, RangeError, StepTooLarge)
 from .flow import (FlowConfig, FlowReport, area, descend, descend_r_family,
                    flow_step, theorem_probe, willmore_energy, willmore_gradient)
-from .surface import (AdaptedFramePoint, FrameField, GridSpec, SurfaceGrid,
-                      adapted_frame, contact_angle_field, sample, tangent_fields,
-                      tangent_pair)
+from .surface import (FrameField, GridSpec, SurfaceGrid, contact_angle_field,
+                      sample, tangent_fields)
 
 __version__ = "0.1.0"

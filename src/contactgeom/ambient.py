@@ -3,8 +3,8 @@
 Points and vectors are stored as real 4-vectors in the order
 (x1, y1, x2, y2) with z_k = x_k + i*y_k, so the real-coordinate view is
 exact rather than reconstructed from complex parts.  All functions accept
-plain arrays of shape (..., 4) and broadcast; the small dataclasses at the
-bottom provide a typed single-point API on top of the same kernels.
+plain arrays of shape (..., 4) and broadcast; `dot` is the one real inner
+product every other module uses for 4-vectors.
 
 Conventions fixed here and used everywhere else:
 
@@ -15,26 +15,31 @@ Conventions fixed here and used everywhere else:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotTangent, OffSphere
+from .errors import NotTangent
 
-EXACT_TOL = 1e-12       # tolerance for closed-form identities
 TANGENT_TOL = 1e-8      # tolerance for tangency preconditions
 
 
 def _vec(x):
-    v = np.asarray(getattr(x, "vec", x), dtype=float)
+    v = np.asarray(x, dtype=float)
     if v.shape[-1] != 4:
         raise ValueError(f"expected trailing dimension 4, got shape {v.shape}")
     return v
 
 
 def dot(a, b):
-    """Euclidean inner product <a, b> = Re (a, b), broadcasting over leading axes."""
-    return np.sum(_vec(a) * _vec(b), axis=-1)
+    """Euclidean inner product <a, b> = Re (a, b), broadcasting over leading axes.
+
+    The four products are added left to right onto +0.0, the order and
+    start value of np.sum(a * b, -1), so the two agree bit for bit; the
+    start value makes a sum of -0.0 products +0.0, a sign arctan2 reads.
+    """
+    a, b = _vec(a), _vec(b)
+    return (0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
 
 
 def norm(a):
@@ -58,23 +63,11 @@ def complex_view(v):
     return v[..., 0] + 1j * v[..., 1], v[..., 2] + 1j * v[..., 3]
 
 
-def from_complex(z1, z2):
-    """Assemble a real 4-vector from complex components."""
-    z1 = np.asarray(z1, complex)
-    z2 = np.asarray(z2, complex)
-    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
-
-
 def hermitian(z, w):
     """Hermitian product (z, w) = z1 conj(w1) + z2 conj(w2)."""
     z1, z2 = complex_view(z)
     w1, w2 = complex_view(w)
     return z1 * np.conj(w1) + z2 * np.conj(w2)
-
-
-def inner(z, w):
-    """Real inner product <z, w> = Re (z, w); equals the R^4 dot product."""
-    return dot(z, w)
 
 
 def reeb(z):
@@ -154,108 +147,3 @@ def cross4(a, b, c):
     d[..., 2] = -_det3_cols(a, b, c, (0, 1, 3))
     d[..., 3] = +_det3_cols(a, b, c, (0, 1, 2))
     return d
-
-
-# ---------------------------------------------------------------------------
-# typed single-point layer
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnitSpherePoint:
-    """A point z in C^2 with (z, z) = 1."""
-
-    z1: complex
-    z2: complex
-
-    def __post_init__(self):
-        if abs(self.norm2 - 1.0) > EXACT_TOL:
-            raise OffSphere(f"|z|^2 = {self.norm2!r} deviates from 1 beyond {EXACT_TOL}")
-
-    @property
-    def norm2(self):
-        return abs(self.z1) ** 2 + abs(self.z2) ** 2
-
-    @property
-    def vec(self):
-        return np.array([self.z1.real, self.z1.imag, self.z2.real, self.z2.imag])
-
-    # real-coordinate view
-    @property
-    def x1(self):
-        return self.z1.real
-
-    @property
-    def y1(self):
-        return self.z1.imag
-
-    @property
-    def x2(self):
-        return self.z2.real
-
-    @property
-    def y2(self):
-        return self.z2.imag
-
-    @classmethod
-    def from_vec(cls, v):
-        v = np.asarray(v, float)
-        return cls(complex(v[0], v[1]), complex(v[2], v[3]))
-
-    @classmethod
-    def project(cls, v):
-        """Normalize an off-sphere 4-vector onto S^3 and wrap it."""
-        v = np.asarray(v, float)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise OffSphere("cannot project the zero vector onto S^3")
-        return cls.from_vec(v / n)
-
-
-@dataclass(frozen=True)
-class AmbientVector:
-    """A vector of C^2 attached at a base point."""
-
-    v1: complex
-    v2: complex
-
-    @property
-    def vec(self):
-        return np.array([self.v1.real, self.v1.imag, self.v2.real, self.v2.imag])
-
-    @classmethod
-    def from_vec(cls, v):
-        v = np.asarray(v, float)
-        return cls(complex(v[0], v[1]), complex(v[2], v[3]))
-
-    def check_tangent_at(self, z, tol=EXACT_TOL):
-        return abs(float(dot(self.vec, _vec(z)))) <= tol
-
-
-@dataclass(frozen=True)
-class AmbientFrame:
-    """Orthonormal frame (f1, f2, f3) of T_z S^3 with coframe w^i(v) = <v, f_i>."""
-
-    base: UnitSpherePoint
-    f1: AmbientVector
-    f2: AmbientVector
-    f3: AmbientVector
-
-    def coframe(self, v):
-        v = _vec(v)
-        return (float(dot(v, self.f1.vec)),
-                float(dot(v, self.f2.vec)),
-                float(dot(v, self.f3.vec)))
-
-    def gram(self):
-        m = np.stack([self.f1.vec, self.f2.vec, self.f3.vec])
-        return m @ m.T
-
-
-def canonical_frame(z):
-    """Canonical frame at z as a typed AmbientFrame."""
-    base = z if isinstance(z, UnitSpherePoint) else UnitSpherePoint.from_vec(_vec(z))
-    f1, f2, f3 = canonical_frame_vectors(base.vec)
-    return AmbientFrame(base,
-                        AmbientVector.from_vec(f1),
-                        AmbientVector.from_vec(f2),
-                        AmbientVector.from_vec(f3))

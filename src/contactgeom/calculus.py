@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ambient
 from .surface import MetricField, contact_angle_field
 
 TAN_BAND_DEFAULT = 1e-3
@@ -73,8 +74,8 @@ def shape_operator(grid, frames):
     S = np.empty(frames.beta.shape + (2, 2))
     for i, coeff in enumerate((frames.coeff1, frames.coeff2)):
         D = coeff[..., 0, None] * de3_u + coeff[..., 1, None] * de3_v
-        S[..., i, 0] = -np.sum(D * frames.e1, -1)
-        S[..., i, 1] = -np.sum(D * frames.e2, -1)
+        S[..., i, 0] = -ambient.dot(D, frames.e1)
+        S[..., i, 1] = -ambient.dot(D, frames.e2)
     S = np.where(frames.mask[..., None, None], 0.0, S)
     return ShapeOperatorField(S=S, mask=frames.mask)
 
@@ -241,7 +242,7 @@ def _connection_residuals(grid, frames, gb, tan_beta):
     comp = []
     for coeff in (frames.coeff1, frames.coeff2):
         D = coeff[..., 0, None] * de2_u + coeff[..., 1, None] * de2_v
-        comp.append(np.sum(D * frames.e1, -1))
+        comp.append(ambient.dot(D, frames.e1))
     res1 = comp[0] - tan_beta * gb.beta2
     res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
     return res1, res2

@@ -24,6 +24,7 @@ import numpy as np
 from . import catalog
 from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
                        build_analysis, refinement_passed, refinement_study,
+                       verify_curvature_identity, verify_laplacian_identity,
                        verify_minimality)
 from .errors import (AmplitudeTooLarge, ContactGeomError, OffSphere,
                      ParseError, RangeError)
@@ -124,6 +125,8 @@ def cmd_analyze(args):
     frames = an.frames
     mask = frames.mask
     minim = verify_minimality(grid, analysis=an)
+    curv = verify_curvature_identity(grid, analysis=an)
+    lap = verify_laplacian_identity(grid, analysis=an)
 
     # each field is evaluated once: shape.H rebuilds the whole array per access
     mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
@@ -148,16 +151,8 @@ def cmd_analyze(args):
             "H": {"max_abs": minim["max"], "mean_abs": minim["mean"]},
         },
         "identities": {
-            "curvature": {
-                "linf": float(np.max(np.abs(an.res_curvature[an.valid]))),
-                "l2": float(np.sqrt(np.mean(an.res_curvature[an.valid] ** 2))),
-            },
-            "laplacian": {
-                "linf": float(np.max(np.abs(an.res_laplacian[an.valid_off_band])))
-                if np.any(an.valid_off_band) else 0.0,
-                "l2": float(np.sqrt(np.mean(an.res_laplacian[an.valid_off_band] ** 2)))
-                if np.any(an.valid_off_band) else 0.0,
-            },
+            "curvature": {"linf": curv.linf, "l2": curv.l2},
+            "laplacian": {"linf": lap.linf, "l2": lap.l2},
         },
         "masked": {
             "degenerate": int(frames.n_masked),

@@ -65,7 +65,3 @@ class ParseError(ContactGeomError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class NotConverged(ContactGeomError):
-    """Descent hit its iteration cap or stalled before reaching tolerance."""

@@ -90,21 +90,16 @@ def _apply_axis(D, F, axis):
 
 
 class GridCalc:
-    """Differentiation and quadrature bound to one GridSpec.
+    """Differentiation and quadrature bound to one GridSpec, at STENCIL_ACC."""
 
-    acc is the design accuracy order of every stencil (first and second
-    derivatives alike).
-    """
-
-    def __init__(self, spec, acc=STENCIL_ACC):
+    def __init__(self, spec):
         self.spec = spec
-        self.acc = acc
         pu = spec.topology_u == "periodic"
         pv = spec.topology_v == "periodic"
-        self.Du = diff_matrix(spec.n_u, spec.h_u, 1, pu, acc)
-        self.Dv = diff_matrix(spec.n_v, spec.h_v, 1, pv, acc)
-        self.Duu = diff_matrix(spec.n_u, spec.h_u, 2, pu, acc)
-        self.Dvv = diff_matrix(spec.n_v, spec.h_v, 2, pv, acc)
+        self.Du = diff_matrix(spec.n_u, spec.h_u, 1, pu)
+        self.Dv = diff_matrix(spec.n_v, spec.h_v, 1, pv)
+        self.Duu = diff_matrix(spec.n_u, spec.h_u, 2, pu)
+        self.Dvv = diff_matrix(spec.n_v, spec.h_v, 2, pv)
 
     def du(self, F):
         return _apply_axis(self.Du, np.asarray(F, float), 0)
@@ -117,9 +112,6 @@ class GridCalc:
 
     def dvv(self, F):
         return _apply_axis(self.Dvv, np.asarray(F, float), 1)
-
-    def duv(self, F):
-        return self.du(self.dv(F))
 
     def quad_weights(self):
         """Tensor-product quadrature weights (trapezoid on chart axes)."""

@@ -151,11 +151,11 @@ class SurfaceGrid:
             Xu = self.calc.du(self.points)
             Xv = self.calc.dv(self.points)
         z = self.points
-        Xu = Xu - np.sum(Xu * z, axis=-1, keepdims=True) * z
-        Xv = Xv - np.sum(Xv * z, axis=-1, keepdims=True) * z
-        E = np.sum(Xu * Xu, -1)
-        F = np.sum(Xu * Xv, -1)
-        G = np.sum(Xv * Xv, -1)
+        Xu = Xu - ambient.dot(Xu, z)[..., None] * z
+        Xv = Xv - ambient.dot(Xv, z)[..., None] * z
+        E = ambient.dot(Xu, Xu)
+        F = ambient.dot(Xu, Xv)
+        G = ambient.dot(Xv, Xv)
         det = E * G - F * F
         if np.any(det < GRAM_DET_TOL):
             ij = np.unravel_index(np.argmin(det), det.shape)
@@ -167,10 +167,6 @@ class SurfaceGrid:
     def with_points(self, points, partials=None, label=None):
         return SurfaceGrid(self.spec, points, partials,
                            self.label if label is None else label)
-
-    @property
-    def n_nodes(self):
-        return self.spec.n_u * self.spec.n_v
 
 
 def sample(definition, spec, label=None):
@@ -202,7 +198,7 @@ def sample(definition, spec, label=None):
         fu, fv = d1(U, V)
         partials = {"fu": np.asarray(fu, float), "fv": np.asarray(fv, float)}
         for key in ("fu", "fv"):
-            tang = np.abs(np.sum(partials[key] * pts, axis=-1))
+            tang = np.abs(ambient.dot(partials[key], pts))
             if np.any(tang > 1e-10):
                 raise OffSphere("analytic partials are not tangent to the sampled "
                                 f"points (max |<df, f>| = {tang.max():.3e})")
@@ -227,23 +223,6 @@ def tangent_fields(grid):
     return grid.geometry[:2]
 
 
-def tangent_pair(grid, i, j):
-    """Tangent pair at one node."""
-    Xu, Xv = tangent_fields(grid)
-    return Xu[i, j], Xv[i, j]
-
-
-@dataclass(frozen=True)
-class AdaptedFramePoint:
-    """Adapted frame and signed contact angle at one surface point."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    beta: float
-    degenerate: bool = False
-
-
 @dataclass
 class FrameField:
     """Adapted frames over a grid.
@@ -266,14 +245,6 @@ class FrameField:
     seed_sign: int = 1
     sign_mismatches: int = field(default=0)  # flood-fill cross-edge holonomy count
 
-    @property
-    def xi_e2(self):
-        return self.cos_beta
-
-    @property
-    def xi_e3(self):
-        return self.sin_beta
-
 
 def _raw_frames(z, Xu, Xv):
     """Vectorized pre-gauge frame construction.
@@ -293,11 +264,11 @@ def _raw_frames(z, Xu, Xv):
     nraw = ambient.cross4(z, Xu, Xv)
     nn = np.linalg.norm(nraw, axis=-1)
     e3 = nraw / np.maximum(nn, 1e-300)[..., None]
-    xin = np.sum(xi * e3, -1)
+    xin = ambient.dot(xi, e3)
     mask = np.abs(xin) > 1.0 - DEGENERACY_TOL
 
-    a = np.sum(Xu * xi, -1)
-    b = np.sum(Xv * xi, -1)
+    a = ambient.dot(Xu, xi)
+    b = ambient.dot(Xv, xi)
     w = b[..., None] * Xu - a[..., None] * Xv
     wn = np.linalg.norm(w, axis=-1)
     mask = mask | (wn < 1e-14)
@@ -306,30 +277,10 @@ def _raw_frames(z, Xu, Xv):
                   w / np.maximum(wn, 1e-300)[..., None])
 
     cand = ambient.cross4(z, e3, e1)
-    orient = (np.sum(Xu * e1, -1) * np.sum(Xv * cand, -1)
-              - np.sum(Xu * cand, -1) * np.sum(Xv * e1, -1))
+    orient = (ambient.dot(Xu, e1) * ambient.dot(Xv, cand)
+              - ambient.dot(Xu, cand) * ambient.dot(Xv, e1))
     e2 = np.where(orient[..., None] >= 0, cand, -cand)
     return e1, e2, e3, mask, xi
-
-
-def adapted_frame(z, Xu, Xv):
-    """Adapted frame at a single point.
-
-    The local sign rule <e1, Xu> >= 0 replaces the grid flood fill; a
-    DegenerateContact is raised when the tangent plane coincides with the
-    contact plane.
-    """
-    z = np.asarray(getattr(z, "vec", z), float)
-    Xu = np.asarray(getattr(Xu, "vec", Xu), float)
-    Xv = np.asarray(getattr(Xv, "vec", Xv), float)
-    e1, e2, e3, mask, xi = _raw_frames(z, Xu, Xv)
-    if bool(np.any(mask)):
-        raise DegenerateContact("tangent plane equals the contact plane; "
-                                "e1 is not determined")
-    if float(np.sum(e1 * Xu, -1)) < 0:
-        e1, e2 = -e1, -e2
-    beta = float(np.arctan2(np.sum(xi * e3, -1), np.sum(xi * e2, -1)))
-    return AdaptedFramePoint(e1=e1, e2=e2, e3=e3, beta=beta, degenerate=False)
 
 
 def _grid_neighbors(spec):
@@ -398,9 +349,9 @@ def _fill_signs_fast(e1, e1_dot_xu):
     """
     n, m = e1.shape[:2]
     seed = 1.0 if e1_dot_xu[0, 0] >= 0 else -1.0
-    d0 = np.where(np.sum(e1[1:, 0] * e1[:-1, 0], -1) >= 0, 1.0, -1.0)
+    d0 = np.where(ambient.dot(e1[1:, 0], e1[:-1, 0]) >= 0, 1.0, -1.0)
     col0 = seed * np.concatenate([[1.0], np.cumprod(d0)])
-    dr = np.where(np.sum(e1[:, 1:] * e1[:, :-1], -1) >= 0, 1.0, -1.0)
+    dr = np.where(ambient.dot(e1[:, 1:], e1[:, :-1]) >= 0, 1.0, -1.0)
     sign = col0[:, None] * np.concatenate(
         [np.ones((n, 1)), np.cumprod(dr, axis=1)], axis=1)
     return sign, int(seed)
@@ -432,13 +383,9 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
             f"{n_masked} of {mask.size} nodes are contact-degenerate "
             f"(> {max_masked_fraction:.0%}), the first at node {ij}", node=ij)
 
-    e1_dot_xu = np.sum(e1 * Xu, -1)
+    e1_dot_xu = ambient.dot(e1, Xu)
     if n_masked == 0:
         sign, seed_sign = _fill_signs_fast(e1, e1_dot_xu)
-        e1 = sign[..., None] * e1
-        e2 = sign[..., None] * e2
-        beta = np.arctan2(np.sum(xi * e3, -1), np.sum(xi * e2, -1))
-        beta = _unwrap_fast(beta)
     else:
         levels = _flood_levels(grid.spec, mask)
         e1_flat = e1.reshape(-1, 4)
@@ -447,15 +394,19 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
             if parents is None:
                 d = e1_dot_xu.ravel()[nodes]
             else:
-                d = np.sum(e1_flat[nodes] * e1_flat[parents], -1) * sign[parents]
+                d = ambient.dot(e1_flat[nodes], e1_flat[parents]) * sign[parents]
             sign[nodes] = np.where(d >= 0, 1.0, -1.0)
         seed_sign = int(sign[levels[0][0][0]]) if levels else 1
         sign = sign.reshape(mask.shape)
 
-        e1 = sign[..., None] * e1
-        e2 = sign[..., None] * e2
-        beta = np.arctan2(np.sum(xi * e3, -1), np.sum(xi * e2, -1))
-
+    e1 = sign[..., None] * e1
+    e2 = sign[..., None] * e2
+    cos_b = ambient.dot(xi, e2)
+    sin_b = ambient.dot(xi, e3)
+    beta = np.arctan2(sin_b, cos_b)
+    if n_masked == 0:
+        beta = _unwrap_fast(beta)
+    else:
         # unwrap along the same tree (2 pi jumps only; masked nodes untouched)
         two_pi = 2.0 * np.pi
         beta_flat = beta.reshape(-1)
@@ -466,22 +417,19 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
 
     # holonomy diagnostic: cross edges where the propagated signs disagree
     up, um, vp, vm = _grid_neighbors(grid.spec)
-    d_u = np.sum(e1 * e1[up, :], -1)
-    d_v = np.sum(e1 * e1[:, vp], -1)
+    d_u = ambient.dot(e1, e1[up, :])
+    d_v = ambient.dot(e1, e1[:, vp])
     good = ~mask
     mismatches = int(np.sum((d_u < 0) & good & good[up, :]))
     mismatches += int(np.sum((d_v < 0) & good & good[:, vp]))
-
-    cos_b = np.sum(xi * e2, -1)
-    sin_b = np.sum(xi * e3, -1)
 
     # (Xu, Xv)-coordinates of e1, e2 through the inverse metric
     metric = grid.geometry[2]
     E, F, G, det = metric.E, metric.F, metric.G, metric.det
 
     def coords(e):
-        r1 = np.sum(Xu * e, -1)
-        r2 = np.sum(Xv * e, -1)
+        r1 = ambient.dot(Xu, e)
+        r2 = ambient.dot(Xv, e)
         return np.stack([(G * r1 - F * r2) / det, (E * r2 - F * r1) / det], axis=-1)
 
     ff = FrameField(e1=e1, e2=e2, e3=e3, beta=beta,

@@ -22,3 +22,5 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # a demo's scratch files go with it
+    assert list(tmp_path.glob("contactgeom_demo_*")) == []

@@ -56,3 +56,25 @@ def test_no_unreferenced_private_module_names():
                      if name.startswith("_") and not name.startswith("__")
                      and name not in referenced]
     assert dead == []
+
+
+def _is_last_axis(node):
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant) and node.operand.value == 1)
+
+
+def test_inner_products_go_through_ambient_dot():
+    # np.sum(x * y, -1) over 4-vectors is ambient.dot; a second copy of the
+    # kernel is what this guard keeps out of the package
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sum" and node.args
+                    and isinstance(node.args[0], ast.BinOp)
+                    and isinstance(node.args[0].op, ast.Mult)):
+                continue
+            axes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "axis"]
+            if any(_is_last_axis(a) for a in axes):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
