@@ -4,16 +4,14 @@ The energy is E = sum H^2 sqrt(det g) du dv.  Area descent would escape the
 flat minimal torus (it is an unstable critical point of area), while E has
 minimal surfaces as genuine zero minima, so E is the descent objective.
 
-descend parametrizes the displacement by a 16x16 periodic control grid,
-upsampled to the working grid with periodic cubic-spline interpolation,
-which factors as psi = Bu c Bv^T with one 1-D matrix per axis.  The
+descend displaces every node along its normal by a nodal field psi.  The
 gradient is the closed-form first variation of E for a normal displacement
 psi e3 in S^3 (Weiner 1978), in the Weingarten sign of `calculus`:
 
     dE = integral G psi dA,   G = Lap_g H + 2 H (H^2 - det S + 1),
 
-projected onto the controls as Bu^T (G sqrt(det g) w) Bv and scaled by a
-fixed flat-torus preconditioner.  Each Armijo backtracking trial moves the
+weighted by sqrt(det g) and the quadrature weights and scaled by a fixed
+flat-torus preconditioner.  Each Armijo backtracking trial moves the
 surface along its current normals; the moved grid's tangents are formed
 once, and a collapsed parametrization halves the step.  descend_r_family
 is a golden-section search on the discrete energy of the product-torus
@@ -24,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from . import catalog
 from .calculus import (first_fundamental_form, gaussian_curvature_extrinsic,
@@ -33,7 +30,9 @@ from .errors import DegenerateParametrization, StepTooLarge
 from .surface import contact_angle_field, tangent_fields
 
 GOLDEN_BRACKET = (0.3, 1.2)
-CONTROL = (16, 16)   # control grid of the displacement, per axis
+# step scale of the former 16x16 spline control basis, which keeps
+# FlowConfig.step = 1 (and --step) at the step length it had there
+STEP_SCALE = (2.0 * math.pi / 16) ** 2
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
 
@@ -151,24 +150,13 @@ def flow_step(grid, psi, step=1.0):
         raise StepTooLarge(f"moved grid has {exc}", node=exc.node) from exc
 
 
-def _spline_factor(m, n):
-    """(n, m) matrix of periodic cubic-spline interpolation from m to n nodes.
-
-    Column k is the interpolant of the k-th unit control, so the separable
-    2-D interpolant of a control field c is Bu c Bv^T.
-    """
-    x = np.arange(n) * (m / n)
-    return np.stack([map_coordinates(e, [x], order=3, mode="grid-wrap")
-                     for e in np.eye(m)], axis=1)
-
-
 def _precondition(g):
-    """Scale control-gradient modes by the inverse flat-torus Jacobi symbol.
+    """Scale the Fourier modes of a nodal field by the inverse flat-torus symbol.
 
     The second variation of E around the flat minimal torus acts on the
     normal mode e^{i(pu+qv)} with symbol ~ (4 - 2(p^2+q^2))^2; dividing the
-    gradient's Fourier modes by max(symbol, floor) collapses the stiffness
-    of the high-frequency control directions.  The scaling is fixed and
+    n_u x n_v gradient's modes by max(symbol, floor) collapses the stiffness
+    of the high-frequency nodal directions.  The scaling is fixed and
     positive definite, so preconditioned steps remain descent directions
     and Armijo backtracking keeps the energy monotone on any surface.
     """
@@ -179,12 +167,6 @@ def _precondition(g):
     lam = 4.0 - 2.0 * (P ** 2 + Q ** 2)
     w = np.maximum(lam ** 2, 4.0)
     return np.real(np.fft.ifft2(np.fft.fft2(g) / w))
-
-
-def _control_gradient(grid, frames, metric, shape, Bu, Bv):
-    """dE/dc: the weighted first variation projected onto the controls."""
-    G = willmore_gradient(grid, frames, metric, shape)
-    return Bu.T @ (G * metric.sqrt_det * grid.calc.quad_weights()) @ Bv
 
 
 def descend(grid, config=None):
@@ -209,18 +191,16 @@ def descend(grid, config=None):
     converged = maxH < cfg.tol
     it = 0
     message = "already at tolerance" if converged else ""
-    Bu, Bv = (_spline_factor(m, n)
-              for m, n in zip(CONTROL, grid.points.shape[:2]))
     t_next = cfg.step
 
     while not converged and it < cfg.max_iter:
-        g = _control_gradient(grid, frames, metric, shape, Bu, Bv)
+        G_dA = willmore_gradient(grid, frames, metric, shape) * metric.sqrt_det
+        g = G_dA * grid.calc.quad_weights()
         if float(np.sum(g ** 2)) == 0.0:
             message = "zero gradient"
             break
-        d_ctrl = -_precondition(g)
-        slope = float(np.sum(g * d_ctrl))  # negative for a descent direction
-        psi_dir = Bu @ d_ctrl @ Bv.T
+        psi_dir = -STEP_SCALE * _precondition(G_dA)
+        slope = float(np.sum(g * psi_dir))  # negative for a descent direction
         t = t_next
         accepted = False
         for _ in range(MAX_HALVINGS):

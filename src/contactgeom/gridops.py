@@ -48,8 +48,8 @@ def fd_weights(xs, x0, m):
     return c[:, m]
 
 
-def _central_offsets(m, acc):
-    npts = 2 * ((m + 1) // 2) - 1 + acc
+def _central_offsets(m):
+    npts = 2 * ((m + 1) // 2) - 1 + STENCIL_ACC
     if npts % 2 == 0:
         npts += 1
     r = (npts - 1) // 2
@@ -57,9 +57,9 @@ def _central_offsets(m, acc):
 
 
 @lru_cache(maxsize=None)
-def diff_matrix(n, h, m, periodic, acc=STENCIL_ACC):
+def diff_matrix(n, h, m, periodic):
     """Dense n x n differentiation matrix for the m-th derivative, step h."""
-    offs = _central_offsets(m, acc)
+    offs = _central_offsets(m)
     r = offs[-1]
     w = fd_weights(offs * h, 0.0, m)
     D = np.zeros((n, n))
@@ -69,7 +69,7 @@ def diff_matrix(n, h, m, periodic, acc=STENCIL_ACC):
         for i in range(n):
             D[i, (i + offs) % n] = w
         return D
-    width = acc + m  # one-sided window: p-point stencil has order p - m
+    width = STENCIL_ACC + m  # one-sided window: p-point stencil has order p - m
     if n < max(width, len(offs)):
         raise ValueError(f"chart axis needs at least {max(width, len(offs))} nodes")
     for i in range(n):

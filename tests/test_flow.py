@@ -4,14 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from scipy.ndimage import map_coordinates
 
 from contactgeom import (DegenerateParametrization, FlowConfig, StepTooLarge,
                          area, clifford, descend, descend_r_family, flow,
                          flow_step, geodesic_sphere, perturb, r_torus,
                          theorem_probe, willmore_energy, willmore_gradient)
-from contactgeom.flow import (_control_gradient, _moved_points, _spline_factor,
-                              _state)
+from contactgeom.flow import _moved_points, _state
 from contactgeom.gridops import GridCalc
 
 
@@ -74,38 +72,33 @@ def test_flow_step_constant_displacement_moves_along_family():
     assert np.max(np.abs(moved.points - target.points)) < 5.0 * c ** 2
 
 
-def _fd_control_gradient(grid, frames, Bu, Bv, delta=1e-5):
-    """Reference dE/dc by symmetric differences of the discrete energy."""
-    g = np.empty((Bu.shape[1], Bv.shape[1]))
-    for k in range(g.shape[0]):
-        for j in range(g.shape[1]):
-            psi = delta * np.outer(Bu[:, k], Bv[:, j])
+def _smooth_displacement(grid, seed):
+    """Random sum of the modes cos(pu + qv + phi), p, q in 0..3."""
+    rng = np.random.default_rng(seed)
+    U, V = grid.spec.mesh()
+    return sum(rng.standard_normal() * np.cos(p * U + q * V + rng.uniform(0, 2 * np.pi))
+               for p in range(4) for q in range(4))
+
+
+def test_nodal_gradient_matches_directional_differences():
+    # all 16 modes are summed so psi overlaps the bump's (1, 2) mode; a
+    # single mode can be orthogonal to the gradient, with dE ~ 0
+    for seed in range(3):
+        gaps = []
+        for n in (32, 64):
+            grid = perturb(clifford(), (1, 2), 0.05).sample(n=n)
+            frames, metric, shape, _, _ = _state(grid)
+            G = willmore_gradient(grid, frames, metric, shape)
+            psi = _smooth_displacement(grid, seed)
+            dE = np.sum(G * metric.sqrt_det * grid.calc.quad_weights() * psi)
+            delta = 1e-5
             Ep, Em = (_state(grid.with_points(
-                _moved_points(grid.points, frames.e3, s * psi)))[3]
+                _moved_points(grid.points, frames.e3, s * delta * psi)))[3]
                 for s in (1.0, -1.0))
-            g[k, j] = (Ep - Em) / (2.0 * delta)
-    return g
-
-
-def test_spline_factors_reproduce_bicubic_upsampling():
-    c = np.random.default_rng(0).standard_normal((16, 8))
-    IU, IV = np.meshgrid(np.arange(48) / 3.0, np.arange(32) / 4.0, indexing="ij")
-    ref = map_coordinates(c, [IU, IV], order=3, mode="grid-wrap")
-    Bu, Bv = _spline_factor(16, 48), _spline_factor(8, 32)
-    assert np.max(np.abs(Bu @ c @ Bv.T - ref)) < 1e-13
-
-
-def test_control_gradient_matches_finite_differences():
-    gaps = []
-    for n in (32, 64):
-        grid = perturb(clifford(), (1, 2), 0.05).sample(n=n)
-        frames, metric, shape, _, _ = _state(grid)
-        Bu, Bv = _spline_factor(8, n), _spline_factor(8, n)
-        g = _control_gradient(grid, frames, metric, shape, Bu, Bv)
-        g_fd = _fd_control_gradient(grid, frames, Bu, Bv)
-        gaps.append(np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd))
-    assert gaps[0] < 1e-3
-    assert gaps[1] < 0.1 * gaps[0]
+            dE_fd = (Ep - Em) / (2.0 * delta)
+            gaps.append(abs(dE - dE_fd) / abs(dE_fd))
+        assert gaps[0] < 1e-3
+        assert gaps[1] < 0.1 * gaps[0]
 
 
 def test_willmore_gradient_r_torus_closed_form():
@@ -195,7 +188,7 @@ def test_r_only_descent_recovers_quarter_pi():
 def test_full_descent_from_bump(flow_run):
     rep, final = flow_run
     assert rep.converged
-    assert rep.iterations <= 500
+    assert rep.iterations <= 8
     assert rep.final_max_H < 1e-3
     # accepted backtracking steps decrease the energy strictly
     diffs = np.diff(rep.energy)
@@ -208,6 +201,14 @@ def test_theorem_probe_pass_chain(flow_run):
     assert probe["status"] == "pass"
     assert probe["beta_spread"] < 5e-3
     assert probe["K_inf"] < 5e-3
+
+
+def test_nodal_descent_converges_at_64():
+    # a 16x16 control space stalled here at max|H| ~ 5.5e-3
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=64)
+    rep, final = descend(grid, FlowConfig())
+    assert rep.converged
+    assert theorem_probe(rep, final)["status"] == "pass"
 
 
 def test_theorem_probe_not_applicable_on_sphere():

@@ -1,7 +1,11 @@
-"""Dead-code guard over the package source, using only the standard library."""
+"""Dead-code and dependency guards over the package source, using only the
+standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "contactgeom").glob("*.py"))
@@ -78,3 +82,12 @@ def test_inner_products_go_through_ambient_dot():
             if any(_is_last_axis(a) for a in axes):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # the package depends on numpy only
+    code = "import sys, contactgeom; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
