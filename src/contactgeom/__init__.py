@@ -9,8 +9,8 @@ squared-mean-curvature descent.
 
 from .ambient import (canonical_frame_vectors, contact_project, dot,
                       frame_derivative_check, hermitian, perp, reeb)
-from .calculus import (IdentityReport, MetricField, ShapeOperatorField,
-                       build_analysis, first_fundamental_form, frame_gradient,
+from .calculus import (IdentityReport, ShapeOperatorField, build_analysis,
+                       first_fundamental_form, frame_gradient,
                        gaussian_curvature_extrinsic, gaussian_curvature_intrinsic,
                        laplace_beltrami, refinement_study, shape_operator,
                        verify_connection_identity, verify_curvature_identity,
@@ -23,7 +23,7 @@ from .errors import (AmplitudeTooLarge, ContactGeomError, DegenerateContact,
                      OffSphere, ParseError, RangeError, StepTooLarge)
 from .flow import (FlowConfig, FlowReport, area, descend, descend_r_family,
                    flow_step, theorem_probe, willmore_energy, willmore_gradient)
-from .surface import (FrameField, GridSpec, SurfaceGrid, contact_angle_field,
-                      sample, tangent_fields)
+from .surface import (FrameField, GridSpec, MetricField, SurfaceGrid,
+                      contact_angle_field, sample, tangent_fields)
 
 __version__ = "0.1.0"

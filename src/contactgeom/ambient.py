@@ -37,9 +37,12 @@ def dot(a, b):
     start value of np.sum(a * b, -1), so the two agree bit for bit; the
     start value makes a sum of -0.0 products +0.0, a sign arctan2 reads.
     """
-    a, b = _vec(a), _vec(b)
-    return (0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
+    p = _vec(a) * _vec(b)
+    out = 0.0 + p[..., 0]
+    out += p[..., 1]
+    out += p[..., 2]
+    out += p[..., 3]
+    return out
 
 
 def norm(a):
@@ -126,24 +129,29 @@ def frame_derivative_check(z, v, h):
     return float(norm(d_tan - expected))
 
 
-def _det3_cols(a, b, c, cols):
-    i, j, k = cols
-    return (a[..., i] * (b[..., j] * c[..., k] - b[..., k] * c[..., j])
-            - a[..., j] * (b[..., i] * c[..., k] - b[..., k] * c[..., i])
-            + a[..., k] * (b[..., i] * c[..., j] - b[..., j] * c[..., i]))
-
-
 def cross4(a, b, c):
     """Generalized cross product on R^4 with <cross4(a,b,c), x> = det[a; b; c; x].
 
     For an orthonormal triple the result is the unit vector completing it to a
-    positively oriented basis of R^4 (rows in the listed order).
+    positively oriented basis of R^4 (rows in the listed order).  Each
+    component is the cofactor expansion of a 3x3 minor of (a, b, c) along a;
+    the six 2x2 minors m_jk of (b, c) are shared by two components each and
+    are formed once, each released after its second use.
     """
     a, b, c = _vec(a), _vec(b), _vec(c)
     shape = np.broadcast(a, b, c).shape
     d = np.empty(shape, float)
-    d[..., 0] = -_det3_cols(a, b, c, (1, 2, 3))
-    d[..., 1] = +_det3_cols(a, b, c, (0, 2, 3))
-    d[..., 2] = -_det3_cols(a, b, c, (0, 1, 3))
-    d[..., 3] = +_det3_cols(a, b, c, (0, 1, 2))
+
+    def minor(j, k):
+        return b[..., j] * c[..., k] - b[..., k] * c[..., j]
+
+    m23, m13, m12 = minor(2, 3), minor(1, 3), minor(1, 2)
+    d[..., 0] = -(a[..., 1] * m23 - a[..., 2] * m13 + a[..., 3] * m12)
+    m03, m02 = minor(0, 3), minor(0, 2)
+    d[..., 1] = a[..., 0] * m23 - a[..., 2] * m03 + a[..., 3] * m02
+    del m23
+    m01 = minor(0, 1)
+    d[..., 2] = -(a[..., 0] * m13 - a[..., 1] * m03 + a[..., 3] * m01)
+    del m13, m03
+    d[..., 3] = a[..., 0] * m12 - a[..., 1] * m02 + a[..., 2] * m01
     return d

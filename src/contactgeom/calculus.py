@@ -17,20 +17,22 @@ beta_1 = d beta(e1), beta_2 = d beta(e2):
     <D_{e1} e2, e1> = tan(beta) beta_2
     <D_{e2} e2, e1> = -tan(beta) (beta_1 + 2)
 
-build_analysis forms every residual once per grid, with nodes inside a
-configurable band around the tan poles beta = +-pi/2 excluded from the
-Laplacian and connection norms; the verifiers read those residuals and
-report how many nodes were excluded.  The first fundamental form is the
-one `surface` caches on the grid (MetricField is re-exported from there).
+build_analysis returns a SurfaceAnalysis whose fields are formed when
+first read, each at most once per grid, with nodes inside a configurable
+band around the tan poles beta = +-pi/2 excluded from the Laplacian and
+connection norms; the verifiers read those residuals and report how many
+nodes were excluded.  The first fundamental form is the one `surface`
+caches on the grid.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import ambient
-from .surface import MetricField, contact_angle_field
+from .surface import contact_angle_field
 
 TAN_BAND_DEFAULT = 1e-3
 
@@ -185,23 +187,71 @@ def _norms(residual, valid):
     return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals ** 2)))
 
 
-@dataclass
 class SurfaceAnalysis:
-    """Everything the verifiers and reports need, computed once per grid."""
+    """The fields the verifiers and reports read, each formed when first read.
 
-    grid: object
-    frames: object
-    metric: MetricField
-    shape: ShapeOperatorField
-    K_int: np.ndarray
-    K_ext: np.ndarray
-    grad_beta: FrameGradient
-    lap_beta: np.ndarray
-    tan_band: np.ndarray
-    res_curvature: np.ndarray
-    res_laplacian: np.ndarray
-    res_connection: tuple
-    band: float
+    Every field is formed at most once per analysis and only when something
+    reads it, so a verifier that reads one residual pays for that residual
+    alone.  Degenerate input (DegenerateContact, DegenerateParametrization)
+    raises on the first read of a field that needs the frames or the metric.
+    """
+
+    def __init__(self, grid, band):
+        self.grid = grid
+        self.band = band
+
+    @cached_property
+    def frames(self):
+        return contact_angle_field(self.grid)
+
+    @cached_property
+    def metric(self):
+        return first_fundamental_form(self.grid)
+
+    @cached_property
+    def shape(self):
+        return shape_operator(self.grid, self.frames)
+
+    @cached_property
+    def K_int(self):
+        return gaussian_curvature_intrinsic(self.metric, self.grid)
+
+    @cached_property
+    def K_ext(self):
+        return gaussian_curvature_extrinsic(self.shape)
+
+    @cached_property
+    def grad_beta(self):
+        return frame_gradient(self.frames.beta, self.frames, self.grid)
+
+    @cached_property
+    def lap_beta(self):
+        return laplace_beltrami(self.frames.beta, self.metric, self.grid)
+
+    @cached_property
+    def tan_band(self):
+        return tan_pole_distance(self.frames.beta) < self.band
+
+    @cached_property
+    def tan_beta(self):
+        """tan(beta), zeroed inside the tan-pole band."""
+        return np.where(self.tan_band, 0.0, np.tan(self.frames.beta))
+
+    @cached_property
+    def res_curvature(self):
+        gb = self.grad_beta
+        return self.K_int - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
+
+    @cached_property
+    def res_laplacian(self):
+        gb = self.grad_beta
+        return self.lap_beta + self.tan_beta * ((gb.beta1 + 2.0) ** 2
+                                                + gb.beta2 ** 2)
+
+    @cached_property
+    def res_connection(self):
+        return _connection_residuals(self.grid, self.frames, self.grad_beta,
+                                     self.tan_beta)
 
     @property
     def valid(self):
@@ -213,26 +263,12 @@ class SurfaceAnalysis:
 
 
 def build_analysis(grid, band=TAN_BAND_DEFAULT):
-    """Frames, curvature, gradients, Laplacian and residual fields for a grid."""
-    frames = contact_angle_field(grid)
-    metric = first_fundamental_form(grid)
-    shape = shape_operator(grid, frames)
-    K_int = gaussian_curvature_intrinsic(metric, grid)
-    K_ext = gaussian_curvature_extrinsic(shape)
-    gb = frame_gradient(frames.beta, frames, grid)
-    lap = laplace_beltrami(frames.beta, metric, grid)
-    tan_band = tan_pole_distance(frames.beta) < band
+    """Frames, curvature, gradients, Laplacian and residual fields for a grid.
 
-    res_curv = K_int - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
-    tan_beta = np.where(tan_band, 0.0, np.tan(frames.beta))
-    res_lap = lap + tan_beta * ((gb.beta1 + 2.0) ** 2 + gb.beta2 ** 2)
-
-    res_conn = _connection_residuals(grid, frames, gb, tan_beta)
-    return SurfaceAnalysis(grid=grid, frames=frames, metric=metric, shape=shape,
-                           K_int=K_int, K_ext=K_ext, grad_beta=gb, lap_beta=lap,
-                           tan_band=tan_band, res_curvature=res_curv,
-                           res_laplacian=res_lap, res_connection=res_conn,
-                           band=band)
+    Nothing is formed here; each field of the returned SurfaceAnalysis is
+    formed on its first read.
+    """
+    return SurfaceAnalysis(grid, band)
 
 
 def _connection_residuals(grid, frames, gb, tan_beta):

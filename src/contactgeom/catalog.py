@@ -1,8 +1,8 @@
 """Built-in analytic surfaces with exact partials, perturbations, and file input.
 
-Every entry carries closed-form first and second parameter derivatives so the
-frame and curvature pipeline can be exercised without finite-difference error
-in the tangents.  Ground-truth fields record the values the toolkit's own
+Every entry carries closed-form first parameter derivatives so the frame and
+curvature pipeline can be exercised without finite-difference error in the
+tangents.  Ground-truth fields record the values the toolkit's own
 conventions produce (signed contact angle, Weingarten-sign shape operator).
 """
 
@@ -29,7 +29,6 @@ class CatalogEntry:
     params: dict
     point: callable
     d1: callable = None
-    d2: callable = None
     default_topology: tuple = ("periodic", "periodic")
     default_ranges: tuple = ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi))
     ground_truth: dict = field(default_factory=dict)
@@ -60,17 +59,10 @@ def clifford():
         fv = np.stack([zero, zero, -c * np.sin(V), c * np.cos(V)], axis=-1)
         return fu, fv
 
-    def d2(U, V):
-        zero = np.zeros_like(U)
-        fuu = np.stack([-c * np.cos(U), -c * np.sin(U), zero, zero], axis=-1)
-        fuv = np.stack([zero, zero, zero, zero], axis=-1)
-        fvv = np.stack([zero, zero, -c * np.cos(V), -c * np.sin(V)], axis=-1)
-        return fuu, fuv, fvv
-
     return CatalogEntry(
         name="clifford",
         params={},
-        point=point, d1=d1, d2=d2,
+        point=point, d1=d1,
         ground_truth={
             "beta": 0.0,
             "K": 0.0,
@@ -105,18 +97,11 @@ def r_torus(r):
         fv = np.stack([zero, zero, -sr * np.sin(V), sr * np.cos(V)], axis=-1)
         return fu, fv
 
-    def d2(U, V):
-        zero = np.zeros_like(U)
-        fuu = np.stack([-cr * np.cos(U), -cr * np.sin(U), zero, zero], axis=-1)
-        fuv = np.stack([zero, zero, zero, zero], axis=-1)
-        fvv = np.stack([zero, zero, -sr * np.cos(V), -sr * np.sin(V)], axis=-1)
-        return fuu, fuv, fvv
-
     h = (math.tan(r) - 1.0 / math.tan(r)) / 2.0
     return CatalogEntry(
         name="rtorus",
         params={"r": r},
-        point=point, d1=d1, d2=d2,
+        point=point, d1=d1,
         ground_truth={
             "beta": 0.0,
             "K": 0.0,
@@ -149,20 +134,10 @@ def geodesic_sphere():
                        zero, zero], axis=-1)
         return fu, fv
 
-    def d2(U, V):
-        zero = np.zeros_like(U)
-        fuu = np.stack([-np.sin(U) * np.cos(V), -np.sin(U) * np.sin(V),
-                        -np.cos(U), zero], axis=-1)
-        fuv = np.stack([-np.cos(U) * np.sin(V), np.cos(U) * np.cos(V),
-                        zero, zero], axis=-1)
-        fvv = np.stack([-np.sin(U) * np.cos(V), -np.sin(U) * np.sin(V),
-                        zero, zero], axis=-1)
-        return fuu, fuv, fvv
-
     return CatalogEntry(
         name="geodesic_sphere",
         params={},
-        point=point, d1=d1, d2=d2,
+        point=point, d1=d1,
         default_topology=("chart", "periodic"),
         default_ranges=((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi)),
         ground_truth={
@@ -210,7 +185,7 @@ def perturb(entry, mode=(1, 2), amplitude=0.05):
     return CatalogEntry(
         name=label,
         params=dict(entry.params, mode=(m, n), amplitude=amplitude),
-        point=point, d1=None, d2=None,
+        point=point, d1=None,
         default_topology=entry.default_topology,
         default_ranges=entry.default_ranges,
         ground_truth={},

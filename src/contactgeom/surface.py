@@ -123,9 +123,8 @@ class MetricField:
 class SurfaceGrid:
     """Grid of unit-sphere points with optional analytic parameter derivatives.
 
-    partials, when present, is a dict with keys "fu", "fv" (and optionally
-    "fuu", "fuv", "fvv"), each an (n_u, n_v, 4) array of derivatives of the
-    point map.
+    partials, when present, is a dict with keys "fu" and "fv", each an
+    (n_u, n_v, 4) array of first derivatives of the point map.
     """
 
     def __init__(self, spec, points, partials=None, label=""):
@@ -173,8 +172,8 @@ def sample(definition, spec, label=None):
     """Evaluate an immersion definition on a grid and normalize onto S^3.
 
     definition is either a callable (U, V) -> (..., 4) or an object with a
-    .point(U, V) method and optional .d1(U, V) -> (fu, fv) and
-    .d2(U, V) -> (fuu, fuv, fvv) methods for analytic partials.
+    .point(U, V) method and an optional .d1(U, V) -> (fu, fv) method for
+    analytic first partials.
 
     Raises OffSphere when any evaluated point deviates from unit norm by
     more than 1e-6 before normalization.
@@ -202,12 +201,6 @@ def sample(definition, spec, label=None):
             if np.any(tang > 1e-10):
                 raise OffSphere("analytic partials are not tangent to the sampled "
                                 f"points (max |<df, f>| = {tang.max():.3e})")
-        d2 = getattr(definition, "d2", None)
-        if d2 is not None:
-            fuu, fuv, fvv = d2(U, V)
-            partials.update(fuu=np.asarray(fuu, float),
-                            fuv=np.asarray(fuv, float),
-                            fvv=np.asarray(fvv, float))
     if label is None:
         label = getattr(definition, "name", getattr(definition, "__name__", "surface"))
     return SurfaceGrid(spec, pts, partials, label)

@@ -198,6 +198,39 @@ def test_cross4_completes_canonical_frame():
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
 
+def _cross4_cofactors(a, b, c):
+    """Reference: each component a 3x3 cofactor expanded with its own minors."""
+    def det3(i, j, k):
+        return (a[..., i] * (b[..., j] * c[..., k] - b[..., k] * c[..., j])
+                - a[..., j] * (b[..., i] * c[..., k] - b[..., k] * c[..., i])
+                + a[..., k] * (b[..., i] * c[..., j] - b[..., j] * c[..., i]))
+    return np.stack([-det3(1, 2, 3), det3(0, 2, 3), -det3(0, 1, 3),
+                     det3(0, 1, 2)], axis=-1)
+
+
+def test_cross4_is_bitwise_cofactor_expansion():
+    # sharing the six 2x2 minors of (b, c) keeps every expression, so the
+    # result must match the per-component expansion bit for bit
+    scale = 10.0 ** RNG.integers(-12, 12, size=(33, 17, 4))
+    a, b, c = (RNG.normal(size=(33, 17, 4)) * scale for _ in range(3))
+    cases = [
+        (a, b, c),                                # (n, m, 4)
+        (a[1:, ::2], b[:-1, ::2], c[1:, ::-2]),   # strided slices
+        (a[0, 0], b, c[:, :1]),                   # (4,), (n, m, 4), (n, 1, 4)
+        (a[..., None, :], b[0], c[0, 0]),         # broadcast to (n, m, m, 4)
+        (a[0, 0], b[0, 0], c[0, 0]),              # single vectors
+    ]
+    for x, y, z in cases:
+        assert _same_bits(cross4(x, y, z), _cross4_cofactors(x, y, z))
+    signed = np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0],
+                       [-0.0, 0.0, 1.0, 0.0], [1.0, -1.0, 0.0, -0.0],
+                       [0.0, 0.0, -1.0, -0.0]])
+    x, y, z = np.meshgrid(np.arange(5), np.arange(5), np.arange(5), indexing="ij")
+    x, y, z = signed[x], signed[y], signed[z]
+    assert _same_bits(cross4(x, y, z), _cross4_cofactors(x, y, z))
+    assert np.signbit(cross4(x, y, z)).any()
+
+
 def test_jmul_squares_to_minus_one():
     v = RNG.normal(size=(40, 4))
     assert np.allclose(jmul(jmul(v)), -v)

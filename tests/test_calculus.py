@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
-from contactgeom import (DegenerateMetric, GridSpec, build_analysis,
+from contactgeom import calculus
+from contactgeom import (DegenerateContact, DegenerateMetric,
+                         DegenerateParametrization, GridSpec, build_analysis,
                          first_fundamental_form, frame_gradient,
                          gaussian_curvature_intrinsic,
                          laplace_beltrami, refinement_study, sample,
                          shape_operator, verify_curvature_identity,
                          verify_laplacian_identity, verify_minimality)
-from contactgeom.calculus import (MetricField, observed_order, refinement_passed,
-                                  tan_pole_distance)
-from contactgeom.catalog import clifford, geodesic_sphere, r_torus
-from contactgeom.surface import contact_angle_field
+from contactgeom.calculus import (TAN_BAND_DEFAULT, _connection_residuals,
+                                  gaussian_curvature_extrinsic, observed_order,
+                                  refinement_passed, tan_pole_distance)
+from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
+from contactgeom.cli import main
+from contactgeom.surface import MetricField, contact_angle_field
 
 RNG = np.random.default_rng(11)
 
@@ -312,3 +316,157 @@ def test_observed_order_floor():
 def test_refinement_needs_three_levels():
     with pytest.raises(ValueError):
         refinement_study(geodesic_sphere(), "curvature", [32, 64])
+
+
+# ------------------------------------------------------- lazy analysis
+
+def _eager_analysis(grid, band=TAN_BAND_DEFAULT):
+    """Reference: every field of an analysis formed up front, in one pass."""
+    frames = contact_angle_field(grid)
+    metric = first_fundamental_form(grid)
+    shape = shape_operator(grid, frames)
+    K_int = gaussian_curvature_intrinsic(metric, grid)
+    K_ext = gaussian_curvature_extrinsic(shape)
+    gb = frame_gradient(frames.beta, frames, grid)
+    lap = laplace_beltrami(frames.beta, metric, grid)
+    tan_band = tan_pole_distance(frames.beta) < band
+
+    res_curv = K_int - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
+    tan_beta = np.where(tan_band, 0.0, np.tan(frames.beta))
+    res_lap = lap + tan_beta * ((gb.beta1 + 2.0) ** 2 + gb.beta2 ** 2)
+
+    res_conn = _connection_residuals(grid, frames, gb, tan_beta)
+    return dict(frames=frames, metric=metric, shape=shape, K_int=K_int,
+                K_ext=K_ext, grad_beta=gb, lap_beta=lap, tan_band=tan_band,
+                res_curvature=res_curv, res_laplacian=res_lap,
+                res_connection=res_conn)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _arrays(name, value):
+    """(label, array) pairs of an analysis field, taken apart to its arrays."""
+    if isinstance(value, tuple):
+        return [(f"{name}[{k}]", v) for k, v in enumerate(value)]
+    if hasattr(value, "__dict__"):
+        return [(f"{name}.{k}", v) for k, v in vars(value).items()]
+    return [(name, value)]
+
+
+def _cap(A, B):
+    out = np.zeros(A.shape + (4,))
+    out[..., 0] = np.sqrt(1.0 - A ** 2 - B ** 2)
+    out[..., 2] = A
+    out[..., 3] = B
+    return out
+
+
+LAZY_CASES = {
+    "clifford": lambda: clifford().sample(n=32),
+    "rtorus_0.9": lambda: r_torus(0.9).sample(n=32),
+    "geodesic_sphere": lambda: geodesic_sphere().sample(n=32),
+    "clifford_bump": lambda: perturb(clifford(), (1, 2), 0.05).sample(n=32),
+    "masked_cap_9": lambda: sample(_cap, GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3),
+                                                  "chart", "chart")),
+}
+
+
+@pytest.mark.parametrize("band", [TAN_BAND_DEFAULT, 0.3])
+@pytest.mark.parametrize("case", sorted(LAZY_CASES))
+def test_lazy_analysis_matches_eager_reference_bitwise(case, band):
+    grid = LAZY_CASES[case]()
+    ref = _eager_analysis(grid, band)
+    an = build_analysis(grid, band)
+    if case == "masked_cap_9":
+        assert an.frames.n_masked == 1
+    if case == "geodesic_sphere" and band == 0.3:
+        assert np.any(an.tan_band)
+    checked = 0
+    for name, value in ref.items():
+        want = dict(_arrays(name, value))
+        got = dict(_arrays(name, getattr(an, name)))
+        assert got.keys() == want.keys()
+        for label in want:
+            assert _same_bits(got[label], want[label]), f"{case}: {label} differs"
+        checked += len(want)
+    assert checked == 27
+    assert an.band == band and an.grid is grid
+
+
+KERNELS = ("shape_operator", "frame_gradient", "laplace_beltrami",
+           "_connection_residuals")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the calls of each field kernel the analysis forms."""
+    calls = dict.fromkeys(KERNELS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in KERNELS:
+        monkeypatch.setattr(calculus, name, counted(name, getattr(calculus, name)))
+    return calls
+
+
+# the kernels each identity must not form; every other kernel runs once a level
+UNREAD = {
+    "curvature": {"shape_operator", "laplace_beltrami", "_connection_residuals"},
+    "laplacian": {"shape_operator", "_connection_residuals"},
+    "connection": {"shape_operator", "laplace_beltrami"},
+    "gauss": {"frame_gradient", "laplace_beltrami", "_connection_residuals"},
+}
+
+
+@pytest.mark.parametrize("identity", sorted(UNREAD))
+def test_verify_forms_only_what_its_identity_reads(identity, kernel_calls, tmp_path):
+    levels = [16, 20, 24]
+    main(["verify", "--surface", "geodesic_sphere", "--identity", identity,
+          "--refine", ",".join(map(str, levels)), "--out", str(tmp_path)])
+    assert (tmp_path / f"identity_{identity}.json").exists()
+    assert kernel_calls == {k: 0 if k in UNREAD[identity] else len(levels)
+                            for k in KERNELS}
+
+
+def test_analyze_never_forms_connection_residuals(kernel_calls, tmp_path):
+    assert main(["analyze", "--surface", "rtorus", "--param", "r=0.9",
+                 "--grid", "16x16", "--out", str(tmp_path)]) == 0
+    assert kernel_calls == {"shape_operator": 1, "frame_gradient": 1,
+                            "laplace_beltrami": 1, "_connection_residuals": 0}
+
+
+def test_analysis_forms_each_field_once(kernel_calls):
+    an = build_analysis(geodesic_sphere().sample(n=16))
+    assert kernel_calls == dict.fromkeys(KERNELS, 0)
+    for _ in range(2):
+        an.shape, an.K_ext, an.res_curvature, an.res_laplacian, an.res_connection
+    assert kernel_calls == dict.fromkeys(KERNELS, 1)
+    assert an.res_connection is an.res_connection
+    assert an.K_int is an.K_int
+
+
+def test_degenerate_input_raises_on_first_field_read():
+    spec = GridSpec(8, 8, (-1e-5, 1e-5), (-1e-5, 1e-5), "chart", "chart")
+    an = build_analysis(sample(_cap, spec))
+    with pytest.raises(DegenerateContact):
+        an.frames
+    with pytest.raises(DegenerateContact):
+        an.res_curvature
+
+    def const(U, V):
+        out = np.zeros(U.shape + (4,))
+        out[..., 0] = 1.0
+        return out
+
+    an = build_analysis(sample(const, GridSpec(8, 8)))
+    with pytest.raises(DegenerateParametrization):
+        an.metric
+    with pytest.raises(DegenerateParametrization):
+        an.K_int

@@ -115,6 +115,16 @@ def test_analyze_evaluates_H_a_fixed_number_of_times(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_analyze_over_masked_file_exits_2_and_writes_nothing(tmp_path, capsys):
+    # every node of a 1e-5-wide cap is contact-degenerate; the analysis
+    # raises when analyze first reads its frames, before any file is written
+    cap = _polar_cap_file(tmp_path / "cap.s3", n=9, half_width=1e-5)
+    out = tmp_path / "o"
+    assert run(["analyze", "--surface", cap, "--out", str(out)]) == 2
+    assert "contact-degenerate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_unknown_surface(tmp_path):
     assert run(["analyze", "--surface", "nosuch", "--out", str(tmp_path)]) == 2
 
