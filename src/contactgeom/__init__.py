@@ -22,7 +22,7 @@ from .errors import (AmplitudeTooLarge, ContactGeomError, DegenerateContact,
                      DegenerateMetric, DegenerateParametrization, NotTangent,
                      OffSphere, ParseError, RangeError, StepTooLarge)
 from .flow import (FlowConfig, FlowReport, area, descend, descend_r_family,
-                   flow_step, theorem_probe, willmore_energy, willmore_gradient)
+                   flow_step, theorem_probe, willmore_energy)
 from .surface import (FrameField, GridSpec, MetricField, SurfaceGrid,
                       contact_angle_field, sample, tangent_fields)
 

@@ -21,8 +21,9 @@ build_analysis returns a SurfaceAnalysis whose fields are formed when
 first read, each at most once per grid, with nodes inside a configurable
 band around the tan poles beta = +-pi/2 excluded from the Laplacian and
 connection norms; the verifiers read those residuals and report how many
-nodes were excluded.  The first fundamental form is the one `surface`
-caches on the grid.
+nodes were excluded.  The descent in `flow` reads its energy, max|H| and
+gradient from the same object.  The first fundamental form is the one
+`surface` caches on the grid.
 """
 
 import math
@@ -188,7 +189,7 @@ def _norms(residual, valid):
 
 
 class SurfaceAnalysis:
-    """The fields the verifiers and reports read, each formed when first read.
+    """The fields the verifiers, reports and descent read, each formed when first read.
 
     Every field is formed at most once per analysis and only when something
     reads it, so a verifier that reads one residual pays for that residual
@@ -211,6 +212,28 @@ class SurfaceAnalysis:
     @cached_property
     def shape(self):
         return shape_operator(self.grid, self.frames)
+
+    @cached_property
+    def H(self):
+        """Mean curvature; zero on masked nodes, where the shape operator is."""
+        return self.shape.H
+
+    @cached_property
+    def energy(self):
+        """E = integral of H^2 dA; zero exactly on minimal surfaces."""
+        return float(np.sum(self.H ** 2 * self.metric.sqrt_det
+                            * self.grid.calc.quad_weights()))
+
+    @cached_property
+    def max_H(self):
+        return float(np.max(np.abs(self.H)))
+
+    @cached_property
+    def willmore_G(self):
+        """G with dE = integral G psi dA for the normal displacement psi e3."""
+        H = self.H
+        return (laplace_beltrami(H, self.metric, self.grid)
+                + 2.0 * H * (H ** 2 - self.shape.det + 1.0))
 
     @cached_property
     def K_int(self):
@@ -333,7 +356,7 @@ def verify_gauss_agreement(grid, analysis=None):
 def verify_minimality(grid, analysis=None):
     """Per-node |H| with max/mean summary."""
     an = analysis if analysis is not None else build_analysis(grid)
-    absH = np.abs(an.shape.H)
+    absH = np.abs(an.H)
     vals = absH[an.valid]
     return {"field": absH,
             "max": float(vals.max()),
@@ -382,13 +405,14 @@ def refinement_study(entry, identity, levels, band=0.05):
         raise ValueError("refinement needs at least 3 grid levels")
     if identity not in IDENTITY_VERIFIERS:
         raise KeyError(f"unknown identity {identity!r}")
+    specs = [entry.default_spec(int(n)) for n in levels]  # GridSpec checks each n
     rows = []
     last = None
-    for n in levels:
-        grid = entry.sample(entry.default_spec(int(n)))
+    for spec in specs:
+        grid = entry.sample(spec)
         rep = IDENTITY_VERIFIERS[identity](
             grid, analysis=build_analysis(grid, band=band))
-        rows.append((int(n), rep.linf, rep.l2, rep.n_excluded))
+        rows.append((spec.n_u, rep.linf, rep.l2, rep.n_excluded))
         last = rep
     order = observed_order([r[0] for r in rows], [r[1] for r in rows])
     at_floor = order is None

@@ -28,8 +28,7 @@ from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
                        verify_minimality)
 from .errors import (AmplitudeTooLarge, ContactGeomError, OffSphere,
                      ParseError, RangeError)
-from .flow import (FlowConfig, area, descend, descend_r_family,
-                   energy_and_max_H, theorem_probe)
+from .flow import FlowConfig, area, descend, descend_r_family, theorem_probe
 from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
                        write_table)
 from .surface import GridSpec
@@ -128,11 +127,10 @@ def cmd_analyze(args):
     curv = verify_curvature_identity(grid, analysis=an)
     lap = verify_laplacian_identity(grid, analysis=an)
 
-    # each field is evaluated once: shape.H rebuilds the whole array per access
     mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
     U, V = grid.spec.mesh()
     table = np.stack([U, V, *np.moveaxis(grid.points, -1, 0), frames.beta,
-                      an.K_ext, an.shape.H, an.res_curvature,
+                      an.K_ext, an.H, an.res_curvature,
                       np.where(mcode, 0.0, an.res_laplacian), mcode], axis=-1)
     _check_finite_table(table, FIELDS_CSV_HEADER.split(","), "fields.csv")
 
@@ -159,8 +157,8 @@ def cmd_analyze(args):
             "tan_band": int(np.sum(an.tan_band & ~mask)),
             "tan_band_width": an.band,
         },
-        "area": area(grid, an.metric),
-        "willmore_energy": energy_and_max_H(grid, frames, an.metric, an.shape)[0],
+        "area": area(grid),
+        "willmore_energy": an.energy,
     }
     _check_finite(report)
 
@@ -174,17 +172,13 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    levels = [int(x) for x in args.refine.split(",") if x.strip()]
-    if len(levels) < 3:
-        print("error: --refine needs at least 3 grid levels for an order estimate",
-              file=sys.stderr)
-        return 2
     try:
+        levels = [int(x) for x in args.refine.split(",") if x.strip()]
         entry = catalog.build(args.surface, _parse_params(args.param))
+        report = refinement_study(entry, args.identity, levels, band=args.band)
     except (KeyError, RangeError, AmplitudeTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = refinement_study(entry, args.identity, levels, band=args.band)
     payload = report.to_dict()
     payload.update(surface=args.surface, format_version=FORMAT_VERSION,
                    bound=IDENTITY_BOUNDS[args.identity],
@@ -203,9 +197,8 @@ def cmd_verify(args):
 
 def cmd_flow(args):
     params = _parse_params(args.param)
-    cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol)
-    os.makedirs(args.out, exist_ok=True)
     try:
+        cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol)
         if args.mode == "r-only":
             r0 = float(params.get("r", math.pi / 4))
             report, final = descend_r_family(r0, n=args.grid[0], config=cfg)
@@ -231,6 +224,7 @@ def cmd_flow(args):
             if isinstance(x, float) and not math.isfinite(x):
                 raise ValueError(f"non-finite {name} in trace.csv "
                                  f"at iteration {row[0]}")
+    os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, "flow_report.json"))
     rows = [TRACE_CSV_HEADER]
     for (it, E, maxH, dev) in report.trace:

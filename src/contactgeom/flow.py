@@ -10,12 +10,13 @@ psi e3 in S^3 (Weiner 1978), in the Weingarten sign of `calculus`:
 
     dE = integral G psi dA,   G = Lap_g H + 2 H (H^2 - det S + 1),
 
-weighted by sqrt(det g) and the quadrature weights and scaled by a fixed
-flat-torus preconditioner.  Each Armijo backtracking trial moves the
-surface along its current normals; the moved grid's tangents are formed
-once, and a collapsed parametrization halves the step.  descend_r_family
-is a golden-section search on the discrete energy of the product-torus
-family.
+read as SurfaceAnalysis.willmore_G, weighted by sqrt(det g) and the
+quadrature weights and scaled by a fixed flat-torus preconditioner.  Each
+grid the descent reaches is one SurfaceAnalysis.  Each Armijo backtracking
+trial moves the surface along its current normals; the moved grid's
+tangents are formed once, and a collapsed parametrization halves the step.
+descend_r_family is a golden-section search on the discrete energy of the
+product-torus family.
 """
 
 import math
@@ -24,10 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog
-from .calculus import (first_fundamental_form, gaussian_curvature_extrinsic,
-                       laplace_beltrami, shape_operator)
+from .calculus import build_analysis, first_fundamental_form
 from .errors import DegenerateParametrization, StepTooLarge
-from .surface import contact_angle_field, tangent_fields
+from .surface import tangent_fields
 
 GOLDEN_BRACKET = (0.3, 1.2)
 # step scale of the former 16x16 spline control basis, which keeps
@@ -35,6 +35,9 @@ GOLDEN_BRACKET = (0.3, 1.2)
 STEP_SCALE = (2.0 * math.pi / 16) ** 2
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
+# theorem_probe: constant-angle bound on the beta spread, flatness bound on |K|
+PROBE_BETA_TOL = 5e-3
+PROBE_K_TOL = 5e-3
 
 
 @dataclass
@@ -46,8 +49,10 @@ class FlowConfig:
     tol: float = 1e-3              # stop tolerance on max |H|
 
     def __post_init__(self):
-        if self.step <= 0 or self.tol <= 0:
+        if not (self.step > 0 and self.tol > 0):
             raise ValueError("step and tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be non-negative")
 
 
 @dataclass
@@ -81,41 +86,15 @@ class FlowReport:
         return d
 
 
-def area(grid, metric=None):
+def area(grid):
     """Surface area: quadrature of sqrt(det g)."""
-    m = metric if metric is not None else first_fundamental_form(grid)
     w = grid.calc.quad_weights()
-    return float(np.sum(m.sqrt_det * w))
-
-
-def energy_and_max_H(grid, frames, metric, shape):
-    """E = integral of H^2 dA and max|H|, with H taken as 0 on masked nodes."""
-    H = np.where(frames.mask, 0.0, shape.H)
-    E = float(np.sum(H ** 2 * metric.sqrt_det * grid.calc.quad_weights()))
-    return E, float(np.max(np.abs(H)))
-
-
-def _state(grid):
-    """Frames, shape, energy and max|H| for one grid; the flow's hot loop."""
-    frames = contact_angle_field(grid)
-    metric = first_fundamental_form(grid)
-    shape = shape_operator(grid, frames)
-    return (frames, metric, shape) + energy_and_max_H(grid, frames, metric, shape)
+    return float(np.sum(first_fundamental_form(grid).sqrt_det * w))
 
 
 def willmore_energy(grid):
     """E = integral of H^2 over the surface; zero exactly on minimal surfaces."""
-    return _state(grid)[3]
-
-
-def willmore_gradient(grid, frames, metric, shape):
-    """Nodal first variation G of E for the normal displacement psi e3.
-
-    dE = integral G psi dA with G = Lap_g H + 2 H (H^2 - det S + 1); H is
-    taken as 0 on masked nodes, as in the energy.
-    """
-    H = np.where(frames.mask, 0.0, shape.H)
-    return laplace_beltrami(H, metric, grid) + 2.0 * H * (H ** 2 - shape.det + 1.0)
+    return build_analysis(grid).energy
 
 
 def _moved_points(points, e3, psi):
@@ -142,7 +121,7 @@ def flow_step(grid, psi, step=1.0):
     psi = np.asarray(psi, float)
     if psi.shape != grid.points.shape[:2]:
         raise ValueError("psi must be a per-node scalar field")
-    frames = contact_angle_field(grid)
+    frames = build_analysis(grid).frames
     moved = _moved_points(grid.points, frames.e3, step * psi)
     try:
         return _check_step(grid, moved)
@@ -169,33 +148,44 @@ def _precondition(g):
     return np.real(np.fft.ifft2(np.fft.fft2(g) / w))
 
 
+def _beta_spread(an):
+    return float(np.ptp(an.frames.beta[an.valid]))
+
+
+def _final_report(an, **fields):
+    """FlowReport with the final surface's max|H| and contact-angle summary."""
+    vals = an.frames.beta[an.valid]
+    return FlowReport(final_max_H=an.max_H,
+                      beta_max=float(np.max(np.abs(vals))),
+                      beta_mean=float(np.mean(vals)),
+                      beta_spread=float(np.ptp(vals)), **fields)
+
+
 def descend(grid, config=None):
     """Backtracking gradient descent of the Willmore-type energy.
 
-    Requires a doubly periodic initial grid.  Returns a
-    FlowReport; non-convergence is reported with converged=False rather
-    than raised, and steps that would collapse the grid are absorbed as
-    automatic step reductions.
+    Requires a doubly periodic initial grid.  Returns (FlowReport, the
+    SurfaceAnalysis of the final grid); the final grid is its .grid.
+    Non-convergence is reported with converged=False rather than raised,
+    and steps that would collapse the grid are absorbed as automatic step
+    reductions.
     """
     cfg = config if config is not None else FlowConfig()
     spec = grid.spec
     if not (spec.topology_u == "periodic" and spec.topology_v == "periodic"):
         raise ValueError("descent needs a compact (doubly periodic) surface")
 
-    traj = []
-    energies = []
-    frames, metric, shape, E, maxH = _state(grid)
-    energies.append(E)
-    beta_dev = float(np.ptp(frames.beta[~frames.mask]))
-    traj.append((0, E, maxH, beta_dev))
-    converged = maxH < cfg.tol
+    an = build_analysis(grid)
+    energies = [an.energy]
+    traj = [(0, an.energy, an.max_H, _beta_spread(an))]
+    converged = an.max_H < cfg.tol
     it = 0
     message = "already at tolerance" if converged else ""
     t_next = cfg.step
 
     while not converged and it < cfg.max_iter:
-        G_dA = willmore_gradient(grid, frames, metric, shape) * metric.sqrt_det
-        g = G_dA * grid.calc.quad_weights()
+        G_dA = an.willmore_G * an.metric.sqrt_det
+        g = G_dA * an.grid.calc.quad_weights()
         if float(np.sum(g ** 2)) == 0.0:
             message = "zero gradient"
             break
@@ -204,14 +194,13 @@ def descend(grid, config=None):
         t = t_next
         accepted = False
         for _ in range(MAX_HALVINGS):
-            moved = _moved_points(grid.points, frames.e3, t * psi_dir)
+            moved = _moved_points(an.grid.points, an.frames.e3, t * psi_dir)
             try:
-                cand = _check_step(grid, moved)
+                cand = build_analysis(_check_step(an.grid, moved))
             except DegenerateParametrization:
                 t *= 0.5  # a collapsed step is absorbed as a step reduction
                 continue
-            frames_c, metric_c, shape_c, E_c, maxH_c = _state(cand)
-            if E_c <= E + ARMIJO * t * slope:
+            if cand.energy <= an.energy + ARMIJO * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -219,27 +208,20 @@ def descend(grid, config=None):
             message = "line search stalled"
             break
         t_next = min(2.0 * t, 1e6 * cfg.step)
-        grid = cand
-        frames, metric, shape, E, maxH = frames_c, metric_c, shape_c, E_c, maxH_c
+        an = cand
         it += 1
-        energies.append(E)
-        beta_dev = float(np.ptp(frames.beta[~frames.mask]))
-        traj.append((it, E, maxH, beta_dev))
-        converged = maxH < cfg.tol
+        energies.append(an.energy)
+        traj.append((it, an.energy, an.max_H, _beta_spread(an)))
+        converged = an.max_H < cfg.tol
 
     if converged and not message:
         message = f"max|H| below {cfg.tol:g}"
     elif not converged and not message:
         message = "iteration cap reached"
 
-    vals = frames.beta[~frames.mask]
-    report = FlowReport(converged=bool(converged), iterations=it,
-                        energy=energies, final_max_H=maxH,
-                        beta_max=float(np.max(np.abs(vals))),
-                        beta_mean=float(np.mean(vals)),
-                        beta_spread=float(np.ptp(vals)),
-                        trace=traj, message=message)
-    return report, grid
+    report = _final_report(an, converged=bool(converged), iterations=it,
+                           energy=energies, trace=traj, message=message)
+    return report, an
 
 
 def _golden_min(f, a, b, tol=1e-9):
@@ -261,7 +243,10 @@ def _golden_min(f, a, b, tol=1e-9):
 
 
 def descend_r_family(r0, n=32, config=None):
-    """Minimize the discrete energy over the product-torus family only."""
+    """Minimize the discrete energy over the product-torus family only.
+
+    Returns (FlowReport, SurfaceAnalysis of the minimizing torus).
+    """
     cfg = config if config is not None else FlowConfig()
     cache = {}
 
@@ -274,40 +259,35 @@ def descend_r_family(r0, n=32, config=None):
     a = max(0.06, min(r0, GOLDEN_BRACKET[0]))
     b = min(math.pi / 2 - 0.06, max(r0, GOLDEN_BRACKET[1]))
     r_star = _golden_min(E_of, a, b, tol=1e-9)
-    grid = catalog.r_torus(r_star).sample(n=n)
-    frames, metric, shape, E, maxH = _state(grid)
-    vals = frames.beta[~frames.mask]
-    converged = maxH < cfg.tol
-    report = FlowReport(converged=bool(converged), iterations=len(cache),
-                        energy=[E_of(r0), E], final_max_H=maxH,
-                        beta_max=float(np.max(np.abs(vals))),
-                        beta_mean=float(np.mean(vals)),
-                        beta_spread=float(np.ptp(vals)),
-                        trace=[(0, E_of(r0), None, None),
-                               (len(cache), E, maxH, float(np.ptp(vals)))],
-                        r_final=float(r_star),
-                        message=f"golden-section over r in [{a:g}, {b:g}]")
-    return report, grid
+    an = build_analysis(catalog.r_torus(r_star).sample(n=n))
+    report = _final_report(
+        an, converged=bool(an.max_H < cfg.tol), iterations=len(cache),
+        energy=[E_of(r0), an.energy],
+        trace=[(0, E_of(r0), None, None),
+               (len(cache), an.energy, an.max_H, _beta_spread(an))],
+        r_final=float(r_star),
+        message=f"golden-section over r in [{a:g}, {b:g}]")
+    return report, an
 
 
-def theorem_probe(report, grid, beta_tol=5e-3, K_tol=5e-3):
+def theorem_probe(report, analysis):
     """Check the constant-angle => flat implication chain on a final surface.
 
-    Returns a dict with status 'pass', 'fail', 'not_applicable' (angle not
-    constant at tolerance) or 'inconclusive' (flow did not converge).
+    Reads the contact angle and K = 1 + det S of the analysis the descent
+    returned.  Returns a dict with status 'pass', 'fail', 'not_applicable'
+    (angle not constant at tolerance) or 'inconclusive' (flow did not
+    converge).
     """
     if not report.converged:
         return {"status": "inconclusive",
                 "reason": "flow did not converge", "beta_spread": report.beta_spread}
-    frames, _, shape, _, _ = _state(grid)
-    K = gaussian_curvature_extrinsic(shape)
-    spread = float(np.ptp(frames.beta[~frames.mask]))
-    K_inf = float(np.max(np.abs(K[~frames.mask])))
+    spread = _beta_spread(analysis)
+    K_inf = float(np.max(np.abs(analysis.K_ext[analysis.valid])))
     out = {"beta_spread": spread, "K_inf": K_inf,
-           "beta_tol": beta_tol, "K_tol": K_tol}
-    if spread >= beta_tol:
+           "beta_tol": PROBE_BETA_TOL, "K_tol": PROBE_K_TOL}
+    if spread >= PROBE_BETA_TOL:
         out["status"] = "not_applicable"
         out["reason"] = "contact angle is not constant at tolerance"
         return out
-    out["status"] = "pass" if K_inf < K_tol else "fail"
+    out["status"] = "pass" if K_inf < PROBE_K_TOL else "fail"
     return out

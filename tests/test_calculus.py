@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactgeom import calculus
 from contactgeom import (DegenerateContact, DegenerateMetric,
@@ -17,6 +19,7 @@ from contactgeom.calculus import (TAN_BAND_DEFAULT, _connection_residuals,
 from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
 from contactgeom.cli import main
 from contactgeom.surface import MetricField, contact_angle_field
+from test_surface import _rotated_polar_cap
 
 RNG = np.random.default_rng(11)
 
@@ -117,6 +120,30 @@ def test_intrinsic_extrinsic_agreement_128():
         grid = entry.sample(n=128)
         an = build_analysis(grid)
         assert np.max(np.abs(an.K_int - an.K_ext)) < 5e-5
+
+
+@pytest.fixture(scope="module")
+def bump48():
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=48)
+    return grid, build_analysis(grid)
+
+
+ANGLE = st.floats(0.0, 2.0 * np.pi)
+
+
+@given(ANGLE, ANGLE, ANGLE, ANGLE)
+@settings(max_examples=25, deadline=None)
+def test_unitary_motion_keeps_beta_and_K(bump48, phi, theta, alpha, gamma):
+    # z -> Az with A in U(2) commutes with z -> iz, so it carries the Reeb
+    # field and the adapted frame along; a generic SO(4) rotation changes beta
+    grid, an = bump48
+    a, b = np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * gamma)
+    A = np.exp(1j * phi) * np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+    w = (grid.points[..., 0::2] + 1j * grid.points[..., 1::2]) @ A.T
+    moved = build_analysis(grid.with_points(
+        np.stack([w[..., 0].real, w[..., 0].imag, w[..., 1].real, w[..., 1].imag], -1)))
+    assert np.max(np.abs(moved.frames.beta - an.frames.beta)) < 1e-13
+    assert np.max(np.abs(moved.K_ext - an.K_ext)) < 1e-12
 
 
 # ---------------------------------------------------------- frame gradient
@@ -394,6 +421,44 @@ def test_lazy_analysis_matches_eager_reference_bitwise(case, band):
         checked += len(want)
     assert checked == 27
     assert an.band == band and an.grid is grid
+
+
+def _state(grid):
+    """Reference: the descent's former per-grid state, formed in one pass.
+
+    (frames, metric, shape, E, max|H|) with H taken as 0 on masked nodes.
+    """
+    frames = contact_angle_field(grid)
+    metric = first_fundamental_form(grid)
+    shape = shape_operator(grid, frames)
+    H = np.where(frames.mask, 0.0, shape.H)
+    E = float(np.sum(H ** 2 * metric.sqrt_det * grid.calc.quad_weights()))
+    return frames, metric, shape, E, float(np.max(np.abs(H)))
+
+
+def _willmore_gradient(grid, frames, metric, shape):
+    """Reference: the former nodal first variation of E, H = 0 on masked nodes."""
+    H = np.where(frames.mask, 0.0, shape.H)
+    return laplace_beltrami(H, metric, grid) + 2.0 * H * (H ** 2 - shape.det + 1.0)
+
+
+FLOW_FIELD_CASES = {
+    "clifford_bump": LAZY_CASES["clifford_bump"],
+    "rtorus_0.9": LAZY_CASES["rtorus_0.9"],
+    "rotated_cap_9": lambda: _rotated_polar_cap(9, seed=5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_FIELD_CASES))
+def test_descent_fields_match_former_state_bitwise(case):
+    grid = FLOW_FIELD_CASES[case]()
+    frames, metric, shape, E, maxH = _state(grid)
+    an = build_analysis(grid)
+    assert an.frames.n_masked == (case == "rotated_cap_9")
+    assert _same_bits(an.energy, E) and type(an.energy) is float
+    assert _same_bits(an.max_H, maxH) and type(an.max_H) is float
+    assert _same_bits(an.H, np.where(frames.mask, 0.0, shape.H))
+    assert _same_bits(an.willmore_G, _willmore_gradient(grid, frames, metric, shape))
 
 
 KERNELS = ("shape_operator", "frame_gradient", "laplace_beltrami",

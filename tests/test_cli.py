@@ -184,6 +184,20 @@ def test_verify_needs_three_levels(tmp_path):
                 "--refine", "64", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--surface", "clifford", "--identity", "gauss", "--refine", "32,x,64"],
+    ["verify", "--surface", "clifford", "--identity", "gauss", "--refine", "4,6,8"],
+    ["flow", "--surface", "clifford", "--step", "0"],
+    ["flow", "--surface", "clifford", "--tol", "-1"],
+    ["flow", "--surface", "clifford", "--steps", "-3"],
+], ids=["refine-token", "refine-below-8", "step-0", "tol-negative", "steps-negative"])
+def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_bad_param_value(tmp_path):
     assert run(["verify", "--surface", "rtorus", "--param", "r=abc",
                 "--identity", "gauss", "--refine", "32,64,128",

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from contactgeom import (DegenerateParametrization, FlowConfig, StepTooLarge,
-                         area, clifford, descend, descend_r_family, flow,
-                         flow_step, geodesic_sphere, perturb, r_torus,
-                         theorem_probe, willmore_energy, willmore_gradient)
-from contactgeom.flow import _moved_points, _state
+                         area, build_analysis, calculus, clifford, descend,
+                         descend_r_family, flow, flow_step, geodesic_sphere,
+                         perturb, r_torus, theorem_probe, willmore_energy)
+from contactgeom.cli import main
+from contactgeom.flow import FlowReport, _moved_points
 from contactgeom.gridops import GridCalc
 
 
@@ -87,13 +88,13 @@ def test_nodal_gradient_matches_directional_differences():
         gaps = []
         for n in (32, 64):
             grid = perturb(clifford(), (1, 2), 0.05).sample(n=n)
-            frames, metric, shape, _, _ = _state(grid)
-            G = willmore_gradient(grid, frames, metric, shape)
+            an = build_analysis(grid)
             psi = _smooth_displacement(grid, seed)
-            dE = np.sum(G * metric.sqrt_det * grid.calc.quad_weights() * psi)
+            dE = np.sum(an.willmore_G * an.metric.sqrt_det
+                        * grid.calc.quad_weights() * psi)
             delta = 1e-5
-            Ep, Em = (_state(grid.with_points(
-                _moved_points(grid.points, frames.e3, s * delta * psi)))[3]
+            Ep, Em = (willmore_energy(grid.with_points(
+                _moved_points(grid.points, an.frames.e3, s * delta * psi)))
                 for s in (1.0, -1.0))
             dE_fd = (Ep - Em) / (2.0 * delta)
             gaps.append(abs(dE - dE_fd) / abs(dE_fd))
@@ -106,12 +107,11 @@ def test_willmore_gradient_r_torus_closed_form():
     # r to r - c, so integral G dA = dE/dc = -dE/dr
     for r in (0.4, 0.6, 1.0):
         grid = r_torus(r).sample(n=32)
-        frames, metric, shape, _, _ = _state(grid)
-        G = willmore_gradient(grid, frames, metric, shape)
-        assert np.ptp(G) < 1e-11
+        an = build_analysis(grid)
+        assert np.ptp(an.willmore_G) < 1e-11
         dE_dc = (4.0 * np.pi ** 2 * np.cos(2 * r) * (1.0 + np.sin(2 * r) ** 2)
                  / np.sin(2 * r) ** 2)
-        total = np.sum(G * metric.sqrt_det * grid.calc.quad_weights())
+        total = np.sum(an.willmore_G * an.metric.sqrt_det * grid.calc.quad_weights())
         assert abs(total - dE_dc) < 1e-5 * abs(dE_dc)
 
 
@@ -155,6 +155,36 @@ def test_line_search_trial_differentiates_moved_points_once(monkeypatch):
     assert rep.iterations == 3
     assert len(moved_arrays) >= 3
     assert all(counts[id(m)] == 1 for m in moved_arrays)
+
+
+def test_flow_forms_frames_once_per_analysed_grid(monkeypatch, tmp_path):
+    # the start grid and every line-search trial that passes the Gram check
+    # are analysed once; the probe reads the final analysis
+    framed, checked = [], []
+    frames_of, check = calculus.contact_angle_field, flow._check_step
+
+    def counted(grid):
+        framed.append(grid)
+        return frames_of(grid)
+
+    def recorded(grid, moved):
+        checked.append(check(grid, moved))
+        return checked[-1]
+
+    monkeypatch.setattr(calculus, "contact_angle_field", counted)
+    monkeypatch.setattr(flow, "_check_step", recorded)
+    assert main(["flow", "--surface", "clifford", "--param", "eps=0.05",
+                 "--grid", "32x32", "--out", str(tmp_path)]) == 0
+    assert len(checked) >= 8
+    assert len(framed) == 1 + len(checked)
+    assert all(a is b for a, b in zip(framed[1:], checked))
+
+
+@pytest.mark.parametrize("kwargs", [{"step": 0.0}, {"step": float("nan")},
+                                    {"tol": -1.0}, {"max_iter": -3}])
+def test_flow_config_rejects_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        FlowConfig(**kwargs)
 
 
 def test_descend_already_minimal():
@@ -212,12 +242,11 @@ def test_nodal_descent_converges_at_64():
 
 
 def test_theorem_probe_not_applicable_on_sphere():
-    grid = geodesic_sphere().sample(n=32)
-    frames, metric, shape, E, maxH = _state(grid)
-    from contactgeom.flow import FlowReport
-    rep = FlowReport(converged=True, iterations=0, energy=[E], final_max_H=maxH,
-                     beta_max=0.0, beta_mean=0.0, beta_spread=0.0)
-    probe = theorem_probe(rep, grid)
+    an = build_analysis(geodesic_sphere().sample(n=32))
+    rep = FlowReport(converged=True, iterations=0, energy=[an.energy],
+                     final_max_H=an.max_H, beta_max=0.0, beta_mean=0.0,
+                     beta_spread=0.0)
+    probe = theorem_probe(rep, an)
     assert probe["status"] == "not_applicable"
 
 

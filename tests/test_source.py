@@ -84,6 +84,32 @@ def test_inner_products_go_through_ambient_dot():
     assert found == []
 
 
+FIELD_KERNELS = {"contact_angle_field", "shape_operator", "laplace_beltrami",
+                 "frame_gradient", "gaussian_curvature_intrinsic",
+                 "gaussian_curvature_extrinsic"}
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_field_kernels_are_called_only_by_the_analysis():
+    # each field is formed in one place, calculus.SurfaceAnalysis; the flow,
+    # the probe and the CLI read it from an analysis instead of forming it
+    found = []
+    for path in PACKAGE:
+        tree = _tree(path)
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and path.name == "calculus.py"
+                  and cls.name == "SurfaceAnalysis" for node in ast.walk(cls)}
+        found += [f"{path.name}:{node.lineno} {_callee(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and _callee(node) in FIELD_KERNELS]
+    assert found == []
+
+
 def test_import_leaves_scipy_unloaded():
     # the package depends on numpy only
     code = "import sys, contactgeom; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

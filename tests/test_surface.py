@@ -348,6 +348,19 @@ def _rotated_polar_cap(n, seed):
                   label=f"rotated cap {n}x{n}")
 
 
+def test_adapted_frames_are_positively_oriented():
+    # (z, e1, e2, e3) is an oriented orthonormal frame of R^4 at every
+    # unmasked node: det[z, e1, e2, e3] = +1
+    grids = [build(name).sample(n=32) for name in names()]
+    grids += [perturb(clifford(), (1, 2), 0.05).sample(n=32),
+              _rotated_polar_cap(65, seed=5)]
+    for grid in grids:
+        ff = contact_angle_field(grid)
+        det = np.linalg.det(np.stack([grid.points, ff.e1, ff.e2, ff.e3], axis=-2))
+        assert np.max(np.abs(det[~ff.mask] - 1.0)) < 1e-14, grid.label
+    assert ff.n_masked == 1
+
+
 def _past_the_equator_chart():
     # chart of the great sphere y1 = 0 around the contact-degenerate pole
     # (1, 0, 0, 0) that reaches past the equator x1 = 0; its gauge puts beta
