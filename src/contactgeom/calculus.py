@@ -161,7 +161,6 @@ class IdentityReport:
     linf: float
     l2: float
     n_excluded: int = 0
-    residual: np.ndarray = None
     levels: list = field(default_factory=list)   # [(n, linf, l2, excluded), ...]
     order: float = None
     at_floor: bool = False
@@ -289,8 +288,10 @@ def build_analysis(grid, band=TAN_BAND_DEFAULT):
     """Frames, curvature, gradients, Laplacian and residual fields for a grid.
 
     Nothing is formed here; each field of the returned SurfaceAnalysis is
-    formed on its first read.
+    formed on its first read.  Raises ValueError unless band >= 0.
     """
+    if not band >= 0:
+        raise ValueError(f"tan-pole band must be >= 0, got {band!r}")
     return SurfaceAnalysis(grid, band)
 
 
@@ -307,55 +308,44 @@ def _connection_residuals(grid, frames, gb, tan_beta):
     return res1, res2
 
 
-def verify_curvature_identity(grid, analysis=None):
+def verify_curvature_identity(an):
     """Residual of K = 1 - |grad beta + e1|^2 against the intrinsic K."""
-    an = analysis if analysis is not None else build_analysis(grid)
     linf, l2 = _norms(an.res_curvature, an.valid)
-    return IdentityReport("curvature", linf, l2,
-                          n_excluded=an.frames.n_masked,
-                          residual=an.res_curvature)
+    return IdentityReport("curvature", linf, l2, n_excluded=an.frames.n_masked)
 
 
 def _band_report(name, an, res):
     """Norms off the analysis' tan-pole band; band and masked nodes are excluded."""
     linf, l2 = _norms(res, an.valid_off_band)
-    return IdentityReport(name, linf, l2,
-                          n_excluded=int(np.sum(an.tan_band & an.valid)) + an.frames.n_masked,
-                          residual=res)
+    excluded = int(np.sum(an.tan_band & an.valid)) + an.frames.n_masked
+    return IdentityReport(name, linf, l2, n_excluded=excluded)
 
 
-def verify_laplacian_identity(grid, band=0.05, analysis=None):
+def verify_laplacian_identity(an):
     """Residual of Lap(beta) = -tan(beta)((beta_1+2)^2 + beta_2^2).
 
-    Nodes within `band` of a tan pole are excluded and counted; a given
-    analysis carries its own band.
+    Nodes within the analysis' band of a tan pole are excluded and counted.
     """
-    an = analysis if analysis is not None else build_analysis(grid, band=band)
     return _band_report("laplacian", an, an.res_laplacian)
 
 
-def verify_connection_identity(grid, band=0.05, analysis=None):
+def verify_connection_identity(an):
     """Residuals of theta_2^1(e_k) against tan(beta)beta_2 and -tan(beta)(beta_1+2).
 
     Band handling as in verify_laplacian_identity.
     """
-    an = analysis if analysis is not None else build_analysis(grid, band=band)
     res1, res2 = an.res_connection
     return _band_report("connection", an, np.maximum(np.abs(res1), np.abs(res2)))
 
 
-def verify_gauss_agreement(grid, analysis=None):
+def verify_gauss_agreement(an):
     """|K_intrinsic - K_extrinsic| as a residual report."""
-    an = analysis if analysis is not None else build_analysis(grid)
-    res = an.K_int - an.K_ext
-    linf, l2 = _norms(res, an.valid)
-    return IdentityReport("gauss", linf, l2,
-                          n_excluded=an.frames.n_masked, residual=res)
+    linf, l2 = _norms(an.K_int - an.K_ext, an.valid)
+    return IdentityReport("gauss", linf, l2, n_excluded=an.frames.n_masked)
 
 
-def verify_minimality(grid, analysis=None):
+def verify_minimality(an):
     """Per-node |H| with max/mean summary."""
-    an = analysis if analysis is not None else build_analysis(grid)
     absH = np.abs(an.H)
     vals = absH[an.valid]
     return {"field": absH,
@@ -407,18 +397,15 @@ def refinement_study(entry, identity, levels, band=0.05):
         raise KeyError(f"unknown identity {identity!r}")
     specs = [entry.default_spec(int(n)) for n in levels]  # GridSpec checks each n
     rows = []
-    last = None
     for spec in specs:
         grid = entry.sample(spec)
-        rep = IDENTITY_VERIFIERS[identity](
-            grid, analysis=build_analysis(grid, band=band))
+        rep = IDENTITY_VERIFIERS[identity](build_analysis(grid, band=band))
         rows.append((spec.n_u, rep.linf, rep.l2, rep.n_excluded))
-        last = rep
     order = observed_order([r[0] for r in rows], [r[1] for r in rows])
     at_floor = order is None
     return IdentityReport(identity,
                           linf=rows[-1][1], l2=rows[-1][2],
-                          n_excluded=rows[-1][3], residual=last.residual,
+                          n_excluded=rows[-1][3],
                           levels=rows, order=order, at_floor=at_floor)
 
 

@@ -155,8 +155,8 @@ def _base_normal(entry, U, V):
     pts = np.asarray(entry.point(U, V), float)
     pts = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     fu, fv = entry.d1(U, V)
-    _, _, e3, mask, _ = _raw_frames(pts, np.asarray(fu, float),
-                                       np.asarray(fv, float))
+    _, e3, mask, _ = _raw_frames(pts, np.asarray(fu, float),
+                                    np.asarray(fv, float))
     return pts, e3, mask
 
 

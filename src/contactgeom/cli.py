@@ -123,9 +123,9 @@ def cmd_analyze(args):
     an = build_analysis(grid)
     frames = an.frames
     mask = frames.mask
-    minim = verify_minimality(grid, analysis=an)
-    curv = verify_curvature_identity(grid, analysis=an)
-    lap = verify_laplacian_identity(grid, analysis=an)
+    minim = verify_minimality(an)
+    curv = verify_curvature_identity(an)
+    lap = verify_laplacian_identity(an)
 
     mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
     U, V = grid.spec.mesh()

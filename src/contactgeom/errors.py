@@ -2,15 +2,18 @@
 
 
 class ContactGeomError(Exception):
-    """Base class for all errors raised by contactgeom."""
+    """Base class for all errors raised by contactgeom.
 
-
-class OffSphere(ContactGeomError):
-    """A point meant to lie on the unit 3-sphere deviates too far from unit norm."""
+    node names the offending grid node when there is one.
+    """
 
     def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
+
+
+class OffSphere(ContactGeomError):
+    """A point meant to lie on the unit 3-sphere deviates too far from unit norm."""
 
 
 class NotTangent(ContactGeomError):
@@ -20,33 +23,17 @@ class NotTangent(ContactGeomError):
 class DegenerateParametrization(ContactGeomError):
     """The parameter derivatives fail to span a 2-plane (Gram determinant ~ 0)."""
 
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
 
 class DegenerateContact(ContactGeomError):
     """The surface tangent plane coincides with the contact plane (e1 undefined)."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class DegenerateMetric(ContactGeomError):
     """First fundamental form is not positive definite at some node."""
 
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
 
 class StepTooLarge(ContactGeomError):
     """A flow step collapsed the parametrization."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class AmplitudeTooLarge(ContactGeomError):

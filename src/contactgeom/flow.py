@@ -49,8 +49,12 @@ class FlowConfig:
     tol: float = 1e-3              # stop tolerance on max |H|
 
     def __post_init__(self):
-        if not (self.step > 0 and self.tol > 0):
-            raise ValueError("step and tol must be positive")
+        # the largest step that MAX_HALVINGS halvings take down to the default 1
+        if not 0 < self.step <= 2.0 ** MAX_HALVINGS:
+            raise ValueError(f"step must lie in (0, 2**{MAX_HALVINGS}], "
+                             f"got {self.step!r}")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
 

@@ -5,8 +5,10 @@ The adapted frame at a non-degenerate surface point consists of
 * e1: unit generator of the intersection of the tangent plane with the
   contact plane, sign fixed globally by a continuity flood fill seeded so
   that <e1, Xu> >= 0 at the seed node;
-* e2: unit tangent orthogonal to e1, with (e1, e2) positively oriented
-  relative to (Xu, Xv);
+* e2: the metric quarter turn of e1, whose (Xu, Xv)-coordinates are
+  J_g c1 = (-F c1u - G c1v, E c1u + F c1v) / sqrt(det g) for e1's
+  coordinates c1; (e1, e2) is positively oriented relative to (Xu, Xv) by
+  construction, and e2 takes its sign from e1;
 * e3: the surface normal inside T S^3 completing (e1, e2, e3) to the
   orientation of the canonical frame (z_perp, i z_perp, i z).
 
@@ -232,26 +234,24 @@ class FrameField:
     coeff1: np.ndarray
     coeff2: np.ndarray
     mask: np.ndarray
-    cos_beta: np.ndarray
-    sin_beta: np.ndarray
     n_masked: int = 0
     seed_sign: int = 1
     sign_mismatches: int = field(default=0)  # flood-fill cross-edge holonomy count
 
 
 def _raw_frames(z, Xu, Xv):
-    """Vectorized pre-gauge frame construction.
+    """Vectorized pre-gauge construction of the normal and the contact leg.
 
-    Returns (e1, e2, e3, mask, xi) where e1's sign is arbitrary
-    per node (fixed later by the flood fill) and e2 already carries the
-    (Xu, Xv)-orientation relative to this e1.
+    Returns (e1, e3, mask, xi) where e1's sign is arbitrary per node (fixed
+    later by the flood fill); contact_angle_field forms e2 from the signed
+    e1.
 
-    e3 is the normalized 4D cross product of (z, Xu, Xv): because (e1, e2)
-    is positively oriented against (Xu, Xv), that vector automatically
-    satisfies det[z, e1, e2, e3] = +1, i.e. the canonical-frame
-    orientation, and it stays continuous across contact degeneracies.
-    At masked nodes e1/e2 are replaced by the contact-plane legs of the
-    canonical frame so downstream stencils see bounded values.
+    e3 is the normalized 4D cross product of (z, Xu, Xv), so it satisfies
+    det[z, e1, e2, e3] = +1, the canonical-frame orientation, for any
+    (e1, e2) positively oriented against (Xu, Xv), and it stays continuous
+    across contact degeneracies.  At masked nodes e1 is replaced by the
+    contact-plane leg z_perp of the canonical frame so downstream stencils
+    see bounded values.
     """
     xi = ambient.jmul(z)
     nraw = ambient.cross4(z, Xu, Xv)
@@ -268,12 +268,15 @@ def _raw_frames(z, Xu, Xv):
     f1 = ambient.perp(z)
     e1 = np.where(mask[..., None], f1,
                   w / np.maximum(wn, 1e-300)[..., None])
+    return e1, e3, mask, xi
 
-    cand = ambient.cross4(z, e3, e1)
-    orient = (ambient.dot(Xu, e1) * ambient.dot(Xv, cand)
-              - ambient.dot(Xu, cand) * ambient.dot(Xv, e1))
-    e2 = np.where(orient[..., None] >= 0, cand, -cand)
-    return e1, e2, e3, mask, xi
+
+def _tangent_coords(Xu, Xv, metric, e):
+    """(Xu, Xv)-coordinates of the tangent field e through the inverse metric."""
+    r1 = ambient.dot(Xu, e)
+    r2 = ambient.dot(Xv, e)
+    E, F, G, det = metric.E, metric.F, metric.G, metric.det
+    return np.stack([(G * r1 - F * r2) / det, (E * r2 - F * r1) / det], axis=-1)
 
 
 def _grid_neighbors(spec):
@@ -367,7 +370,7 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
     nodes are masked.
     """
     Xu, Xv = tangent_fields(grid)
-    e1, e2, e3, mask, xi = _raw_frames(grid.points, Xu, Xv)
+    e1, e3, mask, xi = _raw_frames(grid.points, Xu, Xv)
 
     n_masked = int(mask.sum())
     if n_masked > max_masked_fraction * mask.size:
@@ -393,10 +396,17 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
         sign = sign.reshape(mask.shape)
 
     e1 = sign[..., None] * e1
-    e2 = sign[..., None] * e2
-    cos_b = ambient.dot(xi, e2)
-    sin_b = ambient.dot(xi, e3)
-    beta = np.arctan2(sin_b, cos_b)
+    # e2 = J_g e1, the metric quarter turn, at every node: a masked node's
+    # e1 = z_perp lies in the contact plane, which is its tangent plane
+    metric = grid.geometry[2]
+    coeff1 = _tangent_coords(Xu, Xv, metric, e1)
+    c1u, c1v = coeff1[..., 0], coeff1[..., 1]
+    sg = metric.sqrt_det
+    coeff2 = np.stack([-(metric.F * c1u + metric.G * c1v) / sg,
+                       (metric.E * c1u + metric.F * c1v) / sg], axis=-1)
+    e2 = coeff2[..., 0, None] * Xu
+    e2 += coeff2[..., 1, None] * Xv
+    beta = np.arctan2(ambient.dot(xi, e3), ambient.dot(xi, e2))
     if n_masked == 0:
         beta = _unwrap_fast(beta)
     else:
@@ -416,18 +426,7 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
     mismatches = int(np.sum((d_u < 0) & good & good[up, :]))
     mismatches += int(np.sum((d_v < 0) & good & good[:, vp]))
 
-    # (Xu, Xv)-coordinates of e1, e2 through the inverse metric
-    metric = grid.geometry[2]
-    E, F, G, det = metric.E, metric.F, metric.G, metric.det
-
-    def coords(e):
-        r1 = ambient.dot(Xu, e)
-        r2 = ambient.dot(Xv, e)
-        return np.stack([(G * r1 - F * r2) / det, (E * r2 - F * r1) / det], axis=-1)
-
-    ff = FrameField(e1=e1, e2=e2, e3=e3, beta=beta,
-                    coeff1=coords(e1), coeff2=coords(e2),
-                    mask=mask, cos_beta=cos_b, sin_beta=sin_b,
-                    n_masked=n_masked, seed_sign=seed_sign,
-                    sign_mismatches=mismatches)
-    return ff
+    return FrameField(e1=e1, e2=e2, e3=e3, beta=beta,
+                      coeff1=coeff1, coeff2=coeff2, mask=mask,
+                      n_masked=n_masked, seed_sign=seed_sign,
+                      sign_mismatches=mismatches)

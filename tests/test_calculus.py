@@ -220,7 +220,7 @@ def test_laplace_self_adjoint_periodic():
 
 def test_curvature_identity_clifford(cliff64):
     grid, an = cliff64
-    rep = verify_curvature_identity(grid, analysis=an)
+    rep = verify_curvature_identity(an)
     assert rep.linf < 1e-8
 
 
@@ -249,7 +249,7 @@ def test_curvature_identity_gauge_invariant():
 
 def test_laplacian_identity_clifford_exact(cliff64):
     grid, an = cliff64
-    rep = verify_laplacian_identity(grid, analysis=an)
+    rep = verify_laplacian_identity(an)
     assert rep.linf < 1e-12
     assert rep.n_excluded == 0
 
@@ -326,12 +326,12 @@ def test_connection_constant_angle_r_torus():
 
 
 def test_minimality_summary():
-    rep = verify_minimality(clifford().sample(n=64))
+    rep = verify_minimality(build_analysis(clifford().sample(n=64)))
     assert rep["max"] < 1e-8
-    rep = verify_minimality(geodesic_sphere().sample(n=64))
+    rep = verify_minimality(build_analysis(geodesic_sphere().sample(n=64)))
     assert rep["max"] < 5e-6
     grid = r_torus(np.pi / 3).sample(n=64)
-    rep = verify_minimality(grid)
+    rep = verify_minimality(build_analysis(grid))
     expected = (np.sqrt(3) - 1 / np.sqrt(3)) / 2
     assert abs(rep["max"] - expected) < 1e-4
 
@@ -419,7 +419,7 @@ def test_lazy_analysis_matches_eager_reference_bitwise(case, band):
         for label in want:
             assert _same_bits(got[label], want[label]), f"{case}: {label} differs"
         checked += len(want)
-    assert checked == 27
+    assert checked == 25
     assert an.band == band and an.grid is grid
 
 

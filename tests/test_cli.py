@@ -190,7 +190,13 @@ def test_verify_needs_three_levels(tmp_path):
     ["flow", "--surface", "clifford", "--step", "0"],
     ["flow", "--surface", "clifford", "--tol", "-1"],
     ["flow", "--surface", "clifford", "--steps", "-3"],
-], ids=["refine-token", "refine-below-8", "step-0", "tol-negative", "steps-negative"])
+    ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
+     "--refine", "16,24,32", "--band", "-1"],
+    ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
+     "--refine", "16,24,32", "--band", "nan"],
+    ["flow", "--surface", "clifford", "--step", "1e300"],
+], ids=["refine-token", "refine-below-8", "step-0", "tol-negative", "steps-negative",
+        "band-negative", "band-nan", "step-1e300"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2

@@ -10,7 +10,7 @@ from contactgeom import (DegenerateParametrization, FlowConfig, StepTooLarge,
                          descend_r_family, flow, flow_step, geodesic_sphere,
                          perturb, r_torus, theorem_probe, willmore_energy)
 from contactgeom.cli import main
-from contactgeom.flow import FlowReport, _moved_points
+from contactgeom.flow import MAX_HALVINGS, FlowReport, _moved_points
 from contactgeom.gridops import GridCalc
 
 
@@ -181,10 +181,20 @@ def test_flow_forms_frames_once_per_analysed_grid(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("kwargs", [{"step": 0.0}, {"step": float("nan")},
-                                    {"tol": -1.0}, {"max_iter": -3}])
+                                    {"tol": -1.0}, {"max_iter": -3},
+                                    {"step": 1e300}, {"step": float("inf")},
+                                    {"step": 2.0 ** MAX_HALVINGS * (1 + 2 ** -52)}])
 def test_flow_config_rejects_out_of_range_values(kwargs):
     with pytest.raises(ValueError):
         FlowConfig(**kwargs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_step_still_converges():
+    # MAX_HALVINGS halvings take the largest accepted step down to 1
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=16)
+    rep, _ = descend(grid, FlowConfig(step=2.0 ** MAX_HALVINGS))
+    assert rep.converged
 
 
 def test_descend_already_minimal():

@@ -110,6 +110,20 @@ def test_field_kernels_are_called_only_by_the_analysis():
     assert found == []
 
 
+def test_cross4_forms_only_the_normal():
+    # e2 is the metric quarter turn of e1 in contact_angle_field; the one
+    # cross4 call left is the normal in _raw_frames
+    found = []
+    for path in PACKAGE:
+        tree = _tree(path)
+        # each node's innermost enclosing function (ast.walk goes outside in)
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _callee(node) == "cross4"]
+    assert found == ["surface.py:_raw_frames"]
+
+
 def test_import_leaves_scipy_unloaded():
     # the package depends on numpy only
     code = "import sys, contactgeom; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

@@ -8,12 +8,25 @@ import pytest
 from contactgeom import (DegenerateContact, DegenerateParametrization, GridSpec,
                          OffSphere, contact_angle_field, reeb, sample,
                          tangent_fields)
-from contactgeom.ambient import dot, jmul
+from contactgeom.ambient import cross4, dot, jmul
 from contactgeom.catalog import (build, clifford, geodesic_sphere, names,
                                  perturb, r_torus)
 from contactgeom.surface import _flood_levels, _raw_frames
 
 RNG = np.random.default_rng(7)
+
+
+def _cross4_frames(z, Xu, Xv):
+    """Independent e2 oracle: the 4D cross product cross4(z, e3, e1), flipped
+    node by node so that (e1, e2) is positively oriented against (Xu, Xv).
+
+    Returns (e1, e2, e3, mask, xi) with e1 and e3 as _raw_frames gives them.
+    """
+    e1, e3, mask, xi = _raw_frames(z, Xu, Xv)
+    cand = cross4(z, e3, e1)
+    orient = dot(Xu, e1) * dot(Xv, cand) - dot(Xu, cand) * dot(Xv, e1)
+    e2 = np.where(orient[..., None] >= 0, cand, -cand)
+    return e1, e2, e3, mask, xi
 
 
 def _adapted_frame(z, Xu, Xv):
@@ -22,7 +35,7 @@ def _adapted_frame(z, Xu, Xv):
     The local sign rule <e1, Xu> >= 0 fixes e1; DegenerateContact is raised
     when the tangent plane coincides with the contact plane.
     """
-    e1, e2, e3, mask, xi = _raw_frames(z, Xu, Xv)
+    e1, e2, e3, mask, xi = _cross4_frames(z, Xu, Xv)
     if bool(np.any(mask)):
         raise DegenerateContact("tangent plane equals the contact plane")
     if float(dot(e1, Xu)) < 0:
@@ -373,11 +386,26 @@ def _past_the_equator_chart():
                   label="past the equator")
 
 
+def _quarter_turn(grid, e1):
+    """e2 = c2u Xu + c2v Xv, where c2 = J_g c1 is the metric quarter turn of
+    e1's (Xu, Xv)-coordinates c1."""
+    Xu, Xv = tangent_fields(grid)
+    metric = grid.geometry[2]
+    E, F, G = metric.E, metric.F, metric.G
+    r1, r2 = np.sum(Xu * e1, -1), np.sum(Xv * e1, -1)
+    c1u = (G * r1 - F * r2) / metric.det
+    c1v = (E * r2 - F * r1) / metric.det
+    c2u = -(F * c1u + G * c1v) / metric.sqrt_det
+    c2v = (E * c1u + F * c1v) / metric.sqrt_det
+    return c2u[..., None] * Xu + c2v[..., None] * Xv
+
+
 def _bfs_gauge(grid):
     """Reference gauge, node by node: e1's sign by continuity along the BFS
-    tree (seeds take <e1, Xu> >= 0), beta unwrapped along the same tree."""
+    tree (seeds take <e1, Xu> >= 0), e2 its quarter turn, beta unwrapped
+    along the same tree."""
     Xu, Xv = tangent_fields(grid)
-    e1, e2, e3, mask, xi = _raw_frames(grid.points, Xu, Xv)
+    e1, e3, mask, xi = _raw_frames(grid.points, Xu, Xv)
     e1_dot_xu = np.sum(e1 * Xu, -1)
     order, parents = _flood_order(grid.spec, mask)
     sign = np.ones(mask.shape)
@@ -388,7 +416,7 @@ def _bfs_gauge(grid):
             d = float(np.sum(e1[node] * e1[par], -1)) * sign[par]
             sign[node] = 1.0 if d >= 0 else -1.0
     e1 = sign[..., None] * e1
-    e2 = sign[..., None] * e2
+    e2 = _quarter_turn(grid, e1)
     beta = np.arctan2(np.sum(xi * e3, -1), np.sum(xi * e2, -1))
     for node, par in zip(order, parents):
         if par is not None:
@@ -415,4 +443,34 @@ def test_sign_fills_match_node_by_node_bfs():
         assert ff.sign_mismatches == 0, grid.label
         # the caps, and only they, take the masked path
         assert ff.n_masked == (grid in caps), grid.label
-    assert np.sum(ff.beta != np.arctan2(ff.sin_beta, ff.cos_beta)) > 100
+    xi = reeb(grid.points)
+    assert np.sum(ff.beta != np.arctan2(dot(xi, ff.e3), dot(xi, ff.e2))) > 100
+
+
+def test_quarter_turn_e2_matches_cross4_oracle():
+    # e2 is the metric quarter turn of e1; at unmasked nodes it agrees with
+    # the cross4 construction, and its coordinates c2 are g-orthonormal to c1
+    grids = [build(name).sample(n=32) for name in names()]
+    grids += [r_torus(1.0).sample(n=32),
+              perturb(clifford(), (1, 2), 0.05).sample(n=32),
+              sample(_polar_cap_chart(),
+                     GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart")),
+              _rotated_polar_cap(65, seed=5), _past_the_equator_chart()]
+    for grid in grids:
+        ff = contact_angle_field(grid)
+        Xu, Xv = tangent_fields(grid)
+        e1, e2, _, _, _ = _cross4_frames(grid.points, Xu, Xv)
+        # the oracle's e1 is the package's up to the flood-fill sign
+        sign = np.sign(dot(e1, ff.e1))[..., None]
+        assert np.array_equal(sign * e1, ff.e1), grid.label
+        good = ~ff.mask
+        assert np.max(np.abs(sign * e2 - ff.e2)[good]) < 2e-15, grid.label
+        metric = grid.geometry[2]
+
+        def g(a, b):
+            return (metric.E * a[..., 0] * b[..., 0]
+                    + metric.F * (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0])
+                    + metric.G * a[..., 1] * b[..., 1])
+
+        assert np.max(np.abs(g(ff.coeff1, ff.coeff2))[good]) < 1e-14, grid.label
+        assert np.max(np.abs(g(ff.coeff2, ff.coeff2) - 1.0)[good]) < 1e-14, grid.label
