@@ -424,16 +424,23 @@ def _bfs_gauge(grid):
     return e1, beta, int(sign[order[0]])
 
 
-def test_sign_fills_match_node_by_node_bfs():
-    # the unmasked grids take the vectorized fill, the polar caps the
-    # level-by-level one; both must give the reference gauge bit for bit,
-    # with no holonomy
+def _gauge_grids():
+    """(unmasked, caps): every catalog surface, the r = 1 torus and the 32²
+    bump; the 9² cap, the rotated 65² cap and the past-the-equator chart."""
     grids = [build(name).sample(n=32) for name in names()]
     grids += [r_torus(1.0).sample(n=32),
               perturb(clifford(), (1, 2), 0.05).sample(n=32)]
     caps = [sample(_polar_cap_chart(),
                    GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart")),
             _rotated_polar_cap(65, seed=5), _past_the_equator_chart()]
+    return grids, caps
+
+
+def test_sign_fills_match_node_by_node_bfs():
+    # the unmasked grids take the vectorized fill, the polar caps the
+    # level-by-level one; both must give the reference gauge bit for bit,
+    # with no holonomy
+    grids, caps = _gauge_grids()
     for grid in grids + caps:
         ff = contact_angle_field(grid)
         e1, beta, seed_sign = _bfs_gauge(grid)
@@ -450,13 +457,8 @@ def test_sign_fills_match_node_by_node_bfs():
 def test_quarter_turn_e2_matches_cross4_oracle():
     # e2 is the metric quarter turn of e1; at unmasked nodes it agrees with
     # the cross4 construction, and its coordinates c2 are g-orthonormal to c1
-    grids = [build(name).sample(n=32) for name in names()]
-    grids += [r_torus(1.0).sample(n=32),
-              perturb(clifford(), (1, 2), 0.05).sample(n=32),
-              sample(_polar_cap_chart(),
-                     GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart")),
-              _rotated_polar_cap(65, seed=5), _past_the_equator_chart()]
-    for grid in grids:
+    grids, caps = _gauge_grids()
+    for grid in grids + caps:
         ff = contact_angle_field(grid)
         Xu, Xv = tangent_fields(grid)
         e1, e2, _, _, _ = _cross4_frames(grid.points, Xu, Xv)
@@ -466,11 +468,10 @@ def test_quarter_turn_e2_matches_cross4_oracle():
         good = ~ff.mask
         assert np.max(np.abs(sign * e2 - ff.e2)[good]) < 2e-15, grid.label
         metric = grid.geometry[2]
-
-        def g(a, b):
-            return (metric.E * a[..., 0] * b[..., 0]
-                    + metric.F * (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0])
-                    + metric.G * a[..., 1] * b[..., 1])
-
-        assert np.max(np.abs(g(ff.coeff1, ff.coeff2))[good]) < 1e-14, grid.label
-        assert np.max(np.abs(g(ff.coeff2, ff.coeff2) - 1.0)[good]) < 1e-14, grid.label
+        c1, c2 = ff.coeff1, ff.coeff2
+        g12 = (metric.E * c1[..., 0] * c2[..., 0] + metric.G * c1[..., 1] * c2[..., 1]
+               + metric.F * (c1[..., 0] * c2[..., 1] + c1[..., 1] * c2[..., 0]))
+        g22 = (metric.E * c2[..., 0] ** 2 + metric.G * c2[..., 1] ** 2
+               + 2.0 * metric.F * c2[..., 0] * c2[..., 1])
+        assert np.max(np.abs(g12)[good]) < 1e-14, grid.label
+        assert np.max(np.abs(g22 - 1.0)[good]) < 1e-14, grid.label
