@@ -4,7 +4,7 @@ Points and vectors are stored as real 4-vectors in the order
 (x1, y1, x2, y2) with z_k = x_k + i*y_k, so the real-coordinate view is
 exact rather than reconstructed from complex parts.  All functions accept
 plain arrays of shape (..., 4) and broadcast; `dot` is the one real inner
-product every other module uses for 4-vectors.
+product and `norm` the one length every other module uses for 4-vectors.
 
 Conventions fixed here and used everywhere else:
 
@@ -46,7 +46,8 @@ def dot(a, b):
 
 
 def norm(a):
-    return np.linalg.norm(_vec(a), axis=-1)
+    """Euclidean length sqrt(<a, a>); bit for bit np.linalg.norm(a, axis=-1)."""
+    return np.sqrt(dot(a, a))
 
 
 def jmul(v):

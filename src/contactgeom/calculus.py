@@ -65,21 +65,33 @@ class ShapeOperatorField:
         return float(np.max(np.where(self.mask, 0.0, d)))
 
 
+def _along_legs(frames, d_u, d_v, leg):
+    """(<D_{e1} X, leg>, <D_{e2} X, leg>) from X's parameter derivatives d_u, d_v.
+
+    With e_i = c_iu Xu + c_iv Xv, D_{e_i} X = c_iu d_u + c_iv d_v, so each
+    component is c_iu <d_u, leg> + c_iv <d_v, leg>: two inner products per
+    leg, shared by both e_i, and no derivative 4-vector field is formed.
+    """
+    a_u = ambient.dot(d_u, leg)
+    a_v = ambient.dot(d_v, leg)
+    return [c[..., 0] * a_u + c[..., 1] * a_v for c in (frames.coeff1, frames.coeff2)]
+
+
 def shape_operator(grid, frames):
     """S_ij = -<D_{e_i} e3, e_j> by differentiating the constructed e3 field.
 
-    Directional derivatives use the (Xu, Xv)-coordinates of the frame legs;
-    inner products against tangent frame legs discard ambient normal parts.
+    Directional derivatives use the (Xu, Xv)-coordinates of the frame legs
+    (see _along_legs); inner products against tangent frame legs discard
+    ambient normal parts.
     """
     calc = grid.calc
     de3_u = calc.du(frames.e3)
     de3_v = calc.dv(frames.e3)
     S = np.empty(frames.beta.shape + (2, 2))
-    for i, coeff in enumerate((frames.coeff1, frames.coeff2)):
-        D = coeff[..., 0, None] * de3_u + coeff[..., 1, None] * de3_v
-        S[..., i, 0] = -ambient.dot(D, frames.e1)
-        S[..., i, 1] = -ambient.dot(D, frames.e2)
-    S = np.where(frames.mask[..., None, None], 0.0, S)
+    for j, leg in enumerate((frames.e1, frames.e2)):
+        for i, d in enumerate(_along_legs(frames, de3_u, de3_v, leg)):
+            np.negative(d, out=S[..., i, j])
+    S[frames.mask] = 0.0
     return ShapeOperatorField(S=S, mask=frames.mask)
 
 
@@ -297,12 +309,7 @@ def build_analysis(grid, band=TAN_BAND_DEFAULT):
 
 def _connection_residuals(grid, frames, gb, tan_beta):
     calc = grid.calc
-    de2_u = calc.du(frames.e2)
-    de2_v = calc.dv(frames.e2)
-    comp = []
-    for coeff in (frames.coeff1, frames.coeff2):
-        D = coeff[..., 0, None] * de2_u + coeff[..., 1, None] * de2_v
-        comp.append(ambient.dot(D, frames.e1))
+    comp = _along_legs(frames, calc.du(frames.e2), calc.dv(frames.e2), frames.e1)
     res1 = comp[0] - tan_beta * gb.beta2
     res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
     return res1, res2
@@ -345,11 +352,9 @@ def verify_gauss_agreement(an):
 
 
 def verify_minimality(an):
-    """Per-node |H| with max/mean summary."""
-    absH = np.abs(an.H)
-    vals = absH[an.valid]
-    return {"field": absH,
-            "max": float(vals.max()),
+    """max and mean of |H| over unmasked nodes, and the masked count."""
+    vals = np.abs(an.H[an.valid])
+    return {"max": float(vals.max()),
             "mean": float(vals.mean()),
             "n_masked": an.frames.n_masked}
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ambient
 from . import surface as surf
 from .errors import AmplitudeTooLarge, RangeError
 from .sampleio import read_samples
@@ -123,15 +124,16 @@ def geodesic_sphere():
     """
 
     def point(U, V):
-        return np.stack([np.sin(U) * np.cos(V), np.sin(U) * np.sin(V),
-                         np.cos(U), np.zeros_like(U)], axis=-1)
+        su, sv = np.sin(U), np.sin(V)
+        cu, cv = np.cos(U), np.cos(V)
+        return np.stack([su * cv, su * sv, cu, np.zeros_like(U)], axis=-1)
 
     def d1(U, V):
+        su, sv = np.sin(U), np.sin(V)
+        cu, cv = np.cos(U), np.cos(V)
         zero = np.zeros_like(U)
-        fu = np.stack([np.cos(U) * np.cos(V), np.cos(U) * np.sin(V),
-                       -np.sin(U), zero], axis=-1)
-        fv = np.stack([-np.sin(U) * np.sin(V), np.sin(U) * np.cos(V),
-                       zero, zero], axis=-1)
+        fu = np.stack([cu * cv, cu * sv, -su, zero], axis=-1)
+        fv = np.stack([-su * sv, su * cv, zero, zero], axis=-1)
         return fu, fv
 
     return CatalogEntry(
@@ -153,10 +155,10 @@ def geodesic_sphere():
 def _base_normal(entry, U, V):
     """Gauge-invariant surface normal e3 of an analytic entry at (U, V)."""
     pts = np.asarray(entry.point(U, V), float)
-    pts = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    pts = pts / ambient.norm(pts)[..., None]
     fu, fv = entry.d1(U, V)
-    _, e3, mask, _ = _raw_frames(pts, np.asarray(fu, float),
-                                    np.asarray(fv, float))
+    _, e3, mask, _, _ = _raw_frames(pts, np.asarray(fu, float),
+                                       np.asarray(fv, float))
     return pts, e3, mask
 
 
@@ -179,7 +181,7 @@ def perturb(entry, mode=(1, 2), amplitude=0.05):
             raise RangeError("base entry is contact-degenerate under the bump")
         bump = amplitude * np.sin(m * np.asarray(U)) * np.sin(n * np.asarray(V))
         moved = pts + bump[..., None] * e3
-        return moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+        return moved / ambient.norm(moved)[..., None]
 
     label = f"{entry.name}+bump({m},{n})x{amplitude:g}"
     return CatalogEntry(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import catalog
+from . import ambient, catalog
 from .calculus import build_analysis, first_fundamental_form
 from .errors import DegenerateParametrization, StepTooLarge
 from .surface import tangent_fields
@@ -103,7 +103,7 @@ def willmore_energy(grid):
 
 def _moved_points(points, e3, psi):
     moved = points + psi[..., None] * e3
-    return moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+    return moved / ambient.norm(moved)[..., None]
 
 
 def _check_step(grid, moved):

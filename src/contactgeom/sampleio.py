@@ -30,6 +30,7 @@ that is not finite, or a %d cell that is not one of the digits 0..9.
 
 import numpy as np
 
+from . import ambient
 from .errors import OffSphere, ParseError
 
 FORMAT_MAGIC = "S3SAMPLES"
@@ -187,13 +188,17 @@ def _parse_floats(tokens, lineno):
         raise ParseError(f"bad float: {exc}", line=lineno) from None
 
 
-def _check_on_sphere(points):
-    dev = np.abs(np.linalg.norm(points, axis=-1) - 1.0)
+def _onto_sphere(points):
+    """points divided by their norms; OffSphere when a norm is off 1 by more
+    than the file tolerance."""
+    norms = ambient.norm(points)
+    dev = np.abs(norms - 1.0)
     if np.any(dev > _OFF_SPHERE_TOL):
         ij = np.unravel_index(np.argmax(dev), dev.shape)
         raise OffSphere(
             f"node {tuple(int(k) for k in ij)} has norm deviating by "
             f"{dev[ij]:.3e} from 1", node=tuple(int(k) for k in ij))
+    return points / norms[..., None]
 
 
 def _grid_from_columns(u, v, pts4, linenos):
@@ -246,9 +251,7 @@ def _grid_from_columns(u, v, pts4, linenos):
     topo_u, u_range = axis(us, nv)
     topo_v, v_range = axis(vs, 1)
     spec = GridSpec(nu, nv, u_range, v_range, topo_u, topo_v)
-    points = pts4.reshape(nu, nv, 4)
-    _check_on_sphere(points)
-    return SurfaceGrid(spec, points / np.linalg.norm(points, axis=-1, keepdims=True))
+    return SurfaceGrid(spec, _onto_sphere(pts4.reshape(nu, nv, 4)))
 
 
 def _parse_rows(rows, lines, sep, n_cols, n_keep):
@@ -316,6 +319,4 @@ def read_samples(path):
         raise ParseError(f"expected {nu * nv} rows, found {len(rows)}",
                          line=len(lines))
     points = _parse_rows(rows, lines, None, 6, 6)[:, 2:6].reshape(nu, nv, 4)
-    _check_on_sphere(points)
-    points = points / np.linalg.norm(points, axis=-1, keepdims=True)
-    return SurfaceGrid(spec, points, label=f"samples:{path}")
+    return SurfaceGrid(spec, _onto_sphere(points), label=f"samples:{path}")

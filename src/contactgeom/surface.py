@@ -27,7 +27,10 @@ Everything in this module is a pure function of its inputs; the only
 sequential piece is the sign/unwrap propagation, which follows a fixed
 spanning tree, so results never depend on evaluation order.  The tangent
 pair and its Gram matrix (MetricField) are formed once per grid and cached
-on it as SurfaceGrid.geometry; every consumer reads that copy.
+on it as SurfaceGrid.geometry; every consumer reads that copy.  Within the
+frame build each quantity takes one full-grid pass: <xi, e3> serves both
+the contact mask and beta's numerator, and <Xu, e1> both the seed sign and
+e1's coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -94,7 +97,8 @@ class GridSpec:
 
 @dataclass
 class MetricField:
-    """First fundamental form in the (Xu, Xv) basis."""
+    """First fundamental form in the (Xu, Xv) basis; det, inv and sqrt_det
+    are formed on first read, once per metric."""
 
     E: np.ndarray
     F: np.ndarray
@@ -108,16 +112,16 @@ class MetricField:
                 f"metric determinant {det[ij]:.3e} at node {ij} is not positive",
                 node=ij)
 
-    @property
+    @cached_property
     def det(self):
         return self.E * self.G - self.F * self.F
 
-    @property
+    @cached_property
     def inv(self):
         d = self.det
         return self.G / d, -self.F / d, self.E / d  # g^uu, g^uv, g^vv
 
-    @property
+    @cached_property
     def sqrt_det(self):
         return np.sqrt(self.det)
 
@@ -183,7 +187,7 @@ def sample(definition, spec, label=None):
     U, V = spec.mesh()
     point = getattr(definition, "point", definition)
     pts = np.asarray(point(U, V), float)
-    norms = np.linalg.norm(pts, axis=-1)
+    norms = ambient.norm(pts)
     dev = np.abs(norms - 1.0)
     if np.any(dev > OFF_SPHERE_TOL):
         ij = np.unravel_index(np.argmax(dev), dev.shape)
@@ -242,9 +246,9 @@ class FrameField:
 def _raw_frames(z, Xu, Xv):
     """Vectorized pre-gauge construction of the normal and the contact leg.
 
-    Returns (e1, e3, mask, xi) where e1's sign is arbitrary per node (fixed
-    later by the flood fill); contact_angle_field forms e2 from the signed
-    e1.
+    Returns (e1, e3, mask, xi, xin) where e1's sign is arbitrary per node
+    (fixed later by the flood fill) and xin = <xi, e3>, the numerator of
+    beta; contact_angle_field forms e2 from the signed e1.
 
     e3 is the normalized 4D cross product of (z, Xu, Xv), so it satisfies
     det[z, e1, e2, e3] = +1, the canonical-frame orientation, for any
@@ -254,27 +258,24 @@ def _raw_frames(z, Xu, Xv):
     see bounded values.
     """
     xi = ambient.jmul(z)
-    nraw = ambient.cross4(z, Xu, Xv)
-    nn = np.linalg.norm(nraw, axis=-1)
-    e3 = nraw / np.maximum(nn, 1e-300)[..., None]
+    e3 = ambient.cross4(z, Xu, Xv)
+    e3 /= np.maximum(ambient.norm(e3), 1e-300)[..., None]
     xin = ambient.dot(xi, e3)
     mask = np.abs(xin) > 1.0 - DEGENERACY_TOL
 
     a = ambient.dot(Xu, xi)
     b = ambient.dot(Xv, xi)
-    w = b[..., None] * Xu - a[..., None] * Xv
-    wn = np.linalg.norm(w, axis=-1)
+    e1 = b[..., None] * Xu - a[..., None] * Xv   # w, normalized in place
+    wn = ambient.norm(e1)
     mask = mask | (wn < 1e-14)
-    f1 = ambient.perp(z)
-    e1 = np.where(mask[..., None], f1,
-                  w / np.maximum(wn, 1e-300)[..., None])
-    return e1, e3, mask, xi
+    e1 /= np.maximum(wn, 1e-300)[..., None]
+    e1[mask] = ambient.perp(z[mask])
+    return e1, e3, mask, xi, xin
 
 
-def _tangent_coords(Xu, Xv, metric, e):
-    """(Xu, Xv)-coordinates of the tangent field e through the inverse metric."""
-    r1 = ambient.dot(Xu, e)
-    r2 = ambient.dot(Xv, e)
+def _tangent_coords(metric, r1, r2):
+    """(Xu, Xv)-coordinates of a tangent field e through the inverse metric,
+    from its inner products r1 = <Xu, e> and r2 = <Xv, e>."""
     E, F, G, det = metric.E, metric.F, metric.G, metric.det
     return np.stack([(G * r1 - F * r2) / det, (E * r2 - F * r1) / det], axis=-1)
 
@@ -337,6 +338,27 @@ def _flood_levels(spec, mask):
             levels.append((frontier, parents))
 
 
+def _sign_mismatches(spec, e1, mask):
+    """Holonomy diagnostic: grid edges between unmasked nodes whose signed e1
+    legs disagree, <e1, e1'> < 0, counted once each.
+
+    Reads each axis' interior edges as shifted slices, plus the wrap edge
+    on a periodic axis; a chart axis has no edge past its last node.
+    """
+    good = ~mask
+
+    def count(a, b, ok_a, ok_b):
+        return int(np.count_nonzero((ambient.dot(a, b) < 0) & ok_a & ok_b))
+
+    total = count(e1[1:], e1[:-1], good[1:], good[:-1])
+    total += count(e1[:, 1:], e1[:, :-1], good[:, 1:], good[:, :-1])
+    if spec.topology_u == "periodic":
+        total += count(e1[0], e1[-1], good[0], good[-1])
+    if spec.topology_v == "periodic":
+        total += count(e1[:, 0], e1[:, -1], good[:, 0], good[:, -1])
+    return total
+
+
 def _fill_signs_fast(e1, e1_dot_xu):
     """Vectorized continuity sign fill for fully unmasked grids.
 
@@ -370,7 +392,7 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
     nodes are masked.
     """
     Xu, Xv = tangent_fields(grid)
-    e1, e3, mask, xi = _raw_frames(grid.points, Xu, Xv)
+    e1, e3, mask, xi, xin = _raw_frames(grid.points, Xu, Xv)
 
     n_masked = int(mask.sum())
     if n_masked > max_masked_fraction * mask.size:
@@ -395,18 +417,20 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
         seed_sign = int(sign[levels[0][0][0]]) if levels else 1
         sign = sign.reshape(mask.shape)
 
-    e1 = sign[..., None] * e1
+    e1 *= sign[..., None]
     # e2 = J_g e1, the metric quarter turn, at every node: a masked node's
-    # e1 = z_perp lies in the contact plane, which is its tangent plane
+    # e1 = z_perp lies in the contact plane, which is its tangent plane.
+    # <Xu, e1> is the signed e1_dot_xu; 0.0 + turns sign's -0.0 into the
+    # +0.0 a dot gives
     metric = grid.geometry[2]
-    coeff1 = _tangent_coords(Xu, Xv, metric, e1)
+    coeff1 = _tangent_coords(metric, 0.0 + sign * e1_dot_xu, ambient.dot(Xv, e1))
     c1u, c1v = coeff1[..., 0], coeff1[..., 1]
     sg = metric.sqrt_det
     coeff2 = np.stack([-(metric.F * c1u + metric.G * c1v) / sg,
                        (metric.E * c1u + metric.F * c1v) / sg], axis=-1)
     e2 = coeff2[..., 0, None] * Xu
     e2 += coeff2[..., 1, None] * Xv
-    beta = np.arctan2(ambient.dot(xi, e3), ambient.dot(xi, e2))
+    beta = np.arctan2(xin, ambient.dot(xi, e2))
     if n_masked == 0:
         beta = _unwrap_fast(beta)
     else:
@@ -418,15 +442,7 @@ def contact_angle_field(grid, max_masked_fraction=0.2):
                 beta_flat[nodes] += two_pi * np.round(
                     (beta_flat[parents] - beta_flat[nodes]) / two_pi)
 
-    # holonomy diagnostic: cross edges where the propagated signs disagree
-    up, um, vp, vm = _grid_neighbors(grid.spec)
-    d_u = ambient.dot(e1, e1[up, :])
-    d_v = ambient.dot(e1, e1[:, vp])
-    good = ~mask
-    mismatches = int(np.sum((d_u < 0) & good & good[up, :]))
-    mismatches += int(np.sum((d_v < 0) & good & good[:, vp]))
-
     return FrameField(e1=e1, e2=e2, e3=e3, beta=beta,
                       coeff1=coeff1, coeff2=coeff2, mask=mask,
                       n_masked=n_masked, seed_sign=seed_sign,
-                      sign_mismatches=mismatches)
+                      sign_mismatches=_sign_mismatches(grid.spec, e1, mask))

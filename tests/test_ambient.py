@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from contactgeom import (NotTangent, canonical_frame_vectors, contact_project, dot,
                          frame_derivative_check, hermitian, perp, reeb)
-from contactgeom.ambient import cross4, jmul
+from contactgeom.ambient import cross4, jmul, norm
 
 RNG = np.random.default_rng(20240811)
 
@@ -75,6 +75,19 @@ def test_dot_is_bitwise_np_sum():
         assert _same_bits(dot(x, y), np.sum(x * y, -1))
     # four -0.0 products sum to +0.0, as in np.sum; arctan2 reads that sign
     assert not np.signbit(dot(zeros[1], zeros[2]))
+
+
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+                min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_norm_is_bitwise_np_linalg_norm(rows):
+    # sqrt(dot(a, a)) adds the squares in np.linalg.norm's order, so every
+    # length the package forms is unchanged by routing it through norm,
+    # overflow to inf and subnormal squares included
+    a = np.array(rows)
+    with np.errstate(over="ignore"):
+        for x in (a, a[::-1, ::-1], a[0]):
+            assert _same_bits(norm(x), np.linalg.norm(x, axis=-1))
 
 
 def test_dot_rejects_wrong_trailing_dimension():

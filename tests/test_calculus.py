@@ -59,6 +59,14 @@ def test_analysis_reads_the_grid_metric(sphere64):
     assert an.metric is first_fundamental_form(grid)
 
 
+def test_metric_forms_its_derived_fields_once(sphere64):
+    _, an = sphere64
+    m = an.metric
+    assert m.det is m.det and m.sqrt_det is m.sqrt_det and m.inv is m.inv
+    assert _same_bits(m.det, m.E * m.G - m.F * m.F)
+    assert _same_bits(m.sqrt_det, np.sqrt(m.E * m.G - m.F * m.F))
+
+
 # ---------------------------------------------------------- shape operator
 
 def test_shape_operator_clifford(cliff64):
@@ -291,10 +299,10 @@ def _band_residuals_reference(grid, band):
     tan_beta = np.where(pole, 0.0, np.tan(an.frames.beta))
     gb = an.grad_beta
     lap = an.lap_beta + tan_beta * ((gb.beta1 + 2.0) ** 2 + gb.beta2 ** 2)
-    de2_u = grid.calc.du(an.frames.e2)
-    de2_v = grid.calc.dv(an.frames.e2)
-    comp = [np.sum((c[..., 0, None] * de2_u + c[..., 1, None] * de2_v)
-                   * an.frames.e1, -1)
+    # <D_{e_i} e2, e1> = c_iu <d_u e2, e1> + c_iv <d_v e2, e1>
+    a_u = np.sum(grid.calc.du(an.frames.e2) * an.frames.e1, -1)
+    a_v = np.sum(grid.calc.dv(an.frames.e2) * an.frames.e1, -1)
+    comp = [c[..., 0] * a_u + c[..., 1] * a_v
             for c in (an.frames.coeff1, an.frames.coeff2)]
     res1 = comp[0] - tan_beta * gb.beta2
     res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
@@ -327,6 +335,7 @@ def test_connection_constant_angle_r_torus():
 
 def test_minimality_summary():
     rep = verify_minimality(build_analysis(clifford().sample(n=64)))
+    assert set(rep) == {"max", "mean", "n_masked"}
     assert rep["max"] < 1e-8
     rep = verify_minimality(build_analysis(geodesic_sphere().sample(n=64)))
     assert rep["max"] < 5e-6
@@ -334,6 +343,53 @@ def test_minimality_summary():
     rep = verify_minimality(build_analysis(grid))
     expected = (np.sqrt(3) - 1 / np.sqrt(3)) / 2
     assert abs(rep["max"] - expected) < 1e-4
+
+
+def _d_field_contractions(grid, frames, field, legs):
+    """Reference: <D_{e_i} field, e_j> with each derivative
+    D_i = c_iu d_u field + c_iv d_v field formed as a 4-vector field first.
+    Returns the array [i][j] and the per-node sum T of the absolute values of
+    the eight products c * d * e that both orders add."""
+    d_u, d_v = grid.calc.du(field), grid.calc.dv(field)
+    out, size = [], []
+    for c in (frames.coeff1, frames.coeff2):
+        D = c[..., 0, None] * d_u + c[..., 1, None] * d_v
+        out.append([np.sum(D * e, -1) for e in legs])
+        size.append([np.abs(c[..., 0]) * np.sum(np.abs(d_u * e), -1)
+                     + np.abs(c[..., 1]) * np.sum(np.abs(d_v * e), -1) for e in legs])
+    return np.array(out), np.array(size)
+
+
+# both orders add the same eight products, each of two roundings, so by the
+# standard dot-product bound each lies within gamma_9 T of the exact sum and
+# they differ by at most 2 gamma_9 T < 20 eps T
+CONTRACTION_TOL = 20 * np.finfo(float).eps
+
+
+CONTRACTION_CASES = {
+    "bump_256": lambda: perturb(clifford(), (1, 2), 0.05).sample(n=256),
+    "rotated_cap_65": lambda: _rotated_polar_cap(65, seed=5),
+    "geodesic_sphere_64": lambda: geodesic_sphere().sample(n=64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
+def test_leg_contractions_match_the_d_field_form(case):
+    # S and the connection contract the frame legs with <d_u X, e_j> and
+    # <d_v X, e_j> in place of forming D_{e_i} X; the reordered sum may
+    # differ from the D-field form only by rounding
+    grid = CONTRACTION_CASES[case]()
+    an = build_analysis(grid)
+    frames = an.frames
+    ref, size = _d_field_contractions(grid, frames, frames.e3, (frames.e1, frames.e2))
+    S = np.moveaxis(an.shape.S, (-2, -1), (0, 1))
+    good = ~frames.mask
+    assert np.all((np.abs(S + ref) <= CONTRACTION_TOL * size)[:, :, good])
+    assert np.all(S[:, :, frames.mask] == 0.0)
+    ref, size = _d_field_contractions(grid, frames, frames.e2, (frames.e1,))
+    zero = np.zeros(frames.beta.shape)
+    comp = np.array(_connection_residuals(grid, frames, an.grad_beta, zero))
+    assert np.all(np.abs(comp - ref[:, 0]) <= CONTRACTION_TOL * size[:, 0])
 
 
 def test_observed_order_floor():
@@ -419,7 +475,8 @@ def test_lazy_analysis_matches_eager_reference_bitwise(case, band):
         for label in want:
             assert _same_bits(got[label], want[label]), f"{case}: {label} differs"
         checked += len(want)
-    assert checked == 25
+    # the metric counts six: E, F, G and its cached det, sqrt_det and inv
+    assert checked == 28
     assert an.band == band and an.grid is grid
 
 

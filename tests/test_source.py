@@ -84,6 +84,16 @@ def test_inner_products_go_through_ambient_dot():
     assert found == []
 
 
+def test_lengths_go_through_ambient_norm():
+    # ambient.norm is sqrt(dot(a, a)), bit for bit np.linalg.norm(a, axis=-1)
+    # at half its cost; a second length kernel is what this guard keeps out
+    found = [f"{path.name}:{node.lineno}" for path in PACKAGE
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "norm"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+    assert found == []
+
+
 FIELD_KERNELS = {"contact_angle_field", "shape_operator", "laplace_beltrami",
                  "frame_gradient", "gaussian_curvature_intrinsic",
                  "gaussian_curvature_extrinsic"}

@@ -8,10 +8,12 @@ import pytest
 from contactgeom import (DegenerateContact, DegenerateParametrization, GridSpec,
                          OffSphere, contact_angle_field, reeb, sample,
                          tangent_fields)
-from contactgeom.ambient import cross4, dot, jmul
+from contactgeom.ambient import cross4, dot, jmul, perp
 from contactgeom.catalog import (build, clifford, geodesic_sphere, names,
                                  perturb, r_torus)
-from contactgeom.surface import _flood_levels, _raw_frames
+from contactgeom.surface import (DEGENERACY_TOL, _flood_levels, _grid_neighbors,
+                                 _raw_frames, _sign_mismatches)
+from test_ambient import _same_bits
 
 RNG = np.random.default_rng(7)
 
@@ -22,7 +24,7 @@ def _cross4_frames(z, Xu, Xv):
 
     Returns (e1, e2, e3, mask, xi) with e1 and e3 as _raw_frames gives them.
     """
-    e1, e3, mask, xi = _raw_frames(z, Xu, Xv)
+    e1, e3, mask, xi, _ = _raw_frames(z, Xu, Xv)
     cand = cross4(z, e3, e1)
     orient = dot(Xu, e1) * dot(Xv, cand) - dot(Xu, cand) * dot(Xv, e1)
     e2 = np.where(orient[..., None] >= 0, cand, -cand)
@@ -386,9 +388,33 @@ def _past_the_equator_chart():
                   label="past the equator")
 
 
+def _reference_raw_frames(z, Xu, Xv):
+    """Reference raw frames, one full-grid pass per step: np.linalg.norm
+    lengths, and e1 picked between the normalized w and z_perp by a
+    full-grid where.  Returns (e1, e3, mask, xi)."""
+    xi = jmul(z)
+    nraw = cross4(z, Xu, Xv)
+    e3 = nraw / np.maximum(np.linalg.norm(nraw, axis=-1), 1e-300)[..., None]
+    mask = np.abs(np.sum(xi * e3, -1)) > 1.0 - DEGENERACY_TOL
+    w = np.sum(Xv * xi, -1)[..., None] * Xu - np.sum(Xu * xi, -1)[..., None] * Xv
+    wn = np.linalg.norm(w, axis=-1)
+    mask = mask | (wn < 1e-14)
+    e1 = np.where(mask[..., None], perp(z), w / np.maximum(wn, 1e-300)[..., None])
+    return e1, e3, mask, xi
+
+
+def _gather_mismatches(spec, e1, mask):
+    """Holonomy count by gathering each node's +u and +v neighbours; a chart
+    axis' last node is its own neighbour, and <e1, e1> >= 0 never counts."""
+    up, _, vp, _ = _grid_neighbors(spec)
+    good = ~mask
+    return (int(np.sum((np.sum(e1 * e1[up, :], -1) < 0) & good & good[up, :]))
+            + int(np.sum((np.sum(e1 * e1[:, vp], -1) < 0) & good & good[:, vp])))
+
+
 def _quarter_turn(grid, e1):
-    """e2 = c2u Xu + c2v Xv, where c2 = J_g c1 is the metric quarter turn of
-    e1's (Xu, Xv)-coordinates c1."""
+    """(c1, c2, e2): e1's (Xu, Xv)-coordinates c1 from <Xu, e1> and <Xv, e1>,
+    c2 = J_g c1 its metric quarter turn, and e2 = c2u Xu + c2v Xv."""
     Xu, Xv = tangent_fields(grid)
     metric = grid.geometry[2]
     E, F, G = metric.E, metric.F, metric.G
@@ -397,15 +423,18 @@ def _quarter_turn(grid, e1):
     c1v = (E * r2 - F * r1) / metric.det
     c2u = -(F * c1u + G * c1v) / metric.sqrt_det
     c2v = (E * c1u + F * c1v) / metric.sqrt_det
-    return c2u[..., None] * Xu + c2v[..., None] * Xv
+    return (np.stack([c1u, c1v], -1), np.stack([c2u, c2v], -1),
+            c2u[..., None] * Xu + c2v[..., None] * Xv)
 
 
-def _bfs_gauge(grid):
-    """Reference gauge, node by node: e1's sign by continuity along the BFS
-    tree (seeds take <e1, Xu> >= 0), e2 its quarter turn, beta unwrapped
-    along the same tree."""
+def _reference_frames(grid):
+    """Reference FrameField, node by node and with every quantity formed anew:
+    the raw frames of _reference_raw_frames, e1's sign by continuity along the
+    BFS tree (seeds take <e1, Xu> >= 0), c1 from dots of the signed e1, e2
+    its quarter turn, beta from <xi, e3> formed again and unwrapped along
+    the same tree, and the holonomy count by gathers."""
     Xu, Xv = tangent_fields(grid)
-    e1, e3, mask, xi = _raw_frames(grid.points, Xu, Xv)
+    e1, e3, mask, xi = _reference_raw_frames(grid.points, Xu, Xv)
     e1_dot_xu = np.sum(e1 * Xu, -1)
     order, parents = _flood_order(grid.spec, mask)
     sign = np.ones(mask.shape)
@@ -416,12 +445,33 @@ def _bfs_gauge(grid):
             d = float(np.sum(e1[node] * e1[par], -1)) * sign[par]
             sign[node] = 1.0 if d >= 0 else -1.0
     e1 = sign[..., None] * e1
-    e2 = _quarter_turn(grid, e1)
+    coeff1, coeff2, e2 = _quarter_turn(grid, e1)
     beta = np.arctan2(np.sum(xi * e3, -1), np.sum(xi * e2, -1))
     for node, par in zip(order, parents):
         if par is not None:
             beta[node] += 2.0 * np.pi * np.round((beta[par] - beta[node]) / (2.0 * np.pi))
-    return e1, beta, int(sign[order[0]])
+    return dict(e1=e1, e2=e2, e3=e3, beta=beta, coeff1=coeff1, coeff2=coeff2,
+                mask=mask, seed_sign=int(sign[order[0]]),
+                sign_mismatches=_gather_mismatches(grid.spec, e1, mask))
+
+
+class _SphereLongitudeFirst:
+    """The great sphere charted by (phi, -theta), phi in [-pi, pi) periodic.
+
+    On the row phi = 0, <Xu, e1> adds four signed-zero products to +0.0
+    and the fill gives e1 the sign -1, so sign * <Xu, raw e1> is -0.0
+    there, where a dot of the signed e1 gives +0.0.
+    """
+
+    name = "sphere, longitude first"
+    spec = GridSpec(16, 16, (-np.pi, np.pi), (-np.pi + 0.2, -0.2), "periodic", "chart")
+
+    def point(self, U, V):
+        return geodesic_sphere().point(-V, U)
+
+    def d1(self, U, V):
+        f_theta, f_phi = geodesic_sphere().d1(-V, U)
+        return f_phi, -f_theta
 
 
 def _gauge_grids():
@@ -438,20 +488,57 @@ def _gauge_grids():
 
 def test_sign_fills_match_node_by_node_bfs():
     # the unmasked grids take the vectorized fill, the polar caps the
-    # level-by-level one; both must give the reference gauge bit for bit,
-    # with no holonomy
+    # level-by-level one; both must give every field of the reference bit
+    # for bit, signed zeros included, with no holonomy
     grids, caps = _gauge_grids()
     for grid in grids + caps:
         ff = contact_angle_field(grid)
-        e1, beta, seed_sign = _bfs_gauge(grid)
-        assert np.array_equal(ff.e1, e1), grid.label
-        assert np.array_equal(ff.beta, beta), grid.label
-        assert ff.seed_sign == seed_sign, grid.label
+        ref = _reference_frames(grid)
+        for name, want in ref.items():
+            assert _same_bits(getattr(ff, name), want), (grid.label, name)
         assert ff.sign_mismatches == 0, grid.label
         # the caps, and only they, take the masked path
         assert ff.n_masked == (grid in caps), grid.label
     xi = reeb(grid.points)
     assert np.sum(ff.beta != np.arctan2(dot(xi, ff.e3), dot(xi, ff.e2))) > 100
+
+
+def test_signed_e1_coordinates_keep_the_dot_zero_sign():
+    # c1 reads <Xu, e1> as sign * <Xu, raw e1>; on the row phi = 0 that is
+    # sign -1 times +0.0, and c1 must keep the +0.0 a dot of the signed e1
+    # gives
+    grid = sample(_SphereLongitudeFirst(), _SphereLongitudeFirst.spec)
+    ff = contact_angle_field(grid)
+    ref = _reference_frames(grid)
+    assert ff.seed_sign == -1 and ff.n_masked == 0
+    for name, want in ref.items():
+        if name != "beta":
+            assert _same_bits(getattr(ff, name), want), name
+    row = ff.coeff1[grid.spec.n_u // 2, :, 0]
+    assert np.all(row == 0.0) and not np.any(np.signbit(row))
+    # beta crosses -pi along each row; the vectorized unwrap adds its 2 pi
+    # corrections as a running sum, the reference node by node, so the two
+    # may part in the last bits
+    assert np.max(np.abs(ff.beta - ref["beta"])) < 1e-14
+
+
+@pytest.mark.parametrize("topology_u", ["periodic", "chart"])
+@pytest.mark.parametrize("topology_v", ["periodic", "chart"])
+def test_sign_mismatches_match_gather_count(topology_u, topology_v):
+    # random unit e1 legs disagree across about half the edges, so the
+    # slice count has to find every interior and wrap edge the gathers do
+    rng = np.random.default_rng(13)
+    total = 0
+    for trial in range(8):
+        n, m = (int(k) for k in rng.integers(8, 24, 2))
+        spec = GridSpec(n, m, topology_u=topology_u, topology_v=topology_v)
+        e1 = rng.normal(size=(n, m, 4))
+        e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+        mask = rng.random((n, m)) < (0.0, 0.1, 0.5, 0.9)[trial % 4]
+        count = _sign_mismatches(spec, e1, mask)
+        assert count == _gather_mismatches(spec, e1, mask), (n, m, trial)
+        total += count
+    assert total > 0
 
 
 def test_quarter_turn_e2_matches_cross4_oracle():
