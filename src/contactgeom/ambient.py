@@ -6,6 +6,16 @@ exact rather than reconstructed from complex parts.  All functions accept
 plain arrays of shape (..., 4) and broadcast; `dot` is the one real inner
 product and `norm` the one length every other module uses for 4-vectors.
 
+Storage: a 4-vector field is allocated as one C-contiguous (4, ...) block
+and handed out as the (..., 4) view np.moveaxis(block, 0, -1) (`stack4`,
+`empty4`).  Its shape is the one every caller indexes, but each component
+x[..., k] is a contiguous array, so the per-component passes of `dot`,
+`cross4`, `jmul` and `perp` read contiguous memory instead of stride-4
+views.  Numpy ufuncs, np.empty_like and in-place updates keep an input's
+layout, so only the places that create a field (the catalog's point maps,
+the sample reader, `cross4` and the stencils in `gridops`) allocate
+components-first; every value is bitwise what the interleaved layout gives.
+
 Conventions fixed here and used everywhere else:
 
 * multiplication by i is the linear map J: (x1,y1,x2,y2) -> (-y1,x1,-y2,x2)
@@ -30,18 +40,35 @@ def _vec(x):
     return v
 
 
+def empty4(shape):
+    """An uninitialized field of 4-vectors of shape (*shape, 4), components-first."""
+    return np.moveaxis(np.empty((4,) + tuple(shape)), 0, -1)
+
+
+def stack4(c0, c1, c2, c3):
+    """The field of 4-vectors (c0, c1, c2, c3), its components broadcast
+    together and stored components-first."""
+    parts = np.broadcast_arrays(c0, c1, c2, c3)
+    out = empty4(parts[0].shape)
+    for k, part in enumerate(parts):
+        out[..., k] = part
+    return out
+
+
 def dot(a, b):
     """Euclidean inner product <a, b> = Re (a, b), broadcasting over leading axes.
 
     The four products are added left to right onto +0.0, the order and
     start value of np.sum(a * b, -1), so the two agree bit for bit; the
     start value makes a sum of -0.0 products +0.0, a sign arctan2 reads.
+    Each product is formed from the two components alone, so no (..., 4)
+    temporary is made.
     """
-    p = _vec(a) * _vec(b)
-    out = 0.0 + p[..., 0]
-    out += p[..., 1]
-    out += p[..., 2]
-    out += p[..., 3]
+    a, b = _vec(a), _vec(b)
+    out = 0.0 + a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    out += a[..., 2] * b[..., 2]
+    out += a[..., 3] * b[..., 3]
     return out
 
 
@@ -140,8 +167,7 @@ def cross4(a, b, c):
     are formed once, each released after its second use.
     """
     a, b, c = _vec(a), _vec(b), _vec(c)
-    shape = np.broadcast(a, b, c).shape
-    d = np.empty(shape, float)
+    d = empty4(np.broadcast(a, b, c).shape[:-1])
 
     def minor(j, k):
         return b[..., j] * c[..., k] - b[..., k] * c[..., j]

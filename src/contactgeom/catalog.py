@@ -46,19 +46,27 @@ class CatalogEntry:
         return surf.sample(self, spec if spec is not None else self.default_spec(n))
 
 
+def _product_torus_maps(a, b):
+    """point and d1 of (a e^{iu}, b e^{iv}); each trig factor depends on one
+    parameter, so on an open mesh it is evaluated once per axis node."""
+
+    def point(U, V):
+        return ambient.stack4(a * np.cos(U), a * np.sin(U),
+                              b * np.cos(V), b * np.sin(V))
+
+    def d1(U, V):
+        zero = np.zeros(np.broadcast(U, V).shape)
+        fu = ambient.stack4(-a * np.sin(U), a * np.cos(U), zero, zero)
+        fv = ambient.stack4(zero, zero, -b * np.sin(V), b * np.cos(V))
+        return fu, fv
+
+    return point, d1
+
+
 def clifford():
     """The square torus |z1| = |z2| = sqrt(1/2), doubly periodic on [0, 2pi)^2."""
     c = math.sqrt(2.0) / 2.0
-
-    def point(U, V):
-        return np.stack([c * np.cos(U), c * np.sin(U),
-                         c * np.cos(V), c * np.sin(V)], axis=-1)
-
-    def d1(U, V):
-        zero = np.zeros_like(U)
-        fu = np.stack([-c * np.sin(U), c * np.cos(U), zero, zero], axis=-1)
-        fv = np.stack([zero, zero, -c * np.sin(V), c * np.cos(V)], axis=-1)
-        return fu, fv
+    point, d1 = _product_torus_maps(c, c)
 
     return CatalogEntry(
         name="clifford",
@@ -87,16 +95,7 @@ def r_torus(r):
     if not (0.05 < r < math.pi / 2 - 0.05):
         raise RangeError(f"r = {r!r} outside (0.05, pi/2 - 0.05)")
     cr, sr = math.cos(r), math.sin(r)
-
-    def point(U, V):
-        return np.stack([cr * np.cos(U), cr * np.sin(U),
-                         sr * np.cos(V), sr * np.sin(V)], axis=-1)
-
-    def d1(U, V):
-        zero = np.zeros_like(U)
-        fu = np.stack([-cr * np.sin(U), cr * np.cos(U), zero, zero], axis=-1)
-        fv = np.stack([zero, zero, -sr * np.sin(V), sr * np.cos(V)], axis=-1)
-        return fu, fv
+    point, d1 = _product_torus_maps(cr, sr)
 
     h = (math.tan(r) - 1.0 / math.tan(r)) / 2.0
     return CatalogEntry(
@@ -126,14 +125,13 @@ def geodesic_sphere():
     def point(U, V):
         su, sv = np.sin(U), np.sin(V)
         cu, cv = np.cos(U), np.cos(V)
-        return np.stack([su * cv, su * sv, cu, np.zeros_like(U)], axis=-1)
+        return ambient.stack4(su * cv, su * sv, cu, 0.0)
 
     def d1(U, V):
         su, sv = np.sin(U), np.sin(V)
         cu, cv = np.cos(U), np.cos(V)
-        zero = np.zeros_like(U)
-        fu = np.stack([cu * cv, cu * sv, -su, zero], axis=-1)
-        fv = np.stack([-su * sv, su * cv, zero, zero], axis=-1)
+        fu = ambient.stack4(cu * cv, cu * sv, -su, 0.0)
+        fv = ambient.stack4(-su * sv, su * cv, 0.0, 0.0)
         return fu, fv
 
     return CatalogEntry(

@@ -6,6 +6,18 @@ accuracy at the boundary rows (weights from Fornberg's recurrence).  All
 operators are small dense matrices applied with tensordot, which keeps the
 whole pipeline vectorized and deterministic.
 
+Layout: a 4-vector field comes back components-first (the `ambient`
+storage convention).  It still enters the gemm as the interleaved
+(n, 4 m) matrix tensordot forms, and only the result is stored
+components-first.  A per-component product (D @ F[..., k]) would skip
+those copies, but OpenBLAS sums in an order that depends on the operand
+shapes, so its results differ in the last bits from the interleaved gemm
+(on random fields along u at n = 193 and along v at n = 32), and they
+would reach every output file.  For the same reason a scalar field comes
+back as tensordot leaves it, a transposed view along v: copied to C order
+it would enter du(dv(F)) as an untransposed operand, which OpenBLAS sums
+differently at some sizes (n = 32 and 100).
+
 The default design accuracy is 6th order for first and second derivatives
 alike: the identity-verification tolerances sit below what 4th-order
 truncation constants deliver on 64-node axes.
@@ -14,6 +26,8 @@ truncation constants deliver on 64-node axes.
 from functools import lru_cache
 
 import numpy as np
+
+from . import ambient
 
 STENCIL_ACC = 6
 
@@ -85,8 +99,10 @@ def diff_matrix(n, h, m, periodic):
 
 
 def _apply_axis(D, F, axis):
-    out = np.tensordot(D, np.moveaxis(F, axis, 0), axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    out = np.moveaxis(np.tensordot(D, np.moveaxis(F, axis, 0), axes=(1, 0)), 0, axis)
+    if F.ndim == 3:
+        return ambient.stack4(*np.moveaxis(out, -1, 0))
+    return out
 
 
 class GridCalc:

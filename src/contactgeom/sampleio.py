@@ -15,16 +15,20 @@ time.  A cell's digits come from k = floor(log10|x|) and y = |x| * 10**p,
 p = 12 - k, formed by multiplying or dividing by exact powers 10**j,
 |j| <= 22: once when |p| <= 22, twice when 22 < |p| <= 44.  y is rounded
 to the 13-digit mantissa M = round(y), carried to 10**12 and k+1 at 10**13.
-One correctly rounded operation misses the exact y by at most half an ulp,
-2**-10 ~ 9.8e-4 on [1e12, 1e13); two miss it by at most 2**-52 * 1e13 ~
-2.2e-3.  So when the fraction of y is more than 3e-3 from 1/2, M is the
-mantissa `%` prints.  A y outside [1e12, 1e13) means log10 was off by one
-near a power of ten.  A y inside while the exact value is just outside lies
-within 2.2e-3 of 1e12 or 1e13, where both exponents give the same digits.
-A line is printed by `%` instead when one of its cells fails these tests:
-a fraction within 3e-3 of 1/2, a y outside [1e12, 1e13), |x| outside
-[1e-32, 1e57) (every three-digit exponent and every subnormal), a value
-that is not finite, or a %d cell that is not one of the digits 0..9.
+Every half-integer in [1e12, 1e13) is a double, so one correctly rounded
+operation cannot carry y across a rounding tie: it lands on the double
+nearest the exact value, and the tie is nearer than any double past it.
+Only a y that lands exactly on the tie is undecided.  Two operations miss
+the exact y by at most 2**-52 * 1e13 ~ 2.2e-3, so for a cell scaled twice
+M is the mantissa `%` prints when the fraction of y is more than 3e-3 from
+1/2.  A y outside [1e12, 1e13) means log10 was off by one near a power of
+ten.  A y inside while the exact value is just outside lies within 2.2e-3
+of 1e12 or 1e13, where both exponents give the same digits.  A line is
+printed by `%` instead when one of its cells fails these tests: a fraction
+of exactly 1/2 (scaled once) or within 3e-3 of 1/2 (scaled twice), a y
+outside [1e12, 1e13), |x| outside [1e-32, 1e57) (every three-digit exponent
+and every subnormal), a value that is not finite, or a %d cell that is not
+one of the digits 0..9.
 +-0.0 is written directly, with the sign of -0.0.
 """
 
@@ -47,7 +51,8 @@ _OFF_SPHERE_TOL = 1e-6
 # exponent p = 12 - k has |p| <= 44 and splits into two exact powers of ten.
 _K_MIN, _K_MAX = -32, 56
 _P_SPLIT = 22
-# Half-width of the band around a rounding tie that is left to `%`.
+# Half-width of the band around a rounding tie that is left to `%`, for
+# cells scaled twice; a cell scaled once is left to `%` only on the tie.
 _TIE_MARGIN = 3e-3
 
 
@@ -57,16 +62,18 @@ def _word(text):
 
 
 def _scale_factors():
-    """Four (89,) tables, indexed by p + 44, with x * a / b * c / d == x * 10**p."""
+    """Four (89,) tables, indexed by p + 44, with x * a / b * c / d == x * 10**p,
+    and the (89,) tie margins of those scalings."""
     pow10 = np.array([float(10 ** j) for j in range(_P_SPLIT + 1)])
     p = np.arange(-2 * _P_SPLIT, 2 * _P_SPLIT + 1)
     p1 = np.clip(p, -_P_SPLIT, _P_SPLIT)
     p2 = p - p1
-    return (pow10[np.maximum(p1, 0)], pow10[np.maximum(-p1, 0)],
-            pow10[np.maximum(p2, 0)], pow10[np.maximum(-p2, 0)])
+    return ((pow10[np.maximum(p1, 0)], pow10[np.maximum(-p1, 0)],
+             pow10[np.maximum(p2, 0)], pow10[np.maximum(-p2, 0)]),
+            np.where(p2 != 0, _TIE_MARGIN, 0.0))
 
 
-_SCALE = _scale_factors()
+_SCALE, _MARGIN = _scale_factors()
 # k runs to _K_MAX + 1 after a carry
 _EXPONENT = np.array([_word("e%+03d" % k) for k in range(_K_MIN, _K_MAX + 2)])
 # Words of a cell: "{sep}{sign}{d}.", three of four digits, "e{sign}{dd}".
@@ -108,7 +115,7 @@ def _format_cells(x, cells, lead, digits):
     y = np.where(inside, a, 0.0) * _SCALE[0][i] / _SCALE[1][i] * _SCALE[2][i] / _SCALE[3][i]
     m = np.floor(y)
     frac = y - m
-    ok = (np.abs(frac - 0.5) > _TIE_MARGIN) & (y >= 1e12) & (y < 1e13)
+    ok = (np.abs(frac - 0.5) > _MARGIN[i]) & (y >= 1e12) & (y < 1e13)
     m += frac > 0.5
     carry = m == 1e13
     m[carry] = 1e12
@@ -189,8 +196,8 @@ def _parse_floats(tokens, lineno):
 
 
 def _onto_sphere(points):
-    """points divided by their norms; OffSphere when a norm is off 1 by more
-    than the file tolerance."""
+    """points divided by their norms, stored components-first; OffSphere when
+    a norm is off 1 by more than the file tolerance."""
     norms = ambient.norm(points)
     dev = np.abs(norms - 1.0)
     if np.any(dev > _OFF_SPHERE_TOL):
@@ -198,7 +205,7 @@ def _onto_sphere(points):
         raise OffSphere(
             f"node {tuple(int(k) for k in ij)} has norm deviating by "
             f"{dev[ij]:.3e} from 1", node=tuple(int(k) for k in ij))
-    return points / norms[..., None]
+    return np.divide(points, norms[..., None], out=ambient.empty4(norms.shape))
 
 
 def _grid_from_columns(u, v, pts4, linenos):

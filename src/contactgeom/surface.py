@@ -91,8 +91,10 @@ class GridSpec:
     def vs(self):
         return self.v_range[0] + self.h_v * np.arange(self.n_v)
 
-    def mesh(self):
-        return np.meshgrid(self.us, self.vs, indexing="ij")
+    def mesh(self, sparse=False):
+        """(U, V) node coordinates, full (n_u, n_v) arrays, or with sparse an
+        (n_u, 1) column and a (1, n_v) row that broadcast to them."""
+        return np.meshgrid(self.us, self.vs, indexing="ij", sparse=sparse)
 
 
 @dataclass
@@ -177,15 +179,19 @@ class SurfaceGrid:
 def sample(definition, spec, label=None):
     """Evaluate an immersion definition on a grid and normalize onto S^3.
 
-    definition is either a callable (U, V) -> (..., 4) or an object with a
-    .point(U, V) method and an optional .d1(U, V) -> (fu, fv) method for
-    analytic first partials.
+    definition is either a callable (U, V) -> (..., 4), called on the full
+    mesh, or an object with a .point(U, V) method and an optional
+    .d1(U, V) -> (fu, fv) method for analytic first partials.  The methods
+    are called on the sparse mesh and must broadcast it to the full grid,
+    as the catalog entries do, so a factor that depends on one parameter
+    is evaluated once per node of its axis.
 
     Raises OffSphere when any evaluated point deviates from unit norm by
     more than 1e-6 before normalization.
     """
-    U, V = spec.mesh()
-    point = getattr(definition, "point", definition)
+    entry = hasattr(definition, "point")
+    U, V = spec.mesh(sparse=entry)
+    point = definition.point if entry else definition
     pts = np.asarray(point(U, V), float)
     norms = ambient.norm(pts)
     dev = np.abs(norms - 1.0)
@@ -376,10 +382,21 @@ def _fill_signs_fast(e1, e1_dot_xu):
 
 
 def _unwrap_fast(beta):
-    """Continuity unwrap along the same first-column-then-rows tree."""
-    out = beta.copy()
-    out[:, 0] = np.unwrap(beta[:, 0])
-    return np.unwrap(out, axis=1)
+    """Continuity unwrap along the same first-column-then-rows tree.
+
+    Each node gets beta + 2 pi K, the BFS fill's expression, with K the
+    integer turn count summed down the tree from the steps
+    round((parent - child) / 2 pi).  The seed's -0.0 step leaves it as it
+    is, signed zeros included.
+    """
+    two_pi = 2.0 * np.pi
+    turns = np.empty_like(beta)
+    turns[0, 0] = -0.0
+    turns[1:, 0] = np.round((beta[:-1, 0] - beta[1:, 0]) / two_pi)
+    turns[:, 1:] = np.round((beta[:, :-1] - beta[:, 1:]) / two_pi)
+    np.cumsum(turns[:, 0], out=turns[:, 0])
+    np.cumsum(turns, axis=1, out=turns)
+    return beta + two_pi * turns
 
 
 def contact_angle_field(grid, max_masked_fraction=0.2):

@@ -50,6 +50,11 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _components_first(x):
+    """x with the same (..., 4) shape and values, each x[..., k] contiguous."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+
+
 def test_dot_is_bitwise_np_sum():
     # the explicit four-term sum must reproduce np.sum(a * b, -1) bit for
     # bit on every layout the package feeds it, so routing through dot
@@ -66,12 +71,24 @@ def test_dot_is_bitwise_np_sum():
         (b[0, 0], a[5]),                          # (4,) against (n, 4)
         (a[..., None, :], b[0]),                  # broadcast to (n, m, m, 4)
     ]
+    # the package stores fields components-first; dot must not depend on it
+    acf, bcf = _components_first(a), _components_first(b)
+    cases += [
+        (acf, bcf),                               # both components-first
+        (acf, b), (a, bcf),                       # mixed layouts
+        (acf[1:, 0], bcf[:-1, 0]),                # strided column slices
+        (acf[:, 1:], b[:, :-1]),                  # offset row slices
+        (acf.reshape(-1, 4)[rows], b.reshape(-1, 4)[rows[::-1]]),  # fancy rows
+        (bcf[0, 0], acf[5]),                      # (4,) against (n, 4)
+        (acf[..., None, :], bcf[0]),              # broadcast to (n, m, m, 4)
+    ]
     for x, y in cases:
         assert _same_bits(dot(x, y), np.sum(x * y, -1))
     zeros = np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0],
                       [-0.0, 0.0, -0.0, 0.0], [1.0, -1.0, 0.0, -0.0]])
     ones = np.array([1.0, 1.0, -1.0, 1.0])
-    for x, y in ((zeros, ones), (zeros, -ones), (zeros, zeros[::-1])):
+    for x, y in ((zeros, ones), (zeros, -ones), (zeros, zeros[::-1]),
+                 (_components_first(zeros), ones), (zeros, _components_first(zeros[::-1]))):
         assert _same_bits(dot(x, y), np.sum(x * y, -1))
     # four -0.0 products sum to +0.0, as in np.sum; arctan2 reads that sign
     assert not np.signbit(dot(zeros[1], zeros[2]))
@@ -233,14 +250,27 @@ def test_cross4_is_bitwise_cofactor_expansion():
         (a[..., None, :], b[0], c[0, 0]),         # broadcast to (n, m, m, 4)
         (a[0, 0], b[0, 0], c[0, 0]),              # single vectors
     ]
+    acf, bcf, ccf = (_components_first(x) for x in (a, b, c))
+    cases += [
+        (acf, bcf, ccf),                          # components-first
+        (acf, b, ccf), (a, bcf, c),               # mixed layouts
+        (acf[1:, ::2], b[:-1, ::2], ccf[1:, ::-2]),
+        (a[0, 0], bcf, c[:, :1]),
+        (acf[..., None, :], bcf[0], c[0, 0]),
+    ]
     for x, y, z in cases:
-        assert _same_bits(cross4(x, y, z), _cross4_cofactors(x, y, z))
+        d = cross4(x, y, z)
+        assert _same_bits(d, _cross4_cofactors(x, y, z))
+        # the result is stored components-first, whatever the inputs' layout
+        assert all(d[..., k].flags.c_contiguous for k in range(4))
     signed = np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0],
                        [-0.0, 0.0, 1.0, 0.0], [1.0, -1.0, 0.0, -0.0],
                        [0.0, 0.0, -1.0, -0.0]])
     x, y, z = np.meshgrid(np.arange(5), np.arange(5), np.arange(5), indexing="ij")
     x, y, z = signed[x], signed[y], signed[z]
     assert _same_bits(cross4(x, y, z), _cross4_cofactors(x, y, z))
+    assert _same_bits(cross4(_components_first(x), y, _components_first(z)),
+                      _cross4_cofactors(x, y, z))
     assert np.signbit(cross4(x, y, z)).any()
 
 

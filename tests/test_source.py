@@ -120,9 +120,8 @@ def test_field_kernels_are_called_only_by_the_analysis():
     assert found == []
 
 
-def test_cross4_forms_only_the_normal():
-    # e2 is the metric quarter turn of e1 in contact_angle_field; the one
-    # cross4 call left is the normal in _raw_frames
+def _calls_by_function(is_wanted):
+    """"module.py:function" for each package call is_wanted accepts."""
     found = []
     for path in PACKAGE:
         tree = _tree(path)
@@ -130,8 +129,33 @@ def test_cross4_forms_only_the_normal():
         owner = {id(node): func.name for func in ast.walk(tree)
                  if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
         found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and _callee(node) == "cross4"]
-    assert found == ["surface.py:_raw_frames"]
+                  if isinstance(node, ast.Call) and is_wanted(node)]
+    return found
+
+
+def test_cross4_forms_only_the_normal():
+    # e2 is the metric quarter turn of e1 in contact_angle_field; the one
+    # cross4 call left is the normal in _raw_frames
+    assert _calls_by_function(lambda call: _callee(call) == "cross4") == [
+        "surface.py:_raw_frames"]
+
+
+def _is_four_vector_stack(call):
+    # np.stack of a literal list or tuple of four arrays on the last axis
+    if not (_callee(call) == "stack" and call.args
+            and isinstance(call.args[0], (ast.List, ast.Tuple))):
+        return False
+    items = call.args[0].elts
+    axes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "axis"]
+    return (len(items) == 4 and not any(isinstance(e, ast.Starred) for e in items)
+            and any(_is_last_axis(a) for a in axes))
+
+
+def test_four_vectors_are_built_components_first():
+    # np.stack(..., axis=-1) interleaves the components; a 4-vector field is
+    # built with ambient.stack4, which stores it components-first.  The one
+    # such stack left is the BFS neighbour table, four node indices per node
+    assert _calls_by_function(_is_four_vector_stack) == ["surface.py:_flood_levels"]
 
 
 def test_import_leaves_scipy_unloaded():

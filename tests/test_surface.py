@@ -516,10 +516,22 @@ def test_signed_e1_coordinates_keep_the_dot_zero_sign():
             assert _same_bits(getattr(ff, name), want), name
     row = ff.coeff1[grid.spec.n_u // 2, :, 0]
     assert np.all(row == 0.0) and not np.any(np.signbit(row))
-    # beta crosses -pi along each row; the vectorized unwrap adds its 2 pi
-    # corrections as a running sum, the reference node by node, so the two
-    # may part in the last bits
+    # beta is compared bit for bit in test_fast_unwrap_matches_bfs_across_the_cut
     assert np.max(np.abs(ff.beta - ref["beta"])) < 1e-14
+
+
+def test_fast_unwrap_matches_bfs_across_the_cut():
+    # beta crosses -pi along every row of this chart, so the unwrap adds
+    # 2 pi turns; the vectorized fill must add them as the BFS does,
+    # beta + 2 pi K with an integer K, not as a running sum of corrections
+    grid = sample(_SphereLongitudeFirst(), _SphereLongitudeFirst.spec)
+    ff = contact_angle_field(grid)
+    ref = _reference_frames(grid)
+    assert ff.n_masked == 0
+    xi = reeb(grid.points)
+    turns = np.round((ff.beta - np.arctan2(dot(xi, ff.e3), dot(xi, ff.e2))) / (2 * np.pi))
+    assert np.count_nonzero(turns) > 100
+    assert _same_bits(ff.beta, ref["beta"])
 
 
 @pytest.mark.parametrize("topology_u", ["periodic", "chart"])
