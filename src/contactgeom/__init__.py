@@ -19,8 +19,8 @@ from .calculus import (IdentityReport, ShapeOperatorField, build_analysis,
 from .catalog import (CatalogEntry, clifford, geodesic_sphere, load_samples,
                       perturb, r_torus)
 from .errors import (AmplitudeTooLarge, ContactGeomError, DegenerateContact,
-                     DegenerateMetric, DegenerateParametrization, NotTangent,
-                     OffSphere, ParseError, RangeError, StepTooLarge)
+                     DegenerateParametrization, NotTangent, OffSphere,
+                     ParseError, RangeError, StepTooLarge)
 from .flow import (FlowConfig, FlowReport, area, descend, descend_r_family,
                    flow_step, theorem_probe, willmore_energy)
 from .surface import (FrameField, GridSpec, MetricField, SurfaceGrid,

@@ -13,8 +13,9 @@ x[..., k] is a contiguous array, so the per-component passes of `dot`,
 `cross4`, `jmul` and `perp` read contiguous memory instead of stride-4
 views.  Numpy ufuncs, np.empty_like and in-place updates keep an input's
 layout, so only the places that create a field (the catalog's point maps,
-the sample reader, `cross4` and the stencils in `gridops`) allocate
-components-first; every value is bitwise what the interleaved layout gives.
+`surface._onto_sphere`, which `sample` and the sample-file reader share,
+`cross4` and the stencils in `gridops`) allocate components-first; every
+value is bitwise what the interleaved layout gives.
 
 Conventions fixed here and used everywhere else:
 

@@ -65,16 +65,19 @@ class ShapeOperatorField:
         return float(np.max(np.where(self.mask, 0.0, d)))
 
 
+def _along_frame(frames, f_u, f_v):
+    """(df(e1), df(e2)) from the parameter derivatives f_u, f_v of a scalar f:
+    with e_i = c_iu Xu + c_iv Xv, df(e_i) = c_iu f_u + c_iv f_v."""
+    return [c[..., 0] * f_u + c[..., 1] * f_v for c in (frames.coeff1, frames.coeff2)]
+
+
 def _along_legs(frames, d_u, d_v, leg):
     """(<D_{e1} X, leg>, <D_{e2} X, leg>) from X's parameter derivatives d_u, d_v.
 
-    With e_i = c_iu Xu + c_iv Xv, D_{e_i} X = c_iu d_u + c_iv d_v, so each
-    component is c_iu <d_u, leg> + c_iv <d_v, leg>: two inner products per
-    leg, shared by both e_i, and no derivative 4-vector field is formed.
+    Each component is c_iu <d_u, leg> + c_iv <d_v, leg>: two inner products
+    per leg, shared by both e_i, and no derivative 4-vector field is formed.
     """
-    a_u = ambient.dot(d_u, leg)
-    a_v = ambient.dot(d_v, leg)
-    return [c[..., 0] * a_u + c[..., 1] * a_v for c in (frames.coeff1, frames.coeff2)]
+    return _along_frame(frames, ambient.dot(d_u, leg), ambient.dot(d_v, leg))
 
 
 def shape_operator(grid, frames):
@@ -133,19 +136,11 @@ class FrameGradient:
     beta1: np.ndarray
     beta2: np.ndarray
 
-    @property
-    def norm2(self):
-        return self.beta1 ** 2 + self.beta2 ** 2
-
 
 def frame_gradient(fieldvals, frames, grid):
     """(d f(e1), d f(e2)) from parameter-space derivatives and frame coords."""
     calc = grid.calc
-    fu = calc.du(fieldvals)
-    fv = calc.dv(fieldvals)
-    b1 = frames.coeff1[..., 0] * fu + frames.coeff1[..., 1] * fv
-    b2 = frames.coeff2[..., 0] * fu + frames.coeff2[..., 1] * fv
-    return FrameGradient(beta1=b1, beta2=b2)
+    return FrameGradient(*_along_frame(frames, calc.du(fieldvals), calc.dv(fieldvals)))
 
 
 def laplace_beltrami(fieldvals, metric, grid):
@@ -394,10 +389,13 @@ def refinement_study(entry, identity, levels, band=0.05):
     """Run one identity across nested grids and report norms plus order.
 
     entry is a catalog entry (or anything sample() accepts with a
-    default_spec method); levels are per-axis node counts, at least three.
+    default_spec method); levels are per-axis node counts, at least three,
+    strictly increasing so that the last is the finest.
     """
     if len(levels) < 3:
         raise ValueError("refinement needs at least 3 grid levels")
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"refinement levels must increase strictly, got {levels}")
     if identity not in IDENTITY_VERIFIERS:
         raise KeyError(f"unknown identity {identity!r}")
     specs = [entry.default_spec(int(n)) for n in levels]  # GridSpec checks each n

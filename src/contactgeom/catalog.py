@@ -167,7 +167,7 @@ def perturb(entry, mode=(1, 2), amplitude=0.05):
     derived entry has no analytic partials; downstream code falls back to
     high-order finite differences (partials_are_fd is set).
     """
-    if abs(amplitude) >= 0.2:
+    if not abs(amplitude) < 0.2:
         raise AmplitudeTooLarge(f"|amplitude| = {abs(amplitude)!r} must be < 0.2")
     if entry.default_topology != ("periodic", "periodic"):
         raise RangeError("perturb requires a doubly periodic base entry")
@@ -216,7 +216,10 @@ def names():
 
 
 def build(name, params=None):
-    """Instantiate a catalog entry by name; KeyError for unknown names."""
+    """Instantiate a catalog entry by name; KeyError for unknown names.
+
+    A non-zero eps bumps it in mode (m, n), RangeError unless both are integers.
+    """
     params = dict(params or {})
     key = ALIASES.get(name, name)
     if key not in _FACTORIES:
@@ -224,7 +227,12 @@ def build(name, params=None):
     entry = _FACTORIES[key](params)
     eps = params.get("eps", params.get("amplitude"))
     if eps is not None and float(eps) != 0.0:
-        mode = (int(params.get("m", 1)), int(params.get("n", 2)))
+        mode = []
+        for p, default in (("m", 1), ("n", 2)):
+            k = float(params.get(p, default))
+            if not (math.isfinite(k) and k == int(k)):
+                raise RangeError(f"bump mode {p} = {k!r} is not an integer")
+            mode.append(int(k))
         entry = perturb(entry, mode, float(eps))
     return entry
 

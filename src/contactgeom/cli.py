@@ -26,43 +26,35 @@ from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
                        build_analysis, refinement_passed, refinement_study,
                        verify_curvature_identity, verify_laplacian_identity,
                        verify_minimality)
-from .errors import (AmplitudeTooLarge, ContactGeomError, OffSphere,
-                     ParseError, RangeError)
+from .errors import ContactGeomError, OffSphere, ParseError
 from .flow import FlowConfig, area, descend, descend_r_family, theorem_probe
 from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
                        write_table)
-from .surface import GridSpec
 
 FORMAT_VERSION = "1"
 TRACE_CSV_HEADER = "iteration,energy,max_H,beta_spread"
 
 
-def _fmt_floats(obj):
-    """Round-trip every float through %.12e for deterministic JSON output."""
+def _rounded(obj, where, key="number"):
+    """obj with every float rounded through %.12e, tuples as lists, for
+    deterministic output; ValueError naming the key of a non-finite float
+    and the file it was meant for."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite {key} in {where}")
         return float(FLOAT_FMT % obj)
     if isinstance(obj, dict):
-        return {k: _fmt_floats(v) for k, v in obj.items()}
+        return {k: _rounded(v, where, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_fmt_floats(v) for v in obj]
+        return [_rounded(v, where, key) for v in obj]
     return obj
 
 
 def _write_json(payload, path):
+    """Write a payload _rounded has checked and rounded."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(_fmt_floats(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _check_finite(obj, where="report"):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"non-finite number in {where}")
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v, where)
-    if isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v, where)
 
 
 def _check_finite_table(table, columns, where):
@@ -113,12 +105,9 @@ def _stats(values, mask=None):
 def cmd_analyze(args):
     try:
         grid = _load_surface(args.surface, _parse_params(args.param), args.grid)
-    except (KeyError, RangeError, AmplitudeTooLarge, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OffSphere, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
     an = build_analysis(grid)
     frames = an.frames
@@ -160,7 +149,7 @@ def cmd_analyze(args):
         "area": area(grid),
         "willmore_energy": an.energy,
     }
-    _check_finite(report)
+    report = _rounded(report, "report.json")
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(report, os.path.join(args.out, "report.json"))
@@ -176,7 +165,7 @@ def cmd_verify(args):
         levels = [int(x) for x in args.refine.split(",") if x.strip()]
         entry = catalog.build(args.surface, _parse_params(args.param))
         report = refinement_study(entry, args.identity, levels, band=args.band)
-    except (KeyError, RangeError, AmplitudeTooLarge, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = report.to_dict()
@@ -184,7 +173,7 @@ def cmd_verify(args):
                    bound=IDENTITY_BOUNDS[args.identity],
                    order_threshold=ORDER_THRESHOLD,
                    passed=refinement_passed(report))
-    _check_finite(payload, f"identity_{args.identity}.json")
+    payload = _rounded(payload, f"identity_{args.identity}.json")
     os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, f"identity_{args.identity}.json"))
     for (n, linf, l2, excl) in report.levels:
@@ -200,17 +189,15 @@ def cmd_flow(args):
     try:
         cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol)
         if args.mode == "r-only":
+            if args.grid[0] != args.grid[1]:
+                raise ValueError(f"r-only mode samples n x n tori, got --grid "
+                                 f"{args.grid[0]}x{args.grid[1]}")
             r0 = float(params.get("r", math.pi / 4))
             report, final = descend_r_family(r0, n=args.grid[0], config=cfg)
         else:
             entry = catalog.build(args.surface, params)
-            grid = entry.sample(GridSpec(args.grid[0], args.grid[1],
-                                         entry.default_ranges[0],
-                                         entry.default_ranges[1],
-                                         entry.default_topology[0],
-                                         entry.default_topology[1]))
-            report, final = descend(grid, cfg)
-    except (KeyError, RangeError, AmplitudeTooLarge, ValueError) as exc:
+            report, final = descend(entry.sample(entry.default_spec(*args.grid)), cfg)
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -218,19 +205,17 @@ def cmd_flow(args):
     payload = report.to_dict()
     payload.update(format_version=FORMAT_VERSION, surface=args.surface,
                    probe=probe)
-    _check_finite(payload, "flow_report.json")
-    for row in report.trace:
-        for name, x in zip(TRACE_CSV_HEADER.split(","), row):
-            if isinstance(x, float) and not math.isfinite(x):
-                raise ValueError(f"non-finite {name} in trace.csv "
-                                 f"at iteration {row[0]}")
+    payload = _rounded(payload, "flow_report.json")
+    columns = TRACE_CSV_HEADER.split(",")
+    trace = [_rounded(dict(zip(columns, row)), f"trace.csv at iteration {row[0]}")
+             for row in report.trace]
     os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, "flow_report.json"))
     rows = [TRACE_CSV_HEADER]
-    for (it, E, maxH, dev) in report.trace:
+    for row in trace:
         rows.append(",".join("" if x is None else FLOAT_FMT % x
                              if isinstance(x, float) else str(x)
-                             for x in (it, E, maxH, dev)))
+                             for x in row.values()))
     with open(os.path.join(args.out, "trace.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -244,7 +229,7 @@ def cmd_flow(args):
 def cmd_catalog(args):
     entries = catalog.describe()
     if args.json:
-        print(json.dumps(_fmt_floats(entries), indent=2, sort_keys=True))
+        print(json.dumps(_rounded(entries, "catalog list"), indent=2, sort_keys=True))
         return 0
     print("available surfaces:")
     for e in entries:

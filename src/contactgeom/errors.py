@@ -28,10 +28,6 @@ class DegenerateContact(ContactGeomError):
     """The surface tangent plane coincides with the contact plane (e1 undefined)."""
 
 
-class DegenerateMetric(ContactGeomError):
-    """First fundamental form is not positive definite at some node."""
-
-
 class StepTooLarge(ContactGeomError):
     """A flow step collapsed the parametrization."""
 

@@ -30,6 +30,7 @@ from .errors import DegenerateParametrization, StepTooLarge
 from .surface import tangent_fields
 
 GOLDEN_BRACKET = (0.3, 1.2)
+GOLDEN_TOL = 1e-9  # bracket width at which the r search stops
 # step scale of the former 16x16 spline control basis, which keeps
 # FlowConfig.step = 1 (and --step) at the step length it had there
 STEP_SCALE = (2.0 * math.pi / 16) ** 2
@@ -228,13 +229,13 @@ def descend(grid, config=None):
     return report, an
 
 
-def _golden_min(f, a, b, tol=1e-9):
+def _golden_min(f, a, b):
     """Golden-section minimizer; deterministic, derivative-free."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
+    while abs(b - a) > GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -262,7 +263,7 @@ def descend_r_family(r0, n=32, config=None):
 
     a = max(0.06, min(r0, GOLDEN_BRACKET[0]))
     b = min(math.pi / 2 - 0.06, max(r0, GOLDEN_BRACKET[1]))
-    r_star = _golden_min(E_of, a, b, tol=1e-9)
+    r_star = _golden_min(E_of, a, b)
     an = build_analysis(catalog.r_torus(r_star).sample(n=n))
     report = _final_report(
         an, converged=bool(an.max_H < cfg.tol), iterations=len(cache),

@@ -30,6 +30,9 @@ import numpy as np
 from . import ambient
 
 STENCIL_ACC = 6
+# central stencil of first and second derivatives: STENCIL_ACC + 1 points
+# give order STENCIL_ACC for both
+CENTRAL_OFFSETS = np.arange(-(STENCIL_ACC // 2), STENCIL_ACC // 2 + 1)
 
 
 def fd_weights(xs, x0, m):
@@ -62,18 +65,10 @@ def fd_weights(xs, x0, m):
     return c[:, m]
 
 
-def _central_offsets(m):
-    npts = 2 * ((m + 1) // 2) - 1 + STENCIL_ACC
-    if npts % 2 == 0:
-        npts += 1
-    r = (npts - 1) // 2
-    return np.arange(-r, r + 1)
-
-
 @lru_cache(maxsize=None)
 def diff_matrix(n, h, m, periodic):
-    """Dense n x n differentiation matrix for the m-th derivative, step h."""
-    offs = _central_offsets(m)
+    """Dense n x n differentiation matrix for the m-th derivative (1 or 2), step h."""
+    offs = CENTRAL_OFFSETS
     r = offs[-1]
     w = fd_weights(offs * h, 0.0, m)
     D = np.zeros((n, n))

@@ -34,8 +34,8 @@ one of the digits 0..9.
 
 import numpy as np
 
-from . import ambient
-from .errors import OffSphere, ParseError
+from .errors import ParseError
+from .surface import GridSpec, SurfaceGrid, _onto_sphere
 
 FORMAT_MAGIC = "S3SAMPLES"
 FORMAT_VERSION = "v1"
@@ -43,9 +43,6 @@ FLOAT_FMT = "%.12e"
 FIELDS_CSV_HEADER = "u,v,x1,y1,x2,y2,beta,K,H,res_curvature,res_laplacian,masked"
 FIELDS_ROW_FMT = ",".join([FLOAT_FMT] * 11) + ",%d"
 SAMPLE_ROW_FMT = " ".join([FLOAT_FMT] * 6)
-
-_OFF_SPHERE_TOL = 1e-6
-
 
 # Cells with 1e-32 <= |x| < 1e57 are formatted from digits: their scale
 # exponent p = 12 - k has |p| <= 44 and splits into two exact powers of ten.
@@ -195,19 +192,6 @@ def _parse_floats(tokens, lineno):
         raise ParseError(f"bad float: {exc}", line=lineno) from None
 
 
-def _onto_sphere(points):
-    """points divided by their norms, stored components-first; OffSphere when
-    a norm is off 1 by more than the file tolerance."""
-    norms = ambient.norm(points)
-    dev = np.abs(norms - 1.0)
-    if np.any(dev > _OFF_SPHERE_TOL):
-        ij = np.unravel_index(np.argmax(dev), dev.shape)
-        raise OffSphere(
-            f"node {tuple(int(k) for k in ij)} has norm deviating by "
-            f"{dev[ij]:.3e} from 1", node=tuple(int(k) for k in ij))
-    return np.divide(points, norms[..., None], out=ambient.empty4(norms.shape))
-
-
 def _grid_from_columns(u, v, pts4, linenos):
     """Reconstruct a grid (nu, nv, ranges, topologies) from flat u/v columns.
 
@@ -216,8 +200,6 @@ def _grid_from_columns(u, v, pts4, linenos):
     tensor-product shape, or the first row of the first u-block (v-column)
     whose step from the one before differs from the first step.
     """
-    from .surface import GridSpec, SurfaceGrid
-
     total = len(u)
     nv = 1
     while nv < total and u[nv] == u[0]:
@@ -288,9 +270,11 @@ def _parse_rows(rows, lines, sep, n_cols, n_keep):
 
 
 def read_samples(path):
-    """Parse a native sample file or a fields.csv export into a SurfaceGrid."""
-    from .surface import GridSpec, SurfaceGrid
+    """Parse a native sample file or a fields.csv export into a SurfaceGrid.
 
+    Raises ParseError naming the line of a malformed file, and OffSphere
+    naming the node whose point is off S^3 or not finite.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:

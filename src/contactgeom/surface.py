@@ -39,13 +39,13 @@ from functools import cached_property
 import numpy as np
 
 from . import ambient
-from .errors import (DegenerateContact, DegenerateMetric,
-                     DegenerateParametrization, OffSphere)
+from .errors import DegenerateContact, DegenerateParametrization, OffSphere
 from .gridops import GridCalc
 
 OFF_SPHERE_TOL = 1e-6
 GRAM_DET_TOL = 1e-10
 DEGENERACY_TOL = 1e-9   # mask when |<xi, n>| > 1 - DEGENERACY_TOL
+MAX_MASKED_FRACTION = 0.2
 
 _TOPOLOGIES = ("periodic", "chart")
 
@@ -97,10 +97,19 @@ class GridSpec:
         return np.meshgrid(self.us, self.vs, indexing="ij", sparse=sparse)
 
 
+def _worst_node(x):
+    """Node of the largest entry of x, or of its first NaN, as a tuple of ints."""
+    return tuple(int(k) for k in np.unravel_index(np.argmax(x), x.shape))
+
+
 @dataclass
 class MetricField:
     """First fundamental form in the (Xu, Xv) basis; det, inv and sqrt_det
-    are formed on first read, once per metric."""
+    are formed on first read, once per metric.
+
+    Raises DegenerateParametrization, naming the node, unless the Gram
+    determinant is at least GRAM_DET_TOL everywhere (a NaN entry fails).
+    """
 
     E: np.ndarray
     F: np.ndarray
@@ -108,11 +117,10 @@ class MetricField:
 
     def __post_init__(self):
         det = self.det
-        if np.any(det <= 1e-12):
-            ij = tuple(int(k) for k in np.unravel_index(np.argmin(det), det.shape))
-            raise DegenerateMetric(
-                f"metric determinant {det[ij]:.3e} at node {ij} is not positive",
-                node=ij)
+        if not np.all(det >= GRAM_DET_TOL):
+            ij = _worst_node(-det)
+            raise DegenerateParametrization(
+                f"tangent Gram determinant {det[ij]:.3e} at node {ij}", node=ij)
 
     @cached_property
     def det(self):
@@ -160,20 +168,29 @@ class SurfaceGrid:
         z = self.points
         Xu = Xu - ambient.dot(Xu, z)[..., None] * z
         Xv = Xv - ambient.dot(Xv, z)[..., None] * z
-        E = ambient.dot(Xu, Xu)
-        F = ambient.dot(Xu, Xv)
-        G = ambient.dot(Xv, Xv)
-        det = E * G - F * F
-        if np.any(det < GRAM_DET_TOL):
-            ij = np.unravel_index(np.argmin(det), det.shape)
-            raise DegenerateParametrization(
-                f"tangent Gram determinant {det[ij]:.3e} at node "
-                f"{tuple(int(k) for k in ij)}", node=tuple(int(k) for k in ij))
-        return Xu, Xv, MetricField(E, F, G)
+        return Xu, Xv, MetricField(ambient.dot(Xu, Xu), ambient.dot(Xu, Xv),
+                                   ambient.dot(Xv, Xv))
 
-    def with_points(self, points, partials=None, label=None):
-        return SurfaceGrid(self.spec, points, partials,
-                           self.label if label is None else label)
+    def with_points(self, points):
+        """A grid on other points with this grid's spec and label, and no
+        analytic partials."""
+        return SurfaceGrid(self.spec, points, label=self.label)
+
+
+def _onto_sphere(points):
+    """points divided by their norms, stored components-first.
+
+    Raises OffSphere, naming the node, when a norm is off 1 by more than
+    OFF_SPHERE_TOL or is NaN; sample and the sample-file reader both
+    normalize through here.
+    """
+    norms = ambient.norm(points)
+    dev = np.abs(norms - 1.0)
+    if not np.all(dev <= OFF_SPHERE_TOL):
+        ij = _worst_node(dev)
+        raise OffSphere(f"node {ij} is off S^3 by {dev[ij]:.3e} "
+                        f"(norm {norms[ij]:.6f}) before normalization", node=ij)
+    return np.divide(points, norms[..., None], out=ambient.empty4(norms.shape))
 
 
 def sample(definition, spec, label=None):
@@ -186,22 +203,14 @@ def sample(definition, spec, label=None):
     as the catalog entries do, so a factor that depends on one parameter
     is evaluated once per node of its axis.
 
-    Raises OffSphere when any evaluated point deviates from unit norm by
-    more than 1e-6 before normalization.
+    Raises OffSphere, naming the node, when an evaluated point deviates
+    from unit norm by more than 1e-6 before normalization, or when an
+    analytic partial has |<df, f>| above 1e-10.
     """
     entry = hasattr(definition, "point")
     U, V = spec.mesh(sparse=entry)
     point = definition.point if entry else definition
-    pts = np.asarray(point(U, V), float)
-    norms = ambient.norm(pts)
-    dev = np.abs(norms - 1.0)
-    if np.any(dev > OFF_SPHERE_TOL):
-        ij = np.unravel_index(np.argmax(dev), dev.shape)
-        raise OffSphere(
-            f"node {tuple(int(k) for k in ij)} is off S^3 by {dev[ij]:.3e} "
-            f"(norm {norms[ij]:.6f}) before normalization",
-            node=tuple(int(k) for k in ij))
-    pts = pts / norms[..., None]
+    pts = _onto_sphere(np.asarray(point(U, V), float))
 
     partials = None
     d1 = getattr(definition, "d1", None)
@@ -210,9 +219,11 @@ def sample(definition, spec, label=None):
         partials = {"fu": np.asarray(fu, float), "fv": np.asarray(fv, float)}
         for key in ("fu", "fv"):
             tang = np.abs(ambient.dot(partials[key], pts))
-            if np.any(tang > 1e-10):
-                raise OffSphere("analytic partials are not tangent to the sampled "
-                                f"points (max |<df, f>| = {tang.max():.3e})")
+            if not np.all(tang <= 1e-10):
+                ij = _worst_node(tang)
+                raise OffSphere(f"analytic partial {key} is not tangent to the "
+                                f"sampled point at node {ij} "
+                                f"(|<df, f>| = {tang[ij]:.3e})", node=ij)
     if label is None:
         label = getattr(definition, "name", getattr(definition, "__name__", "surface"))
     return SurfaceGrid(spec, pts, partials, label)
@@ -399,24 +410,24 @@ def _unwrap_fast(beta):
     return beta + two_pi * turns
 
 
-def contact_angle_field(grid, max_masked_fraction=0.2):
+def contact_angle_field(grid):
     """Adapted frames and signed contact angle over a whole grid.
 
     e1's sign propagates by continuity from a seed chosen so that
     <e1, Xu> >= 0 there; beta is then unwrapped along the same tree so the
     field is continuous wherever the frames are.  Contact-degenerate nodes
-    are masked; the call fails only if more than max_masked_fraction of the
+    are masked; the call fails only if more than MAX_MASKED_FRACTION of the
     nodes are masked.
     """
     Xu, Xv = tangent_fields(grid)
     e1, e3, mask, xi, xin = _raw_frames(grid.points, Xu, Xv)
 
     n_masked = int(mask.sum())
-    if n_masked > max_masked_fraction * mask.size:
-        ij = tuple(int(k) for k in np.unravel_index(np.argmax(mask), mask.shape))
+    if n_masked > MAX_MASKED_FRACTION * mask.size:
+        ij = _worst_node(mask)
         raise DegenerateContact(
             f"{n_masked} of {mask.size} nodes are contact-degenerate "
-            f"(> {max_masked_fraction:.0%}), the first at node {ij}", node=ij)
+            f"(> {MAX_MASKED_FRACTION:.0%}), the first at node {ij}", node=ij)
 
     e1_dot_xu = ambient.dot(e1, Xu)
     if n_masked == 0:

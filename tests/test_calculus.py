@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactgeom import calculus
-from contactgeom import (DegenerateContact, DegenerateMetric,
-                         DegenerateParametrization, GridSpec, build_analysis,
+from contactgeom import (DegenerateContact, DegenerateParametrization,
+                         GridSpec, build_analysis,
                          first_fundamental_form, frame_gradient,
                          gaussian_curvature_intrinsic,
                          laplace_beltrami, refinement_study, sample,
@@ -115,12 +115,16 @@ def test_flat_metric_gives_zero_at_roundoff():
 
 
 def test_degenerate_metric_names_node():
-    E = np.ones((8, 8))
-    E[3, 5] = 0.0
-    with pytest.raises(DegenerateMetric) as exc:
-        MetricField(E=E, F=np.zeros((8, 8)), G=np.ones((8, 8)))
-    assert exc.value.node == (3, 5)
-    assert "(3, 5)" in str(exc.value)
+    # MetricField is the one Gram check: a determinant below GRAM_DET_TOL or
+    # a NaN entry raises, naming the node
+    for node, value in (((3, 5), 0.0), ((3, 5), 1e-11), ((6, 2), np.nan)):
+        E = np.ones((8, 8))
+        E[node] = value
+        E[7, 7] = 2.0 * value  # a second bad node, not the worst
+        with pytest.raises(DegenerateParametrization) as exc:
+            MetricField(E=E, F=np.zeros((8, 8)), G=np.ones((8, 8)))
+        assert exc.value.node == node
+        assert str(node) in str(exc.value)
 
 
 def test_intrinsic_extrinsic_agreement_128():

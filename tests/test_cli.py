@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from contactgeom import cli, contact_angle_field, flow, load_samples
+from contactgeom import (OffSphere, cli, clifford, contact_angle_field, flow,
+                         load_samples)
 from contactgeom.calculus import (IdentityReport, ShapeOperatorField,
                                   build_analysis)
 from contactgeom.cli import main
@@ -162,6 +163,23 @@ def test_analyze_off_sphere_file(tmp_path):
     assert run(["analyze", "--surface", str(bad), "--out", str(tmp_path)]) == 3
 
 
+def test_nan_sample_coordinate_is_off_sphere(tmp_path):
+    path = tmp_path / "nan.s3"
+    write_samples(clifford().sample(n=8), str(path))
+    lines = path.read_text().splitlines()
+    row = 1 + 8 * 2 + 6  # node (2, 6), after the header line
+    cells = lines[row].split()
+    cells[4] = "nan"  # its x2
+    lines[row] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(OffSphere) as err:
+        load_samples(str(path))
+    assert err.value.node == (2, 6)
+    out = tmp_path / "o"
+    assert run(["analyze", "--surface", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_verify_curvature_sphere(tmp_path):
     assert run(["verify", "--surface", "geodesic_sphere", "--identity",
                 "curvature", "--refine", "32,64,128", "--out", str(tmp_path)]) == 0
@@ -195,8 +213,19 @@ def test_verify_needs_three_levels(tmp_path):
     ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
      "--refine", "16,24,32", "--band", "nan"],
     ["flow", "--surface", "clifford", "--step", "1e300"],
+    ["analyze", "--surface", "clifford", "--param", "eps=nan", "--grid", "16x16"],
+    ["analyze", "--surface", "clifford", "--param", "eps=0.05", "--param", "m=1e400",
+     "--grid", "16x16"],
+    ["analyze", "--surface", "clifford", "--param", "eps=0.05", "--param", "m=2.7",
+     "--grid", "16x16"],
+    ["verify", "--surface", "geodesic_sphere", "--identity", "gauss",
+     "--refine", "32,32,32"],
+    ["verify", "--surface", "geodesic_sphere", "--identity", "gauss",
+     "--refine", "64,32,16"],
+    ["flow", "--surface", "rtorus", "--mode", "r-only", "--grid", "16x40"],
 ], ids=["refine-token", "refine-below-8", "step-0", "tol-negative", "steps-negative",
-        "band-negative", "band-nan", "step-1e300"])
+        "band-negative", "band-nan", "step-1e300", "eps-nan", "mode-1e400",
+        "mode-fractional", "refine-repeated", "refine-decreasing", "r-only-not-square"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2

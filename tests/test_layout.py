@@ -27,9 +27,11 @@ def _is_components_first(x):
 def test_vector_fields_are_stored_components_first(tmp_path):
     grids = {name: build(name).sample(n=32) for name in names()}
     grids["bump"] = perturb(clifford(), (1, 2), 0.05).sample(n=32)
+    # _cap is a plain callable returning an interleaved array
+    grids["cap"] = sample(_cap, GridSpec(17, 17, (-0.3, 0.3), (-0.3, 0.3),
+                                         "chart", "chart"))
     path = tmp_path / "cap.s3"
-    write_samples(sample(_cap, GridSpec(17, 17, (-0.3, 0.3), (-0.3, 0.3),
-                                        "chart", "chart")), path)
+    write_samples(grids["cap"], path)
     grids["cap file"] = read_samples(path)
     rep, final = descend(perturb(clifford(), (1, 2), 0.05).sample(n=16),
                          FlowConfig(max_iter=1, tol=1e-12))
@@ -47,7 +49,7 @@ def test_vector_fields_are_stored_components_first(tmp_path):
             assert x.shape == grid.points.shape, (label, name)
             assert _is_components_first(x), (label, name)
     # the cap's centre is contact-degenerate, so its frames take the masked fill
-    assert masked["cap file"] == 1
+    assert masked["cap"] == masked["cap file"] == 1
 
 
 def _interleaved(D, F, axis):

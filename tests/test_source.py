@@ -165,3 +165,33 @@ def test_import_leaves_scipy_unloaded():
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _error_classes():
+    """ContactGeomError and the names of its subclasses in errors.py."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in _tree(ROOT / "src" / "contactgeom" / "errors.py").body
+             if isinstance(node, ast.ClassDef)}
+    found = {"ContactGeomError"}
+    while True:
+        more = {name for name, parents in bases.items() if parents & found} - found
+        if not more:
+            return found
+        found |= more
+
+
+def test_cli_maps_package_errors_only_in_main():
+    # main maps every ContactGeomError to its exit code and error: line; a
+    # handler that catches one in a cmd_* function is a second copy of that map
+    errors = _error_classes()
+    tree = _tree(ROOT / "src" / "contactgeom" / "cli.py")
+    owner = {id(node): func.name for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.type)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            found += [f"{owner.get(id(node))}:{name}" for name in sorted(names & errors)]
+    assert found and all(f.startswith("main:") for f in found), found

@@ -81,6 +81,27 @@ def test_sample_off_sphere_rejected():
         sample(bad, spec)
 
 
+@pytest.mark.parametrize("bad", [1e-6, np.nan])
+def test_sample_names_worst_non_tangent_partial(bad):
+    # fv leaves the tangent space at two nodes; (5, 2) is the worse one, or
+    # the first NaN in row-major order
+    entry = clifford()
+
+    def d1(U, V):
+        fu, fv = entry.d1(U, V)
+        p = entry.point(U, V)
+        fv = fv.copy()
+        fv[5, 2] += bad * p[5, 2]
+        fv[6, 1] += 0.5 * bad * p[6, 1]
+        return fu, fv
+
+    with pytest.raises(OffSphere) as err:
+        sample(collections.namedtuple("Bent", "point d1")(entry.point, d1),
+               entry.default_spec(8))
+    assert err.value.node == (5, 2)
+    assert "fv" in str(err.value) and "node (5, 2)" in str(err.value)
+
+
 def test_tangent_pair_clifford_lengths():
     grid = clifford().sample(n=32)
     Xu, Xv = tangent_fields(grid)
@@ -259,7 +280,7 @@ def test_degenerate_fraction_guard():
     with pytest.raises(DegenerateContact) as err:
         contact_angle_field(grid)
     # the error names the first masked node in row-major order
-    mask = contact_angle_field(grid, max_masked_fraction=1.0).mask
+    mask = _raw_frames(grid.points, *tangent_fields(grid))[2]
     first = tuple(int(k) for k in np.argwhere(mask)[0])
     assert err.value.node == first
     assert f"node {first}" in str(err.value)
