@@ -12,10 +12,12 @@ and handed out as the (..., 4) view np.moveaxis(block, 0, -1) (`stack4`,
 x[..., k] is a contiguous array, so the per-component passes of `dot`,
 `cross4`, `jmul` and `perp` read contiguous memory instead of stride-4
 views.  Numpy ufuncs, np.empty_like and in-place updates keep an input's
-layout, so only the places that create a field (the catalog's point maps,
-`surface._onto_sphere`, which `sample` and the sample-file reader share,
-`cross4` and the stencils in `gridops`) allocate components-first; every
-value is bitwise what the interleaved layout gives.
+layout, so only the places that create a field allocate it: the catalog's
+point maps (`stack4`), `surface._onto_sphere`, which `sample` and the
+sample-file reader share, and `cross4` (both `empty4`), and the `gridops`
+stencils, which write each result into one C-contiguous (4, n_u, n_v)
+block of their own.  Every value is bitwise what the interleaved layout
+gives.
 
 Conventions fixed here and used everywhere else:
 

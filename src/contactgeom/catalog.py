@@ -215,16 +215,30 @@ def names():
     return sorted(_FACTORIES)
 
 
+# the normal bump build applies to a doubly periodic entry: amplitude (eps is
+# its short name) and mode (m, n)
+BUMP_PARAMS = ("amplitude", "eps", "m", "n")
+
+
 def build(name, params=None):
     """Instantiate a catalog entry by name; KeyError for unknown names.
 
-    A non-zero eps bumps it in mode (m, n), RangeError unless both are integers.
+    An entry takes the parameters in its schema, and a doubly periodic one
+    also the bump's BUMP_PARAMS; RangeError names any other.  A non-zero eps
+    bumps it in mode (m, n), RangeError unless both are integers.
     """
     params = dict(params or {})
     key = ALIASES.get(name, name)
     if key not in _FACTORIES:
         raise KeyError(f"unknown catalog surface {name!r}; known: {names()}")
     entry = _FACTORIES[key](params)
+    accepted = set(entry.schema)
+    if entry.default_topology == ("periodic", "periodic"):
+        accepted.update(BUMP_PARAMS)
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise RangeError(f"unknown parameter {unknown[0]!r} for {key}; accepted: "
+                         f"{', '.join(sorted(accepted)) or 'none'}")
     eps = params.get("eps", params.get("amplitude"))
     if eps is not None and float(eps) != 0.0:
         mode = []

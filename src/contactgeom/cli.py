@@ -189,6 +189,13 @@ def cmd_flow(args):
     try:
         cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol)
         if args.mode == "r-only":
+            if catalog.ALIASES.get(args.surface, args.surface) != "rtorus":
+                raise ValueError(f"r-only mode descends the rtorus family, not "
+                                 f"--surface {args.surface}")
+            ignored = sorted(set(params) - {"r"})
+            if ignored:
+                raise ValueError(f"r-only mode reads only --param r, got "
+                                 f"{', '.join(ignored)}")
             if args.grid[0] != args.grid[1]:
                 raise ValueError(f"r-only mode samples n x n tori, got --grid "
                                  f"{args.grid[0]}x{args.grid[1]}")

@@ -1,11 +1,17 @@
-"""Dead-code and dependency guards over the package source, using only the
-standard library."""
+"""Dead-code, dependency and structure guards over the package source.  The
+source guards parse it with the standard library's ast; one guard also
+measures the stencil weights a grid holds."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
+
+from contactgeom.gridops import GridCalc
+from contactgeom.surface import GridSpec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "contactgeom").glob("*.py"))
@@ -156,6 +162,27 @@ def test_four_vectors_are_built_components_first():
     # built with ambient.stack4, which stores it components-first.  The one
     # such stack left is the BFS neighbour table, four node indices per node
     assert _calls_by_function(_is_four_vector_stack) == ["surface.py:_flood_levels"]
+
+
+def test_stencils_use_no_tensordot():
+    # the stencils are banded row blocks, one small gemm per block; a dense
+    # n x n tensordot is the O(n^3) path they replaced
+    found = [f"{path.name}:{node.lineno}" for path in PACKAGE
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "tensordot"
+             or isinstance(node, ast.Name) and node.id == "tensordot"
+             or isinstance(node, ast.alias) and node.name == "tensordot"]
+    assert found == []
+
+
+@pytest.mark.parametrize("topology", [("periodic", "periodic"), ("chart", "periodic")])
+def test_a_512_grid_holds_under_1_mib_of_stencil_weights(topology):
+    # the four dense 512 x 512 operators took 8 MiB; the row blocks keep the
+    # band only, and identical interior blocks share one array
+    calc = GridCalc(GridSpec(512, 512, (0.2, 3.0), (0.0, 6.0), *topology))
+    weights = {id(b.W): b.W.nbytes for op in (calc.Du, calc.Dv, calc.Duu, calc.Dvv)
+               for b in op}
+    assert 0 < sum(weights.values()) < 2 ** 20
 
 
 def test_import_leaves_scipy_unloaded():
