@@ -5,18 +5,22 @@ Points and vectors are stored as real 4-vectors in the order
 exact rather than reconstructed from complex parts.  All functions accept
 plain arrays of shape (..., 4) and broadcast; `dot` is the one real inner
 product and `norm` the one length every other module uses for 4-vectors.
+`kahler(a, b)` = <i a, b> is the Kahler form, bit for bit dot(jmul(a), b)
+without the jmul temporary; the frames read the Reeb components
+<v, xi(z)> = kahler(z, v) and sin(beta) through it.  `cross4` forms the
+surface normal, in `surface._unit_normal` alone.
 
 Storage: a 4-vector field is allocated as one C-contiguous (4, ...) block
 and handed out as the (..., 4) view np.moveaxis(block, 0, -1) (`stack4`,
 `empty4`).  Its shape is the one every caller indexes, but each component
 x[..., k] is a contiguous array, so the per-component passes of `dot`,
-`cross4`, `jmul` and `perp` read contiguous memory instead of stride-4
-views.  Numpy ufuncs, np.empty_like and in-place updates keep an input's
-layout, so only the places that create a field allocate it: the catalog's
-point maps (`stack4`), `surface._onto_sphere`, which `sample` and the
-sample-file reader share, and `cross4` (both `empty4`), and the `gridops`
-stencils, which write each result into one C-contiguous (4, n_u, n_v)
-block of their own.  Every value is bitwise what the interleaved layout
+`kahler`, `cross4`, `jmul` and `perp` read contiguous memory instead of
+stride-4 views.  Numpy ufuncs, np.empty_like and in-place updates keep an
+input's layout, so only the places that create a field allocate it: the
+catalog's point maps (`stack4`), `surface._onto_sphere`, which `sample`
+and the sample-file reader share, and `cross4` (both `empty4`), and the
+`gridops` stencils, which write each result into one C-contiguous
+(4, n_u, n_v) block of their own.  Every value is bitwise what the interleaved layout
 gives.
 
 Conventions fixed here and used everywhere else:
@@ -72,6 +76,21 @@ def dot(a, b):
     out += a[..., 1] * b[..., 1]
     out += a[..., 2] * b[..., 2]
     out += a[..., 3] * b[..., 3]
+    return out
+
+
+def kahler(a, b):
+    """Kahler form omega(a, b) = <i a, b>, broadcasting over leading axes.
+
+    The four products are added onto +0.0 in the order of dot(jmul(a), b),
+    each negated one subtracted, so the two agree bit for bit without the
+    (..., 4) temporary jmul(a).  <v, xi(z)> is kahler(z, v).
+    """
+    a, b = _vec(a), _vec(b)
+    out = 0.0 - a[..., 1] * b[..., 0]
+    out += a[..., 0] * b[..., 1]
+    out -= a[..., 3] * b[..., 2]
+    out += a[..., 2] * b[..., 3]
     return out
 
 
@@ -135,8 +154,7 @@ def contact_project(z, v):
     v = _vec(v)
     if np.any(np.abs(dot(v, z)) > TANGENT_TOL):
         raise NotTangent("vector is not tangent to S^3 at the base point")
-    xi = reeb(z)
-    return v - dot(v, xi)[..., None] * xi
+    return v - kahler(z, v)[..., None] * reeb(z)
 
 
 def frame_derivative_check(z, v, h):

@@ -71,13 +71,21 @@ def _along_frame(frames, f_u, f_v):
     return [c[..., 0] * f_u + c[..., 1] * f_v for c in (frames.coeff1, frames.coeff2)]
 
 
-def _along_legs(frames, d_u, d_v, leg):
-    """(<D_{e1} X, leg>, <D_{e2} X, leg>) from X's parameter derivatives d_u, d_v.
+def _along_legs(frames, calc, X, legs):
+    """[(<D_{e1} X, leg>, <D_{e2} X, leg>) for each leg] from X's parameter
+    derivatives.
 
-    Each component is c_iu <d_u, leg> + c_iv <d_v, leg>: two inner products
-    per leg, shared by both e_i, and no derivative 4-vector field is formed.
+    Each component is c_iu <d_u X, leg> + c_iv <d_v X, leg>: two inner
+    products per leg, shared by both e_i, and no D_{e_i} X field is formed.
+    d_u X is reduced to its inner products and released before d_v X is
+    formed, so one derivative field is alive at a time.
     """
-    return _along_frame(frames, ambient.dot(d_u, leg), ambient.dot(d_v, leg))
+    per_axis = []
+    for diff in (calc.du, calc.dv):
+        d = diff(X)
+        per_axis.append([ambient.dot(d, leg) for leg in legs])
+        del d
+    return [_along_frame(frames, r_u, r_v) for r_u, r_v in zip(*per_axis)]
 
 
 def shape_operator(grid, frames):
@@ -87,12 +95,12 @@ def shape_operator(grid, frames):
     (see _along_legs); inner products against tangent frame legs discard
     ambient normal parts.
     """
-    calc = grid.calc
-    de3_u = calc.du(frames.e3)
-    de3_v = calc.dv(frames.e3)
+    # the lazy e2 is formed before e3 is differentiated, not while a
+    # derivative field is alive
+    legs = (frames.e1, frames.e2)
     S = np.empty(frames.beta.shape + (2, 2))
-    for j, leg in enumerate((frames.e1, frames.e2)):
-        for i, d in enumerate(_along_legs(frames, de3_u, de3_v, leg)):
+    for j, along in enumerate(_along_legs(frames, grid.calc, frames.e3, legs)):
+        for i, d in enumerate(along):
             np.negative(d, out=S[..., i, j])
     S[frames.mask] = 0.0
     return ShapeOperatorField(S=S, mask=frames.mask)
@@ -112,7 +120,7 @@ def gaussian_curvature_intrinsic(metric, grid):
     Fu, Fv = calc.du(F), calc.dv(F)
     Evv = calc.dvv(E)
     Guu = calc.duu(G)
-    Fuv = calc.du(calc.dv(F))
+    Fuv = calc.du(Fv)
 
     def det3(row0, row1, row2):
         a, b, c = row0
@@ -303,8 +311,7 @@ def build_analysis(grid, band=TAN_BAND_DEFAULT):
 
 
 def _connection_residuals(grid, frames, gb, tan_beta):
-    calc = grid.calc
-    comp = _along_legs(frames, calc.du(frames.e2), calc.dv(frames.e2), frames.e1)
+    comp, = _along_legs(frames, grid.calc, frames.e2, (frames.e1,))
     res1 = comp[0] - tan_beta * gb.beta2
     res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
     return res1, res2

@@ -15,7 +15,7 @@ from . import ambient
 from . import surface as surf
 from .errors import AmplitudeTooLarge, RangeError
 from .sampleio import read_samples
-from .surface import GridSpec, _raw_frames
+from .surface import GridSpec, _contact_sine, _unit_normal
 
 
 @dataclass
@@ -151,13 +151,15 @@ def geodesic_sphere():
 
 
 def _base_normal(entry, U, V):
-    """Gauge-invariant surface normal e3 of an analytic entry at (U, V)."""
+    """Gauge-invariant surface normal e3 of an analytic entry at (U, V), and
+    the frames' contact-degeneracy mask there."""
     pts = np.asarray(entry.point(U, V), float)
     pts = pts / ambient.norm(pts)[..., None]
-    fu, fv = entry.d1(U, V)
-    _, e3, mask, _, _ = _raw_frames(pts, np.asarray(fu, float),
-                                       np.asarray(fv, float))
-    return pts, e3, mask
+    fu, fv = (np.asarray(d, float) for d in entry.d1(U, V))
+    metric = surf.MetricField(ambient.dot(fu, fu), ambient.dot(fu, fv),
+                              ambient.dot(fv, fv))
+    _, mask = _contact_sine(fu, fv, metric.sqrt_det)
+    return pts, _unit_normal(pts, fu, fv), mask
 
 
 def perturb(entry, mode=(1, 2), amplitude=0.05):

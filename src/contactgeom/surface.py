@@ -10,18 +10,23 @@ The adapted frame at a non-degenerate surface point consists of
   coordinates c1; (e1, e2) is positively oriented relative to (Xu, Xv) by
   construction, and e2 takes its sign from e1;
 * e3: the surface normal inside T S^3 completing (e1, e2, e3) to the
-  orientation of the canonical frame (z_perp, i z_perp, i z).
+  orientation of the canonical frame (z_perp, i z_perp, i z), the
+  normalized cross4(z, Xu, Xv).
 
 The contact angle is stored as the smooth signed angle
 
     beta = atan2(<xi, e3>, <xi, e2>),
 
 unwrapped along the flood fill, so that cos(beta) = <xi, e2> and
-sin(beta) = <xi, e3> hold exactly and beta is differentiable wherever the
-surface stays away from contact degeneracy.  Folding beta into [0, pi]
-would destroy differentiability wherever the signed angle crosses zero
-(the great sphere's equator, for instance), which is why the signed field
-is the primitive object here.
+sin(beta) = <xi, e3> hold to roundoff and beta is differentiable wherever
+the surface stays away from contact degeneracy.  Folding beta into
+[0, pi] would destroy differentiability wherever the signed angle crosses
+zero (the great sphere's equator, for instance), which is why the signed
+field is the primitive object here.  Both components come from per-node
+scalars, not from the legs: <xi, e3> is the Kahler form <i Xu, Xv> over
+sqrt(det g), and <xi, e2> is c2u <xi, Xu> + c2v <xi, Xv> with e2's
+coordinates c2.  So the frame build forms only e1 among the 4-vector legs;
+e2 and e3 are formed on their first read (FrameField).
 
 Everything in this module is a pure function of its inputs; the only
 sequential piece is the sign/unwrap propagation, which follows a fixed
@@ -29,8 +34,8 @@ spanning tree, so results never depend on evaluation order.  The tangent
 pair and its Gram matrix (MetricField) are formed once per grid and cached
 on it as SurfaceGrid.geometry; every consumer reads that copy.  Within the
 frame build each quantity takes one full-grid pass: <xi, e3> serves both
-the contact mask and beta's numerator, and <Xu, e1> both the seed sign and
-e1's coordinates.
+the contact mask and beta's numerator, <Xu, xi> and <Xv, xi> both e1 and
+beta's denominator, and <Xu, e1> both the seed sign and e1's coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -245,49 +250,93 @@ class FrameField:
 
     coeff1/coeff2 hold the (Xu, Xv)-coordinates of e1/e2, used to take
     directional derivatives along frame legs with parameter-space stencils.
-    mask flags contact-degenerate nodes (frames meaningless there).
+    mask flags contact-degenerate nodes (frames meaningless there).  e1,
+    beta and the coordinates are formed with the frames; e2, e3 and the
+    holonomy count sign_mismatches are formed from the grid on first read,
+    so a consumer that reads only beta and the coordinates never forms a
+    4-vector leg past e1.
     """
 
+    grid: SurfaceGrid = field(repr=False)
     e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
     beta: np.ndarray
     coeff1: np.ndarray
     coeff2: np.ndarray
     mask: np.ndarray
     n_masked: int = 0
     seed_sign: int = 1
-    sign_mismatches: int = field(default=0)  # flood-fill cross-edge holonomy count
+
+    @cached_property
+    def e2(self):
+        """c2u Xu + c2v Xv, the metric quarter turn of e1, formed one
+        component at a time into a single field."""
+        Xu, Xv = self.grid.geometry[:2]
+        c2u, c2v = self.coeff2[..., 0], self.coeff2[..., 1]
+        e2 = ambient.empty4(c2u.shape)
+        for k in range(4):
+            np.multiply(c2u, Xu[..., k], out=e2[..., k])
+            e2[..., k] += c2v * Xv[..., k]
+        return e2
+
+    @cached_property
+    def e3(self):
+        """The unit normal of the tangent pair; see _unit_normal."""
+        Xu, Xv = self.grid.geometry[:2]
+        return _unit_normal(self.grid.points, Xu, Xv)
+
+    @cached_property
+    def sign_mismatches(self):
+        """Flood-fill cross-edge holonomy count; see _sign_mismatches."""
+        return _sign_mismatches(self.grid.spec, self.e1, self.mask)
 
 
-def _raw_frames(z, Xu, Xv):
-    """Vectorized pre-gauge construction of the normal and the contact leg.
+def _unit_normal(z, Xu, Xv):
+    """The surface normal e3 inside T_z S^3: cross4(z, Xu, Xv), normalized.
 
-    Returns (e1, e3, mask, xi, xin) where e1's sign is arbitrary per node
-    (fixed later by the flood fill) and xin = <xi, e3>, the numerator of
-    beta; contact_angle_field forms e2 from the signed e1.
-
-    e3 is the normalized 4D cross product of (z, Xu, Xv), so it satisfies
-    det[z, e1, e2, e3] = +1, the canonical-frame orientation, for any
-    (e1, e2) positively oriented against (Xu, Xv), and it stays continuous
-    across contact degeneracies.  At masked nodes e1 is replaced by the
-    contact-plane leg z_perp of the canonical frame so downstream stencils
-    see bounded values.
+    It satisfies det[z, e1, e2, e3] = +1, the canonical-frame orientation,
+    for any (e1, e2) positively oriented against (Xu, Xv), and it stays
+    continuous across contact degeneracies.  This is the package's one
+    cross4 call; the frames and the catalog's normal bumps both read it.
     """
-    xi = ambient.jmul(z)
     e3 = ambient.cross4(z, Xu, Xv)
     e3 /= np.maximum(ambient.norm(e3), 1e-300)[..., None]
-    xin = ambient.dot(xi, e3)
-    mask = np.abs(xin) > 1.0 - DEGENERACY_TOL
+    return e3
 
-    a = ambient.dot(Xu, xi)
-    b = ambient.dot(Xv, xi)
+
+def _contact_sine(Xu, Xv, sqrt_det):
+    """(<xi, e3>, mask) from the Kahler form of the tangent pair.
+
+    For Xu, Xv tangent to S^3 at z, <i z, cross4(z, Xu, Xv)> is the Kahler
+    form <i Xu, Xv>, and |cross4(z, Xu, Xv)| is sqrt(det g), so
+    <xi, e3> = <i Xu, Xv> / sqrt(det g) without forming e3.  mask is the
+    contact-degeneracy test |<xi, e3>| > 1 - DEGENERACY_TOL.
+    """
+    xin = ambient.kahler(Xu, Xv) / sqrt_det
+    return xin, np.abs(xin) > 1.0 - DEGENERACY_TOL
+
+
+def _raw_frames(z, Xu, Xv, sqrt_det):
+    """Vectorized pre-gauge construction of the contact leg and sin(beta).
+
+    Returns (e1, mask, a, b, xin) where e1's sign is arbitrary per node
+    (fixed later by the flood fill), a = <Xu, xi> and b = <Xv, xi> are the
+    Reeb components of the tangent pair, and xin = <xi, e3> is beta's
+    numerator (see _contact_sine); no 4-vector but e1 is formed.
+    contact_angle_field forms beta's denominator <xi, e2> from a, b and
+    e2's coordinates.  At masked nodes e1 is replaced by the contact-plane
+    leg z_perp of the canonical frame so downstream stencils see bounded
+    values.
+    """
+    xin, mask = _contact_sine(Xu, Xv, sqrt_det)
+    # <Xu, i z> = <i z, Xu>: the Kahler form of (z, Xu), xi never formed
+    a = ambient.kahler(z, Xu)
+    b = ambient.kahler(z, Xv)
     e1 = b[..., None] * Xu - a[..., None] * Xv   # w, normalized in place
     wn = ambient.norm(e1)
-    mask = mask | (wn < 1e-14)
+    mask |= wn < 1e-14
     e1 /= np.maximum(wn, 1e-300)[..., None]
     e1[mask] = ambient.perp(z[mask])
-    return e1, e3, mask, xi, xin
+    return e1, mask, a, b, xin
 
 
 def _tangent_coords(metric, r1, r2):
@@ -420,7 +469,8 @@ def contact_angle_field(grid):
     nodes are masked.
     """
     Xu, Xv = tangent_fields(grid)
-    e1, e3, mask, xi, xin = _raw_frames(grid.points, Xu, Xv)
+    metric = grid.geometry[2]
+    e1, mask, a, b, xin = _raw_frames(grid.points, Xu, Xv, metric.sqrt_det)
 
     n_masked = int(mask.sum())
     if n_masked > MAX_MASKED_FRACTION * mask.size:
@@ -450,15 +500,14 @@ def contact_angle_field(grid):
     # e1 = z_perp lies in the contact plane, which is its tangent plane.
     # <Xu, e1> is the signed e1_dot_xu; 0.0 + turns sign's -0.0 into the
     # +0.0 a dot gives
-    metric = grid.geometry[2]
     coeff1 = _tangent_coords(metric, 0.0 + sign * e1_dot_xu, ambient.dot(Xv, e1))
     c1u, c1v = coeff1[..., 0], coeff1[..., 1]
     sg = metric.sqrt_det
-    coeff2 = np.stack([-(metric.F * c1u + metric.G * c1v) / sg,
-                       (metric.E * c1u + metric.F * c1v) / sg], axis=-1)
-    e2 = coeff2[..., 0, None] * Xu
-    e2 += coeff2[..., 1, None] * Xv
-    beta = np.arctan2(xin, ambient.dot(xi, e2))
+    c2u = -(metric.F * c1u + metric.G * c1v) / sg
+    c2v = (metric.E * c1u + metric.F * c1v) / sg
+    coeff2 = np.stack([c2u, c2v], axis=-1)
+    # cos(beta) = <xi, e2> = c2u <xi, Xu> + c2v <xi, Xv>, e2 not formed
+    beta = np.arctan2(xin, c2u * a + c2v * b)
     if n_masked == 0:
         beta = _unwrap_fast(beta)
     else:
@@ -470,7 +519,6 @@ def contact_angle_field(grid):
                 beta_flat[nodes] += two_pi * np.round(
                     (beta_flat[parents] - beta_flat[nodes]) / two_pi)
 
-    return FrameField(e1=e1, e2=e2, e3=e3, beta=beta,
+    return FrameField(grid=grid, e1=e1, beta=beta,
                       coeff1=coeff1, coeff2=coeff2, mask=mask,
-                      n_masked=n_masked, seed_sign=seed_sign,
-                      sign_mismatches=_sign_mismatches(grid.spec, e1, mask))
+                      n_masked=n_masked, seed_sign=seed_sign)

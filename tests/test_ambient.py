@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from contactgeom import (NotTangent, canonical_frame_vectors, contact_project, dot,
                          frame_derivative_check, hermitian, perp, reeb)
-from contactgeom.ambient import cross4, jmul, norm
+from contactgeom.ambient import cross4, jmul, kahler, norm
 
 RNG = np.random.default_rng(20240811)
 
@@ -92,6 +92,25 @@ def test_dot_is_bitwise_np_sum():
         assert _same_bits(dot(x, y), np.sum(x * y, -1))
     # four -0.0 products sum to +0.0, as in np.sum; arctan2 reads that sign
     assert not np.signbit(dot(zeros[1], zeros[2]))
+
+
+def test_kahler_is_bitwise_dot_of_jmul():
+    # kahler subtracts the products dot(jmul(a), b) adds negated, in the same
+    # order onto +0.0, so sin(beta) keeps the bits the jmul temporary gave
+    scale = 10.0 ** RNG.integers(-12, 12, size=(33, 17, 4))
+    a = RNG.normal(size=(33, 17, 4)) * scale
+    b = RNG.normal(size=(33, 17, 4))
+    acf, bcf = _components_first(a), _components_first(b)
+    cases = [(a, b), (acf, bcf), (acf, b), (a[1:, 0], bcf[:-1, 0]),
+             (b[0, 0], acf[5]), (acf[..., None, :], b[0])]
+    signed = np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0],
+                       [-0.0, 0.0, -0.0, 0.0], [1.0, -1.0, 0.0, -0.0]])
+    x, y = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    cases += [(signed[x], signed[y]), (signed[x], -signed[y])]
+    for x, y in cases:
+        assert _same_bits(kahler(x, y), dot(jmul(x), y))
+    # <v, xi(z)> = kahler(z, v) bit for bit, the form the frames use
+    assert _same_bits(kahler(a, b), dot(b, reeb(a)))
 
 
 @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),

@@ -18,7 +18,7 @@ from contactgeom.calculus import (TAN_BAND_DEFAULT, _connection_residuals,
                                   refinement_passed, tan_pole_distance)
 from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
 from contactgeom.cli import main
-from contactgeom.surface import MetricField, contact_angle_field
+from contactgeom.surface import FrameField, MetricField, contact_angle_field
 from test_surface import _rotated_polar_cap
 
 RNG = np.random.default_rng(11)
@@ -112,6 +112,21 @@ def test_flat_metric_gives_zero_at_roundoff():
                        G=np.ones((32, 32)))
     K = gaussian_curvature_intrinsic(flat, grid)
     assert np.max(np.abs(K)) < 1e-13
+
+
+def test_brioschi_applies_nine_stencils(monkeypatch):
+    # first partials of E, F and G, E_vv, G_uu, and F_uv as du of the F_v
+    # already formed: nine applications, not the ten of a second dv(F)
+    grid = geodesic_sphere().sample(n=16)
+    metric = grid.geometry[2]
+    calls = []
+    for name in ("du", "dv", "duu", "dvv"):
+        def counted(x, name=name, op=getattr(grid.calc, name)):
+            calls.append(name)
+            return op(x)
+        monkeypatch.setattr(grid.calc, name, counted)
+    gaussian_curvature_intrinsic(metric, grid)
+    assert sorted(calls) == ["du"] * 4 + ["duu"] + ["dv"] * 3 + ["dvv"]
 
 
 def test_degenerate_metric_names_node():
@@ -434,8 +449,16 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# the frames' values, read by name: e2, e3 and sign_mismatches are formed on
+# first read, and the grid they are formed from is no value of the frames
+FRAME_FIELDS = ("e1", "e2", "e3", "beta", "coeff1", "coeff2", "mask",
+                "n_masked", "seed_sign", "sign_mismatches")
+
+
 def _arrays(name, value):
     """(label, array) pairs of an analysis field, taken apart to its arrays."""
+    if isinstance(value, FrameField):
+        return [(f"{name}.{k}", getattr(value, k)) for k in FRAME_FIELDS]
     if isinstance(value, tuple):
         return [(f"{name}[{k}]", v) for k, v in enumerate(value)]
     if hasattr(value, "__dict__"):

@@ -1,6 +1,7 @@
 """Dead-code, dependency and structure guards over the package source.  The
 source guards parse it with the standard library's ast; one guard also
-measures the stencil weights a grid holds."""
+measures the stencil weights a grid holds, and one counts the cross4 calls
+and 4-vector legs an analysis forms."""
 
 import ast
 import os
@@ -10,6 +11,9 @@ import sys
 
 import pytest
 
+from contactgeom import ambient
+from contactgeom.calculus import build_analysis
+from contactgeom.catalog import clifford, perturb
 from contactgeom.gridops import GridCalc
 from contactgeom.surface import GridSpec
 
@@ -140,10 +144,63 @@ def _calls_by_function(is_wanted):
 
 
 def test_cross4_forms_only_the_normal():
-    # e2 is the metric quarter turn of e1 in contact_angle_field; the one
-    # cross4 call left is the normal in _raw_frames
+    # e2 is the metric quarter turn of e1 and beta is formed from scalars;
+    # the one cross4 call left is the unit normal e3, which the lazy
+    # FrameField.e3 and the catalog's normal bump both read
     assert _calls_by_function(lambda call: _callee(call) == "cross4") == [
-        "surface.py:_raw_frames"]
+        "surface.py:_unit_normal"]
+
+
+def test_curvature_and_laplacian_form_no_vector_leg_past_e1(monkeypatch):
+    # both residuals read beta, the leg coordinates and the mask only, so
+    # e2 and e3 stay unformed and cross4 is never called
+    calls = []
+    cross4 = ambient.cross4
+
+    def counted(*args):
+        calls.append(1)
+        return cross4(*args)
+
+    monkeypatch.setattr(ambient, "cross4", counted)
+    an = build_analysis(perturb(clifford(), (1, 2), 0.05).sample(n=16))
+    calls.clear()   # the bump's base normal is one cross4 call while sampling
+    an.res_curvature, an.res_laplacian
+    assert calls == []
+    assert not {"e2", "e3", "sign_mismatches"} & set(vars(an.frames))
+    an.frames.e3
+    assert calls == [1] and "e2" not in vars(an.frames)
+
+
+def _jmul_fed_dots(tree):
+    """Line numbers of dot calls with an argument that is a jmul or reeb call,
+    or a name its function binds to one."""
+    def is_jmul(node):
+        return isinstance(node, ast.Call) and _callee(node) in ("jmul", "reeb")
+
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {t.id for node in ast.walk(func)
+                 if isinstance(node, ast.Assign) and is_jmul(node.value)
+                 for t in node.targets if isinstance(t, ast.Name)}
+        found += [node.lineno for node in ast.walk(func)
+                  if isinstance(node, ast.Call) and _callee(node) == "dot"
+                  and any(is_jmul(a) or isinstance(a, ast.Name) and a.id in bound
+                          for a in node.args)]
+    return sorted(set(found))
+
+
+def test_inner_products_with_i_go_through_kahler():
+    # <i a, b> is ambient.kahler(a, b), bit for bit dot(jmul(a), b) without
+    # the (..., 4) temporary, and <v, i z> is kahler(z, v)
+    found = [f"{path.name}:{line}" for path in PACKAGE
+             for line in _jmul_fed_dots(_tree(path))]
+    assert found == []
+    # the guard sees both spellings
+    planted = ast.parse("def f(a, b):\n    xi = jmul(a)\n    c = dot(b, xi)\n"
+                        "    return c + ambient.dot(reeb(a), b)\n")
+    assert _jmul_fed_dots(planted) == [3, 4]
 
 
 def _is_four_vector_stack(call):

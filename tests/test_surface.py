@@ -22,9 +22,10 @@ def _cross4_frames(z, Xu, Xv):
     """Independent e2 oracle: the 4D cross product cross4(z, e3, e1), flipped
     node by node so that (e1, e2) is positively oriented against (Xu, Xv).
 
-    Returns (e1, e2, e3, mask, xi) with e1 and e3 as _raw_frames gives them.
+    Returns (e1, e2, e3, mask, xi) with e1, e3 and the mask as
+    _reference_raw_frames forms them from the cross4 normal.
     """
-    e1, e3, mask, xi, _ = _raw_frames(z, Xu, Xv)
+    e1, e3, mask, xi = _reference_raw_frames(z, Xu, Xv)
     cand = cross4(z, e3, e1)
     orient = dot(Xu, e1) * dot(Xv, cand) - dot(Xu, cand) * dot(Xv, e1)
     e2 = np.where(orient[..., None] >= 0, cand, -cand)
@@ -280,7 +281,8 @@ def test_degenerate_fraction_guard():
     with pytest.raises(DegenerateContact) as err:
         contact_angle_field(grid)
     # the error names the first masked node in row-major order
-    mask = _raw_frames(grid.points, *tangent_fields(grid))[2]
+    Xu, Xv, metric = grid.geometry
+    mask = _raw_frames(grid.points, Xu, Xv, metric.sqrt_det)[1]
     first = tuple(int(k) for k in np.argwhere(mask)[0])
     assert err.value.node == first
     assert f"node {first}" in str(err.value)
@@ -452,8 +454,9 @@ def _reference_frames(grid):
     """Reference FrameField, node by node and with every quantity formed anew:
     the raw frames of _reference_raw_frames, e1's sign by continuity along the
     BFS tree (seeds take <e1, Xu> >= 0), c1 from dots of the signed e1, e2
-    its quarter turn, beta from <xi, e3> formed again and unwrapped along
-    the same tree, and the holonomy count by gathers."""
+    its quarter turn, beta from the Kahler form of (Xu, Xv) and e2's
+    coordinates, unwrapped along the same tree, and the holonomy count by
+    gathers.  The mask is the cross4 normal's |<xi, e3>| test."""
     Xu, Xv = tangent_fields(grid)
     e1, e3, mask, xi = _reference_raw_frames(grid.points, Xu, Xv)
     e1_dot_xu = np.sum(e1 * Xu, -1)
@@ -467,7 +470,12 @@ def _reference_frames(grid):
             sign[node] = 1.0 if d >= 0 else -1.0
     e1 = sign[..., None] * e1
     coeff1, coeff2, e2 = _quarter_turn(grid, e1)
-    beta = np.arctan2(np.sum(xi * e3, -1), np.sum(xi * e2, -1))
+    # sin(beta) = <i Xu, Xv> / sqrt(det g) and cos(beta) = <xi, e2> through
+    # e2's coordinates, both formed from the tangent pair alone
+    sin_beta = np.sum(jmul(Xu) * Xv, -1) / grid.geometry[2].sqrt_det
+    cos_beta = (coeff2[..., 0] * np.sum(Xu * xi, -1)
+                + coeff2[..., 1] * np.sum(Xv * xi, -1))
+    beta = np.arctan2(sin_beta, cos_beta)
     for node, par in zip(order, parents):
         if par is not None:
             beta[node] += 2.0 * np.pi * np.round((beta[par] - beta[node]) / (2.0 * np.pi))
