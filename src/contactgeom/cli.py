@@ -59,9 +59,8 @@ def _write_json(payload, path):
 
 def _check_finite_table(table, columns, where):
     """Raise ValueError naming the column and node of the first non-finite cell."""
-    bad = np.argwhere(~np.isfinite(table))
-    if len(bad):
-        *node, col = (int(k) for k in bad[0])
+    if not np.isfinite(table).all():
+        *node, col = (int(k) for k in np.argwhere(~np.isfinite(table))[0])
         raise ValueError(f"non-finite {columns[col]} in {where} "
                          f"at node {tuple(node)}")
 

@@ -10,26 +10,38 @@ read_samples also accepts the analyzer's fields.csv (recognized by its
 header line); grid shape is inferred from the u/v columns and an axis is
 treated as periodic when its node spacing wraps the range to 2*pi.
 
-write_table formats in numpy and holds one u-row of the table in text at a
-time.  A cell's digits come from k = floor(log10|x|) and y = |x| * 10**p,
-p = 12 - k, formed by multiplying or dividing by exact powers 10**j,
-|j| <= 22: once when |p| <= 22, twice when 22 < |p| <= 44.  y is rounded
-to the 13-digit mantissa M = round(y), carried to 10**12 and k+1 at 10**13.
-Every half-integer in [1e12, 1e13) is a double, so one correctly rounded
-operation cannot carry y across a rounding tie: it lands on the double
-nearest the exact value, and the tie is nearer than any double past it.
-Only a y that lands exactly on the tie is undecided.  Two operations miss
-the exact y by at most 2**-52 * 1e13 ~ 2.2e-3, so for a cell scaled twice
-M is the mantissa `%` prints when the fraction of y is more than 3e-3 from
-1/2.  A y outside [1e12, 1e13) means log10 was off by one near a power of
-ten.  A y inside while the exact value is just outside lies within 2.2e-3
-of 1e12 or 1e13, where both exponents give the same digits.  A line is
-printed by `%` instead when one of its cells fails these tests: a fraction
-of exactly 1/2 (scaled once) or within 3e-3 of 1/2 (scaled twice), a y
-outside [1e12, 1e13), |x| outside [1e-32, 1e57) (every three-digit exponent
-and every subnormal), a value that is not finite, or a %d cell that is not
-one of the digits 0..9.
-+-0.0 is written directly, with the sign of -0.0.
+write_table formats in numpy, one block of whole u-rows (_BLOCK_CELLS table
+cells) at a time.  A cell's digits come from k = floor(log10|x|) and
+y = |x| * 10**p, p = 12 - k, formed by multiplying or dividing by exact
+powers 10**j, |j| <= 22: once when |p| <= 22, twice when 22 < |p| <= 44.
+y is rounded to the 13-digit mantissa M = round(y), carried to 10**12 and
+k+1 at 10**13.
+
+Exponent.  A y outside [1e12, 1e13] means log10 was off by one near a
+power of ten; the cell is scaled again with k - 1 or k + 1.  A y inside
+while the exact value is just outside lies within 2.2e-3 of 1e12 or 1e13,
+where both exponents give the same digits.
+
+Ties of a cell scaled once.  Every half-integer in [1e12, 1e13) is a
+double, so one correctly rounded operation cannot carry y across a rounding
+tie: it lands on the double nearest the exact value, and the tie is nearer
+than any double past it.  Only a y that lands exactly on the tie is
+undecided.  Then y = fl(|x| * c / d), with one of c, d the power 10**|p|
+and the other 1, and the sign of |x| * c - y * d tells on which side of the
+tie the exact value lies.  That difference is formed exactly from Dekker's
+error-free product of Veltkamp halves (Dekker 1971): M rounds up when it is
+positive, down when it is negative, and half-even when it is zero, as `%`
+does (1.0001220703125 prints as 1.000122070312e+00).
+
+Ties of a cell scaled twice.  Two operations miss the exact y by at most
+2**-52 * 1e13 ~ 2.2e-3, so M is the mantissa `%` prints when the fraction
+of y is more than _TIE_MARGIN = 3e-3 from 1/2.
+
+A line is printed by `%` instead when one of its cells is scaled twice and
+within 3e-3 of a tie (or, so scaled, still outside [1e12, 1e13] after the
+re-scale), has |x| outside [1e-32, 1e57) (every three-digit exponent and
+every subnormal) or is not finite, or when its %d cell is not one of the
+digits 0..9.  +-0.0 is written directly, with the sign of -0.0.
 """
 
 import numpy as np
@@ -48,9 +60,16 @@ SAMPLE_ROW_FMT = " ".join([FLOAT_FMT] * 6)
 # exponent p = 12 - k has |p| <= 44 and splits into two exact powers of ten.
 _K_MIN, _K_MAX = -32, 56
 _P_SPLIT = 22
+# Index of the scale tables: i = p + 44 = _I0 - k.
+_I0 = 12 + 2 * _P_SPLIT
 # Half-width of the band around a rounding tie that is left to `%`, for
-# cells scaled twice; a cell scaled once is left to `%` only on the tie.
+# cells scaled twice; a tie of a cell scaled once is settled exactly.
 _TIE_MARGIN = 3e-3
+# Table cells per block of whole u-rows.  Against ~12k cells the fixed cost
+# of each numpy call is small, and a block's temporaries and text stay near
+# 1.3 MB (test_write_table_memory_follows_one_u_row).  A 256x256 fields.csv
+# wrote slower with 3072- and with 24576-cell blocks.
+_BLOCK_CELLS = 12288
 
 
 def _word(text):
@@ -59,20 +78,21 @@ def _word(text):
 
 
 def _scale_factors():
-    """Four (89,) tables, indexed by p + 44, with x * a / b * c / d == x * 10**p,
-    and the (89,) tie margins of those scalings."""
+    """Four (89,) tables, indexed by i = p + 44, with x * a / b * c / d == x * 10**p.
+
+    Each factor is an exact power 10**j, |j| <= 22; c = d = 1 when |p| <= 22.
+    """
     pow10 = np.array([float(10 ** j) for j in range(_P_SPLIT + 1)])
     p = np.arange(-2 * _P_SPLIT, 2 * _P_SPLIT + 1)
     p1 = np.clip(p, -_P_SPLIT, _P_SPLIT)
     p2 = p - p1
-    return ((pow10[np.maximum(p1, 0)], pow10[np.maximum(-p1, 0)],
-             pow10[np.maximum(p2, 0)], pow10[np.maximum(-p2, 0)]),
-            np.where(p2 != 0, _TIE_MARGIN, 0.0))
+    return (pow10[np.maximum(p1, 0)], pow10[np.maximum(-p1, 0)],
+            pow10[np.maximum(p2, 0)], pow10[np.maximum(-p2, 0)])
 
 
-_SCALE, _MARGIN = _scale_factors()
-# k runs to _K_MAX + 1 after a carry
-_EXPONENT = np.array([_word("e%+03d" % k) for k in range(_K_MIN, _K_MAX + 2)])
+_SCALE = _scale_factors()
+# Indexed by i + 1: k = _I0 - i runs to _K_MAX + 1 after a carry.
+_EXPONENT = np.array([_word("e%+03d" % (_I0 - i)) for i in range(-1, 4 * _P_SPLIT + 1)])
 # Words of a cell: "{sep}{sign}{d}.", three of four digits, "e{sign}{dd}".
 _CELL_WORDS = 5
 # row format -> (separator, number of FLOAT_FMT cells, whether a %d cell ends it)
@@ -96,6 +116,24 @@ def _lead_words(sep, n):
                      for lead in ["\0"] + [sep] * (n - 1)])
 
 
+def _product_error(a, b):
+    """a * b - fl(a * b), exactly: Dekker's product of Veltkamp halves (Dekker 1971)."""
+    def halves(v):
+        t = 134217729.0 * v  # 2**27 + 1
+        hi = t - (t - v)
+        return hi, v - hi
+    ah, al = halves(a)
+    bh, bl = halves(b)
+    return ((ah * bh - a * b) + ah * bl + al * bh) + al * bl
+
+
+def _scaled(a, i):
+    """a * 10**p, i = p + 44, as a product and a quotient by each factor pair."""
+    return a * _SCALE[0][i] / _SCALE[1][i] * _SCALE[2][i] / _SCALE[3][i]
+
+
+# Cells outside [1e-32, 1e57) or not finite may overflow; their digits are dropped.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _format_cells(x, cells, lead, digits):
     """Write %.12e of the (n, c) floats x into cells (n, c, 5) of uint32 where exact.
 
@@ -103,58 +141,86 @@ def _format_cells(x, cells, lead, digits):
     sentinels dropped, are `FLOAT_FMT % x` preceded by its separator; the
     other cells hold zero digits.
     """
-    a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.floor(np.log10(a))
-    inside = (k >= _K_MIN) & (k <= _K_MAX)
-    k[~inside] = 0.0
-    i = (12 + 2 * _P_SPLIT - k).astype(np.intp)
-    y = np.where(inside, a, 0.0) * _SCALE[0][i] / _SCALE[1][i] * _SCALE[2][i] / _SCALE[3][i]
-    m = np.floor(y)
-    frac = y - m
-    ok = (np.abs(frac - 0.5) > _MARGIN[i]) & (y >= 1e12) & (y < 1e13)
-    m += frac > 0.5
-    carry = m == 1e13
+    a = np.abs(x).ravel()
+    k = np.floor(np.log10(a))
+    ok = (k >= _K_MIN) & (k <= _K_MAX)
+    k[~ok] = 0.0
+    i = (_I0 - k).astype(np.intp)
+    # one multiplication by 10**p for 1e-10 <= |x| < 1e13, all four factors elsewhere
+    y = a * _SCALE[0][i]
+    rest = np.flatnonzero((k < 12 - _P_SPLIT) | (k > 12))
+    y[rest] = _scaled(a[rest], i[rest])
+    # log10 off by one near a power of ten: scale again with k -+ 1
+    off = np.flatnonzero((y < 1e12) | (y > 1e13))
+    off = off[ok[off]]
+    if off.size:
+        k_off = k[off] + np.where(y[off] < 1e12, -1.0, 1.0)
+        within = (k_off >= _K_MIN) & (k_off <= _K_MAX)
+        i[off] = (_I0 - np.where(within, k_off, 0.0)).astype(np.intp)
+        y_off = _scaled(a[off], i[off])
+        y[off] = y_off
+        ok[off] = within & (y_off >= 1e12) & (y_off <= 1e13)
+    m = np.rint(y)
+    near = np.flatnonzero(np.abs(y - m) >= 0.5 - _TIE_MARGIN)
+    if near.size:
+        once = np.abs(i[near] - 2 * _P_SPLIT) <= _P_SPLIT
+        ok[near[~once]] = False
+        tie = near[once & (np.abs(y[near] - m[near]) == 0.5)]
+        # y is one rounding of a * c / d, and a tie; a*c - y*d, formed exactly,
+        # says on which side of it the exact value lies; rint broke it half-even
+        c, d = _SCALE[0][i[tie]], _SCALE[1][i[tie]]
+        at, yt = a[tie], y[tie]
+        s = (at * c - yt * d) + (_product_error(at, c) - _product_error(yt, d))
+        m[tie] = np.where(s > 0, yt + 0.5, np.where(s < 0, yt - 0.5, m[tie]))
+    carry = np.flatnonzero(m == 1e13)
     m[carry] = 1e12
-    k += carry
+    i[carry] -= 1
     ok |= a == 0.0
     m[~ok] = 0.0
+    i[~ok] = _I0
 
-    q, g3 = np.divmod(m.astype(np.intp), 10000)
-    q, g2 = np.divmod(q, 10000)
-    d0, g1 = np.divmod(q, 10000)
-    cells[..., 0] = lead.ravel()[d0 + 10 * np.signbit(x) + 20 * np.arange(x.shape[1])]
-    cells[..., 1] = digits[g1]
-    cells[..., 2] = digits[g2]
-    cells[..., 3] = digits[g3]
-    cells[..., 4] = _EXPONENT[(k - _K_MIN).astype(np.intp)]
-    return ok
+    shape = x.shape
+    q = m.astype(np.intp)
+    for w in (3, 2, 1):
+        r = q // 10000
+        cells[..., w] = digits[q - r * 10000].reshape(shape)
+        q = r
+    cells[..., 0] = lead.ravel()[(q + 10 * np.signbit(x).ravel()).reshape(shape)
+                                 + 20 * np.arange(shape[1])]
+    cells[..., 4] = _EXPONENT[i + 1].reshape(shape)
+    return ok.reshape(shape)
 
 
 def write_table(fh, table, row_fmt):
     """Write table[i, j] as one row_fmt line per node, v-index fastest.
 
     row_fmt is FIELDS_ROW_FMT or SAMPLE_ROW_FMT, and the text is byte for
-    byte `row_fmt % tuple(row) + "\\n"` for every row (see the module
-    docstring for why).  Lines are built as fixed-width rows of uint32 words
-    with 0 sentinel bytes, one u-row at a time, so the memory in use follows
-    n_v, not the size of the table.  Lines with a cell outside the certified
-    set are formatted by `%` and spliced in.
+    byte `row_fmt % tuple(row) + "\\n"` for every row.  Lines are built as
+    fixed-width rows of uint32 words with 0 sentinel bytes, one block of
+    whole u-rows (at least one, about _BLOCK_CELLS table cells) at a time, so
+    the memory in use follows n_v, not the size of the table.  Exact ties of
+    cells scaled once are settled exactly and off-by-one exponents
+    re-scaled; a line with a cell scaled twice near a tie, a cell outside
+    [1e-32, 1e57) or not finite, or a %d cell that is not one digit is
+    formatted by `%` and spliced in (see the module docstring for why).
     """
     try:
         sep, n_float, has_int = _ROW_LAYOUTS[row_fmt]
     except KeyError:
         raise ValueError(f"no fixed-width layout for row format {row_fmt!r}") from None
-    n_v, n_cols = table.shape[1:]
+    n_u, n_v, n_cols = table.shape
     if n_cols != n_float + has_int:
         raise ValueError(f"table has {n_cols} columns, row format {n_float + has_int}")
     lead = _lead_words(sep, n_float)
     digits = _digit_words()
     digit_tail = np.array([_word(f"{sep}{d}\n\0") for d in range(10)])
-    buf = np.zeros((n_v, _CELL_WORDS * n_float + 1), np.uint32)
-    cells = buf[:, :-1].reshape(n_v, n_float, _CELL_WORDS)
-    buf[:, -1] = _word("\n\0\0\0")
-    for block in table:
+    u_rows = max(1, _BLOCK_CELLS // max(1, n_v * n_cols))
+    full = np.zeros((u_rows * n_v, _CELL_WORDS * n_float + 1), np.uint32)
+    full[:, -1] = _word("\n\0\0\0")
+    for u0 in range(0, n_u, u_rows):
+        block = table[u0:u0 + u_rows].reshape(-1, n_cols)
+        buf = full[:len(block)]
+        cells = buf[:, :-1].reshape(len(block), n_float, _CELL_WORDS)
         ok = _format_cells(block[:, :n_float], cells, lead, digits).all(axis=1)
         if has_int:
             d = block[:, -1]

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from contactgeom.sampleio import FIELDS_ROW_FMT, SAMPLE_ROW_FMT, write_table
+from contactgeom.sampleio import _BLOCK_CELLS, FIELDS_ROW_FMT, SAMPLE_ROW_FMT, write_table
+from contactgeom.surface import GridSpec
 
 FORMATS = {"fields.csv": FIELDS_ROW_FMT, "sample file": SAMPLE_ROW_FMT}
 
@@ -48,6 +49,10 @@ ADVERSARIAL = [
     # falls on the wrong side of 1/2 and within 1e-3 of it
     9.5008752249085e40, 9.5579427818935e43, 9.7589912497005e-32,
     9.7680528013965e-29, 2.9132921978505e-26, -7.8437390707965e-25,
+    # exact dyadic decimal ties at the 13th digit, settled half-even: down
+    # to ...312 and up to ...938
+    1.0001220703125, 1.0003662109375, -1.0003662109375,
+    np.nextafter(0.1, np.inf), np.nextafter(0.1, -np.inf),
 ] + [y for k in range(-40, 41)
      for x in (float(f"1e{k}"),)
      for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf), -x)]
@@ -82,6 +87,64 @@ def test_lines_mixing_digit_and_percent_cells_keep_their_order(name):
     table[2, 2:6, 4] = -0.0
     if row_fmt == FIELDS_ROW_FMT:
         table[2, 1, -1] = 12.0  # %d of a number that is not one digit
+    assert _written(table, row_fmt) == _oracle(table, row_fmt)
+
+
+class _NoPercent(str):
+    """A row format whose `%` fails the test: write_table must not call it."""
+
+    def __mod__(self, values):
+        raise AssertionError(f"write_table handed {values!r} to %")
+
+
+def _grid_table(us, vs, fill, row_fmt):
+    """u, v columns of the grid us x vs, fill cycling through the other float cells."""
+    n_float = 11 if row_fmt == FIELDS_ROW_FMT else 6
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    rest = np.resize(np.asarray(fill, float), U.shape + (n_float - 2,))
+    return _table(np.concatenate([U[..., None], V[..., None], rest], axis=-1).ravel(),
+                  row_fmt, n_v=len(vs))
+
+
+_PERIODIC = GridSpec(256, 256, (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi), "periodic", "periodic")
+_CAP = np.linspace(-0.3, 0.3, 193)
+_CAP_CHART = GridSpec(193, 193, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart")
+# one ulp either side of 10**k: where floor(log10|x|) can be off by one
+_POW10_ULPS = [np.nextafter(s * x, s * t) for k in range(-30, 31) for x in (float(f"1e{k}"),)
+               for t in (0.0, np.inf) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@pytest.mark.parametrize("axes", ["periodic 256", "cap linspace 193", "cap chart 193"])
+def test_workload_shaped_tables_need_no_percent(name, axes):
+    # The u, v columns of the analyze workloads, and values next to powers
+    # of ten, are all formatted from digits, with exact ties settled exactly
+    row_fmt = FORMATS[name]
+    us, vs = {"periodic 256": (_PERIODIC.us, _PERIODIC.vs),
+              "cap linspace 193": (_CAP, _CAP),
+              "cap chart 193": (_CAP_CHART.us, _CAP_CHART.vs)}[axes]
+    assert np.isclose(_CAP, -0.1).any() and np.isclose(_CAP, 0.1).any()
+    table = _grid_table(us, vs, _POW10_ULPS, row_fmt)
+    assert _written(table, _NoPercent(row_fmt)) == _oracle(table, row_fmt)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@pytest.mark.parametrize("shape", ["last block partial", "u-row over a block", "one u-row"])
+def test_blocks_of_u_rows_match_percent(name, shape):
+    row_fmt = FORMATS[name]
+    n_float = 11 if row_fmt == FIELDS_ROW_FMT else 6
+    n_cols = n_float + (row_fmt == FIELDS_ROW_FMT)
+    rows = _BLOCK_CELLS // (96 * n_cols)  # u-rows per block at n_v = 96
+    n_u, n_v = {"last block partial": (2 * rows + 1, 96),
+                "u-row over a block": (3, _BLOCK_CELLS // n_cols + 1),
+                "one u-row": (1, 96)}[shape]
+    rng = np.random.default_rng(11)
+    size = n_u * n_v * n_float
+    table = _table(rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size),
+                   row_fmt, n_v=n_v)
+    # the first line of every u-row, and the last line, are printed by %
+    table[:, 0, 0] = 1e300
+    table[-1, -1, 1] = np.nan
     assert _written(table, row_fmt) == _oracle(table, row_fmt)
 
 
@@ -139,8 +202,9 @@ def _peak_bytes(n_u, n_v):
 
 def test_write_table_memory_follows_one_u_row():
     # The 256x256x12 table is 6.3 MB and its text about 14 MB; the writer holds
-    # one u-row (~0.5 MB measured).  Formatting the whole table at once would
-    # grow 4x with n_u and 16x from 64x64 to 256x256.
+    # one block of whole u-rows, _BLOCK_CELLS = 12288 table cells (~1.3 MB
+    # measured).  Formatting the whole table at once would grow 4x with n_u
+    # and 16x from 64x64 to 256x256.
     peak = _peak_bytes(256, 256)
     assert peak < 2e6
     assert peak < 1.25 * _peak_bytes(64, 256)
