@@ -10,16 +10,25 @@ psi e3 in S^3 (Weiner 1978), in the Weingarten sign of `calculus`:
 
     dE = integral G psi dA,   G = Lap_g H + 2 H (H^2 - det S + 1),
 
-read as SurfaceAnalysis.willmore_G, weighted by sqrt(det g) and the
-quadrature weights and scaled by a fixed flat-torus preconditioner.  Each
-grid the descent reaches is one SurfaceAnalysis.  Each Armijo backtracking
-trial moves the surface along its current normals; the moved grid's
-tangents are formed once, and a collapsed parametrization halves the step.
+read as SurfaceAnalysis.willmore_G and paired with psi node by node as
+g = G sqrt(det g) w (w the quadrature weights).  The step direction is
+limited-memory BFGS over psi (Nocedal & Wright, Numerical Optimization,
+Sec. 7.2): the two-loop recursion on the last LBFGS_MEMORY pairs
+(s, y) = (accepted step, change of g), stored only when s.y > 0, with the
+fixed flat-torus preconditioner, times STEP_SCALE, as the initial inverse
+Hessian.  That initial map is scaled by FlowConfig.step while the memory
+is empty and by s.y / y.H0 y of the newest pair afterwards.  An uphill
+direction or a stalled line search clears the memory and retries from the
+preconditioned gradient.  Each grid the descent reaches is one
+SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves the
+surface along its current normals; the moved grid's tangents are formed
+once, and a collapsed parametrization halves the step.
 descend_r_family is a golden-section search on the discrete energy of the
 product-torus family.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +40,12 @@ from .surface import tangent_fields
 
 GOLDEN_BRACKET = (0.3, 1.2)
 GOLDEN_TOL = 1e-9  # bracket width at which the r search stops
-# step scale of the former 16x16 spline control basis, which keeps
-# FlowConfig.step = 1 (and --step) at the step length it had there
+# scale of the initial inverse Hessian: the step scale of the former 16x16
+# spline control basis, so FlowConfig.step = 1 (and --step) give the first
+# step, taken with an empty memory, the length it had there
 STEP_SCALE = (2.0 * math.pi / 16) ** 2
 ARMIJO = 1e-4
+LBFGS_MEMORY = 5  # (s, y) pairs the L-BFGS descent keeps
 MAX_HALVINGS = 60
 # theorem_probe: constant-angle bound on the beta spread, flatness bound on |K|
 PROBE_BETA_TOL = 5e-3
@@ -166,14 +177,63 @@ def _final_report(an, **fields):
                       beta_spread=float(np.ptp(vals)), **fields)
 
 
+def _lbfgs_direction(g, w, memory, step):
+    """-H g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4).
+
+    memory holds (s, y, s.y) pairs, oldest first.  The initial inverse
+    Hessian is STEP_SCALE * _precondition(. / w), scaled by step while the
+    memory is empty and by s.y / y.H0 y of the newest pair otherwise.
+    """
+    def h0(v):
+        return STEP_SCALE * _precondition(v / w)
+
+    q = g.copy()
+    alphas = []
+    for s, y, sy in reversed(memory):
+        a = float(np.sum(s * q)) / sy
+        q -= a * y
+        alphas.append(a)
+    if memory:
+        _, y, sy = memory[-1]
+        r = h0(q)
+        r *= sy / float(np.sum(y * h0(y)))
+    else:
+        r = step * h0(q)
+    for (s, y, sy), a in zip(memory, reversed(alphas)):
+        r += (a - float(np.sum(y * r)) / sy) * s
+    return -r
+
+
+def _line_search(an, direction, slope):
+    """Armijo backtracking from t = 1: (SurfaceAnalysis, t) or None if stalled.
+
+    Each trial moves the nodes along their normals by t * direction; a
+    collapsed parametrization is absorbed as a step halving.
+    """
+    t = 1.0
+    for _ in range(MAX_HALVINGS):
+        moved = _moved_points(an.grid.points, an.frames.e3, t * direction)
+        try:
+            cand = build_analysis(_check_step(an.grid, moved))
+        except DegenerateParametrization:
+            t *= 0.5  # a collapsed step is absorbed as a step reduction
+            continue
+        if cand.energy <= an.energy + ARMIJO * t * slope:
+            return cand, t
+        t *= 0.5
+    return None
+
+
 def descend(grid, config=None):
-    """Backtracking gradient descent of the Willmore-type energy.
+    """L-BFGS descent of the Willmore-type energy over nodal psi.
 
     Requires a doubly periodic initial grid.  Returns (FlowReport, the
     SurfaceAnalysis of the final grid); the final grid is its .grid.
     Non-convergence is reported with converged=False rather than raised,
     and steps that would collapse the grid are absorbed as automatic step
-    reductions.
+    reductions.  The memory is cleared when a direction is not a descent
+    direction or its line search stalls; the search stalls for good only
+    from the preconditioned gradient.
     """
     cfg = config if config is not None else FlowConfig()
     spec = grid.spec
@@ -181,39 +241,37 @@ def descend(grid, config=None):
         raise ValueError("descent needs a compact (doubly periodic) surface")
 
     an = build_analysis(grid)
+    w = grid.calc.quad_weights()
     energies = [an.energy]
     traj = [(0, an.energy, an.max_H, _beta_spread(an))]
     converged = an.max_H < cfg.tol
     it = 0
     message = "already at tolerance" if converged else ""
-    t_next = cfg.step
+    memory = deque(maxlen=LBFGS_MEMORY)
+    s = g_prev = None
 
     while not converged and it < cfg.max_iter:
-        G_dA = an.willmore_G * an.metric.sqrt_det
-        g = G_dA * an.grid.calc.quad_weights()
+        g = an.willmore_G * an.metric.sqrt_det * w  # dE/dpsi node by node
         if float(np.sum(g ** 2)) == 0.0:
             message = "zero gradient"
             break
-        psi_dir = -STEP_SCALE * _precondition(G_dA)
-        slope = float(np.sum(g * psi_dir))  # negative for a descent direction
-        t = t_next
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            moved = _moved_points(an.grid.points, an.frames.e3, t * psi_dir)
-            try:
-                cand = build_analysis(_check_step(an.grid, moved))
-            except DegenerateParametrization:
-                t *= 0.5  # a collapsed step is absorbed as a step reduction
-                continue
-            if cand.energy <= an.energy + ARMIJO * t * slope:
-                accepted = True
+        if s is not None:
+            y = g - g_prev
+            sy = float(np.sum(s * y))
+            if sy > 0.0:  # keeps every H in the recursion positive definite
+                memory.append((s, y, sy))
+        while True:
+            direction = _lbfgs_direction(g, w, memory, cfg.step)
+            slope = float(np.sum(g * direction))
+            found = _line_search(an, direction, slope) if slope < 0 else None
+            if found is not None or not memory:
                 break
-            t *= 0.5
-        if not accepted:
+            memory.clear()  # restart from the preconditioned gradient
+        if found is None:
             message = "line search stalled"
             break
-        t_next = min(2.0 * t, 1e6 * cfg.step)
-        an = cand
+        an, t = found
+        s, g_prev = t * direction, g
         it += 1
         energies.append(an.energy)
         traj.append((it, an.energy, an.max_H, _beta_spread(an)))

@@ -173,6 +173,41 @@ def test_unitary_motion_keeps_beta_and_K(bump48, phi, theta, alpha, gamma):
     assert np.max(np.abs(moved.K_ext - an.K_ext)) < 1e-12
 
 
+def _quaternion_product(p, right):
+    """4x4 matrix of x -> p x (right=False) or x -> x p (right=True) on
+    R^4 = H, with x = z1 + z2 j, so left multiplication by i is jmul."""
+    a, b, c, d = p
+    s = -1.0 if right else 1.0
+    return np.array([[a, -b, -c, -d], [b, a, -s * d, s * c],
+                     [c, s * d, a, -s * b], [d, -s * c, s * b, a]])
+
+
+def _unit_quaternion(t1, t2, t3):
+    return np.array([np.cos(t1) * np.cos(t2), np.cos(t1) * np.sin(t2),
+                     np.sin(t1) * np.cos(t3), np.sin(t1) * np.sin(t3)])
+
+
+@given(ANGLE, ANGLE, ANGLE, ANGLE, ANGLE, ANGLE)
+@settings(max_examples=25, deadline=None)
+def test_rotation_keeps_H_and_K_and_moves_beta_off_U2(bump48, a1, a2, a3,
+                                                      b1, b2, b3):
+    # every R in SO(4) is x -> p x q for unit quaternions p, q.  Right
+    # multiplication commutes with the complex structure (left
+    # multiplication by i), and so does p = cos t + i sin t; R is in U(2)
+    # exactly when p has no j, k part.  |H| and K are SO(4)-invariant (FD
+    # tangents are linear in the points, so to roundoff: <= 4e-14 measured);
+    # beta turns with the Reeb field, by at least |p_jk| somewhere
+    # (>= 1.3 |p_jk| over 150 draws) and by up to pi after wrapping.
+    grid, an = bump48
+    p, q = _unit_quaternion(a1, a2, a3), _unit_quaternion(b1, b2, b3)
+    R = _quaternion_product(p, False) @ _quaternion_product(q, True)
+    moved = build_analysis(grid.with_points(grid.points @ R.T))
+    assert np.max(np.abs(np.abs(moved.H) - np.abs(an.H))) < 1e-12
+    assert np.max(np.abs(moved.K_ext - an.K_ext)) < 1e-12
+    turn = np.angle(np.exp(1j * (moved.frames.beta - an.frames.beta)))
+    assert np.max(np.abs(turn)) >= np.hypot(p[2], p[3]) - 1e-12
+
+
 # ---------------------------------------------------------- frame gradient
 
 def test_frame_gradient_constant_field(cliff64):

@@ -1,5 +1,6 @@
 """Area, Willmore energy, flow steps, descent and the rigidity probes."""
 
+import json
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from contactgeom import (DegenerateParametrization, FlowConfig, StepTooLarge,
 from contactgeom.cli import main
 from contactgeom.flow import MAX_HALVINGS, FlowReport, _moved_points
 from contactgeom.gridops import GridCalc
+from contactgeom.surface import GridSpec, sample
 
 
 def test_area_clifford():
@@ -173,8 +175,10 @@ def test_flow_forms_frames_once_per_analysed_grid(monkeypatch, tmp_path):
 
     monkeypatch.setattr(calculus, "contact_angle_field", counted)
     monkeypatch.setattr(flow, "_check_step", recorded)
+    # tol 1e-12 is out of reach in 8 steps, so the run makes 8 trials or more
     assert main(["flow", "--surface", "clifford", "--param", "eps=0.05",
-                 "--grid", "32x32", "--out", str(tmp_path)]) == 0
+                 "--grid", "32x32", "--steps", "8", "--tol", "1e-12",
+                 "--out", str(tmp_path)]) == 5
     assert len(checked) >= 8
     assert len(framed) == 1 + len(checked)
     assert all(a is b for a, b in zip(framed[1:], checked))
@@ -249,6 +253,134 @@ def test_nodal_descent_converges_at_64():
     rep, final = descend(grid, FlowConfig())
     assert rep.converged
     assert theorem_probe(rep, final)["status"] == "pass"
+
+
+def _preconditioned_gradient(an, step=1.0):
+    return -step * flow.STEP_SCALE * flow._precondition(
+        an.willmore_G * an.metric.sqrt_det)
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _record_directions(monkeypatch, flip=False):
+    """Record (g, memory size, direction) of every L-BFGS direction; with
+    flip, directions formed from a non-empty memory point uphill."""
+    formed = []
+    lbfgs = flow._lbfgs_direction
+
+    def recorded(g, w, memory, step):
+        d = lbfgs(g, w, memory, step)
+        if flip and memory:
+            d = -d
+        formed.append((g, len(memory), d))
+        return d
+
+    monkeypatch.setattr(flow, "_lbfgs_direction", recorded)
+    return formed
+
+
+def _record_searches(monkeypatch, stall):
+    """Record the analysis each line search starts from; stall(k) makes the
+    k-th search (counted from 1) fail as if no trial passed."""
+    started = []
+    search = flow._line_search
+
+    def recorded(an, direction, slope):
+        started.append(an)
+        return None if stall(len(started)) else search(an, direction, slope)
+
+    monkeypatch.setattr(flow, "_line_search", recorded)
+    return started
+
+
+def test_first_direction_is_the_scaled_preconditioned_gradient(monkeypatch):
+    formed = _record_directions(monkeypatch)
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
+    descend(grid, FlowConfig(step=0.7, max_iter=1))
+    _, held, d = formed[0]
+    assert held == 0
+    assert _close(d, _preconditioned_gradient(build_analysis(grid), 0.7))
+
+
+def test_every_direction_descends(monkeypatch):
+    formed = _record_directions(monkeypatch)
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
+    rep, _ = descend(grid, FlowConfig(max_iter=8, tol=1e-12))
+    assert rep.iterations == 8
+    assert len(formed) == 8  # no restart was needed
+    assert max(held for _, held, _ in formed) == flow.LBFGS_MEMORY
+    assert all(float(np.sum(g * d)) < 0 for g, _, d in formed)
+
+
+def _hopf_torus(a):
+    """e^{it} (cos r(s), sin r(s) e^{is}) over r(s) = pi/4 + a sin 2s: it
+    holds the Reeb fibres, so beta and K vanish, but H does not."""
+    def point(T, S):
+        r = np.pi / 4 + a * np.sin(2.0 * S)
+        return np.stack([np.cos(r) * np.cos(T), np.cos(r) * np.sin(T),
+                         np.sin(r) * np.cos(T + S), np.sin(r) * np.sin(T + S)], -1)
+    return point
+
+
+def test_descent_from_a_hopf_torus():
+    period = (0.0, 2.0 * np.pi)
+    spec = GridSpec(32, 32, period, period, "periodic", "periodic")
+    grid = sample(_hopf_torus(0.1), spec)
+    assert build_analysis(grid).max_H > 0.5
+    rep, final = descend(grid, FlowConfig(tol=1e-6))
+    assert rep.converged
+    assert rep.iterations <= 60
+    assert theorem_probe(rep, final)["status"] == "pass"
+
+
+def test_full_descent_from_a_product_torus(tmp_path):
+    assert main(["flow", "--surface", "rtorus", "--param", "r=0.70",
+                 "--grid", "32x32", "--tol", "1e-6", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "flow_report.json").read_text())
+    assert rep["converged"]
+    assert rep["iterations"] <= 6
+
+
+def test_stalled_search_restarts_from_preconditioned_gradient(monkeypatch):
+    formed = _record_directions(monkeypatch)
+    started = _record_searches(monkeypatch, stall=lambda k: k == 3)
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
+    rep, _ = descend(grid, FlowConfig(max_iter=4, tol=1e-12))
+    assert rep.iterations == 4
+    assert rep.message == "iteration cap reached"
+    assert formed[2][1] > 0           # the stalled search had a memory
+    assert started[3] is started[2]   # and was retried on the same grid
+    assert formed[3][1] == 0          # from the cleared memory
+    assert _close(formed[3][2], _preconditioned_gradient(started[3]))
+    assert formed[4][1] == 1          # which refills from the next pair
+
+
+def test_line_search_stalls_only_from_preconditioned_gradient(monkeypatch):
+    formed = _record_directions(monkeypatch)
+    started = _record_searches(monkeypatch, stall=lambda k: k >= 3)
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
+    rep, _ = descend(grid, FlowConfig(max_iter=10, tol=1e-12))
+    assert rep.message == "line search stalled"
+    assert rep.iterations == 2
+    assert len(started) == 4
+    assert [held for _, held, _ in formed[2:]] == [2, 0]
+    assert _close(formed[3][2], _preconditioned_gradient(started[3]))
+
+
+def test_uphill_direction_clears_the_memory(monkeypatch):
+    formed = _record_directions(monkeypatch, flip=True)
+    started = _record_searches(monkeypatch, stall=lambda k: False)
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
+    rep, _ = descend(grid, FlowConfig(max_iter=4, tol=1e-12))
+    assert rep.iterations == 4
+    assert len(started) == 4          # no search along an uphill direction
+    searched = [d for _, held, d in formed if held == 0]
+    assert len(searched) == 4
+    assert all(_close(d, _preconditioned_gradient(an))
+               for d, an in zip(searched, started))
+    assert np.all(np.diff(rep.energy) < 0)
 
 
 def test_theorem_probe_not_applicable_on_sphere():
