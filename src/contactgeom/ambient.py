@@ -11,17 +11,23 @@ without the jmul temporary; the frames read the Reeb components
 surface normal, in `surface._unit_normal` alone.
 
 Storage: a 4-vector field is allocated as one C-contiguous (4, ...) block
-and handed out as the (..., 4) view np.moveaxis(block, 0, -1) (`stack4`,
-`empty4`).  Its shape is the one every caller indexes, but each component
-x[..., k] is a contiguous array, so the per-component passes of `dot`,
-`kahler`, `cross4`, `jmul` and `perp` read contiguous memory instead of
-stride-4 views.  Numpy ufuncs, np.empty_like and in-place updates keep an
-input's layout, so only the places that create a field allocate it: the
+and handed out as its (..., 4) transpose (`stack4`, `empty4`).  Its shape
+is the one every caller indexes, but each component x[..., k] is a
+contiguous array, so the per-component passes of `dot`, `kahler`,
+`cross4`, `jmul` and `perp` read contiguous memory instead of stride-4
+views.  Numpy ufuncs, np.empty_like and in-place updates keep an input's
+layout, so only the places that create a field allocate it: the
 catalog's point maps (`stack4`), `surface._onto_sphere`, which `sample`
 and the sample-file reader share, and `cross4` (both `empty4`), and the
 `gridops` stencils, which write each result into one C-contiguous
-(4, n_u, n_v) block of their own.  Every value is bitwise what the interleaved layout
-gives.
+(4, n_u, n_v) block of their own.  Every value is bitwise what the
+interleaved layout gives.
+
+`scale` is the one way a field is scaled node by node: c v, v / c and
+w +- c v for a per-node scalar c.  It works on the components-first
+(4, ...) transposes of the fields, where c broadcasts over the leading
+component axis, so neither a (..., 4) copy of c nor a full-size
+temporary is made, and it writes into a given output or in place.
 
 Conventions fixed here and used everywhere else:
 
@@ -47,9 +53,22 @@ def _vec(x):
     return v
 
 
+def _first(v, nd):
+    """The components-first (4, ...) transpose of the field v, with length-1
+    axes put in front, as broadcasting would, to make nd leading axes."""
+    if v.ndim <= nd:
+        v = v.reshape((1,) * (nd + 1 - v.ndim) + v.shape)
+    return v.transpose(nd, *range(nd))
+
+
+def _last(block):
+    """The (..., 4) transpose of a components-first block."""
+    return block.transpose(*range(1, block.ndim), 0)
+
+
 def empty4(shape):
     """An uninitialized field of 4-vectors of shape (*shape, 4), components-first."""
-    return np.moveaxis(np.empty((4,) + tuple(shape)), 0, -1)
+    return _last(np.empty((4,) + tuple(shape)))
 
 
 def stack4(c0, c1, c2, c3):
@@ -92,6 +111,36 @@ def kahler(a, b):
     out -= a[..., 3] * b[..., 2]
     out += a[..., 2] * b[..., 3]
     return out
+
+
+def scale(c, v, out=None, onto=None, minus=False, divide=False):
+    """The 4-vector field c v for a per-node scalar c, or v / c with divide;
+    with onto, the field onto + c v, or onto - c v with minus.
+
+    Each value is bitwise c[..., None] * v (v / c[..., None],
+    onto +- c[..., None] * v): the same operations, applied to the
+    components-first transposes of the fields, where c broadcasts over the
+    component axis.  out may be v or onto, to update a field in place; the
+    result is written there and returned.  An update of onto in place goes
+    one component at a time through a temporary of one component, so no
+    full-size temporary is made.  Without out the result is a new field,
+    stored as v is.
+    """
+    nd = max(np.ndim(c), v.ndim - 1)
+    vb = _first(v, nd)
+    ob = None if out is None else _first(out, nd)
+    join = np.subtract if minus else np.add
+    if onto is not None and out is not None and np.may_share_memory(out, onto):
+        wb, t = _first(onto, nd), np.empty(ob.shape[1:])
+        for k in range(4):   # [k, ...] keeps a single vector's entry an array
+            vk = vb[k, ...]
+            join(wb[k, ...], np.divide(vk, c, t) if divide else np.multiply(c, vk, t),
+                 ob[k, ...])
+        return out
+    r = np.divide(vb, c, ob) if divide else np.multiply(c, vb, ob)
+    if onto is not None:
+        join(_first(onto, nd), r, r)
+    return out if out is not None else _last(r)
 
 
 def norm(a):
@@ -154,7 +203,7 @@ def contact_project(z, v):
     v = _vec(v)
     if np.any(np.abs(dot(v, z)) > TANGENT_TOL):
         raise NotTangent("vector is not tangent to S^3 at the base point")
-    return v - kahler(z, v)[..., None] * reeb(z)
+    return scale(kahler(z, v), reeb(z), onto=v, minus=True)
 
 
 def frame_derivative_check(z, v, h):
@@ -172,9 +221,10 @@ def frame_derivative_check(z, v, h):
     zp = math.cos(h) * z + math.sin(h) * v
     zm = math.cos(h) * z - math.sin(h) * v
     d = (reeb(zp) - reeb(zm)) / (2.0 * h)
-    d_tan = d - dot(d, z)[..., None] * z
+    d_tan = scale(dot(d, z), z, out=d, onto=d, minus=True)
     f1, f2, _ = canonical_frame_vectors(z)
-    expected = -dot(v, f2)[..., None] * f1 + dot(v, f1)[..., None] * f2
+    expected = scale(-dot(v, f2), f1)
+    scale(dot(v, f1), f2, out=expected, onto=expected)
     return float(norm(d_tan - expected))
 
 

@@ -72,20 +72,23 @@ def _along_frame(frames, f_u, f_v):
 
 
 def _along_legs(frames, calc, X, legs):
-    """[(<D_{e1} X, leg>, <D_{e2} X, leg>) for each leg] from X's parameter
-    derivatives.
+    """Yields (<D_{e1} X, leg>, <D_{e2} X, leg>) for each leg in turn, from
+    X's parameter derivatives.
 
     Each component is c_iu <d_u X, leg> + c_iv <d_v X, leg>: two inner
     products per leg, shared by both e_i, and no D_{e_i} X field is formed.
     d_u X is reduced to its inner products and released before d_v X is
-    formed, so one derivative field is alive at a time.
+    formed, so one derivative field is alive at a time, and a leg's inner
+    products are released once its pair is formed.
     """
     per_axis = []
     for diff in (calc.du, calc.dv):
         d = diff(X)
         per_axis.append([ambient.dot(d, leg) for leg in legs])
         del d
-    return [_along_frame(frames, r_u, r_v) for r_u, r_v in zip(*per_axis)]
+    r_u, r_v = per_axis
+    while r_u:
+        yield _along_frame(frames, r_u.pop(0), r_v.pop(0))
 
 
 def shape_operator(grid, frames):
@@ -96,12 +99,13 @@ def shape_operator(grid, frames):
     ambient normal parts.
     """
     # the lazy e2 is formed before e3 is differentiated, not while a
-    # derivative field is alive
+    # derivative field is alive, and S once e3's derivatives are released
     legs = (frames.e1, frames.e2)
-    S = np.empty(frames.beta.shape + (2, 2))
     for j, along in enumerate(_along_legs(frames, grid.calc, frames.e3, legs)):
-        for i, d in enumerate(along):
-            np.negative(d, out=S[..., i, j])
+        if j == 0:
+            S = np.empty(frames.beta.shape + (2, 2))
+        for i in range(2):
+            np.negative(along.pop(0), out=S[..., i, j])
     S[frames.mask] = 0.0
     return ShapeOperatorField(S=S, mask=frames.mask)
 
@@ -112,29 +116,56 @@ def gaussian_curvature_extrinsic(shape):
 
 
 def gaussian_curvature_intrinsic(metric, grid):
-    """Brioschi formula: K from the metric components alone."""
+    """Brioschi formula: K = (m1 - m2) / det(g)^2 from the metric components alone.
+
+    m1 and m2 are the determinants of
+
+        [[-Evv/2 + Fuv - Guu/2, Eu/2, Fu - Ev/2],     [[0,    Ev/2, Gu/2],
+         [Fv - Gu/2,            E,    F        ],      [Ev/2, E,    F   ],
+         [Gv/2,                 F,    G        ]],     [Gu/2, F,    G   ]],
+
+    each expanded along its first row as
+    a (E G - F F) - b (d G - F g) + c (d F - E g), with E G - F F the
+    metric's det.  m2 is formed first.  Each partial is formed just before
+    its first use and released after its last, halved or combined in place
+    (the same operations as out of place), so the nine partials and the
+    eight row entries are never alive together.
+    """
     calc = grid.calc
-    E, F, G = metric.E, metric.F, metric.G
-    Eu, Ev = calc.du(E), calc.dv(E)
-    Gu, Gv = calc.du(G), calc.dv(G)
-    Fu, Fv = calc.du(F), calc.dv(F)
-    Evv = calc.dvv(E)
-    Guu = calc.duu(G)
-    Fuv = calc.du(Fv)
+    E, F, G, EG_FF = metric.E, metric.F, metric.G, metric.det
+    half_Ev = calc.dv(E)
+    half_Ev *= 0.5
+    half_Gu = calc.du(G)
+    half_Gu *= 0.5
+    m2 = 0.0 * EG_FF    # the zero entry's term keeps its signed zeros
+    m2 -= half_Ev * (half_Ev * G - F * half_Gu)
+    m2 += half_Gu * (half_Ev * F - E * half_Gu)
 
-    def det3(row0, row1, row2):
-        a, b, c = row0
-        d, e, f = row1
-        g, h, i = row2
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    m1 = det3((-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev),
-              (Fv - 0.5 * Gu, E, F),
-              (0.5 * Gv, F, G))
-    m2 = det3((np.zeros_like(E), 0.5 * Ev, 0.5 * Gu),
-              (0.5 * Ev, E, F),
-              (0.5 * Gu, F, G))
-    return (m1 - m2) / metric.det ** 2
+    Fv = calc.dv(F)
+    a = calc.dvv(E)
+    a *= -0.5
+    a += calc.du(Fv)
+    half_Guu = calc.duu(G)
+    half_Guu *= 0.5
+    a -= half_Guu
+    del half_Guu
+    d = Fv
+    d -= half_Gu        # Fv - Gu/2, once Fuv is formed
+    del Fv, half_Gu
+    g = calc.dv(G)
+    g *= 0.5
+    m1 = a * EG_FF
+    del a
+    b = calc.du(E)
+    b *= 0.5
+    m1 -= b * (d * G - F * g)
+    del b
+    c = calc.du(F)
+    c -= half_Ev
+    del half_Ev
+    m1 += c * (d * F - E * g)
+    m1 -= m2
+    return m1 / EG_FF ** 2
 
 
 @dataclass

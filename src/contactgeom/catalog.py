@@ -154,7 +154,7 @@ def _base_normal(entry, U, V):
     """Gauge-invariant surface normal e3 of an analytic entry at (U, V), and
     the frames' contact-degeneracy mask there."""
     pts = np.asarray(entry.point(U, V), float)
-    pts = pts / ambient.norm(pts)[..., None]
+    pts = ambient.scale(ambient.norm(pts), pts, divide=True)
     fu, fv = (np.asarray(d, float) for d in entry.d1(U, V))
     metric = surf.MetricField(ambient.dot(fu, fu), ambient.dot(fu, fv),
                               ambient.dot(fv, fv))
@@ -180,8 +180,8 @@ def perturb(entry, mode=(1, 2), amplitude=0.05):
         if np.any(mask):
             raise RangeError("base entry is contact-degenerate under the bump")
         bump = amplitude * np.sin(m * np.asarray(U)) * np.sin(n * np.asarray(V))
-        moved = pts + bump[..., None] * e3
-        return moved / ambient.norm(moved)[..., None]
+        moved = ambient.scale(bump, e3, onto=pts)
+        return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
 
     label = f"{entry.name}+bump({m},{n})x{amplitude:g}"
     return CatalogEntry(
@@ -226,8 +226,9 @@ def build(name, params=None):
     """Instantiate a catalog entry by name; KeyError for unknown names.
 
     An entry takes the parameters in its schema, and a doubly periodic one
-    also the bump's BUMP_PARAMS; RangeError names any other.  A non-zero eps
-    bumps it in mode (m, n), RangeError unless both are integers.
+    also the bump's BUMP_PARAMS; RangeError names any other.  The mode
+    (m, n) must be integers, RangeError otherwise, whether or not a non-zero
+    eps bumps the entry in that mode.
     """
     params = dict(params or {})
     key = ALIASES.get(name, name)
@@ -241,14 +242,14 @@ def build(name, params=None):
     if unknown:
         raise RangeError(f"unknown parameter {unknown[0]!r} for {key}; accepted: "
                          f"{', '.join(sorted(accepted)) or 'none'}")
+    mode = []
+    for p, default in (("m", 1), ("n", 2)):
+        k = float(params.get(p, default))
+        if not (math.isfinite(k) and k == int(k)):
+            raise RangeError(f"bump mode {p} = {k!r} is not an integer")
+        mode.append(int(k))
     eps = params.get("eps", params.get("amplitude"))
     if eps is not None and float(eps) != 0.0:
-        mode = []
-        for p, default in (("m", 1), ("n", 2)):
-            k = float(params.get(p, default))
-            if not (math.isfinite(k) and k == int(k)):
-                raise RangeError(f"bump mode {p} = {k!r} is not an integer")
-            mode.append(int(k))
         entry = perturb(entry, mode, float(eps))
     return entry
 

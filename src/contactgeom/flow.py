@@ -114,8 +114,8 @@ def willmore_energy(grid):
 
 
 def _moved_points(points, e3, psi):
-    moved = points + psi[..., None] * e3
-    return moved / ambient.norm(moved)[..., None]
+    moved = ambient.scale(psi, e3, onto=points)
+    return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
 
 
 def _check_step(grid, moved):

@@ -131,13 +131,13 @@ def _block(F):
     a 4-vector field, c = 1 for a scalar field."""
     F = np.asarray(F, float)
     if F.ndim == 3:
-        return np.ascontiguousarray(np.moveaxis(F, -1, 0))
+        return np.ascontiguousarray(F.transpose(2, 0, 1))
     return np.ascontiguousarray(F)[None]
 
 
 def _field(out, like):
     """The (c, n_u, n_v) block out in the shape of the field like."""
-    return np.moveaxis(out, 0, -1) if np.ndim(like) == 3 else out[0]
+    return out.transpose(1, 2, 0) if np.ndim(like) == 3 else out[0]
 
 
 def _apply_u(blocks, F):

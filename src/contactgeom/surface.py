@@ -31,9 +31,14 @@ e2 and e3 are formed on their first read (FrameField).
 Everything in this module is a pure function of its inputs; the only
 sequential piece is the sign/unwrap propagation, which follows a fixed
 spanning tree, so results never depend on evaluation order.  The tangent
-pair and its Gram matrix (MetricField) are formed once per grid and cached
-on it as SurfaceGrid.geometry; every consumer reads that copy.  Within the
-frame build each quantity takes one full-grid pass: <xi, e3> serves both
+pair is projected onto T_z S^3 once per grid and kept in one copy:
+`sample` projects the analytic partials in place and stores them as
+SurfaceGrid.partials, and geometry hands that pair out as it is, or
+projects its finite-difference derivatives into new blocks that replace
+them.  The pair and its Gram matrix (MetricField) are cached on the grid
+as SurfaceGrid.geometry; every consumer reads that copy.  Fields are
+scaled node by node through `ambient.scale`.  Within the frame build
+each quantity takes one full-grid pass: <xi, e3> serves both
 the contact mask and beta's numerator, <Xu, xi> and <Xv, xi> both e1 and
 beta's denominator, and <Xu, e1> both the seed sign and e1's coordinates.
 """
@@ -145,7 +150,9 @@ class SurfaceGrid:
     """Grid of unit-sphere points with optional analytic parameter derivatives.
 
     partials, when present, is a dict with keys "fu" and "fv", each an
-    (n_u, n_v, 4) array of first derivatives of the point map.
+    (n_u, n_v, 4) array: a first derivative of the point map projected onto
+    T_z S^3, the tangent pair as `sample` stores it.  geometry reads the
+    pair from there.
     """
 
     def __init__(self, spec, points, partials=None, label=""):
@@ -163,16 +170,22 @@ class SurfaceGrid:
 
     @cached_property
     def geometry(self):
-        """(Xu, Xv, metric): the tangent pair and its Gram matrix; see tangent_fields."""
+        """(Xu, Xv, metric): the tangent pair and its Gram matrix; see tangent_fields.
+
+        The stored partials are the pair itself.  Each finite-difference
+        derivative is projected onto T_z S^3 into one new block, with no
+        full-size temporary, and both derivatives are released after.
+        (Projecting them in place, or releasing each before the next is
+        projected, left a smaller traced peak but raised analyze_cap193's
+        peak RSS by 2 MB in every run: the allocator reused the freed
+        blocks differently.)
+        """
         if self.partials is not None:
-            Xu = self.partials["fu"]
-            Xv = self.partials["fv"]
+            Xu, Xv = self.partials["fu"], self.partials["fv"]
         else:
-            Xu = self.calc.du(self.points)
-            Xv = self.calc.dv(self.points)
-        z = self.points
-        Xu = Xu - ambient.dot(Xu, z)[..., None] * z
-        Xv = Xv - ambient.dot(Xv, z)[..., None] * z
+            z = self.points
+            Xu, Xv = (ambient.scale(ambient.dot(X, z), z, onto=X, minus=True)
+                      for X in (self.calc.du(z), self.calc.dv(z)))
         return Xu, Xv, MetricField(ambient.dot(Xu, Xu), ambient.dot(Xu, Xv),
                                    ambient.dot(Xv, Xv))
 
@@ -195,7 +208,7 @@ def _onto_sphere(points):
         ij = _worst_node(dev)
         raise OffSphere(f"node {ij} is off S^3 by {dev[ij]:.3e} "
                         f"(norm {norms[ij]:.6f}) before normalization", node=ij)
-    return np.divide(points, norms[..., None], out=ambient.empty4(norms.shape))
+    return ambient.scale(norms, points, out=ambient.empty4(norms.shape), divide=True)
 
 
 def sample(definition, spec, label=None):
@@ -207,6 +220,11 @@ def sample(definition, spec, label=None):
     are called on the sparse mesh and must broadcast it to the full grid,
     as the catalog entries do, so a factor that depends on one parameter
     is evaluated once per node of its axis.
+
+    The analytic partials are projected onto T_z S^3 in place, df - <df, f> f,
+    with the inner products the tangency check reads, and stored as the
+    grid's tangent pair; d1 hands over arrays of its own (a read-only one
+    is copied first).
 
     Raises OffSphere, naming the node, when an evaluated point deviates
     from unit norm by more than 1e-6 before normalization, or when an
@@ -220,15 +238,17 @@ def sample(definition, spec, label=None):
     partials = None
     d1 = getattr(definition, "d1", None)
     if d1 is not None:
-        fu, fv = d1(U, V)
-        partials = {"fu": np.asarray(fu, float), "fv": np.asarray(fv, float)}
-        for key in ("fu", "fv"):
-            tang = np.abs(ambient.dot(partials[key], pts))
+        partials = {}
+        for key, df in zip(("fu", "fv"), d1(U, V)):
+            df = np.require(df, float, "W")
+            c = ambient.dot(df, pts)
+            tang = np.abs(c)
             if not np.all(tang <= 1e-10):
                 ij = _worst_node(tang)
                 raise OffSphere(f"analytic partial {key} is not tangent to the "
                                 f"sampled point at node {ij} "
                                 f"(|<df, f>| = {tang[ij]:.3e})", node=ij)
+            partials[key] = ambient.scale(c, pts, out=df, onto=df, minus=True)
     if label is None:
         label = getattr(definition, "name", getattr(definition, "__name__", "surface"))
     return SurfaceGrid(spec, pts, partials, label)
@@ -237,9 +257,10 @@ def sample(definition, spec, label=None):
 def tangent_fields(grid):
     """Per-node tangent pair (Xu, Xv), analytic when stored, else 4th-order FD.
 
-    Both routes project onto T_z S^3.  Raises DegenerateParametrization if
-    the Gram determinant drops below 1e-10 anywhere.  The pair and its Gram
-    matrix are computed once per grid and cached there.
+    Both routes project onto T_z S^3, once per grid.  Raises
+    DegenerateParametrization if the Gram determinant drops below 1e-10
+    anywhere.  The pair and its Gram matrix are computed once per grid and
+    cached there.
     """
     return grid.geometry[:2]
 
@@ -268,15 +289,11 @@ class FrameField:
 
     @cached_property
     def e2(self):
-        """c2u Xu + c2v Xv, the metric quarter turn of e1, formed one
-        component at a time into a single field."""
+        """c2u Xu + c2v Xv, the metric quarter turn of e1, formed into a
+        single field."""
         Xu, Xv = self.grid.geometry[:2]
-        c2u, c2v = self.coeff2[..., 0], self.coeff2[..., 1]
-        e2 = ambient.empty4(c2u.shape)
-        for k in range(4):
-            np.multiply(c2u, Xu[..., k], out=e2[..., k])
-            e2[..., k] += c2v * Xv[..., k]
-        return e2
+        e2 = ambient.scale(self.coeff2[..., 0], Xu)
+        return ambient.scale(self.coeff2[..., 1], Xv, out=e2, onto=e2)
 
     @cached_property
     def e3(self):
@@ -299,8 +316,8 @@ def _unit_normal(z, Xu, Xv):
     cross4 call; the frames and the catalog's normal bumps both read it.
     """
     e3 = ambient.cross4(z, Xu, Xv)
-    e3 /= np.maximum(ambient.norm(e3), 1e-300)[..., None]
-    return e3
+    return ambient.scale(np.maximum(ambient.norm(e3), 1e-300), e3, out=e3,
+                         divide=True)
 
 
 def _contact_sine(Xu, Xv, sqrt_det):
@@ -331,10 +348,11 @@ def _raw_frames(z, Xu, Xv, sqrt_det):
     # <Xu, i z> = <i z, Xu>: the Kahler form of (z, Xu), xi never formed
     a = ambient.kahler(z, Xu)
     b = ambient.kahler(z, Xv)
-    e1 = b[..., None] * Xu - a[..., None] * Xv   # w, normalized in place
+    e1 = ambient.scale(b, Xu)   # w = b Xu - a Xv, normalized in place
+    ambient.scale(a, Xv, out=e1, onto=e1, minus=True)
     wn = ambient.norm(e1)
     mask |= wn < 1e-14
-    e1 /= np.maximum(wn, 1e-300)[..., None]
+    ambient.scale(np.maximum(wn, 1e-300), e1, out=e1, divide=True)
     e1[mask] = ambient.perp(z[mask])
     return e1, mask, a, b, xin
 
@@ -495,7 +513,7 @@ def contact_angle_field(grid):
         seed_sign = int(sign[levels[0][0][0]]) if levels else 1
         sign = sign.reshape(mask.shape)
 
-    e1 *= sign[..., None]
+    ambient.scale(sign, e1, out=e1)
     # e2 = J_g e1, the metric quarter turn, at every node: a masked node's
     # e1 = z_perp lies in the contact plane, which is its tangent plane.
     # <Xu, e1> is the signed e1_dot_xu; 0.0 + turns sign's -0.0 into the

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from contactgeom import (NotTangent, canonical_frame_vectors, contact_project, dot,
                          frame_derivative_check, hermitian, perp, reeb)
-from contactgeom.ambient import cross4, jmul, kahler, norm
+from contactgeom.ambient import cross4, jmul, kahler, norm, scale
 
 RNG = np.random.default_rng(20240811)
 
@@ -92,6 +92,44 @@ def test_dot_is_bitwise_np_sum():
         assert _same_bits(dot(x, y), np.sum(x * y, -1))
     # four -0.0 products sum to +0.0, as in np.sum; arctan2 reads that sign
     assert not np.signbit(dot(zeros[1], zeros[2]))
+
+
+@np.errstate(divide="ignore", invalid="ignore")   # c holds zeros and a NaN
+def test_scale_is_bitwise_trailing_axis_broadcast():
+    # scale forms c[..., None] * v, v / c[..., None] and w +- c[..., None] * v
+    # on the components-first transposes; every value keeps its bits, on
+    # either layout, into a new field, into out, and in place on v or w
+    c = RNG.normal(size=(9, 7)) * 10.0 ** RNG.integers(-6, 6, size=(9, 7))
+    c[0, :3] = (-0.0, 0.0, np.nan)
+    v = RNG.normal(size=(9, 7, 4))
+    w = RNG.normal(size=(9, 7, 4))
+    w[0, 0] = -0.0
+    for vv, ww in ((v, w), (_components_first(v), _components_first(w)),
+                   (v, _components_first(w))):
+        cases = [
+            (scale(c, vv), c[..., None] * vv),
+            (scale(c, vv, divide=True), vv / c[..., None]),
+            (scale(c, vv, onto=ww), ww + c[..., None] * vv),
+            (scale(c, vv, onto=ww, minus=True), ww - c[..., None] * vv),
+            (scale(c[0, 3], vv[0, 3]), c[0, 3] * vv[0, 3]),           # one vector
+            (scale(c[:, 0], vv[0, 0], onto=ww[:, 0], minus=True),       # (4,) against (n,)
+             ww[:, 0] - c[:, 0, None] * vv[0, 0]),
+        ]
+        for got, want in cases:
+            assert _same_bits(got, want)
+        for minus in (False, True):
+            want = ww - c[..., None] * vv if minus else ww + c[..., None] * vv
+            for target in ("v", "w"):
+                vc, wc = vv.copy(), ww.copy()
+                out = vc if target == "v" else wc
+                assert scale(c, vc, out=out, onto=wc, minus=minus) is out
+                assert _same_bits(out, want)
+        vc = vv.copy()
+        assert scale(c, vc, out=vc, divide=True) is vc
+        assert _same_bits(vc, vv / c[..., None])
+    # a new field is stored as v is
+    assert all(scale(c, _components_first(v))[..., k].flags.c_contiguous
+               for k in range(4))
 
 
 def test_kahler_is_bitwise_dot_of_jmul():

@@ -1,5 +1,7 @@
 """Metric, shape operator, curvatures, Laplace-Beltrami and the identity suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from contactgeom import (DegenerateContact, DegenerateParametrization,
                          laplace_beltrami, refinement_study, sample,
                          shape_operator, verify_curvature_identity,
                          verify_laplacian_identity, verify_minimality)
-from contactgeom.calculus import (TAN_BAND_DEFAULT, _connection_residuals,
+from contactgeom.calculus import (IDENTITY_VERIFIERS, TAN_BAND_DEFAULT,
+                                  _connection_residuals,
                                   gaussian_curvature_extrinsic, observed_order,
                                   refinement_passed, tan_pole_distance)
 from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
@@ -634,6 +637,27 @@ def test_analysis_forms_each_field_once(kernel_calls):
     assert kernel_calls == dict.fromkeys(KERNELS, 1)
     assert an.res_connection is an.res_connection
     assert an.K_int is an.K_int
+
+
+# traced peak of sampling the sphere at 256² and reading one identity's
+# residual, in 4-vector fields of that grid (2 MiB each).  Keeping a second
+# tangent pair, all nine Brioschi partials and eight row entries alive
+# together, and S beside e3's derivative read 13.7, 11.5, 12.1 and 14.0
+WORKING_SET_FIELDS = {"curvature": 10.0, "laplacian": 10.5, "connection": 11.0,
+                      "gauss": 12.0}
+
+
+@pytest.mark.parametrize("identity", sorted(WORKING_SET_FIELDS))
+def test_identity_working_set_at_256(identity):
+    entry = geodesic_sphere()
+    spec = entry.default_spec(256)
+    tracemalloc.start()
+    try:
+        IDENTITY_VERIFIERS[identity](build_analysis(entry.sample(spec), band=0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WORKING_SET_FIELDS[identity] * spec.n_u * spec.n_v * 4 * 8
 
 
 def test_degenerate_input_raises_on_first_field_read():

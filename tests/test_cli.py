@@ -230,10 +230,14 @@ def test_verify_needs_three_levels(tmp_path):
      "--grid", "16x16"],
     ["flow", "--surface", "rtorus", "--param", "r=0.885", "--param", "eps=0.05",
      "--mode", "r-only", "--grid", "16x16"],
+    ["analyze", "--surface", "clifford", "--param", "m=2.5", "--grid", "16x16"],
+    ["analyze", "--surface", "clifford", "--param", "m=nan", "--param", "eps=0",
+     "--grid", "16x16"],
 ], ids=["refine-token", "refine-below-8", "step-0", "tol-negative", "steps-negative",
         "band-negative", "band-nan", "step-1e300", "eps-nan", "mode-1e400",
         "mode-fractional", "refine-repeated", "refine-decreasing", "r-only-not-square",
-        "param-unknown", "param-not-on-sphere", "r-only-not-rtorus", "r-only-bump-param"])
+        "param-unknown", "param-not-on-sphere", "r-only-not-rtorus", "r-only-bump-param",
+        "mode-fractional-unbumped", "mode-nan-eps-0"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2

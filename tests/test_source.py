@@ -221,6 +221,26 @@ def test_four_vectors_are_built_components_first():
     assert _calls_by_function(_is_four_vector_stack) == ["surface.py:_flood_levels"]
 
 
+def _trailing_new_axes(tree):
+    """Line numbers of x[..., None] subscripts: a per-node scalar given a
+    trailing axis to broadcast over a field's components."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                  and [getattr(e, "value", e) for e in node.slice.elts] == [Ellipsis, None])
+
+
+def test_fields_are_scaled_through_ambient_scale():
+    # c[..., None] * X broadcasts over the interleaved (..., 4) view and makes
+    # a (..., 4) temporary; ambient.scale forms the same values on the
+    # components-first block, in place where asked
+    found = [f"{path.name}:{line}" for path in PACKAGE
+             for line in _trailing_new_axes(_tree(path))]
+    assert found == []
+    # the guard sees the broadcast in an expression and in an update
+    planted = ast.parse("y = x - c[..., None] * z\nx /= n[..., None]\nw = a[None]\n")
+    assert _trailing_new_axes(planted) == [1, 2]
+
+
 def test_stencils_use_no_tensordot():
     # the stencils are banded row blocks, one small gemm per block; a dense
     # n x n tensordot is the O(n^3) path they replaced

@@ -1,10 +1,12 @@
 """Grids, sampling, tangent pairs, adapted frames and the contact angle."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from contactgeom import ambient
 from contactgeom import (DegenerateContact, DegenerateParametrization, GridSpec,
                          OffSphere, contact_angle_field, reeb, sample,
                          tangent_fields)
@@ -119,6 +121,38 @@ def test_finite_difference_matches_analytic_tangents():
     Xu_f, Xv_f = tangent_fields(fd_grid)
     assert np.max(np.abs(Xu_a - Xu_f)) < 1e-6
     assert np.max(np.abs(Xv_a - Xv_f)) < 1e-6
+
+
+def _counted_dots(monkeypatch):
+    calls = []
+    dot = ambient.dot
+
+    def counted(a, b):
+        calls.append(1)
+        return dot(a, b)
+
+    monkeypatch.setattr(ambient, "dot", counted)
+    return calls
+
+
+def test_geometry_reads_the_stored_tangent_pair(monkeypatch):
+    # sample projects the analytic partials once, in place, with the dots
+    # its tangency check reads; geometry hands out that pair and forms the
+    # Gram matrix alone: three dots and the four scalar fields E, F, G, det
+    n = 64
+    field = n * n * 4 * 8
+    grid = geodesic_sphere().sample(n=n)
+    dots = _counted_dots(monkeypatch)
+    tracemalloc.start()
+    try:
+        Xu, Xv, _ = grid.geometry
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Xu is grid.partials["fu"] and Xv is grid.partials["fv"]
+    assert len(dots) == 3
+    assert peak < 1.75 * field   # a second tangent pair would be 2 fields
+    assert np.max(np.abs(dot(Xu, grid.points))) < 1e-15
 
 
 def test_fd_tangent_convergence_order():
