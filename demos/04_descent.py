@@ -2,10 +2,9 @@
 
 Once the descent drives max|H| to zero on a compact surface, a constant
 contact angle forces vanishing Gaussian curvature, which pins the surface
-to the flat minimal torus.  The demo shows the 1-parameter product-torus
-descent recovering r = pi/4, and the full normal-displacement descent
-pulling a bumped flat torus back to minimality with the implication chain
-checked on the result.
+to the flat minimal torus.  The demo shows the normal-displacement descent
+taking a product torus off Clifford to r = pi/4, and pulling a bumped flat
+torus back to minimality with the implication chain checked on the result.
 
 The full descent is limited-memory BFGS over the nodal displacement psi.
 Its first step is the flat-torus preconditioned gradient at FlowConfig.step;
@@ -17,13 +16,16 @@ on a product torus away from Clifford (r = 0.70).
 
 import numpy as np
 
-from contactgeom import (FlowConfig, clifford, descend, descend_r_family,
-                         perturb, r_torus, theorem_probe, willmore_energy)
+from contactgeom import (FlowConfig, clifford, descend, perturb, r_torus,
+                         theorem_probe, willmore_energy)
 
-print("1-parameter family: E(r) has its unique zero at r = pi/4")
-report, _ = descend_r_family(np.pi / 4 + 0.1, n=32)
-print(f"  start r = {np.pi/4 + 0.1:.6f} -> r* = {report.r_final:.12f}"
-      f"  (pi/4 = {np.pi/4:.12f}),  E* = {report.energy[-1]:.2e}\n")
+print("product tori: E(r) has its unique zero at r = pi/4, 32x32, tol 1e-6")
+report, final = descend(r_torus(np.pi / 4 + 0.1).sample(n=32), FlowConfig(tol=1e-6))
+z = final.grid.points
+r_end = np.arccos(np.sqrt(z[..., 0] ** 2 + z[..., 1] ** 2))  # |z1| = cos r
+print(f"  start r = {np.pi/4 + 0.1:.6f} -> r in [{r_end.min():.12f}, "
+      f"{r_end.max():.12f}]  (pi/4 = {np.pi/4:.12f}),  "
+      f"E* = {report.trace[-1][1]:.2e} after {report.iterations} steps\n")
 
 print("L-BFGS descent from a (1,2)-mode normal bump, amplitude 0.05, 32x32:")
 grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
@@ -41,6 +43,6 @@ print(f"  beta spread = {probe['beta_spread']:.3e} (constant at tolerance)"
 
 print("\nthe same descent from the product torus r = 0.70, 32x32, tol 1e-6:")
 report, final = descend(r_torus(0.70).sample(n=32), FlowConfig(tol=1e-6))
-print(f"  E: {report.energy[0]:.3e} -> {report.energy[-1]:.3e} in "
+print(f"  E: {report.trace[0][1]:.3e} -> {report.trace[-1][1]:.3e} in "
       f"{report.iterations} steps, max|H| = {report.final_max_H:.3e}, "
       f"probe: {theorem_probe(report, final)['status']}")

@@ -21,8 +21,8 @@ from .catalog import (CatalogEntry, clifford, geodesic_sphere, load_samples,
 from .errors import (AmplitudeTooLarge, ContactGeomError, DegenerateContact,
                      DegenerateParametrization, NotTangent, OffSphere,
                      ParseError, RangeError, StepTooLarge)
-from .flow import (FlowConfig, FlowReport, area, descend, descend_r_family,
-                   flow_step, theorem_probe, willmore_energy)
+from .flow import (FlowConfig, FlowReport, area, descend, flow_step,
+                   theorem_probe, willmore_energy)
 from .surface import (FrameField, GridSpec, MetricField, SurfaceGrid,
                       contact_angle_field, sample, tangent_fields)
 

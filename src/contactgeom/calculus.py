@@ -355,8 +355,16 @@ def verify_curvature_identity(an):
 
 
 def _band_report(name, an, res):
-    """Norms off the analysis' tan-pole band; band and masked nodes are excluded."""
-    linf, l2 = _norms(res, an.valid_off_band)
+    """Norms off the analysis' tan-pole band; band and masked nodes are excluded.
+
+    Raises ValueError when no node is left to measure: empty norms would
+    read as a residual at the roundoff floor.
+    """
+    keep = an.valid_off_band
+    if not keep.any():
+        raise ValueError(f"{name} identity: band {an.band:g} leaves no node "
+                         f"of the n={an.grid.spec.n_u} grid to measure")
+    linf, l2 = _norms(res, keep)
     excluded = int(np.sum(an.tan_band & an.valid)) + an.frames.n_masked
     return IdentityReport(name, linf, l2, n_excluded=excluded)
 

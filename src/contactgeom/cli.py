@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: analyze, verify, flow, catalog.  Exit codes are part of the
-contract so CI can assert outcomes mechanically:
+Subcommands: analyze, verify, flow, catalog.  flow samples a catalog
+surface, runs the L-BFGS descent of flow.descend on it and probes the final
+surface with flow.theorem_probe.  Exit codes are part of the contract so CI
+can assert outcomes mechanically:
 
     0  success (and, for flow, theorem probe passed or was not applicable)
     2  argument errors (unknown surface, malformed flags, too few levels)
@@ -27,7 +29,7 @@ from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
                        verify_curvature_identity, verify_laplacian_identity,
                        verify_minimality)
 from .errors import ContactGeomError, OffSphere, ParseError
-from .flow import FlowConfig, area, descend, descend_r_family, theorem_probe
+from .flow import FlowConfig, area, descend, theorem_probe
 from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
                        write_table)
 
@@ -184,25 +186,10 @@ def cmd_verify(args):
 
 
 def cmd_flow(args):
-    params = _parse_params(args.param)
     try:
         cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol)
-        if args.mode == "r-only":
-            if catalog.ALIASES.get(args.surface, args.surface) != "rtorus":
-                raise ValueError(f"r-only mode descends the rtorus family, not "
-                                 f"--surface {args.surface}")
-            ignored = sorted(set(params) - {"r"})
-            if ignored:
-                raise ValueError(f"r-only mode reads only --param r, got "
-                                 f"{', '.join(ignored)}")
-            if args.grid[0] != args.grid[1]:
-                raise ValueError(f"r-only mode samples n x n tori, got --grid "
-                                 f"{args.grid[0]}x{args.grid[1]}")
-            r0 = float(params.get("r", math.pi / 4))
-            report, final = descend_r_family(r0, n=args.grid[0], config=cfg)
-        else:
-            entry = catalog.build(args.surface, params)
-            report, final = descend(entry.sample(entry.default_spec(*args.grid)), cfg)
+        entry = catalog.build(args.surface, _parse_params(args.param))
+        report, final = descend(entry.sample(entry.default_spec(*args.grid)), cfg)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -219,8 +206,7 @@ def cmd_flow(args):
     _write_json(payload, os.path.join(args.out, "flow_report.json"))
     rows = [TRACE_CSV_HEADER]
     for row in trace:
-        rows.append(",".join("" if x is None else FLOAT_FMT % x
-                             if isinstance(x, float) else str(x)
+        rows.append(",".join(FLOAT_FMT % x if isinstance(x, float) else str(x)
                              for x in row.values()))
     with open(os.path.join(args.out, "trace.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -280,7 +266,6 @@ def build_parser():
     pf.add_argument("--steps", type=int, default=500)
     pf.add_argument("--tol", type=float, default=1e-3)
     pf.add_argument("--step", type=float, default=1.0)
-    pf.add_argument("--mode", choices=("full", "r-only"), default="full")
     pf.add_argument("--out", default=".")
     pf.set_defaults(func=cmd_flow)
 

@@ -23,23 +23,19 @@ preconditioned gradient.  Each grid the descent reaches is one
 SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves the
 surface along its current normals; the moved grid's tangents are formed
 once, and a collapsed parametrization halves the step.
-descend_r_family is a golden-section search on the discrete energy of the
-product-torus family.
 """
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import ambient, catalog
+from . import ambient
 from .calculus import build_analysis, first_fundamental_form
 from .errors import DegenerateParametrization, StepTooLarge
 from .surface import tangent_fields
 
-GOLDEN_BRACKET = (0.3, 1.2)
-GOLDEN_TOL = 1e-9  # bracket width at which the r search stops
 # scale of the initial inverse Hessian: the step scale of the former 16x16
 # spline control basis, so FlowConfig.step = 1 (and --step) give the first
 # step, taken with an empty memory, the length it had there
@@ -77,29 +73,24 @@ class FlowReport:
 
     converged: bool
     iterations: int
-    energy: list                     # accepted-step energies, E[0] = initial
+    trace: list          # (iter, E, max|H|, beta spread); row 0 the initial grid
     final_max_H: float
     beta_max: float
     beta_mean: float
     beta_spread: float
-    trace: list = field(default_factory=list)  # (iter, E, max|H|, beta_dev)
-    r_final: float = None
     message: str = ""
 
     def to_dict(self):
-        d = {
+        return {
             "converged": self.converged,
             "iterations": self.iterations,
-            "energy_initial": self.energy[0] if self.energy else None,
-            "energy_final": self.energy[-1] if self.energy else None,
+            "energy_initial": self.trace[0][1],
+            "energy_final": self.trace[-1][1],
             "final_max_H": self.final_max_H,
             "beta": {"max": self.beta_max, "mean": self.beta_mean,
                      "spread": self.beta_spread},
             "message": self.message,
         }
-        if self.r_final is not None:
-            d["r_final"] = self.r_final
-        return d
 
 
 def area(grid):
@@ -168,15 +159,6 @@ def _beta_spread(an):
     return float(np.ptp(an.frames.beta[an.valid]))
 
 
-def _final_report(an, **fields):
-    """FlowReport with the final surface's max|H| and contact-angle summary."""
-    vals = an.frames.beta[an.valid]
-    return FlowReport(final_max_H=an.max_H,
-                      beta_max=float(np.max(np.abs(vals))),
-                      beta_mean=float(np.mean(vals)),
-                      beta_spread=float(np.ptp(vals)), **fields)
-
-
 def _lbfgs_direction(g, w, memory, step):
     """-H g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4).
 
@@ -242,7 +224,6 @@ def descend(grid, config=None):
 
     an = build_analysis(grid)
     w = grid.calc.quad_weights()
-    energies = [an.energy]
     traj = [(0, an.energy, an.max_H, _beta_spread(an))]
     converged = an.max_H < cfg.tol
     it = 0
@@ -273,7 +254,6 @@ def descend(grid, config=None):
         an, t = found
         s, g_prev = t * direction, g
         it += 1
-        energies.append(an.energy)
         traj.append((it, an.energy, an.max_H, _beta_spread(an)))
         converged = an.max_H < cfg.tol
 
@@ -282,54 +262,12 @@ def descend(grid, config=None):
     elif not converged and not message:
         message = "iteration cap reached"
 
-    report = _final_report(an, converged=bool(converged), iterations=it,
-                           energy=energies, trace=traj, message=message)
-    return report, an
-
-
-def _golden_min(f, a, b):
-    """Golden-section minimizer; deterministic, derivative-free."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > GOLDEN_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def descend_r_family(r0, n=32, config=None):
-    """Minimize the discrete energy over the product-torus family only.
-
-    Returns (FlowReport, SurfaceAnalysis of the minimizing torus).
-    """
-    cfg = config if config is not None else FlowConfig()
-    cache = {}
-
-    def E_of(r):
-        if r not in cache:
-            grid = catalog.r_torus(r).sample(n=n)
-            cache[r] = willmore_energy(grid)
-        return cache[r]
-
-    a = max(0.06, min(r0, GOLDEN_BRACKET[0]))
-    b = min(math.pi / 2 - 0.06, max(r0, GOLDEN_BRACKET[1]))
-    r_star = _golden_min(E_of, a, b)
-    an = build_analysis(catalog.r_torus(r_star).sample(n=n))
-    report = _final_report(
-        an, converged=bool(an.max_H < cfg.tol), iterations=len(cache),
-        energy=[E_of(r0), an.energy],
-        trace=[(0, E_of(r0), None, None),
-               (len(cache), an.energy, an.max_H, _beta_spread(an))],
-        r_final=float(r_star),
-        message=f"golden-section over r in [{a:g}, {b:g}]")
+    beta = an.frames.beta[an.valid]
+    report = FlowReport(converged=bool(converged), iterations=it, trace=traj,
+                        final_max_H=an.max_H,
+                        beta_max=float(np.max(np.abs(beta))),
+                        beta_mean=float(np.mean(beta)),
+                        beta_spread=float(np.ptp(beta)), message=message)
     return report, an
 
 

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from contactgeom import (FlowConfig, area, build_analysis, clifford,
-                         contact_angle_field, descend, descend_r_family,
-                         geodesic_sphere, perturb, r_torus, reeb, sample,
-                         theorem_probe, willmore_energy)
+                         contact_angle_field, descend, geodesic_sphere, perturb,
+                         r_torus, reeb, sample, theorem_probe, willmore_energy)
 from contactgeom.calculus import refinement_study
 from contactgeom.cli import main as cli_main
 from contactgeom.surface import GridSpec
@@ -176,18 +175,23 @@ def test_criterion_08_area_and_energy_oracles():
 def test_criterion_09_rigidity_probe(flow_result):
     report, final = flow_result
     probe = theorem_probe(report, final)
-    rrep, _ = descend_r_family(math.pi / 4 + 0.1, n=32)
-    r_dev = abs(rrep.r_final - math.pi / 4)
+    # the product torus off Clifford descends to |z1|^2 = cos^2(pi/4) = 1/2;
+    # near pi/4 this deviation is |r - pi/4| to first order
+    rrep, rfinal = descend(r_torus(math.pi / 4 + 0.1).sample(n=32),
+                           FlowConfig(tol=1e-6))
+    z = rfinal.grid.points
+    z1_dev = float(np.max(np.abs(z[..., 0] ** 2 + z[..., 1] ** 2 - 0.5)))
     ok = (report.converged and report.iterations <= 500
           and report.final_max_H < 1e-3
           and probe["status"] == "pass"
           and probe["beta_spread"] < 5e-3 and probe["K_inf"] < 5e-3
-          and r_dev < 1e-6)
+          and rrep.converged and z1_dev < 1e-6)
     assert _line(9, "rigidity probe", ok,
                  f"converged in {report.iterations} steps, max|H| = "
                  f"{report.final_max_H:.2e} (< 1e-3), beta spread = "
                  f"{probe['beta_spread']:.2e} (< 5e-3), |K| = "
-                 f"{probe['K_inf']:.2e} (< 5e-3), |r*-pi/4| = {r_dev:.1e} (< 1e-6)")
+                 f"{probe['K_inf']:.2e} (< 5e-3), max||z1|^2-1/2| from r = pi/4+0.1 "
+                 f"= {z1_dev:.1e} (< 1e-6)")
 
 
 def test_criterion_10_degeneracy_handling(cliff, sphere):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -17,6 +20,21 @@ from contactgeom.surface import GridSpec, SurfaceGrid
 
 def run(argv):
     return main(argv)
+
+
+def _readme_command_lines():
+    """The `contactgeom ...` lines of README's "Command line" block."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n+```bash\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("contactgeom ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_lines_exit_0(line, tmp_path):
+    argv = shlex.split(line)[1:]
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path)
+    assert run(argv) == 0
 
 
 def test_analyze_clifford(tmp_path, capsys):
@@ -222,22 +240,22 @@ def test_verify_needs_three_levels(tmp_path):
      "--refine", "32,32,32"],
     ["verify", "--surface", "geodesic_sphere", "--identity", "gauss",
      "--refine", "64,32,16"],
-    ["flow", "--surface", "rtorus", "--mode", "r-only", "--grid", "16x40"],
     ["analyze", "--surface", "clifford", "--param", "eps=0.05", "--param", "M=3",
      "--grid", "16x16"],
     ["analyze", "--surface", "geodesic_sphere", "--param", "r=0.3", "--grid", "16x16"],
-    ["flow", "--surface", "clifford", "--param", "eps=0.05", "--mode", "r-only",
-     "--grid", "16x16"],
-    ["flow", "--surface", "rtorus", "--param", "r=0.885", "--param", "eps=0.05",
-     "--mode", "r-only", "--grid", "16x16"],
     ["analyze", "--surface", "clifford", "--param", "m=2.5", "--grid", "16x16"],
     ["analyze", "--surface", "clifford", "--param", "m=nan", "--param", "eps=0",
      "--grid", "16x16"],
+    ["flow", "--surface", "rtorus", "--param", "r=0.885", "--mode", "full",
+     "--grid", "16x16"],
+    ["verify", "--surface", "clifford", "--param", "eps=0.1", "--identity",
+     "laplacian", "--refine", "32,64,128", "--band", "10"],
 ], ids=["refine-token", "refine-below-8", "step-0", "tol-negative", "steps-negative",
         "band-negative", "band-nan", "step-1e300", "eps-nan", "mode-1e400",
-        "mode-fractional", "refine-repeated", "refine-decreasing", "r-only-not-square",
-        "param-unknown", "param-not-on-sphere", "r-only-not-rtorus", "r-only-bump-param",
-        "mode-fractional-unbumped", "mode-nan-eps-0"])
+        "mode-fractional", "refine-repeated", "refine-decreasing",
+        "param-unknown", "param-not-on-sphere",
+        "mode-fractional-unbumped", "mode-nan-eps-0", "flow-mode-retired",
+        "band-excludes-every-node"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2
@@ -267,16 +285,6 @@ def test_verify_gauss_both_surfaces(tmp_path):
                     "--refine", "32,64,128", "--out", str(tmp_path)]) == 0
 
 
-def test_flow_r_only(tmp_path):
-    assert run(["flow", "--surface", "rtorus", "--param", "r=0.885",
-                "--mode", "r-only", "--grid", "32x32", "--out", str(tmp_path)]) == 0
-    rep = json.loads((tmp_path / "flow_report.json").read_text())
-    assert abs(rep["r_final"] - math.pi / 4) < 1e-6
-    assert rep["converged"] is True
-    trace = (tmp_path / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iteration,energy,max_H,beta_spread"
-
-
 def test_flow_zero_steps_exit_5(tmp_path):
     assert run(["flow", "--surface", "clifford", "--param", "eps=0.05",
                 "--grid", "32x32", "--steps", "0", "--out", str(tmp_path)]) == 5
@@ -294,23 +302,23 @@ def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="identity_gauss.json"):
         run(["verify", "--surface", "clifford", "--identity", "gauss",
              "--refine", "32,64,128", "--out", str(tmp_path)])
-    descend_r_family = cli.descend_r_family
+    descend = cli.descend
 
     def nan_trace(*args, **kwargs):
-        report, grid = descend_r_family(*args, **kwargs)
+        report, final = descend(*args, **kwargs)
         it, E, maxH, _ = report.trace[-1]
         report.trace[-1] = (it, E, maxH, math.nan)
-        return report, grid
+        return report, final
 
-    monkeypatch.setattr(cli, "descend_r_family", nan_trace)
+    monkeypatch.setattr(cli, "descend", nan_trace)
     with pytest.raises(ValueError, match="beta_spread in trace.csv"):
-        run(["flow", "--surface", "rtorus", "--param", "r=0.885", "--mode",
-             "r-only", "--grid", "32x32", "--out", str(tmp_path)])
+        run(["flow", "--surface", "rtorus", "--param", "r=0.885",
+             "--grid", "32x32", "--out", str(tmp_path)])
     monkeypatch.setattr(cli, "theorem_probe",
                         lambda report, grid: {"status": "pass", "K_inf": math.nan})
     with pytest.raises(ValueError, match="flow_report.json"):
-        run(["flow", "--surface", "rtorus", "--param", "r=0.885", "--mode",
-             "r-only", "--grid", "32x32", "--out", str(tmp_path)])
+        run(["flow", "--surface", "rtorus", "--param", "r=0.885",
+             "--grid", "32x32", "--out", str(tmp_path)])
 
     def nan_analysis(grid):
         an = build_analysis(grid)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from contactgeom import (DegenerateParametrization, FlowConfig, StepTooLarge,
-                         area, build_analysis, calculus, clifford, descend,
-                         descend_r_family, flow, flow_step, geodesic_sphere,
-                         perturb, r_torus, theorem_probe, willmore_energy)
+                         area, build_analysis, calculus, cli, clifford, descend,
+                         flow, flow_step, geodesic_sphere, perturb, r_torus,
+                         theorem_probe, willmore_energy)
 from contactgeom.cli import main
 from contactgeom.flow import MAX_HALVINGS, FlowReport, _moved_points
 from contactgeom.gridops import GridCalc
@@ -222,20 +222,13 @@ def test_descend_zero_steps_not_converged():
     assert rep.iterations == 0
 
 
-def test_r_only_descent_recovers_quarter_pi():
-    rep, grid = descend_r_family(np.pi / 4 + 0.1, n=32)
-    assert rep.converged
-    assert abs(rep.r_final - np.pi / 4) < 1e-6
-    assert rep.energy[-1] < 1e-12
-
-
 def test_full_descent_from_bump(flow_run):
     rep, final = flow_run
     assert rep.converged
     assert rep.iterations <= 8
     assert rep.final_max_H < 1e-3
     # accepted backtracking steps decrease the energy strictly
-    diffs = np.diff(rep.energy)
+    diffs = np.diff([E for _, E, _, _ in rep.trace])
     assert np.all(diffs < 0)
 
 
@@ -335,12 +328,29 @@ def test_descent_from_a_hopf_torus():
     assert theorem_probe(rep, final)["status"] == "pass"
 
 
-def test_full_descent_from_a_product_torus(tmp_path):
-    assert main(["flow", "--surface", "rtorus", "--param", "r=0.70",
-                 "--grid", "32x32", "--tol", "1e-6", "--out", str(tmp_path)]) == 0
-    rep = json.loads((tmp_path / "flow_report.json").read_text())
-    assert rep["converged"]
-    assert rep["iterations"] <= 6
+def test_full_descent_from_a_product_torus(tmp_path, monkeypatch):
+    # starts on both sides of the Clifford radius pi/4 reach |z1|^2 = 1/2
+    finals = []
+
+    def keep_final(grid, cfg):
+        report, final = descend(grid, cfg)
+        finals.append(final)
+        return report, final
+
+    monkeypatch.setattr(cli, "descend", keep_final)
+    for r0 in (0.4, 0.70, np.pi / 4 + 0.1, 1.0):
+        out = tmp_path / f"r{r0:.4f}"
+        assert main(["flow", "--surface", "rtorus", "--param", f"r={r0!r}",
+                     "--grid", "32x32", "--tol", "1e-6", "--out", str(out)]) == 0, r0
+        rep = json.loads((out / "flow_report.json").read_text())
+        assert rep["converged"] and rep["probe"]["status"] == "pass", r0
+        assert rep["iterations"] <= 6, (r0, rep["iterations"])
+        assert rep["energy_final"] < 1e-12, r0
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "iteration,energy,max_H,beta_spread"
+        assert len(trace) == rep["iterations"] + 2  # header and the initial grid
+        z = finals[-1].grid.points
+        assert np.max(np.abs(z[..., 0] ** 2 + z[..., 1] ** 2 - 0.5)) < 1e-6, r0
 
 
 def test_stalled_search_restarts_from_preconditioned_gradient(monkeypatch):
@@ -380,12 +390,13 @@ def test_uphill_direction_clears_the_memory(monkeypatch):
     assert len(searched) == 4
     assert all(_close(d, _preconditioned_gradient(an))
                for d, an in zip(searched, started))
-    assert np.all(np.diff(rep.energy) < 0)
+    assert np.all(np.diff([E for _, E, _, _ in rep.trace]) < 0)
 
 
 def test_theorem_probe_not_applicable_on_sphere():
     an = build_analysis(geodesic_sphere().sample(n=32))
-    rep = FlowReport(converged=True, iterations=0, energy=[an.energy],
+    rep = FlowReport(converged=True, iterations=0,
+                     trace=[(0, an.energy, an.max_H, 0.0)],
                      final_max_H=an.max_H, beta_max=0.0, beta_mean=0.0,
                      beta_spread=0.0)
     probe = theorem_probe(rep, an)
