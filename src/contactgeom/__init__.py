@@ -18,7 +18,7 @@ from .calculus import (IdentityReport, ShapeOperatorField, build_analysis,
                        verify_minimality)
 from .catalog import (CatalogEntry, clifford, geodesic_sphere, load_samples,
                       perturb, r_torus)
-from .errors import (AmplitudeTooLarge, ContactGeomError, DegenerateContact,
+from .errors import (ContactGeomError, DegenerateContact,
                      DegenerateParametrization, NotTangent, OffSphere,
                      ParseError, RangeError, StepTooLarge)
 from .flow import (FlowConfig, FlowReport, area, descend, flow_step,

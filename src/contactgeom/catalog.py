@@ -7,15 +7,56 @@ conventions produce (signed contact angle, Weingarten-sign shape operator).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import ambient
 from . import surface as surf
-from .errors import AmplitudeTooLarge, RangeError
+from .errors import RangeError
 from .sampleio import read_samples
 from .surface import GridSpec, _contact_sine, _unit_normal
+
+
+@dataclass(frozen=True)
+class Param:
+    """A catalog parameter: default, open range (lo, hi), integer or not."""
+
+    default: float
+    range: tuple
+    integer: bool = False
+
+
+RTORUS_SCHEMA = {"r": Param(math.pi / 4, (0.05, math.pi / 2 - 0.05))}
+# the normal bump eps*sin(m u)*sin(n v) of every doubly periodic entry; eps = 0
+# leaves it unbumped, and a mode of 100 needs over 200 nodes per axis
+BUMP_SCHEMA = {"eps": Param(0.0, (-0.2, 0.2)),
+               "m": Param(1, (0, 100), integer=True),
+               "n": Param(2, (0, 100), integer=True)}
+
+
+def _read_params(owner, schema, raw):
+    """Checked values of owner's parameters from raw numbers or strings, a
+    missing one at its default.  RangeError names owner and the parameter for
+    an unknown name, a non-number, a value outside its open range (NaN
+    included) and a non-integer value of an integer parameter."""
+    for name in sorted(set(raw) - set(schema)):
+        raise RangeError(f"unknown parameter {name!r} for {owner}; "
+                         f"accepted: {', '.join(schema) or 'none'}")
+    values = {}
+    for name, param in schema.items():
+        value = raw.get(name, param.default)
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            x = math.nan  # not a number: fails the range test below
+        lo, hi = param.range
+        if not (lo < x < hi and (x.is_integer() or not param.integer)):
+            kind = "an integer" if param.integer else "a number"
+            raise RangeError(f"{owner} parameter {name} = {value!r} is not "
+                             f"{kind} in ({lo!r}, {hi!r})")
+        values[name] = int(x) if param.integer else x
+    return values
 
 
 @dataclass
@@ -27,15 +68,12 @@ class CatalogEntry:
     """
 
     name: str
-    params: dict
     point: callable
     d1: callable = None
     default_topology: tuple = ("periodic", "periodic")
     default_ranges: tuple = ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi))
     ground_truth: dict = field(default_factory=dict)
     notes: str = ""
-    schema: dict = field(default_factory=dict)
-    partials_are_fd: bool = False
 
     def default_spec(self, n_u=64, n_v=None):
         return GridSpec(n_u, n_v if n_v is not None else n_u,
@@ -70,7 +108,6 @@ def clifford():
 
     return CatalogEntry(
         name="clifford",
-        params={},
         point=point, d1=d1,
         ground_truth={
             "beta": 0.0,
@@ -81,26 +118,22 @@ def clifford():
             "willmore": 0.0,
         },
         notes="flat minimal torus; contact angle identically 0",
-        schema={},
     )
 
 
-def r_torus(r):
+def r_torus(r=RTORUS_SCHEMA["r"].default):
     """Product torus (cos r e^{iu}, sin r e^{iv}); equals clifford() at r = pi/4.
 
     Principal curvatures are tan r and -cot r, so H = (tan r - cot r)/2 and
-    K = 0 for every admissible r.  Raises RangeError outside
-    (0.05, pi/2 - 0.05).
+    K = 0; an r outside RTORUS_SCHEMA's range raises RangeError.
     """
-    if not (0.05 < r < math.pi / 2 - 0.05):
-        raise RangeError(f"r = {r!r} outside (0.05, pi/2 - 0.05)")
+    r = _read_params("rtorus", RTORUS_SCHEMA, {"r": r})["r"]
     cr, sr = math.cos(r), math.sin(r)
     point, d1 = _product_torus_maps(cr, sr)
 
     h = (math.tan(r) - 1.0 / math.tan(r)) / 2.0
     return CatalogEntry(
         name="rtorus",
-        params={"r": r},
         point=point, d1=d1,
         ground_truth={
             "beta": 0.0,
@@ -110,7 +143,6 @@ def r_torus(r):
             "willmore": 4.0 * math.pi ** 2 * sr * cr * h ** 2,
         },
         notes="product torus family through the flat minimal torus at r = pi/4",
-        schema={"r": {"default": math.pi / 4, "range": (0.05, math.pi / 2 - 0.05)}},
     )
 
 
@@ -136,7 +168,6 @@ def geodesic_sphere():
 
     return CatalogEntry(
         name="geodesic_sphere",
-        params={},
         point=point, d1=d1,
         default_topology=("chart", "periodic"),
         default_ranges=((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi)),
@@ -146,7 +177,6 @@ def geodesic_sphere():
             "H": 0.0,
         },
         notes="totally geodesic sphere; non-constant contact angle arcsin(x2)",
-        schema={},
     )
 
 
@@ -162,37 +192,35 @@ def _base_normal(entry, U, V):
     return pts, _unit_normal(pts, fu, fv), mask
 
 
-def perturb(entry, mode=(1, 2), amplitude=0.05):
-    """Displace an entry along its normal by amplitude*sin(m u)*sin(n v).
+def perturb(entry, mode, eps):
+    """Displace an entry along its normal by eps*sin(m u)*sin(n v).
 
-    The base entry must be doubly periodic and |amplitude| < 0.2.  The
-    derived entry has no analytic partials; downstream code falls back to
-    high-order finite differences (partials_are_fd is set).
+    The base entry must be doubly periodic, and eps and mode = (m, n) must
+    fit BUMP_SCHEMA.  The derived entry has no analytic partials (d1 is
+    None); downstream code falls back to high-order finite differences.
     """
-    if not abs(amplitude) < 0.2:
-        raise AmplitudeTooLarge(f"|amplitude| = {abs(amplitude)!r} must be < 0.2")
+    values = _read_params(entry.name, BUMP_SCHEMA,
+                          {"eps": eps, "m": mode[0], "n": mode[1]})
     if entry.default_topology != ("periodic", "periodic"):
         raise RangeError("perturb requires a doubly periodic base entry")
-    m, n = int(mode[0]), int(mode[1])
+    eps, m, n = values["eps"], values["m"], values["n"]
 
     def point(U, V):
         pts, e3, mask = _base_normal(entry, U, V)
         if np.any(mask):
             raise RangeError("base entry is contact-degenerate under the bump")
-        bump = amplitude * np.sin(m * np.asarray(U)) * np.sin(n * np.asarray(V))
+        bump = eps * np.sin(m * np.asarray(U)) * np.sin(n * np.asarray(V))
         moved = ambient.scale(bump, e3, onto=pts)
         return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
 
-    label = f"{entry.name}+bump({m},{n})x{amplitude:g}"
+    label = f"{entry.name}+bump({m},{n})x{eps:g}"
     return CatalogEntry(
         name=label,
-        params=dict(entry.params, mode=(m, n), amplitude=amplitude),
         point=point, d1=None,
         default_topology=entry.default_topology,
         default_ranges=entry.default_ranges,
         ground_truth={},
         notes=f"normal bump of {entry.name}; partials by finite differences",
-        partials_are_fd=True,
     )
 
 
@@ -204,11 +232,10 @@ def load_samples(path):
     return read_samples(path)
 
 
-_FACTORIES = {
-    "clifford": lambda params: clifford(),
-    "geodesic_sphere": lambda params: geodesic_sphere(),
-    "rtorus": lambda params: r_torus(float(params.get("r", math.pi / 4))),
-}
+# name -> (factory, the factory's parameters and, if doubly periodic, the bump's)
+_FACTORIES = {"clifford": (clifford, BUMP_SCHEMA),
+              "geodesic_sphere": (geodesic_sphere, {}),
+              "rtorus": (r_torus, {**RTORUS_SCHEMA, **BUMP_SCHEMA})}
 
 ALIASES = {"r_torus": "rtorus", "sphere": "geodesic_sphere"}
 
@@ -217,48 +244,29 @@ def names():
     return sorted(_FACTORIES)
 
 
-# the normal bump build applies to a doubly periodic entry: amplitude (eps is
-# its short name) and mode (m, n)
-BUMP_PARAMS = ("amplitude", "eps", "m", "n")
-
-
 def build(name, params=None):
     """Instantiate a catalog entry by name; KeyError for unknown names.
 
-    An entry takes the parameters in its schema, and a doubly periodic one
-    also the bump's BUMP_PARAMS; RangeError names any other.  The mode
-    (m, n) must be integers, RangeError otherwise, whether or not a non-zero
-    eps bumps the entry in that mode.
+    params maps parameter names to numbers or strings, or lists (name,
+    value) pairs.  They are read against the name's schema, and RangeError
+    names a bad one.  A non-zero eps bumps the entry in mode (m, n).
     """
-    params = dict(params or {})
     key = ALIASES.get(name, name)
     if key not in _FACTORIES:
         raise KeyError(f"unknown catalog surface {name!r}; known: {names()}")
-    entry = _FACTORIES[key](params)
-    accepted = set(entry.schema)
-    if entry.default_topology == ("periodic", "periodic"):
-        accepted.update(BUMP_PARAMS)
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        raise RangeError(f"unknown parameter {unknown[0]!r} for {key}; accepted: "
-                         f"{', '.join(sorted(accepted)) or 'none'}")
-    mode = []
-    for p, default in (("m", 1), ("n", 2)):
-        k = float(params.get(p, default))
-        if not (math.isfinite(k) and k == int(k)):
-            raise RangeError(f"bump mode {p} = {k!r} is not an integer")
-        mode.append(int(k))
-    eps = params.get("eps", params.get("amplitude"))
-    if eps is not None and float(eps) != 0.0:
-        entry = perturb(entry, mode, float(eps))
+    factory, schema = _FACTORIES[key]
+    values = _read_params(key, schema, dict(params or ()))
+    entry = factory(**{k: v for k, v in values.items() if k not in BUMP_SCHEMA})
+    if values.get("eps"):
+        entry = perturb(entry, (values["m"], values["n"]), values["eps"])
     return entry
 
 
 def describe():
     """Listing data for the CLI."""
     out = []
-    for name in names():
-        entry = _FACTORIES[name]({})
+    for name, (factory, schema) in sorted(_FACTORIES.items()):
+        entry = factory()
         gt = {}
         for key, val in entry.ground_truth.items():
             if isinstance(val, (int, float)):
@@ -269,9 +277,7 @@ def describe():
                 gt[key] = "closed form"
         out.append({
             "name": name,
-            "params": {k: {"default": v.get("default"),
-                           "range": list(v.get("range", ()))}
-                       for k, v in entry.schema.items()},
+            "params": {k: asdict(p) for k, p in schema.items()},
             "topology": list(entry.default_topology),
             "ranges": [list(entry.default_ranges[0]), list(entry.default_ranges[1])],
             "ground_truth": gt,

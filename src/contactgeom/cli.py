@@ -28,7 +28,7 @@ from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
                        build_analysis, refinement_passed, refinement_study,
                        verify_curvature_identity, verify_laplacian_identity,
                        verify_minimality)
-from .errors import ContactGeomError, OffSphere, ParseError
+from .errors import ContactGeomError, OffSphere, ParseError, RangeError
 from .flow import FlowConfig, area, descend, theorem_probe
 from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
                        write_table)
@@ -75,26 +75,22 @@ def _parse_grid(text):
         raise argparse.ArgumentTypeError(f"grid must look like 64x64, got {text!r}")
 
 
-def _parse_params(pairs):
-    out = {}
-    for p in pairs or []:
-        if "=" not in p:
-            raise argparse.ArgumentTypeError(f"--param expects k=v, got {p!r}")
-        k, v = p.split("=", 1)
-        try:
-            out[k] = float(v)
-        except ValueError:
-            out[k] = v
-    return out
+def _parse_param(text):
+    """One --param k=v as (k, v); v stays a string for catalog.build to read."""
+    name, eq, value = text.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expected k=v, got {text!r}")
+    return name, value
 
 
 def _load_surface(name, params, grid_shape):
-    """Catalog entry or sample file -> SurfaceGrid."""
+    """Catalog entry or sample file (which takes no --param) -> SurfaceGrid."""
     if os.path.exists(name):
+        if params:
+            raise RangeError(f"a sample file takes no parameters, got {params[0][0]!r}")
         return catalog.load_samples(name)
     entry = catalog.build(name, params)
-    nu, nv = grid_shape
-    return entry.sample(entry.default_spec(nu, nv))
+    return entry.sample(entry.default_spec(*grid_shape))
 
 
 def _stats(values, mask=None):
@@ -105,7 +101,7 @@ def _stats(values, mask=None):
 
 def cmd_analyze(args):
     try:
-        grid = _load_surface(args.surface, _parse_params(args.param), args.grid)
+        grid = _load_surface(args.surface, args.param, args.grid)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -164,7 +160,7 @@ def cmd_analyze(args):
 def cmd_verify(args):
     try:
         levels = [int(x) for x in args.refine.split(",") if x.strip()]
-        entry = catalog.build(args.surface, _parse_params(args.param))
+        entry = catalog.build(args.surface, args.param)
         report = refinement_study(entry, args.identity, levels, band=args.band)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -188,20 +184,21 @@ def cmd_verify(args):
 def cmd_flow(args):
     try:
         cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol)
-        entry = catalog.build(args.surface, _parse_params(args.param))
+        entry = catalog.build(args.surface, args.param)
         report, final = descend(entry.sample(entry.default_spec(*args.grid)), cfg)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # the trace first: flow_report.json reads its last row
+    columns = TRACE_CSV_HEADER.split(",")
+    trace = [_rounded(dict(zip(columns, row)), f"trace.csv at iteration {row[0]}")
+             for row in report.trace]
     probe = theorem_probe(report, final)
     payload = report.to_dict()
     payload.update(format_version=FORMAT_VERSION, surface=args.surface,
                    probe=probe)
     payload = _rounded(payload, "flow_report.json")
-    columns = TRACE_CSV_HEADER.split(",")
-    trace = [_rounded(dict(zip(columns, row)), f"trace.csv at iteration {row[0]}")
-             for row in report.trace]
     os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, "flow_report.json"))
     rows = [TRACE_CSV_HEADER]
@@ -242,14 +239,14 @@ def build_parser():
     pa = sub.add_parser("analyze", help="field summaries and residuals for a surface")
     pa.add_argument("--surface", required=True,
                     help="catalog name or path to a sample file")
-    pa.add_argument("--param", action="append", help="k=v, repeatable")
+    pa.add_argument("--param", action="append", type=_parse_param, help="k=v, repeatable")
     pa.add_argument("--grid", type=_parse_grid, default=(64, 64))
     pa.add_argument("--out", default=".")
     pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="identity residuals under grid refinement")
     pv.add_argument("--surface", required=True)
-    pv.add_argument("--param", action="append")
+    pv.add_argument("--param", action="append", type=_parse_param)
     pv.add_argument("--identity", required=True,
                     choices=sorted(IDENTITY_VERIFIERS))
     pv.add_argument("--refine", default="32,64,128",
@@ -261,7 +258,7 @@ def build_parser():
 
     pf = sub.add_parser("flow", help="squared-mean-curvature descent")
     pf.add_argument("--surface", default="rtorus")
-    pf.add_argument("--param", action="append")
+    pf.add_argument("--param", action="append", type=_parse_param)
     pf.add_argument("--grid", type=_parse_grid, default=(32, 32))
     pf.add_argument("--steps", type=int, default=500)
     pf.add_argument("--tol", type=float, default=1e-3)

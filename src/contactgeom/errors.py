@@ -32,10 +32,6 @@ class StepTooLarge(ContactGeomError):
     """A flow step collapsed the parametrization."""
 
 
-class AmplitudeTooLarge(ContactGeomError):
-    """Perturbation amplitude outside the supported bracket."""
-
-
 class RangeError(ContactGeomError):
     """Parameter outside the bracket an operation supports."""
 

@@ -74,11 +74,13 @@ class FlowReport:
     converged: bool
     iterations: int
     trace: list          # (iter, E, max|H|, beta spread); row 0 the initial grid
-    final_max_H: float
     beta_max: float
     beta_mean: float
-    beta_spread: float
     message: str = ""
+
+    @property
+    def final_max_H(self):
+        return self.trace[-1][2]
 
     def to_dict(self):
         return {
@@ -88,7 +90,7 @@ class FlowReport:
             "energy_final": self.trace[-1][1],
             "final_max_H": self.final_max_H,
             "beta": {"max": self.beta_max, "mean": self.beta_mean,
-                     "spread": self.beta_spread},
+                     "spread": self.trace[-1][3]},
             "message": self.message,
         }
 
@@ -264,10 +266,8 @@ def descend(grid, config=None):
 
     beta = an.frames.beta[an.valid]
     report = FlowReport(converged=bool(converged), iterations=it, trace=traj,
-                        final_max_H=an.max_H,
                         beta_max=float(np.max(np.abs(beta))),
-                        beta_mean=float(np.mean(beta)),
-                        beta_spread=float(np.ptp(beta)), message=message)
+                        beta_mean=float(np.mean(beta)), message=message)
     return report, an
 
 
@@ -279,10 +279,10 @@ def theorem_probe(report, analysis):
     (angle not constant at tolerance) or 'inconclusive' (flow did not
     converge).
     """
+    spread = _beta_spread(analysis)
     if not report.converged:
         return {"status": "inconclusive",
-                "reason": "flow did not converge", "beta_spread": report.beta_spread}
-    spread = _beta_spread(analysis)
+                "reason": "flow did not converge", "beta_spread": spread}
     K_inf = float(np.max(np.abs(analysis.K_ext[analysis.valid])))
     out = {"beta_spread": spread, "K_inf": K_inf,
            "beta_tol": PROBE_BETA_TOL, "K_tol": PROBE_K_TOL}

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from contactgeom import (AmplitudeTooLarge, OffSphere, ParseError, RangeError,
-                         clifford, contact_angle_field, geodesic_sphere,
-                         load_samples, perturb, r_torus, willmore_energy)
+from contactgeom import (OffSphere, ParseError, RangeError, clifford,
+                         contact_angle_field, geodesic_sphere, load_samples,
+                         perturb, r_torus, willmore_energy)
 from contactgeom.catalog import build, describe
 from contactgeom.sampleio import FIELDS_CSV_HEADER, write_samples
 from contactgeom.surface import sample, tangent_fields
@@ -96,21 +96,22 @@ def test_perturb_identity_at_zero():
 
 def test_perturb_positive_energy():
     ent = perturb(clifford(), (1, 2), 0.05)
-    assert ent.partials_are_fd
+    assert ent.d1 is None
     grid = ent.sample(n=32)
     assert grid.partials is None
     assert willmore_energy(grid) > 1e-4
 
 
 def test_perturb_amplitude_guard():
-    with pytest.raises(AmplitudeTooLarge):
+    with pytest.raises(RangeError, match="clifford parameter eps = 0.5"):
         perturb(clifford(), (1, 1), 0.5)
     with pytest.raises(RangeError):
         perturb(geodesic_sphere(), (1, 1), 0.05)  # not doubly periodic
 
 
 def test_blend_build_registry():
-    assert build("rtorus", {"r": 0.9}).params["r"] == 0.9
+    assert build("rtorus", {"r": 0.9}).ground_truth["area"] == pytest.approx(
+        2 * np.pi ** 2 * np.sin(1.8))
     assert build("r_torus", {}).name == "rtorus"
     with pytest.raises(KeyError):
         build("nosuch")

@@ -9,8 +9,8 @@ import shlex
 import numpy as np
 import pytest
 
-from contactgeom import (OffSphere, cli, clifford, contact_angle_field, flow,
-                         load_samples)
+from contactgeom import (OffSphere, catalog, cli, clifford, contact_angle_field,
+                         flow, load_samples)
 from contactgeom.calculus import (IdentityReport, ShapeOperatorField,
                                   build_analysis)
 from contactgeom.cli import main
@@ -250,16 +250,33 @@ def test_verify_needs_three_levels(tmp_path):
      "--grid", "16x16"],
     ["verify", "--surface", "clifford", "--param", "eps=0.1", "--identity",
      "laplacian", "--refine", "32,64,128", "--band", "10"],
+    ["analyze", "--surface", "clifford", "--param", "foo", "--grid", "16x16"],
+    ["verify", "--surface", "clifford", "--param", "foo", "--identity", "gauss",
+     "--refine", "32,64,128"],
+    ["flow", "--surface", "clifford", "--param", "foo", "--grid", "16x16"],
+    ["analyze", "--surface", "clifford", "--param", "eps=0.05",
+     "--param", "amplitude=0.15", "--grid", "16x16"],
 ], ids=["refine-token", "refine-below-8", "step-0", "tol-negative", "steps-negative",
         "band-negative", "band-nan", "step-1e300", "eps-nan", "mode-1e400",
         "mode-fractional", "refine-repeated", "refine-decreasing",
         "param-unknown", "param-not-on-sphere",
         "mode-fractional-unbumped", "mode-nan-eps-0", "flow-mode-retired",
-        "band-excludes-every-node"])
+        "band-excludes-every-node", "param-no-equals-analyze",
+        "param-no-equals-verify", "param-no-equals-flow", "param-eps-and-amplitude"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_file_takes_no_parameters(tmp_path, capsys):
+    path = tmp_path / "clifford.s3"
+    write_samples(clifford().sample(n=16), str(path))
+    out = tmp_path / "o"
+    assert run(["analyze", "--surface", str(path), "--param", "r=0.9",
+                "--param", "eps=0.1", "--out", str(out)]) == 2
+    assert "takes no parameters, got 'r'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -314,6 +331,8 @@ def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="beta_spread in trace.csv"):
         run(["flow", "--surface", "rtorus", "--param", "r=0.885",
              "--grid", "32x32", "--out", str(tmp_path)])
+    # the trace feeds flow_report.json, so the probe's NaN needs a finite one
+    monkeypatch.setattr(cli, "descend", descend)
     monkeypatch.setattr(cli, "theorem_probe",
                         lambda report, grid: {"status": "pass", "K_inf": math.nan})
     with pytest.raises(ValueError, match="flow_report.json"):
@@ -347,6 +366,34 @@ def test_catalog_list_json(capsys):
     assert {e["name"] for e in entries} == {"clifford", "geodesic_sphere", "rtorus"}
     rt = next(e for e in entries if e["name"] == "rtorus")
     assert "r" in rt["params"]
+
+
+@pytest.mark.parametrize("entry", catalog.describe(), ids=lambda e: e["name"])
+def test_catalog_schema_oracle(entry, tmp_path, capsys):
+    # walks the listing, so a new entry or parameter is checked as listed
+    name, params = entry["name"], entry["params"]
+    assert run(["catalog", "list", "--json"]) == 0
+    listed = {e["name"]: set(e["params"]) for e in json.loads(capsys.readouterr().out)}
+    assert listed[name] == set(params)
+    periodic = entry["topology"] == ["periodic", "periodic"]
+    assert ({"eps", "m", "n"} <= set(params)) == periodic
+
+    def rejected(param, value, named):
+        out = tmp_path / "o"
+        code = run(["analyze", "--surface", name, "--param", f"{param}={value}",
+                    "--grid", "8x8", "--out", str(out)])
+        return code == 2 and named in capsys.readouterr().err and not out.exists()
+
+    for param, meta in params.items():
+        catalog.build(name, {param: meta["default"]})
+        lo, hi = meta["range"]
+        bad = ["nan", "inf", "-inf", repr(lo), repr(hi), "abc"]
+        bad += ["2.5"] if meta["integer"] else []
+        assert [v for v in bad
+                if not rejected(param, v, f"{name} parameter {param} = ")] == []
+    others = {p for e in catalog.describe() for p in e["params"]} | {"amplitude", "foo"}
+    assert [p for p in sorted(others - set(params))
+            if not rejected(p, "0.1", f"unknown parameter {p!r}")] == []
 
 
 def test_catalog_unknown_subcommand():

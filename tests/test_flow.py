@@ -397,8 +397,7 @@ def test_theorem_probe_not_applicable_on_sphere():
     an = build_analysis(geodesic_sphere().sample(n=32))
     rep = FlowReport(converged=True, iterations=0,
                      trace=[(0, an.energy, an.max_H, 0.0)],
-                     final_max_H=an.max_H, beta_max=0.0, beta_mean=0.0,
-                     beta_spread=0.0)
+                     beta_max=0.0, beta_mean=0.0)
     probe = theorem_probe(rep, an)
     assert probe["status"] == "not_applicable"
 
