@@ -7,7 +7,7 @@ taking a product torus off Clifford to r = pi/4, and pulling a bumped flat
 torus back to minimality with the implication chain checked on the result.
 
 The full descent is limited-memory BFGS over the nodal displacement psi.
-Its first step is the flat-torus preconditioned gradient at FlowConfig.step;
+Its first step is the flat-torus preconditioned gradient times STEP_SCALE;
 from the second step on, the stored (step, gradient change) pairs rescale
 and bend the direction, so the energy drops by orders of magnitude per
 step once a pair or two are held.  The last part starts the same descent
@@ -30,7 +30,7 @@ print(f"  start r = {np.pi/4 + 0.1:.6f} -> r in [{r_end.min():.12f}, "
 print("L-BFGS descent from a (1,2)-mode normal bump, amplitude 0.05, 32x32:")
 grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
 print(f"  initial energy  = {willmore_energy(grid):.6e}")
-report, final = descend(grid, FlowConfig(step=1.0, max_iter=500, tol=1e-3))
+report, final = descend(grid, FlowConfig(max_iter=500, tol=1e-3))
 for (it, E, maxH, dev) in report.trace:
     print(f"  iter {it:3d}  E = {E:.3e}  max|H| = {maxH:.3e}  "
           f"beta spread = {dev:.3e}")

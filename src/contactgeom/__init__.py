@@ -20,9 +20,9 @@ from .catalog import (CatalogEntry, clifford, geodesic_sphere, load_samples,
                       perturb, r_torus)
 from .errors import (ContactGeomError, DegenerateContact,
                      DegenerateParametrization, NotTangent, OffSphere,
-                     ParseError, RangeError, StepTooLarge)
-from .flow import (FlowConfig, FlowReport, area, descend, flow_step,
-                   theorem_probe, willmore_energy)
+                     ParseError, RangeError)
+from .flow import (FlowConfig, FlowReport, area, descend, theorem_probe,
+                   willmore_energy)
 from .surface import (FrameField, GridSpec, MetricField, SurfaceGrid,
                       contact_angle_field, sample, tangent_fields)
 

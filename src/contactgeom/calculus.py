@@ -36,6 +36,7 @@ from . import ambient
 from .surface import contact_angle_field
 
 TAN_BAND_DEFAULT = 1e-3
+VERIFY_BAND_DEFAULT = 0.05  # the band of refinement_study and `verify --band`
 
 
 def first_fundamental_form(grid):
@@ -431,7 +432,7 @@ def observed_order(ns, norms):
     return float(slope)
 
 
-def refinement_study(entry, identity, levels, band=0.05):
+def refinement_study(entry, identity, levels, band=VERIFY_BAND_DEFAULT):
     """Run one identity across nested grids and report norms plus order.
 
     entry is a catalog entry (or anything sample() accepts with a

@@ -15,7 +15,8 @@ from . import ambient
 from . import surface as surf
 from .errors import RangeError
 from .sampleio import read_samples
-from .surface import GridSpec, _contact_sine, _unit_normal
+from .surface import (GridSpec, _contact_sine, _moved_points, _onto_sphere,
+                      _unit_normal)
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,7 @@ def geodesic_sphere():
 def _base_normal(entry, U, V):
     """Gauge-invariant surface normal e3 of an analytic entry at (U, V), and
     the frames' contact-degeneracy mask there."""
-    pts = np.asarray(entry.point(U, V), float)
-    pts = ambient.scale(ambient.norm(pts), pts, divide=True)
+    pts = _onto_sphere(np.asarray(entry.point(U, V), float))
     fu, fv = (np.asarray(d, float) for d in entry.d1(U, V))
     metric = surf.MetricField(ambient.dot(fu, fu), ambient.dot(fu, fv),
                               ambient.dot(fv, fv))
@@ -210,8 +210,7 @@ def perturb(entry, mode, eps):
         if np.any(mask):
             raise RangeError("base entry is contact-degenerate under the bump")
         bump = eps * np.sin(m * np.asarray(U)) * np.sin(n * np.asarray(V))
-        moved = ambient.scale(bump, e3, onto=pts)
-        return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
+        return _moved_points(pts, e3, bump)
 
     label = f"{entry.name}+bump({m},{n})x{eps:g}"
     return CatalogEntry(
@@ -249,13 +248,19 @@ def build(name, params=None):
 
     params maps parameter names to numbers or strings, or lists (name,
     value) pairs.  They are read against the name's schema, and RangeError
-    names a bad one.  A non-zero eps bumps the entry in mode (m, n).
+    names a bad one, or one the pairs repeat.  A non-zero eps bumps the
+    entry in mode (m, n).
     """
     key = ALIASES.get(name, name)
     if key not in _FACTORIES:
         raise KeyError(f"unknown catalog surface {name!r}; known: {names()}")
     factory, schema = _FACTORIES[key]
-    values = _read_params(key, schema, dict(params or ()))
+    raw = {}
+    for pname, value in params.items() if isinstance(params, dict) else params or ():
+        if pname in raw:
+            raise RangeError(f"{key} parameter {pname} is given more than once")
+        raw[pname] = value
+    values = _read_params(key, schema, raw)
     entry = factory(**{k: v for k, v in values.items() if k not in BUMP_SCHEMA})
     if values.get("eps"):
         entry = perturb(entry, (values["m"], values["n"]), values["eps"])

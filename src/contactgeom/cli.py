@@ -25,9 +25,9 @@ import numpy as np
 
 from . import catalog
 from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
-                       build_analysis, refinement_passed, refinement_study,
-                       verify_curvature_identity, verify_laplacian_identity,
-                       verify_minimality)
+                       VERIFY_BAND_DEFAULT, build_analysis, refinement_passed,
+                       refinement_study, verify_curvature_identity,
+                       verify_laplacian_identity, verify_minimality)
 from .errors import ContactGeomError, OffSphere, ParseError, RangeError
 from .flow import FlowConfig, area, descend, theorem_probe
 from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
@@ -183,7 +183,7 @@ def cmd_verify(args):
 
 def cmd_flow(args):
     try:
-        cfg = FlowConfig(step=args.step, max_iter=args.steps, tol=args.tol)
+        cfg = FlowConfig(max_iter=args.steps, tol=args.tol)
         entry = catalog.build(args.surface, args.param)
         report, final = descend(entry.sample(entry.default_spec(*args.grid)), cfg)
     except (KeyError, ValueError) as exc:
@@ -232,11 +232,12 @@ def cmd_catalog(args):
 
 def build_parser():
     ap = argparse.ArgumentParser(
-        prog="contactgeom",
+        prog="contactgeom", allow_abbrev=False,
         description="contact-angle numerics for surfaces in the unit 3-sphere")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="field summaries and residuals for a surface")
+    pa = sub.add_parser("analyze", allow_abbrev=False,
+                        help="field summaries and residuals for a surface")
     pa.add_argument("--surface", required=True,
                     help="catalog name or path to a sample file")
     pa.add_argument("--param", action="append", type=_parse_param, help="k=v, repeatable")
@@ -244,31 +245,33 @@ def build_parser():
     pa.add_argument("--out", default=".")
     pa.set_defaults(func=cmd_analyze)
 
-    pv = sub.add_parser("verify", help="identity residuals under grid refinement")
+    pv = sub.add_parser("verify", allow_abbrev=False,
+                        help="identity residuals under grid refinement")
     pv.add_argument("--surface", required=True)
     pv.add_argument("--param", action="append", type=_parse_param)
     pv.add_argument("--identity", required=True,
                     choices=sorted(IDENTITY_VERIFIERS))
     pv.add_argument("--refine", default="32,64,128",
                     help="comma-separated per-axis node counts (>= 3 levels)")
-    pv.add_argument("--band", type=float, default=0.05,
+    pv.add_argument("--band", type=float, default=VERIFY_BAND_DEFAULT,
                     help="tan-pole exclusion band width (radians)")
     pv.add_argument("--out", default=".")
     pv.set_defaults(func=cmd_verify)
 
-    pf = sub.add_parser("flow", help="squared-mean-curvature descent")
+    pf = sub.add_parser("flow", allow_abbrev=False,
+                        help="squared-mean-curvature descent")
     pf.add_argument("--surface", default="rtorus")
     pf.add_argument("--param", action="append", type=_parse_param)
     pf.add_argument("--grid", type=_parse_grid, default=(32, 32))
     pf.add_argument("--steps", type=int, default=500)
     pf.add_argument("--tol", type=float, default=1e-3)
-    pf.add_argument("--step", type=float, default=1.0)
     pf.add_argument("--out", default=".")
     pf.set_defaults(func=cmd_flow)
 
-    pc = sub.add_parser("catalog", help="list built-in surfaces")
+    pc = sub.add_parser("catalog", allow_abbrev=False,
+                        help="list built-in surfaces")
     csub = pc.add_subparsers(dest="subcommand", required=True)
-    pl = csub.add_parser("list")
+    pl = csub.add_parser("list", allow_abbrev=False)
     pl.add_argument("--json", action="store_true")
     pl.set_defaults(func=cmd_catalog)
 

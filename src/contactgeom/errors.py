@@ -28,10 +28,6 @@ class DegenerateContact(ContactGeomError):
     """The surface tangent plane coincides with the contact plane (e1 undefined)."""
 
 
-class StepTooLarge(ContactGeomError):
-    """A flow step collapsed the parametrization."""
-
-
 class RangeError(ContactGeomError):
     """Parameter outside the bracket an operation supports."""
 

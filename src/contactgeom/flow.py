@@ -16,13 +16,13 @@ limited-memory BFGS over psi (Nocedal & Wright, Numerical Optimization,
 Sec. 7.2): the two-loop recursion on the last LBFGS_MEMORY pairs
 (s, y) = (accepted step, change of g), stored only when s.y > 0, with the
 fixed flat-torus preconditioner, times STEP_SCALE, as the initial inverse
-Hessian.  That initial map is scaled by FlowConfig.step while the memory
-is empty and by s.y / y.H0 y of the newest pair afterwards.  An uphill
-direction or a stalled line search clears the memory and retries from the
-preconditioned gradient.  Each grid the descent reaches is one
-SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves the
-surface along its current normals; the moved grid's tangents are formed
-once, and a collapsed parametrization halves the step.
+Hessian, scaled by s.y / y.H0 y of the newest pair once the memory holds
+one.  An uphill direction or a stalled line search clears the memory and
+retries from the preconditioned gradient.  Each grid the descent reaches
+is one SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves
+the surface along its current normals (surface._moved_points); the moved
+grid's tangents are formed once, and a collapsed parametrization halves
+the step.
 """
 
 import math
@@ -31,14 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ambient
 from .calculus import build_analysis, first_fundamental_form
-from .errors import DegenerateParametrization, StepTooLarge
-from .surface import tangent_fields
+from .errors import DegenerateParametrization
+from .surface import _moved_points, tangent_fields
 
-# scale of the initial inverse Hessian: the step scale of the former 16x16
-# spline control basis, so FlowConfig.step = 1 (and --step) give the first
-# step, taken with an empty memory, the length it had there
+# scale of the initial inverse Hessian, sized so that the line search accepts
+# the first full step (t = 1), which is taken with an empty memory; later
+# steps rescale it by s.y / y.H0 y
 STEP_SCALE = (2.0 * math.pi / 16) ** 2
 ARMIJO = 1e-4
 LBFGS_MEMORY = 5  # (s, y) pairs the L-BFGS descent keeps
@@ -52,15 +51,10 @@ PROBE_K_TOL = 5e-3
 class FlowConfig:
     """Knobs for descend(); the initial surface is passed separately."""
 
-    step: float = 1.0
     max_iter: int = 500
     tol: float = 1e-3              # stop tolerance on max |H|
 
     def __post_init__(self):
-        # the largest step that MAX_HALVINGS halvings take down to the default 1
-        if not 0 < self.step <= 2.0 ** MAX_HALVINGS:
-            raise ValueError(f"step must lie in (0, 2**{MAX_HALVINGS}], "
-                             f"got {self.step!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 0:
@@ -75,7 +69,6 @@ class FlowReport:
     iterations: int
     trace: list          # (iter, E, max|H|, beta spread); row 0 the initial grid
     beta_max: float
-    beta_mean: float
     message: str = ""
 
     @property
@@ -89,8 +82,7 @@ class FlowReport:
             "energy_initial": self.trace[0][1],
             "energy_final": self.trace[-1][1],
             "final_max_H": self.final_max_H,
-            "beta": {"max": self.beta_max, "mean": self.beta_mean,
-                     "spread": self.trace[-1][3]},
+            "beta": {"max": self.beta_max, "spread": self.trace[-1][3]},
             "message": self.message,
         }
 
@@ -106,11 +98,6 @@ def willmore_energy(grid):
     return build_analysis(grid).energy
 
 
-def _moved_points(points, e3, psi):
-    moved = ambient.scale(psi, e3, onto=points)
-    return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
-
-
 def _check_step(grid, moved):
     """Grid on the moved points, its tangents formed (and cached) once.
 
@@ -119,23 +106,6 @@ def _check_step(grid, moved):
     cand = grid.with_points(moved)
     tangent_fields(cand)
     return cand
-
-
-def flow_step(grid, psi, step=1.0):
-    """Move every node along its adapted normal by step*psi and renormalize.
-
-    Raises StepTooLarge, naming the node, when the moved grid's tangent Gram
-    determinant collapses below 1e-10.
-    """
-    psi = np.asarray(psi, float)
-    if psi.shape != grid.points.shape[:2]:
-        raise ValueError("psi must be a per-node scalar field")
-    frames = build_analysis(grid).frames
-    moved = _moved_points(grid.points, frames.e3, step * psi)
-    try:
-        return _check_step(grid, moved)
-    except DegenerateParametrization as exc:
-        raise StepTooLarge(f"moved grid has {exc}", node=exc.node) from exc
 
 
 def _precondition(g):
@@ -161,12 +131,12 @@ def _beta_spread(an):
     return float(np.ptp(an.frames.beta[an.valid]))
 
 
-def _lbfgs_direction(g, w, memory, step):
+def _lbfgs_direction(g, w, memory):
     """-H g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4).
 
     memory holds (s, y, s.y) pairs, oldest first.  The initial inverse
-    Hessian is STEP_SCALE * _precondition(. / w), scaled by step while the
-    memory is empty and by s.y / y.H0 y of the newest pair otherwise.
+    Hessian is STEP_SCALE * _precondition(. / w), scaled by s.y / y.H0 y of
+    the newest pair when the memory holds one.
     """
     def h0(v):
         return STEP_SCALE * _precondition(v / w)
@@ -177,12 +147,10 @@ def _lbfgs_direction(g, w, memory, step):
         a = float(np.sum(s * q)) / sy
         q -= a * y
         alphas.append(a)
+    r = h0(q)
     if memory:
         _, y, sy = memory[-1]
-        r = h0(q)
         r *= sy / float(np.sum(y * h0(y)))
-    else:
-        r = step * h0(q)
     for (s, y, sy), a in zip(memory, reversed(alphas)):
         r += (a - float(np.sum(y * r)) / sy) * s
     return -r
@@ -244,7 +212,7 @@ def descend(grid, config=None):
             if sy > 0.0:  # keeps every H in the recursion positive definite
                 memory.append((s, y, sy))
         while True:
-            direction = _lbfgs_direction(g, w, memory, cfg.step)
+            direction = _lbfgs_direction(g, w, memory)
             slope = float(np.sum(g * direction))
             found = _line_search(an, direction, slope) if slope < 0 else None
             if found is not None or not memory:
@@ -264,10 +232,9 @@ def descend(grid, config=None):
     elif not converged and not message:
         message = "iteration cap reached"
 
-    beta = an.frames.beta[an.valid]
     report = FlowReport(converged=bool(converged), iterations=it, trace=traj,
-                        beta_max=float(np.max(np.abs(beta))),
-                        beta_mean=float(np.mean(beta)), message=message)
+                        beta_max=float(np.max(np.abs(an.frames.beta[an.valid]))),
+                        message=message)
     return report, an
 
 

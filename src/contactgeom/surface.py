@@ -320,6 +320,13 @@ def _unit_normal(z, Xu, Xv):
                          divide=True)
 
 
+def _moved_points(z, e3, psi):
+    """z + psi e3 put back on S^3: the normal move of the catalog's bumps and
+    of every descent trial."""
+    moved = ambient.scale(psi, e3, onto=z)
+    return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
+
+
 def _contact_sine(Xu, Xv, sqrt_det):
     """(<xi, e3>, mask) from the Kahler form of the tangent pair.
 

@@ -45,7 +45,7 @@ def sphere():
 @pytest.fixture(scope="module")
 def flow_result():
     grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
-    report, final = descend(grid, FlowConfig(step=1.0, max_iter=500, tol=1e-3))
+    report, final = descend(grid, FlowConfig(max_iter=500, tol=1e-3))
     return report, final
 
 

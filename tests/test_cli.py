@@ -223,14 +223,13 @@ def test_verify_needs_three_levels(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["verify", "--surface", "clifford", "--identity", "gauss", "--refine", "32,x,64"],
     ["verify", "--surface", "clifford", "--identity", "gauss", "--refine", "4,6,8"],
-    ["flow", "--surface", "clifford", "--step", "0"],
+    ["flow", "--surface", "clifford", "--param", "eps=0.05", "--step", "1"],
     ["flow", "--surface", "clifford", "--tol", "-1"],
     ["flow", "--surface", "clifford", "--steps", "-3"],
     ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
      "--refine", "16,24,32", "--band", "-1"],
     ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
      "--refine", "16,24,32", "--band", "nan"],
-    ["flow", "--surface", "clifford", "--step", "1e300"],
     ["analyze", "--surface", "clifford", "--param", "eps=nan", "--grid", "16x16"],
     ["analyze", "--surface", "clifford", "--param", "eps=0.05", "--param", "m=1e400",
      "--grid", "16x16"],
@@ -256,13 +255,18 @@ def test_verify_needs_three_levels(tmp_path):
     ["flow", "--surface", "clifford", "--param", "foo", "--grid", "16x16"],
     ["analyze", "--surface", "clifford", "--param", "eps=0.05",
      "--param", "amplitude=0.15", "--grid", "16x16"],
-], ids=["refine-token", "refine-below-8", "step-0", "tol-negative", "steps-negative",
-        "band-negative", "band-nan", "step-1e300", "eps-nan", "mode-1e400",
+    ["analyze", "--surface", "clifford", "--param", "eps=0.05",
+     "--param", "eps=0.1", "--grid", "16x16"],
+    ["verify", "--surface", "geodesic_sphere", "--identity", "gauss",
+     "--ref", "16,24,32"],
+], ids=["refine-token", "refine-below-8", "flow-step-retired", "tol-negative",
+        "steps-negative", "band-negative", "band-nan", "eps-nan", "mode-1e400",
         "mode-fractional", "refine-repeated", "refine-decreasing",
         "param-unknown", "param-not-on-sphere",
         "mode-fractional-unbumped", "mode-nan-eps-0", "flow-mode-retired",
         "band-excludes-every-node", "param-no-equals-analyze",
-        "param-no-equals-verify", "param-no-equals-flow", "param-eps-and-amplitude"])
+        "param-no-equals-verify", "param-no-equals-flow", "param-eps-and-amplitude",
+        "param-repeated", "refine-abbreviated"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2

@@ -20,6 +20,7 @@ from contactgeom.surface import GridSpec
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "contactgeom").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _tree(path):
@@ -70,6 +71,30 @@ def test_no_unreferenced_private_module_names():
                      if name.startswith("_") and not name.startswith("__")
                      and name not in referenced]
     assert dead == []
+
+
+def _unread_public_definitions(defining, readers):
+    """"module.py:name" for each public module-level function or class of the
+    defining {file name: tree} that no tree in readers reads."""
+    read = set().union(*(_read_names(tree) for tree in readers))
+    return [f"{name}:{node.name}" for name, tree in defining.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # a public function or class that only the tests read is an API that no
+    # command or demo runs.  A read in any package module or demo counts;
+    # __init__ re-exports every public name, so its imports do not
+    modules = {p.name: _tree(p) for p in PACKAGE if p.name != "__init__.py"}
+    assert DEMOS
+    readers = list(modules.values()) + [_tree(p) for p in DEMOS]
+    assert _unread_public_definitions(modules, readers) == []
+    # the guard sees a definition no reader reads
+    planted = {"m.py": ast.parse("def used():\n    pass\n\n\n"
+                                 "def unused():\n    pass\n\n\nused()\n")}
+    assert _unread_public_definitions(planted, planted.values()) == ["m.py:unused"]
 
 
 def _is_last_axis(node):
