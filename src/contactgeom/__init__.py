@@ -9,13 +9,11 @@ squared-mean-curvature descent.
 
 from .ambient import (canonical_frame_vectors, contact_project, dot,
                       frame_derivative_check, hermitian, perp, reeb)
-from .calculus import (IdentityReport, ShapeOperatorField, build_analysis,
-                       first_fundamental_form, frame_gradient,
+from .calculus import (IDENTITIES, IdentityReport, ShapeOperatorField,
+                       build_analysis, first_fundamental_form, frame_gradient,
                        gaussian_curvature_extrinsic, gaussian_curvature_intrinsic,
                        laplace_beltrami, refinement_study, shape_operator,
-                       verify_connection_identity, verify_curvature_identity,
-                       verify_gauss_agreement, verify_laplacian_identity,
-                       verify_minimality)
+                       verify_identity)
 from .catalog import (CatalogEntry, clifford, geodesic_sphere, load_samples,
                       perturb, r_torus)
 from .errors import (ContactGeomError, DegenerateContact,

@@ -18,11 +18,13 @@ beta_1 = d beta(e1), beta_2 = d beta(e2):
     <D_{e2} e2, e1> = -tan(beta) (beta_1 + 2)
 
 build_analysis returns a SurfaceAnalysis whose fields are formed when
-first read, each at most once per grid, with nodes inside a configurable
-band around the tan poles beta = +-pi/2 excluded from the Laplacian and
-connection norms; the verifiers read those residuals and report how many
-nodes were excluded.  The descent in `flow` reads its energy, max|H| and
-gradient from the same object.  The first fundamental form is the one
+first read, each at most once per grid.  IDENTITIES gives each identity one
+row: the residual it reads from the analysis, whether nodes inside the
+analysis' band around the tan poles beta = +-pi/2 are excluded from its
+norms (the Laplacian and connection identities, where tan(beta) enters),
+and its finest-level bound; verify_identity reads a row and reports how
+many nodes were excluded.  The descent in `flow` reads its energy, max|H|
+and gradient from the same object.  The first fundamental form is the one
 `surface` caches on the grid.
 """
 
@@ -33,10 +35,11 @@ from functools import cached_property
 import numpy as np
 
 from . import ambient
+from .errors import DegenerateContact
 from .surface import contact_angle_field
 
 TAN_BAND_DEFAULT = 1e-3
-VERIFY_BAND_DEFAULT = 0.05  # the band of refinement_study and `verify --band`
+VERIFY_BAND_DEFAULT = 0.05  # the tan-pole band of refinement_study
 
 
 def first_fundamental_form(grid):
@@ -227,20 +230,13 @@ class IdentityReport:
         return d
 
 
-def _norms(residual, valid):
-    vals = residual[valid]
-    if vals.size == 0:
-        return 0.0, 0.0
-    return float(np.max(np.abs(vals))), float(np.sqrt(np.mean(vals ** 2)))
-
-
 class SurfaceAnalysis:
-    """The fields the verifiers, reports and descent read, each formed when first read.
+    """The fields verify_identity, reports and descent read, each formed when first read.
 
     Every field is formed at most once per analysis and only when something
-    reads it, so a verifier that reads one residual pays for that residual
-    alone.  Degenerate input (DegenerateContact, DegenerateParametrization)
-    raises on the first read of a field that needs the frames or the metric.
+    reads it, so verifying one identity pays for its residual alone.
+    Degenerate input (DegenerateContact, DegenerateParametrization) raises
+    on the first read of a field that needs the frames or the metric.
     """
 
     def __init__(self, grid, band):
@@ -326,10 +322,6 @@ class SurfaceAnalysis:
     def valid(self):
         return ~self.frames.mask
 
-    @property
-    def valid_off_band(self):
-        return self.valid & ~self.tan_band
-
 
 def build_analysis(grid, band=TAN_BAND_DEFAULT):
     """Frames, curvature, gradients, Laplacian and residual fields for a grid.
@@ -349,73 +341,52 @@ def _connection_residuals(grid, frames, gb, tan_beta):
     return res1, res2
 
 
-def verify_curvature_identity(an):
-    """Residual of K = 1 - |grad beta + e1|^2 against the intrinsic K."""
-    linf, l2 = _norms(an.res_curvature, an.valid)
-    return IdentityReport("curvature", linf, l2, n_excluded=an.frames.n_masked)
-
-
-def _band_report(name, an, res):
-    """Norms off the analysis' tan-pole band; band and masked nodes are excluded.
-
-    Raises ValueError when no node is left to measure: empty norms would
-    read as a residual at the roundoff floor.
-    """
-    keep = an.valid_off_band
-    if not keep.any():
-        raise ValueError(f"{name} identity: band {an.band:g} leaves no node "
-                         f"of the n={an.grid.spec.n_u} grid to measure")
-    linf, l2 = _norms(res, keep)
-    excluded = int(np.sum(an.tan_band & an.valid)) + an.frames.n_masked
-    return IdentityReport(name, linf, l2, n_excluded=excluded)
-
-
-def verify_laplacian_identity(an):
-    """Residual of Lap(beta) = -tan(beta)((beta_1+2)^2 + beta_2^2).
-
-    Nodes within the analysis' band of a tan pole are excluded and counted.
-    """
-    return _band_report("laplacian", an, an.res_laplacian)
-
-
-def verify_connection_identity(an):
-    """Residuals of theta_2^1(e_k) against tan(beta)beta_2 and -tan(beta)(beta_1+2).
-
-    Band handling as in verify_laplacian_identity.
-    """
+def _connection_max(an):
+    """The larger of the two connection residuals at each node."""
     res1, res2 = an.res_connection
-    return _band_report("connection", an, np.maximum(np.abs(res1), np.abs(res2)))
+    return np.maximum(np.abs(res1), np.abs(res2))
 
 
-def verify_gauss_agreement(an):
-    """|K_intrinsic - K_extrinsic| as a residual report."""
-    linf, l2 = _norms(an.K_int - an.K_ext, an.valid)
-    return IdentityReport("gauss", linf, l2, n_excluded=an.frames.n_masked)
+@dataclass(frozen=True)
+class Identity:
+    """One row of IDENTITIES."""
+
+    residual: object    # analysis -> residual field, formed when called
+    off_band: bool      # nodes within the analysis' tan-pole band are excluded
+    bound: float        # finest-level L-infinity bound of a passing verify run
 
 
-def verify_minimality(an):
-    """max and mean of |H| over unmasked nodes, and the masked count."""
-    vals = np.abs(an.H[an.valid])
-    return {"max": float(vals.max()),
-            "mean": float(vals.mean()),
-            "n_masked": an.frames.n_masked}
-
-
-IDENTITY_VERIFIERS = {
-    "curvature": verify_curvature_identity,
-    "laplacian": verify_laplacian_identity,
-    "connection": verify_connection_identity,
-    "gauss": verify_gauss_agreement,
+# the bounds were measured with generous headroom on the analytic catalog
+# surfaces; the band is excluded where tan(beta) enters the residual
+IDENTITIES = {
+    "curvature": Identity(lambda an: an.res_curvature, False, 1e-4),
+    "laplacian": Identity(lambda an: an.res_laplacian, True, 1e-3),
+    "connection": Identity(_connection_max, True, 1e-3),
+    "gauss": Identity(lambda an: an.K_int - an.K_ext, False, 5e-5),
 }
 
-# finest-level L-infinity bounds an identity must meet for a verify run to
-# pass (measured with generous headroom on the analytic catalog surfaces)
-IDENTITY_BOUNDS = {
-    "curvature": 1e-4,
-    "laplacian": 1e-3,
-    "connection": 1e-3,
-    "gauss": 5e-5,
-}
+
+def verify_identity(an, name):
+    """Norms of the named identity's residual over the nodes its row keeps.
+
+    Masked nodes are excluded, and band nodes where the row says so.  Raises
+    DegenerateContact, naming the unmasked node nearest a pole, when no node
+    is kept: empty norms would read as a residual at the roundoff floor.
+    """
+    row = IDENTITIES[name]
+    res = row.residual(an)
+    keep = an.valid & ~an.tan_band if row.off_band else an.valid
+    if not keep.any():
+        dist = np.where(an.valid, tan_pole_distance(an.frames.beta), np.inf)
+        node = tuple(int(k) for k in np.unravel_index(np.argmin(dist), dist.shape))
+        raise DegenerateContact(
+            f"{name} identity: every unmasked node lies within the tan-pole "
+            f"band {an.band:g}, node {node} nearest a pole", node=node)
+    vals = res[keep]
+    return IdentityReport(name, float(np.max(np.abs(vals))),
+                          float(np.sqrt(np.mean(vals ** 2))),
+                          n_excluded=int(np.sum(~keep)))
+
 
 ORDER_THRESHOLD = 1.7
 FLOOR = 1e-10
@@ -432,7 +403,7 @@ def observed_order(ns, norms):
     return float(slope)
 
 
-def refinement_study(entry, identity, levels, band=VERIFY_BAND_DEFAULT):
+def refinement_study(entry, identity, levels):
     """Run one identity across nested grids and report norms plus order.
 
     entry is a catalog entry (or anything sample() accepts with a
@@ -443,13 +414,13 @@ def refinement_study(entry, identity, levels, band=VERIFY_BAND_DEFAULT):
         raise ValueError("refinement needs at least 3 grid levels")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError(f"refinement levels must increase strictly, got {levels}")
-    if identity not in IDENTITY_VERIFIERS:
+    if identity not in IDENTITIES:
         raise KeyError(f"unknown identity {identity!r}")
     specs = [entry.default_spec(int(n)) for n in levels]  # GridSpec checks each n
     rows = []
     for spec in specs:
         grid = entry.sample(spec)
-        rep = IDENTITY_VERIFIERS[identity](build_analysis(grid, band=band))
+        rep = verify_identity(build_analysis(grid, VERIFY_BAND_DEFAULT), identity)
         rows.append((spec.n_u, rep.linf, rep.l2, rep.n_excluded))
     order = observed_order([r[0] for r in rows], [r[1] for r in rows])
     at_floor = order is None
@@ -461,7 +432,7 @@ def refinement_study(entry, identity, levels, band=VERIFY_BAND_DEFAULT):
 
 def refinement_passed(report):
     """Exit criterion: order >= 1.7 (or at the floor) and finest Linf in bounds."""
-    bound = IDENTITY_BOUNDS[report.name]
+    bound = IDENTITIES[report.name].bound
     order_ok = report.at_floor or (report.order is not None
                                    and report.order >= ORDER_THRESHOLD)
     return bool(order_ok and report.linf <= bound)

@@ -24,10 +24,8 @@ import sys
 import numpy as np
 
 from . import catalog
-from .calculus import (IDENTITY_BOUNDS, IDENTITY_VERIFIERS, ORDER_THRESHOLD,
-                       VERIFY_BAND_DEFAULT, build_analysis, refinement_passed,
-                       refinement_study, verify_curvature_identity,
-                       verify_laplacian_identity, verify_minimality)
+from .calculus import (IDENTITIES, ORDER_THRESHOLD, build_analysis,
+                       refinement_passed, refinement_study, verify_identity)
 from .errors import ContactGeomError, OffSphere, ParseError, RangeError
 from .flow import FlowConfig, area, descend, theorem_probe
 from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
@@ -109,9 +107,9 @@ def cmd_analyze(args):
     an = build_analysis(grid)
     frames = an.frames
     mask = frames.mask
-    minim = verify_minimality(an)
-    curv = verify_curvature_identity(an)
-    lap = verify_laplacian_identity(an)
+    mean_H = float(np.mean(np.abs(an.H[an.valid])))
+    curv = verify_identity(an, "curvature")
+    lap = verify_identity(an, "laplacian")
 
     mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
     U, V = grid.spec.mesh()
@@ -132,7 +130,7 @@ def cmd_analyze(args):
             "beta": _stats(frames.beta, mask),
             "K_int": _stats(an.K_int, mask),
             "K_ext": _stats(an.K_ext, mask),
-            "H": {"max_abs": minim["max"], "mean_abs": minim["mean"]},
+            "H": {"max_abs": an.max_H, "mean_abs": mean_H},
         },
         "identities": {
             "curvature": {"linf": curv.linf, "l2": curv.l2},
@@ -161,13 +159,13 @@ def cmd_verify(args):
     try:
         levels = [int(x) for x in args.refine.split(",") if x.strip()]
         entry = catalog.build(args.surface, args.param)
-        report = refinement_study(entry, args.identity, levels, band=args.band)
+        report = refinement_study(entry, args.identity, levels)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = report.to_dict()
     payload.update(surface=args.surface, format_version=FORMAT_VERSION,
-                   bound=IDENTITY_BOUNDS[args.identity],
+                   bound=IDENTITIES[args.identity].bound,
                    order_threshold=ORDER_THRESHOLD,
                    passed=refinement_passed(report))
     payload = _rounded(payload, f"identity_{args.identity}.json")
@@ -250,11 +248,9 @@ def build_parser():
     pv.add_argument("--surface", required=True)
     pv.add_argument("--param", action="append", type=_parse_param)
     pv.add_argument("--identity", required=True,
-                    choices=sorted(IDENTITY_VERIFIERS))
+                    choices=sorted(IDENTITIES))
     pv.add_argument("--refine", default="32,64,128",
                     help="comma-separated per-axis node counts (>= 3 levels)")
-    pv.add_argument("--band", type=float, default=VERIFY_BAND_DEFAULT,
-                    help="tan-pole exclusion band width (radians)")
     pv.add_argument("--out", default=".")
     pv.set_defaults(func=cmd_verify)
 

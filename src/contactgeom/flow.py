@@ -55,8 +55,8 @@ class FlowConfig:
     tol: float = 1e-3              # stop tolerance on max |H|
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
 

@@ -116,8 +116,7 @@ def test_criterion_04_curvature_identity_refinement(cliff):
 
 
 def test_criterion_05_laplacian_identity_refinement():
-    rep = refinement_study(geodesic_sphere(), "laplacian", [32, 64, 128],
-                           band=0.05)
+    rep = refinement_study(geodesic_sphere(), "laplacian", [32, 64, 128])
     order_ok = rep.at_floor or (rep.order is not None and rep.order >= 1.7)
     b1 = RNG.normal(size=4096)
     b2 = RNG.normal(size=4096)
@@ -131,8 +130,7 @@ def test_criterion_05_laplacian_identity_refinement():
 
 
 def test_criterion_06_connection_identity(cliff):
-    rep = refinement_study(geodesic_sphere(), "connection", [32, 64, 128],
-                           band=0.05)
+    rep = refinement_study(geodesic_sphere(), "connection", [32, 64, 128])
     order_ok = rep.order is not None and rep.order >= 1.7
     _, an = cliff
     c1 = float(np.max(np.abs(an.res_connection[0])))

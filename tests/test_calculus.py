@@ -13,9 +13,8 @@ from contactgeom import (DegenerateContact, DegenerateParametrization,
                          first_fundamental_form, frame_gradient,
                          gaussian_curvature_intrinsic,
                          laplace_beltrami, refinement_study, sample,
-                         shape_operator, verify_curvature_identity,
-                         verify_laplacian_identity, verify_minimality)
-from contactgeom.calculus import (IDENTITY_VERIFIERS, TAN_BAND_DEFAULT,
+                         shape_operator, verify_identity)
+from contactgeom.calculus import (IDENTITIES, TAN_BAND_DEFAULT,
                                   _connection_residuals,
                                   gaussian_curvature_extrinsic, observed_order,
                                   refinement_passed, tan_pole_distance)
@@ -285,7 +284,7 @@ def test_laplace_self_adjoint_periodic():
 
 def test_curvature_identity_clifford(cliff64):
     grid, an = cliff64
-    rep = verify_curvature_identity(an)
+    rep = verify_identity(an, "curvature")
     assert rep.linf < 1e-8
 
 
@@ -314,14 +313,13 @@ def test_curvature_identity_gauge_invariant():
 
 def test_laplacian_identity_clifford_exact(cliff64):
     grid, an = cliff64
-    rep = verify_laplacian_identity(an)
+    rep = verify_identity(an, "laplacian")
     assert rep.linf < 1e-12
     assert rep.n_excluded == 0
 
 
 def test_laplacian_identity_sphere_refines():
-    rep = refinement_study(geodesic_sphere(), "laplacian", [32, 64, 128],
-                           band=0.05)
+    rep = refinement_study(geodesic_sphere(), "laplacian", [32, 64, 128])
     assert rep.order is not None and rep.order >= 1.7
     assert refinement_passed(rep)
 
@@ -342,19 +340,19 @@ def test_connection_identity_clifford(cliff64):
 
 
 def test_connection_identity_sphere_refines():
-    rep = refinement_study(geodesic_sphere(), "connection", [32, 64, 128],
-                           band=0.05)
+    rep = refinement_study(geodesic_sphere(), "connection", [32, 64, 128])
     assert rep.order is not None and rep.order >= 1.7
     assert rep.linf < 1e-4
 
 
 def _band_residuals_reference(grid, band):
-    """Laplacian and connection residuals re-derived per band from an analysis."""
+    """Each identity's residual and kept nodes, re-derived per band from an analysis."""
     an = build_analysis(grid)
     pole = tan_pole_distance(an.frames.beta) < band
     valid = an.valid & ~pole
     tan_beta = np.where(pole, 0.0, np.tan(an.frames.beta))
     gb = an.grad_beta
+    curv = an.K_int - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
     lap = an.lap_beta + tan_beta * ((gb.beta1 + 2.0) ** 2 + gb.beta2 ** 2)
     # <D_{e_i} e2, e1> = c_iu <d_u e2, e1> + c_iv <d_v e2, e1>
     a_u = np.sum(grid.calc.du(an.frames.e2) * an.frames.e1, -1)
@@ -364,20 +362,26 @@ def _band_residuals_reference(grid, band):
     res1 = comp[0] - tan_beta * gb.beta2
     res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
     conn = np.maximum(np.abs(res1), np.abs(res2))
-    return {"laplacian": (lap, valid), "connection": (conn, valid)}
+    return {"curvature": (curv, an.valid), "laplacian": (lap, valid),
+            "connection": (conn, valid), "gauss": (an.K_int - an.K_ext, an.valid)}
 
 
-@pytest.mark.parametrize("identity", ["laplacian", "connection"])
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
 def test_refinement_wide_band_excludes_pole_rows(identity):
     # beta = arcsin(x2) comes within 0.2 of a tan pole at the chart edges,
-    # so a 0.3 band drops whole rows of nodes there
-    rep = refinement_study(geodesic_sphere(), identity, [32, 64, 128], band=0.3)
-    assert [level[3] for level in rep.levels] == [128, 384, 1280]
-    for (n, linf, _, excluded) in rep.levels:
-        res, valid = _band_residuals_reference(geodesic_sphere().sample(n=n),
-                                               0.3)[identity]
-        assert excluded == int(np.sum(~valid))
-        assert linf == float(np.max(np.abs(res[valid])))
+    # so a 0.3 band drops whole rows of nodes there from the identities
+    # where tan(beta) enters, and none from the others
+    excluded = []
+    for n in (32, 64, 128):
+        grid = geodesic_sphere().sample(n=n)
+        rep = verify_identity(build_analysis(grid, band=0.3), identity)
+        res, keep = _band_residuals_reference(grid, 0.3)[identity]
+        assert rep.n_excluded == int(np.sum(~keep))
+        assert rep.linf == float(np.max(np.abs(res[keep])))
+        assert rep.l2 == float(np.sqrt(np.mean(res[keep] ** 2)))
+        excluded.append(rep.n_excluded)
+    assert excluded == ([128, 384, 1280] if IDENTITIES[identity].off_band
+                        else [0, 0, 0])
 
 
 def test_connection_constant_angle_r_torus():
@@ -390,16 +394,19 @@ def test_connection_constant_angle_r_torus():
     assert np.max(np.abs(r2)) < 1e-4
 
 
+def _mean_abs_H(an):
+    return float(np.mean(np.abs(an.H[an.valid])))
+
+
 def test_minimality_summary():
-    rep = verify_minimality(build_analysis(clifford().sample(n=64)))
-    assert set(rep) == {"max", "mean", "n_masked"}
-    assert rep["max"] < 1e-8
-    rep = verify_minimality(build_analysis(geodesic_sphere().sample(n=64)))
-    assert rep["max"] < 5e-6
-    grid = r_torus(np.pi / 3).sample(n=64)
-    rep = verify_minimality(build_analysis(grid))
+    an = build_analysis(clifford().sample(n=64))
+    assert an.max_H < 1e-8 and _mean_abs_H(an) <= an.max_H
+    an = build_analysis(geodesic_sphere().sample(n=64))
+    assert an.max_H < 5e-6 and _mean_abs_H(an) <= an.max_H
+    an = build_analysis(r_torus(np.pi / 3).sample(n=64))
     expected = (np.sqrt(3) - 1 / np.sqrt(3)) / 2
-    assert abs(rep["max"] - expected) < 1e-4
+    assert abs(an.max_H - expected) < 1e-4
+    assert abs(_mean_abs_H(an) - expected) < 1e-4
 
 
 def _d_field_contractions(grid, frames, field, legs):
@@ -653,7 +660,7 @@ def test_identity_working_set_at_256(identity):
     spec = entry.default_spec(256)
     tracemalloc.start()
     try:
-        IDENTITY_VERIFIERS[identity](build_analysis(entry.sample(spec), band=0.05))
+        verify_identity(build_analysis(entry.sample(spec), band=0.05), identity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

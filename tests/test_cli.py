@@ -144,6 +144,18 @@ def test_analyze_over_masked_file_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_with_no_node_off_the_tan_band_exits_2(tmp_path, capsys):
+    # on a 1e-3-wide cap every node but the degenerate centre lies within
+    # the analysis' 1e-3 band of a tan pole, so the laplacian identity has
+    # no node to measure; the error names the node nearest a pole
+    cap = _polar_cap_file(tmp_path / "cap.s3", n=17, half_width=5e-4)
+    out = tmp_path / "o"
+    assert run(["analyze", "--surface", cap, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "laplacian identity" in err and "nearest a pole" in err
+    assert not out.exists()
+
+
 def test_analyze_unknown_surface(tmp_path):
     assert run(["analyze", "--surface", "nosuch", "--out", str(tmp_path)]) == 2
 
@@ -225,11 +237,10 @@ def test_verify_needs_three_levels(tmp_path):
     ["verify", "--surface", "clifford", "--identity", "gauss", "--refine", "4,6,8"],
     ["flow", "--surface", "clifford", "--param", "eps=0.05", "--step", "1"],
     ["flow", "--surface", "clifford", "--tol", "-1"],
+    ["flow", "--surface", "clifford", "--param", "eps=0.05", "--tol", "inf"],
     ["flow", "--surface", "clifford", "--steps", "-3"],
     ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
-     "--refine", "16,24,32", "--band", "-1"],
-    ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
-     "--refine", "16,24,32", "--band", "nan"],
+     "--refine", "16,24,32", "--band", "0.05"],
     ["analyze", "--surface", "clifford", "--param", "eps=nan", "--grid", "16x16"],
     ["analyze", "--surface", "clifford", "--param", "eps=0.05", "--param", "m=1e400",
      "--grid", "16x16"],
@@ -247,8 +258,6 @@ def test_verify_needs_three_levels(tmp_path):
      "--grid", "16x16"],
     ["flow", "--surface", "rtorus", "--param", "r=0.885", "--mode", "full",
      "--grid", "16x16"],
-    ["verify", "--surface", "clifford", "--param", "eps=0.1", "--identity",
-     "laplacian", "--refine", "32,64,128", "--band", "10"],
     ["analyze", "--surface", "clifford", "--param", "foo", "--grid", "16x16"],
     ["verify", "--surface", "clifford", "--param", "foo", "--identity", "gauss",
      "--refine", "32,64,128"],
@@ -260,11 +269,11 @@ def test_verify_needs_three_levels(tmp_path):
     ["verify", "--surface", "geodesic_sphere", "--identity", "gauss",
      "--ref", "16,24,32"],
 ], ids=["refine-token", "refine-below-8", "flow-step-retired", "tol-negative",
-        "steps-negative", "band-negative", "band-nan", "eps-nan", "mode-1e400",
+        "tol-inf", "steps-negative", "band-retired", "eps-nan", "mode-1e400",
         "mode-fractional", "refine-repeated", "refine-decreasing",
         "param-unknown", "param-not-on-sphere",
         "mode-fractional-unbumped", "mode-nan-eps-0", "flow-mode-retired",
-        "band-excludes-every-node", "param-no-equals-analyze",
+        "param-no-equals-analyze",
         "param-no-equals-verify", "param-no-equals-flow", "param-eps-and-amplitude",
         "param-repeated", "refine-abbreviated"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
@@ -315,7 +324,7 @@ def test_flow_zero_steps_exit_5(tmp_path):
 
 
 def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
-    def nan_study(entry, identity, levels, band):
+    def nan_study(entry, identity, levels):
         return IdentityReport(identity, math.nan, 0.0,
                               levels=[(32, math.nan, 0.0, 0)], order=2.0)
 

@@ -189,7 +189,8 @@ def test_flow_forms_frames_once_per_analysed_grid(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": float("nan")},
-                                    {"tol": -1.0}, {"max_iter": -3}])
+                                    {"tol": -1.0}, {"max_iter": -3},
+                                    {"tol": float("inf")}])
 def test_flow_config_rejects_out_of_range_values(kwargs):
     with pytest.raises(ValueError):
         FlowConfig(**kwargs)

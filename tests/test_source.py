@@ -1,7 +1,8 @@
 """Dead-code, dependency and structure guards over the package source.  The
 source guards parse it with the standard library's ast; one guard also
-measures the stencil weights a grid holds, and one counts the cross4 calls
-and 4-vector legs an analysis forms."""
+measures the stencil weights a grid holds, one counts the cross4 calls
+and 4-vector legs an analysis forms, and one compares the identity bounds
+with the benchmark's copy."""
 
 import ast
 import os
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 from contactgeom import ambient
-from contactgeom.calculus import build_analysis
+from contactgeom.calculus import IDENTITIES, ORDER_THRESHOLD, build_analysis
 from contactgeom.catalog import clifford, perturb
 from contactgeom.gridops import GridCalc
 from contactgeom.surface import GridSpec
@@ -21,6 +22,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "contactgeom").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _tree(path):
@@ -324,3 +326,29 @@ def test_cli_maps_package_errors_only_in_main():
                      if isinstance(n, (ast.Name, ast.Attribute))}
             found += [f"{owner.get(id(node))}:{name}" for name in sorted(names & errors)]
     assert found and all(f.startswith("main:") for f in found), found
+
+
+def _bound_mismatches(tree):
+    """Names of the module-level IDENTITY_BOUNDS and ORDER_THRESHOLD in tree
+    that are missing or differ from calculus.IDENTITIES' bounds and
+    ORDER_THRESHOLD."""
+    program = {"IDENTITY_BOUNDS": {k: row.bound for k, row in IDENTITIES.items()},
+               "ORDER_THRESHOLD": ORDER_THRESHOLD}
+    copies = {t.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for t in node.targets
+              if isinstance(t, ast.Name) and t.id in program}
+    return sorted(k for k, v in program.items() if copies.get(k) != v)
+
+
+def test_identity_bounds_match_the_benchmark_copy():
+    # the benchmark keeps its own copy of the bounds and the order threshold,
+    # read here without importing it, so that no change to the program's
+    # table can loosen a bound silently
+    text = WORKLOADS.read_text()
+    assert _bound_mismatches(ast.parse(text)) == []
+    # the guard sees a loosened bound and a lowered threshold
+    for old, new, name in (('"gauss": 5e-5', '"gauss": 5e-4', "IDENTITY_BOUNDS"),
+                           ("ORDER_THRESHOLD = 1.7", "ORDER_THRESHOLD = 1.5",
+                            "ORDER_THRESHOLD")):
+        assert text.count(old) == 1
+        assert _bound_mismatches(ast.parse(text.replace(old, new))) == [name]
