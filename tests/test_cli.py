@@ -240,6 +240,10 @@ def test_verify_needs_three_levels(tmp_path):
     ["flow", "--surface", "clifford", "--param", "eps=0.05", "--tol", "inf"],
     ["flow", "--surface", "clifford", "--steps", "-3"],
     ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
+     "--refine", "16,24,32", "--band", "-1"],
+    ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
+     "--refine", "16,24,32", "--band", "nan"],
+    ["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
      "--refine", "16,24,32", "--band", "0.05"],
     ["analyze", "--surface", "clifford", "--param", "eps=nan", "--grid", "16x16"],
     ["analyze", "--surface", "clifford", "--param", "eps=0.05", "--param", "m=1e400",
@@ -258,6 +262,8 @@ def test_verify_needs_three_levels(tmp_path):
      "--grid", "16x16"],
     ["flow", "--surface", "rtorus", "--param", "r=0.885", "--mode", "full",
      "--grid", "16x16"],
+    ["verify", "--surface", "clifford", "--param", "eps=0.1", "--identity",
+     "laplacian", "--refine", "32,64,128", "--band", "10"],
     ["analyze", "--surface", "clifford", "--param", "foo", "--grid", "16x16"],
     ["verify", "--surface", "clifford", "--param", "foo", "--identity", "gauss",
      "--refine", "32,64,128"],
@@ -269,11 +275,12 @@ def test_verify_needs_three_levels(tmp_path):
     ["verify", "--surface", "geodesic_sphere", "--identity", "gauss",
      "--ref", "16,24,32"],
 ], ids=["refine-token", "refine-below-8", "flow-step-retired", "tol-negative",
-        "tol-inf", "steps-negative", "band-retired", "eps-nan", "mode-1e400",
+        "tol-inf", "steps-negative", "band-negative", "band-nan", "band-retired",
+        "eps-nan", "mode-1e400",
         "mode-fractional", "refine-repeated", "refine-decreasing",
         "param-unknown", "param-not-on-sphere",
         "mode-fractional-unbumped", "mode-nan-eps-0", "flow-mode-retired",
-        "param-no-equals-analyze",
+        "band-excludes-every-node", "param-no-equals-analyze",
         "param-no-equals-verify", "param-no-equals-flow", "param-eps-and-amplitude",
         "param-repeated", "refine-abbreviated"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
