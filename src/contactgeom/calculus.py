@@ -19,10 +19,10 @@ beta_1 = d beta(e1), beta_2 = d beta(e2):
 
 build_analysis returns a SurfaceAnalysis whose fields are formed when
 first read, each at most once per grid.  IDENTITIES gives each identity one
-row: the residual it reads from the analysis, whether nodes inside the
-analysis' band around the tan poles beta = +-pi/2 are excluded from its
-norms (the Laplacian and connection identities, where tan(beta) enters),
-and its finest-level bound; verify_identity reads a row and reports how
+row: the residual it reads from the analysis, whether nodes within
+TAN_BAND of the tan poles beta = +-pi/2 are excluded from its norms (the
+Laplacian and connection identities, where tan(beta) enters), and its
+finest-level bound; verify_identity reads a row and reports how
 many nodes were excluded.  The descent in `flow` reads its energy, max|H|
 and gradient from the same object.  The first fundamental form is the one
 `surface` caches on the grid.
@@ -38,8 +38,9 @@ from . import ambient
 from .errors import DegenerateContact
 from .surface import contact_angle_field
 
-TAN_BAND_DEFAULT = 1e-3
-VERIFY_BAND_DEFAULT = 0.05  # the tan-pole band of refinement_study
+# the one tan-pole band of analyze and verify: nodes whose beta lies within
+# it of a tan pole are left out where tan(beta) enters a residual
+TAN_BAND = 1e-3
 
 
 def first_fundamental_form(grid):
@@ -62,11 +63,6 @@ class ShapeOperatorField:
     def det(self):
         return (self.S[..., 0, 0] * self.S[..., 1, 1]
                 - self.S[..., 0, 1] * self.S[..., 1, 0])
-
-    @property
-    def symmetry_defect(self):
-        d = np.abs(self.S[..., 0, 1] - self.S[..., 1, 0])
-        return float(np.max(np.where(self.mask, 0.0, d)))
 
 
 def _along_frame(frames, f_u, f_v):
@@ -239,9 +235,8 @@ class SurfaceAnalysis:
     on the first read of a field that needs the frames or the metric.
     """
 
-    def __init__(self, grid, band):
+    def __init__(self, grid):
         self.grid = grid
-        self.band = band
 
     @cached_property
     def frames(self):
@@ -295,7 +290,7 @@ class SurfaceAnalysis:
 
     @cached_property
     def tan_band(self):
-        return tan_pole_distance(self.frames.beta) < self.band
+        return tan_pole_distance(self.frames.beta) < TAN_BAND
 
     @cached_property
     def tan_beta(self):
@@ -323,15 +318,13 @@ class SurfaceAnalysis:
         return ~self.frames.mask
 
 
-def build_analysis(grid, band=TAN_BAND_DEFAULT):
+def build_analysis(grid):
     """Frames, curvature, gradients, Laplacian and residual fields for a grid.
 
     Nothing is formed here; each field of the returned SurfaceAnalysis is
-    formed on its first read.  Raises ValueError unless band >= 0.
+    formed on its first read.
     """
-    if not band >= 0:
-        raise ValueError(f"tan-pole band must be >= 0, got {band!r}")
-    return SurfaceAnalysis(grid, band)
+    return SurfaceAnalysis(grid)
 
 
 def _connection_residuals(grid, frames, gb, tan_beta):
@@ -352,7 +345,7 @@ class Identity:
     """One row of IDENTITIES."""
 
     residual: object    # analysis -> residual field, formed when called
-    off_band: bool      # nodes within the analysis' tan-pole band are excluded
+    off_band: bool      # nodes within TAN_BAND of a tan pole are excluded
     bound: float        # finest-level L-infinity bound of a passing verify run
 
 
@@ -381,7 +374,7 @@ def verify_identity(an, name):
         node = tuple(int(k) for k in np.unravel_index(np.argmin(dist), dist.shape))
         raise DegenerateContact(
             f"{name} identity: every unmasked node lies within the tan-pole "
-            f"band {an.band:g}, node {node} nearest a pole", node=node)
+            f"band {TAN_BAND:g}, node {node} nearest a pole", node=node)
     vals = res[keep]
     return IdentityReport(name, float(np.max(np.abs(vals))),
                           float(np.sqrt(np.mean(vals ** 2))),
@@ -420,7 +413,7 @@ def refinement_study(entry, identity, levels):
     rows = []
     for spec in specs:
         grid = entry.sample(spec)
-        rep = verify_identity(build_analysis(grid, VERIFY_BAND_DEFAULT), identity)
+        rep = verify_identity(build_analysis(grid), identity)
         rows.append((spec.n_u, rep.linf, rep.l2, rep.n_excluded))
     order = observed_order([r[0] for r in rows], [r[1] for r in rows])
     at_floor = order is None

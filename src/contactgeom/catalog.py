@@ -198,6 +198,8 @@ def perturb(entry, mode, eps):
     The base entry must be doubly periodic, and eps and mode = (m, n) must
     fit BUMP_SCHEMA.  The derived entry has no analytic partials (d1 is
     None); downstream code falls back to high-order finite differences.
+    Its point map raises RangeError, naming the parameter, on an n_u x n_v
+    mesh that cannot carry the mode: m >= n_u/2 or n >= n_v/2.
     """
     values = _read_params(entry.name, BUMP_SCHEMA,
                           {"eps": eps, "m": mode[0], "n": mode[1]})
@@ -206,6 +208,10 @@ def perturb(entry, mode, eps):
     eps, m, n = values["eps"], values["m"], values["n"]
 
     def point(U, V):
+        for name, k, nodes, axis in zip("mn", (m, n), np.broadcast(U, V).shape, "uv"):
+            if not k < nodes / 2:
+                raise RangeError(f"{entry.name} parameter {name} = {k} is not below "
+                                 f"half the grid's {nodes} nodes along {axis}")
         pts, e3, mask = _base_normal(entry, U, V)
         if np.any(mask):
             raise RangeError("base entry is contact-degenerate under the bump")
@@ -246,17 +252,16 @@ def names():
 def build(name, params=None):
     """Instantiate a catalog entry by name; KeyError for unknown names.
 
-    params maps parameter names to numbers or strings, or lists (name,
-    value) pairs.  They are read against the name's schema, and RangeError
-    names a bad one, or one the pairs repeat.  A non-zero eps bumps the
-    entry in mode (m, n).
+    params lists (name, value) pairs, each value a number or a string.  They
+    are read against the name's schema, and RangeError names a bad one, or
+    one the pairs repeat.  A non-zero eps bumps the entry in mode (m, n).
     """
     key = ALIASES.get(name, name)
     if key not in _FACTORIES:
         raise KeyError(f"unknown catalog surface {name!r}; known: {names()}")
     factory, schema = _FACTORIES[key]
     raw = {}
-    for pname, value in params.items() if isinstance(params, dict) else params or ():
+    for pname, value in params or ():
         if pname in raw:
             raise RangeError(f"{key} parameter {pname} is given more than once")
         raw[pname] = value

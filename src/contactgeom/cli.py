@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import catalog
-from .calculus import (IDENTITIES, ORDER_THRESHOLD, build_analysis,
+from .calculus import (IDENTITIES, ORDER_THRESHOLD, TAN_BAND, build_analysis,
                        refinement_passed, refinement_study, verify_identity)
 from .errors import ContactGeomError, OffSphere, ParseError, RangeError
 from .flow import FlowConfig, area, descend, theorem_probe
@@ -91,8 +91,8 @@ def _load_surface(name, params, grid_shape):
     return entry.sample(entry.default_spec(*grid_shape))
 
 
-def _stats(values, mask=None):
-    vals = values if mask is None else values[~mask]
+def _stats(values, mask):
+    vals = values[~mask]
     return {"min": float(vals.min()), "max": float(vals.max()),
             "mean": float(vals.mean()), "spread": float(np.ptp(vals))}
 
@@ -139,7 +139,7 @@ def cmd_analyze(args):
         "masked": {
             "degenerate": int(frames.n_masked),
             "tan_band": int(np.sum(an.tan_band & ~mask)),
-            "tan_band_width": an.band,
+            "tan_band_width": TAN_BAND,
         },
         "area": area(grid),
         "willmore_energy": an.energy,
@@ -164,7 +164,7 @@ def cmd_verify(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = report.to_dict()
-    payload.update(surface=args.surface, format_version=FORMAT_VERSION,
+    payload.update(surface=entry.name, format_version=FORMAT_VERSION,
                    bound=IDENTITIES[args.identity].bound,
                    order_threshold=ORDER_THRESHOLD,
                    passed=refinement_passed(report))
@@ -174,7 +174,7 @@ def cmd_verify(args):
     for (n, linf, l2, excl) in report.levels:
         print(f"  n={n:4d}  Linf={linf:.3e}  L2={l2:.3e}  excluded={excl}")
     order = "floor" if report.at_floor else f"{report.order:.2f}"
-    print(f"verify {args.identity} on {args.surface}: order={order} "
+    print(f"verify {args.identity} on {entry.name}: order={order} "
           f"Linf={report.linf:.3e} -> {'PASS' if payload['passed'] else 'FAIL'}")
     return 0 if payload["passed"] else 4
 
@@ -183,7 +183,8 @@ def cmd_flow(args):
     try:
         cfg = FlowConfig(max_iter=args.steps, tol=args.tol)
         entry = catalog.build(args.surface, args.param)
-        report, final = descend(entry.sample(entry.default_spec(*args.grid)), cfg)
+        grid = entry.sample(entry.default_spec(*args.grid))
+        report, final = descend(grid, cfg)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -194,7 +195,7 @@ def cmd_flow(args):
              for row in report.trace]
     probe = theorem_probe(report, final)
     payload = report.to_dict()
-    payload.update(format_version=FORMAT_VERSION, surface=args.surface,
+    payload.update(format_version=FORMAT_VERSION, surface=grid.label,
                    probe=probe)
     payload = _rounded(payload, "flow_report.json")
     os.makedirs(args.out, exist_ok=True)

@@ -211,7 +211,7 @@ def _onto_sphere(points):
     return ambient.scale(norms, points, out=ambient.empty4(norms.shape), divide=True)
 
 
-def sample(definition, spec, label=None):
+def sample(definition, spec):
     """Evaluate an immersion definition on a grid and normalize onto S^3.
 
     definition is either a callable (U, V) -> (..., 4), called on the full
@@ -249,8 +249,7 @@ def sample(definition, spec, label=None):
                                 f"sampled point at node {ij} "
                                 f"(|<df, f>| = {tang[ij]:.3e})", node=ij)
             partials[key] = ambient.scale(c, pts, out=df, onto=df, minus=True)
-    if label is None:
-        label = getattr(definition, "name", getattr(definition, "__name__", "surface"))
+    label = getattr(definition, "name", getattr(definition, "__name__", "surface"))
     return SurfaceGrid(spec, pts, partials, label)
 
 

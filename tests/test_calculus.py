@@ -14,8 +14,7 @@ from contactgeom import (DegenerateContact, DegenerateParametrization,
                          gaussian_curvature_intrinsic,
                          laplace_beltrami, refinement_study, sample,
                          shape_operator, verify_identity)
-from contactgeom.calculus import (IDENTITIES, TAN_BAND_DEFAULT,
-                                  _connection_residuals,
+from contactgeom.calculus import (IDENTITIES, _connection_residuals,
                                   gaussian_curvature_extrinsic, observed_order,
                                   refinement_passed, tan_pole_distance)
 from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
@@ -77,7 +76,8 @@ def test_shape_operator_clifford(cliff64):
     assert np.max(np.abs(an.shape.S - target)) < 1e-6
     assert np.max(np.abs(an.shape.H)) < 1e-8
     assert np.max(np.abs(an.shape.det + 1.0)) < 1e-6
-    assert an.shape.symmetry_defect < 1e-7
+    S = an.shape.S
+    assert np.max(np.abs(S[..., 0, 1] - S[..., 1, 0])[an.valid]) < 1e-7
 
 
 def test_shape_operator_sphere_vanishes(sphere64):
@@ -367,14 +367,15 @@ def _band_residuals_reference(grid, band):
 
 
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
-def test_refinement_wide_band_excludes_pole_rows(identity):
+def test_refinement_wide_band_excludes_pole_rows(identity, monkeypatch):
     # beta = arcsin(x2) comes within 0.2 of a tan pole at the chart edges,
     # so a 0.3 band drops whole rows of nodes there from the identities
     # where tan(beta) enters, and none from the others
+    monkeypatch.setattr(calculus, "TAN_BAND", 0.3)
     excluded = []
     for n in (32, 64, 128):
         grid = geodesic_sphere().sample(n=n)
-        rep = verify_identity(build_analysis(grid, band=0.3), identity)
+        rep = verify_identity(build_analysis(grid), identity)
         res, keep = _band_residuals_reference(grid, 0.3)[identity]
         assert rep.n_excluded == int(np.sum(~keep))
         assert rep.linf == float(np.max(np.abs(res[keep])))
@@ -467,7 +468,7 @@ def test_refinement_needs_three_levels():
 
 # ------------------------------------------------------- lazy analysis
 
-def _eager_analysis(grid, band=TAN_BAND_DEFAULT):
+def _eager_analysis(grid, band):
     """Reference: every field of an analysis formed up front, in one pass."""
     frames = contact_angle_field(grid)
     metric = first_fundamental_form(grid)
@@ -529,12 +530,13 @@ LAZY_CASES = {
 }
 
 
-@pytest.mark.parametrize("band", [TAN_BAND_DEFAULT, 0.3])
+@pytest.mark.parametrize("band", [calculus.TAN_BAND, 0.3])
 @pytest.mark.parametrize("case", sorted(LAZY_CASES))
-def test_lazy_analysis_matches_eager_reference_bitwise(case, band):
+def test_lazy_analysis_matches_eager_reference_bitwise(case, band, monkeypatch):
     grid = LAZY_CASES[case]()
+    monkeypatch.setattr(calculus, "TAN_BAND", band)
     ref = _eager_analysis(grid, band)
-    an = build_analysis(grid, band)
+    an = build_analysis(grid)
     if case == "masked_cap_9":
         assert an.frames.n_masked == 1
     if case == "geodesic_sphere" and band == 0.3:
@@ -549,7 +551,7 @@ def test_lazy_analysis_matches_eager_reference_bitwise(case, band):
         checked += len(want)
     # the metric counts six: E, F, G and its cached det, sqrt_det and inv
     assert checked == 28
-    assert an.band == band and an.grid is grid
+    assert an.grid is grid
 
 
 def _state(grid):
@@ -660,7 +662,7 @@ def test_identity_working_set_at_256(identity):
     spec = entry.default_spec(256)
     tracemalloc.start()
     try:
-        verify_identity(build_analysis(entry.sample(spec), band=0.05), identity)
+        verify_identity(build_analysis(entry.sample(spec)), identity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -110,12 +110,12 @@ def test_perturb_amplitude_guard():
 
 
 def test_blend_build_registry():
-    assert build("rtorus", {"r": 0.9}).ground_truth["area"] == pytest.approx(
+    assert build("rtorus", [("r", 0.9)]).ground_truth["area"] == pytest.approx(
         2 * np.pi ** 2 * np.sin(1.8))
-    assert build("r_torus", {}).name == "rtorus"
+    assert build("r_torus", []).name == "rtorus"
     with pytest.raises(KeyError):
         build("nosuch")
-    pert = build("clifford", {"eps": 0.05})
+    pert = build("clifford", [("eps", 0.05)])
     assert "bump" in pert.name
     listing = describe()
     assert {e["name"] for e in listing} == {"clifford", "geodesic_sphere", "rtorus"}

@@ -101,7 +101,7 @@ def _polar_cap_file(path, n=17, half_width=0.3):
 def test_fields_csv_matches_node_by_node_reference(tmp_path):
     cap = _polar_cap_file(tmp_path / "cap.s3")
     cases = [(["--surface", "rtorus", "--param", "r=0.9", "--grid", "32x32"],
-              cli._load_surface("rtorus", {"r": 0.9}, (32, 32)), {0}),
+              cli._load_surface("rtorus", [("r", 0.9)], (32, 32)), {0}),
              (["--surface", cap], load_samples(cap), {0, 1})]
     for k, (argv, grid, codes) in enumerate(cases):
         out = tmp_path / f"o{k}"
@@ -274,6 +274,12 @@ def test_verify_needs_three_levels(tmp_path):
      "--param", "eps=0.1", "--grid", "16x16"],
     ["verify", "--surface", "geodesic_sphere", "--identity", "gauss",
      "--ref", "16,24,32"],
+    ["analyze", "--surface", "clifford", "--param", "eps=0.1", "--param", "n=9",
+     "--grid", "16x16"],
+    ["verify", "--surface", "clifford", "--param", "eps=0.05", "--param", "m=5",
+     "--identity", "gauss", "--refine", "8,16,32"],
+    ["flow", "--surface", "clifford", "--param", "eps=0.19", "--param", "m=7",
+     "--param", "n=9", "--grid", "16x16"],
 ], ids=["refine-token", "refine-below-8", "flow-step-retired", "tol-negative",
         "tol-inf", "steps-negative", "band-negative", "band-nan", "band-retired",
         "eps-nan", "mode-1e400",
@@ -282,7 +288,8 @@ def test_verify_needs_three_levels(tmp_path):
         "mode-fractional-unbumped", "mode-nan-eps-0", "flow-mode-retired",
         "band-excludes-every-node", "param-no-equals-analyze",
         "param-no-equals-verify", "param-no-equals-flow", "param-eps-and-amplitude",
-        "param-repeated", "refine-abbreviated"])
+        "param-repeated", "refine-abbreviated", "mode-unresolved-analyze",
+        "mode-unresolved-verify", "mode-unresolved-flow"])
 def test_malformed_flags_exit_2_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 2
@@ -320,6 +327,28 @@ def test_verify_gauss_both_surfaces(tmp_path):
     for surface in ("clifford", "geodesic_sphere"):
         assert run(["verify", "--surface", surface, "--identity", "gauss",
                     "--refine", "32,64,128", "--out", str(tmp_path)]) == 0
+
+
+def test_verify_and_flow_write_the_built_surface_name(tmp_path, capsys):
+    # each command names the surface it built, as analyze does: the bump
+    # and the alias resolved, not the --surface argument
+    commands = (("analyze", ["--grid", "16x16"], "report.json"),
+                ("verify", ["--identity", "gauss", "--refine", "16,24,32"],
+                 "identity_gauss.json"),
+                ("flow", ["--grid", "16x16", "--steps", "0"], "flow_report.json"))
+    # the descent needs a doubly periodic surface, so the sphere takes no flow
+    for argv, label, ran in (
+            (["--surface", "clifford", "--param", "eps=0.05"],
+             "clifford+bump(1,2)x0.05", commands),
+            (["--surface", "sphere"], "geodesic_sphere", commands[:2]),
+            (["--surface", "r_torus"], "rtorus", commands)):
+        names = []
+        for command, extra, name in ran:
+            out = tmp_path / label / command
+            run([command, *argv, *extra, "--out", str(out)])
+            names.append(json.loads((out / name).read_text())["surface"])
+        assert names == [label] * len(ran)
+        assert f"verify gauss on {label}:" in capsys.readouterr().out
 
 
 def test_flow_zero_steps_exit_5(tmp_path):
@@ -405,7 +434,7 @@ def test_catalog_schema_oracle(entry, tmp_path, capsys):
         return code == 2 and named in capsys.readouterr().err and not out.exists()
 
     for param, meta in params.items():
-        catalog.build(name, {param: meta["default"]})
+        catalog.build(name, [(param, meta["default"])])
         lo, hi = meta["range"]
         bad = ["nan", "inf", "-inf", repr(lo), repr(hi), "abc"]
         bad += ["2.5"] if meta["integer"] else []

@@ -22,6 +22,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "contactgeom").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
@@ -97,6 +98,33 @@ def test_every_public_definition_is_read_outside_the_tests():
     planted = {"m.py": ast.parse("def used():\n    pass\n\n\n"
                                  "def unused():\n    pass\n\n\nused()\n")}
     assert _unread_public_definitions(planted, planted.values()) == ["m.py:unused"]
+
+
+def _unread_public_members(defining, readers):
+    """"module.py:Class.member" for each public method or property of a
+    class of the defining {file name: tree} that no tree in readers reads."""
+    read = set().union(*(_read_names(tree) for tree in readers))
+    return [f"{name}:{cls.name}.{node.name}" for name, tree in defining.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    # a public method or property that only the tests read is a value no
+    # command computes.  A read in a package module, a demo or the
+    # benchmark's top-level modules counts: the benchmark reads
+    # FrameField.sign_mismatches as a counter
+    modules = {p.name: _tree(p) for p in PACKAGE if p.name != "__init__.py"}
+    assert PERFBENCH
+    readers = list(modules.values()) + [_tree(p) for p in DEMOS + PERFBENCH]
+    assert _unread_public_members(modules, readers) == []
+    # the guard sees a property and a method no reader reads
+    planted = {"m.py": ast.parse("class C:\n    @property\n    def read(self):\n"
+                                 "        pass\n\n    def unread(self):\n        pass\n\n"
+                                 "    def _private(self):\n        pass\n\n\nC().read\n")}
+    assert _unread_public_members(planted, planted.values()) == ["m.py:C.unread"]
 
 
 def _is_last_axis(node):

@@ -416,8 +416,9 @@ def _rotated_polar_cap(n, seed):
         return np.stack([w[..., 0].real, w[..., 0].imag,
                          w[..., 1].real, w[..., 1].imag], -1)
 
-    return sample(point, GridSpec(n, n, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart"),
-                  label=f"rotated cap {n}x{n}")
+    grid = sample(point, GridSpec(n, n, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart"))
+    grid.label = f"rotated cap {n}x{n}"
+    return grid
 
 
 def test_adapted_frames_are_positively_oriented():
@@ -441,8 +442,9 @@ def _past_the_equator_chart():
         return np.stack([np.cos(A) * np.cos(B), np.zeros_like(A),
                          -np.sin(A), np.cos(A) * np.sin(B)], -1)
 
-    return sample(point, GridSpec(33, 33, (-1.2, 1.2), (-2.0, 2.0), "chart", "chart"),
-                  label="past the equator")
+    grid = sample(point, GridSpec(33, 33, (-1.2, 1.2), (-2.0, 2.0), "chart", "chart"))
+    grid.label = "past the equator"
+    return grid
 
 
 def _reference_raw_frames(z, Xu, Xv):
