@@ -16,8 +16,8 @@ on a product torus away from Clifford (r = 0.70).
 
 import numpy as np
 
-from contactgeom import (FlowConfig, clifford, descend, perturb, r_torus,
-                         theorem_probe, willmore_energy)
+from contactgeom import (FlowConfig, build_analysis, clifford, descend, perturb,
+                         r_torus, theorem_probe)
 
 print("product tori: E(r) has its unique zero at r = pi/4, 32x32, tol 1e-6")
 report, final = descend(r_torus(np.pi / 4 + 0.1).sample(n=32), FlowConfig(tol=1e-6))
@@ -29,7 +29,7 @@ print(f"  start r = {np.pi/4 + 0.1:.6f} -> r in [{r_end.min():.12f}, "
 
 print("L-BFGS descent from a (1,2)-mode normal bump, amplitude 0.05, 32x32:")
 grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
-print(f"  initial energy  = {willmore_energy(grid):.6e}")
+print(f"  initial energy  = {build_analysis(grid).energy:.6e}")
 report, final = descend(grid, FlowConfig(max_iter=500, tol=1e-3))
 for (it, E, maxH, dev) in report.trace:
     print(f"  iter {it:3d}  E = {E:.3e}  max|H| = {maxH:.3e}  "

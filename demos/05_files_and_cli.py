@@ -12,16 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
-from contactgeom import clifford, contact_angle_field, load_samples
+from contactgeom import clifford, contact_angle_field
 from contactgeom.cli import main as cli
-from contactgeom.sampleio import write_samples
+from contactgeom.sampleio import read_samples, write_samples
 
 with tempfile.TemporaryDirectory(prefix="contactgeom_demo_") as workdir:
     tmp = Path(workdir)
     grid = clifford().sample(n=32)
     write_samples(grid, tmp / "clifford.s3")
     print("wrote", tmp / "clifford.s3")
-    back = load_samples(str(tmp / "clifford.s3"))
+    back = read_samples(str(tmp / "clifford.s3"))
     print("round trip: max point deviation =",
           f"{np.max(np.abs(back.points - grid.points)):.2e},",
           "max|beta| =", f"{np.max(np.abs(contact_angle_field(back).beta)):.2e}")

@@ -24,8 +24,8 @@ TAN_BAND of the tan poles beta = +-pi/2 are excluded from its norms (the
 Laplacian and connection identities, where tan(beta) enters), and its
 finest-level bound; verify_identity reads a row and reports how
 many nodes were excluded.  The descent in `flow` reads its energy, max|H|
-and gradient from the same object.  The first fundamental form is the one
-`surface` caches on the grid.
+and gradient from the same object, and `analyze` its area and energy.  The
+first fundamental form is the one `surface` caches on the grid.
 """
 
 import math
@@ -41,11 +41,6 @@ from .surface import contact_angle_field
 # the one tan-pole band of analyze and verify: nodes whose beta lies within
 # it of a tan pole are left out where tan(beta) enters a residual
 TAN_BAND = 1e-3
-
-
-def first_fundamental_form(grid):
-    """Gram matrix of the tangent pair at every node, as cached on the grid."""
-    return grid.geometry[2]
 
 
 @dataclass
@@ -68,7 +63,7 @@ class ShapeOperatorField:
 def _along_frame(frames, f_u, f_v):
     """(df(e1), df(e2)) from the parameter derivatives f_u, f_v of a scalar f:
     with e_i = c_iu Xu + c_iv Xv, df(e_i) = c_iu f_u + c_iv f_v."""
-    return [c[..., 0] * f_u + c[..., 1] * f_v for c in (frames.coeff1, frames.coeff2)]
+    return [cu * f_u + cv * f_v for cu, cv in (frames.coeff1, frames.coeff2)]
 
 
 def _along_legs(frames, calc, X, legs):
@@ -244,7 +239,8 @@ class SurfaceAnalysis:
 
     @cached_property
     def metric(self):
-        return first_fundamental_form(self.grid)
+        """The first fundamental form cached on the grid."""
+        return self.grid.geometry[2]
 
     @cached_property
     def shape(self):
@@ -254,6 +250,11 @@ class SurfaceAnalysis:
     def H(self):
         """Mean curvature; zero on masked nodes, where the shape operator is."""
         return self.shape.H
+
+    @cached_property
+    def area(self):
+        """Quadrature of sqrt(det g)."""
+        return float(np.sum(self.metric.sqrt_det * self.grid.calc.quad_weights()))
 
     @cached_property
     def energy(self):

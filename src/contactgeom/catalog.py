@@ -1,4 +1,4 @@
-"""Built-in analytic surfaces with exact partials, perturbations, and file input.
+"""Built-in analytic surfaces with exact partials, and their normal bumps.
 
 Every entry carries closed-form first parameter derivatives so the frame and
 curvature pipeline can be exercised without finite-difference error in the
@@ -14,9 +14,7 @@ import numpy as np
 from . import ambient
 from . import surface as surf
 from .errors import RangeError
-from .sampleio import read_samples
-from .surface import (GridSpec, _contact_sine, _moved_points, _onto_sphere,
-                      _unit_normal)
+from .surface import GridSpec, _moved_points, _onto_sphere, _unit_normal
 
 
 @dataclass(frozen=True)
@@ -181,25 +179,16 @@ def geodesic_sphere():
     )
 
 
-def _base_normal(entry, U, V):
-    """Gauge-invariant surface normal e3 of an analytic entry at (U, V), and
-    the frames' contact-degeneracy mask there."""
-    pts = _onto_sphere(np.asarray(entry.point(U, V), float))
-    fu, fv = (np.asarray(d, float) for d in entry.d1(U, V))
-    metric = surf.MetricField(ambient.dot(fu, fu), ambient.dot(fu, fv),
-                              ambient.dot(fv, fv))
-    _, mask = _contact_sine(fu, fv, metric.sqrt_det)
-    return pts, _unit_normal(pts, fu, fv), mask
-
-
 def perturb(entry, mode, eps):
     """Displace an entry along its normal by eps*sin(m u)*sin(n v).
 
     The base entry must be doubly periodic, and eps and mode = (m, n) must
     fit BUMP_SCHEMA.  The derived entry has no analytic partials (d1 is
     None); downstream code falls back to high-order finite differences.
-    Its point map raises RangeError, naming the parameter, on an n_u x n_v
-    mesh that cannot carry the mode: m >= n_u/2 or n >= n_v/2.
+    The bump moves each point along the base's unit normal, which is
+    continuous across contact degeneracy, so the base's frames are not
+    formed.  The point map raises RangeError, naming the parameter, on an
+    n_u x n_v mesh that cannot carry the mode: m >= n_u/2 or n >= n_v/2.
     """
     values = _read_params(entry.name, BUMP_SCHEMA,
                           {"eps": eps, "m": mode[0], "n": mode[1]})
@@ -212,13 +201,12 @@ def perturb(entry, mode, eps):
             if not k < nodes / 2:
                 raise RangeError(f"{entry.name} parameter {name} = {k} is not below "
                                  f"half the grid's {nodes} nodes along {axis}")
-        pts, e3, mask = _base_normal(entry, U, V)
-        if np.any(mask):
-            raise RangeError("base entry is contact-degenerate under the bump")
+        pts = _onto_sphere(np.asarray(entry.point(U, V), float))
+        e3 = _unit_normal(pts, *entry.d1(U, V))
         bump = eps * np.sin(m * np.asarray(U)) * np.sin(n * np.asarray(V))
         return _moved_points(pts, e3, bump)
 
-    label = f"{entry.name}+bump({m},{n})x{eps:g}"
+    label = f"{entry.name}+bump({m},{n})x{eps!r}"
     return CatalogEntry(
         name=label,
         point=point, d1=None,
@@ -227,14 +215,6 @@ def perturb(entry, mode, eps):
         ground_truth={},
         notes=f"normal bump of {entry.name}; partials by finite differences",
     )
-
-
-def load_samples(path):
-    """Read a sample file (native S3SAMPLES or analyzer fields.csv) as a grid.
-
-    The resulting grid has finite-difference partials only.
-    """
-    return read_samples(path)
 
 
 # name -> (factory, the factory's parameters and, if doubly periodic, the bump's)

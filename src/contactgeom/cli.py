@@ -27,9 +27,9 @@ from . import catalog
 from .calculus import (IDENTITIES, ORDER_THRESHOLD, TAN_BAND, build_analysis,
                        refinement_passed, refinement_study, verify_identity)
 from .errors import ContactGeomError, OffSphere, ParseError, RangeError
-from .flow import FlowConfig, area, descend, theorem_probe
+from .flow import FlowConfig, descend, theorem_probe
 from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
-                       write_table)
+                       read_samples, write_table)
 
 FORMAT_VERSION = "1"
 TRACE_CSV_HEADER = "iteration,energy,max_H,beta_spread"
@@ -86,7 +86,7 @@ def _load_surface(name, params, grid_shape):
     if os.path.exists(name):
         if params:
             raise RangeError(f"a sample file takes no parameters, got {params[0][0]!r}")
-        return catalog.load_samples(name)
+        return read_samples(name)
     entry = catalog.build(name, params)
     return entry.sample(entry.default_spec(*grid_shape))
 
@@ -141,7 +141,7 @@ def cmd_analyze(args):
             "tan_band": int(np.sum(an.tan_band & ~mask)),
             "tan_band_width": TAN_BAND,
         },
-        "area": area(grid),
+        "area": an.area,
         "willmore_energy": an.energy,
     }
     report = _rounded(report, "report.json")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import build_analysis, first_fundamental_form
+from .calculus import build_analysis
 from .errors import DegenerateParametrization
 from .surface import _moved_points, tangent_fields
 
@@ -85,17 +85,6 @@ class FlowReport:
             "beta": {"max": self.beta_max, "spread": self.trace[-1][3]},
             "message": self.message,
         }
-
-
-def area(grid):
-    """Surface area: quadrature of sqrt(det g)."""
-    w = grid.calc.quad_weights()
-    return float(np.sum(first_fundamental_form(grid).sqrt_det * w))
-
-
-def willmore_energy(grid):
-    """E = integral of H^2 over the surface; zero exactly on minimal surfaces."""
-    return build_analysis(grid).energy
 
 
 def _check_step(grid, moved):

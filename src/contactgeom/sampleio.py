@@ -8,7 +8,9 @@ Native format (diff-friendly, self-describing):
 All floats are written as %.12e, byte for byte what Python's `%` prints.
 read_samples also accepts the analyzer's fields.csv (recognized by its
 header line); grid shape is inferred from the u/v columns and an axis is
-treated as periodic when its node spacing wraps the range to 2*pi.
+treated as periodic when its node spacing wraps the range to 2*pi.  Either
+format's grid is labelled samples:<file name>, without the directory, so a
+report does not depend on where the file was read from.
 
 write_table formats in numpy, one block of whole u-rows (_BLOCK_CELLS table
 cells) at a time.  A cell's digits come from k = floor(log10|x|) and
@@ -43,6 +45,8 @@ re-scale), has |x| outside [1e-32, 1e57) (every three-digit exponent and
 every subnormal) or is not finite, or when its %d cell is not one of the
 digits 0..9.  +-0.0 is written directly, with the sign of -0.0.
 """
+
+import os
 
 import numpy as np
 
@@ -258,7 +262,7 @@ def _parse_floats(tokens, lineno):
         raise ParseError(f"bad float: {exc}", line=lineno) from None
 
 
-def _grid_from_columns(u, v, pts4, linenos):
+def _grid_from_columns(u, v, pts4, linenos, label):
     """Reconstruct a grid (nu, nv, ranges, topologies) from flat u/v columns.
 
     linenos[r] is the file line of data row r.  A grid-shape ParseError
@@ -306,7 +310,7 @@ def _grid_from_columns(u, v, pts4, linenos):
     topo_u, u_range = axis(us, nv)
     topo_v, v_range = axis(vs, 1)
     spec = GridSpec(nu, nv, u_range, v_range, topo_u, topo_v)
-    return SurfaceGrid(spec, _onto_sphere(pts4.reshape(nu, nv, 4)))
+    return SurfaceGrid(spec, _onto_sphere(pts4.reshape(nu, nv, 4)), label=label)
 
 
 def _parse_rows(rows, lines, sep, n_cols, n_keep):
@@ -341,6 +345,7 @@ def read_samples(path):
     Raises ParseError naming the line of a malformed file, and OffSphere
     naming the node whose point is off S^3 or not finite.
     """
+    label = f"samples:{os.path.basename(path)}"
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -353,7 +358,7 @@ def read_samples(path):
         if len(arr) < 4:
             raise ParseError("too few rows for a grid", line=len(lines))
         linenos = [k for k, ln in enumerate(lines[1:], start=2) if ln.strip()]
-        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6], linenos)
+        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6], linenos, label)
 
     head = first.split()
     if len(head) != 10 or head[0] != FORMAT_MAGIC:
@@ -376,4 +381,4 @@ def read_samples(path):
         raise ParseError(f"expected {nu * nv} rows, found {len(rows)}",
                          line=len(lines))
     points = _parse_rows(rows, lines, None, 6, 6)[:, 2:6].reshape(nu, nv, 4)
-    return SurfaceGrid(spec, _onto_sphere(points), label=f"samples:{path}")
+    return SurfaceGrid(spec, _onto_sphere(points), label=label)

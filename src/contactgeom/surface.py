@@ -254,7 +254,7 @@ def sample(definition, spec):
 
 
 def tangent_fields(grid):
-    """Per-node tangent pair (Xu, Xv), analytic when stored, else 4th-order FD.
+    """Per-node tangent pair (Xu, Xv), analytic when stored, else 6th-order FD.
 
     Both routes project onto T_z S^3, once per grid.  Raises
     DegenerateParametrization if the Gram determinant drops below 1e-10
@@ -268,8 +268,9 @@ def tangent_fields(grid):
 class FrameField:
     """Adapted frames over a grid.
 
-    coeff1/coeff2 hold the (Xu, Xv)-coordinates of e1/e2, used to take
-    directional derivatives along frame legs with parameter-space stencils.
+    coeff1/coeff2 hold the (Xu, Xv)-coordinates (cu, cv) of e1/e2, a pair
+    of fields each, used to take directional derivatives along frame legs
+    with parameter-space stencils.
     mask flags contact-degenerate nodes (frames meaningless there).  e1,
     beta and the coordinates are formed with the frames; e2, e3 and the
     holonomy count sign_mismatches are formed from the grid on first read,
@@ -280,8 +281,8 @@ class FrameField:
     grid: SurfaceGrid = field(repr=False)
     e1: np.ndarray
     beta: np.ndarray
-    coeff1: np.ndarray
-    coeff2: np.ndarray
+    coeff1: tuple
+    coeff2: tuple
     mask: np.ndarray
     n_masked: int = 0
     seed_sign: int = 1
@@ -291,8 +292,9 @@ class FrameField:
         """c2u Xu + c2v Xv, the metric quarter turn of e1, formed into a
         single field."""
         Xu, Xv = self.grid.geometry[:2]
-        e2 = ambient.scale(self.coeff2[..., 0], Xu)
-        return ambient.scale(self.coeff2[..., 1], Xv, out=e2, onto=e2)
+        cu, cv = self.coeff2
+        e2 = ambient.scale(cu, Xu)
+        return ambient.scale(cv, Xv, out=e2, onto=e2)
 
     @cached_property
     def e3(self):
@@ -326,31 +328,24 @@ def _moved_points(z, e3, psi):
     return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
 
 
-def _contact_sine(Xu, Xv, sqrt_det):
-    """(<xi, e3>, mask) from the Kahler form of the tangent pair.
-
-    For Xu, Xv tangent to S^3 at z, <i z, cross4(z, Xu, Xv)> is the Kahler
-    form <i Xu, Xv>, and |cross4(z, Xu, Xv)| is sqrt(det g), so
-    <xi, e3> = <i Xu, Xv> / sqrt(det g) without forming e3.  mask is the
-    contact-degeneracy test |<xi, e3>| > 1 - DEGENERACY_TOL.
-    """
-    xin = ambient.kahler(Xu, Xv) / sqrt_det
-    return xin, np.abs(xin) > 1.0 - DEGENERACY_TOL
-
-
 def _raw_frames(z, Xu, Xv, sqrt_det):
     """Vectorized pre-gauge construction of the contact leg and sin(beta).
 
     Returns (e1, mask, a, b, xin) where e1's sign is arbitrary per node
     (fixed later by the flood fill), a = <Xu, xi> and b = <Xv, xi> are the
     Reeb components of the tangent pair, and xin = <xi, e3> is beta's
-    numerator (see _contact_sine); no 4-vector but e1 is formed.
+    numerator; no 4-vector but e1 is formed.  For Xu, Xv tangent to S^3 at
+    z, <i z, cross4(z, Xu, Xv)> is the Kahler form <i Xu, Xv>, and
+    |cross4(z, Xu, Xv)| is sqrt(det g), so xin = <i Xu, Xv> / sqrt(det g)
+    without forming e3.  mask is the package's one contact-degeneracy test,
+    |xin| > 1 - DEGENERACY_TOL, or a vanishing contact leg.
     contact_angle_field forms beta's denominator <xi, e2> from a, b and
     e2's coordinates.  At masked nodes e1 is replaced by the contact-plane
     leg z_perp of the canonical frame so downstream stencils see bounded
     values.
     """
-    xin, mask = _contact_sine(Xu, Xv, sqrt_det)
+    xin = ambient.kahler(Xu, Xv) / sqrt_det
+    mask = np.abs(xin) > 1.0 - DEGENERACY_TOL
     # <Xu, i z> = <i z, Xu>: the Kahler form of (z, Xu), xi never formed
     a = ambient.kahler(z, Xu)
     b = ambient.kahler(z, Xv)
@@ -364,10 +359,10 @@ def _raw_frames(z, Xu, Xv, sqrt_det):
 
 
 def _tangent_coords(metric, r1, r2):
-    """(Xu, Xv)-coordinates of a tangent field e through the inverse metric,
-    from its inner products r1 = <Xu, e> and r2 = <Xv, e>."""
+    """(Xu, Xv)-coordinates (cu, cv) of a tangent field e through the inverse
+    metric, from its inner products r1 = <Xu, e> and r2 = <Xv, e>."""
     E, F, G, det = metric.E, metric.F, metric.G, metric.det
-    return np.stack([(G * r1 - F * r2) / det, (E * r2 - F * r1) / det], axis=-1)
+    return (G * r1 - F * r2) / det, (E * r2 - F * r1) / det
 
 
 def _grid_neighbors(spec):
@@ -524,12 +519,10 @@ def contact_angle_field(grid):
     # e1 = z_perp lies in the contact plane, which is its tangent plane.
     # <Xu, e1> is the signed e1_dot_xu; 0.0 + turns sign's -0.0 into the
     # +0.0 a dot gives
-    coeff1 = _tangent_coords(metric, 0.0 + sign * e1_dot_xu, ambient.dot(Xv, e1))
-    c1u, c1v = coeff1[..., 0], coeff1[..., 1]
+    c1u, c1v = _tangent_coords(metric, 0.0 + sign * e1_dot_xu, ambient.dot(Xv, e1))
     sg = metric.sqrt_det
     c2u = -(metric.F * c1u + metric.G * c1v) / sg
     c2v = (metric.E * c1u + metric.F * c1v) / sg
-    coeff2 = np.stack([c2u, c2v], axis=-1)
     # cos(beta) = <xi, e2> = c2u <xi, Xu> + c2v <xi, Xv>, e2 not formed
     beta = np.arctan2(xin, c2u * a + c2v * b)
     if n_masked == 0:
@@ -544,5 +537,5 @@ def contact_angle_field(grid):
                     (beta_flat[parents] - beta_flat[nodes]) / two_pi)
 
     return FrameField(grid=grid, e1=e1, beta=beta,
-                      coeff1=coeff1, coeff2=coeff2, mask=mask,
+                      coeff1=(c1u, c1v), coeff2=(c2u, c2v), mask=mask,
                       n_masked=n_masked, seed_sign=seed_sign)

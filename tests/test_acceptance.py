@@ -14,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from contactgeom import (FlowConfig, area, build_analysis, clifford,
+from contactgeom import (FlowConfig, build_analysis, clifford,
                          contact_angle_field, descend, geodesic_sphere, perturb,
-                         r_torus, reeb, sample, theorem_probe, willmore_energy)
+                         r_torus, reeb, sample, theorem_probe)
 from contactgeom.calculus import refinement_study
 from contactgeom.cli import main as cli_main
 from contactgeom.surface import GridSpec
@@ -154,15 +154,15 @@ def test_criterion_07_intrinsic_extrinsic_agreement():
 
 
 def test_criterion_08_area_and_energy_oracles():
-    a = area(clifford().sample(n=128))
+    a = build_analysis(clifford().sample(n=128)).area
     area_dev = abs(a - 2.0 * math.pi ** 2)
     diffs = {}
     for r in (0.4, 0.6, math.pi / 4, 1.0):
         grid = r_torus(r).sample(n=128)
         h = (math.tan(r) - 1.0 / math.tan(r)) / 2.0
         expected = 4.0 * math.pi ** 2 * math.sin(r) * math.cos(r) * h ** 2
-        diffs[round(r, 4)] = abs(willmore_energy(grid) - expected)
-    e_quarter = willmore_energy(r_torus(math.pi / 4).sample(n=128))
+        diffs[round(r, 4)] = abs(build_analysis(grid).energy - expected)
+    e_quarter = build_analysis(r_torus(math.pi / 4).sample(n=128)).energy
     ok = (area_dev < 1e-6 and all(v < 1e-6 for v in diffs.values())
           and e_quarter <= 1e-10)
     assert _line(8, "area and energy oracles", ok,

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from contactgeom import calculus
 from contactgeom import (DegenerateContact, DegenerateParametrization,
-                         GridSpec, build_analysis,
-                         first_fundamental_form, frame_gradient,
+                         GridSpec, build_analysis, frame_gradient,
                          gaussian_curvature_intrinsic,
                          laplace_beltrami, refinement_study, sample,
                          shape_operator, verify_identity)
@@ -57,7 +56,7 @@ def test_metric_sphere_round(sphere64):
 
 def test_analysis_reads_the_grid_metric(sphere64):
     grid, an = sphere64
-    assert an.metric is first_fundamental_form(grid)
+    assert an.metric is grid.geometry[2]
 
 
 def test_metric_forms_its_derived_fields_once(sphere64):
@@ -242,7 +241,7 @@ def test_laplace_constant_zero(sphere64):
 
 def test_laplace_sphere_eigenfunction():
     grid = geodesic_sphere().sample(n=128)
-    metric = first_fundamental_form(grid)
+    metric = grid.geometry[2]
     theta = grid.spec.mesh()[0]
     f = np.cos(theta)
     lap = laplace_beltrami(f, metric, grid)
@@ -269,7 +268,7 @@ def test_laplace_linear_field_flat_chart():
 
 def test_laplace_self_adjoint_periodic():
     grid = clifford().sample(n=32)
-    metric = first_fundamental_form(grid)
+    metric = grid.geometry[2]
     w = grid.calc.quad_weights()
     a = RNG.normal(size=(32, 32))
     b = RNG.normal(size=(32, 32))
@@ -300,7 +299,7 @@ def test_curvature_identity_gauge_invariant():
     an = build_analysis(grid)
     ff = contact_angle_field(grid)
     ff.e1, ff.e2 = -ff.e1, -ff.e2
-    ff.coeff1, ff.coeff2 = -ff.coeff1, -ff.coeff2
+    ff.coeff1, ff.coeff2 = [(-cu, -cv) for cu, cv in (ff.coeff1, ff.coeff2)]
     ff.beta = np.pi - ff.beta
     shape = shape_operator(grid, ff)
     gb = frame_gradient(ff.beta, ff, grid)
@@ -357,8 +356,7 @@ def _band_residuals_reference(grid, band):
     # <D_{e_i} e2, e1> = c_iu <d_u e2, e1> + c_iv <d_v e2, e1>
     a_u = np.sum(grid.calc.du(an.frames.e2) * an.frames.e1, -1)
     a_v = np.sum(grid.calc.dv(an.frames.e2) * an.frames.e1, -1)
-    comp = [c[..., 0] * a_u + c[..., 1] * a_v
-            for c in (an.frames.coeff1, an.frames.coeff2)]
+    comp = [cu * a_u + cv * a_v for cu, cv in (an.frames.coeff1, an.frames.coeff2)]
     res1 = comp[0] - tan_beta * gb.beta2
     res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
     conn = np.maximum(np.abs(res1), np.abs(res2))
@@ -417,11 +415,11 @@ def _d_field_contractions(grid, frames, field, legs):
     the eight products c * d * e that both orders add."""
     d_u, d_v = grid.calc.du(field), grid.calc.dv(field)
     out, size = [], []
-    for c in (frames.coeff1, frames.coeff2):
-        D = c[..., 0, None] * d_u + c[..., 1, None] * d_v
+    for cu, cv in (frames.coeff1, frames.coeff2):
+        D = cu[..., None] * d_u + cv[..., None] * d_v
         out.append([np.sum(D * e, -1) for e in legs])
-        size.append([np.abs(c[..., 0]) * np.sum(np.abs(d_u * e), -1)
-                     + np.abs(c[..., 1]) * np.sum(np.abs(d_v * e), -1) for e in legs])
+        size.append([np.abs(cu) * np.sum(np.abs(d_u * e), -1)
+                     + np.abs(cv) * np.sum(np.abs(d_v * e), -1) for e in legs])
     return np.array(out), np.array(size)
 
 
@@ -471,7 +469,7 @@ def test_refinement_needs_three_levels():
 def _eager_analysis(grid, band):
     """Reference: every field of an analysis formed up front, in one pass."""
     frames = contact_angle_field(grid)
-    metric = first_fundamental_form(grid)
+    metric = grid.geometry[2]
     shape = shape_operator(grid, frames)
     K_int = gaussian_curvature_intrinsic(metric, grid)
     K_ext = gaussian_curvature_extrinsic(shape)
@@ -560,7 +558,7 @@ def _state(grid):
     (frames, metric, shape, E, max|H|) with H taken as 0 on masked nodes.
     """
     frames = contact_angle_field(grid)
-    metric = first_fundamental_form(grid)
+    metric = grid.geometry[2]
     shape = shape_operator(grid, frames)
     H = np.where(frames.mask, 0.0, shape.H)
     E = float(np.sum(H ** 2 * metric.sqrt_det * grid.calc.quad_weights()))

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from contactgeom import (OffSphere, ParseError, RangeError, clifford,
-                         contact_angle_field, geodesic_sphere, load_samples,
-                         perturb, r_torus, willmore_energy)
+from contactgeom import (OffSphere, ParseError, RangeError, build_analysis,
+                         clifford, contact_angle_field, geodesic_sphere,
+                         perturb, r_torus)
 from contactgeom.catalog import build, describe
-from contactgeom.sampleio import FIELDS_CSV_HEADER, write_samples
+from contactgeom.sampleio import FIELDS_CSV_HEADER, read_samples, write_samples
 from contactgeom.surface import sample, tangent_fields
 
 RNG = np.random.default_rng(3)
@@ -99,7 +99,14 @@ def test_perturb_positive_energy():
     assert ent.d1 is None
     grid = ent.sample(n=32)
     assert grid.partials is None
-    assert willmore_energy(grid) > 1e-4
+    assert build_analysis(grid).energy > 1e-4
+
+
+@pytest.mark.parametrize("eps, name", [(0.05, "clifford+bump(1,2)x0.05"),
+                                       (-0.1, "clifford+bump(1,2)x-0.1"),
+                                       (1e-05, "clifford+bump(1,2)x1e-05")])
+def test_short_bump_amplitudes_keep_their_names(eps, name):
+    assert perturb(clifford(), (1, 2), eps).name == name
 
 
 def test_perturb_amplitude_guard():
@@ -132,7 +139,7 @@ def test_sample_file_round_trip(tmp_path):
     assert lines[1:] == [
         " ".join("%.12e" % x for x in (us[i], vs[j], *grid.points[i, j]))
         for i in range(32) for j in range(32)]
-    back = load_samples(str(path))
+    back = read_samples(str(path))
     assert back.spec.topology_u == "periodic"
     assert back.spec.n_u == 32 and back.spec.n_v == 32
     assert np.max(np.abs(back.points - grid.points)) < 1e-12
@@ -145,7 +152,7 @@ def test_sample_file_chart_round_trip(tmp_path):
     grid = geodesic_sphere().sample(n=32)
     path = tmp_path / "sphere.s3"
     write_samples(grid, str(path))
-    back = load_samples(str(path))
+    back = read_samples(str(path))
     assert back.spec.topology_u == "chart"
     assert back.spec.topology_v == "periodic"
     ff0 = contact_angle_field(grid)
@@ -161,7 +168,7 @@ def test_sample_file_wrong_columns(tmp_path):
     lines[3] = "0.0 1.0 2.0"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
-        load_samples(str(path))
+        read_samples(str(path))
     assert err.value.line == 4
 
 
@@ -172,7 +179,7 @@ def test_sample_file_off_sphere_names_node(tmp_path):
     pts[2, 3] *= 0.9
     write_samples(grid.with_points(pts), str(path))
     with pytest.raises(OffSphere) as err:
-        load_samples(str(path))
+        read_samples(str(path))
     assert err.value.node == (2, 3)
 
 
@@ -180,7 +187,7 @@ def test_sample_file_bad_header(tmp_path):
     path = tmp_path / "bad.s3"
     path.write_text("NOTAFORMAT\n")
     with pytest.raises(ParseError):
-        load_samples(str(path))
+        read_samples(str(path))
 
 
 def _sample_file_lines(fmt, tmp_path):
@@ -210,7 +217,7 @@ def test_sample_file_error_names_file_line_after_blank_line(tmp_path, fmt, fault
     path = tmp_path / "bad.s3"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
-        load_samples(str(path))
+        read_samples(str(path))
     assert err.value.line == 10
     assert str(err.value).startswith("line 10: ")
 
@@ -223,7 +230,7 @@ def test_sample_file_ragged_rows_fail_at_first_short_row(tmp_path):
     path = tmp_path / "bad.s3"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
-        load_samples(str(path))
+        read_samples(str(path))
     assert err.value.line == 6
     assert "found 5" in str(err.value)
 
@@ -250,7 +257,7 @@ def test_fields_csv_grid_error_names_offending_row(tmp_path, fault, line, messag
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([lines[0], ""] + [",".join(t) for t in rows]) + "\n")
     with pytest.raises(ParseError) as err:
-        load_samples(str(path))
+        read_samples(str(path))
     assert err.value.line == line
     assert message in str(err.value)
 
@@ -269,5 +276,5 @@ def test_sample_file_reader_accepts_every_float_token(tmp_path, fmt):
     path = tmp_path / "grouped.s3"
     path.write_text("\n".join(grouped) + "\n")
     assert "_" in grouped[1]
-    assert np.array_equal(load_samples(str(path)).points,
-                          load_samples(str(plain)).points)
+    assert np.array_equal(read_samples(str(path)).points,
+                          read_samples(str(plain)).points)

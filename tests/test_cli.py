@@ -9,12 +9,11 @@ import shlex
 import numpy as np
 import pytest
 
-from contactgeom import (OffSphere, catalog, cli, clifford, contact_angle_field,
-                         flow, load_samples)
+from contactgeom import OffSphere, catalog, cli, clifford, contact_angle_field
 from contactgeom.calculus import (IdentityReport, ShapeOperatorField,
                                   build_analysis)
 from contactgeom.cli import main
-from contactgeom.sampleio import FIELDS_CSV_HEADER, write_samples
+from contactgeom.sampleio import FIELDS_CSV_HEADER, read_samples, write_samples
 from contactgeom.surface import GridSpec, SurfaceGrid
 
 
@@ -102,7 +101,7 @@ def test_fields_csv_matches_node_by_node_reference(tmp_path):
     cap = _polar_cap_file(tmp_path / "cap.s3")
     cases = [(["--surface", "rtorus", "--param", "r=0.9", "--grid", "32x32"],
               cli._load_surface("rtorus", [("r", 0.9)], (32, 32)), {0}),
-             (["--surface", cap], load_samples(cap), {0, 1})]
+             (["--surface", cap], read_samples(cap), {0, 1})]
     for k, (argv, grid, codes) in enumerate(cases):
         out = tmp_path / f"o{k}"
         assert run(["analyze", *argv, "--out", str(out)]) == 0
@@ -111,7 +110,7 @@ def test_fields_csv_matches_node_by_node_reference(tmp_path):
         assert {int(ln.rsplit(",", 1)[1]) for ln in text.splitlines()[1:]} == codes
         report = json.loads((out / "report.json").read_text())
         assert report["willmore_energy"] == float(
-            "%.12e" % flow.willmore_energy(grid))
+            "%.12e" % build_analysis(grid).energy)
 
 
 def test_analyze_evaluates_H_a_fixed_number_of_times(tmp_path, monkeypatch):
@@ -169,7 +168,7 @@ def test_fields_csv_round_trips_through_loader(tmp_path):
     out = tmp_path / "o"
     assert run(["analyze", "--surface", "clifford", "--grid", "32x32",
                 "--out", str(out)]) == 0
-    grid = load_samples(str(out / "fields.csv"))
+    grid = read_samples(str(out / "fields.csv"))
     assert grid.spec.topology_u == "periodic"
     ff = contact_angle_field(grid)
     assert np.max(np.abs(ff.beta)) < 1e-6
@@ -183,6 +182,24 @@ def test_analyze_accepts_sample_file(tmp_path):
                 "--out", str(out2)]) == 0
     report = json.loads((out2 / "report.json").read_text())
     assert abs(report["fields"]["beta"]["max"]) < 1e-6
+    # named by its file name, as a native sample file is
+    assert report["surface"] == "samples:fields.csv"
+
+
+def test_one_sample_file_in_two_directories_gives_identical_reports(tmp_path):
+    # the report names the file, not the directory it was read from
+    grid = clifford().sample(n=16)
+    outputs = []
+    for folder in ("a", "bb"):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / "c.s3"
+        write_samples(grid, str(path))
+        out = tmp_path / folder / "o"
+        assert run(["analyze", "--surface", str(path), "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("report.json", "fields.csv")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["surface"] == "samples:c.s3"
 
 
 def test_analyze_off_sphere_file(tmp_path):
@@ -203,7 +220,7 @@ def test_nan_sample_coordinate_is_off_sphere(tmp_path):
     lines[row] = " ".join(cells)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(OffSphere) as err:
-        load_samples(str(path))
+        read_samples(str(path))
     assert err.value.node == (2, 6)
     out = tmp_path / "o"
     assert run(["analyze", "--surface", str(path), "--out", str(out)]) == 3
@@ -349,6 +366,19 @@ def test_verify_and_flow_write_the_built_surface_name(tmp_path, capsys):
             names.append(json.loads((out / name).read_text())["surface"])
         assert names == [label] * len(ran)
         assert f"verify gauss on {label}:" in capsys.readouterr().out
+
+
+def test_bump_names_keep_every_digit_of_eps(tmp_path):
+    # the two amplitudes agree to six significant digits, so "%g" gave both
+    # the name clifford+bump(1,2)x0.0501182
+    names = []
+    for eps in ("0.050118216247002564", "0.0501182"):
+        out = tmp_path / eps
+        assert run(["analyze", "--surface", "clifford", "--param", f"eps={eps}",
+                    "--grid", "16x16", "--out", str(out)]) == 0
+        names.append(json.loads((out / "report.json").read_text())["surface"])
+    assert names == ["clifford+bump(1,2)x0.050118216247002564",
+                     "clifford+bump(1,2)x0.0501182"]
 
 
 def test_flow_zero_steps_exit_5(tmp_path):

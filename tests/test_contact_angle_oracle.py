@@ -53,8 +53,8 @@ def test_cos_beta_is_the_e2_component(case):
     name, grid, frames = case
     Xu, Xv = grid.geometry[:2]
     xi = ambient.jmul(grid.points)
-    c2 = frames.coeff2
-    cos_beta = c2[..., 0] * np.sum(Xu * xi, -1) + c2[..., 1] * np.sum(Xv * xi, -1)
+    c2u, c2v = frames.coeff2
+    cos_beta = c2u * np.sum(Xu * xi, -1) + c2v * np.sum(Xv * xi, -1)
     want = np.sum(xi * frames.e2, -1)
     assert np.max(np.abs(cos_beta - want)) <= SCALAR_TOL, name
     assert np.max(np.abs(np.cos(frames.beta) - want)) <= SCALAR_TOL, name

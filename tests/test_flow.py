@@ -6,10 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from contactgeom import (DegenerateParametrization, FlowConfig, area,
+from contactgeom import (DegenerateParametrization, FlowConfig,
                          build_analysis, calculus, cli, clifford, descend, flow,
-                         geodesic_sphere, perturb, r_torus, theorem_probe,
-                         willmore_energy)
+                         geodesic_sphere, perturb, r_torus, theorem_probe)
 from contactgeom.cli import main
 from contactgeom.flow import FlowReport, _check_step
 from contactgeom.gridops import GridCalc
@@ -18,22 +17,22 @@ from contactgeom.surface import GridSpec, _moved_points, sample
 
 def test_area_clifford():
     grid = clifford().sample(n=64)
-    assert abs(area(grid) - 2.0 * np.pi ** 2) < 1e-6
+    assert abs(build_analysis(grid).area - 2.0 * np.pi ** 2) < 1e-6
 
 
 def test_area_r_torus_family():
     for r in (0.4, 0.9):
         grid = r_torus(r).sample(n=64)
-        assert abs(area(grid) - 4.0 * np.pi ** 2 * np.sin(r) * np.cos(r)) < 1e-6
+        assert abs(build_analysis(grid).area - 4.0 * np.pi ** 2 * np.sin(r) * np.cos(r)) < 1e-6
 
 
 def test_area_minimum_grid_positive():
     grid = clifford().sample(n=8)
-    assert area(grid) > 0
+    assert build_analysis(grid).area > 0
 
 
 def test_willmore_zero_on_minimal():
-    assert willmore_energy(clifford().sample(n=64)) < 1e-10
+    assert build_analysis(clifford().sample(n=64)).energy < 1e-10
 
 
 def test_willmore_r_torus_closed_form():
@@ -41,7 +40,7 @@ def test_willmore_r_torus_closed_form():
         grid = r_torus(r).sample(n=128)
         h = (np.tan(r) - 1.0 / np.tan(r)) / 2.0
         expected = 4.0 * np.pi ** 2 * np.sin(r) * np.cos(r) * h ** 2
-        assert abs(willmore_energy(grid) - expected) < 1e-6
+        assert abs(build_analysis(grid).energy - expected) < 1e-6
 
 
 def test_willmore_family_matches_closed_form_across_bracket():
@@ -49,12 +48,12 @@ def test_willmore_family_matches_closed_form_across_bracket():
         grid = r_torus(float(r)).sample(n=128)
         h = (np.tan(r) - 1.0 / np.tan(r)) / 2.0
         expected = 4.0 * np.pi ** 2 * np.sin(r) * np.cos(r) * h ** 2
-        assert abs(willmore_energy(grid) - expected) < 1e-6
+        assert abs(build_analysis(grid).energy - expected) < 1e-6
 
 
 def test_willmore_positive_after_bump():
     grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
-    assert willmore_energy(grid) > 1e-4
+    assert build_analysis(grid).energy > 1e-4
 
 
 def _normal_move(grid, psi):
@@ -101,8 +100,8 @@ def test_nodal_gradient_matches_directional_differences():
             dE = np.sum(an.willmore_G * an.metric.sqrt_det
                         * grid.calc.quad_weights() * psi)
             delta = 1e-5
-            Ep, Em = (willmore_energy(grid.with_points(
-                _moved_points(grid.points, an.frames.e3, s * delta * psi)))
+            Ep, Em = (build_analysis(grid.with_points(
+                _moved_points(grid.points, an.frames.e3, s * delta * psi))).energy
                 for s in (1.0, -1.0))
             dE_fd = (Ep - Em) / (2.0 * delta)
             gaps.append(abs(dE - dE_fd) / abs(dE_fd))

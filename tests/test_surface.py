@@ -13,6 +13,7 @@ from contactgeom import (DegenerateContact, DegenerateParametrization, GridSpec,
 from contactgeom.ambient import cross4, dot, jmul, perp
 from contactgeom.catalog import (build, clifford, geodesic_sphere, names,
                                  perturb, r_torus)
+from contactgeom.gridops import GridCalc
 from contactgeom.surface import (DEGENERACY_TOL, _flood_levels, _grid_neighbors,
                                  _raw_frames, _sign_mismatches)
 from test_ambient import _same_bits
@@ -56,6 +57,19 @@ def test_gridspec_validation():
     spec = GridSpec(16, 16, (0.0, 1.0), (0.0, 2.0), "chart", "periodic")
     assert spec.h_u == pytest.approx(1.0 / 15)
     assert spec.h_v == pytest.approx(2.0 / 16)
+    # GridSpec owns the node floor: 7 nodes fail on either axis and topology
+    for topology in ("periodic", "chart"):
+        for n_u, n_v in ((7, 8), (8, 7)):
+            with pytest.raises(ValueError, match="at least 8 nodes"):
+                GridSpec(n_u, n_v, topology_u=topology, topology_v=topology)
+    # 8 nodes carry the widest window, the 8-point one-sided second
+    # derivative, and each operator is exact on a quadratic
+    calc = GridCalc(GridSpec(8, 8, (0.0, 1.0), (0.0, 2.0), "chart", "chart"))
+    U, V = calc.spec.mesh()
+    for op, f, want in ((calc.du, U ** 2, 2.0 * U), (calc.dv, V ** 2, 2.0 * V),
+                        (calc.duu, U ** 2, 2.0 + 0.0 * U),
+                        (calc.dvv, V ** 2, 2.0 + 0.0 * V)):
+        assert np.max(np.abs(op(f) - want)) < 1e-9
 
 
 def test_sample_clifford_unit_norms():
@@ -472,8 +486,9 @@ def _gather_mismatches(spec, e1, mask):
 
 
 def _quarter_turn(grid, e1):
-    """(c1, c2, e2): e1's (Xu, Xv)-coordinates c1 from <Xu, e1> and <Xv, e1>,
-    c2 = J_g c1 its metric quarter turn, and e2 = c2u Xu + c2v Xv."""
+    """(c1, c2, e2): e1's (Xu, Xv)-coordinates c1 = (c1u, c1v) from <Xu, e1>
+    and <Xv, e1>, c2 = J_g c1 its metric quarter turn, and
+    e2 = c2u Xu + c2v Xv."""
     Xu, Xv = tangent_fields(grid)
     metric = grid.geometry[2]
     E, F, G = metric.E, metric.F, metric.G
@@ -482,8 +497,7 @@ def _quarter_turn(grid, e1):
     c1v = (E * r2 - F * r1) / metric.det
     c2u = -(F * c1u + G * c1v) / metric.sqrt_det
     c2v = (E * c1u + F * c1v) / metric.sqrt_det
-    return (np.stack([c1u, c1v], -1), np.stack([c2u, c2v], -1),
-            c2u[..., None] * Xu + c2v[..., None] * Xv)
+    return (c1u, c1v), (c2u, c2v), c2u[..., None] * Xu + c2v[..., None] * Xv
 
 
 def _reference_frames(grid):
@@ -509,8 +523,7 @@ def _reference_frames(grid):
     # sin(beta) = <i Xu, Xv> / sqrt(det g) and cos(beta) = <xi, e2> through
     # e2's coordinates, both formed from the tangent pair alone
     sin_beta = np.sum(jmul(Xu) * Xv, -1) / grid.geometry[2].sqrt_det
-    cos_beta = (coeff2[..., 0] * np.sum(Xu * xi, -1)
-                + coeff2[..., 1] * np.sum(Xv * xi, -1))
+    cos_beta = coeff2[0] * np.sum(Xu * xi, -1) + coeff2[1] * np.sum(Xv * xi, -1)
     beta = np.arctan2(sin_beta, cos_beta)
     for node, par in zip(order, parents):
         if par is not None:
@@ -579,7 +592,7 @@ def test_signed_e1_coordinates_keep_the_dot_zero_sign():
     for name, want in ref.items():
         if name != "beta":
             assert _same_bits(getattr(ff, name), want), name
-    row = ff.coeff1[grid.spec.n_u // 2, :, 0]
+    row = ff.coeff1[0][grid.spec.n_u // 2, :]
     assert np.all(row == 0.0) and not np.any(np.signbit(row))
     # beta is compared bit for bit in test_fast_unwrap_matches_bfs_across_the_cut
     assert np.max(np.abs(ff.beta - ref["beta"])) < 1e-14
@@ -632,10 +645,23 @@ def test_quarter_turn_e2_matches_cross4_oracle():
         good = ~ff.mask
         assert np.max(np.abs(sign * e2 - ff.e2)[good]) < 2e-15, grid.label
         metric = grid.geometry[2]
-        c1, c2 = ff.coeff1, ff.coeff2
-        g12 = (metric.E * c1[..., 0] * c2[..., 0] + metric.G * c1[..., 1] * c2[..., 1]
-               + metric.F * (c1[..., 0] * c2[..., 1] + c1[..., 1] * c2[..., 0]))
-        g22 = (metric.E * c2[..., 0] ** 2 + metric.G * c2[..., 1] ** 2
-               + 2.0 * metric.F * c2[..., 0] * c2[..., 1])
+        (c1u, c1v), (c2u, c2v) = ff.coeff1, ff.coeff2
+        g12 = (metric.E * c1u * c2u + metric.G * c1v * c2v
+               + metric.F * (c1u * c2v + c1v * c2u))
+        g22 = metric.E * c2u ** 2 + metric.G * c2v ** 2 + 2.0 * metric.F * c2u * c2v
         assert np.max(np.abs(g12)[good]) < 1e-14, grid.label
         assert np.max(np.abs(g22 - 1.0)[good]) < 1e-14, grid.label
+
+
+def test_frame_coordinates_are_stored_once():
+    # each of e1's and e2's (Xu, Xv)-coordinates is one contiguous field of
+    # its own, read as it is by the frame derivatives, not a strided view
+    # into a stacked copy
+    grids, caps = _gauge_grids()
+    for grid in grids + caps:
+        ff = contact_angle_field(grid)
+        coords = [*ff.coeff1, *ff.coeff2]
+        assert len(coords) == 4, grid.label
+        for c in coords:
+            assert c.shape == ff.beta.shape and c.flags.c_contiguous, grid.label
+            assert c.base is None, grid.label
