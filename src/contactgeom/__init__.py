@@ -10,8 +10,7 @@ squared-mean-curvature descent.
 from .ambient import (canonical_frame_vectors, contact_project, dot,
                       frame_derivative_check, hermitian, perp, reeb)
 from .calculus import (IDENTITIES, IdentityReport, ShapeOperatorField,
-                       build_analysis, frame_gradient,
-                       gaussian_curvature_extrinsic, gaussian_curvature_intrinsic,
+                       build_analysis, frame_gradient, gaussian_curvature_intrinsic,
                        laplace_beltrami, refinement_study, shape_operator,
                        verify_identity)
 from .catalog import CatalogEntry, clifford, geodesic_sphere, perturb, r_torus

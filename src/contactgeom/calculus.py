@@ -22,10 +22,12 @@ first read, each at most once per grid.  IDENTITIES gives each identity one
 row: the residual it reads from the analysis, whether nodes within
 TAN_BAND of the tan poles beta = +-pi/2 are excluded from its norms (the
 Laplacian and connection identities, where tan(beta) enters), and its
-finest-level bound; verify_identity reads a row and reports how
-many nodes were excluded.  The descent in `flow` reads its energy, max|H|
-and gradient from the same object, and `analyze` its area and energy.  The
-first fundamental form is the one `surface` caches on the grid.
+finest-level bound.  The row's `kept` nodes are the ones its norms read:
+verify_identity reports how many nodes it excluded, and `analyze` writes
+each residual column as 0 at the nodes its identity leaves out.  The
+descent in `flow` reads its energy, max|H| and gradient from the same
+object, and `analyze` its area and energy.  The first fundamental form is
+the one `surface` caches on the grid.
 """
 
 import math
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import ambient
 from .errors import DegenerateContact
-from .surface import contact_angle_field
+from .surface import _worst_node, contact_angle_field
 
 # the one tan-pole band of analyze and verify: nodes whose beta lies within
 # it of a tan pole are left out where tan(beta) enters a residual
@@ -105,11 +107,6 @@ def shape_operator(grid, frames):
     return ShapeOperatorField(S=S, mask=frames.mask)
 
 
-def gaussian_curvature_extrinsic(shape):
-    """Gauss equation in S^3: K = 1 + det S."""
-    return 1.0 + shape.det
-
-
 def gaussian_curvature_intrinsic(metric, grid):
     """Brioschi formula: K = (m1 - m2) / det(g)^2 from the metric components alone.
 
@@ -163,18 +160,10 @@ def gaussian_curvature_intrinsic(metric, grid):
     return m1 / EG_FF ** 2
 
 
-@dataclass
-class FrameGradient:
-    """Directional derivatives of a scalar field along (e1, e2)."""
-
-    beta1: np.ndarray
-    beta2: np.ndarray
-
-
 def frame_gradient(fieldvals, frames, grid):
-    """(d f(e1), d f(e2)) from parameter-space derivatives and frame coords."""
+    """The pair (d f(e1), d f(e2)) from parameter-space derivatives and frame coords."""
     calc = grid.calc
-    return FrameGradient(*_along_frame(frames, calc.du(fieldvals), calc.dv(fieldvals)))
+    return tuple(_along_frame(frames, calc.du(fieldvals), calc.dv(fieldvals)))
 
 
 def laplace_beltrami(fieldvals, metric, grid):
@@ -205,20 +194,6 @@ class IdentityReport:
     levels: list = field(default_factory=list)   # [(n, linf, l2, excluded), ...]
     order: float = None
     at_floor: bool = False
-
-    def to_dict(self):
-        d = {
-            "identity": self.name,
-            "linf": self.linf,
-            "l2": self.l2,
-            "excluded": self.n_excluded,
-        }
-        if self.levels:
-            d["levels"] = [{"n": n, "linf": li, "l2": l2, "excluded": ex}
-                           for (n, li, l2, ex) in self.levels]
-            d["observed_order"] = self.order
-            d["at_floor"] = self.at_floor
-        return d
 
 
 class SurfaceAnalysis:
@@ -279,10 +254,12 @@ class SurfaceAnalysis:
 
     @cached_property
     def K_ext(self):
-        return gaussian_curvature_extrinsic(self.shape)
+        """Gauss equation in S^3: K = 1 + det S."""
+        return 1.0 + self.shape.det
 
     @cached_property
     def grad_beta(self):
+        """The pair (beta_1, beta_2) = (d beta(e1), d beta(e2))."""
         return frame_gradient(self.frames.beta, self.frames, self.grid)
 
     @cached_property
@@ -300,19 +277,20 @@ class SurfaceAnalysis:
 
     @cached_property
     def res_curvature(self):
-        gb = self.grad_beta
-        return self.K_int - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
+        beta1, beta2 = self.grad_beta
+        return self.K_int - (1.0 - (beta1 + 1.0) ** 2 - beta2 ** 2)
 
     @cached_property
     def res_laplacian(self):
-        gb = self.grad_beta
-        return self.lap_beta + self.tan_beta * ((gb.beta1 + 2.0) ** 2
-                                                + gb.beta2 ** 2)
+        beta1, beta2 = self.grad_beta
+        return self.lap_beta + self.tan_beta * ((beta1 + 2.0) ** 2 + beta2 ** 2)
 
     @cached_property
     def res_connection(self):
-        return _connection_residuals(self.grid, self.frames, self.grad_beta,
-                                     self.tan_beta)
+        """The residuals of the two connection identities, as a pair."""
+        frames, (beta1, beta2), tan_beta = self.frames, self.grad_beta, self.tan_beta
+        comp, = _along_legs(frames, self.grid.calc, frames.e2, (frames.e1,))
+        return comp[0] - tan_beta * beta2, comp[1] - (-tan_beta * (beta1 + 2.0))
 
     @property
     def valid(self):
@@ -328,19 +306,6 @@ def build_analysis(grid):
     return SurfaceAnalysis(grid)
 
 
-def _connection_residuals(grid, frames, gb, tan_beta):
-    comp, = _along_legs(frames, grid.calc, frames.e2, (frames.e1,))
-    res1 = comp[0] - tan_beta * gb.beta2
-    res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
-    return res1, res2
-
-
-def _connection_max(an):
-    """The larger of the two connection residuals at each node."""
-    res1, res2 = an.res_connection
-    return np.maximum(np.abs(res1), np.abs(res2))
-
-
 @dataclass(frozen=True)
 class Identity:
     """One row of IDENTITIES."""
@@ -349,13 +314,18 @@ class Identity:
     off_band: bool      # nodes within TAN_BAND of a tan pole are excluded
     bound: float        # finest-level L-infinity bound of a passing verify run
 
+    def kept(self, an):
+        """Nodes the identity's norms keep: unmasked, and off the band if off_band."""
+        return an.valid & ~an.tan_band if self.off_band else an.valid
+
 
 # the bounds were measured with generous headroom on the analytic catalog
 # surfaces; the band is excluded where tan(beta) enters the residual
 IDENTITIES = {
     "curvature": Identity(lambda an: an.res_curvature, False, 1e-4),
     "laplacian": Identity(lambda an: an.res_laplacian, True, 1e-3),
-    "connection": Identity(_connection_max, True, 1e-3),
+    "connection": Identity(lambda an: np.maximum(*map(np.abs, an.res_connection)),
+                           True, 1e-3),
     "gauss": Identity(lambda an: an.K_int - an.K_ext, False, 5e-5),
 }
 
@@ -369,10 +339,10 @@ def verify_identity(an, name):
     """
     row = IDENTITIES[name]
     res = row.residual(an)
-    keep = an.valid & ~an.tan_band if row.off_band else an.valid
+    keep = row.kept(an)
     if not keep.any():
         dist = np.where(an.valid, tan_pole_distance(an.frames.beta), np.inf)
-        node = tuple(int(k) for k in np.unravel_index(np.argmin(dist), dist.shape))
+        node = _worst_node(-dist)
         raise DegenerateContact(
             f"{name} identity: every unmasked node lies within the tan-pole "
             f"band {TAN_BAND:g}, node {node} nearest a pole", node=node)

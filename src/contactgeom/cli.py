@@ -114,9 +114,13 @@ def cmd_analyze(args):
     mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
     U, V = grid.spec.mesh()
     table = np.stack([U, V, *np.moveaxis(grid.points, -1, 0), frames.beta,
-                      an.K_ext, an.H, an.res_curvature,
-                      np.where(mcode, 0.0, an.res_laplacian), mcode], axis=-1)
-    _check_finite_table(table, FIELDS_CSV_HEADER.split(","), "fields.csv")
+                      an.K_ext, an.H, an.res_curvature, an.res_laplacian, mcode],
+                     axis=-1)
+    columns = FIELDS_CSV_HEADER.split(",")
+    # each residual column is 0 where its identity's norms leave the node out
+    for name in ("curvature", "laplacian"):
+        table[~IDENTITIES[name].kept(an), columns.index(f"res_{name}")] = 0.0
+    _check_finite_table(table, columns, "fields.csv")
 
     report = {
         "format_version": FORMAT_VERSION,
@@ -163,12 +167,16 @@ def cmd_verify(args):
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = report.to_dict()
-    payload.update(surface=entry.name, format_version=FORMAT_VERSION,
-                   bound=IDENTITIES[args.identity].bound,
-                   order_threshold=ORDER_THRESHOLD,
-                   passed=refinement_passed(report))
-    payload = _rounded(payload, f"identity_{args.identity}.json")
+    payload = _rounded({
+        "identity": report.name, "linf": report.linf, "l2": report.l2,
+        "excluded": report.n_excluded,
+        "levels": [{"n": n, "linf": linf, "l2": l2, "excluded": excl}
+                   for (n, linf, l2, excl) in report.levels],
+        "observed_order": report.order, "at_floor": report.at_floor,
+        "surface": entry.name, "format_version": FORMAT_VERSION,
+        "bound": IDENTITIES[args.identity].bound,
+        "order_threshold": ORDER_THRESHOLD, "passed": refinement_passed(report),
+    }, f"identity_{args.identity}.json")
     os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, f"identity_{args.identity}.json"))
     for (n, linf, l2, excl) in report.levels:
@@ -194,10 +202,14 @@ def cmd_flow(args):
     trace = [_rounded(dict(zip(columns, row)), f"trace.csv at iteration {row[0]}")
              for row in report.trace]
     probe = theorem_probe(report, final)
-    payload = report.to_dict()
-    payload.update(format_version=FORMAT_VERSION, surface=grid.label,
-                   probe=probe)
-    payload = _rounded(payload, "flow_report.json")
+    payload = _rounded({
+        "converged": report.converged, "iterations": report.iterations,
+        "energy_initial": report.trace[0][1], "energy_final": report.trace[-1][1],
+        "final_max_H": report.final_max_H,
+        "beta": {"max": report.beta_max, "spread": report.trace[-1][3]},
+        "message": report.message, "format_version": FORMAT_VERSION,
+        "surface": grid.label, "probe": probe,
+    }, "flow_report.json")
     os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, "flow_report.json"))
     rows = [TRACE_CSV_HEADER]

@@ -75,17 +75,6 @@ class FlowReport:
     def final_max_H(self):
         return self.trace[-1][2]
 
-    def to_dict(self):
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "energy_initial": self.trace[0][1],
-            "energy_final": self.trace[-1][1],
-            "final_max_H": self.final_max_H,
-            "beta": {"max": self.beta_max, "spread": self.trace[-1][3]},
-            "message": self.message,
-        }
-
 
 def _check_step(grid, moved):
     """Grid on the moved points, its tangents formed (and cached) once.

@@ -174,6 +174,7 @@ class GridCalc:
         self.Dv = row_blocks(spec.n_v, spec.h_v, 1, pv)
         self.Duu = row_blocks(spec.n_u, spec.h_u, 2, pu)
         self.Dvv = row_blocks(spec.n_v, spec.h_v, 2, pv)
+        self._quad_weights = None
 
     def du(self, F):
         return _apply_u(self.Du, F)
@@ -188,11 +189,14 @@ class GridCalc:
         return _apply_v(self.Dvv, F)
 
     def quad_weights(self):
-        """Tensor-product quadrature weights (trapezoid on chart axes)."""
-        return np.outer(self._axis_weights(self.spec.n_u, self.spec.h_u,
-                                           self.spec.topology_u),
-                        self._axis_weights(self.spec.n_v, self.spec.h_v,
-                                           self.spec.topology_v))
+        """Tensor-product quadrature weights (trapezoid on chart axes),
+        formed on the first call and shared read-only after."""
+        if self._quad_weights is None:
+            s = self.spec
+            self._quad_weights = np.outer(self._axis_weights(s.n_u, s.h_u, s.topology_u),
+                                          self._axis_weights(s.n_v, s.h_v, s.topology_v))
+            self._quad_weights.flags.writeable = False
+        return self._quad_weights
 
     @staticmethod
     def _axis_weights(n, h, topology):

@@ -313,6 +313,11 @@ def _grid_from_columns(u, v, pts4, linenos, label):
     return SurfaceGrid(spec, _onto_sphere(pts4.reshape(nu, nv, 4)), label=label)
 
 
+def _row_lines(lines):
+    """The file line of each data row: the non-blank lines after the header."""
+    return [k for k, ln in enumerate(lines[1:], start=2) if ln.strip()]
+
+
 def _parse_rows(rows, lines, sep, n_cols, n_keep):
     """Floats of the first n_keep columns, one array row per data row.
 
@@ -342,12 +347,22 @@ def _parse_rows(rows, lines, sep, n_cols, n_keep):
 def read_samples(path):
     """Parse a native sample file or a fields.csv export into a SurfaceGrid.
 
-    Raises ParseError naming the line of a malformed file, and OffSphere
-    naming the node whose point is off S^3 or not finite.
+    Raises ParseError naming the line of a malformed file (a native file's
+    u/v columns must be its header's grid nodes, to within 1e-9 max(1, h),
+    NaN failing) or of its first byte that is not UTF-8, or saying why the
+    file cannot be read; and OffSphere naming the node whose point is off
+    S^3 or not finite.
     """
     label = f"samples:{os.path.basename(path)}"
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is all of it
+        line = len((exc.object[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"not UTF-8 text ({exc.reason})", line=line) from None
     if not lines:
         raise ParseError("empty file", line=1)
 
@@ -357,8 +372,8 @@ def read_samples(path):
         arr = _parse_rows(rows, lines, ",", 12, 6)
         if len(arr) < 4:
             raise ParseError("too few rows for a grid", line=len(lines))
-        linenos = [k for k, ln in enumerate(lines[1:], start=2) if ln.strip()]
-        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6], linenos, label)
+        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6],
+                                  _row_lines(lines), label)
 
     head = first.split()
     if len(head) != 10 or head[0] != FORMAT_MAGIC:
@@ -380,5 +395,13 @@ def read_samples(path):
     if len(rows) != nu * nv:
         raise ParseError(f"expected {nu * nv} rows, found {len(rows)}",
                          line=len(lines))
-    points = _parse_rows(rows, lines, None, 6, 6)[:, 2:6].reshape(nu, nv, 4)
-    return SurfaceGrid(spec, _onto_sphere(points), label=label)
+    table = _parse_rows(rows, lines, None, 6, 6).reshape(nu, nv, 6)
+    U, V = spec.mesh(sparse=True)
+    bad = ~((np.abs(table[..., 0] - U) <= 1e-9 * max(1.0, spec.h_u))
+            & (np.abs(table[..., 1] - V) <= 1e-9 * max(1.0, spec.h_v)))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ParseError(f"(u, v) = {tuple(table[i, j, :2].tolist())} is not node "
+                         f"({i}, {j}) of the header's grid",
+                         line=_row_lines(lines)[i * nv + j])
+    return SurfaceGrid(spec, _onto_sphere(table[..., 2:6]), label=label)

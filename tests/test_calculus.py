@@ -13,8 +13,7 @@ from contactgeom import (DegenerateContact, DegenerateParametrization,
                          gaussian_curvature_intrinsic,
                          laplace_beltrami, refinement_study, sample,
                          shape_operator, verify_identity)
-from contactgeom.calculus import (IDENTITIES, _connection_residuals,
-                                  gaussian_curvature_extrinsic, observed_order,
+from contactgeom.calculus import (IDENTITIES, _along_legs, observed_order,
                                   refinement_passed, tan_pole_distance)
 from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
 from contactgeom.cli import main
@@ -213,22 +212,24 @@ def test_rotation_keeps_H_and_K_and_moves_beta_off_U2(bump48, a1, a2, a3,
 
 def test_frame_gradient_constant_field(cliff64):
     grid, an = cliff64
-    g = frame_gradient(np.full((64, 64), 0.37), an.frames, grid)
-    assert np.max(np.abs(g.beta1)) < 1e-12
-    assert np.max(np.abs(g.beta2)) < 1e-12
+    g1, g2 = frame_gradient(np.full((64, 64), 0.37), an.frames, grid)
+    assert np.max(np.abs(g1)) < 1e-12
+    assert np.max(np.abs(g2)) < 1e-12
 
 
 def test_frame_gradient_clifford_beta(cliff64):
     grid, an = cliff64
-    assert np.max(np.abs(an.grad_beta.beta1)) < 1e-9
-    assert np.max(np.abs(an.grad_beta.beta2)) < 1e-9
+    beta1, beta2 = an.grad_beta
+    assert np.max(np.abs(beta1)) < 1e-9
+    assert np.max(np.abs(beta2)) < 1e-9
 
 
 def test_frame_gradient_sphere_analytic(sphere64):
     grid, an = sphere64
     # beta = pi/2 - theta and e1 = +X_theta, so d beta(e1) = -1, d beta(e2) = 0
-    assert np.max(np.abs(an.grad_beta.beta1 + 1.0)) < 1e-6
-    assert np.max(np.abs(an.grad_beta.beta2)) < 1e-6
+    beta1, beta2 = an.grad_beta
+    assert np.max(np.abs(beta1 + 1.0)) < 1e-6
+    assert np.max(np.abs(beta2)) < 1e-6
 
 
 # --------------------------------------------------------- Laplace-Beltrami
@@ -302,9 +303,9 @@ def test_curvature_identity_gauge_invariant():
     ff.coeff1, ff.coeff2 = [(-cu, -cv) for cu, cv in (ff.coeff1, ff.coeff2)]
     ff.beta = np.pi - ff.beta
     shape = shape_operator(grid, ff)
-    gb = frame_gradient(ff.beta, ff, grid)
+    beta1, beta2 = frame_gradient(ff.beta, ff, grid)
     K = gaussian_curvature_intrinsic(an.metric, grid)
-    res_flipped = K - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
+    res_flipped = K - (1.0 - (beta1 + 1.0) ** 2 - beta2 ** 2)
     assert np.max(np.abs(res_flipped - an.res_curvature)) < 1e-9
     # H is gauge-invariant as well
     assert np.max(np.abs(shape.H - an.shape.H)) < 1e-12
@@ -350,15 +351,15 @@ def _band_residuals_reference(grid, band):
     pole = tan_pole_distance(an.frames.beta) < band
     valid = an.valid & ~pole
     tan_beta = np.where(pole, 0.0, np.tan(an.frames.beta))
-    gb = an.grad_beta
-    curv = an.K_int - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
-    lap = an.lap_beta + tan_beta * ((gb.beta1 + 2.0) ** 2 + gb.beta2 ** 2)
+    beta1, beta2 = an.grad_beta
+    curv = an.K_int - (1.0 - (beta1 + 1.0) ** 2 - beta2 ** 2)
+    lap = an.lap_beta + tan_beta * ((beta1 + 2.0) ** 2 + beta2 ** 2)
     # <D_{e_i} e2, e1> = c_iu <d_u e2, e1> + c_iv <d_v e2, e1>
     a_u = np.sum(grid.calc.du(an.frames.e2) * an.frames.e1, -1)
     a_v = np.sum(grid.calc.dv(an.frames.e2) * an.frames.e1, -1)
     comp = [cu * a_u + cv * a_v for cu, cv in (an.frames.coeff1, an.frames.coeff2)]
-    res1 = comp[0] - tan_beta * gb.beta2
-    res2 = comp[1] - (-tan_beta * (gb.beta1 + 2.0))
+    res1 = comp[0] - tan_beta * beta2
+    res2 = comp[1] - (-tan_beta * (beta1 + 2.0))
     conn = np.maximum(np.abs(res1), np.abs(res2))
     return {"curvature": (curv, an.valid), "laplacian": (lap, valid),
             "connection": (conn, valid), "gauss": (an.K_int - an.K_ext, an.valid)}
@@ -450,8 +451,7 @@ def test_leg_contractions_match_the_d_field_form(case):
     assert np.all((np.abs(S + ref) <= CONTRACTION_TOL * size)[:, :, good])
     assert np.all(S[:, :, frames.mask] == 0.0)
     ref, size = _d_field_contractions(grid, frames, frames.e2, (frames.e1,))
-    zero = np.zeros(frames.beta.shape)
-    comp = np.array(_connection_residuals(grid, frames, an.grad_beta, zero))
+    comp = np.array(next(_along_legs(frames, grid.calc, frames.e2, (frames.e1,))))
     assert np.all(np.abs(comp - ref[:, 0]) <= CONTRACTION_TOL * size[:, 0])
 
 
@@ -472,16 +472,18 @@ def _eager_analysis(grid, band):
     metric = grid.geometry[2]
     shape = shape_operator(grid, frames)
     K_int = gaussian_curvature_intrinsic(metric, grid)
-    K_ext = gaussian_curvature_extrinsic(shape)
+    K_ext = 1.0 + shape.det
     gb = frame_gradient(frames.beta, frames, grid)
+    beta1, beta2 = gb
     lap = laplace_beltrami(frames.beta, metric, grid)
     tan_band = tan_pole_distance(frames.beta) < band
 
-    res_curv = K_int - (1.0 - (gb.beta1 + 1.0) ** 2 - gb.beta2 ** 2)
+    res_curv = K_int - (1.0 - (beta1 + 1.0) ** 2 - beta2 ** 2)
     tan_beta = np.where(tan_band, 0.0, np.tan(frames.beta))
-    res_lap = lap + tan_beta * ((gb.beta1 + 2.0) ** 2 + gb.beta2 ** 2)
+    res_lap = lap + tan_beta * ((beta1 + 2.0) ** 2 + beta2 ** 2)
 
-    res_conn = _connection_residuals(grid, frames, gb, tan_beta)
+    comp, = _along_legs(frames, grid.calc, frames.e2, (frames.e1,))
+    res_conn = (comp[0] - tan_beta * beta2, comp[1] - (-tan_beta * (beta1 + 2.0)))
     return dict(frames=frames, metric=metric, shape=shape, K_int=K_int,
                 K_ext=K_ext, grad_beta=gb, lap_beta=lap, tan_band=tan_band,
                 res_curvature=res_curv, res_laplacian=res_lap,
@@ -590,14 +592,15 @@ def test_descent_fields_match_former_state_bitwise(case):
     assert _same_bits(an.willmore_G, _willmore_gradient(grid, frames, metric, shape))
 
 
-KERNELS = ("shape_operator", "frame_gradient", "laplace_beltrami",
-           "_connection_residuals")
+KERNELS = ("shape_operator", "frame_gradient", "laplace_beltrami")
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count the calls of each field kernel the analysis forms."""
+    """Count the calls of each field kernel the analysis forms, and list the
+    analyses formed: (calls, analyses)."""
     calls = dict.fromkeys(KERNELS, 0)
+    analyses = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -605,43 +608,62 @@ def kernel_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    class Recorded(calculus.SurfaceAnalysis):
+        def __init__(self, grid):
+            super().__init__(grid)
+            analyses.append(self)
+
     for name in KERNELS:
         monkeypatch.setattr(calculus, name, counted(name, getattr(calculus, name)))
-    return calls
+    monkeypatch.setattr(calculus, "SurfaceAnalysis", Recorded)
+    return calls, analyses
+
+
+def _formed_connections(analyses):
+    """Whether each analysis formed its connection residuals: a cached_property
+    stores each field it forms in the instance __dict__."""
+    return ["res_connection" in vars(an) for an in analyses]
 
 
 # the kernels each identity must not form; every other kernel runs once a level
 UNREAD = {
-    "curvature": {"shape_operator", "laplace_beltrami", "_connection_residuals"},
-    "laplacian": {"shape_operator", "_connection_residuals"},
+    "curvature": {"shape_operator", "laplace_beltrami"},
+    "laplacian": {"shape_operator"},
     "connection": {"shape_operator", "laplace_beltrami"},
-    "gauss": {"frame_gradient", "laplace_beltrami", "_connection_residuals"},
+    "gauss": {"frame_gradient", "laplace_beltrami"},
 }
 
 
 @pytest.mark.parametrize("identity", sorted(UNREAD))
 def test_verify_forms_only_what_its_identity_reads(identity, kernel_calls, tmp_path):
+    calls, analyses = kernel_calls
     levels = [16, 20, 24]
     main(["verify", "--surface", "geodesic_sphere", "--identity", identity,
           "--refine", ",".join(map(str, levels)), "--out", str(tmp_path)])
     assert (tmp_path / f"identity_{identity}.json").exists()
-    assert kernel_calls == {k: 0 if k in UNREAD[identity] else len(levels)
-                            for k in KERNELS}
+    assert calls == {k: 0 if k in UNREAD[identity] else len(levels)
+                     for k in KERNELS}
+    assert _formed_connections(analyses) == [identity == "connection"] * len(levels)
 
 
 def test_analyze_never_forms_connection_residuals(kernel_calls, tmp_path):
+    calls, analyses = kernel_calls
     assert main(["analyze", "--surface", "rtorus", "--param", "r=0.9",
                  "--grid", "16x16", "--out", str(tmp_path)]) == 0
-    assert kernel_calls == {"shape_operator": 1, "frame_gradient": 1,
-                            "laplace_beltrami": 1, "_connection_residuals": 0}
+    assert calls == {"shape_operator": 1, "frame_gradient": 1,
+                     "laplace_beltrami": 1}
+    assert _formed_connections(analyses) == [False]
 
 
 def test_analysis_forms_each_field_once(kernel_calls):
+    calls, analyses = kernel_calls
     an = build_analysis(geodesic_sphere().sample(n=16))
-    assert kernel_calls == dict.fromkeys(KERNELS, 0)
+    assert calls == dict.fromkeys(KERNELS, 0)
+    assert _formed_connections(analyses) == [False]
     for _ in range(2):
         an.shape, an.K_ext, an.res_curvature, an.res_laplacian, an.res_connection
-    assert kernel_calls == dict.fromkeys(KERNELS, 1)
+    assert calls == dict.fromkeys(KERNELS, 1)
+    assert _formed_connections(analyses) == [True]
     assert an.res_connection is an.res_connection
     assert an.K_int is an.K_int
 

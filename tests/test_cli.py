@@ -9,7 +9,8 @@ import shlex
 import numpy as np
 import pytest
 
-from contactgeom import OffSphere, catalog, cli, clifford, contact_angle_field
+from contactgeom import (OffSphere, ParseError, catalog, cli, clifford,
+                         contact_angle_field)
 from contactgeom.calculus import (IdentityReport, ShapeOperatorField,
                                   build_analysis)
 from contactgeom.cli import main
@@ -77,7 +78,7 @@ def _reference_fields_csv(grid):
             p = grid.points[i, j]
             row = [us[i], vs[j], p[0], p[1], p[2], p[3],
                    an.frames.beta[i, j], an.K_ext[i, j], H[i, j],
-                   an.res_curvature[i, j],
+                   0.0 if mcode[i, j] == 1 else an.res_curvature[i, j],
                    0.0 if mcode[i, j] else an.res_laplacian[i, j]]
             lines.append(",".join("%.12e" % x for x in row)
                          + f",{int(mcode[i, j])}")
@@ -225,6 +226,54 @@ def test_nan_sample_coordinate_is_off_sphere(tmp_path):
     out = tmp_path / "o"
     assert run(["analyze", "--surface", str(path), "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def _exits_3_naming(path, line, tmp_path, capsys):
+    """analyze on the path exits 3 with one error line naming the file line
+    (when there is one), and writes nothing."""
+    out = tmp_path / "o"
+    assert run(["analyze", "--surface", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if line is not None:
+        assert err.startswith(f"error: line {line}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault, line", [("nan u", 2), ("u and v swapped", 3)])
+def test_sample_file_u_v_columns_must_be_the_header_nodes(fault, line, tmp_path, capsys):
+    # the u/v columns of a native file repeat its header's grid; node (0, 1)
+    # is the first whose u and v differ
+    path = tmp_path / "bad.s3"
+    write_samples(clifford().sample(n=16), str(path))
+    lines = path.read_text().splitlines()
+    for k in range(1, len(lines)):
+        toks = lines[k].split()
+        toks[:2] = ["nan", toks[1]] if fault == "nan u" else [toks[1], toks[0]]
+        lines[k] = " ".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_samples(str(path))
+    assert err.value.line == line
+    _exits_3_naming(path, line, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("fault", ["directory", "not UTF-8"])
+def test_unreadable_sample_path_exits_3(fault, tmp_path, capsys):
+    path = tmp_path / "samples.s3"
+    if fault == "directory":
+        path.mkdir()
+        line = None
+    else:
+        write_samples(clifford().sample(n=8), str(path))
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b"e+00", b"\xe9+00", 1)  # latin-1 e-acute
+        path.write_bytes(b"\n".join(lines))
+        line = 5
+    with pytest.raises(ParseError) as err:
+        read_samples(str(path))
+    assert err.value.line == line
+    _exits_3_naming(path, line, tmp_path, capsys)
 
 
 def test_verify_curvature_sphere(tmp_path):

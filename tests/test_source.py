@@ -160,8 +160,7 @@ def test_lengths_go_through_ambient_norm():
 
 
 FIELD_KERNELS = {"contact_angle_field", "shape_operator", "laplace_beltrami",
-                 "frame_gradient", "gaussian_curvature_intrinsic",
-                 "gaussian_curvature_extrinsic"}
+                 "frame_gradient", "gaussian_curvature_intrinsic"}
 
 
 def _callee(call):
