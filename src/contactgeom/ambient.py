@@ -13,15 +13,22 @@ surface normal, in `surface._unit_normal` alone.
 Storage: a 4-vector field is allocated as one C-contiguous (4, ...) block
 and handed out as its (..., 4) transpose (`stack4`, `empty4`).  Its shape
 is the one every caller indexes, but each component x[..., k] is a
-contiguous array, so the per-component passes of `dot`, `kahler`,
-`cross4`, `jmul` and `perp` read contiguous memory instead of stride-4
-views.  Numpy ufuncs, np.empty_like and in-place updates keep an input's
-layout, so only the places that create a field allocate it: the
-catalog's point maps (`stack4`), `surface._onto_sphere`, which `sample`
-and the sample-file reader share, and `cross4` (both `empty4`), and the
-`gridops` stencils, which write each result into one C-contiguous
-(4, n_u, n_v) block of their own.  Every value is bitwise what the
-interleaved layout gives.
+contiguous array, so the per-component passes of `cross4`, `jmul` and
+`perp` read contiguous memory instead of stride-4 views.  Numpy ufuncs,
+np.empty_like and in-place updates keep an input's layout, so only the
+places that create a field allocate it: the catalog's point maps
+(`stack4`), `surface._onto_sphere`, which `sample` and the sample-file
+reader share, and `cross4` (both `empty4`), and the `gridops` stencils,
+which write each result into one C-contiguous (4, n_u, n_v) block of
+their own.  Every value is bitwise what the interleaved layout gives.
+
+Contraction: `dot` and `kahler` are one np.einsum over the component
+axis, a single pass over the components-first blocks in place of four
+products and four sums.  It adds each node's products in the four-term
+sum's order only when the component axis is outermost in memory for
+both operands, so operands whose components are innermost (single
+4-vectors, rows picked by fancy indexing, the sample reader's column
+view) keep the four-term sum.
 
 `scale` is the one way a field is scaled node by node: c v, v / c and
 w +- c v for a per-node scalar c.  It works on the components-first
@@ -81,16 +88,42 @@ def stack4(c0, c1, c2, c3):
     return out
 
 
+def _outermost(v):
+    """Whether the component axis of the (..., 4) field v is outermost in
+    memory: its stride is positive and larger than every other axis's, none
+    of which is 0."""
+    *rest, k = v.strides
+    return k > 0 and all(0 < abs(t) < k for t in rest)
+
+
+def _one_pass(a, b):
+    """Whether one einsum over the component axis of the fields a and b
+    adds each node's four products in order, as the four-term sum does:
+    more than one node, and both component axes outermost in memory."""
+    return (a.size > 4 or b.size > 4) and _outermost(a) and _outermost(b)
+
+
+def _pairs(v):
+    """The (..., 4) field v as (..., 2, 2): the pairs (x1, y1) and (x2, y2)."""
+    return v.reshape(v.shape[:-1] + (2, 2))
+
+
+_PAIR_SIGNS = np.array([-1.0, 1.0])     # kahler's signs within a pair
+
+
 def dot(a, b):
     """Euclidean inner product <a, b> = Re (a, b), broadcasting over leading axes.
 
     The four products are added left to right onto +0.0, the order and
     start value of np.sum(a * b, -1), so the two agree bit for bit; the
     start value makes a sum of -0.0 products +0.0, a sign arctan2 reads.
-    Each product is formed from the two components alone, so no (..., 4)
-    temporary is made.
+    When both component axes are outermost in memory (`_one_pass`) the sum
+    is one einsum over them, a single pass; otherwise the four-term sum,
+    one component pair at a time, gives the same order.
     """
     a, b = _vec(a), _vec(b)
+    if _one_pass(a, b):
+        return np.einsum("...k,...k->...", a, b)
     out = 0.0 + a[..., 0] * b[..., 0]
     out += a[..., 1] * b[..., 1]
     out += a[..., 2] * b[..., 2]
@@ -103,9 +136,15 @@ def kahler(a, b):
 
     The four products are added onto +0.0 in the order of dot(jmul(a), b),
     each negated one subtracted, so the two agree bit for bit without the
-    (..., 4) temporary jmul(a).  <v, xi(z)> is kahler(z, v).
+    (..., 4) temporary jmul(a).  As in `dot`, the sum is one einsum when
+    both component axes are outermost in memory: a's pairs swapped, as
+    jmul does, times b's and the pair signs (-1, 1).  <v, xi(z)> is
+    kahler(z, v).
     """
     a, b = _vec(a), _vec(b)
+    if _one_pass(a, b):
+        return np.einsum("...pq,...pq,q->...", _pairs(a)[..., ::-1], _pairs(b),
+                         _PAIR_SIGNS)
     out = 0.0 - a[..., 1] * b[..., 0]
     out += a[..., 0] * b[..., 1]
     out -= a[..., 3] * b[..., 2]

@@ -28,6 +28,7 @@ the step.
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +87,18 @@ def _check_step(grid, moved):
     return cand
 
 
+@lru_cache(maxsize=None)
+def _flat_symbol(mu, mv):
+    """max((4 - 2(p^2 + q^2))^2, 4) on the mu x mv Fourier modes, read-only."""
+    p = np.fft.fftfreq(mu) * mu
+    q = np.fft.fftfreq(mv) * mv
+    P, Q = np.meshgrid(p, q, indexing="ij")
+    lam = 4.0 - 2.0 * (P ** 2 + Q ** 2)
+    w = np.maximum(lam ** 2, 4.0)
+    w.flags.writeable = False
+    return w
+
+
 def _precondition(g):
     """Scale the Fourier modes of a nodal field by the inverse flat-torus symbol.
 
@@ -94,15 +107,10 @@ def _precondition(g):
     n_u x n_v gradient's modes by max(symbol, floor) collapses the stiffness
     of the high-frequency nodal directions.  The scaling is fixed and
     positive definite, so preconditioned steps remain descent directions
-    and Armijo backtracking keeps the energy monotone on any surface.
+    and Armijo backtracking keeps the energy monotone on any surface.  The
+    symbol is formed once per grid shape.
     """
-    mu, mv = g.shape
-    p = np.fft.fftfreq(mu) * mu
-    q = np.fft.fftfreq(mv) * mv
-    P, Q = np.meshgrid(p, q, indexing="ij")
-    lam = 4.0 - 2.0 * (P ** 2 + Q ** 2)
-    w = np.maximum(lam ** 2, 4.0)
-    return np.real(np.fft.ifft2(np.fft.fft2(g) / w))
+    return np.real(np.fft.ifft2(np.fft.fft2(g) / _flat_symbol(*g.shape)))
 
 
 def _beta_spread(an):

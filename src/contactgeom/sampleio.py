@@ -262,10 +262,11 @@ def _parse_floats(tokens, lineno):
         raise ParseError(f"bad float: {exc}", line=lineno) from None
 
 
-def _grid_from_columns(u, v, pts4, linenos, label):
+def _grid_from_columns(u, v, pts4, lines, label):
     """Reconstruct a grid (nu, nv, ranges, topologies) from flat u/v columns.
 
-    linenos[r] is the file line of data row r.  A grid-shape ParseError
+    lines are the file's lines; row r's line number is read from them
+    (`_row_lines`) only for a ParseError.  A grid-shape ParseError
     names the first row that breaks the u-major rectangular or
     tensor-product shape, or the first row of the first u-block (v-column)
     whose step from the one before differs from the first step.
@@ -286,14 +287,14 @@ def _grid_from_columns(u, v, pts4, linenos, label):
         else:
             row = total - total % nv  # the last u-block is short
         raise ParseError("rows do not form a rectangular u-major grid",
-                         line=linenos[row])
+                         line=_row_lines(lines)[row])
     nu = total // nv
     U = u.reshape(nu, nv)
     V = v.reshape(nu, nv)
     off = np.flatnonzero((U != U[:, :1]) | (V != V[:1, :]))
     if off.size:
         raise ParseError("u/v columns are not a tensor-product grid",
-                         line=linenos[off[0]])
+                         line=_row_lines(lines)[off[0]])
     us, vs = U[:, 0], V[0, :]
 
     def axis(vals, stride):
@@ -301,7 +302,7 @@ def _grid_from_columns(u, v, pts4, linenos, label):
         off = np.flatnonzero(np.abs(np.diff(vals) - h) > 1e-9 * max(1.0, abs(h)))
         if off.size:
             raise ParseError("non-uniform node spacing",
-                             line=linenos[(off[0] + 1) * stride])
+                             line=_row_lines(lines)[(off[0] + 1) * stride])
         span_wrap = vals[-1] - vals[0] + h
         if abs(span_wrap - 2.0 * np.pi) < 1e-6:
             return "periodic", (vals[0], vals[0] + 2.0 * np.pi)
@@ -372,8 +373,7 @@ def read_samples(path):
         arr = _parse_rows(rows, lines, ",", 12, 6)
         if len(arr) < 4:
             raise ParseError("too few rows for a grid", line=len(lines))
-        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6],
-                                  _row_lines(lines), label)
+        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6], lines, label)
 
     head = first.split()
     if len(head) != 10 or head[0] != FORMAT_MAGIC:

@@ -1,5 +1,7 @@
 """Closed-form ambient geometry: products, Reeb field, frames, projections."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,39 @@ def _components_first(x):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
 
 
+def _one_pass_layouts(a, b):
+    """Operand pairs at the edges of dot's and kahler's one-einsum path.
+
+    a and b are (n, m, 4) with n > 5 and m > 3.  The path needs both
+    component axes outermost in memory; the other pairs take the
+    four-term sum, which must give the same bits.
+    """
+    acf, bcf = _components_first(a), _components_first(b)
+    tall = _components_first(RNG.normal(size=(512, 3, 4)) * 10.0 ** RNG.integers(
+        -12, 12, size=(512, 3, 4)))
+    # a sample-file table: u, v, then the point's four coordinates
+    table = np.concatenate([RNG.normal(size=(*a.shape[:2], 2)), a], axis=-1)
+    # the products 1e16, 1, -1e16 and 1 in each order: added left to right
+    # they sum to 0, 1 or 2, and pairwise or reversed to another of these
+    cancel = np.array(sorted(set(itertools.permutations((1e16, 1.0, -1e16, 1.0)))))
+    cancel = cancel.reshape(3, 4, 4)
+    return [
+        (acf[::3, 1::2], bcf[1::3, 1::2]),        # components-first, stepped
+        (acf[::-1, ::-2], bcf[:, ::-2]),          # negative strides
+        (acf[::-1], b[::-1]),                     # negative, mixed layouts
+        (a[0, 0], b[3, 2]), (acf[0, 0], bcf[5, 3]),  # (4,) against (4,)
+        (acf[:1, :1], bcf[2:3, :1]),              # one node, (1, 1, 4)
+        (tall, tall[::-1]), (tall, tall[7, 1]),   # a 512x3 field
+        (table[..., 2:6], bcf), (bcf, table[..., 2:6]),  # the reader's view
+        (table[..., 2:6], table[..., 2:6]),
+        (acf[..., ::-1], bcf[..., ::-1]),         # components reversed
+        (np.broadcast_to(acf[0, :1], (5, 1, 4)), bcf[0, :1]),  # stride-0 nodes
+        (np.broadcast_to(a[0, 0], (5, 4)), b[3, 2]),
+    ] + [(x, np.ones(4)) for x in (cancel, cancel[..., ::-1], _components_first(cancel),
+                                   _components_first(cancel)[..., ::-1],
+                                   np.broadcast_to(cancel[0, 1], (5, 4)))]
+
+
 def test_dot_is_bitwise_np_sum():
     # the explicit four-term sum must reproduce np.sum(a * b, -1) bit for
     # bit on every layout the package feeds it, so routing through dot
@@ -82,6 +117,7 @@ def test_dot_is_bitwise_np_sum():
         (bcf[0, 0], acf[5]),                      # (4,) against (n, 4)
         (acf[..., None, :], bcf[0]),              # broadcast to (n, m, m, 4)
     ]
+    cases += _one_pass_layouts(a, b)
     for x, y in cases:
         assert _same_bits(dot(x, y), np.sum(x * y, -1))
     zeros = np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0],
@@ -145,10 +181,35 @@ def test_kahler_is_bitwise_dot_of_jmul():
                        [-0.0, 0.0, -0.0, 0.0], [1.0, -1.0, 0.0, -0.0]])
     x, y = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
     cases += [(signed[x], signed[y]), (signed[x], -signed[y])]
+    cases += _one_pass_layouts(a, b)
     for x, y in cases:
         assert _same_bits(kahler(x, y), dot(jmul(x), y))
     # <v, xi(z)> = kahler(z, v) bit for bit, the form the frames use
     assert _same_bits(kahler(a, b), dot(b, reeb(a)))
+
+
+def test_components_first_fields_take_one_einsum(monkeypatch):
+    # a stored 64^2 field is contracted in one pass: one np.einsum call per
+    # dot, norm or kahler, and none for rows whose components are innermost
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    a = _components_first(RNG.normal(size=(64, 64, 4)))
+    b = _components_first(RNG.normal(size=(64, 64, 4)))
+    for f in (lambda: dot(a, b), lambda: norm(a), lambda: kahler(a, b),
+              lambda: dot(a[5, 7], b)):
+        calls.clear()
+        f()
+        assert len(calls) == 1
+    calls.clear()
+    dot(np.ascontiguousarray(a), b)
+    kahler(a[3], np.ascontiguousarray(b[3]))
+    assert calls == []
 
 
 @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),

@@ -4,7 +4,8 @@ Every catalog chart is orthogonal: F = <Xu, Xv> is 0, or O(eps^2) under a
 bump.  So the F terms of Brioschi's formula and the g^uv terms of the
 Laplace-Beltrami operator need a chart with a large F.  The SL(2,Z) shear
 (u, v) -> (u + v, v) maps the torus onto itself, and nodes onto nodes; on
-the bump its max|F| is 0.55.
+the bump its max|F| is 0.55.  Three oracles read that chart: the gauss
+identity, Takahashi's Lap_g z and Gauss-Bonnet.
 """
 
 import numpy as np
@@ -30,14 +31,21 @@ def _takahashi(an):
                for k in range(4))
 
 
-# (max error, its bound at 64^2).  Measured at 32^2 and 64^2: gauss 1.6e-3
-# and 2.9e-5, Takahashi 4.8e-4 and 9.3e-6, both of order 5.7 or more.  With
-# the F terms of Brioschi's formula dropped the gauss residual stays at
-# 0.44, and with the g^uv terms of Laplace-Beltrami dropped Takahashi's
-# stays at 3.4, whatever the grid.
+def _gauss_bonnet(an):
+    """|integral of K_int dA|: zero on a torus (Gauss-Bonnet)."""
+    return abs(float(np.sum(an.K_int * an.metric.sqrt_det * an.grid.calc.quad_weights())))
+
+
+# (error, its bound at 64^2).  Measured at 32^2 and 64^2: gauss 1.6e-3 and
+# 2.9e-5, Takahashi 4.8e-4 and 9.3e-6, Gauss-Bonnet 8.4e-6 and 1.7e-7 (and
+# 4.7e-4 at 16^2), all of order 5.6 or more.  With the F terms of
+# Brioschi's formula dropped the gauss residual stays at 0.44 and the
+# Gauss-Bonnet integral at 0.22-0.24, and with the g^uv terms of
+# Laplace-Beltrami dropped Takahashi's stays at 3.4, whatever the grid.
 ORACLES = {
     "gauss": (lambda an: verify_identity(an, "gauss").linf, 1e-4),
     "takahashi": (_takahashi, 5e-5),
+    "gauss_bonnet": (_gauss_bonnet, 1e-6),
 }
 
 

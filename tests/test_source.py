@@ -295,15 +295,34 @@ def test_fields_are_scaled_through_ambient_scale():
     assert _trailing_new_axes(planted) == [1, 2]
 
 
+def _references(tree, name):
+    """Line numbers where tree reads or imports name: x.name, name, or an
+    import of it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == name
+                  or isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.alias) and node.name == name)
+
+
 def test_stencils_use_no_tensordot():
     # the stencils are banded row blocks, one small gemm per block; a dense
     # n x n tensordot is the O(n^3) path they replaced
-    found = [f"{path.name}:{node.lineno}" for path in PACKAGE
-             for node in ast.walk(_tree(path))
-             if isinstance(node, ast.Attribute) and node.attr == "tensordot"
-             or isinstance(node, ast.Name) and node.id == "tensordot"
-             or isinstance(node, ast.alias) and node.name == "tensordot"]
+    found = [f"{path.name}:{line}" for path in PACKAGE
+             for line in _references(_tree(path), "tensordot")]
     assert found == []
+
+
+def test_contractions_live_in_ambient():
+    # one einsum over the component axis is bitwise the four-term sum only
+    # when that axis is outermost in memory, which ambient.dot and
+    # ambient.kahler check; an einsum anywhere else would skip the check
+    found = {path.name: _references(_tree(path), "einsum") for path in PACKAGE}
+    assert found.pop("ambient.py")
+    assert [f"{name}:{lines}" for name, lines in found.items() if lines] == []
+    # the guard sees a call, an import and a bare name, not a method dot
+    planted = ast.parse("import numpy as np\nfrom numpy import einsum\n"
+                        "c = np.einsum('k,k->', a, b)\nd = a.dot(b)\ne = einsum\n")
+    assert _references(planted, "einsum") == [2, 3, 5]
 
 
 @pytest.mark.parametrize("topology", [("periodic", "periodic"), ("chart", "periodic")])
