@@ -3,8 +3,9 @@
 The adapted frame at a non-degenerate surface point consists of
 
 * e1: unit generator of the intersection of the tangent plane with the
-  contact plane, sign fixed globally by a continuity flood fill seeded so
-  that <e1, Xu> >= 0 at the seed node;
+  contact plane, the line field the contact form induces on the surface,
+  with one sign for the whole grid: the one that gives <e1, Xu> >= 0 at
+  the first unmasked node;
 * e2: the metric quarter turn of e1, whose (Xu, Xv)-coordinates are
   J_g c1 = (-F c1u - G c1v, E c1u + F c1v) / sqrt(det g) for e1's
   coordinates c1; (e1, e2) is positively oriented relative to (Xu, Xv) by
@@ -17,20 +18,20 @@ The contact angle is stored as the smooth signed angle
 
     beta = atan2(<xi, e3>, <xi, e2>),
 
-unwrapped along the flood fill, so that cos(beta) = <xi, e2> and
-sin(beta) = <xi, e3> hold to roundoff and beta is differentiable wherever
-the surface stays away from contact degeneracy.  Folding beta into
-[0, pi] would destroy differentiability wherever the signed angle crosses
-zero (the great sphere's equator, for instance), which is why the signed
-field is the primitive object here.  Both components come from per-node
+shifted by whole turns onto the first unmasked node's side of the cut at
++-pi, so that cos(beta) = <xi, e2> and sin(beta) = <xi, e3> hold to
+roundoff and beta is differentiable wherever the surface stays away from
+contact degeneracy.  Folding beta into [0, pi] would destroy
+differentiability wherever the signed angle crosses zero (the great
+sphere's equator, for instance), which is why the signed field is the
+primitive object here.  Both components come from per-node
 scalars, not from the legs: <xi, e3> is the Kahler form <i Xu, Xv> over
 sqrt(det g), and <xi, e2> is c2u <xi, Xu> + c2v <xi, Xv> with e2's
 coordinates c2.  So the frame build forms only e1 among the 4-vector legs;
 e2 and e3 are formed on their first read (FrameField).
 
-Everything in this module is a pure function of its inputs; the only
-sequential piece is the sign/unwrap propagation, which follows a fixed
-spanning tree, so results never depend on evaluation order.  The tangent
+Everything in this module is a pure function of its inputs, with no
+sequential piece, so results never depend on evaluation order.  The tangent
 pair is projected onto T_z S^3 once per grid and kept in one copy:
 `sample` projects the analytic partials in place and stores them as
 SurfaceGrid.partials, and geometry hands that pair out as it is, or
@@ -271,9 +272,10 @@ class FrameField:
     coeff1/coeff2 hold the (Xu, Xv)-coordinates (cu, cv) of e1/e2, a pair
     of fields each, used to take directional derivatives along frame legs
     with parameter-space stencils.
-    mask flags contact-degenerate nodes (frames meaningless there).  e1,
+    mask flags contact-degenerate nodes (frames meaningless there).  e1
+    takes one sign over the whole grid; see contact_angle_field.  e1,
     beta and the coordinates are formed with the frames; e2, e3 and the
-    holonomy count sign_mismatches are formed from the grid on first read,
+    diagnostic sign_mismatches are formed from the grid on first read,
     so a consumer that reads only beta and the coordinates never forms a
     4-vector leg past e1.
     """
@@ -285,7 +287,6 @@ class FrameField:
     coeff2: tuple
     mask: np.ndarray
     n_masked: int = 0
-    seed_sign: int = 1
 
     @cached_property
     def e2(self):
@@ -304,7 +305,7 @@ class FrameField:
 
     @cached_property
     def sign_mismatches(self):
-        """Flood-fill cross-edge holonomy count; see _sign_mismatches."""
+        """Edges whose e1 legs disagree; see _sign_mismatches."""
         return _sign_mismatches(self.grid.spec, self.e1, self.mask)
 
 
@@ -331,18 +332,19 @@ def _moved_points(z, e3, psi):
 def _raw_frames(z, Xu, Xv, sqrt_det):
     """Vectorized pre-gauge construction of the contact leg and sin(beta).
 
-    Returns (e1, mask, a, b, xin) where e1's sign is arbitrary per node
-    (fixed later by the flood fill), a = <Xu, xi> and b = <Xv, xi> are the
-    Reeb components of the tangent pair, and xin = <xi, e3> is beta's
-    numerator; no 4-vector but e1 is formed.  For Xu, Xv tangent to S^3 at
-    z, <i z, cross4(z, Xu, Xv)> is the Kahler form <i Xu, Xv>, and
-    |cross4(z, Xu, Xv)| is sqrt(det g), so xin = <i Xu, Xv> / sqrt(det g)
-    without forming e3.  mask is the package's one contact-degeneracy test,
-    |xin| > 1 - DEGENERACY_TOL, or a vanishing contact leg.
-    contact_angle_field forms beta's denominator <xi, e2> from a, b and
-    e2's coordinates.  At masked nodes e1 is replaced by the contact-plane
-    leg z_perp of the canonical frame so downstream stencils see bounded
-    values.
+    Returns (e1, mask, a, b, xin) where e1 is the unit vector of
+    w = b Xu - a Xv, continuous away from the characteristic foliation's
+    singular points (contact_angle_field gives it one global sign),
+    a = <Xu, xi> and b = <Xv, xi> are the Reeb components of the tangent
+    pair, and xin = <xi, e3> is beta's numerator; no 4-vector but e1 is
+    formed.  For Xu, Xv tangent to S^3 at z, <i z, cross4(z, Xu, Xv)> is
+    the Kahler form <i Xu, Xv>, and |cross4(z, Xu, Xv)| is sqrt(det g), so
+    xin = <i Xu, Xv> / sqrt(det g) without forming e3.  mask is the
+    package's one contact-degeneracy test, |xin| > 1 - DEGENERACY_TOL, or a
+    vanishing contact leg.  contact_angle_field forms beta's denominator
+    <xi, e2> from a, b and e2's coordinates.  At masked nodes e1 is
+    replaced by the contact-plane leg z_perp of the canonical frame so
+    downstream stencils see bounded values.
     """
     xin = ambient.kahler(Xu, Xv) / sqrt_det
     mask = np.abs(xin) > 1.0 - DEGENERACY_TOL
@@ -365,67 +367,11 @@ def _tangent_coords(metric, r1, r2):
     return (G * r1 - F * r2) / det, (E * r2 - F * r1) / det
 
 
-def _grid_neighbors(spec):
-    """Neighbor index maps (+u, -u, +v, -v) honoring each axis topology."""
-    n, m = spec.n_u, spec.n_v
-    iu = np.arange(n)
-    iv = np.arange(m)
-    if spec.topology_u == "periodic":
-        up, um = (iu + 1) % n, (iu - 1) % n
-    else:
-        up = np.minimum(iu + 1, n - 1)
-        um = np.maximum(iu - 1, 0)
-    if spec.topology_v == "periodic":
-        vp, vm = (iv + 1) % m, (iv - 1) % m
-    else:
-        vp = np.minimum(iv + 1, m - 1)
-        vm = np.maximum(iv - 1, 0)
-    return up, um, vp, vm
-
-
-def _flood_levels(spec, mask):
-    """Deterministic BFS over unmasked nodes, one level at a time.
-
-    Returns a list of (nodes, parents) pairs of flat (row-major) node
-    indices; parents is None for the level that seeds a component.  Each
-    level lists its nodes in the order a FIFO BFS visits them: the previous
-    level's nodes in order, each gathering its unseen neighbours in the
-    order +u, -u, +v, -v, a node's first discoverer being its parent.  New
-    components are seeded at their smallest (i, j) in row-major order.
-    """
-    up, um, vp, vm = _grid_neighbors(spec)
-    m = spec.n_v
-    iu = m * np.arange(spec.n_u)[:, None]
-    iv = np.arange(m)[None, :]
-    nbr = np.stack([m * up[:, None] + iv, m * um[:, None] + iv,
-                    iu + vp[None, :], iu + vm[None, :]], axis=-1).reshape(-1, 4)
-    seen = mask.ravel().copy()
-    levels = []
-    seed = 0
-    while True:
-        seed += int(np.argmin(seen[seed:]))
-        if seen[seed]:
-            return levels
-        seen[seed] = True
-        frontier = np.array([seed])
-        levels.append((frontier, None))
-        while True:
-            cand = nbr[frontier].ravel()
-            fresh = ~seen[cand]
-            cand = cand[fresh]
-            if cand.size == 0:
-                break
-            _, first = np.unique(cand, return_index=True)
-            first.sort()
-            parents = np.repeat(frontier, 4)[fresh][first]
-            frontier = cand[first]
-            seen[frontier] = True
-            levels.append((frontier, parents))
-
-
 def _sign_mismatches(spec, e1, mask):
-    """Holonomy diagnostic: grid edges between unmasked nodes whose signed e1
-    legs disagree, <e1, e1'> < 0, counted once each.
+    """Diagnostic: grid edges between unmasked nodes whose signed e1 legs
+    disagree, <e1, e1'> < 0, counted once each.  With one global sign these
+    are the edges next to a singular point of the characteristic foliation,
+    where e1 turns by more than a quarter turn over one edge.
 
     Reads each axis' interior edges as shifted slices, plus the wrap edge
     on a periodic axis; a chart axis has no edge past its last node.
@@ -444,47 +390,19 @@ def _sign_mismatches(spec, e1, mask):
     return total
 
 
-def _fill_signs_fast(e1, e1_dot_xu):
-    """Vectorized continuity sign fill for fully unmasked grids.
-
-    Spanning tree: down the first column, then along each row; identical to
-    the BFS result for that tree.
-    """
-    n, m = e1.shape[:2]
-    seed = 1.0 if e1_dot_xu[0, 0] >= 0 else -1.0
-    d0 = np.where(ambient.dot(e1[1:, 0], e1[:-1, 0]) >= 0, 1.0, -1.0)
-    col0 = seed * np.concatenate([[1.0], np.cumprod(d0)])
-    dr = np.where(ambient.dot(e1[:, 1:], e1[:, :-1]) >= 0, 1.0, -1.0)
-    sign = col0[:, None] * np.concatenate(
-        [np.ones((n, 1)), np.cumprod(dr, axis=1)], axis=1)
-    return sign, int(seed)
-
-
-def _unwrap_fast(beta):
-    """Continuity unwrap along the same first-column-then-rows tree.
-
-    Each node gets beta + 2 pi K, the BFS fill's expression, with K the
-    integer turn count summed down the tree from the steps
-    round((parent - child) / 2 pi).  The seed's -0.0 step leaves it as it
-    is, signed zeros included.
-    """
-    two_pi = 2.0 * np.pi
-    turns = np.empty_like(beta)
-    turns[0, 0] = -0.0
-    turns[1:, 0] = np.round((beta[:-1, 0] - beta[1:, 0]) / two_pi)
-    turns[:, 1:] = np.round((beta[:, :-1] - beta[:, 1:]) / two_pi)
-    np.cumsum(turns[:, 0], out=turns[:, 0])
-    np.cumsum(turns, axis=1, out=turns)
-    return beta + two_pi * turns
-
-
 def contact_angle_field(grid):
     """Adapted frames and signed contact angle over a whole grid.
 
-    e1's sign propagates by continuity from a seed chosen so that
-    <e1, Xu> >= 0 there; beta is then unwrapped along the same tree so the
-    field is continuous wherever the frames are.  Contact-degenerate nodes
-    are masked; the call fails only if more than MAX_MASKED_FRACTION of the
+    The raw e1 is the line field w = b Xu - a Xv that the contact form
+    induces on the surface, continuous away from the characteristic
+    foliation's singular points, so the whole grid takes one sign s: the
+    one that gives <e1, Xu> >= 0 at the first unmasked node in row-major
+    order, also on a grid whose mask splits it into parts.  cos(beta) =
+    <xi, e2> then carries that one sign, so beta lies in [-pi/2, pi/2] for
+    s = +1 and needs no turn; for s = -1 each node takes the 2 pi turns
+    that bring it to the seed's side of the cut at +-pi.  Masked nodes keep
+    e1 = z_perp and their beta as it is.  Contact-degenerate nodes are
+    masked; the call fails only if more than MAX_MASKED_FRACTION of the
     nodes are masked.
     """
     Xu, Xv = tangent_fields(grid)
@@ -499,21 +417,8 @@ def contact_angle_field(grid):
             f"(> {MAX_MASKED_FRACTION:.0%}), the first at node {ij}", node=ij)
 
     e1_dot_xu = ambient.dot(e1, Xu)
-    if n_masked == 0:
-        sign, seed_sign = _fill_signs_fast(e1, e1_dot_xu)
-    else:
-        levels = _flood_levels(grid.spec, mask)
-        e1_flat = e1.reshape(-1, 4)
-        sign = np.ones(mask.size)
-        for nodes, parents in levels:
-            if parents is None:
-                d = e1_dot_xu.ravel()[nodes]
-            else:
-                d = ambient.dot(e1_flat[nodes], e1_flat[parents]) * sign[parents]
-            sign[nodes] = np.where(d >= 0, 1.0, -1.0)
-        seed_sign = int(sign[levels[0][0][0]]) if levels else 1
-        sign = sign.reshape(mask.shape)
-
+    seed = np.unravel_index(np.argmin(mask), mask.shape)
+    sign = np.where(mask, 1.0, 1.0 if e1_dot_xu[seed] >= 0 else -1.0)
     ambient.scale(sign, e1, out=e1)
     # e2 = J_g e1, the metric quarter turn, at every node: a masked node's
     # e1 = z_perp lies in the contact plane, which is its tangent plane.
@@ -525,17 +430,12 @@ def contact_angle_field(grid):
     c2v = (metric.E * c1u + metric.F * c1v) / sg
     # cos(beta) = <xi, e2> = c2u <xi, Xu> + c2v <xi, Xv>, e2 not formed
     beta = np.arctan2(xin, c2u * a + c2v * b)
-    if n_masked == 0:
-        beta = _unwrap_fast(beta)
-    else:
-        # unwrap along the same tree (2 pi jumps only; masked nodes untouched)
-        two_pi = 2.0 * np.pi
-        beta_flat = beta.reshape(-1)
-        for nodes, parents in levels:
-            if parents is not None:
-                beta_flat[nodes] += two_pi * np.round(
-                    (beta_flat[parents] - beta_flat[nodes]) / two_pi)
+    # whole turns onto the seed's side of +-pi: none for the sign +1, under
+    # which cos(beta) >= 0 everywhere
+    two_pi = 2.0 * np.pi
+    np.add(beta, two_pi * np.round((beta[seed] - beta) / two_pi), out=beta,
+           where=~mask)
 
     return FrameField(grid=grid, e1=e1, beta=beta,
                       coeff1=(c1u, c1v), coeff2=(c2u, c2v), mask=mask,
-                      n_masked=n_masked, seed_sign=seed_sign)
+                      n_masked=n_masked)

@@ -498,7 +498,7 @@ def _same_bits(a, b):
 # the frames' values, read by name: e2, e3 and sign_mismatches are formed on
 # first read, and the grid they are formed from is no value of the frames
 FRAME_FIELDS = ("e1", "e2", "e3", "beta", "coeff1", "coeff2", "mask",
-                "n_masked", "seed_sign", "sign_mismatches")
+                "n_masked", "sign_mismatches")
 
 
 def _arrays(name, value):
@@ -550,7 +550,7 @@ def test_lazy_analysis_matches_eager_reference_bitwise(case, band, monkeypatch):
             assert _same_bits(got[label], want[label]), f"{case}: {label} differs"
         checked += len(want)
     # the metric counts six: E, F, G and its cached det, sqrt_det and inv
-    assert checked == 28
+    assert checked == 27
     assert an.grid is grid
 
 

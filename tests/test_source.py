@@ -270,9 +270,9 @@ def _is_four_vector_stack(call):
 
 def test_four_vectors_are_built_components_first():
     # np.stack(..., axis=-1) interleaves the components; a 4-vector field is
-    # built with ambient.stack4, which stores it components-first.  The one
-    # such stack left is the BFS neighbour table, four node indices per node
-    assert _calls_by_function(_is_four_vector_stack) == ["surface.py:_flood_levels"]
+    # built with ambient.stack4, which stores it components-first, and no
+    # other stack of four arrays on the last axis is left in the package
+    assert _calls_by_function(_is_four_vector_stack) == []
 
 
 def _trailing_new_axes(tree):

@@ -11,11 +11,10 @@ from contactgeom import (DegenerateContact, DegenerateParametrization, GridSpec,
                          OffSphere, contact_angle_field, reeb, sample,
                          tangent_fields)
 from contactgeom.ambient import cross4, dot, jmul, perp
-from contactgeom.catalog import (build, clifford, geodesic_sphere, names,
-                                 perturb, r_torus)
+from contactgeom.catalog import (CatalogEntry, build, clifford, geodesic_sphere,
+                                 names, perturb, r_torus)
 from contactgeom.gridops import GridCalc
-from contactgeom.surface import (DEGENERACY_TOL, _flood_levels, _grid_neighbors,
-                                 _raw_frames, _sign_mismatches)
+from contactgeom.surface import DEGENERACY_TOL, _raw_frames, _sign_mismatches
 from test_ambient import _same_bits
 
 RNG = np.random.default_rng(7)
@@ -367,55 +366,6 @@ def _flood_order(spec, mask):
     return order, parents
 
 
-def _flatten_levels(levels, n_v):
-    """The package's BFS levels as one (i, j) visit order with parents."""
-    order, parents = [], []
-    for nodes, par in levels:
-        order += [divmod(int(k), n_v) for k in nodes]
-        parents += ([None] * len(nodes) if par is None
-                    else [divmod(int(k), n_v) for k in par])
-    return order, parents
-
-
-def _oracle_masks(rng, n, m, periodic_u, periodic_v):
-    """Masks for the BFS oracle: none, random, grid-splitting, isolated nodes."""
-    yield np.zeros((n, m), bool)
-    for p in (0.05, 0.2, 0.5):
-        yield rng.random((n, m)) < p
-    # masked lines cut the grid into several components: one line splits a
-    # chart axis, two lines split a periodic one
-    split = np.zeros((n, m), bool)
-    split[[n // 3] + ([2 * n // 3] if periodic_u else []), :] = True
-    split[:, [m // 2] + ([m - 2] if periodic_v else [])] = True
-    yield split
-    # isolated unmasked nodes: every other node of every other row kept
-    isolated = np.ones((n, m), bool)
-    isolated[::2, ::2] = False
-    isolated[0, :] = False
-    yield isolated | (rng.random((n, m)) < 0.1)
-
-
-@pytest.mark.parametrize("topology_u", ["periodic", "chart"])
-@pytest.mark.parametrize("topology_v", ["periodic", "chart"])
-def test_flood_levels_match_node_by_node_bfs(topology_u, topology_v):
-    rng = np.random.default_rng(11)
-    n_multi = n_single = 0
-    for trial in range(6):
-        n, m = (int(k) for k in rng.integers(8, 24, 2))
-        spec = GridSpec(n, m, topology_u=topology_u, topology_v=topology_v)
-        for mask in _oracle_masks(rng, n, m, topology_u == "periodic",
-                                  topology_v == "periodic"):
-            levels = _flood_levels(spec, mask)
-            assert _flatten_levels(levels, m) == _flood_order(spec, mask)
-            seeds = [k for k, (_, par) in enumerate(levels) if par is None]
-            n_multi += len(seeds) > 1
-            # a component of one node: its seed level is followed by another
-            # seed level or by nothing
-            n_single += any(k + 1 == len(levels) or levels[k + 1][1] is None
-                            for k in seeds)
-    assert n_multi >= 6 and n_single >= 6
-
-
 def _rotated_polar_cap(n, seed):
     # the polar cap moved by a Haar-random U(2) matrix; U(2) commutes with
     # z -> iz, so the centre stays the one contact-degenerate node
@@ -479,7 +429,11 @@ def _reference_raw_frames(z, Xu, Xv):
 def _gather_mismatches(spec, e1, mask):
     """Holonomy count by gathering each node's +u and +v neighbours; a chart
     axis' last node is its own neighbour, and <e1, e1> >= 0 never counts."""
-    up, _, vp, _ = _grid_neighbors(spec)
+    def ahead(n, topology):
+        k = np.arange(n) + 1
+        return k % n if topology == "periodic" else np.minimum(k, n - 1)
+
+    up, vp = ahead(spec.n_u, spec.topology_u), ahead(spec.n_v, spec.topology_v)
     good = ~mask
     return (int(np.sum((np.sum(e1 * e1[up, :], -1) < 0) & good & good[up, :]))
             + int(np.sum((np.sum(e1 * e1[:, vp], -1) < 0) & good & good[:, vp])))
@@ -529,8 +483,7 @@ def _reference_frames(grid):
         if par is not None:
             beta[node] += 2.0 * np.pi * np.round((beta[par] - beta[node]) / (2.0 * np.pi))
     return dict(e1=e1, e2=e2, e3=e3, beta=beta, coeff1=coeff1, coeff2=coeff2,
-                mask=mask, seed_sign=int(sign[order[0]]),
-                sign_mismatches=_gather_mismatches(grid.spec, e1, mask))
+                mask=mask, sign_mismatches=_gather_mismatches(grid.spec, e1, mask))
 
 
 class _SphereLongitudeFirst:
@@ -565,9 +518,9 @@ def _gauge_grids():
 
 
 def test_sign_fills_match_node_by_node_bfs():
-    # the unmasked grids take the vectorized fill, the polar caps the
-    # level-by-level one; both must give every field of the reference bit
-    # for bit, signed zeros included, with no holonomy
+    # the one global sign and the closed-form turns must give every field
+    # of the node-by-node reference bit for bit, signed zeros included, on
+    # unmasked grids and on the polar caps alike, with no holonomy
     grids, caps = _gauge_grids()
     for grid in grids + caps:
         ff = contact_angle_field(grid)
@@ -575,7 +528,7 @@ def test_sign_fills_match_node_by_node_bfs():
         for name, want in ref.items():
             assert _same_bits(getattr(ff, name), want), (grid.label, name)
         assert ff.sign_mismatches == 0, grid.label
-        # the caps, and only they, take the masked path
+        # the caps, and only they, have a masked node
         assert ff.n_masked == (grid in caps), grid.label
     xi = reeb(grid.points)
     assert np.sum(ff.beta != np.arctan2(dot(xi, ff.e3), dot(xi, ff.e2))) > 100
@@ -588,7 +541,11 @@ def test_signed_e1_coordinates_keep_the_dot_zero_sign():
     grid = sample(_SphereLongitudeFirst(), _SphereLongitudeFirst.spec)
     ff = contact_angle_field(grid)
     ref = _reference_frames(grid)
-    assert ff.seed_sign == -1 and ff.n_masked == 0
+    # the seed node's raw e1 has <e1, Xu> < 0, so the whole grid takes -1
+    Xu, Xv, metric = grid.geometry
+    raw_e1 = _raw_frames(grid.points, Xu, Xv, metric.sqrt_det)[0]
+    assert dot(raw_e1, Xu)[0, 0] < 0 <= dot(ff.e1, Xu)[0, 0] and ff.n_masked == 0
+    assert np.array_equal(ff.e1, -raw_e1)
     for name, want in ref.items():
         if name != "beta":
             assert _same_bits(getattr(ff, name), want), name
@@ -600,7 +557,7 @@ def test_signed_e1_coordinates_keep_the_dot_zero_sign():
 
 def test_fast_unwrap_matches_bfs_across_the_cut():
     # beta crosses -pi along every row of this chart, so the unwrap adds
-    # 2 pi turns; the vectorized fill must add them as the BFS does,
+    # 2 pi turns; the closed form must add them as the BFS does,
     # beta + 2 pi K with an integer K, not as a running sum of corrections
     grid = sample(_SphereLongitudeFirst(), _SphereLongitudeFirst.spec)
     ff = contact_angle_field(grid)
@@ -610,6 +567,33 @@ def test_fast_unwrap_matches_bfs_across_the_cut():
     turns = np.round((ff.beta - np.arctan2(dot(xi, ff.e3), dot(xi, ff.e2))) / (2 * np.pi))
     assert np.count_nonzero(turns) > 100
     assert _same_bits(ff.beta, ref["beta"])
+
+
+def _tilted_clifford(theta):
+    """Clifford's point and d1 rotated by theta in the plane of components 1
+    and 2 (Im z1, Re z2): a rotation of S^3 outside U(2), so xi is no longer
+    tangent to the torus and beta is not constant."""
+    base = clifford()
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
+    return CatalogEntry(name=f"clifford tilted by {theta}",
+                        point=lambda U, V: base.point(U, V) @ rot.T,
+                        d1=lambda U, V: tuple(d @ rot.T for d in base.d1(U, V)))
+
+
+def test_one_sign_keeps_beta_in_a_half_turn_past_singular_points():
+    # the characteristic foliation of the tilted, bumped torus has singular
+    # points between nodes, where e1 turns by more than a quarter turn over
+    # one edge; a per-edge sign fill flips e1 there and along the rest of
+    # the row (beta in [-4.56, 4.56] at 32^2, 266 mismatched edges).  With
+    # one global sign cos(beta) >= 0 at every node, and only the edges next
+    # to a singular point disagree (24 and 26)
+    entry = perturb(_tilted_clifford(1.45), (1, 2), 0.15)
+    for n in (32, 64):
+        ff = contact_angle_field(entry.sample(n=n))
+        assert ff.n_masked == 0, n
+        assert np.all(np.abs(ff.beta) <= np.pi / 2), n
+        assert ff.sign_mismatches < 40, n
 
 
 @pytest.mark.parametrize("topology_u", ["periodic", "chart"])
