@@ -3,13 +3,14 @@
 The adapted frame at a non-degenerate surface point consists of
 
 * e1: unit generator of the intersection of the tangent plane with the
-  contact plane, the line field the contact form induces on the surface,
-  with one sign for the whole grid: the one that gives <e1, Xu> >= 0 at
-  the first unmasked node;
+  contact plane, the line field the contact form induces on the surface:
+  w = b Xu - a Xv for a = <Xu, xi> and b = <Xv, xi>, whose (Xu, Xv)-
+  coordinates are c1 = s (b, -a) / |w|, with one sign s for the whole grid:
+  the one that gives <w, Xu> = b E - a F >= 0 at the first unmasked node;
 * e2: the metric quarter turn of e1, whose (Xu, Xv)-coordinates are
-  J_g c1 = (-F c1u - G c1v, E c1u + F c1v) / sqrt(det g) for e1's
-  coordinates c1; (e1, e2) is positively oriented relative to (Xu, Xv) by
-  construction, and e2 takes its sign from e1;
+  J_g c1 = (-F c1u - G c1v, E c1u + F c1v) / sqrt(det g); (e1, e2) is
+  positively oriented relative to (Xu, Xv) by construction, and e2 takes
+  its sign from e1;
 * e3: the surface normal inside T S^3 completing (e1, e2, e3) to the
   orientation of the canonical frame (z_perp, i z_perp, i z), the
   normalized cross4(z, Xu, Xv).
@@ -24,11 +25,11 @@ roundoff and beta is differentiable wherever the surface stays away from
 contact degeneracy.  Folding beta into [0, pi] would destroy
 differentiability wherever the signed angle crosses zero (the great
 sphere's equator, for instance), which is why the signed field is the
-primitive object here.  Both components come from per-node
-scalars, not from the legs: <xi, e3> is the Kahler form <i Xu, Xv> over
-sqrt(det g), and <xi, e2> is c2u <xi, Xu> + c2v <xi, Xv> with e2's
-coordinates c2.  So the frame build forms only e1 among the 4-vector legs;
-e2 and e3 are formed on their first read (FrameField).
+primitive object here.  Both components are per-node scalars: <xi, e3> is
+the Kahler form <i Xu, Xv> over sqrt(det g), and <xi, e2> =
+c2u a + c2v b = s |w| / sqrt(det g), where the metric length
+|w| = sqrt(b^2 E - 2 a b F + a^2 G).  So the frame build forms no 4-vector
+leg; e1, e2 and e3 are formed on their first read (FrameField).
 
 Everything in this module is a pure function of its inputs, with no
 sequential piece, so results never depend on evaluation order.  The tangent
@@ -39,9 +40,9 @@ projects its finite-difference derivatives into new blocks that replace
 them.  The pair and its Gram matrix (MetricField) are cached on the grid
 as SurfaceGrid.geometry; every consumer reads that copy.  Fields are
 scaled node by node through `ambient.scale`.  Within the frame build
-each quantity takes one full-grid pass: <xi, e3> serves both
-the contact mask and beta's numerator, <Xu, xi> and <Xv, xi> both e1 and
-beta's denominator, and <Xu, e1> both the seed sign and e1's coordinates.
+each quantity takes one full-grid pass: <xi, e3> serves both the contact
+mask and beta's numerator, and |w| both e1's coordinates and beta's
+denominator.
 """
 
 from dataclasses import dataclass, field
@@ -273,29 +274,37 @@ class FrameField:
     of fields each, used to take directional derivatives along frame legs
     with parameter-space stencils.
     mask flags contact-degenerate nodes (frames meaningless there).  e1
-    takes one sign over the whole grid; see contact_angle_field.  e1,
-    beta and the coordinates are formed with the frames; e2, e3 and the
-    diagnostic sign_mismatches are formed from the grid on first read,
+    takes one sign over the whole grid; see contact_angle_field.  beta and
+    the coordinates are formed with the frames; the legs e1, e2, e3 and
+    the diagnostic sign_mismatches are formed from the grid on first read,
     so a consumer that reads only beta and the coordinates never forms a
-    4-vector leg past e1.
+    4-vector leg.
     """
 
     grid: SurfaceGrid = field(repr=False)
-    e1: np.ndarray
     beta: np.ndarray
     coeff1: tuple
     coeff2: tuple
     mask: np.ndarray
     n_masked: int = 0
 
-    @cached_property
-    def e2(self):
-        """c2u Xu + c2v Xv, the metric quarter turn of e1, formed into a
+    def _leg(self, coeff):
+        """cu Xu + cv Xv for the coordinates coeff = (cu, cv), formed into a
         single field."""
         Xu, Xv = self.grid.geometry[:2]
-        cu, cv = self.coeff2
-        e2 = ambient.scale(cu, Xu)
-        return ambient.scale(cv, Xv, out=e2, onto=e2)
+        cu, cv = coeff
+        leg = ambient.scale(cu, Xu)
+        return ambient.scale(cv, Xv, out=leg, onto=leg)
+
+    @cached_property
+    def e1(self):
+        """The signed unit contact leg, from its coordinates coeff1."""
+        return self._leg(self.coeff1)
+
+    @cached_property
+    def e2(self):
+        """The metric quarter turn of e1, from its coordinates coeff2."""
+        return self._leg(self.coeff2)
 
     @cached_property
     def e3(self):
@@ -329,42 +338,25 @@ def _moved_points(z, e3, psi):
     return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
 
 
-def _raw_frames(z, Xu, Xv, sqrt_det):
-    """Vectorized pre-gauge construction of the contact leg and sin(beta).
+def _raw_frames(z, Xu, Xv, metric):
+    """Per-node scalars of the contact leg and of beta; no 4-vector is formed.
 
-    Returns (e1, mask, a, b, xin) where e1 is the unit vector of
-    w = b Xu - a Xv, continuous away from the characteristic foliation's
-    singular points (contact_angle_field gives it one global sign),
-    a = <Xu, xi> and b = <Xv, xi> are the Reeb components of the tangent
-    pair, and xin = <xi, e3> is beta's numerator; no 4-vector but e1 is
-    formed.  For Xu, Xv tangent to S^3 at z, <i z, cross4(z, Xu, Xv)> is
-    the Kahler form <i Xu, Xv>, and |cross4(z, Xu, Xv)| is sqrt(det g), so
-    xin = <i Xu, Xv> / sqrt(det g) without forming e3.  mask is the
-    package's one contact-degeneracy test, |xin| > 1 - DEGENERACY_TOL, or a
-    vanishing contact leg.  contact_angle_field forms beta's denominator
-    <xi, e2> from a, b and e2's coordinates.  At masked nodes e1 is
-    replaced by the contact-plane leg z_perp of the canonical frame so
-    downstream stencils see bounded values.
+    Returns (a, b, xin, wn): a = <Xu, xi> and b = <Xv, xi>, the Reeb
+    components of the tangent pair; xin = <xi, e3>, beta's numerator; and
+    wn = |w|, the metric length of w = b Xu - a Xv, whose coordinates are
+    (b, -a).  w spans the contact leg, continuous away from the
+    characteristic foliation's singular points (contact_angle_field gives
+    it one global sign).  For Xu, Xv tangent to S^3 at z,
+    <i z, cross4(z, Xu, Xv)> is the Kahler form <i Xu, Xv>, and
+    |cross4(z, Xu, Xv)| is sqrt(det g), so xin = <i Xu, Xv> / sqrt(det g)
+    without forming e3.
     """
-    xin = ambient.kahler(Xu, Xv) / sqrt_det
-    mask = np.abs(xin) > 1.0 - DEGENERACY_TOL
+    xin = ambient.kahler(Xu, Xv) / metric.sqrt_det
     # <Xu, i z> = <i z, Xu>: the Kahler form of (z, Xu), xi never formed
     a = ambient.kahler(z, Xu)
     b = ambient.kahler(z, Xv)
-    e1 = ambient.scale(b, Xu)   # w = b Xu - a Xv, normalized in place
-    ambient.scale(a, Xv, out=e1, onto=e1, minus=True)
-    wn = ambient.norm(e1)
-    mask |= wn < 1e-14
-    ambient.scale(np.maximum(wn, 1e-300), e1, out=e1, divide=True)
-    e1[mask] = ambient.perp(z[mask])
-    return e1, mask, a, b, xin
-
-
-def _tangent_coords(metric, r1, r2):
-    """(Xu, Xv)-coordinates (cu, cv) of a tangent field e through the inverse
-    metric, from its inner products r1 = <Xu, e> and r2 = <Xv, e>."""
-    E, F, G, det = metric.E, metric.F, metric.G, metric.det
-    return (G * r1 - F * r2) / det, (E * r2 - F * r1) / det
+    wn = np.sqrt(b * b * metric.E - 2.0 * a * b * metric.F + a * a * metric.G)
+    return a, b, xin, wn
 
 
 def _sign_mismatches(spec, e1, mask):
@@ -393,21 +385,27 @@ def _sign_mismatches(spec, e1, mask):
 def contact_angle_field(grid):
     """Adapted frames and signed contact angle over a whole grid.
 
-    The raw e1 is the line field w = b Xu - a Xv that the contact form
-    induces on the surface, continuous away from the characteristic
-    foliation's singular points, so the whole grid takes one sign s: the
-    one that gives <e1, Xu> >= 0 at the first unmasked node in row-major
-    order, also on a grid whose mask splits it into parts.  cos(beta) =
-    <xi, e2> then carries that one sign, so beta lies in [-pi/2, pi/2] for
-    s = +1 and needs no turn; for s = -1 each node takes the 2 pi turns
-    that bring it to the seed's side of the cut at +-pi.  Masked nodes keep
-    e1 = z_perp and their beta as it is.  Contact-degenerate nodes are
-    masked; the call fails only if more than MAX_MASKED_FRACTION of the
-    nodes are masked.
+    e1 spans the line field w = b Xu - a Xv that the contact form induces
+    on the surface, continuous away from the characteristic foliation's
+    singular points, so the whole grid takes one sign s: the one that gives
+    <w, Xu> = b E - a F >= 0 at the first unmasked node in row-major order,
+    also on a grid whose mask splits it into parts.  e1's coordinates are
+    c1 = s (b, -a) / |w|, and cos(beta) = <xi, e2> = s |w| / sqrt(det g)
+    carries that one sign, so beta lies in [-pi/2, pi/2] for s = +1 and
+    needs no turn; for s = -1 each node takes the 2 pi turns that bring it
+    to the seed's side of the cut at +-pi.  Masked nodes take e1 = Xu / |Xu|
+    and keep their beta as it is.  A node is masked, contact-degenerate,
+    where |<xi, e3>| > 1 - DEGENERACY_TOL; the call fails only if more than
+    MAX_MASKED_FRACTION of the nodes are masked.
     """
     Xu, Xv = tangent_fields(grid)
     metric = grid.geometry[2]
-    e1, mask, a, b, xin = _raw_frames(grid.points, Xu, Xv, metric.sqrt_det)
+    a, b, xin, wn = _raw_frames(grid.points, Xu, Xv, metric)
+    # |w| = sqrt(det g) |xi^T|, with xi^T the part of xi tangent to the
+    # surface; the mask holds every node with |xi^T| below about 4.5e-5, so
+    # also every node with |w| < 1e-14, where |xi^T| < 1e-9 as
+    # det g >= GRAM_DET_TOL
+    mask = np.abs(xin) > 1.0 - DEGENERACY_TOL
 
     n_masked = int(mask.sum())
     if n_masked > MAX_MASKED_FRACTION * mask.size:
@@ -416,26 +414,22 @@ def contact_angle_field(grid):
             f"{n_masked} of {mask.size} nodes are contact-degenerate "
             f"(> {MAX_MASKED_FRACTION:.0%}), the first at node {ij}", node=ij)
 
-    e1_dot_xu = ambient.dot(e1, Xu)
     seed = np.unravel_index(np.argmin(mask), mask.shape)
-    sign = np.where(mask, 1.0, 1.0 if e1_dot_xu[seed] >= 0 else -1.0)
-    ambient.scale(sign, e1, out=e1)
-    # e2 = J_g e1, the metric quarter turn, at every node: a masked node's
-    # e1 = z_perp lies in the contact plane, which is its tangent plane.
-    # <Xu, e1> is the signed e1_dot_xu; 0.0 + turns sign's -0.0 into the
-    # +0.0 a dot gives
-    c1u, c1v = _tangent_coords(metric, 0.0 + sign * e1_dot_xu, ambient.dot(Xv, e1))
+    s = 1.0 if b[seed] * metric.E[seed] - a[seed] * metric.F[seed] >= 0 else -1.0
+    # masked nodes, where |w| is near 0, take e1 = Xu / |Xu|, c1 = (1 / sqrt(E), 0)
+    keep = ~mask
+    c1u = np.divide(s * b, wn, out=1.0 / np.sqrt(metric.E), where=keep)
+    c1v = np.divide(-s * a, wn, out=np.zeros_like(wn), where=keep)
     sg = metric.sqrt_det
     c2u = -(metric.F * c1u + metric.G * c1v) / sg
     c2v = (metric.E * c1u + metric.F * c1v) / sg
-    # cos(beta) = <xi, e2> = c2u <xi, Xu> + c2v <xi, Xv>, e2 not formed
-    beta = np.arctan2(xin, c2u * a + c2v * b)
+    # cos(beta) = c2u a + c2v b = s (G a^2 - 2 F a b + E b^2) / (|w| sqrt(det g))
+    beta = np.arctan2(xin, s * wn / sg)
     # whole turns onto the seed's side of +-pi: none for the sign +1, under
     # which cos(beta) >= 0 everywhere
     two_pi = 2.0 * np.pi
     np.add(beta, two_pi * np.round((beta[seed] - beta) / two_pi), out=beta,
-           where=~mask)
+           where=keep)
 
-    return FrameField(grid=grid, e1=e1, beta=beta,
-                      coeff1=(c1u, c1v), coeff2=(c2u, c2v), mask=mask,
-                      n_masked=n_masked)
+    return FrameField(grid=grid, beta=beta, coeff1=(c1u, c1v),
+                      coeff2=(c2u, c2v), mask=mask, n_masked=n_masked)

@@ -18,7 +18,7 @@ from contactgeom.calculus import (IDENTITIES, _along_legs, observed_order,
 from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
 from contactgeom.cli import main
 from contactgeom.surface import FrameField, MetricField, contact_angle_field
-from test_surface import _rotated_polar_cap
+from test_surface import _rotated_polar_cap, _tilted_clifford
 
 RNG = np.random.default_rng(11)
 
@@ -384,6 +384,21 @@ def test_refinement_wide_band_excludes_pole_rows(identity, monkeypatch):
                         else [0, 0, 0])
 
 
+@pytest.mark.parametrize("theta", [0.3, 0.7])
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_tilted_clifford_identities_converge(identity, theta):
+    # the tilted Clifford torus is periodic and minimal with a beta that
+    # varies along both axes, so every term of each identity is exercised
+    # away from chart edges; all four converge at order 5.5-6.0 and read
+    # Linf <= 6e-5 at 64^2.  A wrong beta term (beta_2^2 doubled in the
+    # curvature identity, the +2 of (beta_1 + 2) dropped, tan(beta) beta_2
+    # doubled in the connection identity) stops the convergence
+    rep = refinement_study(_tilted_clifford(theta), identity, [32, 48, 64])
+    assert rep.n_excluded == 0
+    assert rep.order is not None and rep.order >= 4.0, rep.levels
+    assert rep.linf <= IDENTITIES[identity].bound
+
+
 def test_connection_constant_angle_r_torus():
     # with constant beta the components reduce to 0 and -2 tan(beta); here
     # beta = 0 identically so both vanish
@@ -644,6 +659,9 @@ def test_verify_forms_only_what_its_identity_reads(identity, kernel_calls, tmp_p
     assert calls == {k: 0 if k in UNREAD[identity] else len(levels)
                      for k in KERNELS}
     assert _formed_connections(analyses) == [identity == "connection"] * len(levels)
+    # the frames form e1 only for the identities that contract legs with it
+    assert [("e1" in vars(an.frames)) for an in analyses] == (
+        [identity in ("connection", "gauss")] * len(levels))
 
 
 def test_analyze_never_forms_connection_residuals(kernel_calls, tmp_path):

@@ -43,7 +43,7 @@ def test_sin_beta_is_the_cross4_normal_component(case):
     name, grid, frames = case
     Xu, Xv, metric = grid.geometry
     xi = ambient.jmul(grid.points)
-    xin = _raw_frames(grid.points, Xu, Xv, metric.sqrt_det)[4]
+    xin = _raw_frames(grid.points, Xu, Xv, metric)[2]
     want = np.sum(xi * _cross4_normal(grid), -1)
     assert np.max(np.abs(xin - want)) <= SCALAR_TOL, name
     assert np.max(np.abs(np.sin(frames.beta) - want)) <= SCALAR_TOL, name

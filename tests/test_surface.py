@@ -329,7 +329,8 @@ def test_degenerate_fraction_guard():
         contact_angle_field(grid)
     # the error names the first masked node in row-major order
     Xu, Xv, metric = grid.geometry
-    mask = _raw_frames(grid.points, Xu, Xv, metric.sqrt_det)[1]
+    xin = _raw_frames(grid.points, Xu, Xv, metric)[2]
+    mask = np.abs(xin) > 1.0 - DEGENERACY_TOL
     first = tuple(int(k) for k in np.argwhere(mask)[0])
     assert err.value.node == first
     assert f"node {first}" in str(err.value)
@@ -398,6 +399,36 @@ def test_adapted_frames_are_positively_oriented():
     assert ff.n_masked == 1
 
 
+def _square_loop(center, k):
+    """Nodes of the square of half-width k around center, counterclockwise
+    in (u, v), as an index pair."""
+    i0, j0 = center
+    side = range(-k, k)
+    path = ([(i0 + t, j0 - k) for t in side] + [(i0 + k, j0 + t) for t in side]
+            + [(i0 - t, j0 + k) for t in side] + [(i0 - k, j0 - t) for t in side])
+    return tuple(np.array(path).T)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7])
+def test_e1_winds_once_around_the_cap(seed):
+    # the cap's centre is a singular point of the characteristic foliation
+    # of index +1: e1, one sign over the grid, turns once counterclockwise
+    # around it on every square loop; a sign chosen node by node from
+    # <e1, Xu> >= 0 flips e1 on part of each loop and breaks the count
+    grid = _rotated_polar_cap(65, seed)
+    ff = contact_angle_field(grid)
+    centre = tuple(int(k) for k in np.argwhere(ff.mask)[0])
+    assert ff.n_masked == 1 and centre == (32, 32)
+    metric = grid.geometry[2]
+    c1u, c1v = ff.coeff1
+    # e1's angle from Xu in the oriented tangent plane
+    phi = np.arctan2(c1v * metric.sqrt_det, metric.E * c1u + metric.F * c1v)
+    for k in range(1, 33):
+        p = phi[_square_loop(centre, k)]
+        step = np.remainder(np.diff(p, append=p[:1]) + np.pi, 2.0 * np.pi) - np.pi
+        assert abs(np.sum(step) / (2.0 * np.pi) - 1.0) < 1e-9, (seed, k)
+
+
 def _past_the_equator_chart():
     # chart of the great sphere y1 = 0 around the contact-degenerate pole
     # (1, 0, 0, 0) that reaches past the equator x1 = 0; its gauge puts beta
@@ -413,8 +444,10 @@ def _past_the_equator_chart():
 
 def _reference_raw_frames(z, Xu, Xv):
     """Reference raw frames, one full-grid pass per step: np.linalg.norm
-    lengths, and e1 picked between the normalized w and z_perp by a
-    full-grid where.  Returns (e1, e3, mask, xi)."""
+    lengths, and e1 picked between the normalized 4-vector w and z_perp by
+    a full-grid where.  The mask keeps the |w| < 1e-14 clause the package
+    leaves out as implied by GRAM_DET_TOL, so a mask compared with the
+    package's checks that claim.  Returns (e1, e3, mask, xi)."""
     xi = jmul(z)
     nraw = cross4(z, Xu, Xv)
     e3 = nraw / np.maximum(np.linalg.norm(nraw, axis=-1), 1e-300)[..., None]
@@ -439,70 +472,86 @@ def _gather_mismatches(spec, e1, mask):
             + int(np.sum((np.sum(e1 * e1[:, vp], -1) < 0) & good & good[:, vp])))
 
 
-def _quarter_turn(grid, e1):
-    """(c1, c2, e2): e1's (Xu, Xv)-coordinates c1 = (c1u, c1v) from <Xu, e1>
-    and <Xv, e1>, c2 = J_g c1 its metric quarter turn, and
-    e2 = c2u Xu + c2v Xv."""
+def _leg(grid, c):
+    """c[0] Xu + c[1] Xv, the tangent field with (Xu, Xv)-coordinates c."""
     Xu, Xv = tangent_fields(grid)
+    return c[0][..., None] * Xu + c[1][..., None] * Xv
+
+
+def _quarter_turn(grid, c1):
+    """c2 = J_g c1, the metric quarter turn of e1's coordinates c1."""
     metric = grid.geometry[2]
     E, F, G = metric.E, metric.F, metric.G
-    r1, r2 = np.sum(Xu * e1, -1), np.sum(Xv * e1, -1)
-    c1u = (G * r1 - F * r2) / metric.det
-    c1v = (E * r2 - F * r1) / metric.det
-    c2u = -(F * c1u + G * c1v) / metric.sqrt_det
-    c2v = (E * c1u + F * c1v) / metric.sqrt_det
-    return (c1u, c1v), (c2u, c2v), c2u[..., None] * Xu + c2v[..., None] * Xv
+    c1u, c1v = c1
+    return (-(F * c1u + G * c1v) / metric.sqrt_det,
+            (E * c1u + F * c1v) / metric.sqrt_det)
 
 
 def _reference_frames(grid):
     """Reference FrameField, node by node and with every quantity formed anew:
-    the raw frames of _reference_raw_frames, e1's sign by continuity along the
-    BFS tree (seeds take <e1, Xu> >= 0), c1 from dots of the signed e1, e2
-    its quarter turn, beta from the Kahler form of (Xu, Xv) and e2's
-    coordinates, unwrapped along the same tree, and the holonomy count by
-    gathers.  The mask is the cross4 normal's |<xi, e3>| test."""
+    the mask of _reference_raw_frames; the Reeb components a = <Xu, xi>,
+    b = <Xv, xi> and the metric length |w| of w = b Xu - a Xv; the sign of
+    e1 by continuity of w along the BFS tree (seeds take
+    <w, Xu> = b E - a F >= 0); e1's coordinates c1 = sign (b, -a) / |w|,
+    (1 / sqrt(E), 0) at masked nodes, e1 and e2 formed from c1 and its
+    quarter turn; beta from the Kahler form of (Xu, Xv) and
+    cos(beta) = sign |w| / sqrt(det g), unwrapped along the same tree, the
+    masked nodes taking the first seed's sign; and the holonomy count by
+    gathers."""
     Xu, Xv = tangent_fields(grid)
-    e1, e3, mask, xi = _reference_raw_frames(grid.points, Xu, Xv)
-    e1_dot_xu = np.sum(e1 * Xu, -1)
+    metric = grid.geometry[2]
+    E, F, G = metric.E, metric.F, metric.G
+    _, e3, mask, xi = _reference_raw_frames(grid.points, Xu, Xv)
+    a, b = np.sum(Xu * xi, -1), np.sum(Xv * xi, -1)
+    wn = np.sqrt(b * b * E - 2.0 * a * b * F + a * a * G)
+    w = b[..., None] * Xu - a[..., None] * Xv
     order, parents = _flood_order(grid.spec, mask)
     sign = np.ones(mask.shape)
     for node, par in zip(order, parents):
         if par is None:
-            sign[node] = 1.0 if e1_dot_xu[node] >= 0 else -1.0
+            sign[node] = 1.0 if b[node] * E[node] - a[node] * F[node] >= 0 else -1.0
         else:
-            d = float(np.sum(e1[node] * e1[par], -1)) * sign[par]
+            d = float(np.sum(w[node] * w[par], -1)) * sign[par]
             sign[node] = 1.0 if d >= 0 else -1.0
-    e1 = sign[..., None] * e1
-    coeff1, coeff2, e2 = _quarter_turn(grid, e1)
-    # sin(beta) = <i Xu, Xv> / sqrt(det g) and cos(beta) = <xi, e2> through
-    # e2's coordinates, both formed from the tangent pair alone
-    sin_beta = np.sum(jmul(Xu) * Xv, -1) / grid.geometry[2].sqrt_det
-    cos_beta = coeff2[0] * np.sum(Xu * xi, -1) + coeff2[1] * np.sum(Xv * xi, -1)
-    beta = np.arctan2(sin_beta, cos_beta)
+    sign[mask] = sign[order[0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff1 = (np.where(mask, 1.0 / np.sqrt(E), sign * b / wn),
+                  np.where(mask, 0.0, -sign * a / wn))
+    coeff2 = _quarter_turn(grid, coeff1)
+    e1 = _leg(grid, coeff1)
+    # sin(beta) = <i Xu, Xv> / sqrt(det g) and cos(beta) = <xi, e2> =
+    # sign |w| / sqrt(det g), both formed from the tangent pair alone
+    sin_beta = np.sum(jmul(Xu) * Xv, -1) / metric.sqrt_det
+    beta = np.arctan2(sin_beta, sign * wn / metric.sqrt_det)
     for node, par in zip(order, parents):
         if par is not None:
             beta[node] += 2.0 * np.pi * np.round((beta[par] - beta[node]) / (2.0 * np.pi))
-    return dict(e1=e1, e2=e2, e3=e3, beta=beta, coeff1=coeff1, coeff2=coeff2,
-                mask=mask, sign_mismatches=_gather_mismatches(grid.spec, e1, mask))
+    return dict(e1=e1, e2=_leg(grid, coeff2), e3=e3, beta=beta, coeff1=coeff1,
+                coeff2=coeff2, mask=mask,
+                sign_mismatches=_gather_mismatches(grid.spec, e1, mask))
 
 
 class _SphereLongitudeFirst:
-    """The great sphere charted by (phi, -theta), phi in [-pi, pi) periodic.
+    """The great sphere charted by phi = u in [-pi, pi), periodic, and
+    theta = -v + 0.1 sin(u).
 
-    On the row phi = 0, <Xu, e1> adds four signed-zero products to +0.0
-    and the fill gives e1 the sign -1, so sign * <Xu, raw e1> is -0.0
-    there, where a dot of the signed e1 gives +0.0.
+    The contact leg runs along X_theta = -Xv, so b = <Xv, xi> is +0.0 at
+    most nodes.  The 0.1 sin(u) tilt gives the seed node (u = -pi) a
+    contact leg with <w, Xu> = b E - a F = -3.9e-3, so the grid takes the
+    sign -1 and beta crosses -pi along every row; with theta = -v alone,
+    w would be orthogonal to Xu and the sign a rounding residue.
     """
 
     name = "sphere, longitude first"
     spec = GridSpec(16, 16, (-np.pi, np.pi), (-np.pi + 0.2, -0.2), "periodic", "chart")
+    tilt = 0.1
 
     def point(self, U, V):
-        return geodesic_sphere().point(-V, U)
+        return geodesic_sphere().point(-V + self.tilt * np.sin(U), U)
 
     def d1(self, U, V):
-        f_theta, f_phi = geodesic_sphere().d1(-V, U)
-        return f_phi, -f_theta
+        f_theta, f_phi = geodesic_sphere().d1(-V + self.tilt * np.sin(U), U)
+        return f_phi + (self.tilt * np.cos(U))[..., None] * f_theta, -f_theta
 
 
 def _gauge_grids():
@@ -535,22 +584,24 @@ def test_sign_fills_match_node_by_node_bfs():
 
 
 def test_signed_e1_coordinates_keep_the_dot_zero_sign():
-    # c1 reads <Xu, e1> as sign * <Xu, raw e1>; on the row phi = 0 that is
-    # sign -1 times +0.0, and c1 must keep the +0.0 a dot of the signed e1
-    # gives
+    # c1 = s (b, -a) / |w| from the Kahler-form dots a and b; where b is
+    # +0.0 the sign s = -1 turns c1u into -0.0, and no fix-up may change it
     grid = sample(_SphereLongitudeFirst(), _SphereLongitudeFirst.spec)
     ff = contact_angle_field(grid)
     ref = _reference_frames(grid)
-    # the seed node's raw e1 has <e1, Xu> < 0, so the whole grid takes -1
+    # the seed node's w has <w, Xu> < 0, so the whole grid takes -1
     Xu, Xv, metric = grid.geometry
-    raw_e1 = _raw_frames(grid.points, Xu, Xv, metric.sqrt_det)[0]
-    assert dot(raw_e1, Xu)[0, 0] < 0 <= dot(ff.e1, Xu)[0, 0] and ff.n_masked == 0
+    a, b, _, wn = _raw_frames(grid.points, Xu, Xv, metric)
+    assert (b * metric.E - a * metric.F)[0, 0] < 0 <= dot(ff.e1, Xu)[0, 0]
+    assert ff.n_masked == 0
+    raw_e1 = (b / wn)[..., None] * Xu - (a / wn)[..., None] * Xv
     assert np.array_equal(ff.e1, -raw_e1)
     for name, want in ref.items():
         if name != "beta":
             assert _same_bits(getattr(ff, name), want), name
-    row = ff.coeff1[0][grid.spec.n_u // 2, :]
-    assert np.all(row == 0.0) and not np.any(np.signbit(row))
+    zero = b == 0.0
+    assert np.count_nonzero(zero) > 100 and not np.any(np.signbit(b[zero]))
+    assert np.all(ff.coeff1[0][zero] == 0.0) and np.all(np.signbit(ff.coeff1[0][zero]))
     # beta is compared bit for bit in test_fast_unwrap_matches_bfs_across_the_cut
     assert np.max(np.abs(ff.beta - ref["beta"])) < 1e-14
 
@@ -623,10 +674,11 @@ def test_quarter_turn_e2_matches_cross4_oracle():
         ff = contact_angle_field(grid)
         Xu, Xv = tangent_fields(grid)
         e1, e2, _, _, _ = _cross4_frames(grid.points, Xu, Xv)
-        # the oracle's e1 is the package's up to the flood-fill sign
+        # the oracle's e1, the 4-vector w / |w|, is the package's up to the
+        # global sign and rounding
         sign = np.sign(dot(e1, ff.e1))[..., None]
-        assert np.array_equal(sign * e1, ff.e1), grid.label
         good = ~ff.mask
+        assert np.max(np.abs(sign * e1 - ff.e1)[good]) < 2e-15, grid.label
         assert np.max(np.abs(sign * e2 - ff.e2)[good]) < 2e-15, grid.label
         metric = grid.geometry[2]
         (c1u, c1v), (c2u, c2v) = ff.coeff1, ff.coeff2
