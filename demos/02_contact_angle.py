@@ -25,13 +25,18 @@ print("\ngreat sphere: max|beta - arcsin(x2)| =",
       f"{np.max(np.abs(an.frames.beta - np.arcsin(x2))):.2e}")
 
 print("\nframe rotation structure at a sample node (e2, e3 from Je1 and xi):")
-from contactgeom.ambient import jmul, reeb
+
+
+def times_i(v):
+    """Multiplication by i: (x1, y1, x2, y2) -> (-y1, x1, -y2, x2)."""
+    return np.array([-v[1], v[0], -v[3], v[2]])
+
 
 i, j = 20, 11
 e1, e2, e3 = an.frames.e1[i, j], an.frames.e2[i, j], an.frames.e3[i, j]
 b = an.frames.beta[i, j]
-xi = reeb(grid.points[i, j])
+Je1, xi = times_i(e1), times_i(grid.points[i, j])   # xi = i z
 print("  e2 =", np.round(e2, 6))
-print("  sin(b) Je1 + cos(b) xi =", np.round(np.sin(b) * jmul(e1) + np.cos(b) * xi, 6))
+print("  sin(b) Je1 + cos(b) xi =", np.round(np.sin(b) * Je1 + np.cos(b) * xi, 6))
 print("  e3 =", np.round(e3, 6))
-print("  -cos(b) Je1 + sin(b) xi =", np.round(-np.cos(b) * jmul(e1) + np.sin(b) * xi, 6))
+print("  -cos(b) Je1 + sin(b) xi =", np.round(-np.cos(b) * Je1 + np.sin(b) * xi, 6))

@@ -5,16 +5,16 @@ Points and vectors are stored as real 4-vectors in the order
 exact rather than reconstructed from complex parts.  All functions accept
 plain arrays of shape (..., 4) and broadcast; `dot` is the one real inner
 product and `norm` the one length every other module uses for 4-vectors.
-`kahler(a, b)` = <i a, b> is the Kahler form, bit for bit dot(jmul(a), b)
-without the jmul temporary; the frames read the Reeb components
-<v, xi(z)> = kahler(z, v) and sin(beta) through it.  `cross4` forms the
-surface normal, in `surface._unit_normal` alone.
+`kahler(a, b)` = <i a, b> is the Kahler form, formed without the vector
+i a; the frames read the Reeb components <v, xi(z)> = kahler(z, v) and
+sin(beta) through it.  `cross4` forms the surface normal, in
+`surface._unit_normal` alone.
 
 Storage: a 4-vector field is allocated as one C-contiguous (4, ...) block
 and handed out as its (..., 4) transpose (`stack4`, `empty4`).  Its shape
 is the one every caller indexes, but each component x[..., k] is a
-contiguous array, so the per-component passes of `cross4`, `jmul` and
-`perp` read contiguous memory instead of stride-4 views.  Numpy ufuncs,
+contiguous array, so the per-component passes of `cross4` and the
+four-term sums read contiguous memory instead of stride-4 views.  Numpy ufuncs,
 np.empty_like and in-place updates keep an input's layout, so only the
 places that create a field allocate it: the catalog's point maps
 (`stack4`), `surface._onto_sphere`, which `sample` and the sample-file
@@ -39,18 +39,12 @@ temporary is made, and it writes into a given output or in place.
 Conventions fixed here and used everywhere else:
 
 * multiplication by i is the linear map J: (x1,y1,x2,y2) -> (-y1,x1,-y2,x2)
-* the Reeb field is xi(z) = i z
+* the Reeb field is xi(z) = i z, read as <v, xi(z)> = kahler(z, v)
 * z_perp = (-conj(z2), conj(z1)), i.e. (-x2, y2, x1, -y1)
 * canonical frame of T_z S^3: f1 = z_perp, f2 = i z_perp, f3 = i z
 """
 
-import math
-
 import numpy as np
-
-from .errors import NotTangent
-
-TANGENT_TOL = 1e-8      # tolerance for tangency preconditions
 
 
 def _vec(x):
@@ -134,12 +128,12 @@ def dot(a, b):
 def kahler(a, b):
     """Kahler form omega(a, b) = <i a, b>, broadcasting over leading axes.
 
-    The four products are added onto +0.0 in the order of dot(jmul(a), b),
-    each negated one subtracted, so the two agree bit for bit without the
-    (..., 4) temporary jmul(a).  As in `dot`, the sum is one einsum when
-    both component axes are outermost in memory: a's pairs swapped, as
-    jmul does, times b's and the pair signs (-1, 1).  <v, xi(z)> is
-    kahler(z, v).
+    J a = (-a1, a0, -a3, a2), and the four products of <J a, b> are added
+    onto +0.0 in `dot`'s order, each negated one subtracted, so the result
+    is bit for bit dot(J a, b) without the (..., 4) temporary J a.  As in
+    `dot`, the sum is one einsum when both component axes are outermost in
+    memory: a's pairs swapped, as J does, times b's and the pair signs
+    (-1, 1).  <v, xi(z)> is kahler(z, v).
     """
     a, b = _vec(a), _vec(b)
     if _one_pass(a, b):
@@ -185,86 +179,6 @@ def scale(c, v, out=None, onto=None, minus=False, divide=False):
 def norm(a):
     """Euclidean length sqrt(<a, a>); bit for bit np.linalg.norm(a, axis=-1)."""
     return np.sqrt(dot(a, a))
-
-
-def jmul(v):
-    """Multiply by i: the complex structure J on R^4 = C^2."""
-    v = _vec(v)
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    out[..., 2] = -v[..., 3]
-    out[..., 3] = v[..., 2]
-    return out
-
-
-def complex_view(v):
-    """Return (z1, z2) complex components of a real 4-vector."""
-    v = _vec(v)
-    return v[..., 0] + 1j * v[..., 1], v[..., 2] + 1j * v[..., 3]
-
-
-def hermitian(z, w):
-    """Hermitian product (z, w) = z1 conj(w1) + z2 conj(w2)."""
-    z1, z2 = complex_view(z)
-    w1, w2 = complex_view(w)
-    return z1 * np.conj(w1) + z2 * np.conj(w2)
-
-
-def reeb(z):
-    """Reeb field xi(z) = i z; unit and tangent to S^3 for unit z."""
-    return jmul(z)
-
-
-def perp(z):
-    """z_perp = (-conj(z2), conj(z1)); unit, Hermitian-orthogonal to z."""
-    v = _vec(z)
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 2]
-    out[..., 1] = v[..., 3]
-    out[..., 2] = v[..., 0]
-    out[..., 3] = -v[..., 1]
-    return out
-
-
-def canonical_frame_vectors(z):
-    """The frame (f1, f2, f3) = (z_perp, i z_perp, i z) of T_z S^3 as arrays."""
-    f1 = perp(z)
-    return f1, jmul(f1), jmul(z)
-
-
-def contact_project(z, v):
-    """Project a tangent vector onto the contact plane delta_z = ker <xi, .>.
-
-    Raises NotTangent when |<v, z>| exceeds the tangency tolerance.
-    """
-    z = _vec(z)
-    v = _vec(v)
-    if np.any(np.abs(dot(v, z)) > TANGENT_TOL):
-        raise NotTangent("vector is not tangent to S^3 at the base point")
-    return scale(kahler(z, v), reeb(z), onto=v, minus=True)
-
-
-def frame_derivative_check(z, v, h):
-    """Residual of the structural derivative D f3 = -w2 f1 + w1 f2.
-
-    Differentiates f3 = i z numerically along the great circle
-    t -> cos(t) z + sin(t) v (which stays on S^3 exactly for unit tangent v),
-    takes the part tangent to S^3, and subtracts
-    -<v,f2> f1 + <v,f1> f2.  The residual decays as O(h^2).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    z = _vec(z)
-    v = _vec(v)
-    zp = math.cos(h) * z + math.sin(h) * v
-    zm = math.cos(h) * z - math.sin(h) * v
-    d = (reeb(zp) - reeb(zm)) / (2.0 * h)
-    d_tan = scale(dot(d, z), z, out=d, onto=d, minus=True)
-    f1, f2, _ = canonical_frame_vectors(z)
-    expected = scale(-dot(v, f2), f1)
-    scale(dot(v, f1), f2, out=expected, onto=expected)
-    return float(norm(d_tan - expected))
 
 
 def cross4(a, b, c):

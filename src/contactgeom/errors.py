@@ -16,10 +16,6 @@ class OffSphere(ContactGeomError):
     """A point meant to lie on the unit 3-sphere deviates too far from unit norm."""
 
 
-class NotTangent(ContactGeomError):
-    """A vector tagged as tangent has a normal component above tolerance."""
-
-
 class DegenerateParametrization(ContactGeomError):
     """The parameter derivatives fail to span a 2-plane (Gram determinant ~ 0)."""
 

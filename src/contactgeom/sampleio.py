@@ -47,6 +47,7 @@ digits 0..9.  +-0.0 is written directly, with the sign of -0.0.
 """
 
 import os
+import warnings
 
 import numpy as np
 
@@ -262,14 +263,13 @@ def _parse_floats(tokens, lineno):
         raise ParseError(f"bad float: {exc}", line=lineno) from None
 
 
-def _grid_from_columns(u, v, pts4, lines, label):
+def _grid_from_columns(u, v, pts4, path, label):
     """Reconstruct a grid (nu, nv, ranges, topologies) from flat u/v columns.
 
-    lines are the file's lines; row r's line number is read from them
-    (`_row_lines`) only for a ParseError.  A grid-shape ParseError
-    names the first row that breaks the u-major rectangular or
-    tensor-product shape, or the first row of the first u-block (v-column)
-    whose step from the one before differs from the first step.
+    A grid-shape ParseError names the file line of the first row that
+    breaks the u-major rectangular or tensor-product shape, or of the first
+    row of the first u-block (v-column) whose step from the one before
+    differs from the first step; only then is the file read again.
     """
     total = len(u)
     nv = 1
@@ -287,14 +287,14 @@ def _grid_from_columns(u, v, pts4, lines, label):
         else:
             row = total - total % nv  # the last u-block is short
         raise ParseError("rows do not form a rectangular u-major grid",
-                         line=_row_lines(lines)[row])
+                         line=_row_lines(_read_lines(path))[row])
     nu = total // nv
     U = u.reshape(nu, nv)
     V = v.reshape(nu, nv)
     off = np.flatnonzero((U != U[:, :1]) | (V != V[:1, :]))
     if off.size:
         raise ParseError("u/v columns are not a tensor-product grid",
-                         line=_row_lines(lines)[off[0]])
+                         line=_row_lines(_read_lines(path))[off[0]])
     us, vs = U[:, 0], V[0, :]
 
     def axis(vals, stride):
@@ -302,7 +302,7 @@ def _grid_from_columns(u, v, pts4, lines, label):
         off = np.flatnonzero(np.abs(np.diff(vals) - h) > 1e-9 * max(1.0, abs(h)))
         if off.size:
             raise ParseError("non-uniform node spacing",
-                             line=_row_lines(lines)[(off[0] + 1) * stride])
+                             line=_row_lines(_read_lines(path))[(off[0] + 1) * stride])
         span_wrap = vals[-1] - vals[0] + h
         if abs(span_wrap - 2.0 * np.pi) < 1e-6:
             return "periodic", (vals[0], vals[0] + 2.0 * np.pi)
@@ -314,39 +314,47 @@ def _grid_from_columns(u, v, pts4, lines, label):
     return SurfaceGrid(spec, _onto_sphere(pts4.reshape(nu, nv, 4)), label=label)
 
 
+def _read_lines(path):
+    """The file's lines, split where np.loadtxt splits them; ParseError when
+    it cannot be read, is empty, or is not UTF-8 (naming the bad line)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is all of it
+        line = len((exc.object[:exc.start] + b"?").splitlines())
+        raise ParseError(f"not UTF-8 text ({exc.reason})", line=line) from None
+    if not text:
+        raise ParseError("empty file", line=1)
+    return text.removesuffix("\n").split("\n")
+
+
 def _row_lines(lines):
     """The file line of each data row: the non-blank lines after the header."""
     return [k for k, ln in enumerate(lines[1:], start=2) if ln.strip()]
 
 
-def _parse_rows(rows, lines, sep, n_cols, n_keep):
-    """Floats of the first n_keep columns, one array row per data row.
-
-    rows are the non-blank lines of lines after the first (the header).
-    One numpy conversion parses every row; on a ragged row or a bad token
-    the lines are re-read one by one, so that the ParseError names the
-    first bad line by its number in the file.
-    """
-    if rows:
-        try:
-            table = np.loadtxt(rows, delimiter=sep, comments=None, ndmin=2)
-        except ValueError:
-            table = None
-        if table is not None and table.shape[1] == n_cols:
-            return table[:, :n_keep]
+def _parse_rows(path, sep, n_cols, n_rows=None):
+    """The first 6 columns of the data rows, read line by line so that a
+    ParseError names the first bad line; with n_rows, their count first."""
+    lines = _read_lines(path)
+    rows = _row_lines(lines)
+    if n_rows is not None and len(rows) != n_rows:
+        raise ParseError(f"expected {n_rows} rows, found {len(rows)}", line=len(lines))
     data = []
-    for k, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        toks = ln.split(sep)
+    for k in rows:
+        toks = lines[k - 1].split(sep)
         if len(toks) != n_cols:
             raise ParseError(f"expected {n_cols} columns, found {len(toks)}", line=k)
-        data.append(_parse_floats(toks[:n_keep], k))
-    return np.asarray(data, float).reshape(-1, n_keep)
+        data.append(_parse_floats(toks[:6], k))
+    return np.asarray(data, float).reshape(-1, 6)
 
 
 def read_samples(path):
-    """Parse a native sample file or a fields.csv export into a SurfaceGrid.
+    """Parse a native sample file or a fields.csv export into a SurfaceGrid:
+    the header line, then one np.loadtxt over the rest of the open file.
 
     Raises ParseError naming the line of a malformed file (a native file's
     u/v columns must be its header's grid nodes, to within 1e-9 max(1, h),
@@ -356,24 +364,22 @@ def read_samples(path):
     """
     label = f"samples:{os.path.basename(path)}"
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file at once, so exc.object is all of it
-        line = len((exc.object[:exc.start].decode("utf-8") + "?").splitlines())
-        raise ParseError(f"not UTF-8 text ({exc.reason})", line=line) from None
-    if not lines:
-        raise ParseError("empty file", line=1)
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # no data rows
+            first = fh.readline()
+            sep = "," if first.strip() == FIELDS_CSV_HEADER else None
+            table = np.loadtxt(fh, delimiter=sep, comments=None, ndmin=2)
+    except (OSError, ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+        # only a file that one read rejects is read again, line by line
+        first, table = _read_lines(path)[0], None
 
-    first = lines[0].strip()
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    first = first.strip()
     if first == FIELDS_CSV_HEADER:
-        arr = _parse_rows(rows, lines, ",", 12, 6)
-        if len(arr) < 4:
-            raise ParseError("too few rows for a grid", line=len(lines))
-        return _grid_from_columns(arr[:, 0], arr[:, 1], arr[:, 2:6], lines, label)
+        if table is None or table.shape[1] != 12:
+            table = _parse_rows(path, ",", 12)
+        if len(table) < 4:
+            raise ParseError("too few rows for a grid", line=len(_read_lines(path)))
+        return _grid_from_columns(table[:, 0], table[:, 1], table[:, 2:6], path, label)
 
     head = first.split()
     if len(head) != 10 or head[0] != FORMAT_MAGIC:
@@ -392,10 +398,9 @@ def read_samples(path):
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from None
 
-    if len(rows) != nu * nv:
-        raise ParseError(f"expected {nu * nv} rows, found {len(rows)}",
-                         line=len(lines))
-    table = _parse_rows(rows, lines, None, 6, 6).reshape(nu, nv, 6)
+    if table is None or table.shape != (nu * nv, 6):
+        table = _parse_rows(path, None, 6, n_rows=nu * nv)
+    table = table.reshape(nu, nv, 6)
     U, V = spec.mesh(sparse=True)
     bad = ~((np.abs(table[..., 0] - U) <= 1e-9 * max(1.0, spec.h_u))
             & (np.abs(table[..., 1] - V) <= 1e-9 * max(1.0, spec.h_v)))
@@ -403,5 +408,5 @@ def read_samples(path):
         i, j = np.argwhere(bad)[0]
         raise ParseError(f"(u, v) = {tuple(table[i, j, :2].tolist())} is not node "
                          f"({i}, {j}) of the header's grid",
-                         line=_row_lines(lines)[i * nv + j])
+                         line=_row_lines(_read_lines(path))[i * nv + j])
     return SurfaceGrid(spec, _onto_sphere(table[..., 2:6]), label=label)

@@ -6,7 +6,8 @@ The adapted frame at a non-degenerate surface point consists of
   contact plane, the line field the contact form induces on the surface:
   w = b Xu - a Xv for a = <Xu, xi> and b = <Xv, xi>, whose (Xu, Xv)-
   coordinates are c1 = s (b, -a) / |w|, with one sign s for the whole grid:
-  the one that gives <w, Xu> = b E - a F >= 0 at the first unmasked node;
+  the one that gives <w, Xu> = b E - a F >= 0 at the first unmasked node
+  (<w, Xv> = b F - a G >= 0 where <w, Xu> is zero up to rounding);
 * e2: the metric quarter turn of e1, whose (Xu, Xv)-coordinates are
   J_g c1 = (-F c1u - G c1v, E c1u + F c1v) / sqrt(det g); (e1, e2) is
   positively oriented relative to (Xu, Xv) by construction, and e2 takes
@@ -58,6 +59,7 @@ OFF_SPHERE_TOL = 1e-6
 GRAM_DET_TOL = 1e-10
 DEGENERACY_TOL = 1e-9   # mask when |<xi, n>| > 1 - DEGENERACY_TOL
 MAX_MASKED_FRACTION = 0.2
+SEED_TOL = 1e-12        # |<w, Xu>| <= SEED_TOL |Xu|^2 |Xv| is rounding; see below
 
 _TOPOLOGIES = ("periodic", "chart")
 
@@ -389,7 +391,10 @@ def contact_angle_field(grid):
     on the surface, continuous away from the characteristic foliation's
     singular points, so the whole grid takes one sign s: the one that gives
     <w, Xu> = b E - a F >= 0 at the first unmasked node in row-major order,
-    also on a grid whose mask splits it into parts.  e1's coordinates are
+    also on a grid whose mask splits it into parts, or <w, Xv> = b F - a G
+    >= 0 there where |<w, Xu>| <= SEED_TOL |Xu|^2 |Xv|, zero up to rounding
+    (a few eps |Xu|^2 |Xv|, 1/h times more for finite-difference tangents),
+    so that no last bit picks beta's branch.  e1's coordinates are
     c1 = s (b, -a) / |w|, and cos(beta) = <xi, e2> = s |w| / sqrt(det g)
     carries that one sign, so beta lies in [-pi/2, pi/2] for s = +1 and
     needs no turn; for s = -1 each node takes the 2 pi turns that bring it
@@ -415,7 +420,10 @@ def contact_angle_field(grid):
             f"(> {MAX_MASKED_FRACTION:.0%}), the first at node {ij}", node=ij)
 
     seed = np.unravel_index(np.argmin(mask), mask.shape)
-    s = 1.0 if b[seed] * metric.E[seed] - a[seed] * metric.F[seed] >= 0 else -1.0
+    E, F, G = metric.E[seed], metric.F[seed], metric.G[seed]
+    w_xu, w_xv = b[seed] * E - a[seed] * F, b[seed] * F - a[seed] * G
+    w_seed = w_xu if abs(w_xu) > SEED_TOL * E * np.sqrt(G) else w_xv
+    s = 1.0 if w_seed >= 0 else -1.0
     # masked nodes, where |w| is near 0, take e1 = Xu / |Xu|, c1 = (1 / sqrt(E), 0)
     keep = ~mask
     c1u = np.divide(s * b, wn, out=1.0 / np.sqrt(metric.E), where=keep)

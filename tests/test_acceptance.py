@@ -16,10 +16,11 @@ import pytest
 
 from contactgeom import (FlowConfig, build_analysis, clifford,
                          contact_angle_field, descend, geodesic_sphere, perturb,
-                         r_torus, reeb, sample, theorem_probe)
+                         r_torus, sample, theorem_probe)
 from contactgeom.calculus import refinement_study
 from contactgeom.cli import main as cli_main
 from contactgeom.surface import GridSpec
+from test_ambient import jmul
 
 RNG = np.random.default_rng(2718281828)
 
@@ -87,7 +88,7 @@ def test_criterion_03_sphere_contact_angle(sphere):
     x2 = grid.points[..., 2]
     truth = geodesic_sphere().ground_truth["beta"](grid.points)
     dev_beta = float(np.max(np.abs(an.frames.beta - truth)))
-    xi_e3 = np.sum(reeb(grid.points) * an.frames.e3, axis=-1)
+    xi_e3 = np.sum(jmul(grid.points) * an.frames.e3, axis=-1)   # xi = i z
     dev_normal = float(np.max(np.abs(np.arccos(np.clip(xi_e3, -1.0, 1.0))
                                      - np.arccos(x2))))
     ok = dev_beta <= 1e-8 and dev_normal <= 1e-8

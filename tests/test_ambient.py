@@ -1,4 +1,9 @@
-"""Closed-form ambient geometry: products, Reeb field, frames, projections."""
+"""The 4-vector kernels: products, the Kahler form, scaling and cross4.
+
+The Hermitian product and the Reeb field are checked as the package reads
+them, through dot and kahler.  J (multiplication by i) and z_perp are
+reference oracles here, since the package forms neither as a vector; the
+canonical-frame tests check those oracles, which other tests read."""
 
 import itertools
 
@@ -7,9 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactgeom import (NotTangent, canonical_frame_vectors, contact_project, dot,
-                         frame_derivative_check, hermitian, perp, reeb)
-from contactgeom.ambient import cross4, jmul, kahler, norm, scale
+from contactgeom.ambient import cross4, dot, kahler, norm, scale
 
 RNG = np.random.default_rng(20240811)
 
@@ -19,10 +22,39 @@ def random_sphere_points(n):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def random_tangent(z):
-    v = RNG.normal(size=4)
-    v -= np.dot(v, z) * z
-    return v / np.linalg.norm(v)
+def jmul(v):
+    """Reference J, multiplication by i: (x1, y1, x2, y2) -> (-y1, x1, -y2, x2),
+    stored as v is."""
+    v = np.asarray(v, float)
+    out = np.empty_like(v)
+    out[..., 0] = -v[..., 1]
+    out[..., 1] = v[..., 0]
+    out[..., 2] = -v[..., 3]
+    out[..., 3] = v[..., 2]
+    return out
+
+
+def perp(z):
+    """Reference z_perp = (-conj(z2), conj(z1)): (-x2, y2, x1, -y1)."""
+    z = np.asarray(z, float)
+    out = np.empty_like(z)
+    out[..., 0] = -z[..., 2]
+    out[..., 1] = z[..., 3]
+    out[..., 2] = z[..., 0]
+    out[..., 3] = -z[..., 1]
+    return out
+
+
+def hermitian(z, w):
+    """The Hermitian product (z, w) = <z, w> - i omega(z, w), from the
+    package's dot and Kahler form."""
+    return dot(z, w) - 1j * kahler(z, w)
+
+
+def reeb(z):
+    """The Reeb field xi(z) = i z as the package reads it: its k-th
+    component is <e_k, xi(z)> = kahler(z, e_k)."""
+    return kahler(np.asarray(z, float)[..., None, :], np.eye(4))
 
 
 def test_hermitian_unit_vector_with_itself():
@@ -44,7 +76,9 @@ def test_hermitian_norm_of_unit_vector():
 def test_dot_is_real_part_of_hermitian():
     for z in random_sphere_points(50):
         w = random_sphere_points(1)[0]
-        assert abs(dot(z, w) - hermitian(z, w).real) < 1e-14
+        direct = ((z[0] + 1j * z[1]) * (w[0] - 1j * w[1])
+                  + (z[2] + 1j * z[3]) * (w[2] - 1j * w[3]))
+        assert abs(dot(z, w) - direct.real) < 1e-14
 
 
 def _same_bits(a, b):
@@ -185,7 +219,7 @@ def test_kahler_is_bitwise_dot_of_jmul():
     for x, y in cases:
         assert _same_bits(kahler(x, y), dot(jmul(x), y))
     # <v, xi(z)> = kahler(z, v) bit for bit, the form the frames use
-    assert _same_bits(kahler(a, b), dot(b, reeb(a)))
+    assert _same_bits(kahler(a, b), dot(b, jmul(a)))
 
 
 def test_components_first_fields_take_one_einsum(monkeypatch):
@@ -243,6 +277,13 @@ def test_reeb_linearity_on_torus_points():
     assert np.allclose(reeb(z), expected, atol=1e-15)
 
 
+def test_reeb_perp_invariants_random():
+    z = random_sphere_points(200)
+    assert np.max(np.abs(hermitian(perp(z), z))) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(reeb(z), axis=-1) - 1)) < 1e-12
+    assert np.max(np.abs(dot(reeb(z), z))) < 1e-12
+
+
 def test_perp_formula_points():
     assert np.allclose(perp(np.array([1, 0, 0, 0.0])), [0, 0, 1, 0])
     assert np.allclose(perp(np.array([0, 0, 1, 0.0])), [-1, 0, 0, 0])
@@ -250,97 +291,35 @@ def test_perp_formula_points():
     assert np.allclose(perp(np.array([c, 0, c, 0])), [-c, 0, c, 0])
 
 
-def test_reeb_perp_invariants_random():
-    z = random_sphere_points(200)
-    assert np.max(np.abs(np.linalg.norm(perp(z), axis=-1) - 1)) < 1e-12
-    assert np.max(np.abs(hermitian(perp(z), z))) < 1e-12
-    assert np.max(np.abs(np.linalg.norm(reeb(z), axis=-1) - 1)) < 1e-12
-    assert np.max(np.abs(dot(reeb(z), z))) < 1e-12
-
-
 def test_canonical_frame_at_north_pole():
-    f1, f2, f3 = canonical_frame_vectors(np.array([1, 0, 0, 0.0]))
+    z = np.array([1, 0, 0, 0.0])
+    f1 = perp(z)
     assert np.allclose(f1, [0, 0, 1, 0])
-    assert np.allclose(f2, [0, 0, 0, 1])
-    assert np.allclose(f3, [0, 1, 0, 0])
+    assert np.allclose(jmul(f1), [0, 0, 0, 1])
+    assert np.allclose(jmul(z), [0, 1, 0, 0])
 
 
 def test_canonical_frame_gram_identity():
     z = random_sphere_points(25)
-    m = np.stack(canonical_frame_vectors(z), axis=-2)    # (25, 3, 4)
+    f1 = perp(z)
+    m = np.stack([f1, jmul(f1), jmul(z)], axis=-2)    # (25, 3, 4)
     gram = dot(m[:, :, None, :], m[:, None, :, :])
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
 
 def test_contact_plane_orthogonal_to_reeb():
+    # f1 = z_perp and f2 = i z_perp span the contact plane: their Reeb
+    # components, read through kahler as the frames read them, vanish
     z = random_sphere_points(100)
-    f1, f2, f3 = canonical_frame_vectors(z)
-    xi = reeb(z)
-    assert np.max(np.abs(dot(xi, f1))) < 1e-12
-    assert np.max(np.abs(dot(xi, f2))) < 1e-12
-
-
-def test_canonical_frame_smooth_in_z():
-    for h in (1e-3, 1e-5):
-        for z in random_sphere_points(10):
-            v = random_tangent(z)
-            z2 = z + h * v
-            z2 /= np.linalg.norm(z2)
-            f = np.concatenate(canonical_frame_vectors(z))
-            g = np.concatenate(canonical_frame_vectors(z2))
-            assert np.linalg.norm(f - g) < 10 * h
-
-
-def test_contact_project_kills_reeb():
-    for z in random_sphere_points(10):
-        assert np.max(np.abs(contact_project(z, reeb(z)))) < 1e-12
-
-
-def test_contact_project_fixes_f1_and_is_linear():
-    for z in random_sphere_points(10):
-        f1, f2, f3 = canonical_frame_vectors(z)
-        assert np.allclose(contact_project(z, f1), f1, atol=1e-12)
-        assert np.allclose(contact_project(z, f2 + f3), f2, atol=1e-12)
-
-
-def test_contact_project_rejects_non_tangent():
-    z = np.array([1, 0, 0, 0.0])
-    with pytest.raises(NotTangent):
-        contact_project(z, z)
-
-
-def test_contact_project_idempotent_self_adjoint():
-    for z in random_sphere_points(30):
-        v = random_tangent(z)
-        w = random_tangent(z)
-        pv = contact_project(z, v)
-        pw = contact_project(z, w)
-        assert np.max(np.abs(contact_project(z, pv) - pv)) < 1e-12
-        assert abs(dot(pv, w) - dot(v, pw)) < 1e-12
-
-
-def test_frame_derivative_second_order():
-    z = np.array([1, 0, 0, 0.0])
     f1 = perp(z)
-    r1 = frame_derivative_check(z, f1, 1e-2)
-    r2 = frame_derivative_check(z, f1, 5e-3)
-    assert 3.6 < r1 / r2 < 4.4
-
-
-def test_frame_derivative_zero_direction():
-    z = np.array([0, 0, 1, 0.0])
-    assert frame_derivative_check(z, np.zeros(4), 1e-3) < 1e-15
-
-
-def test_frame_derivative_small_residual_random():
-    for z in random_sphere_points(20):
-        v = random_tangent(z)
-        assert frame_derivative_check(z, v, 1e-3) < 1e-5
+    for f in (f1, jmul(f1)):
+        assert np.max(np.abs(kahler(z, f))) < 1e-12
 
 
 def test_cross4_completes_canonical_frame():
     for z in random_sphere_points(20):
-        f1, f2, f3 = canonical_frame_vectors(z)
+        f1 = perp(z)
+        f2, f3 = jmul(f1), jmul(z)
         assert np.allclose(cross4(z, f1, f2), f3, atol=1e-12)
         m = np.stack([z, f1, f2, f3])
         assert abs(np.linalg.det(m) - 1.0) < 1e-12

@@ -175,7 +175,7 @@ def test_unitary_motion_keeps_beta_and_K(bump48, phi, theta, alpha, gamma):
 
 def _quaternion_product(p, right):
     """4x4 matrix of x -> p x (right=False) or x -> x p (right=True) on
-    R^4 = H, with x = z1 + z2 j, so left multiplication by i is jmul."""
+    R^4 = H, with x = z1 + z2 j, so left multiplication by i is J."""
     a, b, c, d = p
     s = -1.0 if right else 1.0
     return np.array([[a, -b, -c, -d], [b, a, -s * d, s * c],

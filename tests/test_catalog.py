@@ -278,3 +278,22 @@ def test_sample_file_reader_accepts_every_float_token(tmp_path, fmt):
     assert "_" in grouped[1]
     assert np.array_equal(read_samples(str(path)).points,
                           read_samples(str(plain)).points)
+
+
+@pytest.mark.parametrize("fmt", ["native", "fields.csv"])
+def test_a_well_formed_sample_file_is_read_in_one_pass(tmp_path, fmt, monkeypatch):
+    # only a file the one np.loadtxt cannot read is read again line by line;
+    # a whitespace-only line, which that read rejects in a fields.csv, takes
+    # the line-by-line path to the same points
+    lines, _ = _sample_file_lines(fmt, tmp_path)
+    plain = tmp_path / "plain.s3"
+    plain.write_text("\n".join(lines) + "\n")
+    spaced = tmp_path / "spaced.s3"
+    spaced.write_text("\n".join(lines[:3] + ["  "] + lines[3:]) + "\n")
+    want = read_samples(str(spaced)).points
+
+    def read_lines(path):
+        raise AssertionError(f"{path} read line by line")
+
+    monkeypatch.setattr("contactgeom.sampleio._read_lines", read_lines)
+    assert np.array_equal(read_samples(str(plain)).points, want)

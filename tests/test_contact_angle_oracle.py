@@ -12,6 +12,7 @@ import pytest
 
 from contactgeom import ambient
 from contactgeom.surface import _raw_frames, contact_angle_field
+from test_ambient import jmul
 from test_calculus import LAZY_CASES
 from test_surface import _rotated_polar_cap
 
@@ -42,7 +43,7 @@ def _cross4_normal(grid):
 def test_sin_beta_is_the_cross4_normal_component(case):
     name, grid, frames = case
     Xu, Xv, metric = grid.geometry
-    xi = ambient.jmul(grid.points)
+    xi = jmul(grid.points)
     xin = _raw_frames(grid.points, Xu, Xv, metric)[2]
     want = np.sum(xi * _cross4_normal(grid), -1)
     assert np.max(np.abs(xin - want)) <= SCALAR_TOL, name
@@ -52,7 +53,7 @@ def test_sin_beta_is_the_cross4_normal_component(case):
 def test_cos_beta_is_the_e2_component(case):
     name, grid, frames = case
     Xu, Xv = grid.geometry[:2]
-    xi = ambient.jmul(grid.points)
+    xi = jmul(grid.points)
     c2u, c2v = frames.coeff2
     cos_beta = c2u * np.sum(Xu * xi, -1) + c2v * np.sum(Xv * xi, -1)
     want = np.sum(xi * frames.e2, -1)

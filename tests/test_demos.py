@@ -1,5 +1,5 @@
 """Every demo script, and README's library quickstart, runs to completion
-against the source tree."""
+against the source tree; demo 01's printed claims hold."""
 
 import os
 import pathlib
@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -17,15 +18,33 @@ def test_demos_are_found():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_zero(demo, tmp_path):
+def _run(demo, tmp_path):
     # TMPDIR keeps the files a demo writes under pytest's tmp_path
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_zero(demo, tmp_path):
+    _run(demo, tmp_path)
     # a demo's scratch files go with it
     assert list(tmp_path.glob("contactgeom_demo_*")) == []
+
+
+def test_demo_01_frame_is_orthonormal_and_its_derivative_second_order(tmp_path):
+    # the canonical frame's Gram matrix is the identity, and the residual of
+    # D f3 = -w2 f1 + w1 f2 along a great circle is O(h^2): each halving of
+    # h divides it by about 4
+    out = _run(DEMOS[0], tmp_path)
+    gram = re.search(r"Gram matrix <f_i, f_j>:\n(.*?)\n\n", out, re.S).group(1)
+    assert np.array_equal(np.array(re.findall(r"-?[\d.]+", gram), float), np.eye(3).ravel())
+    rows = [(float(h), float(r)) for h, r in re.findall(r"h = (\S+): residual = (\S+)", out)]
+    assert len(rows) == 3
+    for (h, r), (h_half, r_half) in zip(rows, rows[1:]):
+        assert h_half == h / 2 and 3.5 <= r / r_half <= 4.5
 
 
 def test_readme_quickstart_runs(tmp_path):

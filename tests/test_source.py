@@ -23,6 +23,8 @@ PACKAGE = sorted((ROOT / "src" / "contactgeom").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+PERFBENCH_TESTS = sorted((ROOT / "perfbench" / "tests").glob("*.py"))
+INIT = ROOT / "src" / "contactgeom" / "__init__.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
@@ -98,6 +100,32 @@ def test_every_public_definition_is_read_outside_the_tests():
     planted = {"m.py": ast.parse("def used():\n    pass\n\n\n"
                                  "def unused():\n    pass\n\n\nused()\n")}
     assert _unread_public_definitions(planted, planted.values()) == ["m.py:unused"]
+
+
+def _unread_exports(init, readers):
+    """Each name the package's __init__ tree binds, by an import or an
+    assignment, that no tree in readers reads; dunder metadata aside."""
+    read = set().union(*(_read_names(tree) for tree in readers))
+    bound = []
+    for node in init.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in bound
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_export_is_read_by_the_package_or_the_benchmark():
+    # contactgeom exports what its commands or the benchmark read: a read in
+    # a package module, a benchmark module or a benchmark test counts, one in
+    # a demo or in the tests does not
+    assert PERFBENCH and PERFBENCH_TESTS
+    readers = [_tree(p) for p in PACKAGE + PERFBENCH + PERFBENCH_TESTS if p != INIT]
+    assert _unread_exports(_tree(INIT), readers) == []
+    # the guard sees an imported and an assigned name no reader reads
+    planted = ast.parse("from .m import read, unread\nalias = read\n__version__ = '1'\n")
+    assert _unread_exports(planted, [ast.parse("read()\n")]) == ["unread", "alias"]
 
 
 def _unread_public_members(defining, readers):

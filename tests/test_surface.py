@@ -8,14 +8,14 @@ import pytest
 
 from contactgeom import ambient
 from contactgeom import (DegenerateContact, DegenerateParametrization, GridSpec,
-                         OffSphere, contact_angle_field, reeb, sample,
-                         tangent_fields)
-from contactgeom.ambient import cross4, dot, jmul, perp
+                         OffSphere, contact_angle_field, sample, tangent_fields)
+from contactgeom.ambient import cross4, dot
 from contactgeom.catalog import (CatalogEntry, build, clifford, geodesic_sphere,
                                  names, perturb, r_torus)
 from contactgeom.gridops import GridCalc
-from contactgeom.surface import DEGENERACY_TOL, _raw_frames, _sign_mismatches
-from test_ambient import _same_bits
+from contactgeom.surface import (DEGENERACY_TOL, SEED_TOL, SurfaceGrid, _raw_frames,
+                                 _sign_mismatches)
+from test_ambient import _same_bits, jmul, perp
 
 RNG = np.random.default_rng(7)
 
@@ -230,7 +230,7 @@ def test_adapted_frame_orthonormal_and_reconstructs():
     assert np.max(np.abs(np.sum(ff.e1 * ff.e2, -1))) < 1e-10
     assert np.max(np.abs(np.sum(ff.e1 * ff.e3, -1))) < 1e-10
     assert np.max(np.abs(np.sum(ff.e2 * ff.e3, -1))) < 1e-10
-    xi = reeb(grid.points)
+    xi = jmul(grid.points)   # xi = i z
     # e1 lies in the contact plane; cos(beta) = <xi, e2>
     assert np.max(np.abs(np.sum(ff.e1 * xi, -1))) < 1e-10
     assert np.max(np.abs(np.cos(ff.beta) - np.sum(xi * ff.e2, -1))) < 1e-10
@@ -245,7 +245,7 @@ def test_adapted_frame_orthonormal_and_reconstructs():
 def test_angle_partition_of_unity():
     grid = geodesic_sphere().sample(n=32)
     ff = contact_angle_field(grid)
-    xi = reeb(grid.points)
+    xi = jmul(grid.points)   # xi = i z
     c2 = np.sum(xi * ff.e2, -1)
     c3 = np.sum(xi * ff.e3, -1)
     assert np.max(np.abs(c2 ** 2 + c3 ** 2 - 1.0)[~ff.mask]) < 1e-9
@@ -492,8 +492,9 @@ def _reference_frames(grid):
     the mask of _reference_raw_frames; the Reeb components a = <Xu, xi>,
     b = <Xv, xi> and the metric length |w| of w = b Xu - a Xv; the sign of
     e1 by continuity of w along the BFS tree (seeds take
-    <w, Xu> = b E - a F >= 0); e1's coordinates c1 = sign (b, -a) / |w|,
-    (1 / sqrt(E), 0) at masked nodes, e1 and e2 formed from c1 and its
+    <w, Xu> = b E - a F >= 0, or <w, Xv> = b F - a G >= 0 when b E - a F
+    is within SEED_TOL E sqrt(G) of zero); e1's coordinates
+    c1 = sign (b, -a) / |w|, (1 / sqrt(E), 0) at masked nodes, e1 and e2 formed from c1 and its
     quarter turn; beta from the Kahler form of (Xu, Xv) and
     cos(beta) = sign |w| / sqrt(det g), unwrapped along the same tree, the
     masked nodes taking the first seed's sign; and the holonomy count by
@@ -509,7 +510,10 @@ def _reference_frames(grid):
     sign = np.ones(mask.shape)
     for node, par in zip(order, parents):
         if par is None:
-            sign[node] = 1.0 if b[node] * E[node] - a[node] * F[node] >= 0 else -1.0
+            w_xu = b[node] * E[node] - a[node] * F[node]
+            if abs(w_xu) <= SEED_TOL * E[node] * np.sqrt(G[node]):
+                w_xu = b[node] * F[node] - a[node] * G[node]
+            sign[node] = 1.0 if w_xu >= 0 else -1.0
         else:
             d = float(np.sum(w[node] * w[par], -1)) * sign[par]
             sign[node] = 1.0 if d >= 0 else -1.0
@@ -538,8 +542,9 @@ class _SphereLongitudeFirst:
     The contact leg runs along X_theta = -Xv, so b = <Xv, xi> is +0.0 at
     most nodes.  The 0.1 sin(u) tilt gives the seed node (u = -pi) a
     contact leg with <w, Xu> = b E - a F = -3.9e-3, so the grid takes the
-    sign -1 and beta crosses -pi along every row; with theta = -v alone,
-    w would be orthogonal to Xu and the sign a rounding residue.
+    sign -1 and beta crosses -pi along every row; with theta = -v alone
+    (tilt 0), w is orthogonal to Xu, <w, Xu> a rounding residue, and the
+    sign is read from <w, Xv>.
     """
 
     name = "sphere, longitude first"
@@ -579,7 +584,7 @@ def test_sign_fills_match_node_by_node_bfs():
         assert ff.sign_mismatches == 0, grid.label
         # the caps, and only they, have a masked node
         assert ff.n_masked == (grid in caps), grid.label
-    xi = reeb(grid.points)
+    xi = jmul(grid.points)   # xi = i z
     assert np.sum(ff.beta != np.arctan2(dot(xi, ff.e3), dot(xi, ff.e2))) > 100
 
 
@@ -614,10 +619,39 @@ def test_fast_unwrap_matches_bfs_across_the_cut():
     ff = contact_angle_field(grid)
     ref = _reference_frames(grid)
     assert ff.n_masked == 0
-    xi = reeb(grid.points)
+    xi = jmul(grid.points)   # xi = i z
     turns = np.round((ff.beta - np.arctan2(dot(xi, ff.e3), dot(xi, ff.e2))) / (2 * np.pi))
     assert np.count_nonzero(turns) > 100
     assert _same_bits(ff.beta, ref["beta"])
+
+
+def test_seed_sign_survives_last_bit_changes_of_the_seed():
+    # untilted, the chart's contact leg is orthogonal to Xu at every node, so
+    # <w, Xu> = b E - a F at the seed is 0.0 or a residue of about 1e-34
+    # whose sign a 1-ulp change of the seed's point or partials flips; that
+    # sign would turn beta into pi - beta over the whole grid, so the seed
+    # reads <w, Xv> instead
+    chart = _SphereLongitudeFirst()
+    chart.tilt = 0.0
+    base = sample(chart, chart.spec)
+    beta = contact_angle_field(base).beta
+    residues = set()
+    for name in ("points", "fu", "fv"):
+        for k in range(4):
+            for toward in (-np.inf, np.inf):
+                points = base.points.copy()
+                partials = {key: x.copy() for key, x in base.partials.items()}
+                x = points if name == "points" else partials[name]
+                x[0, 0, k] = np.nextafter(x[0, 0, k], toward)
+                grid = SurfaceGrid(base.spec, points, partials)
+                Xu, Xv, metric = grid.geometry
+                a, b, _, _ = _raw_frames(grid.points, Xu, Xv, metric)
+                residues.add(float(np.sign(b * metric.E - a * metric.F)[0, 0]))
+                got = contact_angle_field(grid).beta
+                assert np.max(np.abs(got - beta)) < 1e-12, (name, k, toward)
+                assert _same_bits(got, _reference_frames(grid)["beta"])
+    # the changes put the residue on both sides of zero
+    assert {-1.0, 1.0} <= residues
 
 
 def _tilted_clifford(theta):
