@@ -67,14 +67,14 @@ print("  unit:", abs(np.linalg.norm(xi) - 1) < 1e-15,
 print("z_perp:", np.round(zp, 6))
 print("  Hermitian-orthogonal to z:", abs(hermitian(zp, z)) < 1e-15)
 
-frame = np.stack([zp, times_i(zp), xi])
+frame = np.stack([zp, times_i(zp), xi], axis=1)   # (4, 3): column j is f_j
 print("\ncanonical frame Gram matrix <f_i, f_j>:\n",
-      np.round(dot(frame[:, None, :], frame[None, :, :]), 12) + 0.0)
+      np.round(dot(frame[:, :, None], frame[:, None, :]), 12) + 0.0)
 
 # the contact plane is the kernel of <xi, .>; projecting xi kills it,
 # projecting a contact-plane vector changes nothing
 print("\n|P_delta(xi)| =", np.linalg.norm(contact_project(z, xi)))
-f1 = frame[0]
+f1 = frame[:, 0]
 print("|P_delta(f1) - f1| =", np.linalg.norm(contact_project(z, f1) - f1))
 
 print("\nstructural derivative of f3 along a great circle, residual ~ h^2:")

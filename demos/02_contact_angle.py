@@ -20,7 +20,7 @@ for entry in (clifford(), r_torus(np.pi / 3), geodesic_sphere()):
 
 grid = geodesic_sphere().sample(n=64)
 an = build_analysis(grid)
-x2 = grid.points[..., 2]
+x2 = grid.points[2]
 print("\ngreat sphere: max|beta - arcsin(x2)| =",
       f"{np.max(np.abs(an.frames.beta - np.arcsin(x2))):.2e}")
 
@@ -33,9 +33,9 @@ def times_i(v):
 
 
 i, j = 20, 11
-e1, e2, e3 = an.frames.e1[i, j], an.frames.e2[i, j], an.frames.e3[i, j]
+e1, e2, e3 = an.frames.e1[:, i, j], an.frames.e2[:, i, j], an.frames.e3[:, i, j]
 b = an.frames.beta[i, j]
-Je1, xi = times_i(e1), times_i(grid.points[i, j])   # xi = i z
+Je1, xi = times_i(e1), times_i(grid.points[:, i, j])   # xi = i z
 print("  e2 =", np.round(e2, 6))
 print("  sin(b) Je1 + cos(b) xi =", np.round(np.sin(b) * Je1 + np.cos(b) * xi, 6))
 print("  e3 =", np.round(e3, 6))

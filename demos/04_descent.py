@@ -22,7 +22,7 @@ from contactgeom import (FlowConfig, build_analysis, clifford, descend, perturb,
 print("product tori: E(r) has its unique zero at r = pi/4, 32x32, tol 1e-6")
 report, final = descend(r_torus(np.pi / 4 + 0.1).sample(n=32), FlowConfig(tol=1e-6))
 z = final.grid.points
-r_end = np.arccos(np.sqrt(z[..., 0] ** 2 + z[..., 1] ** 2))  # |z1| = cos r
+r_end = np.arccos(np.sqrt(z[0] ** 2 + z[1] ** 2))  # |z1| = cos r
 print(f"  start r = {np.pi/4 + 0.1:.6f} -> r in [{r_end.min():.12f}, "
       f"{r_end.max():.12f}]  (pi/4 = {np.pi/4:.12f}),  "
       f"E* = {report.trace[-1][1]:.2e} after {report.iterations} steps\n")

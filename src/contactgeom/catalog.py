@@ -171,7 +171,7 @@ def geodesic_sphere():
         default_topology=("chart", "periodic"),
         default_ranges=((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi)),
         ground_truth={
-            "beta": lambda pts: np.arcsin(pts[..., 2]),
+            "beta": lambda pts: np.arcsin(pts[2]),
             "K": 1.0,
             "H": 0.0,
         },

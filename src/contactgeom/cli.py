@@ -113,7 +113,7 @@ def cmd_analyze(args):
 
     mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
     U, V = grid.spec.mesh()
-    table = np.stack([U, V, *np.moveaxis(grid.points, -1, 0), frames.beta,
+    table = np.stack([U, V, *grid.points, frames.beta,
                       an.K_ext, an.H, an.res_curvature, an.res_laplacian, mcode],
                      axis=-1)
     columns = FIELDS_CSV_HEADER.split(",")

@@ -12,11 +12,12 @@ not kept.  Applying an operator is one small gemm per block, written into
 one preallocated output, so the work grows like n^2 * BLOCK_ROWS rather
 than n^3.
 
-Layout: a field enters as one C-contiguous block, components-first for a
-4-vector field (the `ambient` storage convention; an interleaved field is
-copied into it), and the result is stored the same way.  Each component
-goes through its own gemm of the same shape as a scalar field's, so a
-component's bits depend neither on the field's layout nor on its other
+Layout: a field is a scalar (n_u, n_v) array or a (4, n_u, n_v) array
+of 4-vectors, components first (the `ambient` convention).  It enters as
+one C-contiguous block (a strided one is copied into it), and the result
+is a new C-contiguous block of the same shape.  Each component goes
+through its own gemm of the same shape as a scalar field's, so a
+component's bits depend neither on the field's strides nor on its other
 components: component k of a vector stencil is bitwise the scalar stencil
 of component k.
 
@@ -127,17 +128,15 @@ def row_blocks(n, h, m, periodic):
 
 
 def _block(F):
-    """F as one C-contiguous (c, n_u, n_v) array: c = 4 components-first for
-    a 4-vector field, c = 1 for a scalar field."""
-    F = np.asarray(F, float)
-    if F.ndim == 3:
-        return np.ascontiguousarray(F.transpose(2, 0, 1))
-    return np.ascontiguousarray(F)[None]
+    """F as one C-contiguous (c, n_u, n_v) array: c = 4 for a 4-vector
+    field, c = 1 for a scalar field."""
+    F = np.ascontiguousarray(F, float)
+    return F if F.ndim == 3 else F[None]
 
 
 def _field(out, like):
     """The (c, n_u, n_v) block out in the shape of the field like."""
-    return out.transpose(1, 2, 0) if np.ndim(like) == 3 else out[0]
+    return out if np.ndim(like) == 3 else out[0]
 
 
 def _apply_u(blocks, F):

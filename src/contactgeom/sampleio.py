@@ -188,11 +188,11 @@ def _format_cells(x, cells, lead, digits):
     q = m.astype(np.intp)
     for w in (3, 2, 1):
         r = q // 10000
-        cells[..., w] = digits[q - r * 10000].reshape(shape)
+        cells[:, :, w] = digits[q - r * 10000].reshape(shape)
         q = r
-    cells[..., 0] = lead.ravel()[(q + 10 * np.signbit(x).ravel()).reshape(shape)
+    cells[:, :, 0] = lead.ravel()[(q + 10 * np.signbit(x).ravel()).reshape(shape)
                                  + 20 * np.arange(shape[1])]
-    cells[..., 4] = _EXPONENT[i + 1].reshape(shape)
+    cells[:, :, 4] = _EXPONENT[i + 1].reshape(shape)
     return ok.reshape(shape)
 
 
@@ -250,7 +250,7 @@ def write_samples(grid, path):
         FLOAT_FMT % spec.v_range[0], FLOAT_FMT % spec.v_range[1],
     ])
     U, V = spec.mesh()
-    table = np.stack([U, V, *np.moveaxis(grid.points, -1, 0)], axis=-1)
+    table = np.stack([U, V, *grid.points], axis=-1)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         write_table(fh, table, SAMPLE_ROW_FMT)
@@ -311,7 +311,8 @@ def _grid_from_columns(u, v, pts4, path, label):
     topo_u, u_range = axis(us, nv)
     topo_v, v_range = axis(vs, 1)
     spec = GridSpec(nu, nv, u_range, v_range, topo_u, topo_v)
-    return SurfaceGrid(spec, _onto_sphere(pts4.reshape(nu, nv, 4)), label=label)
+    points = np.ascontiguousarray(pts4.T).reshape(4, nu, nv)
+    return SurfaceGrid(spec, _onto_sphere(points), label=label)
 
 
 def _read_lines(path):
@@ -402,11 +403,13 @@ def read_samples(path):
         table = _parse_rows(path, None, 6, n_rows=nu * nv)
     table = table.reshape(nu, nv, 6)
     U, V = spec.mesh(sparse=True)
-    bad = ~((np.abs(table[..., 0] - U) <= 1e-9 * max(1.0, spec.h_u))
-            & (np.abs(table[..., 1] - V) <= 1e-9 * max(1.0, spec.h_v)))
+    bad = ~((np.abs(table[:, :, 0] - U) <= 1e-9 * max(1.0, spec.h_u))
+            & (np.abs(table[:, :, 1] - V) <= 1e-9 * max(1.0, spec.h_v)))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ParseError(f"(u, v) = {tuple(table[i, j, :2].tolist())} is not node "
                          f"({i}, {j}) of the header's grid",
                          line=_row_lines(_read_lines(path))[i * nv + j])
-    return SurfaceGrid(spec, _onto_sphere(table[..., 2:6]), label=label)
+    # the four point columns as one contiguous (4, n_u, n_v) block
+    points = np.ascontiguousarray(table.transpose(2, 0, 1)[2:])
+    return SurfaceGrid(spec, _onto_sphere(points), label=label)

@@ -39,8 +39,10 @@ pair is projected onto T_z S^3 once per grid and kept in one copy:
 SurfaceGrid.partials, and geometry hands that pair out as it is, or
 projects its finite-difference derivatives into new blocks that replace
 them.  The pair and its Gram matrix (MetricField) are cached on the grid
-as SurfaceGrid.geometry; every consumer reads that copy.  Fields are
-scaled node by node through `ambient.scale`.  Within the frame build
+as SurfaceGrid.geometry; every consumer reads that copy.  Every 4-vector
+field (points, tangents, frame legs) is a C-contiguous (4, n_u, n_v)
+array, components first (see `ambient`), so a per-node scalar c scales
+it by plain broadcasting, c * v.  Within the frame build
 each quantity takes one full-grid pass: <xi, e3> serves both the contact
 mask and beta's numerator, and |w| both e1's coordinates and beta's
 denominator.
@@ -153,16 +155,18 @@ class MetricField:
 class SurfaceGrid:
     """Grid of unit-sphere points with optional analytic parameter derivatives.
 
-    partials, when present, is a dict with keys "fu" and "fv", each an
-    (n_u, n_v, 4) array: a first derivative of the point map projected onto
-    T_z S^3, the tangent pair as `sample` stores it.  geometry reads the
-    pair from there.
+    points is a (4, n_u, n_v) array of 4-vectors, components first, and is
+    stored C-contiguous (copied only if it is not).  partials, when
+    present, is a dict with keys "fu" and "fv", each a (4, n_u, n_v)
+    array: a first derivative of the point map projected onto T_z S^3, the
+    tangent pair as `sample` stores it.  geometry reads the pair from there.
     """
 
     def __init__(self, spec, points, partials=None, label=""):
-        points = np.asarray(points, float)
-        if points.shape != (spec.n_u, spec.n_v, 4):
-            raise ValueError(f"points shape {points.shape} does not match spec")
+        points = np.ascontiguousarray(points, float)
+        if points.shape != (4, spec.n_u, spec.n_v):
+            raise ValueError(f"points shape {points.shape} is not (4, n_u, n_v) "
+                             f"= {(4, spec.n_u, spec.n_v)}")
         self.spec = spec
         self.points = points
         self.partials = partials
@@ -188,8 +192,7 @@ class SurfaceGrid:
             Xu, Xv = self.partials["fu"], self.partials["fv"]
         else:
             z = self.points
-            Xu, Xv = (ambient.scale(ambient.dot(X, z), z, onto=X, minus=True)
-                      for X in (self.calc.du(z), self.calc.dv(z)))
+            Xu, Xv = (_tangent_part(X, z) for X in (self.calc.du(z), self.calc.dv(z)))
         return Xu, Xv, MetricField(ambient.dot(Xu, Xu), ambient.dot(Xu, Xv),
                                    ambient.dot(Xv, Xv))
 
@@ -199,8 +202,15 @@ class SurfaceGrid:
         return SurfaceGrid(self.spec, points, label=self.label)
 
 
+def _tangent_part(X, z):
+    """X - <X, z> z, the part of the field X tangent to S^3 at z, formed
+    into one new block."""
+    part = ambient.dot(X, z) * z
+    return np.subtract(X, part, out=part)
+
+
 def _onto_sphere(points):
-    """points divided by their norms, stored components-first.
+    """The (4, n_u, n_v) field points divided by its norms, a new block.
 
     Raises OffSphere, naming the node, when a norm is off 1 by more than
     OFF_SPHERE_TOL or is NaN; sample and the sample-file reader both
@@ -212,23 +222,24 @@ def _onto_sphere(points):
         ij = _worst_node(dev)
         raise OffSphere(f"node {ij} is off S^3 by {dev[ij]:.3e} "
                         f"(norm {norms[ij]:.6f}) before normalization", node=ij)
-    return ambient.scale(norms, points, out=ambient.empty4(norms.shape), divide=True)
+    return points / norms
 
 
 def sample(definition, spec):
     """Evaluate an immersion definition on a grid and normalize onto S^3.
 
-    definition is either a callable (U, V) -> (..., 4), called on the full
-    mesh, or an object with a .point(U, V) method and an optional
-    .d1(U, V) -> (fu, fv) method for analytic first partials.  The methods
-    are called on the sparse mesh and must broadcast it to the full grid,
-    as the catalog entries do, so a factor that depends on one parameter
-    is evaluated once per node of its axis.
+    definition is either a callable (U, V) -> (4, n_u, n_v), called on the
+    full mesh, or an object with a .point(U, V) method and an optional
+    .d1(U, V) -> (fu, fv) method for analytic first partials.  Every field
+    they return has its 4 components first (ValueError otherwise).  The
+    methods are called on the sparse mesh and must broadcast it to the full
+    grid, as the catalog entries do, so a factor that depends on one
+    parameter is evaluated once per node of its axis.
 
-    The analytic partials are projected onto T_z S^3 in place, df - <df, f> f,
-    with the inner products the tangency check reads, and stored as the
-    grid's tangent pair; d1 hands over arrays of its own (a read-only one
-    is copied first).
+    The analytic partials are projected onto T_z S^3 in place, df - <df, f> f
+    one component at a time, with the inner products the tangency check
+    reads, and stored as the grid's tangent pair; d1 hands over arrays of
+    its own (a read-only one is copied first).
 
     Raises OffSphere, naming the node, when an evaluated point deviates
     from unit norm by more than 1e-6 before normalization, or when an
@@ -252,7 +263,9 @@ def sample(definition, spec):
                 raise OffSphere(f"analytic partial {key} is not tangent to the "
                                 f"sampled point at node {ij} "
                                 f"(|<df, f>| = {tang[ij]:.3e})", node=ij)
-            partials[key] = ambient.scale(c, pts, out=df, onto=df, minus=True)
+            for df_k, pts_k in zip(df, pts):
+                df_k -= c * pts_k
+            partials[key] = df
     label = getattr(definition, "name", getattr(definition, "__name__", "surface"))
     return SurfaceGrid(spec, pts, partials, label)
 
@@ -292,11 +305,13 @@ class FrameField:
 
     def _leg(self, coeff):
         """cu Xu + cv Xv for the coordinates coeff = (cu, cv), formed into a
-        single field."""
+        single field: cv Xv is added one component at a time."""
         Xu, Xv = self.grid.geometry[:2]
         cu, cv = coeff
-        leg = ambient.scale(cu, Xu)
-        return ambient.scale(cv, Xv, out=leg, onto=leg)
+        leg = cu * Xu
+        for leg_k, Xv_k in zip(leg, Xv):
+            leg_k += cv * Xv_k
+        return leg
 
     @cached_property
     def e1(self):
@@ -329,15 +344,17 @@ def _unit_normal(z, Xu, Xv):
     cross4 call; the frames and the catalog's normal bumps both read it.
     """
     e3 = ambient.cross4(z, Xu, Xv)
-    return ambient.scale(np.maximum(ambient.norm(e3), 1e-300), e3, out=e3,
-                         divide=True)
+    e3 /= np.maximum(ambient.norm(e3), 1e-300)
+    return e3
 
 
 def _moved_points(z, e3, psi):
     """z + psi e3 put back on S^3: the normal move of the catalog's bumps and
     of every descent trial."""
-    moved = ambient.scale(psi, e3, onto=z)
-    return ambient.scale(ambient.norm(moved), moved, out=moved, divide=True)
+    moved = psi * e3
+    moved += z
+    moved /= ambient.norm(moved)
+    return moved
 
 
 def _raw_frames(z, Xu, Xv, metric):
@@ -368,19 +385,20 @@ def _sign_mismatches(spec, e1, mask):
     where e1 turns by more than a quarter turn over one edge.
 
     Reads each axis' interior edges as shifted slices, plus the wrap edge
-    on a periodic axis; a chart axis has no edge past its last node.
+    on a periodic axis; a chart axis has no edge past its last node.  The
+    slices of e1 skip its leading component axis.
     """
     good = ~mask
 
     def count(a, b, ok_a, ok_b):
         return int(np.count_nonzero((ambient.dot(a, b) < 0) & ok_a & ok_b))
 
-    total = count(e1[1:], e1[:-1], good[1:], good[:-1])
-    total += count(e1[:, 1:], e1[:, :-1], good[:, 1:], good[:, :-1])
+    total = count(e1[:, 1:], e1[:, :-1], good[1:], good[:-1])
+    total += count(e1[:, :, 1:], e1[:, :, :-1], good[:, 1:], good[:, :-1])
     if spec.topology_u == "periodic":
-        total += count(e1[0], e1[-1], good[0], good[-1])
+        total += count(e1[:, 0], e1[:, -1], good[0], good[-1])
     if spec.topology_v == "periodic":
-        total += count(e1[:, 0], e1[:, -1], good[:, 0], good[:, -1])
+        total += count(e1[:, :, 0], e1[:, :, -1], good[:, 0], good[:, -1])
     return total
 
 

@@ -85,10 +85,10 @@ def test_criterion_03_sphere_curvature_and_minimality(sphere):
 
 def test_criterion_03_sphere_contact_angle(sphere):
     grid, an = sphere
-    x2 = grid.points[..., 2]
+    x2 = grid.points[2]
     truth = geodesic_sphere().ground_truth["beta"](grid.points)
     dev_beta = float(np.max(np.abs(an.frames.beta - truth)))
-    xi_e3 = np.sum(jmul(grid.points) * an.frames.e3, axis=-1)   # xi = i z
+    xi_e3 = np.sum(jmul(grid.points) * an.frames.e3, axis=0)   # xi = i z
     dev_normal = float(np.max(np.abs(np.arccos(np.clip(xi_e3, -1.0, 1.0))
                                      - np.arccos(x2))))
     ok = dev_beta <= 1e-8 and dev_normal <= 1e-8
@@ -179,7 +179,7 @@ def test_criterion_09_rigidity_probe(flow_result):
     rrep, rfinal = descend(r_torus(math.pi / 4 + 0.1).sample(n=32),
                            FlowConfig(tol=1e-6))
     z = rfinal.grid.points
-    z1_dev = float(np.max(np.abs(z[..., 0] ** 2 + z[..., 1] ** 2 - 0.5)))
+    z1_dev = float(np.max(np.abs(z[0] ** 2 + z[1] ** 2 - 0.5)))
     ok = (report.converged and report.iterations <= 500
           and report.final_max_H < 1e-3
           and probe["status"] == "pass"
@@ -206,12 +206,7 @@ def test_criterion_10_degeneracy_handling(cliff, sphere):
     # the masking machinery itself, exercised where degeneracy is real:
     # a chart around a pole of the great sphere y1 = 0
     def cap(A, B):
-        out = np.empty(A.shape + (4,))
-        out[..., 0] = np.sqrt(1.0 - A ** 2 - B ** 2)
-        out[..., 1] = 0.0
-        out[..., 2] = A
-        out[..., 3] = B
-        return out
+        return np.stack([np.sqrt(1.0 - A ** 2 - B ** 2), np.zeros_like(A), A, B])
 
     spec = GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart")
     ff = contact_angle_field(sample(cap, spec))

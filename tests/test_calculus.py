@@ -166,9 +166,10 @@ def test_unitary_motion_keeps_beta_and_K(bump48, phi, theta, alpha, gamma):
     grid, an = bump48
     a, b = np.cos(theta) * np.exp(1j * alpha), np.sin(theta) * np.exp(1j * gamma)
     A = np.exp(1j * phi) * np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-    w = (grid.points[..., 0::2] + 1j * grid.points[..., 1::2]) @ A.T
-    moved = build_analysis(grid.with_points(
-        np.stack([w[..., 0].real, w[..., 0].imag, w[..., 1].real, w[..., 1].imag], -1)))
+    # (z1, z2) at each node, then A applied to it
+    w = np.moveaxis(grid.points[0::2] + 1j * grid.points[1::2], 0, -1) @ A.T
+    w1, w2 = np.moveaxis(w, -1, 0)
+    moved = build_analysis(grid.with_points(np.stack([w1.real, w1.imag, w2.real, w2.imag])))
     assert np.max(np.abs(moved.frames.beta - an.frames.beta)) < 1e-13
     assert np.max(np.abs(moved.K_ext - an.K_ext)) < 1e-12
 
@@ -201,7 +202,8 @@ def test_rotation_keeps_H_and_K_and_moves_beta_off_U2(bump48, a1, a2, a3,
     grid, an = bump48
     p, q = _unit_quaternion(a1, a2, a3), _unit_quaternion(b1, b2, b3)
     R = _quaternion_product(p, False) @ _quaternion_product(q, True)
-    moved = build_analysis(grid.with_points(grid.points @ R.T))
+    moved = build_analysis(grid.with_points(
+        np.moveaxis(np.moveaxis(grid.points, 0, -1) @ R.T, -1, 0)))
     assert np.max(np.abs(np.abs(moved.H) - np.abs(an.H))) < 1e-12
     assert np.max(np.abs(moved.K_ext - an.K_ext)) < 1e-12
     turn = np.angle(np.exp(1j * (moved.frames.beta - an.frames.beta)))
@@ -257,7 +259,7 @@ def test_laplace_linear_field_flat_chart():
 
     def patch(U, V):
         return np.stack([c * np.cos(U), c * np.sin(U),
-                         c * np.cos(V), c * np.sin(V)], axis=-1)
+                         c * np.cos(V), c * np.sin(V)])
 
     grid = sample(patch, spec)
     flat = MetricField(E=np.full((32, 32), 0.5), F=np.zeros((32, 32)),
@@ -355,8 +357,8 @@ def _band_residuals_reference(grid, band):
     curv = an.K_int - (1.0 - (beta1 + 1.0) ** 2 - beta2 ** 2)
     lap = an.lap_beta + tan_beta * ((beta1 + 2.0) ** 2 + beta2 ** 2)
     # <D_{e_i} e2, e1> = c_iu <d_u e2, e1> + c_iv <d_v e2, e1>
-    a_u = np.sum(grid.calc.du(an.frames.e2) * an.frames.e1, -1)
-    a_v = np.sum(grid.calc.dv(an.frames.e2) * an.frames.e1, -1)
+    a_u = np.sum(grid.calc.du(an.frames.e2) * an.frames.e1, 0)
+    a_v = np.sum(grid.calc.dv(an.frames.e2) * an.frames.e1, 0)
     comp = [cu * a_u + cv * a_v for cu, cv in (an.frames.coeff1, an.frames.coeff2)]
     res1 = comp[0] - tan_beta * beta2
     res2 = comp[1] - (-tan_beta * (beta1 + 2.0))
@@ -432,10 +434,10 @@ def _d_field_contractions(grid, frames, field, legs):
     d_u, d_v = grid.calc.du(field), grid.calc.dv(field)
     out, size = [], []
     for cu, cv in (frames.coeff1, frames.coeff2):
-        D = cu[..., None] * d_u + cv[..., None] * d_v
-        out.append([np.sum(D * e, -1) for e in legs])
-        size.append([np.abs(cu) * np.sum(np.abs(d_u * e), -1)
-                     + np.abs(cv) * np.sum(np.abs(d_v * e), -1) for e in legs])
+        D = cu * d_u + cv * d_v
+        out.append([np.sum(D * e, 0) for e in legs])
+        size.append([np.abs(cu) * np.sum(np.abs(d_u * e), 0)
+                     + np.abs(cv) * np.sum(np.abs(d_v * e), 0) for e in legs])
     return np.array(out), np.array(size)
 
 
@@ -528,10 +530,10 @@ def _arrays(name, value):
 
 
 def _cap(A, B):
-    out = np.zeros(A.shape + (4,))
-    out[..., 0] = np.sqrt(1.0 - A ** 2 - B ** 2)
-    out[..., 2] = A
-    out[..., 3] = B
+    out = np.zeros((4,) + A.shape)
+    out[0] = np.sqrt(1.0 - A ** 2 - B ** 2)
+    out[2] = A
+    out[3] = B
     return out
 
 
@@ -716,8 +718,8 @@ def test_degenerate_input_raises_on_first_field_read():
         an.res_curvature
 
     def const(U, V):
-        out = np.zeros(U.shape + (4,))
-        out[..., 0] = 1.0
+        out = np.zeros((4,) + U.shape)
+        out[0] = 1.0
         return out
 
     an = build_analysis(sample(const, GridSpec(8, 8)))

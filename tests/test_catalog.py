@@ -21,8 +21,8 @@ def test_clifford_point_values():
     U = RNG.uniform(0, 2 * np.pi, size=100)
     V = RNG.uniform(0, 2 * np.pi, size=100)
     pts = ent.point(U, V)
-    z1 = np.hypot(pts[..., 0], pts[..., 1])
-    z2 = np.hypot(pts[..., 2], pts[..., 3])
+    z1 = np.hypot(pts[0], pts[1])
+    z2 = np.hypot(pts[2], pts[3])
     assert np.max(np.abs(z1 - c)) < 1e-15
     assert np.max(np.abs(z2 - c)) < 1e-15
 
@@ -37,10 +37,10 @@ def test_clifford_ground_truth_beta():
 def test_geodesic_sphere_on_y2_zero():
     ent = geodesic_sphere()
     grid = ent.sample(n=32)
-    assert np.max(np.abs(grid.points[..., 3])) == 0.0
+    assert np.max(np.abs(grid.points[3])) == 0.0
     # angle at the equator row: x2=0 gives beta = 0 under the signed convention
     ff = contact_angle_field(grid)
-    x2 = grid.points[..., 2]
+    x2 = grid.points[2]
     beta_truth = ent.ground_truth["beta"](grid.points)
     assert np.max(np.abs(ff.beta - beta_truth)) < 1e-10
 
@@ -50,11 +50,11 @@ def test_geodesic_sphere_e1_closed_form():
     grid = ent.sample(n=32)
     ff = contact_angle_field(grid)
     pts = grid.points
-    x1, y1, x2 = pts[..., 0], pts[..., 1], pts[..., 2]
+    x1, y1, x2 = pts[0], pts[1], pts[2]
     denom = np.sqrt(1 - x2 ** 2)
     e1_closed = np.stack([-x1 * x2 / denom, -y1 * x2 / denom, denom,
-                          np.zeros_like(x1)], axis=-1)
-    dots = np.abs(np.sum(ff.e1 * e1_closed, -1))
+                          np.zeros_like(x1)])
+    dots = np.abs(np.sum(ff.e1 * e1_closed, 0))
     assert np.max(np.abs(dots - 1.0)) < 1e-10  # matches up to sign
 
 
@@ -137,7 +137,7 @@ def test_sample_file_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     us, vs = grid.spec.us, grid.spec.vs
     assert lines[1:] == [
-        " ".join("%.12e" % x for x in (us[i], vs[j], *grid.points[i, j]))
+        " ".join("%.12e" % x for x in (us[i], vs[j], *grid.points[:, i, j]))
         for i in range(32) for j in range(32)]
     back = read_samples(str(path))
     assert back.spec.topology_u == "periodic"
@@ -176,7 +176,7 @@ def test_sample_file_off_sphere_names_node(tmp_path):
     path = tmp_path / "bad.s3"
     grid = clifford().sample(n=8)
     pts = grid.points.copy()
-    pts[2, 3] *= 0.9
+    pts[:, 2, 3] *= 0.9
     write_samples(grid.with_points(pts), str(path))
     with pytest.raises(OffSphere) as err:
         read_samples(str(path))

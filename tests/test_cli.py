@@ -75,7 +75,7 @@ def _reference_fields_csv(grid):
     lines = [FIELDS_CSV_HEADER]
     for i in range(grid.spec.n_u):
         for j in range(grid.spec.n_v):
-            p = grid.points[i, j]
+            p = grid.points[:, i, j]
             row = [us[i], vs[j], p[0], p[1], p[2], p[3],
                    an.frames.beta[i, j], an.K_ext[i, j], H[i, j],
                    0.0 if mcode[i, j] == 1 else an.res_curvature[i, j],
@@ -93,7 +93,7 @@ def _polar_cap_file(path, n=17, half_width=0.3):
     spec = GridSpec(n, n, (-half_width, half_width), (-half_width, half_width),
                     "chart", "chart")
     U, V = spec.mesh()
-    pts = np.stack([np.sqrt(1.0 - U ** 2 - V ** 2), 0.0 * U, U, V], axis=-1)
+    pts = np.stack([np.sqrt(1.0 - U ** 2 - V ** 2), 0.0 * U, U, V])
     write_samples(SurfaceGrid(spec, pts), str(path))
     return str(path)
 

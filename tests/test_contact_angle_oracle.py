@@ -37,7 +37,7 @@ def case(request):
 def _cross4_normal(grid):
     Xu, Xv = grid.geometry[:2]
     n = ambient.cross4(grid.points, Xu, Xv)
-    return n / ambient.norm(n)[..., None]
+    return n / ambient.norm(n)
 
 
 def test_sin_beta_is_the_cross4_normal_component(case):
@@ -45,7 +45,7 @@ def test_sin_beta_is_the_cross4_normal_component(case):
     Xu, Xv, metric = grid.geometry
     xi = jmul(grid.points)
     xin = _raw_frames(grid.points, Xu, Xv, metric)[2]
-    want = np.sum(xi * _cross4_normal(grid), -1)
+    want = np.sum(xi * _cross4_normal(grid), 0)
     assert np.max(np.abs(xin - want)) <= SCALAR_TOL, name
     assert np.max(np.abs(np.sin(frames.beta) - want)) <= SCALAR_TOL, name
 
@@ -55,8 +55,8 @@ def test_cos_beta_is_the_e2_component(case):
     Xu, Xv = grid.geometry[:2]
     xi = jmul(grid.points)
     c2u, c2v = frames.coeff2
-    cos_beta = c2u * np.sum(Xu * xi, -1) + c2v * np.sum(Xv * xi, -1)
-    want = np.sum(xi * frames.e2, -1)
+    cos_beta = c2u * np.sum(Xu * xi, 0) + c2v * np.sum(Xv * xi, 0)
+    want = np.sum(xi * frames.e2, 0)
     assert np.max(np.abs(cos_beta - want)) <= SCALAR_TOL, name
     assert np.max(np.abs(np.cos(frames.beta) - want)) <= SCALAR_TOL, name
 
@@ -64,7 +64,9 @@ def test_cos_beta_is_the_e2_component(case):
 def test_lazy_legs_are_an_oriented_orthonormal_frame(case):
     # det[z, e1, e2, e3] = +1 at every node, the masked ones included
     name, grid, frames = case
-    legs = np.stack([grid.points, frames.e1, frames.e2, frames.e3], axis=-2)
+    # one 4x4 matrix per node, rows z, e1, e2, e3
+    legs = np.moveaxis(np.stack([grid.points, frames.e1, frames.e2, frames.e3]),
+                       (0, 1), (-2, -1))
     gram = legs @ np.swapaxes(legs, -1, -2)
     assert np.max(np.abs(gram - np.eye(4))) <= FRAME_TOL, name
     assert np.max(np.abs(np.linalg.det(legs) - 1.0)) <= FRAME_TOL, name

@@ -74,7 +74,7 @@ def test_flow_step_constant_displacement_moves_along_family():
     grid = clifford().sample(n=32)
     c = 0.01
     moved = _normal_move(grid, np.full((32, 32), c))
-    assert np.max(np.abs(np.linalg.norm(moved, axis=-1) - 1)) < 1e-14
+    assert np.max(np.abs(np.linalg.norm(moved, axis=0) - 1)) < 1e-14
     r_new = np.pi / 4 - c
     target = r_torus(r_new).sample(n=32)
     assert np.max(np.abs(moved - target.points)) < 5.0 * c ** 2
@@ -307,7 +307,7 @@ def _hopf_torus(a):
     def point(T, S):
         r = np.pi / 4 + a * np.sin(2.0 * S)
         return np.stack([np.cos(r) * np.cos(T), np.cos(r) * np.sin(T),
-                         np.sin(r) * np.cos(T + S), np.sin(r) * np.sin(T + S)], -1)
+                         np.sin(r) * np.cos(T + S), np.sin(r) * np.sin(T + S)])
     return point
 
 
@@ -344,7 +344,7 @@ def test_full_descent_from_a_product_torus(tmp_path, monkeypatch):
         assert trace[0] == "iteration,energy,max_H,beta_spread"
         assert len(trace) == rep["iterations"] + 2  # header and the initial grid
         z = finals[-1].grid.points
-        assert np.max(np.abs(z[..., 0] ** 2 + z[..., 1] ** 2 - 0.5)) < 1e-6, r0
+        assert np.max(np.abs(z[0] ** 2 + z[1] ** 2 - 0.5)) < 1e-6, r0
 
 
 def test_stalled_search_restarts_from_preconditioned_gradient(monkeypatch):

@@ -1,10 +1,10 @@
 """Components-first storage of 4-vector fields, and the stencils applied to it.
 
-Every 4-vector field keeps its (..., 4) shape but is one C-contiguous
-(4, ...) block underneath, so each component x[..., k] is contiguous.  The
-banded stencils give each component the bits the scalar stencil gives it,
-and stay within the gamma bound of the dense diff_matrix product and of two
-closed-form oracles.
+Every 4-vector field is one C-contiguous (4, n_u, n_v) array, in shape as
+in memory, so each component x[k] is contiguous.  The banded stencils give
+each component the bits the scalar stencil gives it, and stay within the
+gamma bound of the dense diff_matrix product and of two closed-form
+oracles.
 """
 
 import numpy as np
@@ -16,20 +16,15 @@ from contactgeom.catalog import build, names
 from contactgeom.gridops import CENTRAL_OFFSETS, GridCalc, diff_matrix, fd_weights
 from contactgeom.sampleio import read_samples, write_samples
 from contactgeom.surface import GridSpec, sample
-from test_ambient import _components_first
 from test_calculus import _cap
 
 RNG = np.random.default_rng(14)
 
 
-def _is_components_first(x):
-    return all(x[..., k].flags.c_contiguous for k in range(4))
-
-
 def test_vector_fields_are_stored_components_first(tmp_path):
     grids = {name: build(name).sample(n=32) for name in names()}
     grids["bump"] = perturb(clifford(), (1, 2), 0.05).sample(n=32)
-    # _cap is a plain callable returning an interleaved array
+    # _cap is a plain callable returning a (4, n_u, n_v) array
     grids["cap"] = sample(_cap, GridSpec(17, 17, (-0.3, 0.3), (-0.3, 0.3),
                                          "chart", "chart"))
     path = tmp_path / "cap.s3"
@@ -48,8 +43,8 @@ def test_vector_fields_are_stored_components_first(tmp_path):
                   "e2": frames.e2, "e3": frames.e3,
                   "du e3": grid.calc.du(frames.e3), "dv e3": grid.calc.dv(frames.e3)}
         for name, x in fields.items():
-            assert x.shape == grid.points.shape, (label, name)
-            assert _is_components_first(x), (label, name)
+            assert x.shape == (4, grid.spec.n_u, grid.spec.n_v), (label, name)
+            assert x.flags.c_contiguous, (label, name)
     # the cap's centre is contact-degenerate, so its frames take the masked fill
     assert masked["cap"] == masked["cap file"] == 1
 
@@ -78,8 +73,10 @@ def _dense(spec, m, axis):
 
 
 def _field(n, components):
+    """A random scalar (n, n) field, or with components a (4, n, n) one."""
     shape = (n, n, 4) if components else (n, n)
-    return RNG.normal(size=shape) * 10.0 ** RNG.integers(-6, 6, size=shape)
+    F = RNG.normal(size=shape) * 10.0 ** RNG.integers(-6, 6, size=shape)
+    return np.ascontiguousarray(np.moveaxis(F, -1, 0)) if components else F
 
 
 def _bound_violations(calc, F):
@@ -89,7 +86,7 @@ def _bound_violations(calc, F):
     for name, op, m, axis in _stencils(calc):
         D = _dense(calc.spec, m, axis)
         got = op(F)
-        parts = [(got[..., k], F[..., k]) for k in range(4)] if F.ndim == 3 else [(got, F)]
+        parts = list(zip(got, F)) if F.ndim == 3 else [(got, F)]
         out[name] = sum(int(np.sum(np.abs(g - _along(D, f, axis))
                                    > BOUND * _along(np.abs(D), np.abs(f), axis)))
                         for g, f in parts)
@@ -100,17 +97,19 @@ def _bound_violations(calc, F):
 @pytest.mark.parametrize("n", [32, 65, 193])
 def test_vector_stencil_is_the_scalar_stencil_of_each_component(n, topology):
     # each component goes through its own gemm, so its bits depend neither on
-    # the field's layout nor on the other components
+    # the field's strides nor on the other components
     calc = GridCalc(GridSpec(n, n, topology_u=topology, topology_v=topology))
     F = _field(n, components=True)
+    # the same field with its components innermost in memory
+    strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(F, 0, -1)), -1, 0)
     for name, op, _, _ in _stencils(calc):
-        got = op(_components_first(F))
-        assert got.shape == F.shape and _is_components_first(got), name
-        assert op(F).tobytes() == got.tobytes(), name
+        got = op(F)
+        assert got.shape == F.shape and got.flags.c_contiguous, name
+        assert op(strided).tobytes() == got.tobytes(), name
         for k in range(4):
-            want = op(np.ascontiguousarray(F[..., k]))
+            want = op(F[k])
             assert want.flags.c_contiguous, name
-            assert got[..., k].tobytes() == want.tobytes(), (name, k)
+            assert got[k].tobytes() == want.tobytes(), (name, k)
 
 
 @pytest.mark.parametrize("topology", ["periodic", "chart"])
@@ -122,7 +121,7 @@ def test_stencils_match_dense_diff_matrix_within_gamma_bound(n, topology):
     calc = GridCalc(GridSpec(n, n, topology_u=topology, topology_v=topology))
     fields = [_field(n, components=False)]
     if n <= 256:
-        fields.append(_components_first(_field(n, components=True)))
+        fields.append(_field(n, components=True))
     for F in fields:
         assert _bound_violations(calc, F) == {"du": 0, "dv": 0, "duu": 0, "dvv": 0}
 

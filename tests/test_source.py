@@ -160,25 +160,43 @@ def _is_last_axis(node):
             and isinstance(node.operand, ast.Constant) and node.operand.value == 1)
 
 
-def test_inner_products_go_through_ambient_dot():
-    # np.sum(x * y, -1) over 4-vectors is ambient.dot; a second copy of the
-    # kernel is what this guard keeps out of the package
+def _is_axis(node, k):
+    """Whether node is the literal axis k: k itself, or -1 for k = -1."""
+    return _is_last_axis(node) if k == -1 else (
+        isinstance(node, ast.Constant) and type(node.value) is int and node.value == k)
+
+
+def _component_sums(tree):
+    """Line numbers of np.sum(x * y, 0) calls, axis given by position or keyword."""
     found = []
-    for path in PACKAGE:
-        for node in ast.walk(_tree(path)):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "sum" and node.args
-                    and isinstance(node.args[0], ast.BinOp)
-                    and isinstance(node.args[0].op, ast.Mult)):
-                continue
-            axes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "axis"]
-            if any(_is_last_axis(a) for a in axes):
-                found.append(f"{path.name}:{node.lineno}")
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "sum" and node.args
+                and isinstance(node.args[0], ast.BinOp)
+                and isinstance(node.args[0].op, ast.Mult)):
+            continue
+        axes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "axis"]
+        if any(_is_axis(a, 0) for a in axes):
+            found.append(node.lineno)
+    return found
+
+
+def test_inner_products_go_through_ambient_dot():
+    # np.sum(x * y, 0) over the leading component axis of two 4-vector
+    # fields is ambient.dot; a second copy of the kernel is what this guard
+    # keeps out of the package
+    found = [f"{path.name}:{line}" for path in PACKAGE
+             for line in _component_sums(_tree(path))]
     assert found == []
+    # the guard sees the axis by position and by keyword, and passes a sum
+    # over every entry, a sum of a sum and the trailing axis
+    planted = ast.parse("a = np.sum(x * y, 0)\nb = np.sum(x * y, axis=0)\n"
+                        "c = np.sum(x * y)\nd = np.sum(x + y, 0)\ne = np.sum(x * y, -1)\n")
+    assert _component_sums(planted) == [1, 2]
 
 
 def test_lengths_go_through_ambient_norm():
-    # ambient.norm is sqrt(dot(a, a)), bit for bit np.linalg.norm(a, axis=-1)
+    # ambient.norm is sqrt(dot(a, a)), bit for bit np.linalg.norm(a, axis=0)
     # at half its cost; a second length kernel is what this guard keeps out
     found = [f"{path.name}:{node.lineno}" for path in PACKAGE
              for node in ast.walk(_tree(path))
@@ -275,7 +293,7 @@ def _jmul_fed_dots(tree):
 
 def test_inner_products_with_i_go_through_kahler():
     # <i a, b> is ambient.kahler(a, b), bit for bit dot(jmul(a), b) without
-    # the (..., 4) temporary, and <v, i z> is kahler(z, v)
+    # the 4-vector temporary, and <v, i z> is kahler(z, v)
     found = [f"{path.name}:{line}" for path in PACKAGE
              for line in _jmul_fed_dots(_tree(path))]
     assert found == []
@@ -285,8 +303,13 @@ def test_inner_products_with_i_go_through_kahler():
     assert _jmul_fed_dots(planted) == [3, 4]
 
 
-def _is_four_vector_stack(call):
-    # np.stack of a literal list or tuple of four arrays on the last axis
+def _is_trailing_layout(call):
+    """Whether call builds or reads a 4-vector field with its components
+    last: np.stack of a literal list or tuple of four arrays on the last
+    axis, or np.moveaxis(x, -1, 0)."""
+    args = call.args + [k.value for k in call.keywords]
+    if _callee(call) == "moveaxis":
+        return len(args) == 3 and _is_axis(args[1], -1) and _is_axis(args[2], 0)
     if not (_callee(call) == "stack" and call.args
             and isinstance(call.args[0], (ast.List, ast.Tuple))):
         return False
@@ -297,30 +320,43 @@ def _is_four_vector_stack(call):
 
 
 def test_four_vectors_are_built_components_first():
-    # np.stack(..., axis=-1) interleaves the components; a 4-vector field is
-    # built with ambient.stack4, which stores it components-first, and no
-    # other stack of four arrays on the last axis is left in the package
-    assert _calls_by_function(_is_four_vector_stack) == []
+    # a 4-vector field is a (4, n_u, n_v) array: np.stack(..., axis=-1)
+    # would interleave the components, and np.moveaxis(x, -1, 0) reads a
+    # field laid out that way; ambient.stack4 builds a field, and a field's
+    # components are its leading index
+    assert _calls_by_function(_is_trailing_layout) == []
+    # the guard sees both spellings of the stack and the move, and passes a
+    # components-first stack, a stack of columns with a starred field and
+    # the opposite move
+    planted = ast.parse("a = np.stack([p, q, r, s], axis=-1)\nb = np.stack((p, q, r, s), -1)\n"
+                        "c = np.moveaxis(x, -1, 0)\nd = np.stack([p, q, r, s])\n"
+                        "e = np.stack([u, v, *x], axis=-1)\nf = np.moveaxis(x, 0, -1)\n")
+    assert [node.lineno for node in ast.walk(planted)
+            if isinstance(node, ast.Call) and _is_trailing_layout(node)] == [1, 2, 3]
 
 
-def _trailing_new_axes(tree):
-    """Line numbers of x[..., None] subscripts: a per-node scalar given a
-    trailing axis to broadcast over a field's components."""
+def _trailing_subscripts(tree):
+    """Line numbers of x[..., k] subscripts with one index after the
+    ellipsis: a component, a slice of components or a new axis (None)."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
-                  and [getattr(e, "value", e) for e in node.slice.elts] == [Ellipsis, None])
+                  and len(node.slice.elts) == 2
+                  and getattr(node.slice.elts[0], "value", None) is Ellipsis)
 
 
-def test_fields_are_scaled_through_ambient_scale():
-    # c[..., None] * X broadcasts over the interleaved (..., 4) view and makes
-    # a (..., 4) temporary; ambient.scale forms the same values on the
-    # components-first block, in place where asked
+def test_fields_are_indexed_components_first():
+    # a 4-vector field's component k is x[k], and a per-node scalar c
+    # scales it as it is, c * x; x[..., k] and c[..., None] index a
+    # trailing component axis, which no field has.  The shape operator's
+    # S[..., i, j] indexes its trailing (2, 2) and stays legal
     found = [f"{path.name}:{line}" for path in PACKAGE
-             for line in _trailing_new_axes(_tree(path))]
+             for line in _trailing_subscripts(_tree(path))]
     assert found == []
-    # the guard sees the broadcast in an expression and in an update
-    planted = ast.parse("y = x - c[..., None] * z\nx /= n[..., None]\nw = a[None]\n")
-    assert _trailing_new_axes(planted) == [1, 2]
+    # the guard sees a component, a name, a negative index, a slice and a
+    # new axis, in an expression and in an update, and passes S's entries
+    planted = ast.parse("y = x[..., 0] + x[..., k]\nx /= n[..., None]\nz = x[..., -1]\n"
+                        "w = t[..., 2:6]\nh = S[..., 0, 1]\nq = x[0] * a[None] * x[:, :, 0]\n")
+    assert _trailing_subscripts(planted) == [1, 1, 2, 3, 4]
 
 
 def _references(tree, name):
@@ -341,9 +377,10 @@ def test_stencils_use_no_tensordot():
 
 
 def test_contractions_live_in_ambient():
-    # one einsum over the component axis is bitwise the four-term sum only
-    # when that axis is outermost in memory, which ambient.dot and
-    # ambient.kahler check; an einsum anywhere else would skip the check
+    # ambient.dot and ambient.kahler are the one einsum each over the
+    # leading component axis of a (4, ...) field, which adds each node's
+    # products in the four-term sum's order; an einsum anywhere else would
+    # be a second contraction kernel, with an order of its own
     found = {path.name: _references(_tree(path), "einsum") for path in PACKAGE}
     assert found.pop("ambient.py")
     assert [f"{name}:{lines}" for name, lines in found.items() if lines] == []

@@ -30,7 +30,7 @@ def _cross4_frames(z, Xu, Xv):
     e1, e3, mask, xi = _reference_raw_frames(z, Xu, Xv)
     cand = cross4(z, e3, e1)
     orient = dot(Xu, e1) * dot(Xv, cand) - dot(Xu, cand) * dot(Xv, e1)
-    e2 = np.where(orient[..., None] >= 0, cand, -cand)
+    e2 = np.where(orient >= 0, cand, -cand)
     return e1, e2, e3, mask, xi
 
 
@@ -73,8 +73,8 @@ def test_gridspec_validation():
 
 def test_sample_clifford_unit_norms():
     grid = clifford().sample(n=64)
-    assert grid.points.shape == (64, 64, 4)
-    assert np.max(np.abs(np.linalg.norm(grid.points, axis=-1) - 1)) < 1e-15
+    assert grid.points.shape == (4, 64, 64)
+    assert np.max(np.abs(np.linalg.norm(grid.points, axis=0) - 1)) < 1e-15
 
 
 def test_sample_sphere_chart_topologies():
@@ -82,19 +82,43 @@ def test_sample_sphere_chart_topologies():
     assert grid.spec.topology_u == "chart"
     assert grid.spec.topology_v == "periodic"
     assert grid.spec.u_range == (0.2, np.pi - 0.2)
-    assert np.max(np.abs(grid.points[..., 3])) == 0.0  # y2 = 0 everywhere
+    assert np.max(np.abs(grid.points[3])) == 0.0  # y2 = 0 everywhere
 
 
 def test_sample_off_sphere_rejected():
     spec = GridSpec(8, 8)
 
     def bad(U, V):
-        out = np.zeros(U.shape + (4,))
-        out[..., 0] = 2.0
+        out = np.zeros((4,) + U.shape)
+        out[0] = 2.0
         return out
 
     with pytest.raises(OffSphere):
         sample(bad, spec)
+
+
+def test_the_trailing_component_layout_is_rejected():
+    # a 4-vector field is (4, n_u, n_v); a point map, partials or points in
+    # the (n_u, n_v, 4) layout fail at the boundary, naming the leading 4
+    entry = clifford()
+    spec = entry.default_spec(8)
+
+    def trailing(U, V):
+        return np.moveaxis(entry.point(U, V), 0, -1)
+
+    with pytest.raises(ValueError, match="leading dimension 4"):
+        sample(trailing, spec)
+    bent = collections.namedtuple("Bent", "point d1")(
+        entry.point, lambda U, V: tuple(np.moveaxis(d, 0, -1) for d in entry.d1(U, V)))
+    with pytest.raises(ValueError, match="leading dimension 4"):
+        sample(bent, spec)
+    points = entry.sample(spec).points
+    with pytest.raises(ValueError, match=r"is not \(4, n_u, n_v\) = \(4, 8, 8\)"):
+        SurfaceGrid(spec, np.moveaxis(points, 0, -1))
+    # a strided (4, n_u, n_v) view is stored as a contiguous copy
+    grid = SurfaceGrid(spec, np.moveaxis(np.ascontiguousarray(np.moveaxis(points, 0, -1)),
+                                         -1, 0))
+    assert grid.points.flags.c_contiguous and np.array_equal(grid.points, points)
 
 
 @pytest.mark.parametrize("bad", [1e-6, np.nan])
@@ -107,8 +131,8 @@ def test_sample_names_worst_non_tangent_partial(bad):
         fu, fv = entry.d1(U, V)
         p = entry.point(U, V)
         fv = fv.copy()
-        fv[5, 2] += bad * p[5, 2]
-        fv[6, 1] += 0.5 * bad * p[6, 1]
+        fv[:, 5, 2] += bad * p[:, 5, 2]
+        fv[:, 6, 1] += 0.5 * bad * p[:, 6, 1]
         return fu, fv
 
     with pytest.raises(OffSphere) as err:
@@ -121,8 +145,8 @@ def test_sample_names_worst_non_tangent_partial(bad):
 def test_tangent_pair_clifford_lengths():
     grid = clifford().sample(n=32)
     Xu, Xv = tangent_fields(grid)
-    assert np.max(np.abs(np.linalg.norm(Xu, axis=-1) - np.sqrt(2) / 2)) < 1e-14
-    assert np.max(np.abs(np.linalg.norm(Xv, axis=-1) - np.sqrt(2) / 2)) < 1e-14
+    assert np.max(np.abs(np.linalg.norm(Xu, axis=0) - np.sqrt(2) / 2)) < 1e-14
+    assert np.max(np.abs(np.linalg.norm(Xv, axis=0) - np.sqrt(2) / 2)) < 1e-14
 
 
 def test_finite_difference_matches_analytic_tangents():
@@ -186,8 +210,8 @@ def test_constant_map_degenerate():
     spec = GridSpec(8, 8)
 
     def const(U, V):
-        out = np.zeros(U.shape + (4,))
-        out[..., 0] = 1.0
+        out = np.zeros((4,) + U.shape)
+        out[0] = 1.0
         return out
 
     with pytest.raises(DegenerateParametrization):
@@ -197,7 +221,7 @@ def test_constant_map_degenerate():
 def test_adapted_frame_clifford_angle_zero():
     grid = clifford().sample(n=16)
     Xu, Xv = tangent_fields(grid)
-    beta = _adapted_frame(grid.points[2, 9], Xu[2, 9], Xv[2, 9])[3]
+    beta = _adapted_frame(grid.points[:, 2, 9], Xu[:, 2, 9], Xv[:, 2, 9])[3]
     assert abs(beta) < 1e-14
 
 
@@ -226,18 +250,18 @@ def test_adapted_frame_orthonormal_and_reconstructs():
     grid = geodesic_sphere().sample(n=32)
     ff = contact_angle_field(grid)
     for e in (ff.e1, ff.e2, ff.e3):
-        assert np.max(np.abs(np.linalg.norm(e, axis=-1) - 1)) < 1e-10
-    assert np.max(np.abs(np.sum(ff.e1 * ff.e2, -1))) < 1e-10
-    assert np.max(np.abs(np.sum(ff.e1 * ff.e3, -1))) < 1e-10
-    assert np.max(np.abs(np.sum(ff.e2 * ff.e3, -1))) < 1e-10
+        assert np.max(np.abs(np.linalg.norm(e, axis=0) - 1)) < 1e-10
+    assert np.max(np.abs(np.sum(ff.e1 * ff.e2, 0))) < 1e-10
+    assert np.max(np.abs(np.sum(ff.e1 * ff.e3, 0))) < 1e-10
+    assert np.max(np.abs(np.sum(ff.e2 * ff.e3, 0))) < 1e-10
     xi = jmul(grid.points)   # xi = i z
     # e1 lies in the contact plane; cos(beta) = <xi, e2>
-    assert np.max(np.abs(np.sum(ff.e1 * xi, -1))) < 1e-10
-    assert np.max(np.abs(np.cos(ff.beta) - np.sum(xi * ff.e2, -1))) < 1e-10
+    assert np.max(np.abs(np.sum(ff.e1 * xi, 0))) < 1e-10
+    assert np.max(np.abs(np.cos(ff.beta) - np.sum(xi * ff.e2, 0))) < 1e-10
     # rotation structure: e2 = sin(b) J e1 + cos(b) xi, e3 = -cos(b) J e1 + sin(b) xi
     Je1 = jmul(ff.e1)
-    sb = np.sin(ff.beta)[..., None]
-    cb = np.cos(ff.beta)[..., None]
+    sb = np.sin(ff.beta)
+    cb = np.cos(ff.beta)
     assert np.max(np.abs(ff.e2 - (sb * Je1 + cb * xi))) < 1e-8
     assert np.max(np.abs(ff.e3 - (-cb * Je1 + sb * xi))) < 1e-8
 
@@ -246,8 +270,8 @@ def test_angle_partition_of_unity():
     grid = geodesic_sphere().sample(n=32)
     ff = contact_angle_field(grid)
     xi = jmul(grid.points)   # xi = i z
-    c2 = np.sum(xi * ff.e2, -1)
-    c3 = np.sum(xi * ff.e3, -1)
+    c2 = np.sum(xi * ff.e2, 0)
+    c3 = np.sum(xi * ff.e3, 0)
     assert np.max(np.abs(c2 ** 2 + c3 ** 2 - 1.0)[~ff.mask]) < 1e-9
 
 
@@ -262,7 +286,7 @@ def test_contact_angle_field_sphere_arcsin():
     grid = geodesic_sphere().sample(n=64)
     ff = contact_angle_field(grid)
     assert ff.n_masked == 0
-    assert np.max(np.abs(ff.beta - np.arcsin(grid.points[..., 2]))) < 1e-8
+    assert np.max(np.abs(ff.beta - np.arcsin(grid.points[2]))) < 1e-8
 
 
 def test_r_torus_angle_constant():
@@ -294,19 +318,14 @@ def test_gauge_covariance_under_recombination():
     assert np.max(np.abs(f1.beta - f2.beta)) < 1e-10
     assert np.max(np.abs(f1.e2 - f2.e2)) < 1e-10
     assert np.max(np.abs(f1.e3 - f2.e3)) < 1e-10
-    assert np.max(np.abs(np.abs(np.sum(f1.e1 * f2.e1, -1)) - 1)) < 1e-10
+    assert np.max(np.abs(np.abs(np.sum(f1.e1 * f2.e1, 0)) - 1)) < 1e-10
 
 
 def _polar_cap_chart():
     # graph chart of the great sphere y1 = 0 around (1,0,0,0), where the
     # tangent plane equals the contact plane at the center
     def point(A, B):
-        out = np.empty(A.shape + (4,))
-        out[..., 0] = np.sqrt(1.0 - A ** 2 - B ** 2)
-        out[..., 1] = 0.0
-        out[..., 2] = A
-        out[..., 3] = B
-        return out
+        return np.stack([np.sqrt(1.0 - A ** 2 - B ** 2), np.zeros_like(A), A, B])
 
     return point
 
@@ -319,7 +338,7 @@ def test_degenerate_contact_masked_and_single_point():
     assert ff.mask[4, 4]
     Xu, Xv = tangent_fields(grid)
     with pytest.raises(DegenerateContact):
-        _adapted_frame(grid.points[4, 4], Xu[4, 4], Xv[4, 4])
+        _adapted_frame(grid.points[:, 4, 4], Xu[:, 4, 4], Xv[:, 4, 4])
 
 
 def test_degenerate_fraction_guard():
@@ -377,9 +396,8 @@ def _rotated_polar_cap(n, seed):
 
     def point(A, B):
         x = cap(A, B)
-        w = np.stack([x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]], -1) @ a.T
-        return np.stack([w[..., 0].real, w[..., 0].imag,
-                         w[..., 1].real, w[..., 1].imag], -1)
+        w1, w2 = np.moveaxis(np.stack([x[0] + 1j * x[1], x[2] + 1j * x[3]], -1) @ a.T, -1, 0)
+        return np.stack([w1.real, w1.imag, w2.real, w2.imag])
 
     grid = sample(point, GridSpec(n, n, (-0.3, 0.3), (-0.3, 0.3), "chart", "chart"))
     grid.label = f"rotated cap {n}x{n}"
@@ -394,7 +412,9 @@ def test_adapted_frames_are_positively_oriented():
               _rotated_polar_cap(65, seed=5)]
     for grid in grids:
         ff = contact_angle_field(grid)
-        det = np.linalg.det(np.stack([grid.points, ff.e1, ff.e2, ff.e3], axis=-2))
+        # one 4x4 matrix per node, rows z, e1, e2, e3
+        frame = np.stack([grid.points, ff.e1, ff.e2, ff.e3])
+        det = np.linalg.det(np.moveaxis(frame, (0, 1), (-2, -1)))
         assert np.max(np.abs(det[~ff.mask] - 1.0)) < 1e-14, grid.label
     assert ff.n_masked == 1
 
@@ -435,7 +455,7 @@ def _past_the_equator_chart():
     # through pi there, so the masked fill has to unwrap it
     def point(A, B):
         return np.stack([np.cos(A) * np.cos(B), np.zeros_like(A),
-                         -np.sin(A), np.cos(A) * np.sin(B)], -1)
+                         -np.sin(A), np.cos(A) * np.sin(B)])
 
     grid = sample(point, GridSpec(33, 33, (-1.2, 1.2), (-2.0, 2.0), "chart", "chart"))
     grid.label = "past the equator"
@@ -450,12 +470,12 @@ def _reference_raw_frames(z, Xu, Xv):
     package's checks that claim.  Returns (e1, e3, mask, xi)."""
     xi = jmul(z)
     nraw = cross4(z, Xu, Xv)
-    e3 = nraw / np.maximum(np.linalg.norm(nraw, axis=-1), 1e-300)[..., None]
-    mask = np.abs(np.sum(xi * e3, -1)) > 1.0 - DEGENERACY_TOL
-    w = np.sum(Xv * xi, -1)[..., None] * Xu - np.sum(Xu * xi, -1)[..., None] * Xv
-    wn = np.linalg.norm(w, axis=-1)
+    e3 = nraw / np.maximum(np.linalg.norm(nraw, axis=0), 1e-300)
+    mask = np.abs(np.sum(xi * e3, 0)) > 1.0 - DEGENERACY_TOL
+    w = np.sum(Xv * xi, 0) * Xu - np.sum(Xu * xi, 0) * Xv
+    wn = np.linalg.norm(w, axis=0)
     mask = mask | (wn < 1e-14)
-    e1 = np.where(mask[..., None], perp(z), w / np.maximum(wn, 1e-300)[..., None])
+    e1 = np.where(mask, perp(z), w / np.maximum(wn, 1e-300))
     return e1, e3, mask, xi
 
 
@@ -468,14 +488,14 @@ def _gather_mismatches(spec, e1, mask):
 
     up, vp = ahead(spec.n_u, spec.topology_u), ahead(spec.n_v, spec.topology_v)
     good = ~mask
-    return (int(np.sum((np.sum(e1 * e1[up, :], -1) < 0) & good & good[up, :]))
-            + int(np.sum((np.sum(e1 * e1[:, vp], -1) < 0) & good & good[:, vp])))
+    return (int(np.sum((np.sum(e1 * e1[:, up, :], 0) < 0) & good & good[up, :]))
+            + int(np.sum((np.sum(e1 * e1[:, :, vp], 0) < 0) & good & good[:, vp])))
 
 
 def _leg(grid, c):
     """c[0] Xu + c[1] Xv, the tangent field with (Xu, Xv)-coordinates c."""
     Xu, Xv = tangent_fields(grid)
-    return c[0][..., None] * Xu + c[1][..., None] * Xv
+    return c[0] * Xu + c[1] * Xv
 
 
 def _quarter_turn(grid, c1):
@@ -503,9 +523,9 @@ def _reference_frames(grid):
     metric = grid.geometry[2]
     E, F, G = metric.E, metric.F, metric.G
     _, e3, mask, xi = _reference_raw_frames(grid.points, Xu, Xv)
-    a, b = np.sum(Xu * xi, -1), np.sum(Xv * xi, -1)
+    a, b = np.sum(Xu * xi, 0), np.sum(Xv * xi, 0)
     wn = np.sqrt(b * b * E - 2.0 * a * b * F + a * a * G)
-    w = b[..., None] * Xu - a[..., None] * Xv
+    w = np.moveaxis(b * Xu - a * Xv, 0, -1)   # one 4-vector per node
     order, parents = _flood_order(grid.spec, mask)
     sign = np.ones(mask.shape)
     for node, par in zip(order, parents):
@@ -515,7 +535,7 @@ def _reference_frames(grid):
                 w_xu = b[node] * F[node] - a[node] * G[node]
             sign[node] = 1.0 if w_xu >= 0 else -1.0
         else:
-            d = float(np.sum(w[node] * w[par], -1)) * sign[par]
+            d = float(np.sum(w[node] * w[par])) * sign[par]
             sign[node] = 1.0 if d >= 0 else -1.0
     sign[mask] = sign[order[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -525,7 +545,7 @@ def _reference_frames(grid):
     e1 = _leg(grid, coeff1)
     # sin(beta) = <i Xu, Xv> / sqrt(det g) and cos(beta) = <xi, e2> =
     # sign |w| / sqrt(det g), both formed from the tangent pair alone
-    sin_beta = np.sum(jmul(Xu) * Xv, -1) / metric.sqrt_det
+    sin_beta = np.sum(jmul(Xu) * Xv, 0) / metric.sqrt_det
     beta = np.arctan2(sin_beta, sign * wn / metric.sqrt_det)
     for node, par in zip(order, parents):
         if par is not None:
@@ -556,7 +576,7 @@ class _SphereLongitudeFirst:
 
     def d1(self, U, V):
         f_theta, f_phi = geodesic_sphere().d1(-V + self.tilt * np.sin(U), U)
-        return f_phi + (self.tilt * np.cos(U))[..., None] * f_theta, -f_theta
+        return f_phi + self.tilt * np.cos(U) * f_theta, -f_theta
 
 
 def _gauge_grids():
@@ -599,7 +619,7 @@ def test_signed_e1_coordinates_keep_the_dot_zero_sign():
     a, b, _, wn = _raw_frames(grid.points, Xu, Xv, metric)
     assert (b * metric.E - a * metric.F)[0, 0] < 0 <= dot(ff.e1, Xu)[0, 0]
     assert ff.n_masked == 0
-    raw_e1 = (b / wn)[..., None] * Xu - (a / wn)[..., None] * Xv
+    raw_e1 = (b / wn) * Xu - (a / wn) * Xv
     assert np.array_equal(ff.e1, -raw_e1)
     for name, want in ref.items():
         if name != "beta":
@@ -642,7 +662,7 @@ def test_seed_sign_survives_last_bit_changes_of_the_seed():
                 points = base.points.copy()
                 partials = {key: x.copy() for key, x in base.partials.items()}
                 x = points if name == "points" else partials[name]
-                x[0, 0, k] = np.nextafter(x[0, 0, k], toward)
+                x[k, 0, 0] = np.nextafter(x[k, 0, 0], toward)
                 grid = SurfaceGrid(base.spec, points, partials)
                 Xu, Xv, metric = grid.geometry
                 a, b, _, _ = _raw_frames(grid.points, Xu, Xv, metric)
@@ -661,9 +681,14 @@ def _tilted_clifford(theta):
     base = clifford()
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
+
+    def rotated(x):
+        """rot applied to each 4-vector of the (4, ...) field x."""
+        return np.ascontiguousarray(np.moveaxis(np.moveaxis(x, 0, -1) @ rot.T, -1, 0))
+
     return CatalogEntry(name=f"clifford tilted by {theta}",
-                        point=lambda U, V: base.point(U, V) @ rot.T,
-                        d1=lambda U, V: tuple(d @ rot.T for d in base.d1(U, V)))
+                        point=lambda U, V: rotated(base.point(U, V)),
+                        d1=lambda U, V: tuple(rotated(d) for d in base.d1(U, V)))
 
 
 def test_one_sign_keeps_beta_in_a_half_turn_past_singular_points():
@@ -691,8 +716,8 @@ def test_sign_mismatches_match_gather_count(topology_u, topology_v):
     for trial in range(8):
         n, m = (int(k) for k in rng.integers(8, 24, 2))
         spec = GridSpec(n, m, topology_u=topology_u, topology_v=topology_v)
-        e1 = rng.normal(size=(n, m, 4))
-        e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+        e1 = np.ascontiguousarray(np.moveaxis(rng.normal(size=(n, m, 4)), -1, 0))
+        e1 /= np.linalg.norm(e1, axis=0)
         mask = rng.random((n, m)) < (0.0, 0.1, 0.5, 0.9)[trial % 4]
         count = _sign_mismatches(spec, e1, mask)
         assert count == _gather_mismatches(spec, e1, mask), (n, m, trial)
@@ -710,10 +735,10 @@ def test_quarter_turn_e2_matches_cross4_oracle():
         e1, e2, _, _, _ = _cross4_frames(grid.points, Xu, Xv)
         # the oracle's e1, the 4-vector w / |w|, is the package's up to the
         # global sign and rounding
-        sign = np.sign(dot(e1, ff.e1))[..., None]
+        sign = np.sign(dot(e1, ff.e1))
         good = ~ff.mask
-        assert np.max(np.abs(sign * e1 - ff.e1)[good]) < 2e-15, grid.label
-        assert np.max(np.abs(sign * e2 - ff.e2)[good]) < 2e-15, grid.label
+        assert np.max(np.abs(sign * e1 - ff.e1)[:, good]) < 2e-15, grid.label
+        assert np.max(np.abs(sign * e2 - ff.e2)[:, good]) < 2e-15, grid.label
         metric = grid.geometry[2]
         (c1u, c1v), (c2u, c2v) = ff.coeff1, ff.coeff2
         g12 = (metric.E * c1u * c2u + metric.G * c1v * c2v
