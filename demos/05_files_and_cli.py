@@ -31,6 +31,10 @@ with tempfile.TemporaryDirectory(prefix="contactgeom_demo_") as workdir:
     print("  exit code:", rc)
     report = json.loads((tmp / "report.json").read_text())
     print("  beta max:", report["fields"]["beta"]["max"], " area:", report["area"])
+    # the fields.csv analyze wrote is itself a sample file of the same grid
+    again = read_samples(str(tmp / "fields.csv"))
+    print("  fields.csv read back: max point deviation from the sample file =",
+          f"{np.max(np.abs(again.points - back.points)):.2e}")
 
     print("\nCLI identity verification with refinement:")
     rc = cli(["verify", "--surface", "geodesic_sphere", "--identity", "curvature",

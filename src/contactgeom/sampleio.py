@@ -7,8 +7,10 @@ Native format (diff-friendly, self-describing):
 
 All floats are written as %.12e, byte for byte what Python's `%` prints.
 read_samples also accepts the analyzer's fields.csv (recognized by its
-header line); grid shape is inferred from the u/v columns and an axis is
-treated as periodic when its node spacing wraps the range to 2*pi.  Either
+header line).  Either file is a grid and a table, with one rule: each row
+is its grid's node, to within 1e-9 max(1, h) per axis; the grid comes from
+the header, or for a fields.csv from its first run and last row (an axis
+is periodic when its node spacing wraps the range to 2*pi).  Either
 format's grid is labelled samples:<file name>, without the directory, so a
 report does not depend on where the file was read from.
 
@@ -263,58 +265,6 @@ def _parse_floats(tokens, lineno):
         raise ParseError(f"bad float: {exc}", line=lineno) from None
 
 
-def _grid_from_columns(u, v, pts4, path, label):
-    """Reconstruct a grid (nu, nv, ranges, topologies) from flat u/v columns.
-
-    A grid-shape ParseError names the file line of the first row that
-    breaks the u-major rectangular or tensor-product shape, or of the first
-    row of the first u-block (v-column) whose step from the one before
-    differs from the first step; only then is the file read again.
-    """
-    total = len(u)
-    nv = 1
-    while nv < total and u[nv] == u[0]:
-        nv += 1
-    if nv < 2 or nv == total or total % nv != 0:
-        r = np.arange(total)
-        off = np.flatnonzero(u != u[r - r % nv])
-        if nv < 2:
-            row = 1  # a u-block of one node
-        elif off.size:
-            row = off[0]
-        elif nv == total:
-            row = total - 1  # one u-block; a second should follow this row
-        else:
-            row = total - total % nv  # the last u-block is short
-        raise ParseError("rows do not form a rectangular u-major grid",
-                         line=_row_lines(_read_lines(path))[row])
-    nu = total // nv
-    U = u.reshape(nu, nv)
-    V = v.reshape(nu, nv)
-    off = np.flatnonzero((U != U[:, :1]) | (V != V[:1, :]))
-    if off.size:
-        raise ParseError("u/v columns are not a tensor-product grid",
-                         line=_row_lines(_read_lines(path))[off[0]])
-    us, vs = U[:, 0], V[0, :]
-
-    def axis(vals, stride):
-        h = vals[1] - vals[0]
-        off = np.flatnonzero(np.abs(np.diff(vals) - h) > 1e-9 * max(1.0, abs(h)))
-        if off.size:
-            raise ParseError("non-uniform node spacing",
-                             line=_row_lines(_read_lines(path))[(off[0] + 1) * stride])
-        span_wrap = vals[-1] - vals[0] + h
-        if abs(span_wrap - 2.0 * np.pi) < 1e-6:
-            return "periodic", (vals[0], vals[0] + 2.0 * np.pi)
-        return "chart", (vals[0], vals[-1])
-
-    topo_u, u_range = axis(us, nv)
-    topo_v, v_range = axis(vs, 1)
-    spec = GridSpec(nu, nv, u_range, v_range, topo_u, topo_v)
-    points = np.ascontiguousarray(pts4.T).reshape(4, nu, nv)
-    return SurfaceGrid(spec, _onto_sphere(points), label=label)
-
-
 def _read_lines(path):
     """The file's lines, split where np.loadtxt splits them; ParseError when
     it cannot be read, is empty, or is not UTF-8 (naming the bad line)."""
@@ -337,15 +287,12 @@ def _row_lines(lines):
     return [k for k, ln in enumerate(lines[1:], start=2) if ln.strip()]
 
 
-def _parse_rows(path, sep, n_cols, n_rows=None):
+def _parse_rows(path, sep, n_cols):
     """The first 6 columns of the data rows, read line by line so that a
-    ParseError names the first bad line; with n_rows, their count first."""
+    ParseError names the first bad line."""
     lines = _read_lines(path)
-    rows = _row_lines(lines)
-    if n_rows is not None and len(rows) != n_rows:
-        raise ParseError(f"expected {n_rows} rows, found {len(rows)}", line=len(lines))
     data = []
-    for k in rows:
+    for k in _row_lines(lines):
         toks = lines[k - 1].split(sep)
         if len(toks) != n_cols:
             raise ParseError(f"expected {n_cols} columns, found {len(toks)}", line=k)
@@ -353,15 +300,59 @@ def _parse_rows(path, sep, n_cols, n_rows=None):
     return np.asarray(data, float).reshape(-1, 6)
 
 
+def _header_grid(first):
+    """GridSpec arguments of a native header line; ParseError (line 1) when
+    it is not one."""
+    head = first.split()
+    if len(head) != 10 or head[0] != FORMAT_MAGIC:
+        raise ParseError(f"expected '{FORMAT_MAGIC} {FORMAT_VERSION} ...' header "
+                         "or a fields.csv header", line=1)
+    if head[1] != FORMAT_VERSION:
+        raise ParseError(f"unsupported format version {head[1]!r}", line=1)
+    try:
+        nu, nv = int(head[2]), int(head[3])
+    except ValueError:
+        raise ParseError("node counts must be integers", line=1) from None
+    u0, u1, v0, v1 = _parse_floats(head[6:10], 1)
+    return nu, nv, (u0, u1), (v0, v1), head[4], head[5]
+
+
+def _columns_grid(table):
+    """GridSpec arguments of a fields.csv's rows: n_v is the run of the first
+    u value (a NaN ends it at once), n_u the number of whole runs, and each
+    axis runs from the first row's node to the last row's, periodic where its
+    step wraps that to 2*pi.  No rows give a 0x0 grid, which GridSpec refuses."""
+    u = table[:, 0]
+    breaks = np.flatnonzero(u[1:] != u[:1])
+    n_v = int(breaks[0]) + 1 if breaks.size else len(u)
+    n_u = len(u) // max(n_v, 1)
+    (u0, v0), (u1, v1) = table[[0, -1], :2].tolist() if len(u) else [(0.0, 0.0)] * 2
+
+    def axis(a, b, n):
+        """Topology and range of n nodes from a to b; Python floats, so a
+        NaN or an infinity raises no numpy warning."""
+        span = b - a
+        if abs(span + span / max(n - 1, 1) - 2.0 * np.pi) < 1e-6:
+            return "periodic", (a, a + 2.0 * np.pi)
+        return "chart", (a, b)
+
+    topo_u, u_range = axis(u0, u1, n_u)
+    topo_v, v_range = axis(v0, v1, n_v)
+    return n_u, n_v, u_range, v_range, topo_u, topo_v
+
+
 def read_samples(path):
     """Parse a native sample file or a fields.csv export into a SurfaceGrid:
     the header line, then one np.loadtxt over the rest of the open file.
 
-    Raises ParseError naming the line of a malformed file (a native file's
-    u/v columns must be its header's grid nodes, to within 1e-9 max(1, h),
-    NaN failing) or of its first byte that is not UTF-8, or saying why the
-    file cannot be read; and OffSphere naming the node whose point is off
-    S^3 or not finite.
+    A file is a grid and a table, and each row is its grid's node, to within
+    1e-9 max(1, h) per axis (NaN failing); the grid comes from the header, or
+    for a fields.csv from its first run and last row.  Raises ParseError
+    naming the line of a malformed file: the first row off its node, the
+    last line for a row count that is not n_u n_v, the header (a fields.csv's
+    last line) for a grid GridSpec refuses, or the first byte that is not
+    UTF-8; or saying why the file cannot be read.  Raises OffSphere naming
+    the node whose point is off S^3 or not finite.
     """
     label = f"samples:{os.path.basename(path)}"
     try:
@@ -374,41 +365,27 @@ def read_samples(path):
         # only a file that one read rejects is read again, line by line
         first, table = _read_lines(path)[0], None
 
-    first = first.strip()
-    if first == FIELDS_CSV_HEADER:
-        if table is None or table.shape[1] != 12:
-            table = _parse_rows(path, ",", 12)
-        if len(table) < 4:
-            raise ParseError("too few rows for a grid", line=len(_read_lines(path)))
-        return _grid_from_columns(table[:, 0], table[:, 1], table[:, 2:6], path, label)
-
-    head = first.split()
-    if len(head) != 10 or head[0] != FORMAT_MAGIC:
-        raise ParseError(f"expected '{FORMAT_MAGIC} {FORMAT_VERSION} ...' header "
-                         "or a fields.csv header", line=1)
-    if head[1] != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {head[1]!r}", line=1)
+    csv = first.strip() == FIELDS_CSV_HEADER
+    header = None if csv else _header_grid(first)
+    n_cols = 12 if csv else 6
+    if table is None or table.shape[1] != n_cols:
+        table = _parse_rows(path, "," if csv else None, n_cols)
+    nu, nv, *axes = _columns_grid(table) if csv else header
+    if len(table) != nu * nv:
+        raise ParseError(f"expected {nu * nv} rows, found {len(table)}",
+                         line=len(_read_lines(path)))
     try:
-        nu, nv = int(head[2]), int(head[3])
-    except ValueError:
-        raise ParseError("node counts must be integers", line=1) from None
-    topo_u, topo_v = head[4], head[5]
-    u0, u1, v0, v1 = _parse_floats(head[6:10], 1)
-    try:
-        spec = GridSpec(nu, nv, (u0, u1), (v0, v1), topo_u, topo_v)
+        spec = GridSpec(nu, nv, *axes)
     except ValueError as exc:
-        raise ParseError(str(exc), line=1) from None
-
-    if table is None or table.shape != (nu * nv, 6):
-        table = _parse_rows(path, None, 6, n_rows=nu * nv)
-    table = table.reshape(nu, nv, 6)
+        raise ParseError(str(exc), line=len(_read_lines(path)) if csv else 1) from None
+    table = table[:, :6].reshape(nu, nv, 6)
     U, V = spec.mesh(sparse=True)
     bad = ~((np.abs(table[:, :, 0] - U) <= 1e-9 * max(1.0, spec.h_u))
             & (np.abs(table[:, :, 1] - V) <= 1e-9 * max(1.0, spec.h_v)))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ParseError(f"(u, v) = {tuple(table[i, j, :2].tolist())} is not node "
-                         f"({i}, {j}) of the header's grid",
+                         f"({i}, {j}) of the {nu}x{nv} grid",
                          line=_row_lines(_read_lines(path))[i * nv + j])
     # the four point columns as one contiguous (4, n_u, n_v) block
     points = np.ascontiguousarray(table.transpose(2, 0, 1)[2:])

@@ -86,8 +86,9 @@ class GridSpec:
             raise ValueError("grids need at least 8 nodes per axis")
         if self.topology_u not in _TOPOLOGIES or self.topology_v not in _TOPOLOGIES:
             raise ValueError(f"topology must be one of {_TOPOLOGIES}")
-        if not (self.u_range[1] > self.u_range[0] and self.v_range[1] > self.v_range[0]):
-            raise ValueError("parameter ranges must be increasing")
+        spans = (self.u_range[1] - self.u_range[0], self.v_range[1] - self.v_range[0])
+        if not all(0.0 < span < np.inf for span in spans):
+            raise ValueError("parameter ranges must be finite and increasing")
 
     @property
     def h_u(self):

@@ -190,9 +190,10 @@ def test_sample_file_bad_header(tmp_path):
         read_samples(str(path))
 
 
-def _sample_file_lines(fmt, tmp_path):
-    """Lines of an 8x8 clifford sample file, native or fields.csv, and the separator."""
-    grid = clifford().sample(n=8)
+def _sample_file_lines(fmt, tmp_path, grid=None):
+    """Lines of a sample file of grid (default an 8x8 clifford), native or
+    fields.csv, and the separator."""
+    grid = clifford().sample(n=8) if grid is None else grid
     path = tmp_path / "clifford.s3"
     write_samples(grid, str(path))
     lines = path.read_text().splitlines()
@@ -236,13 +237,20 @@ def test_sample_file_ragged_rows_fail_at_first_short_row(tmp_path):
 
 
 @pytest.mark.parametrize("fault, line, message", [
-    ("non-uniform spacing", 27, "non-uniform node spacing"),
-    ("non-tensor grid", 16, "not a tensor-product grid"),
-    ("short u-block", 26, "rectangular"),
-    ("single u-block", 10, "rectangular"),
-])
+    ("non-uniform spacing", 27, "is not node (3, 0) of the 8x8 grid"),
+    ("non-tensor grid", 16, "is not node (1, 5) of the 8x8 grid"),
+    ("short u-block", 65, "expected 56 rows, found 63"),
+    ("single u-block", 10, "grids need at least 8 nodes per axis"),
+    ("nan first u", 66, "grids need at least 8 nodes per axis"),
+], ids=["non-uniform spacing", "non-tensor grid", "short u-block", "single u-block",
+        "nan first u"])
 def test_fields_csv_grid_error_names_offending_row(tmp_path, fault, line, message):
-    # after the header and one blank line, data row r sits on file line r + 3
+    # after the header and one blank line, data row r sits on file line r + 3.
+    # The grid is the first run (8 v-nodes), the whole runs and the last row:
+    # a row off its node is named by the node check, a count that is not
+    # whole runs at the last line, and a grid GridSpec refuses at the last
+    # line.  NaN differs from itself, so a NaN first u ends the first run at
+    # once: the rows read as a 64x1 grid
     lines, _ = _sample_file_lines("fields.csv", tmp_path)
     rows = [ln.split(",") for ln in lines[1:]]
     if fault == "non-uniform spacing":
@@ -251,15 +259,66 @@ def test_fields_csv_grid_error_names_offending_row(tmp_path, fault, line, messag
     elif fault == "non-tensor grid":
         rows[13][1] = repr(float(rows[13][1]) + 0.01)
     elif fault == "short u-block":
-        del rows[20]  # row 23 is now the first row of the fourth u-block
-    else:
+        del rows[20]
+    elif fault == "single u-block":
         rows = rows[:8]
+    else:
+        rows[0][0] = "nan"
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([lines[0], ""] + [",".join(t) for t in rows]) + "\n")
     with pytest.raises(ParseError) as err:
         read_samples(str(path))
     assert err.value.line == line
     assert message in str(err.value)
+
+
+MUTATIONS = ("non-finite token", "shifted token", "truncated", "reversed", "dropped row")
+
+
+def _mutated(lines, sep, kind, rng):
+    """The file text of an 8x8 grid's lines with their data rows mutated by
+    kind: a u or v token made NaN or infinite or moved by 1e-3..1, the rows
+    cut after whole u-rows or inside a row, their order reversed, or one row
+    left out.  A third of the rows picked are the first and the last, from
+    which a fields.csv's grid is read."""
+    rows = [ln.split(sep) for ln in lines[1:]]
+    r = int(rng.choice([0, len(rows) - 1, rng.integers(len(rows))]))
+    c = int(rng.integers(2))
+    tail = []
+    if kind == "non-finite token":
+        rows[r][c] = rng.choice(["nan", "inf", "-inf"])
+    elif kind == "shifted token":
+        rows[r][c] = repr(float(rows[r][c]) + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1.0))
+    elif kind == "truncated":  # inside row r, or after the whole u-rows before it
+        half = sep.join(rows[r])[:len(sep.join(rows[r])) // 2]
+        rows, tail = (rows[:r], [half]) if c else (rows[:r - r % 8], [])
+    elif kind == "reversed":
+        rows.reverse()
+    else:
+        del rows[r]
+    return "\n".join([lines[0]] + [sep.join(t) for t in rows] + tail) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["native", "fields.csv"])
+@pytest.mark.parametrize("surface", ["periodic", "chart"])
+def test_mutated_sample_files_raise_only_typed_errors(tmp_path, fmt, surface):
+    # every mutated file is refused with a ParseError naming a line of the
+    # file, or an OffSphere naming a node; a bare ValueError or IndexError
+    # fails the test, as GridSpec's did for a fields.csv of reversed rows
+    grid = (clifford() if surface == "periodic" else geodesic_sphere()).sample(n=8)
+    lines, sep = _sample_file_lines(fmt, tmp_path, grid)
+    rng = np.random.default_rng(11 if fmt == "native" else 12)
+    path = tmp_path / "mutated.s3"
+    for trial in range(150):
+        kind = MUTATIONS[trial % len(MUTATIONS)]
+        text = _mutated(lines, sep, kind, rng)
+        path.write_text(text)
+        with pytest.raises((ParseError, OffSphere)) as err:
+            read_samples(str(path))
+        if err.type is ParseError:
+            assert 1 <= err.value.line <= text.count("\n"), (kind, trial)
+        else:
+            assert err.value.node is not None, (kind, trial)
 
 
 @pytest.mark.parametrize("fmt", ["native", "fields.csv"])

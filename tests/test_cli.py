@@ -258,6 +258,28 @@ def test_sample_file_u_v_columns_must_be_the_header_nodes(fault, line, tmp_path,
     _exits_3_naming(path, line, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("fmt, line", [("native", 1), ("fields.csv", 33)])
+def test_a_grid_under_8_nodes_exits_3_in_either_format(fmt, line, tmp_path, capsys):
+    # the first four u-rows of an 8x8 clifford file: a 4x8 chart-by-periodic
+    # grid, which a native header states and a fields.csv's rows imply; either
+    # way it is too small, named at the header or at the last row
+    grid = clifford().sample(n=8)
+    path = tmp_path / "small.s3"
+    write_samples(grid, str(path))
+    rows = [ln.split() for ln in path.read_text().splitlines()[1:33]]
+    if fmt == "native":
+        head = ("S3SAMPLES v1 4 8 chart periodic 0 %.12e 0 %.12e"
+                % (grid.spec.us[3], 2.0 * np.pi))
+        text = [head] + [" ".join(t) for t in rows]
+    else:
+        text = [FIELDS_CSV_HEADER] + [",".join(t + ["0.0"] * 5 + ["0"]) for t in rows]
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ParseError, match="at least 8 nodes") as err:
+        read_samples(str(path))
+    assert err.value.line == line
+    _exits_3_naming(path, line, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("fault", ["directory", "not UTF-8"])
 def test_unreadable_sample_path_exits_3(fault, tmp_path, capsys):
     path = tmp_path / "samples.s3"

@@ -47,6 +47,15 @@ def test_demo_01_frame_is_orthonormal_and_its_derivative_second_order(tmp_path):
         assert h_half == h / 2 and 3.5 <= r / r_half <= 4.5
 
 
+def test_demo_05_reads_its_fields_csv_back(tmp_path):
+    # the fields.csv that demo 05's analyze writes reads back to the points
+    # of the sample file it analyzed
+    out = _run(DEMOS[4], tmp_path)
+    dev = re.search(r"fields\.csv read back: max point deviation from the sample file = (\S+)",
+                    out)
+    assert dev and float(dev.group(1)) < 1e-12
+
+
 def test_readme_quickstart_runs(tmp_path):
     # a name the package retires cannot stay in the README's example
     readme = (ROOT / "README.md").read_text()

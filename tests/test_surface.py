@@ -53,6 +53,10 @@ def test_gridspec_validation():
         GridSpec(4, 64)
     with pytest.raises(ValueError):
         GridSpec(16, 16, topology_u="moebius")
+    # a range that is not finite and increasing has no nodes to step through
+    for u_range in ((1.0, 1.0), (0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite and increasing"):
+            GridSpec(16, 16, u_range, topology_u="chart")
     spec = GridSpec(16, 16, (0.0, 1.0), (0.0, 2.0), "chart", "periodic")
     assert spec.h_u == pytest.approx(1.0 / 15)
     assert spec.h_v == pytest.approx(2.0 / 16)
@@ -429,6 +433,13 @@ def _square_loop(center, k):
     return tuple(np.array(path).T)
 
 
+def _e1_angle(grid, ff):
+    """e1's angle from Xu in the oriented tangent plane, at every node."""
+    metric = grid.geometry[2]
+    c1u, c1v = ff.coeff1
+    return np.arctan2(c1v * metric.sqrt_det, metric.E * c1u + metric.F * c1v)
+
+
 @pytest.mark.parametrize("seed", [1, 5, 7])
 def test_e1_winds_once_around_the_cap(seed):
     # the cap's centre is a singular point of the characteristic foliation
@@ -439,10 +450,7 @@ def test_e1_winds_once_around_the_cap(seed):
     ff = contact_angle_field(grid)
     centre = tuple(int(k) for k in np.argwhere(ff.mask)[0])
     assert ff.n_masked == 1 and centre == (32, 32)
-    metric = grid.geometry[2]
-    c1u, c1v = ff.coeff1
-    # e1's angle from Xu in the oriented tangent plane
-    phi = np.arctan2(c1v * metric.sqrt_det, metric.E * c1u + metric.F * c1v)
+    phi = _e1_angle(grid, ff)
     for k in range(1, 33):
         p = phi[_square_loop(centre, k)]
         step = np.remainder(np.diff(p, append=p[:1]) + np.pi, 2.0 * np.pi) - np.pi
@@ -704,6 +712,33 @@ def test_one_sign_keeps_beta_in_a_half_turn_past_singular_points():
         assert ff.n_masked == 0, n
         assert np.all(np.abs(ff.beta) <= np.pi / 2), n
         assert ff.sign_mismatches < 40, n
+
+
+def _cell_windings(phi):
+    """Turns of the angle field phi around each cell of a doubly periodic
+    grid, counterclockwise in (u, v): cell (i, j) has the corners (i, j),
+    (i + 1, j), (i + 1, j + 1) and (i, j + 1), indices wrapping."""
+    corners = [phi, np.roll(phi, -1, 0), np.roll(phi, (-1, -1), (0, 1)), np.roll(phi, -1, 1)]
+    steps = [np.remainder(b - a + np.pi, 2.0 * np.pi) - np.pi
+             for a, b in zip(corners, corners[1:] + corners[:1])]
+    return sum(steps) / (2.0 * np.pi)
+
+
+def test_tilted_bumped_torus_has_two_singular_points_of_each_index():
+    # e1, one sign over the grid, winds once around each singular point of
+    # the characteristic foliation: two of index +1 and two of index -1 on
+    # the tilted, bumped torus at every grid size (the sum is 0 on a torus).
+    # The windings are integers to within 2.2e-16 (also at 128^2).  A sign
+    # chosen node by node from <w, Xu> >= 0 keeps e1 within a quarter turn
+    # of Xu, so no cell winds at all
+    entry = perturb(_tilted_clifford(1.45), (1, 2), 0.15)
+    for n in (32, 64):
+        grid = entry.sample(n=n)
+        turns = _cell_windings(_e1_angle(grid, contact_angle_field(grid)))
+        index = np.round(turns)
+        assert np.max(np.abs(turns - index)) < 1e-12, n
+        assert np.max(np.abs(index)) <= 1, n
+        assert (np.sum(index == 1), np.sum(index == -1)) == (2, 2), n
 
 
 @pytest.mark.parametrize("topology_u", ["periodic", "chart"])
