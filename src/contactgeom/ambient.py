@@ -9,7 +9,9 @@ arrays and broadcast over the trailing axes; an array whose leading
 dimension is not 4 is rejected.  `dot` is the one real inner product and
 `norm` the one length every other module uses for 4-vectors, each one
 np.einsum pass over the component axis; since that axis is outermost,
-each node's four products are added in order onto +0.0.
+each node's four products are added in order onto +0.0.  `accumulate`
+adds one component's products in that order, so a contraction summed one
+component at a time has dot's bits without either 4-vector field.
 `kahler(a, b)` = <i a, b> is the Kahler form, formed without the vector
 i a; the frames read the Reeb components <v, xi(z)> = kahler(z, v) and
 sin(beta) through it.  `cross4` forms the surface normal, in
@@ -55,6 +57,17 @@ def dot(a, b):
     inner loop and can differ in its last bit.)
     """
     return np.einsum("k...,k...->...", _vec(a), _vec(b))
+
+
+def accumulate(total, a_k, b_k):
+    """Add the products a_k * b_k of component k onto total, in place.
+
+    Called for k = 0, 1, 2, 3 in turn on a total that starts as +0.0 (from
+    np.zeros), it adds each node's products in dot's order and from dot's
+    start value, so the total is bit for bit dot(a, b) while neither a nor
+    b is formed as a 4-vector field.
+    """
+    total += a_k * b_k
 
 
 def kahler(a, b):

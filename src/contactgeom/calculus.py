@@ -32,7 +32,7 @@ the one `surface` caches on the grid.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -68,41 +68,52 @@ def _along_frame(frames, f_u, f_v):
     return [cu * f_u + cv * f_v for cu, cv in (frames.coeff1, frames.coeff2)]
 
 
-def _along_legs(frames, calc, X, legs):
-    """Yields (<D_{e1} X, leg>, <D_{e2} X, leg>) for each leg in turn, from
-    X's parameter derivatives.
+def _along_legs(frames, calc, component, coeffs):
+    """The pairs (<D_{e1} X, e>, <D_{e2} X, e>), one for the leg e of each
+    (Xu, Xv)-coordinate pair in coeffs, from X's parameter derivatives;
+    component(k) is X's component k.
 
-    Each component is c_iu <d_u X, leg> + c_iv <d_v X, leg>: two inner
-    products per leg, shared by both e_i, and no D_{e_i} X field is formed.
-    d_u X is reduced to its inner products and released before d_v X is
-    formed, so one derivative field is alive at a time, and a leg's inner
-    products are released once its pair is formed.
+    Each result is c_iu <d_u X, e> + c_iv <d_v X, e>: two inner products
+    per leg, shared by both e_i, and no D_{e_i} X field is formed.  The
+    inner products are summed one component k at a time: X's component is
+    differentiated as a scalar field (bit for bit component k of the
+    vector stencil), each leg's component is formed from its pair
+    (FrameField.leg_component), and ambient.accumulate adds their products
+    in dot's order.  So the bits are those of dot(d_u X, e), while no
+    4-vector leg or derivative is formed.  A leg's inner products are
+    released as its pair is formed.
     """
-    per_axis = []
-    for diff in (calc.du, calc.dv):
-        d = diff(X)
-        per_axis.append([ambient.dot(d, leg) for leg in legs])
-        del d
-    r_u, r_v = per_axis
-    while r_u:
-        yield _along_frame(frames, r_u.pop(0), r_v.pop(0))
+    r_u = [np.zeros(frames.beta.shape) for _ in coeffs]
+    r_v = [np.zeros(frames.beta.shape) for _ in coeffs]
+    for k in range(4):
+        x_k = component(k)
+        d_u, d_v = calc.du(x_k), calc.dv(x_k)
+        del x_k
+        for coeff, t_u, t_v in zip(coeffs, r_u, r_v):
+            leg_k = frames.leg_component(coeff, k)
+            ambient.accumulate(t_u, d_u, leg_k)
+            ambient.accumulate(t_v, d_v, leg_k)
+            del leg_k
+        del d_u, d_v
+    return [_along_frame(frames, r_u.pop(0), r_v.pop(0)) for _ in coeffs]
 
 
 def shape_operator(grid, frames):
     """S_ij = -<D_{e_i} e3, e_j> by differentiating the constructed e3 field.
 
-    Directional derivatives use the (Xu, Xv)-coordinates of the frame legs
-    (see _along_legs); inner products against tangent frame legs discard
-    ambient normal parts.
+    Directional derivatives use the (Xu, Xv)-coordinates of the frame legs,
+    and e3's derivatives are contracted with e1 and e2 one component at a
+    time (see _along_legs); inner products against tangent frame legs
+    discard ambient normal parts.
     """
-    # the lazy e2 is formed before e3 is differentiated, not while a
-    # derivative field is alive, and S once e3's derivatives are released
-    legs = (frames.e1, frames.e2)
-    for j, along in enumerate(_along_legs(frames, grid.calc, frames.e3, legs)):
-        if j == 0:
-            S = np.empty(frames.beta.shape + (2, 2))
+    # every leg's pair is turned into its frame components, and released,
+    # before S is allocated
+    along = _along_legs(frames, grid.calc, frames.e3.__getitem__,
+                        (frames.coeff1, frames.coeff2))
+    S = np.empty(frames.beta.shape + (2, 2))
+    for j, comp in enumerate(along):
         for i in range(2):
-            np.negative(along.pop(0), out=S[..., i, j])
+            np.negative(comp[i], out=S[..., i, j])
     S[frames.mask] = 0.0
     return ShapeOperatorField(S=S, mask=frames.mask)
 
@@ -289,7 +300,8 @@ class SurfaceAnalysis:
     def res_connection(self):
         """The residuals of the two connection identities, as a pair."""
         frames, (beta1, beta2), tan_beta = self.frames, self.grad_beta, self.tan_beta
-        comp, = _along_legs(frames, self.grid.calc, frames.e2, (frames.e1,))
+        e2_k = partial(frames.leg_component, frames.coeff2)
+        comp, = _along_legs(frames, self.grid.calc, e2_k, (frames.coeff1,))
         return comp[0] - tan_beta * beta2, comp[1] - (-tan_beta * (beta1 + 2.0))
 
     @property

@@ -9,10 +9,11 @@ All floats are written as %.12e, byte for byte what Python's `%` prints.
 read_samples also accepts the analyzer's fields.csv (recognized by its
 header line).  Either file is a grid and a table, with one rule: each row
 is its grid's node, to within 1e-9 max(1, h) per axis; the grid comes from
-the header, or for a fields.csv from its first run and last row (an axis
-is periodic when its node spacing wraps the range to 2*pi).  Either
-format's grid is labelled samples:<file name>, without the directory, so a
-report does not depend on where the file was read from.
+the header, or for a fields.csv from its first run and each column's
+first and last finite values (an axis is periodic when its node spacing
+wraps the range to 2*pi).  Either format's grid is labelled
+samples:<file name>, without the directory, so a report does not depend
+on where the file was read from.
 
 write_table formats in numpy, one block of whole u-rows (_BLOCK_CELLS table
 cells) at a time.  A cell's digits come from k = floor(log10|x|) and
@@ -287,6 +288,12 @@ def _row_lines(lines):
     return [k for k, ln in enumerate(lines[1:], start=2) if ln.strip()]
 
 
+def _last_row_line(path):
+    """The file line of the last data row, before any blank lines that
+    follow it; the header's line 1 when there is no data row."""
+    return (_row_lines(_read_lines(path)) or [1])[-1]
+
+
 def _parse_rows(path, sep, n_cols):
     """The first 6 columns of the data rows, read line by line so that a
     ParseError names the first bad line."""
@@ -317,16 +324,27 @@ def _header_grid(first):
     return nu, nv, (u0, u1), (v0, v1), head[4], head[5]
 
 
+def _ends(column):
+    """The first and last finite values of a column, as Python floats; (0, 0)
+    when it has none."""
+    finite = column[np.isfinite(column)]
+    return (float(finite[0]), float(finite[-1])) if finite.size else (0.0, 0.0)
+
+
 def _columns_grid(table):
-    """GridSpec arguments of a fields.csv's rows: n_v is the run of the first
-    u value (a NaN ends it at once), n_u the number of whole runs, and each
-    axis runs from the first row's node to the last row's, periodic where its
-    step wraps that to 2*pi.  No rows give a 0x0 grid, which GridSpec refuses."""
+    """GridSpec arguments of a fields.csv's rows: n_v is the run of the
+    column's first finite u value (a row whose u is not finite neither ends
+    nor starts it), n_u the number of whole runs, and each axis runs from
+    its column's first finite value to its last, periodic where its step
+    wraps that to 2*pi.  So a row off its node, NaN included, is left to the
+    node check.  No rows give a 0x0 grid, which GridSpec refuses."""
     u = table[:, 0]
-    breaks = np.flatnonzero(u[1:] != u[:1])
+    finite = np.isfinite(u)
+    first = u[finite][0] if finite.any() else np.nan
+    breaks = np.flatnonzero(finite[1:] & (u[1:] != first))
     n_v = int(breaks[0]) + 1 if breaks.size else len(u)
     n_u = len(u) // max(n_v, 1)
-    (u0, v0), (u1, v1) = table[[0, -1], :2].tolist() if len(u) else [(0.0, 0.0)] * 2
+    (u0, u1), (v0, v1) = _ends(u), _ends(table[:, 1])
 
     def axis(a, b, n):
         """Topology and range of n nodes from a to b; Python floats, so a
@@ -347,12 +365,13 @@ def read_samples(path):
 
     A file is a grid and a table, and each row is its grid's node, to within
     1e-9 max(1, h) per axis (NaN failing); the grid comes from the header, or
-    for a fields.csv from its first run and last row.  Raises ParseError
-    naming the line of a malformed file: the first row off its node, the
-    last line for a row count that is not n_u n_v, the header (a fields.csv's
-    last line) for a grid GridSpec refuses, or the first byte that is not
-    UTF-8; or saying why the file cannot be read.  Raises OffSphere naming
-    the node whose point is off S^3 or not finite.
+    for a fields.csv from its first run and each column's first and last
+    finite values.  Raises ParseError naming the line of a malformed file:
+    the first row off its node, the last data row for a row count that is
+    not n_u n_v, the header (a fields.csv's last data row) for a grid
+    GridSpec refuses, or the first byte that is not UTF-8; or saying why the
+    file cannot be read.  Raises OffSphere naming the node whose point is
+    off S^3 or not finite.
     """
     label = f"samples:{os.path.basename(path)}"
     try:
@@ -373,11 +392,11 @@ def read_samples(path):
     nu, nv, *axes = _columns_grid(table) if csv else header
     if len(table) != nu * nv:
         raise ParseError(f"expected {nu * nv} rows, found {len(table)}",
-                         line=len(_read_lines(path)))
+                         line=_last_row_line(path))
     try:
         spec = GridSpec(nu, nv, *axes)
     except ValueError as exc:
-        raise ParseError(str(exc), line=len(_read_lines(path)) if csv else 1) from None
+        raise ParseError(str(exc), line=_last_row_line(path) if csv else 1) from None
     table = table[:, :6].reshape(nu, nv, 6)
     U, V = spec.mesh(sparse=True)
     bad = ~((np.abs(table[:, :, 0] - U) <= 1e-9 * max(1.0, spec.h_u))

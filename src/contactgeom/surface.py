@@ -291,10 +291,11 @@ class FrameField:
     with parameter-space stencils.
     mask flags contact-degenerate nodes (frames meaningless there).  e1
     takes one sign over the whole grid; see contact_angle_field.  beta and
-    the coordinates are formed with the frames; the legs e1, e2, e3 and
-    the diagnostic sign_mismatches are formed from the grid on first read,
-    so a consumer that reads only beta and the coordinates never forms a
-    4-vector leg.
+    the coordinates are formed with the frames; the normal e3 is formed
+    from the grid on first read.  The analysis reads e1 and e2 one
+    component at a time (leg_component), so no command forms them; the
+    legs e1, e2 and the diagnostic sign_mismatches are formed on first
+    read, for the tests, the demos and the benchmark's counter.
     """
 
     grid: SurfaceGrid = field(repr=False)
@@ -304,14 +305,21 @@ class FrameField:
     mask: np.ndarray
     n_masked: int = 0
 
-    def _leg(self, coeff):
-        """cu Xu + cv Xv for the coordinates coeff = (cu, cv), formed into a
-        single field: cv Xv is added one component at a time."""
+    def leg_component(self, coeff, k):
+        """Component k of the leg cu Xu + cv Xv with coordinates coeff =
+        (cu, cv): cu Xu[k], then cv Xv[k] added in place."""
         Xu, Xv = self.grid.geometry[:2]
         cu, cv = coeff
-        leg = cu * Xu
-        for leg_k, Xv_k in zip(leg, Xv):
-            leg_k += cv * Xv_k
+        leg_k = cu * Xu[k]
+        leg_k += cv * Xv[k]
+        return leg_k
+
+    def _leg(self, coeff):
+        """The leg with coordinates coeff as one field, formed component by
+        component (leg_component)."""
+        leg = np.empty_like(self.grid.geometry[0])
+        for k in range(4):
+            leg[k] = self.leg_component(coeff, k)
         return leg
 
     @cached_property

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactgeom.ambient import cross4, dot, kahler, norm, stack4
+from contactgeom.ambient import accumulate, cross4, dot, kahler, norm, stack4
 
 RNG = np.random.default_rng(20240811)
 
@@ -148,6 +148,35 @@ def test_dot_is_bitwise_np_sum():
         assert _same_bits(dot(x, y), np.sum(x * y, 0))
     # four -0.0 products sum to +0.0, as in np.sum; arctan2 reads that sign
     assert not np.signbit(dot(zeros[:, 1:3], zeros[:, 2:0:-1])).any()
+
+
+def _accumulated(x, y, order=range(4)):
+    """sum_k x_k y_k through accumulate, components taken in order, from np.zeros."""
+    total = np.zeros(np.broadcast_shapes(x.shape, y.shape)[1:])
+    for k in order:
+        accumulate(total, x[k], y[k])
+    return total
+
+
+def test_accumulate_is_bitwise_dot():
+    # the frame-leg contractions add one component's products at a time and
+    # form neither 4-vector field; in ascending k from np.zeros they keep
+    # dot's bits on every field layout, signed zeros included
+    scale = 10.0 ** RNG.integers(-12, 12, size=(33, 17, 4))
+    a = _block(RNG.normal(size=(33, 17, 4)) * scale)
+    b = _block(RNG.normal(size=(33, 17, 4)))
+    cases = [(a, b), (a[:, 1:, 0], a[:, :-1, 0]), (a[:, :, 1:], b[:, :, :-1])]
+    cases += _layouts(a, b)
+    for x, y in cases:
+        assert _same_bits(_accumulated(x, y), dot(x, y))
+    zeros = _block(np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0],
+                             [-0.0, 0.0, -0.0, 0.0], [1.0, -1.0, 0.0, -0.0]]))
+    assert _same_bits(_accumulated(zeros, zeros[:, ::-1]), dot(zeros, zeros[:, ::-1]))
+    assert not np.signbit(_accumulated(zeros[:, 1:3], zeros[:, 2:0:-1])).any()
+    # the comparison sees another order: the cancelling products sum to
+    # another value when the components are added in reverse
+    x, y = _layouts(a, b)[-3]
+    assert not _same_bits(_accumulated(x, y, order=range(3, -1, -1)), dot(x, y))
 
 
 def test_single_vectors_are_within_rounding_of_the_four_term_sum():

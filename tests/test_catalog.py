@@ -241,16 +241,16 @@ def test_sample_file_ragged_rows_fail_at_first_short_row(tmp_path):
     ("non-tensor grid", 16, "is not node (1, 5) of the 8x8 grid"),
     ("short u-block", 65, "expected 56 rows, found 63"),
     ("single u-block", 10, "grids need at least 8 nodes per axis"),
-    ("nan first u", 66, "grids need at least 8 nodes per axis"),
+    ("nan first u", 3, "(u, v) = (nan, 0.0) is not node (0, 0) of the 8x8 grid"),
 ], ids=["non-uniform spacing", "non-tensor grid", "short u-block", "single u-block",
         "nan first u"])
 def test_fields_csv_grid_error_names_offending_row(tmp_path, fault, line, message):
     # after the header and one blank line, data row r sits on file line r + 3.
     # The grid is the first run (8 v-nodes), the whole runs and the last row:
     # a row off its node is named by the node check, a count that is not
-    # whole runs at the last line, and a grid GridSpec refuses at the last
-    # line.  NaN differs from itself, so a NaN first u ends the first run at
-    # once: the rows read as a 64x1 grid
+    # whole runs at the last data row, and a grid GridSpec refuses at the
+    # last data row.  A u that is not finite neither starts nor ends a run,
+    # so a NaN first u leaves the grid 8x8 and fails the node check
     lines, _ = _sample_file_lines("fields.csv", tmp_path)
     rows = [ln.split(",") for ln in lines[1:]]
     if fault == "non-uniform spacing":
@@ -269,6 +269,21 @@ def test_fields_csv_grid_error_names_offending_row(tmp_path, fault, line, messag
     with pytest.raises(ParseError) as err:
         read_samples(str(path))
     assert err.value.line == line
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("fmt, message", [("native", "expected 64 rows, found 63"),
+                                          ("fields.csv", "expected 56 rows, found 63")])
+def test_row_count_error_names_the_last_data_row(tmp_path, fmt, message):
+    # the last row dropped and three blank lines after the rest: the row
+    # count is refused at the last data row (line 64), not the file's last
+    # line (67)
+    lines, _ = _sample_file_lines(fmt, tmp_path)
+    path = tmp_path / "short.s3"
+    path.write_text("\n".join(lines[:-1] + [""] * 3) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_samples(str(path))
+    assert err.value.line == 64
     assert message in str(err.value)
 
 

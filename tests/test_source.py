@@ -1,7 +1,8 @@
 """Dead-code, dependency and structure guards over the package source.  The
 source guards parse it with the standard library's ast; one guard also
 measures the stencil weights a grid holds, one counts the cross4 calls
-and 4-vector legs an analysis forms, and one compares the identity bounds
+and 4-vector legs an analysis, analyze and a descent step form, and one
+compares the identity bounds
 with the benchmark's copy."""
 
 import ast
@@ -15,8 +16,10 @@ import pytest
 from contactgeom import ambient
 from contactgeom.calculus import IDENTITIES, ORDER_THRESHOLD, build_analysis
 from contactgeom.catalog import clifford, perturb
+from contactgeom.cli import main
+from contactgeom.flow import FlowConfig, descend
 from contactgeom.gridops import GridCalc
-from contactgeom.surface import GridSpec
+from contactgeom.surface import FrameField, GridSpec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "contactgeom").glob("*.py"))
@@ -251,24 +254,62 @@ def test_cross4_forms_only_the_normal():
         "surface.py:_unit_normal"]
 
 
-def test_curvature_and_laplacian_form_no_vector_leg_past_e1(monkeypatch):
+def test_curvature_and_laplacian_form_no_vector_leg_past_e1(monkeypatch, tmp_path):
     # both residuals read beta, the leg coordinates and the mask only, so
-    # e2 and e3 stay unformed and cross4 is never called
-    calls = []
-    cross4 = ambient.cross4
+    # no leg is formed and cross4 is never called.  The shape operator
+    # differentiates e3 and contracts it with e1 and e2 one component at a
+    # time, so analyze and a descent step form e3 alone: FrameField._leg,
+    # which forms e1 and e2 (and sign_mismatches, through e1), never runs
+    calls, legs = [], []
+    cross4, leg = ambient.cross4, FrameField._leg
 
     def counted(*args):
         calls.append(1)
         return cross4(*args)
 
+    def formed(self, coeff):
+        legs.append(1)
+        return leg(self, coeff)
+
     monkeypatch.setattr(ambient, "cross4", counted)
-    an = build_analysis(perturb(clifford(), (1, 2), 0.05).sample(n=16))
+    monkeypatch.setattr(FrameField, "_leg", formed)
+    grid = perturb(clifford(), (1, 2), 0.05).sample(n=16)
+    an = build_analysis(grid)
     calls.clear()   # the bump's base normal is one cross4 call while sampling
     an.res_curvature, an.res_laplacian
     assert calls == []
-    assert not {"e2", "e3", "sign_mismatches"} & set(vars(an.frames))
+    assert not {"e1", "e2", "e3", "sign_mismatches"} & set(vars(an.frames))
     an.frames.e3
-    assert calls == [1] and "e2" not in vars(an.frames)
+    assert calls == [1] and legs == []
+    assert main(["analyze", "--surface", "clifford", "--param", "eps=0.05",
+                 "--param", "m=1", "--param", "n=2", "--grid", "16x16",
+                 "--out", str(tmp_path)]) == 0
+    report, _ = descend(grid, FlowConfig(max_iter=1, tol=1e-12))
+    assert report.iterations == 1
+    assert legs == []
+    # the counter sees a formed leg
+    an.frames.e1
+    assert legs == [1]
+
+
+def _leg_reads(tree):
+    """Line numbers where tree reads an attribute named e1 or e2."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("e1", "e2"))
+
+
+def test_commands_read_no_formed_leg():
+    # the analysis, the descent and the CLI read e1 and e2 through their
+    # coordinates (coeff1, coeff2) only; FrameField.e1 and .e2 are the
+    # formed legs the tests, demo 02 and sign_mismatches read
+    found = [f"{name}:{line}" for name in ("calculus.py", "flow.py", "cli.py")
+             for line in _leg_reads(_tree(ROOT / "src" / "contactgeom" / name))]
+    assert found == []
+    # the guard sees a read, a read in a call and a store of either leg,
+    # and passes e3, the coordinates and a bare name e1
+    planted = ast.parse("a = frames.e1\nb = f(an.frames.e2)\nff.e1 = -ff.e1\n"
+                        "c = frames.e3 + frames.coeff1\ne1 = 1\n")
+    assert _leg_reads(planted) == [1, 2, 3, 3]
 
 
 def _jmul_fed_dots(tree):
