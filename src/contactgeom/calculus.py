@@ -178,15 +178,41 @@ def frame_gradient(fieldvals, frames, grid):
 
 
 def laplace_beltrami(fieldvals, metric, grid):
-    """Conservative Laplace-Beltrami: (1/sqrt g) d_i(sqrt g g^ij d_j f)."""
+    """Conservative Laplace-Beltrami: (1/sqrt g) d_i(sqrt g g^ij d_j f).
+
+    g^uu = G/det, g^uv = -F/det and g^vv = E/det are formed on each call and
+    the fluxes sg (g^uu fu + g^uv fv) and sg (g^uv fu + g^vv fv) built in
+    place, each temporary released after its last use.  Every product and
+    sum is the formula's, with at most its two factors swapped, and IEEE
+    multiplication commutes, so the result has the formula's bits.
+    """
     calc = grid.calc
-    iuu, iuv, ivv = metric.inv
+    d = metric.det
     sg = metric.sqrt_det
     fu = calc.du(fieldvals)
     fv = calc.dv(fieldvals)
-    pu = sg * (iuu * fu + iuv * fv)
-    pv = sg * (iuv * fu + ivv * fv)
-    return (calc.du(pu) + calc.dv(pv)) / sg
+    iuv = np.negative(metric.F)
+    iuv /= d
+    pu = np.divide(metric.G, d)
+    pu *= fu
+    t = iuv * fv
+    pu += t
+    pu *= sg
+    pv = iuv
+    pv *= fu
+    del fu
+    np.divide(metric.E, d, out=t)
+    t *= fv
+    del fv
+    pv += t
+    del t
+    pv *= sg
+    lap = calc.du(pu)
+    del pu
+    lap += calc.dv(pv)
+    del pv
+    lap /= sg
+    return lap
 
 
 def tan_pole_distance(beta):

@@ -57,12 +57,18 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
-def _check_finite_table(table, columns, where):
-    """Raise ValueError naming the column and node of the first non-finite cell."""
-    if not np.isfinite(table).all():
-        *node, col = (int(k) for k in np.argwhere(~np.isfinite(table))[0])
-        raise ValueError(f"non-finite {columns[col]} in {where} "
-                         f"at node {tuple(node)}")
+def _check_finite_columns(columns, names, where):
+    """Raise ValueError naming the node and column of the first non-finite
+    cell: the first such node in row-major order, and its leftmost such
+    column.  columns broadcast to one (n_u, n_v) shape."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    # (first non-finite node, column) of each column that has one
+    first = [(int(np.argmin(np.isfinite(np.broadcast_to(c, shape)))), k)
+             for k, c in enumerate(columns) if not np.isfinite(c).all()]
+    if first:
+        node, k = min(first)
+        raise ValueError(f"non-finite {names[k]} in {where} at node "
+                         f"{tuple(int(i) for i in np.unravel_index(node, shape))}")
 
 
 def _parse_grid(text):
@@ -111,16 +117,15 @@ def cmd_analyze(args):
     curv = verify_identity(an, "curvature")
     lap = verify_identity(an, "laplacian")
 
-    mcode = np.where(mask, 1, np.where(an.tan_band, 2, 0))
-    U, V = grid.spec.mesh()
-    table = np.stack([U, V, *grid.points, frames.beta,
-                      an.K_ext, an.H, an.res_curvature, an.res_laplacian, mcode],
-                     axis=-1)
-    columns = FIELDS_CSV_HEADER.split(",")
-    # each residual column is 0 where its identity's norms leave the node out
+    # each residual column is 0 where its identity's norms leave the node
+    # out; nothing reads the residuals again, so they are zeroed in place
     for name in ("curvature", "laplacian"):
-        table[~IDENTITIES[name].kept(an), columns.index(f"res_{name}")] = 0.0
-    _check_finite_table(table, columns, "fields.csv")
+        getattr(an, f"res_{name}")[~IDENTITIES[name].kept(an)] = 0.0
+    mcode = an.tan_band * np.uint8(2)
+    mcode[mask] = 1
+    columns = [*grid.spec.mesh(sparse=True), *grid.points, frames.beta, an.K_ext,
+               an.H, an.res_curvature, an.res_laplacian, mcode]
+    _check_finite_columns(columns, FIELDS_CSV_HEADER.split(","), "fields.csv")
 
     report = {
         "format_version": FORMAT_VERSION,
@@ -154,7 +159,7 @@ def cmd_analyze(args):
     _write_json(report, os.path.join(args.out, "report.json"))
     with open(os.path.join(args.out, "fields.csv"), "w", newline="\n") as fh:
         fh.write(FIELDS_CSV_HEADER + "\n")
-        write_table(fh, table, FIELDS_ROW_FMT)
+        write_table(fh, columns, FIELDS_ROW_FMT)
     print(f"analyze: wrote report.json and fields.csv to {args.out}")
     return 0
 

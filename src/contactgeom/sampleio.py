@@ -15,12 +15,14 @@ wraps the range to 2*pi).  Either format's grid is labelled
 samples:<file name>, without the directory, so a report does not depend
 on where the file was read from.
 
-write_table formats in numpy, one block of whole u-rows (_BLOCK_CELLS table
-cells) at a time.  A cell's digits come from k = floor(log10|x|) and
-y = |x| * 10**p, p = 12 - k, formed by multiplying or dividing by exact
-powers 10**j, |j| <= 22: once when |p| <= 22, twice when 22 < |p| <= 44.
-y is rounded to the 13-digit mantissa M = round(y), carried to 10**12 and
-k+1 at 10**13.
+write_table takes a sequence of columns, one (n_u, n_v) array (or one that
+broadcasts to it) per cell of a line, and formats in numpy one block of
+whole u-rows (_BLOCK_CELLS cells) at a time, each block stacked from their
+slices; no whole table is formed.  A cell's digits come from
+k = floor(log10|x|) and y = |x| * 10**p, p = 12 - k, formed by multiplying
+or dividing by exact powers 10**j, |j| <= 22: once when |p| <= 22, twice
+when 22 < |p| <= 44.  y is rounded to the 13-digit mantissa M = round(y),
+carried to 10**12 and k+1 at 10**13.
 
 Exponent.  A y outside [1e12, 1e13] means log10 was off by one near a
 power of ten; the cell is scaled again with k - 1 or k + 1.  A y inside
@@ -199,34 +201,47 @@ def _format_cells(x, cells, lead, digits):
     return ok.reshape(shape)
 
 
-def write_table(fh, table, row_fmt):
-    """Write table[i, j] as one row_fmt line per node, v-index fastest.
+def write_table(fh, columns, row_fmt):
+    """Write the columns as one row_fmt line per node, v-index fastest.
 
-    row_fmt is FIELDS_ROW_FMT or SAMPLE_ROW_FMT, and the text is byte for
-    byte `row_fmt % tuple(row) + "\\n"` for every row.  Lines are built as
-    fixed-width rows of uint32 words with 0 sentinel bytes, one block of
-    whole u-rows (at least one, about _BLOCK_CELLS table cells) at a time, so
-    the memory in use follows n_v, not the size of the table.  Exact ties of
-    cells scaled once are settled exactly and off-by-one exponents
-    re-scaled; a line with a cell scaled twice near a tie, a cell outside
-    [1e-32, 1e57) or not finite, or a %d cell that is not one digit is
-    formatted by `%` and spliced in (see the module docstring for why).
+    columns is a sequence of arrays that broadcast to one (n_u, n_v) shape,
+    one per cell of a line: a list of fields, sparse mesh axes among them,
+    or a components-first (c, n_u, n_v) block.  row_fmt is FIELDS_ROW_FMT or
+    SAMPLE_ROW_FMT, and the text is byte for byte `row_fmt % row + "\\n"`,
+    row the tuple of the columns' values at a node, for every node.  Lines
+    are built as fixed-width rows of uint32 words with 0 sentinel bytes, one
+    block of whole u-rows at a time (at least one, about _BLOCK_CELLS cells,
+    stacked from the columns' slices), so the memory in use follows n_v, not
+    the size of the table.  Exact ties of cells scaled once are settled
+    exactly and off-by-one exponents re-scaled; a line with a cell scaled
+    twice near a tie, a cell outside [1e-32, 1e57) or not finite, or a %d
+    cell that is not one digit is formatted by `%` and spliced in (see the
+    module docstring for why).
     """
     try:
         sep, n_float, has_int = _ROW_LAYOUTS[row_fmt]
     except KeyError:
         raise ValueError(f"no fixed-width layout for row format {row_fmt!r}") from None
-    n_u, n_v, n_cols = table.shape
+    n_cols = len(columns)
     if n_cols != n_float + has_int:
-        raise ValueError(f"table has {n_cols} columns, row format {n_float + has_int}")
+        raise ValueError(f"{n_cols} columns, row format {n_float + has_int}")
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    if len(shape) != 2:
+        raise ValueError(f"columns broadcast to {shape}, not to (n_u, n_v)")
+    n_u, n_v = shape
+    columns = [np.broadcast_to(c, shape) for c in columns]
     lead = _lead_words(sep, n_float)
     digits = _digit_words()
     digit_tail = np.array([_word(f"{sep}{d}\n\0") for d in range(10)])
     u_rows = max(1, _BLOCK_CELLS // max(1, n_v * n_cols))
+    stacked = np.empty((u_rows, n_v, n_cols))
     full = np.zeros((u_rows * n_v, _CELL_WORDS * n_float + 1), np.uint32)
     full[:, -1] = _word("\n\0\0\0")
     for u0 in range(0, n_u, u_rows):
-        block = table[u0:u0 + u_rows].reshape(-1, n_cols)
+        rows = stacked[:min(u_rows, n_u - u0)]
+        for k, column in enumerate(columns):
+            rows[:, :, k] = column[u0:u0 + len(rows)]
+        block = rows.reshape(-1, n_cols)
         buf = full[:len(block)]
         cells = buf[:, :-1].reshape(len(block), n_float, _CELL_WORDS)
         ok = _format_cells(block[:, :n_float], cells, lead, digits).all(axis=1)
@@ -252,11 +267,9 @@ def write_samples(grid, path):
         FLOAT_FMT % spec.u_range[0], FLOAT_FMT % spec.u_range[1],
         FLOAT_FMT % spec.v_range[0], FLOAT_FMT % spec.v_range[1],
     ])
-    U, V = spec.mesh()
-    table = np.stack([U, V, *grid.points], axis=-1)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        write_table(fh, table, SAMPLE_ROW_FMT)
+        write_table(fh, [*spec.mesh(sparse=True), *grid.points], SAMPLE_ROW_FMT)
 
 
 def _parse_floats(tokens, lineno):

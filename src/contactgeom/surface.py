@@ -121,8 +121,9 @@ def _worst_node(x):
 
 @dataclass
 class MetricField:
-    """First fundamental form in the (Xu, Xv) basis; det, inv and sqrt_det
-    are formed on first read, once per metric.
+    """First fundamental form in the (Xu, Xv) basis; det and sqrt_det are
+    formed on first read, once per metric.  The inverse is not kept: its one
+    reader, laplace_beltrami, forms it from E, F, G and det on each call.
 
     Raises DegenerateParametrization, naming the node, unless the Gram
     determinant is at least GRAM_DET_TOL everywhere (a NaN entry fails).
@@ -142,11 +143,6 @@ class MetricField:
     @cached_property
     def det(self):
         return self.E * self.G - self.F * self.F
-
-    @cached_property
-    def inv(self):
-        d = self.det
-        return self.G / d, -self.F / d, self.E / d  # g^uu, g^uv, g^vv
 
     @cached_property
     def sqrt_det(self):

@@ -64,7 +64,7 @@ def test_analysis_reads_the_grid_metric(sphere64):
 def test_metric_forms_its_derived_fields_once(sphere64):
     _, an = sphere64
     m = an.metric
-    assert m.det is m.det and m.sqrt_det is m.sqrt_det and m.inv is m.inv
+    assert m.det is m.det and m.sqrt_det is m.sqrt_det
     assert _same_bits(m.det, m.E * m.G - m.F * m.F)
     assert _same_bits(m.sqrt_det, np.sqrt(m.E * m.G - m.F * m.F))
 
@@ -585,9 +585,54 @@ def test_lazy_analysis_matches_eager_reference_bitwise(case, band, monkeypatch):
         for label in want:
             assert _same_bits(got[label], want[label]), f"{case}: {label} differs"
         checked += len(want)
-    # the metric counts six: E, F, G and its cached det, sqrt_det and inv
-    assert checked == 27
+    # the metric counts five: E, F, G and its cached det and sqrt_det (the
+    # inverse is formed by laplace_beltrami on each call, and not kept)
+    assert checked == 26
     assert an.grid is grid
+
+
+def _cached_inverse_laplacian(fieldvals, metric, grid):
+    """The former laplace_beltrami, which read g^-1 cached on the metric."""
+    calc = grid.calc
+    d = metric.det
+    iuu, iuv, ivv = metric.G / d, -metric.F / d, metric.E / d
+    sg = metric.sqrt_det
+    fu = calc.du(fieldvals)
+    fv = calc.dv(fieldvals)
+    pu = sg * (iuu * fu + iuv * fv)
+    pv = sg * (iuv * fu + ivv * fv)
+    return (calc.du(pu) + calc.dv(pv)) / sg
+
+
+LAPLACIAN_CASES = {
+    # the shear (u + v, v) of clifford+bump(1,2): max|F| is 0.55, so the
+    # g^uv terms weigh as much as the others
+    "sheared_bump_32": lambda: sample(
+        lambda U, V: perturb(clifford(), (1, 2), 0.05).point(U + V, V),
+        clifford().default_spec(32)),
+    "masked_cap_9": LAZY_CASES["masked_cap_9"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAPLACIAN_CASES))
+def test_laplace_beltrami_matches_the_cached_inverse_form_bitwise(case):
+    # laplace_beltrami forms g^-1 in place on each call; its products and
+    # sums are the former ones, so beta's Laplacian, willmore_G and the
+    # Laplacian of a point component keep their bits
+    grid = LAPLACIAN_CASES[case]()
+    an = build_analysis(grid)
+    metric = an.metric
+    if case.startswith("sheared"):
+        assert np.max(np.abs(metric.F)) > 0.5
+    else:
+        assert an.frames.n_masked == 1
+    for f in (an.frames.beta, an.H, grid.points[1]):
+        assert _same_bits(laplace_beltrami(f, metric, grid),
+                          _cached_inverse_laplacian(f, metric, grid))
+    assert _same_bits(an.lap_beta, _cached_inverse_laplacian(an.frames.beta, metric, grid))
+    H = an.H
+    assert _same_bits(an.willmore_G, _cached_inverse_laplacian(H, metric, grid)
+                      + 2.0 * H * (H ** 2 - an.shape.det + 1.0))
 
 
 ORACLE_CASES = {**CONTRACTION_CASES, **LAZY_CASES}
@@ -734,25 +779,38 @@ def test_analysis_forms_each_field_once(kernel_calls):
     assert an.K_int is an.K_int
 
 
+def _traced_peak_fields(fn, spec):
+    """The traced peak of fn(), in scalar fields of spec's grid (8 n_u n_v
+    bytes); the stencils, cached per grid shape, are built untraced first,
+    so the reading does not depend on which test built them."""
+    GridCalc(spec)
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (spec.n_u * spec.n_v * 8)
+
+
 # traced peak of sampling the sphere at 256² and reading one identity's
-# residual, in 4-vector fields of that grid (2 MiB each).  Keeping a second
-# tangent pair, all nine Brioschi partials and eight row entries alive
-# together, and S beside e3's derivative read 13.7, 11.5, 12.1 and 14.0
-WORKING_SET_FIELDS = {"curvature": 10.0, "laplacian": 10.5, "connection": 11.0,
-                      "gauss": 12.0}
+# residual, in scalar fields of that grid (512 KiB each), 5 % above the
+# reading: 32.1 (curvature), 29.4 (laplacian), 31.3 (connection) and 35.3
+# (gauss).  A cached inverse metric read 34.1 for laplacian; keeping a
+# second tangent pair, all nine Brioschi partials and eight row entries
+# alive together, and S beside e3's derivative read 54.8, 46.0, 48.4 and
+# 56.0 (13.7, 11.5, 12.1 and 14.0 4-vector fields)
+WORKING_SET_FIELDS = {"curvature": 33.7, "laplacian": 30.8, "connection": 32.8,
+                      "gauss": 37.0}
 
 
 @pytest.mark.parametrize("identity", sorted(WORKING_SET_FIELDS))
 def test_identity_working_set_at_256(identity):
     entry = geodesic_sphere()
     spec = entry.default_spec(256)
-    tracemalloc.start()
-    try:
-        verify_identity(build_analysis(entry.sample(spec)), identity)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < WORKING_SET_FIELDS[identity] * spec.n_u * spec.n_v * 4 * 8
+    peak = _traced_peak_fields(
+        lambda: verify_identity(build_analysis(entry.sample(spec)), identity), spec)
+    assert peak < WORKING_SET_FIELDS[identity]
 
 
 # traced peak of sampling the sphere at 128² and reading one identity's
@@ -767,14 +825,22 @@ LEG_CONTRACTION_FIELDS = {"gauss": 37.0, "connection": 33.0}
 def test_leg_contraction_working_set_at_128(identity):
     entry = geodesic_sphere()
     spec = entry.default_spec(128)
-    GridCalc(spec)   # the stencils, cached per grid shape, are built untraced
-    tracemalloc.start()
-    try:
-        verify_identity(build_analysis(entry.sample(spec)), identity)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < LEG_CONTRACTION_FIELDS[identity] * spec.n_u * spec.n_v * 8
+    peak = _traced_peak_fields(
+        lambda: verify_identity(build_analysis(entry.sample(spec)), identity), spec)
+    assert peak < LEG_CONTRACTION_FIELDS[identity]
+
+
+def test_analyze_working_set_at_256(tmp_path):
+    # traced peak of one analyze of clifford+bump(1,2) at 256², in scalar
+    # fields: 43.2.  Stacking fields.csv as one (256, 256, 12) table, and
+    # keeping the inverse metric cached on the analysis, read 60.9
+    spec = clifford().default_spec(256)
+    argv = ["analyze", "--surface", "clifford", "--param", "eps=0.05",
+            "--grid", "256x256", "--out", str(tmp_path)]
+    codes = []
+    peak = _traced_peak_fields(lambda: codes.append(main(argv)), spec)
+    assert codes == [0]
+    assert peak < 52.0
 
 
 def test_degenerate_input_raises_on_first_field_read():

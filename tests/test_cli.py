@@ -503,6 +503,48 @@ def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _first_non_finite(columns):
+    """(node, column) the (n_u, n_v, c) stacked table's argwhere names first."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    table = np.stack([np.broadcast_to(c, shape) for c in columns], axis=-1)
+    *node, col = (int(k) for k in np.argwhere(~np.isfinite(table))[0])
+    return tuple(node), col
+
+
+# the non-finite cells of each case, and the node and column the message names
+FINITE_CASES = {
+    # K (column 7) at an earlier node than beta (column 6): the node decides
+    "two columns, two nodes": ([((3, 6), "beta", np.nan), ((3, 5), "K", np.inf)],
+                               ((3, 5), "K")),
+    # H and beta at one node: the leftmost column
+    "two columns, one node": ([((2, 1), "H", np.nan), ((2, 1), "beta", -np.inf),
+                               ((5, 0), "u", np.nan)],
+                              ((2, 1), "beta")),
+    # the sparse u column, an (n_u, 1) array, is non-finite on all of u-row 1
+    "a broadcast column": ([((1, 4), "res_laplacian", np.nan), ((1, 0), "K", np.nan),
+                            ((1, 0), "u", np.inf)],
+                           ((1, 0), "u")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_CASES))
+def test_finite_check_names_the_first_node_then_the_leftmost_column(case):
+    cells, (node, name) = FINITE_CASES[case]
+    names = FIELDS_CSV_HEADER.split(",")
+    U, V = GridSpec(8, 8).mesh(sparse=True)
+    rng = np.random.default_rng(5)
+    columns = ([U, V] + [rng.standard_normal((8, 8)) for _ in names[2:-1]]
+               + [np.zeros((8, 8), np.uint8)])
+    for ij, col, value in cells:
+        columns[names.index(col)][ij] = value
+    # the node and column a stacked (n_u, n_v, 12) table's argwhere names
+    assert _first_non_finite(columns) == (node, names.index(name))
+    with pytest.raises(ValueError) as exc:
+        cli._check_finite_columns(columns, names, "fields.csv")
+    assert str(exc.value) == f"non-finite {name} in fields.csv at node {node}"
+    cli._check_finite_columns([np.nan_to_num(c) for c in columns], names, "fields.csv")
+
+
 def test_catalog_list(capsys):
     assert run(["catalog", "list"]) == 0
     text = capsys.readouterr().out

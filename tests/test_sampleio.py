@@ -16,8 +16,10 @@ FORMATS = {"fields.csv": FIELDS_ROW_FMT, "sample file": SAMPLE_ROW_FMT}
 
 
 def _oracle(table, row_fmt):
-    return "".join(row_fmt % tuple(row) + "\n"
-                   for row in table.reshape(-1, table.shape[-1]).tolist())
+    """`%` of each node's row of the columns, broadcast to one (n_u, n_v) shape."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in table))
+    rows = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in table))
+    return "".join(row_fmt % row + "\n" for row in rows)
 
 
 def _written(table, row_fmt):
@@ -27,14 +29,15 @@ def _written(table, row_fmt):
 
 
 def _table(values, row_fmt, n_v=7):
-    """values as the float cells of a table in row_fmt, %d cells cycling 0, 1, 2."""
+    """values as the float cells of a components-first (c, n_u, n_v) table
+    in row_fmt, node by node, %d cells cycling 0, 1, 2."""
     n_float = 11 if row_fmt == FIELDS_ROW_FMT else 6
     values = np.resize(np.asarray(values, float), (-(-len(values) // (n_float * n_v)),
-                                                   n_v, n_float))
+                                                   n_v, n_float)).transpose(2, 0, 1)
     if row_fmt == FIELDS_ROW_FMT:
-        flags = np.arange(values.shape[0] * n_v).reshape(-1, n_v, 1) % 3
-        values = np.concatenate([values, flags.astype(float)], axis=-1)
-    return values
+        flags = np.arange(values.shape[1] * n_v).reshape(1, -1, n_v) % 3
+        values = np.concatenate([values, flags.astype(float)])
+    return np.ascontiguousarray(values)
 
 
 ADVERSARIAL = [
@@ -81,12 +84,12 @@ def test_lines_mixing_digit_and_percent_cells_keep_their_order(name):
     row_fmt = FORMATS[name]
     rng = np.random.default_rng(7)
     table = _table(rng.standard_normal(3 * 8 * 11), row_fmt, n_v=8)
-    table[0, 0, 3] = 1e300
-    table[0, 7, 0] = np.nan
-    table[1, 4, 5] = 1234567890123.5
-    table[2, 2:6, 4] = -0.0
+    table[3, 0, 0] = 1e300
+    table[0, 0, 7] = np.nan
+    table[5, 1, 4] = 1234567890123.5
+    table[4, 2, 2:6] = -0.0
     if row_fmt == FIELDS_ROW_FMT:
-        table[2, 1, -1] = 12.0  # %d of a number that is not one digit
+        table[-1, 2, 1] = 12.0  # %d of a number that is not one digit
     assert _written(table, row_fmt) == _oracle(table, row_fmt)
 
 
@@ -143,9 +146,25 @@ def test_blocks_of_u_rows_match_percent(name, shape):
     table = _table(rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size),
                    row_fmt, n_v=n_v)
     # the first line of every u-row, and the last line, are printed by %
-    table[:, 0, 0] = 1e300
-    table[-1, -1, 1] = np.nan
+    table[0, :, 0] = 1e300
+    table[1, -1, -1] = np.nan
     assert _written(table, row_fmt) == _oracle(table, row_fmt)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_broadcast_and_integer_columns_write_the_full_table(name):
+    # the commands pass U and V as the sparse mesh, an (n_u, 1) column and a
+    # (1, n_v) row, and fields.csv's mask code as uint8; they write what the
+    # full float table writes, over blocks of several u-rows and a partial one
+    row_fmt = FORMATS[name]
+    rng = np.random.default_rng(13)
+    us, vs = np.linspace(-0.3, 0.3, 25), np.linspace(0.0, 2.0 * np.pi, 96)
+    table = _grid_table(us, vs, rng.standard_normal(500), row_fmt)
+    U, V = np.meshgrid(us, vs, indexing="ij", sparse=True)
+    columns = [U, V, *table[2:]]
+    if row_fmt == FIELDS_ROW_FMT:
+        columns[-1] = table[-1].astype(np.uint8)
+    assert _written(columns, row_fmt) == _written(table, row_fmt) == _oracle(table, row_fmt)
 
 
 _cells = st.one_of(
@@ -169,10 +188,9 @@ def test_write_table_matches_percent_formatting(cells, name, ints):
     row_fmt = FORMATS[name]
     n_float = 11 if row_fmt == FIELDS_ROW_FMT else 6
     n_u, n_v = cells.shape
-    table = np.resize(cells, (n_u, n_v, n_float))
+    table = list(np.resize(cells, (n_u, n_v, n_float)).transpose(2, 0, 1))
     if row_fmt == FIELDS_ROW_FMT:
-        flags = np.resize(np.array(ints), (n_u, n_v, 1))
-        table = np.concatenate([table, flags], axis=-1)
+        table.append(np.resize(np.array(ints), (n_u, n_v)))
     assert _written(table, row_fmt) == _oracle(table, row_fmt)
 
 
@@ -180,7 +198,11 @@ def test_write_table_rejects_other_row_formats_and_column_counts():
     with pytest.raises(ValueError):
         _written(np.zeros((2, 2, 2)), "%.12e;%.12e")
     with pytest.raises(ValueError):
-        _written(np.zeros((2, 2, 7)), SAMPLE_ROW_FMT)
+        _written(np.zeros((7, 2, 2)), SAMPLE_ROW_FMT)
+    with pytest.raises(ValueError):
+        _written(np.zeros((6, 2, 2, 2)), SAMPLE_ROW_FMT)
+    with pytest.raises(ValueError):
+        _written([np.zeros((2, 3))] * 5 + [np.zeros((3, 2))], SAMPLE_ROW_FMT)
 
 
 class _Discard:
@@ -190,8 +212,8 @@ class _Discard:
 
 def _peak_bytes(n_u, n_v):
     rng = np.random.default_rng(3)
-    table = rng.standard_normal((n_u, n_v, 12))
-    table[..., -1] = rng.integers(0, 3, (n_u, n_v))
+    table = rng.standard_normal((12, n_u, n_v))
+    table[-1] = rng.integers(0, 3, (n_u, n_v))
     tracemalloc.start()
     try:
         write_table(_Discard(), table, FIELDS_ROW_FMT)
