@@ -37,7 +37,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import ambient
-from .errors import DegenerateContact
+from .errors import DegenerateContact, RangeError
 from .surface import _worst_node, contact_angle_field
 
 # the one tan-pole band of analyze and verify: nodes whose beta lies within
@@ -410,14 +410,15 @@ def refinement_study(entry, identity, levels):
 
     entry is a catalog entry (or anything sample() accepts with a
     default_spec method); levels are per-axis node counts, at least three,
-    strictly increasing so that the last is the finest.
+    strictly increasing so that the last is the finest (RangeError
+    otherwise, or for an unknown identity).
     """
     if len(levels) < 3:
-        raise ValueError("refinement needs at least 3 grid levels")
+        raise RangeError("refinement needs at least 3 grid levels")
     if any(a >= b for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"refinement levels must increase strictly, got {levels}")
+        raise RangeError(f"refinement levels must increase strictly, got {levels}")
     if identity not in IDENTITIES:
-        raise KeyError(f"unknown identity {identity!r}")
+        raise RangeError(f"unknown identity {identity!r}")
     specs = [entry.default_spec(int(n)) for n in levels]  # GridSpec checks each n
     rows = []
     for spec in specs:

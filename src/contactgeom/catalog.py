@@ -230,7 +230,7 @@ def names():
 
 
 def build(name, params=None):
-    """Instantiate a catalog entry by name; KeyError for unknown names.
+    """Instantiate a catalog entry by name; RangeError for unknown names.
 
     params lists (name, value) pairs, each value a number or a string.  They
     are read against the name's schema, and RangeError names a bad one, or
@@ -238,7 +238,7 @@ def build(name, params=None):
     """
     key = ALIASES.get(name, name)
     if key not in _FACTORIES:
-        raise KeyError(f"unknown catalog surface {name!r}; known: {names()}")
+        raise RangeError(f"unknown catalog surface {name!r}; known: {names()}")
     factory, schema = _FACTORIES[key]
     raw = {}
     for pname, value in params or ():

@@ -6,10 +6,18 @@ surface with flow.theorem_probe.  Exit codes are part of the contract so CI
 can assert outcomes mechanically:
 
     0  success (and, for flow, theorem probe passed or was not applicable)
-    2  argument errors (unknown surface, malformed flags, too few levels)
+    2  argument errors: an argparse error (a malformed flag, an --out that
+       is not a directory) or a RangeError (unknown surface, a value outside
+       its range, too few levels); also a surface the analysis cannot frame
+       (DegenerateContact, DegenerateParametrization)
     3  input data errors (off-sphere samples, parse failures)
     4  verify: refinement order or residual bound check failed
     5  flow did not converge
+
+main is the one place that turns an error into an exit code: a
+ContactGeomError is the input's fault and exits 2 or 3 with one `error:`
+line; a bare ValueError (a non-finite output, a wrong array layout) is the
+program's fault and propagates.
 
 All file outputs are deterministic: JSON keys are sorted and every float is
 rendered through the fixed %.12e format.
@@ -72,11 +80,29 @@ def _check_finite_columns(columns, names, where):
 
 
 def _parse_grid(text):
-    try:
-        nu, nv = text.lower().split("x")
-        return int(nu), int(nv)
-    except ValueError:
+    counts = text.lower().split("x")
+    if len(counts) != 2 or not all(c.strip().isdecimal() for c in counts):
         raise argparse.ArgumentTypeError(f"grid must look like 64x64, got {text!r}")
+    return int(counts[0]), int(counts[1])
+
+
+def _parse_levels(text):
+    """--refine's comma-separated node counts; empty items are skipped."""
+    counts = [c for c in text.split(",") if c.strip()]
+    if not all(c.strip().isdecimal() for c in counts):
+        raise argparse.ArgumentTypeError(f"refine must look like 32,64,128, got {text!r}")
+    return [int(c) for c in counts]
+
+
+def _parse_out(text):
+    """--out: refused before any work unless it, or the nearest of its
+    ancestors that exists, is a directory."""
+    path = os.path.abspath(text)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is not a directory")
+    return text
 
 
 def _parse_param(text):
@@ -88,13 +114,17 @@ def _parse_param(text):
 
 
 def _load_surface(name, params, grid_shape):
-    """Catalog entry or sample file (which takes no --param) -> SurfaceGrid."""
-    if os.path.exists(name):
+    """Catalog entry or sample file (which takes no --param and no --grid)
+    -> SurfaceGrid.  A catalog name or alias wins over a path of that name;
+    grid_shape None is the entry's default grid."""
+    if catalog.ALIASES.get(name, name) not in catalog.names() and os.path.exists(name):
         if params:
             raise RangeError(f"a sample file takes no parameters, got {params[0][0]!r}")
+        if grid_shape is not None:
+            raise RangeError("a sample file takes no --grid")
         return read_samples(name)
     entry = catalog.build(name, params)
-    return entry.sample(entry.default_spec(*grid_shape))
+    return entry.sample(entry.default_spec(*(grid_shape or ())))
 
 
 def _stats(values, mask):
@@ -104,12 +134,7 @@ def _stats(values, mask):
 
 
 def cmd_analyze(args):
-    try:
-        grid = _load_surface(args.surface, args.param, args.grid)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    grid = _load_surface(args.surface, args.param, args.grid)
     an = build_analysis(grid)
     frames = an.frames
     mask = frames.mask
@@ -165,13 +190,8 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    try:
-        levels = [int(x) for x in args.refine.split(",") if x.strip()]
-        entry = catalog.build(args.surface, args.param)
-        report = refinement_study(entry, args.identity, levels)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entry = catalog.build(args.surface, args.param)
+    report = refinement_study(entry, args.identity, args.refine)
     payload = _rounded({
         "identity": report.name, "linf": report.linf, "l2": report.l2,
         "excluded": report.n_excluded,
@@ -193,14 +213,10 @@ def cmd_verify(args):
 
 
 def cmd_flow(args):
-    try:
-        cfg = FlowConfig(max_iter=args.steps, tol=args.tol)
-        entry = catalog.build(args.surface, args.param)
-        grid = entry.sample(entry.default_spec(*args.grid))
-        report, final = descend(grid, cfg)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = FlowConfig(max_iter=args.steps, tol=args.tol)
+    entry = catalog.build(args.surface, args.param)
+    grid = entry.sample(entry.default_spec(*args.grid))
+    report, final = descend(grid, cfg)
 
     # the trace first: flow_report.json reads its last row
     columns = TRACE_CSV_HEADER.split(",")
@@ -257,8 +273,9 @@ def build_parser():
     pa.add_argument("--surface", required=True,
                     help="catalog name or path to a sample file")
     pa.add_argument("--param", action="append", type=_parse_param, help="k=v, repeatable")
-    pa.add_argument("--grid", type=_parse_grid, default=(64, 64))
-    pa.add_argument("--out", default=".")
+    pa.add_argument("--grid", type=_parse_grid,
+                    help="catalog surfaces only; default: the entry's default grid")
+    pa.add_argument("--out", type=_parse_out, default=".")
     pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", allow_abbrev=False,
@@ -267,9 +284,9 @@ def build_parser():
     pv.add_argument("--param", action="append", type=_parse_param)
     pv.add_argument("--identity", required=True,
                     choices=sorted(IDENTITIES))
-    pv.add_argument("--refine", default="32,64,128",
+    pv.add_argument("--refine", type=_parse_levels, default="32,64,128",
                     help="comma-separated per-axis node counts (>= 3 levels)")
-    pv.add_argument("--out", default=".")
+    pv.add_argument("--out", type=_parse_out, default=".")
     pv.set_defaults(func=cmd_verify)
 
     pf = sub.add_parser("flow", allow_abbrev=False,
@@ -277,9 +294,9 @@ def build_parser():
     pf.add_argument("--surface", default="rtorus")
     pf.add_argument("--param", action="append", type=_parse_param)
     pf.add_argument("--grid", type=_parse_grid, default=(32, 32))
-    pf.add_argument("--steps", type=int, default=500)
-    pf.add_argument("--tol", type=float, default=1e-3)
-    pf.add_argument("--out", default=".")
+    pf.add_argument("--steps", type=int, default=FlowConfig.max_iter)
+    pf.add_argument("--tol", type=float, default=FlowConfig.tol)
+    pf.add_argument("--out", type=_parse_out, default=".")
     pf.set_defaults(func=cmd_flow)
 
     pc = sub.add_parser("catalog", allow_abbrev=False,

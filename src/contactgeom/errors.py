@@ -24,8 +24,8 @@ class DegenerateContact(ContactGeomError):
     """The surface tangent plane coincides with the contact plane (e1 undefined)."""
 
 
-class RangeError(ContactGeomError):
-    """Parameter outside the bracket an operation supports."""
+class RangeError(ContactGeomError, ValueError):
+    """An argument outside what an operation supports (exit 2 in the CLI)."""
 
 
 class ParseError(ContactGeomError):

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .calculus import build_analysis
-from .errors import DegenerateParametrization
+from .errors import DegenerateParametrization, RangeError
 from .surface import _moved_points, tangent_fields
 
 # scale of the initial inverse Hessian, sized so that the line search accepts
@@ -57,9 +57,9 @@ class FlowConfig:
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+            raise RangeError("tol must be positive and finite")
         if self.max_iter < 0:
-            raise ValueError("max_iter must be non-negative")
+            raise RangeError("max_iter must be non-negative")
 
 
 @dataclass
@@ -165,7 +165,7 @@ def _line_search(an, direction, slope):
 def descend(grid, config=None):
     """L-BFGS descent of the Willmore-type energy over nodal psi.
 
-    Requires a doubly periodic initial grid.  Returns (FlowReport, the
+    Requires a doubly periodic initial grid (RangeError otherwise).  Returns (FlowReport, the
     SurfaceAnalysis of the final grid); the final grid is its .grid.
     Non-convergence is reported with converged=False rather than raised,
     and steps that would collapse the grid are absorbed as automatic step
@@ -176,7 +176,7 @@ def descend(grid, config=None):
     cfg = config if config is not None else FlowConfig()
     spec = grid.spec
     if not (spec.topology_u == "periodic" and spec.topology_v == "periodic"):
-        raise ValueError("descent needs a compact (doubly periodic) surface")
+        raise RangeError("descent needs a compact (doubly periodic) surface")
 
     an = build_analysis(grid)
     w = grid.calc.quad_weights()

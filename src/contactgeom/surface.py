@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from . import ambient
-from .errors import DegenerateContact, DegenerateParametrization, OffSphere
+from .errors import DegenerateContact, DegenerateParametrization, OffSphere, RangeError
 from .gridops import GridCalc
 
 OFF_SPHERE_TOL = 1e-6
@@ -71,7 +71,9 @@ class GridSpec:
     """Parameter rectangle and node counts for a structured grid.
 
     Periodic axes exclude the right endpoint (step = span / n); chart axes
-    include both endpoints (step = span / (n - 1)).
+    include both endpoints (step = span / (n - 1)).  RangeError refuses
+    fewer than 8 nodes on an axis, an unknown topology and a range that is
+    not finite and increasing.
     """
 
     n_u: int
@@ -83,12 +85,12 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n_u < 8 or self.n_v < 8:
-            raise ValueError("grids need at least 8 nodes per axis")
+            raise RangeError("grids need at least 8 nodes per axis")
         if self.topology_u not in _TOPOLOGIES or self.topology_v not in _TOPOLOGIES:
-            raise ValueError(f"topology must be one of {_TOPOLOGIES}")
+            raise RangeError(f"topology must be one of {_TOPOLOGIES}")
         spans = (self.u_range[1] - self.u_range[0], self.v_range[1] - self.v_range[0])
         if not all(0.0 < span < np.inf for span in spans):
-            raise ValueError("parameter ranges must be finite and increasing")
+            raise RangeError("parameter ranges must be finite and increasing")
 
     @property
     def h_u(self):

@@ -120,7 +120,7 @@ def test_blend_build_registry():
     assert build("rtorus", [("r", 0.9)]).ground_truth["area"] == pytest.approx(
         2 * np.pi ** 2 * np.sin(1.8))
     assert build("r_torus", []).name == "rtorus"
-    with pytest.raises(KeyError):
+    with pytest.raises(RangeError, match="unknown catalog surface 'nosuch'"):
         build("nosuch")
     pert = build("clifford", [("eps", 0.05)])
     assert "bump" in pert.name

@@ -9,11 +9,12 @@ import shlex
 import numpy as np
 import pytest
 
-from contactgeom import (OffSphere, ParseError, catalog, cli, clifford,
-                         contact_angle_field)
+from contactgeom import (ContactGeomError, OffSphere, ParseError, RangeError,
+                         catalog, cli, clifford, contact_angle_field)
 from contactgeom.calculus import (IdentityReport, ShapeOperatorField,
-                                  build_analysis)
+                                  build_analysis, refinement_study)
 from contactgeom.cli import main
+from contactgeom.flow import FlowConfig, descend
 from contactgeom.sampleio import FIELDS_CSV_HEADER, read_samples, write_samples
 from contactgeom.surface import GridSpec, SurfaceGrid
 
@@ -392,6 +393,95 @@ def test_sample_file_takes_no_parameters(tmp_path, capsys):
     assert run(["analyze", "--surface", str(path), "--param", "r=0.9",
                 "--param", "eps=0.1", "--out", str(out)]) == 2
     assert "takes no parameters, got 'r'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_file_takes_no_grid(tmp_path, capsys):
+    # a sample file carries its grid; --grid would be silently ignored
+    path = tmp_path / "clifford.s3"
+    write_samples(clifford().sample(n=16), str(path))
+    out = tmp_path / "o"
+    assert run(["analyze", "--surface", str(path), "--grid", "32x32",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a sample file takes no --grid\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["clifford", "sphere"])
+def test_a_catalog_name_wins_over_a_path_of_that_name(name, tmp_path, monkeypatch):
+    # the first run writes the directory ./<name>; the second still builds
+    # the catalog entry instead of reading that directory as a sample file
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert run(["analyze", "--surface", name, "--grid", "16x16", "--out", name]) == 0
+    report = json.loads((tmp_path / name / "report.json").read_text())
+    assert report["surface"] == catalog.build(name).name
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "clifford", "--grid", "16x16"],
+    ["verify", "--surface", "clifford", "--identity", "gauss", "--refine", "16,24,32"],
+    ["flow", "--surface", "clifford", "--param", "eps=0.05", "--grid", "16x16"],
+], ids=["analyze", "verify", "flow"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_is_not_a_directory_exits_2_before_any_work(argv, under, tmp_path,
+                                                             capsys, monkeypatch):
+    # refused while the arguments are parsed: nothing is built or written
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a surface was built")
+
+    monkeypatch.setattr(catalog, "build", unreachable)
+    path = tmp_path / "taken"
+    path.write_text("keep\n")
+    out = path / "o" if under else path
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"{path} is not a directory" in capsys.readouterr().err
+    assert path.read_text() == "keep\n"
+
+
+# each argument check of the package, its call and the command line that
+# reaches it (None: no command reaches it; --identity's choices stand
+# before refinement_study's own check)
+RANGE_CHECKS = {
+    "grid-size": (lambda: GridSpec(4, 8), "at least 8 nodes",
+                  ["analyze", "--surface", "clifford", "--grid", "4x4"]),
+    "grid-topology": (lambda: GridSpec(8, 8, topology_u="klein"), "topology must be",
+                      None),
+    "grid-range": (lambda: GridSpec(8, 8, (1.0, 1.0)), "finite and increasing", None),
+    "flow-tol": (lambda: FlowConfig(tol=-1.0), "tol must be positive",
+                 ["flow", "--surface", "clifford", "--tol", "-1"]),
+    "flow-steps": (lambda: FlowConfig(max_iter=-3), "max_iter must be non-negative",
+                   ["flow", "--surface", "clifford", "--steps", "-3"]),
+    "flow-topology": (lambda: descend(catalog.build("sphere").sample(n=16)),
+                      "doubly periodic",
+                      ["flow", "--surface", "sphere", "--grid", "16x16"]),
+    "refine-count": (lambda: refinement_study(clifford(), "gauss", [16, 32]),
+                     "at least 3 grid levels",
+                     ["verify", "--surface", "clifford", "--identity", "gauss",
+                      "--refine", "16,32"]),
+    "refine-order": (lambda: refinement_study(clifford(), "gauss", [32, 16, 8]),
+                     "increase strictly",
+                     ["verify", "--surface", "clifford", "--identity", "gauss",
+                      "--refine", "32,16,8"]),
+    "refine-identity": (lambda: refinement_study(clifford(), "nosuch", [8, 16, 32]),
+                        "unknown identity 'nosuch'", None),
+    "catalog-name": (lambda: catalog.build("nosuch"), "unknown catalog surface 'nosuch'",
+                     ["analyze", "--surface", "nosuch"]),
+}
+
+
+@pytest.mark.parametrize("check", RANGE_CHECKS)
+def test_argument_checks_raise_range_error_and_exit_2(check, tmp_path, capsys):
+    call, message, argv = RANGE_CHECKS[check]
+    with pytest.raises(RangeError, match=message) as exc:
+        call()
+    assert isinstance(exc.value, ValueError) and isinstance(exc.value, ContactGeomError)
+    if argv is None:
+        return
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    # one error: line, the message as the package raised it
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
     assert not out.exists()
 
 

@@ -233,14 +233,30 @@ def test_field_kernels_are_called_only_by_the_analysis():
     assert found == []
 
 
+def _functions(tree, prefix=""):
+    """(name, node) of each function in tree, outermost first; a method is
+    named Class.method and a nested function outer.inner."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
+                yield prefix + node.name, node
+            yield from _functions(node, prefix + node.name + ".")
+        else:
+            yield from _functions(node, prefix)
+
+
+def _owners(tree):
+    """{id(node): name of its innermost enclosing function}; module-level
+    nodes are absent."""
+    return {id(node): name for name, func in _functions(tree) for node in ast.walk(func)}
+
+
 def _calls_by_function(is_wanted):
     """"module.py:function" for each package call is_wanted accepts."""
     found = []
     for path in PACKAGE:
         tree = _tree(path)
-        # each node's innermost enclosing function (ast.walk goes outside in)
-        owner = {id(node): func.name for func in ast.walk(tree)
-                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        owner = _owners(tree)
         found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and is_wanted(node)]
     return found
@@ -450,34 +466,69 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def _error_classes():
-    """ContactGeomError and the names of its subclasses in errors.py."""
-    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
-             for node in _tree(ROOT / "src" / "contactgeom" / "errors.py").body
-             if isinstance(node, ast.ClassDef)}
-    found = {"ContactGeomError"}
-    while True:
-        more = {name for name, parents in bases.items() if parents & found} - found
-        if not more:
-            return found
-        found |= more
+def _handlers_outside(tree, function):
+    """"owner:line" of each except handler of tree outside the function,
+    in line order."""
+    owner = _owners(tree)
+    handlers = sorted((node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                       and owner.get(id(node)) != function), key=lambda node: node.lineno)
+    return [f"{owner.get(id(node))}:{node.lineno}" for node in handlers]
 
 
 def test_cli_maps_package_errors_only_in_main():
-    # main maps every ContactGeomError to its exit code and error: line; a
-    # handler that catches one in a cmd_* function is a second copy of that map
-    errors = _error_classes()
+    # main is the one map from an error to its exit code and error: line; a
+    # handler anywhere else in cli, in a cmd_* function or an argparse
+    # type, would be a second copy of that map
     tree = _tree(ROOT / "src" / "contactgeom" / "cli.py")
-    owner = {id(node): func.name for func in ast.walk(tree)
-             if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+    assert _handlers_outside(tree, "main") == []
+    main_def = dict(_functions(tree))["main"]
+    caught = {n.id for node in ast.walk(main_def) if isinstance(node, ast.ExceptHandler)
+              for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert "ContactGeomError" in caught
+    # the guard sees a handler in another function, in a method and at
+    # module level, and passes main's
+    planted = ast.parse("def main():\n    try:\n        f()\n    except E:\n        pass\n"
+                        "def cmd():\n    try:\n        f()\n    except ValueError:\n"
+                        "        pass\nclass C:\n    def m(self):\n        try:\n"
+                        "            f()\n        except KeyError:\n            pass\n"
+                        "try:\n    import x\nexcept ImportError:\n    x = None\n")
+    assert _handlers_outside(planted, "main") == ["cmd:9", "C.m:15", "None:19"]
+
+
+def _bare_raises(tree):
+    """Owner of each raise of a bare ValueError or KeyError in tree, called
+    or not."""
+    owner = _owners(tree)
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            names = {n.id if isinstance(n, ast.Name) else n.attr
-                     for n in ast.walk(node.type)
-                     if isinstance(n, (ast.Name, ast.Attribute))}
-            found += [f"{owner.get(id(node))}:{name}" for name in sorted(names & errors)]
-    assert found and all(f.startswith("main:") for f in found), found
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "KeyError"):
+                found.append(owner.get(id(node)))
+    return found
+
+
+# the checks whose failure is the program's fault, not its input's: a
+# 4-vector or point array in the wrong layout, a table the writer cannot
+# lay out, a non-finite output
+PROGRAM_FAULTS = {"ambient.py:_vec", "surface.py:SurfaceGrid.__init__",
+                  "sampleio.py:write_table", "cli.py:_rounded",
+                  "cli.py:_check_finite_columns"}
+
+
+def test_bare_value_and_key_errors_are_program_faults():
+    # an argument check raises RangeError, which cli.main maps to exit 2; a
+    # bare ValueError or KeyError propagates out of main as a traceback
+    found = {f"{path.name}:{site}" for path in PACKAGE for site in _bare_raises(_tree(path))}
+    assert found == PROGRAM_FAULTS
+    # the guard sees a called and a bare raise, in a function and a method,
+    # and passes a typed error and a re-raise
+    planted = ast.parse("def f(x):\n    raise ValueError(x)\nclass C:\n"
+                        "    def g(self):\n        raise KeyError\n"
+                        "    def h(self):\n        raise RangeError('x')\n"
+                        "def k():\n    try:\n        f()\n    except ValueError:\n"
+                        "        raise\n")
+    assert _bare_raises(planted) == ["f", "C.g"]
 
 
 def _bound_mismatches(tree):
