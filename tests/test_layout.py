@@ -13,7 +13,8 @@ import pytest
 from contactgeom import FlowConfig, clifford, descend, perturb
 from contactgeom.calculus import build_analysis
 from contactgeom.catalog import build, names
-from contactgeom.gridops import CENTRAL_OFFSETS, GridCalc, diff_matrix, fd_weights
+from contactgeom.gridops import (BLOCK_ROWS, CENTRAL_OFFSETS, GridCalc, diff_matrix,
+                                  fd_weights)
 from contactgeom.sampleio import read_samples, write_samples
 from contactgeom.surface import GridSpec, sample
 from test_calculus import _cap
@@ -150,16 +151,18 @@ def test_off_by_one_block_windows_break_the_bound(topology):
     assert all(count > n for count in violations.values()), violations
 
 
-@pytest.mark.parametrize("n", [193, 512])
+@pytest.mark.parametrize("n", [8, 9, 193, 512])
 def test_chart_stencils_are_exact_on_polynomials(n):
     # an oracle independent of diff_matrix, checked on every row, the rows on
     # both sides of each block edge included: the 7-point central and the
     # 7- and 8-point one-sided stencils are exact for degree <= 6.  Column j
     # samples t^(j mod 7), t = (i - c) / s with s a power of two, so every
-    # sample is t^d rounded once
+    # sample is t^d rounded once.  At the GridSpec floor (8, 9) the one-sided
+    # windows of both ends overlap, the 8-point one spans the whole axis, and
+    # the axis is one block
     spec = GridSpec(n, n, (0.2, np.pi - 0.2), (-1.0, 2.0), "chart", "chart")
     calc = GridCalc(spec)
-    assert len(calc.Du) > 1 and len(calc.Dv) > 1
+    assert (len(calc.Du) > 1) == (len(calc.Dv) > 1) == (n > BLOCK_ROWS)
     c, s = n // 2, 2.0 ** np.ceil(np.log2(n / 2))
     t = ((np.arange(n) - c) / s)[:, None]
     d = np.arange(n) % 7

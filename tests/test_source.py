@@ -433,6 +433,26 @@ def test_stencils_use_no_tensordot():
     assert found == []
 
 
+def _gemms(tree):
+    """"function:line" of each matmul call and each @ product in tree."""
+    owner = _owners(tree)
+    return sorted(f"{owner.get(id(node))}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _callee(node) == "matmul"
+                  or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+
+
+def test_stencils_apply_through_one_matmul():
+    # gridops._apply applies every operator along either axis, one gemm per
+    # component and per block; a second gemm site would be a per-axis path
+    # whose bits could drift from the first
+    gridops = ROOT / "src" / "contactgeom" / "gridops.py"
+    assert [site.partition(":")[0] for site in _gemms(_tree(gridops))] == ["_apply"]
+    # the guard sees np.matmul, a bare matmul and the @ operator
+    planted = ast.parse("def f(a, b):\n    return np.matmul(a, b) + matmul(a, b)\n"
+                        "def g(a, b):\n    return a @ b\n")
+    assert _gemms(planted) == ["f:2", "f:2", "g:4"]
+
+
 def test_contractions_live_in_ambient():
     # ambient.dot and ambient.kahler are the one einsum each over the
     # leading component axis of a (4, ...) field, which adds each node's
