@@ -216,8 +216,17 @@ def laplace_beltrami(fieldvals, metric, grid):
 
 
 def tan_pole_distance(beta):
-    """Distance of the signed angle to the nearest tan pole (odd multiple of pi/2)."""
-    return np.abs(np.remainder(beta, math.pi) - math.pi / 2.0)
+    """Distance of the signed angle field to the nearest tan pole (odd
+    multiple of pi/2): np.abs(np.remainder(beta, pi) - pi / 2) bit for bit.
+
+    np.remainder is fmod with the fix-up formed here, pi added where fmod is
+    below 0, in a loop about four times slower; its -0.0 -> +0.0 step is
+    left out, as abs(+-0.0 - pi / 2) is one value.
+    """
+    dist = np.fmod(beta, math.pi)
+    np.add(dist, math.pi, out=dist, where=dist < 0.0)
+    dist -= math.pi / 2.0
+    return np.abs(dist, out=dist)
 
 
 @dataclass
@@ -310,7 +319,9 @@ class SurfaceAnalysis:
     @cached_property
     def tan_beta(self):
         """tan(beta), zeroed inside the tan-pole band."""
-        return np.where(self.tan_band, 0.0, np.tan(self.frames.beta))
+        tan = np.tan(self.frames.beta)
+        tan[self.tan_band] = 0.0
+        return tan
 
     @cached_property
     def res_curvature(self):

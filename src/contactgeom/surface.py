@@ -451,18 +451,21 @@ def contact_angle_field(grid):
     s = 1.0 if w_seed >= 0 else -1.0
     # masked nodes, where |w| is near 0, take e1 = Xu / |Xu|, c1 = (1 / sqrt(E), 0)
     keep = ~mask
-    c1u = np.divide(s * b, wn, out=1.0 / np.sqrt(metric.E), where=keep)
+    c1u = np.divide(s * b, wn, out=np.empty_like(wn), where=keep)
+    c1u[mask] = 1.0 / np.sqrt(metric.E[mask])
     c1v = np.divide(-s * a, wn, out=np.zeros_like(wn), where=keep)
     sg = metric.sqrt_det
     c2u = -(metric.F * c1u + metric.G * c1v) / sg
     c2v = (metric.E * c1u + metric.F * c1v) / sg
     # cos(beta) = c2u a + c2v b = s (G a^2 - 2 F a b + E b^2) / (|w| sqrt(det g))
     beta = np.arctan2(xin, s * wn / sg)
-    # whole turns onto the seed's side of +-pi: none for the sign +1, under
-    # which cos(beta) >= 0 everywhere
-    two_pi = 2.0 * np.pi
-    np.add(beta, two_pi * np.round((beta[seed] - beta) / two_pi), out=beta,
-           where=keep)
+    # whole turns onto the seed's side of +-pi, for the sign -1 only: under
+    # +1, cos(beta) >= 0, so |beta| <= pi / 2 and every turn would be +-0.0,
+    # which leaves beta as it is (beta is never -0.0: kahler sums onto +0.0)
+    if s < 0:
+        two_pi = 2.0 * np.pi
+        np.add(beta, two_pi * np.round((beta[seed] - beta) / two_pi), out=beta,
+               where=keep)
 
     return FrameField(grid=grid, beta=beta, coeff1=(c1u, c1v),
                       coeff2=(c2u, c2v), mask=mask, n_masked=n_masked)

@@ -1,6 +1,8 @@
 """Metric, shape operator, curvatures, Laplace-Beltrami and the identity suite."""
 
+import math
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -21,7 +23,7 @@ from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
 from contactgeom.cli import main
 from contactgeom.gridops import GridCalc
 from contactgeom.surface import FrameField, MetricField, contact_angle_field
-from test_surface import _rotated_polar_cap, _tilted_clifford
+from test_surface import _past_the_equator_chart, _rotated_polar_cap, _tilted_clifford
 
 RNG = np.random.default_rng(11)
 
@@ -350,6 +352,41 @@ def test_connection_identity_sphere_refines():
     assert rep.linf < 1e-4
 
 
+def _warned(f, x):
+    """f(x) and the warnings it raised, as (category, message without the
+    ufunc's name) pairs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(x)
+    return out, [(w.category, str(w.message).rsplit(" in ", 1)[0]) for w in caught]
+
+
+def test_tan_pole_distance_is_the_remainder_form_bit_for_bit():
+    # fmod plus remainder's fix-up must give the remainder form's bits, and
+    # its warnings, at the points where the two could part: zeros and whole
+    # turns of pi, the poles, large angles, and the non-finite values
+    k = np.arange(0.0, 9.0)
+    big = np.concatenate([np.geomspace(1e-300, 1e6, 97), RNG.uniform(0.0, 1e6, 200),
+                          np.round(RNG.uniform(0.0, 1e6 / math.pi, 100)) * math.pi])
+    base = np.concatenate([[0.0], k * math.pi, k * math.pi + math.pi / 2.0, big])
+    near = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+    finite = np.concatenate([near, -near])
+    assert np.any(np.signbit(finite) & (finite == 0.0))
+
+    def reference(beta):
+        return np.abs(np.remainder(beta, math.pi) - math.pi / 2.0)
+
+    for x in (finite, np.array([np.nan]), np.array([np.inf]), np.array([-np.inf]),
+              np.concatenate([finite, [np.nan, np.inf, -np.inf]])):
+        got, got_warnings = _warned(tan_pole_distance, x)
+        want, want_warnings = _warned(reference, x)
+        assert _same_bits(got, want)
+        assert got_warnings == want_warnings
+    assert _warned(tan_pole_distance, finite)[1] == []
+    assert _warned(tan_pole_distance, np.array([np.inf]))[1] == [
+        (RuntimeWarning, "invalid value encountered")]
+
+
 def _band_residuals_reference(grid, band):
     """Each identity's residual and kept nodes, re-derived per band from an analysis."""
     an = build_analysis(grid)
@@ -512,7 +549,7 @@ def _eager_analysis(grid, band):
     gb = frame_gradient(frames.beta, frames, grid)
     beta1, beta2 = gb
     lap = laplace_beltrami(frames.beta, metric, grid)
-    tan_band = tan_pole_distance(frames.beta) < band
+    tan_band = np.abs(np.remainder(frames.beta, np.pi) - np.pi / 2.0) < band
 
     res_curv = K_int - (1.0 - (beta1 + 1.0) ** 2 - beta2 ** 2)
     tan_beta = np.where(tan_band, 0.0, np.tan(frames.beta))
@@ -563,6 +600,8 @@ LAZY_CASES = {
     "clifford_bump": lambda: perturb(clifford(), (1, 2), 0.05).sample(n=32),
     "masked_cap_9": lambda: sample(_cap, GridSpec(9, 9, (-0.3, 0.3), (-0.3, 0.3),
                                                   "chart", "chart")),
+    # the sign -1 with beta turned through pi around a masked node
+    "past_the_equator_33": _past_the_equator_chart,
 }
 
 
@@ -573,7 +612,7 @@ def test_lazy_analysis_matches_eager_reference_bitwise(case, band, monkeypatch):
     monkeypatch.setattr(calculus, "TAN_BAND", band)
     ref = _eager_analysis(grid, band)
     an = build_analysis(grid)
-    if case == "masked_cap_9":
+    if case in ("masked_cap_9", "past_the_equator_33"):
         assert an.frames.n_masked == 1
     if case == "geodesic_sphere" and band == 0.3:
         assert np.any(an.tan_band)

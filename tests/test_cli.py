@@ -1,10 +1,14 @@
 """CLI exit codes and file outputs."""
 
+import ctypes
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,13 +23,16 @@ from contactgeom.sampleio import FIELDS_CSV_HEADER, read_samples, write_samples
 from contactgeom.surface import GridSpec, SurfaceGrid
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
 def run(argv):
     return main(argv)
 
 
 def _readme_command_lines():
     """The `contactgeom ...` lines of README's "Command line" block."""
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = re.search(r"## Command line\n+```bash\n(.*?)```", readme, re.S).group(1)
     return [line for line in block.splitlines() if line.startswith("contactgeom ")]
 
@@ -133,6 +140,40 @@ def test_analyze_evaluates_H_a_fixed_number_of_times(tmp_path, monkeypatch):
                     "--grid", f"{n}x{n}", "--out", str(tmp_path / str(n))]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+# three analyze calls in one fresh interpreter: the minor faults of each,
+# then whether glibc accepted both thresholds
+REPEATED_ANALYZE = """
+import resource, sys
+from contactgeom import cli
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(sys.argv[1:]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults, cli._keep_freed_memory())
+"""
+
+
+def test_repeated_analyze_reuses_the_memory_it_freed(tmp_path):
+    # main fixes glibc's mmap and trim thresholds before any work, so the
+    # fields one command frees stay in the heap for the next; at glibc's
+    # dynamic thresholds each repeat at 128^2 faulted in about 2k pages.
+    # A fresh interpreter, since the heap this suite has grown can hide
+    # a threshold left unset
+    argv = ["analyze", "--surface", "clifford", "--grid", "128x128", "--out", str(tmp_path)]
+    if not (sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")):
+        assert run(argv) == 0
+        return
+    proc = subprocess.run([sys.executable, "-c", REPEATED_ANALYZE, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    *faults, accepted = proc.stdout.splitlines()[-1].split()
+    # glibc accepted both (some versions refuse an mmap threshold above 32 MiB)
+    assert accepted == "True"
+    assert max(int(n) for n in faults[1:]) < 200, faults
 
 
 def test_analyze_over_masked_file_exits_2_and_writes_nothing(tmp_path, capsys):

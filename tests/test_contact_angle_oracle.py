@@ -71,4 +71,4 @@ def test_lazy_legs_are_an_oriented_orthonormal_frame(case):
     assert np.max(np.abs(gram - np.eye(4))) <= FRAME_TOL, name
     assert np.max(np.abs(np.linalg.det(legs) - 1.0)) <= FRAME_TOL, name
     assert np.array_equal(frames.e3, _cross4_normal(grid)), name
-    assert frames.n_masked == name.endswith("cap_9")
+    assert frames.n_masked == (name.endswith("cap_9") or name == "past_the_equator_33")

@@ -486,6 +486,37 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _sites(tree, names):
+    """"owner:line" of each read or import of any of names in tree, in line
+    order: x.name, name, an imported name or module; the owner is None at
+    module level."""
+    owner = _owners(tree)
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.Name) and node.id in names
+             or isinstance(node, ast.alias) and node.name.split(".")[0] in names
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in names]
+    return [f"{owner.get(id(node))}:{node.lineno}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_only_the_cli_entry_point_sets_the_allocator():
+    # cli._keep_freed_memory is the one place that loads ctypes and calls
+    # mallopt, and cli.main its one caller: importing the package leaves a
+    # host process's allocator as it found it
+    def sites(names):
+        return [f"{path.name}:{site.rpartition(':')[0]}" for path in PACKAGE
+                for site in _sites(_tree(path), names)]
+
+    assert set(sites({"ctypes", "mallopt"})) == {"cli.py:_keep_freed_memory"}
+    assert sites({"_keep_freed_memory"}) == ["cli.py:main"]
+    # the guard sees a module-level import, a from-import, a call in
+    # another function and a bare name
+    planted = ast.parse("import ctypes\ndef f():\n    from ctypes import CDLL\n"
+                        "    return CDLL(None).mallopt(-3, 1)\ng = mallopt\n")
+    assert _sites(planted, {"ctypes", "mallopt"}) == ["None:1", "f:3", "f:4", "None:5"]
+
+
 def _handlers_outside(tree, function):
     """"owner:line" of each except handler of tree outside the function,
     in line order."""

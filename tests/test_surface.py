@@ -604,6 +604,7 @@ def test_sign_fills_match_node_by_node_bfs():
     # of the node-by-node reference bit for bit, signed zeros included, on
     # unmasked grids and on the polar caps alike, with no holonomy
     grids, caps = _gauge_grids()
+    signs = set()
     for grid in grids + caps:
         ff = contact_angle_field(grid)
         ref = _reference_frames(grid)
@@ -612,6 +613,14 @@ def test_sign_fills_match_node_by_node_bfs():
         assert ff.sign_mismatches == 0, grid.label
         # the caps, and only they, have a masked node
         assert ff.n_masked == (grid in caps), grid.label
+        # c1 = s (b, -a) / |w|, so c1u b - c1v a = s (a^2 + b^2) / |w|
+        Xu, Xv, metric = grid.geometry
+        a, b, _, _ = _raw_frames(grid.points, Xu, Xv, metric)
+        keep = ~ff.mask
+        signs.add(float(np.sign(np.sum(ff.coeff1[0][keep] * b[keep]
+                                       - ff.coeff1[1][keep] * a[keep]))))
+    # both signs are checked: only s = -1 turns beta
+    assert signs == {-1.0, 1.0}
     xi = jmul(grid.points)   # xi = i z
     assert np.sum(ff.beta != np.arctan2(dot(xi, ff.e3), dot(xi, ff.e2))) > 100
 
