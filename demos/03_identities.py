@@ -22,7 +22,7 @@ for entry in (geodesic_sphere(), clifford()):
     print(f"—— {entry.name} ——")
     for ident in ("curvature", "laplacian", "connection", "gauss"):
         rep = refinement_study(entry, ident, LEVELS)
-        lv = "  ".join(f"n={n}: {linf:.2e}" for (n, linf, _, _) in rep.levels)
+        lv = "  ".join(f"n={level.n}: {level.linf:.2e}" for level in rep.levels)
         order = "at roundoff floor" if rep.at_floor else f"order {rep.order:.2f}"
         print(f"  {ident:10s} {lv}   [{order}]")
     print()

@@ -33,16 +33,21 @@ the one `surface` caches on the grid.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ambient
 from .errors import DegenerateContact, RangeError
+from .gridops import CENTRAL_OFFSETS
 from .surface import _worst_node, contact_angle_field
 
 # the one tan-pole band of analyze and verify: nodes whose beta lies within
 # it of a tan pole are left out where tan(beta) enters a residual
 TAN_BAND = 1e-3
+# rows at each chart edge that the central stencil cannot reach (its
+# half-width); a residual's interior L-infinity leaves them out
+EDGE_ROWS = int(CENTRAL_OFFSETS[-1])
 
 
 @dataclass
@@ -229,17 +234,35 @@ def tan_pole_distance(beta):
     return np.abs(dist, out=dist)
 
 
+class Level(NamedTuple):
+    """One refinement level of an IdentityReport."""
+
+    n: int
+    linf: float
+    l2: float
+    excluded: int
+    node: tuple             # (i, j) of the L-infinity
+    interior_linf: float    # L-infinity at least EDGE_ROWS from a chart edge, or None
+
+
 @dataclass
 class IdentityReport:
-    """Residual norms for one identity, optionally across refinement levels."""
+    """Residual norms for one identity, optionally across refinement levels.
+
+    node is where the L-infinity sits, and interior_linf the L-infinity over
+    the kept nodes at least EDGE_ROWS rows from every chart edge (None when
+    no kept node is that far in); a refinement report gives them per level.
+    """
 
     name: str
     linf: float
     l2: float
     n_excluded: int = 0
-    levels: list = field(default_factory=list)   # [(n, linf, l2, excluded), ...]
+    levels: list = field(default_factory=list)   # [Level, ...]
     order: float = None
     at_floor: bool = False
+    node: tuple = None
+    interior_linf: float = None
 
 
 class SurfaceAnalysis:
@@ -382,7 +405,10 @@ IDENTITIES = {
 def verify_identity(an, name):
     """Norms of the named identity's residual over the nodes its row keeps.
 
-    Masked nodes are excluded, and band nodes where the row says so.  Raises
+    Masked nodes are excluded, and band nodes where the row says so.  The
+    report also names the node of the L-infinity and gives the L-infinity
+    over kept nodes at least EDGE_ROWS rows from every chart edge, where the
+    one-sided stencils do not reach.  Raises
     DegenerateContact, naming the unmasked node nearest a pole, when no node
     is kept: empty norms would read as a residual at the roundoff floor.
     """
@@ -396,9 +422,20 @@ def verify_identity(an, name):
             f"{name} identity: every unmasked node lies within the tan-pole "
             f"band {TAN_BAND:g}, node {node} nearest a pole", node=node)
     vals = res[keep]
-    return IdentityReport(name, float(np.max(np.abs(vals))),
-                          float(np.sqrt(np.mean(vals ** 2))),
-                          n_excluded=int(np.sum(~keep)))
+    l2 = float(np.sqrt(np.mean(vals ** 2)))
+    del vals
+    # |res| on the kept nodes and -1 elsewhere, so its argmax is a kept node
+    # and its maximum the L-infinity, bit for bit
+    mag = np.full(res.shape, -1.0)
+    np.abs(res, out=mag, where=keep)
+    node = np.unravel_index(np.argmax(mag), mag.shape)
+    spec = an.grid.spec
+    inner = mag[tuple(slice(EDGE_ROWS, -EDGE_ROWS) if topology == "chart" else slice(None)
+                      for topology in (spec.topology_u, spec.topology_v))]
+    interior = float(inner.max())   # GridSpec's 8-node floor leaves rows 3..n-4
+    return IdentityReport(name, float(mag[node]), l2, n_excluded=int(np.sum(~keep)),
+                          node=tuple(int(i) for i in node),
+                          interior_linf=None if interior < 0.0 else interior)
 
 
 ORDER_THRESHOLD = 1.7
@@ -435,13 +472,13 @@ def refinement_study(entry, identity, levels):
     for spec in specs:
         grid = entry.sample(spec)
         rep = verify_identity(build_analysis(grid), identity)
-        rows.append((spec.n_u, rep.linf, rep.l2, rep.n_excluded))
-    order = observed_order([r[0] for r in rows], [r[1] for r in rows])
+        rows.append(Level(spec.n_u, rep.linf, rep.l2, rep.n_excluded,
+                          rep.node, rep.interior_linf))
+    order = observed_order([r.n for r in rows], [r.linf for r in rows])
     at_floor = order is None
-    return IdentityReport(identity,
-                          linf=rows[-1][1], l2=rows[-1][2],
-                          n_excluded=rows[-1][3],
-                          levels=rows, order=order, at_floor=at_floor)
+    return IdentityReport(identity, linf=rows[-1].linf, l2=rows[-1].l2,
+                          n_excluded=rows[-1].excluded, levels=rows, order=order,
+                          at_floor=at_floor)
 
 
 def refinement_passed(report):

@@ -28,6 +28,7 @@ alike: the identity-verification tolerances sit below what 4th-order
 truncation constants deliver on 64-node axes.
 """
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -40,6 +41,9 @@ CENTRAL_OFFSETS = np.arange(-(STENCIL_ACC // 2), STENCIL_ACC // 2 + 1)
 # rows per block of a banded operator; an axis of n nodes has
 # ceil(n / BLOCK_ROWS) near-equal blocks
 BLOCK_ROWS = 64
+# nodes at each end of a chart axis that carry the quadrature's end
+# correction: its one-sided derivatives up to f^(5) are exact through degree 7
+QUAD_END_NODES = 8
 
 
 def fd_weights(xs, x0, m):
@@ -90,6 +94,28 @@ def diff_matrix(n, h, m, periodic):
             lo = 0 if i < r else n - width
             D[i, lo:lo + width] = fd_weights(np.arange(lo, lo + width) * h, float(i) * h, m)
     return D
+
+
+@lru_cache(maxsize=None)
+def _end_correction():
+    """(QUAD_END_NODES,) weights, in units of the step h, that the trapezoid
+    rule on a chart axis adds on its first nodes (and, reversed, on its
+    last): Gregory's end correction (Fornberg, "Improving the accuracy of
+    the trapezoidal rule", SIAM Review 63, 2021).
+
+    By Euler-Maclaurin the trapezoid rule on [a, b] misses the integral by
+    sum_k B_2k / (2k)! h^2k (f^(2k-1)(a) - f^(2k-1)(b)).  The correction is
+    the k = 1, 2, 3 terms at each end, each derivative taken by the
+    one-sided stencil on the end nodes, which is exact for degree below 8;
+    there f^(7) is constant and the k >= 4 terms vanish, so the corrected
+    rule is exact for polynomials of degree below 8.
+    """
+    nodes = np.arange(float(QUAD_END_NODES))
+    bernoulli = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)   # B_2, B_4, B_6
+    c = sum(b / math.factorial(2 * k) * fd_weights(nodes, 0.0, 2 * k - 1)
+            for k, b in enumerate(bernoulli, start=1))
+    c.flags.writeable = False
+    return c
 
 
 class RowBlock(NamedTuple):
@@ -165,7 +191,7 @@ class GridCalc:
         return _apply(self.Dvv, F, 1)
 
     def quad_weights(self):
-        """Tensor-product quadrature weights (trapezoid on chart axes),
+        """Tensor-product quadrature weights (_axis_weights on each axis),
         formed on the first call and shared read-only after."""
         if self._quad_weights is None:
             s = self.spec
@@ -176,8 +202,17 @@ class GridCalc:
 
     @staticmethod
     def _axis_weights(n, h, topology):
+        """Equal weights h on a periodic axis, spectrally accurate there.
+        On a chart axis the trapezoid rule with _end_correction() added on
+        the QUAD_END_NODES nodes at each end, exact for polynomials of
+        degree below QUAD_END_NODES; below 2 QUAD_END_NODES nodes, where
+        the two ends' windows would overlap, the plain trapezoid rule."""
         w = np.full(n, h)
         if topology == "chart":
             w[0] *= 0.5
             w[-1] *= 0.5
+            if n >= 2 * QUAD_END_NODES:
+                c = h * _end_correction()
+                w[:QUAD_END_NODES] += c
+                w[-QUAD_END_NODES:] += c[::-1]
         return w

@@ -51,6 +51,7 @@ every subnormal) or is not finite, or when its %d cell is not one of the
 digits 0..9.  +-0.0 is written directly, with the sign of -0.0.
 """
 
+import functools
 import os
 import warnings
 
@@ -109,21 +110,36 @@ _CELL_WORDS = 5
 _ROW_LAYOUTS = {FIELDS_ROW_FMT: (",", 11, True), SAMPLE_ROW_FMT: (" ", 6, False)}
 
 
+def _read_only(words):
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
 def _digit_words():
-    """(10000,) words: the four ASCII digits of 0..9999.
+    """(10000,) words: the four ASCII digits of 0..9999, read-only.
 
-    Built per write_table call: built on import, its temporaries raised
-    the peak RSS of every command by about 0.5 MB.
+    Built on the first write_table call and kept: built on import, its
+    temporaries raised the peak RSS of every command by about 0.5 MB.
     """
-    return (np.arange(10000, dtype=np.uint16)[:, None]
-            // np.array([1000, 100, 10, 1], np.uint16) % 10
-            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    return _read_only((np.arange(10000, dtype=np.uint16)[:, None]
+                       // np.array([1000, 100, 10, 1], np.uint16) % 10
+                       + ord("0")).astype(np.uint8).view(np.uint32).ravel())
 
 
+@functools.cache
 def _lead_words(sep, n):
-    """(n, 20) first words of n cells, the first without sep; column sign*10 + d."""
-    return np.array([[_word(f"{lead}{sign}{d}.") for sign in ("\0", "-") for d in range(10)]
-                     for lead in ["\0"] + [sep] * (n - 1)])
+    """(n, 20) first words of n cells, the first without sep; column sign*10 + d.
+    Read-only, built once per layout."""
+    return _read_only(np.array([[_word(f"{lead}{sign}{d}.") for sign in ("\0", "-")
+                                 for d in range(10)]
+                                for lead in ["\0"] + [sep] * (n - 1)]))
+
+
+@functools.cache
+def _digit_tail(sep):
+    """(10,) last words of a line that ends in a %d cell: "{sep}{d}\\n"; read-only."""
+    return _read_only(np.array([_word(f"{sep}{d}\n\0") for d in range(10)]))
 
 
 def _product_error(a, b):
@@ -232,7 +248,7 @@ def write_table(fh, columns, row_fmt):
     columns = [np.broadcast_to(c, shape) for c in columns]
     lead = _lead_words(sep, n_float)
     digits = _digit_words()
-    digit_tail = np.array([_word(f"{sep}{d}\n\0") for d in range(10)])
+    digit_tail = _digit_tail(sep)
     u_rows = max(1, _BLOCK_CELLS // max(1, n_v * n_cols))
     stacked = np.empty((u_rows, n_v, n_cols))
     full = np.zeros((u_rows * n_v, _CELL_WORDS * n_float + 1), np.uint32)

@@ -112,7 +112,7 @@ def test_criterion_04_curvature_identity_refinement(cliff):
     ok = order_ok and decreasing and cliff_ok
     assert _line(4, "curvature identity", ok,
                  f"sphere order = {rep.order:.2f} (>= 1.7), "
-                 f"levels = {[f'{v:.1e}' for (_, v, _, _) in rep.levels]}, "
+                 f"levels = {[f'{lv.linf:.1e}' for lv in rep.levels]}, "
                  f"flat-torus residual <= {max(cliff_linf, *cliff_levels):.2e}")
 
 

@@ -1,9 +1,11 @@
 """Metric, shape operator, curvatures, Laplace-Beltrami and the identity suite."""
 
+import json
 import math
 import tracemalloc
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,6 +289,37 @@ def test_laplace_self_adjoint_periodic():
     assert abs(s1 - s2) < 1e-8
 
 
+# ------------------------------------------------------------- quadrature
+
+def test_chart_quadrature_is_exact_below_degree_8():
+    # Gregory's end correction on the 8 nodes at each end of a chart axis
+    for n in (16, 17, 40):
+        x = np.linspace(-1.0, 1.0, n)
+        w = GridCalc._axis_weights(n, x[1] - x[0], "chart")
+        errors = [abs(w @ x ** k - (2.0 / (k + 1) if k % 2 == 0 else 0.0))
+                  for k in range(9)]
+        assert max(errors[:8]) < 1e-14, (n, errors)
+        assert errors[8] > 1e-10, (n, errors)
+
+
+def test_axis_weights_periodic_equal_and_short_chart_trapezoid():
+    assert np.array_equal(GridCalc._axis_weights(32, 0.25, "periodic"), np.full(32, 0.25))
+    # below 16 nodes the two ends' windows would overlap: the trapezoid rule
+    w = GridCalc._axis_weights(15, 0.25, "chart")
+    assert np.array_equal(w, np.r_[0.125, np.full(13, 0.25), 0.125])
+
+
+def test_sphere_area_falls_at_order_4_or_more():
+    # the chart axis theta in [0.2, pi - 0.2]; the trapezoid rule read
+    # -8.0e-3, -1.9e-3 and -4.8e-4 at 32..128 (order 2)
+    exact = 4.0 * math.pi * math.cos(0.2)
+    errors = [abs(build_analysis(geodesic_sphere().sample(n=n)).area - exact)
+              for n in (32, 64, 128)]
+    roundoff = 1e-13
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine <= coarse / 2.0 ** 4 + roundoff, errors
+
+
 # ------------------------------------------------------------- identities
 
 def test_curvature_identity_clifford(cliff64):
@@ -535,6 +568,65 @@ def test_observed_order_floor():
 def test_refinement_needs_three_levels():
     with pytest.raises(ValueError):
         refinement_study(geodesic_sphere(), "curvature", [32, 64])
+
+
+# ------------------------------------------------------------ edge report
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_sphere_linf_sits_on_a_chart_edge_row(identity):
+    # the one-sided rows set every L-infinity; the interior one is smaller
+    rep = refinement_study(geodesic_sphere(), identity, [32, 64, 128])
+    for lv in rep.levels:
+        assert lv.node[0] in (0, lv.n - 1), lv
+        assert 0.0 <= lv.interior_linf < lv.linf, lv
+
+
+def test_interior_linf_on_periodic_axes_is_the_linf(cliff64):
+    _, an = cliff64
+    rep = verify_identity(an, "curvature")
+    assert rep.interior_linf == rep.linf
+    assert abs(an.res_curvature[rep.node]) == rep.linf
+
+
+def test_verify_report_locates_without_changing_the_norms():
+    an = build_analysis(geodesic_sphere().sample(n=32))
+    res = an.res_laplacian.copy()
+    rep = verify_identity(an, "laplacian")
+    assert np.array_equal(an.res_laplacian, res)    # no cached field mutated
+    keep = IDENTITIES["laplacian"].kept(an)
+    assert rep.linf == float(np.max(np.abs(res[keep])))
+    assert rep.l2 == float(np.sqrt(np.mean(res[keep] ** 2)))
+    assert rep.interior_linf == float(np.max(np.abs(res[3:-3][keep[3:-3]])))
+
+
+def test_interior_linf_is_none_without_an_interior_kept_node():
+    spec = GridSpec(8, 8, (0.0, 1.0), (0.0, 1.0), "chart", "chart")
+    valid = np.zeros((8, 8), bool)
+    valid[:3] = valid[-3:] = True
+    res = np.arange(64.0).reshape(8, 8)
+    an = SimpleNamespace(grid=SimpleNamespace(spec=spec), valid=valid, res_curvature=res)
+    rep = verify_identity(an, "curvature")
+    assert rep.interior_linf is None
+    assert rep.node == (7, 7) and rep.linf == 63.0
+
+
+def test_verify_writes_the_edge_report(tmp_path):
+    assert main(["verify", "--surface", "geodesic_sphere", "--identity", "curvature",
+                 "--refine", "32,48,64", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "identity_curvature.json").read_text())
+    for lv in rep["levels"]:
+        assert set(lv) == {"n", "linf", "l2", "excluded", "node", "interior_linf"}
+        row = lv["node"][0]
+        assert min(row, lv["n"] - 1 - row) < calculus.EDGE_ROWS, lv
+        assert lv["interior_linf"] < lv["linf"]
+
+
+@pytest.mark.xfail(strict=True, reason="the order fit reads float64 roundoff as "
+                   "truncation error (order 0.73 at 64..512); remove once it knows "
+                   "the roundoff floor")
+def test_verify_laplacian_sphere_to_512_passes(tmp_path):
+    assert main(["verify", "--surface", "geodesic_sphere", "--identity", "laplacian",
+                 "--refine", "64,128,256,512", "--out", str(tmp_path)]) == 0
 
 
 # ------------------------------------------------------- lazy analysis

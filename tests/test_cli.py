@@ -1,6 +1,7 @@
 """CLI exit codes and file outputs."""
 
 import ctypes
+import io
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 
 from contactgeom import (ContactGeomError, OffSphere, ParseError, RangeError,
                          catalog, cli, clifford, contact_angle_field)
-from contactgeom.calculus import (IdentityReport, ShapeOperatorField,
+from contactgeom.calculus import (IdentityReport, Level, ShapeOperatorField,
                                   build_analysis, refinement_study)
 from contactgeom.cli import main
 from contactgeom.flow import FlowConfig, descend
@@ -594,7 +595,8 @@ def test_flow_zero_steps_exit_5(tmp_path):
 def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
     def nan_study(entry, identity, levels):
         return IdentityReport(identity, math.nan, 0.0,
-                              levels=[(32, math.nan, 0.0, 0)], order=2.0)
+                              levels=[Level(32, math.nan, 0.0, 0, (0, 0), 0.0)],
+                              order=2.0)
 
     monkeypatch.setattr(cli, "refinement_study", nan_study)
     with pytest.raises(ValueError, match="identity_gauss.json"):
@@ -730,3 +732,74 @@ def test_json_outputs_deterministic(tmp_path):
              "--grid", "32x32", "--out", str(out)])
     assert (a / "report.json").read_text() == (b / "report.json").read_text()
     assert (a / "fields.csv").read_text() == (b / "fields.csv").read_text()
+
+
+def _files(out):
+    """{name: bytes} of every file under out."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    assert run(["catalog", "list"]) == 0
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", spy)
+    assert run(["catalog", "list", "--json"]) == 0
+    assert run(["analyze", "--surface", "clifford", "--grid", "16x16",
+                "--out", str(tmp_path)]) == 0
+    assert run(["verify", "--surface", "nosuch", "--identity", "gauss"]) == 2
+    assert run(["flow", "--grid", "16by16"]) == 2
+    assert built == []
+    assert cli.build_parser.cache_info().currsize == 1
+    # the cached parser binds no command: a patched one is the one that runs
+    monkeypatch.setattr(cli, "cmd_catalog", lambda args: 7)
+    assert run(["catalog", "list"]) == 7
+
+
+def test_main_calls_share_no_state(tmp_path):
+    bumped, plain = tmp_path / "bumped", tmp_path / "plain"
+    assert run(["analyze", "--surface", "clifford", "--param", "eps=0.05",
+                "--grid", "16x16", "--out", str(bumped)]) == 0
+    assert run(["analyze", "--surface", "clifford", "--grid", "16x16",
+                "--out", str(plain)]) == 0
+    assert json.loads((bumped / "report.json").read_text())["surface"].startswith(
+        "clifford+bump")
+    assert json.loads((plain / "report.json").read_text())["surface"] == "clifford"
+
+
+def test_a_parse_error_leaves_the_next_call_as_it_was(tmp_path):
+    argv = ["verify", "--surface", "clifford", "--identity", "gauss",
+            "--refine", "16,20,24"]
+    cli.build_parser.cache_clear()
+    assert run(argv + ["--out", str(tmp_path / "alone")]) == 0
+    assert run(["verify", "--surface", "clifford", "--identity", "gauss",
+                "--refine", "16,x,24", "--out", str(tmp_path / "bad")]) == 2
+    assert run(argv + ["--out", str(tmp_path / "after")]) == 0
+    assert not (tmp_path / "bad").exists()
+    assert _files(tmp_path / "after") == _files(tmp_path / "alone")
+
+
+def test_write_table_builds_its_word_tables_once():
+    from contactgeom import sampleio
+    tables = (sampleio._digit_words, sampleio._lead_words, sampleio._digit_tail)
+    for table in tables:
+        table.cache_clear()
+    grid = clifford().sample(n=8)
+    U, V = grid.spec.mesh(sparse=True)
+    columns = [U, V, *grid.points, *np.ones((5, 8, 8)), np.zeros((8, 8))]
+    texts = []
+    for _ in range(2):
+        fh = io.StringIO()
+        sampleio.write_table(fh, columns, sampleio.FIELDS_ROW_FMT)
+        texts.append(fh.getvalue())
+    assert texts[0] == texts[1]
+    for table in tables:
+        info = table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1), table
+    assert not sampleio._digit_words().flags.writeable
