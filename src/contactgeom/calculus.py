@@ -407,8 +407,10 @@ def verify_identity(an, name):
 
     Masked nodes are excluded, and band nodes where the row says so.  The
     report also names the node of the L-infinity and gives the L-infinity
-    over kept nodes at least EDGE_ROWS rows from every chart edge, where the
-    one-sided stencils do not reach.  Raises
+    over kept nodes at least EDGE_ROWS rows (one stencil half-width) from
+    every chart edge.  Those nodes are not free of edge error: the residuals
+    chain derivatives, so the one-sided rows feed the central stencil some
+    two or three half-widths in.  Raises
     DegenerateContact, naming the unmasked node nearest a pole, when no node
     is kept: empty norms would read as a residual at the roundoff floor.
     """
@@ -476,9 +478,11 @@ def refinement_study(entry, identity, levels):
                           rep.node, rep.interior_linf))
     order = observed_order([r.n for r in rows], [r.linf for r in rows])
     at_floor = order is None
-    return IdentityReport(identity, linf=rows[-1].linf, l2=rows[-1].l2,
-                          n_excluded=rows[-1].excluded, levels=rows, order=order,
-                          at_floor=at_floor)
+    last = rows[-1]
+    return IdentityReport(identity, linf=last.linf, l2=last.l2,
+                          n_excluded=last.excluded, levels=rows, order=order,
+                          at_floor=at_floor, node=last.node,
+                          interior_linf=last.interior_linf)
 
 
 def refinement_passed(report):

@@ -205,14 +205,15 @@ class GridCalc:
         """Equal weights h on a periodic axis, spectrally accurate there.
         On a chart axis the trapezoid rule with _end_correction() added on
         the QUAD_END_NODES nodes at each end, exact for polynomials of
-        degree below QUAD_END_NODES; below 2 QUAD_END_NODES nodes, where
-        the two ends' windows would overlap, the plain trapezoid rule."""
+        degree below QUAD_END_NODES.  GridSpec's floor of 8 nodes gives
+        each end its window; on shorter axes than 2 QUAD_END_NODES the two
+        windows overlap and their corrections add, which keeps the rule
+        exact (at 8 nodes it is the closed 8-point Newton-Cotes rule)."""
         w = np.full(n, h)
         if topology == "chart":
             w[0] *= 0.5
             w[-1] *= 0.5
-            if n >= 2 * QUAD_END_NODES:
-                c = h * _end_correction()
-                w[:QUAD_END_NODES] += c
-                w[-QUAD_END_NODES:] += c[::-1]
+            c = h * _end_correction()
+            w[:QUAD_END_NODES] += c
+            w[-QUAD_END_NODES:] += c[::-1]
         return w

@@ -292,8 +292,9 @@ def test_laplace_self_adjoint_periodic():
 # ------------------------------------------------------------- quadrature
 
 def test_chart_quadrature_is_exact_below_degree_8():
-    # Gregory's end correction on the 8 nodes at each end of a chart axis
-    for n in (16, 17, 40):
+    # Gregory's end correction on the 8 nodes at each end of a chart axis;
+    # below 16 nodes the two windows overlap and their corrections add
+    for n in (8, 9, 15, 16, 17, 40):
         x = np.linspace(-1.0, 1.0, n)
         w = GridCalc._axis_weights(n, x[1] - x[0], "chart")
         errors = [abs(w @ x ** k - (2.0 / (k + 1) if k % 2 == 0 else 0.0))
@@ -302,11 +303,15 @@ def test_chart_quadrature_is_exact_below_degree_8():
         assert errors[8] > 1e-10, (n, errors)
 
 
-def test_axis_weights_periodic_equal_and_short_chart_trapezoid():
+def test_axis_weights_periodic_equal():
     assert np.array_equal(GridCalc._axis_weights(32, 0.25, "periodic"), np.full(32, 0.25))
-    # below 16 nodes the two ends' windows would overlap: the trapezoid rule
-    w = GridCalc._axis_weights(15, 0.25, "chart")
-    assert np.array_equal(w, np.r_[0.125, np.full(13, 0.25), 0.125])
+
+
+def test_chart_quadrature_on_8_nodes_is_newton_cotes():
+    # the two windows cover the same 8 nodes: the closed 8-point rule
+    newton_cotes = np.array([751, 3577, 1323, 2989, 2989, 1323, 3577, 751]) * 7 / 17280
+    assert np.allclose(GridCalc._axis_weights(8, 1.0, "chart"), newton_cotes,
+                       rtol=0, atol=1e-15)
 
 
 def test_sphere_area_falls_at_order_4_or_more():
@@ -579,6 +584,10 @@ def test_sphere_linf_sits_on_a_chart_edge_row(identity):
     for lv in rep.levels:
         assert lv.node[0] in (0, lv.n - 1), lv
         assert 0.0 <= lv.interior_linf < lv.linf, lv
+    # the top-level norms all describe the finest level
+    last = rep.levels[-1]
+    assert (rep.linf, rep.l2, rep.n_excluded, rep.node, rep.interior_linf) == \
+        (last.linf, last.l2, last.excluded, last.node, last.interior_linf)
 
 
 def test_interior_linf_on_periodic_axes_is_the_linf(cliff64):
