@@ -23,6 +23,6 @@ for entry in (geodesic_sphere(), clifford()):
     for ident in ("curvature", "laplacian", "connection", "gauss"):
         rep = refinement_study(entry, ident, LEVELS)
         lv = "  ".join(f"n={level.n}: {level.linf:.2e}" for level in rep.levels)
-        order = "at roundoff floor" if rep.at_floor else f"order {rep.order:.2f}"
+        order = "at roundoff floor" if rep.order is None else f"order {rep.order:.2f}"
         print(f"  {ident:10s} {lv}   [{order}]")
     print()

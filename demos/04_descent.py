@@ -25,7 +25,7 @@ z = final.grid.points
 r_end = np.arccos(np.sqrt(z[0] ** 2 + z[1] ** 2))  # |z1| = cos r
 print(f"  start r = {np.pi/4 + 0.1:.6f} -> r in [{r_end.min():.12f}, "
       f"{r_end.max():.12f}]  (pi/4 = {np.pi/4:.12f}),  "
-      f"E* = {report.trace[-1][1]:.2e} after {report.iterations} steps\n")
+      f"E* = {report.trace[-1].energy:.2e} after {report.iterations} steps\n")
 
 print("L-BFGS descent from a (1,2)-mode normal bump, amplitude 0.05, 32x32:")
 grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
@@ -43,6 +43,6 @@ print(f"  beta spread = {probe['beta_spread']:.3e} (constant at tolerance)"
 
 print("\nthe same descent from the product torus r = 0.70, 32x32, tol 1e-6:")
 report, final = descend(r_torus(0.70).sample(n=32), FlowConfig(tol=1e-6))
-print(f"  E: {report.trace[0][1]:.3e} -> {report.trace[-1][1]:.3e} in "
+print(f"  E: {report.trace[0].energy:.3e} -> {report.trace[-1].energy:.3e} in "
       f"{report.iterations} steps, max|H| = {report.final_max_H:.3e}, "
       f"probe: {theorem_probe(report, final)['status']}")

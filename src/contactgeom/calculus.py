@@ -31,7 +31,7 @@ the one `surface` caches on the grid.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -235,7 +235,8 @@ def tan_pole_distance(beta):
 
 
 class Level(NamedTuple):
-    """One refinement level of an IdentityReport."""
+    """Norms of one identity's residual on one grid: verify_identity's result
+    and one refinement level of an IdentityReport."""
 
     n: int
     linf: float
@@ -243,26 +244,6 @@ class Level(NamedTuple):
     excluded: int
     node: tuple             # (i, j) of the L-infinity
     interior_linf: float    # L-infinity at least EDGE_ROWS from a chart edge, or None
-
-
-@dataclass
-class IdentityReport:
-    """Residual norms for one identity, optionally across refinement levels.
-
-    node is where the L-infinity sits, and interior_linf the L-infinity over
-    the kept nodes at least EDGE_ROWS rows from every chart edge (None when
-    no kept node is that far in); a refinement report gives them per level.
-    """
-
-    name: str
-    linf: float
-    l2: float
-    n_excluded: int = 0
-    levels: list = field(default_factory=list)   # [Level, ...]
-    order: float = None
-    at_floor: bool = False
-    node: tuple = None
-    interior_linf: float = None
 
 
 class SurfaceAnalysis:
@@ -298,13 +279,13 @@ class SurfaceAnalysis:
     @cached_property
     def area(self):
         """Quadrature of sqrt(det g)."""
-        return float(np.sum(self.metric.sqrt_det * self.grid.calc.quad_weights()))
+        return float(np.sum(self.metric.sqrt_det * self.grid.calc.quad_weights))
 
     @cached_property
     def energy(self):
         """E = integral of H^2 dA; zero exactly on minimal surfaces."""
         return float(np.sum(self.H ** 2 * self.metric.sqrt_det
-                            * self.grid.calc.quad_weights()))
+                            * self.grid.calc.quad_weights))
 
     @cached_property
     def max_H(self):
@@ -403,10 +384,11 @@ IDENTITIES = {
 
 
 def verify_identity(an, name):
-    """Norms of the named identity's residual over the nodes its row keeps.
+    """The Level of the named identity's residual over the nodes its row
+    keeps, with n the grid's node count along u.
 
     Masked nodes are excluded, and band nodes where the row says so.  The
-    report also names the node of the L-infinity and gives the L-infinity
+    level also names the node of the L-infinity and gives the L-infinity
     over kept nodes at least EDGE_ROWS rows (one stencil half-width) from
     every chart edge.  Those nodes are not free of edge error: the residuals
     chain derivatives, so the one-sided rows feed the central stencil some
@@ -435,9 +417,8 @@ def verify_identity(an, name):
     inner = mag[tuple(slice(EDGE_ROWS, -EDGE_ROWS) if topology == "chart" else slice(None)
                       for topology in (spec.topology_u, spec.topology_v))]
     interior = float(inner.max())   # GridSpec's 8-node floor leaves rows 3..n-4
-    return IdentityReport(name, float(mag[node]), l2, n_excluded=int(np.sum(~keep)),
-                          node=tuple(int(i) for i in node),
-                          interior_linf=None if interior < 0.0 else interior)
+    return Level(spec.n_u, float(mag[node]), l2, int(np.sum(~keep)),
+                 tuple(int(i) for i in node), None if interior < 0.0 else interior)
 
 
 ORDER_THRESHOLD = 1.7
@@ -455,8 +436,24 @@ def observed_order(ns, norms):
     return float(slope)
 
 
+class IdentityReport(NamedTuple):
+    """One identity's Levels across refinement, coarsest first, and the
+    observed order of their L-infinity (None at the roundoff floor)."""
+
+    name: str
+    levels: list            # [Level, ...]
+    order: float
+
+    @property
+    def passed(self):
+        """Exit criterion: order >= 1.7 (or at the floor) and the finest
+        level's L-infinity within the identity's bound."""
+        order_ok = self.order is None or self.order >= ORDER_THRESHOLD
+        return bool(order_ok and self.levels[-1].linf <= IDENTITIES[self.name].bound)
+
+
 def refinement_study(entry, identity, levels):
-    """Run one identity across nested grids and report norms plus order.
+    """Run one identity across nested grids and report its levels plus order.
 
     entry is a catalog entry (or anything sample() accepts with a
     default_spec method); levels are per-axis node counts, at least three,
@@ -470,24 +467,7 @@ def refinement_study(entry, identity, levels):
     if identity not in IDENTITIES:
         raise RangeError(f"unknown identity {identity!r}")
     specs = [entry.default_spec(int(n)) for n in levels]  # GridSpec checks each n
-    rows = []
-    for spec in specs:
-        grid = entry.sample(spec)
-        rep = verify_identity(build_analysis(grid), identity)
-        rows.append(Level(spec.n_u, rep.linf, rep.l2, rep.n_excluded,
-                          rep.node, rep.interior_linf))
+    rows = [verify_identity(build_analysis(entry.sample(spec)), identity)
+            for spec in specs]
     order = observed_order([r.n for r in rows], [r.linf for r in rows])
-    at_floor = order is None
-    last = rows[-1]
-    return IdentityReport(identity, linf=last.linf, l2=last.l2,
-                          n_excluded=last.excluded, levels=rows, order=order,
-                          at_floor=at_floor, node=last.node,
-                          interior_linf=last.interior_linf)
-
-
-def refinement_passed(report):
-    """Exit criterion: order >= 1.7 (or at the floor) and finest Linf in bounds."""
-    bound = IDENTITIES[report.name].bound
-    order_ok = report.at_floor or (report.order is not None
-                                   and report.order >= ORDER_THRESHOLD)
-    return bool(order_ok and report.linf <= bound)
+    return IdentityReport(identity, rows, order)

@@ -40,14 +40,13 @@ import numpy as np
 
 from . import catalog
 from .calculus import (IDENTITIES, ORDER_THRESHOLD, TAN_BAND, build_analysis,
-                       refinement_passed, refinement_study, verify_identity)
+                       refinement_study, verify_identity)
 from .errors import ContactGeomError, OffSphere, ParseError, RangeError
-from .flow import FlowConfig, descend, theorem_probe
+from .flow import FlowConfig, TraceRow, descend, theorem_probe
 from .sampleio import (FIELDS_CSV_HEADER, FIELDS_ROW_FMT, FLOAT_FMT,
                        read_samples, write_table)
 
 FORMAT_VERSION = "1"
-TRACE_CSV_HEADER = "iteration,energy,max_H,beta_spread"
 
 
 def _rounded(obj, where, key="number"):
@@ -199,22 +198,23 @@ def cmd_analyze(args):
 def cmd_verify(args):
     entry = catalog.build(args.surface, args.param)
     report = refinement_study(entry, args.identity, args.refine)
+    finest = report.levels[-1]
     payload = _rounded({
-        "identity": report.name, "linf": report.linf, "l2": report.l2,
-        "excluded": report.n_excluded,
+        "identity": report.name, "linf": finest.linf, "l2": finest.l2,
+        "excluded": finest.excluded,
         "levels": [level._asdict() for level in report.levels],
-        "observed_order": report.order, "at_floor": report.at_floor,
+        "observed_order": report.order, "at_floor": report.order is None,
         "surface": entry.name, "format_version": FORMAT_VERSION,
         "bound": IDENTITIES[args.identity].bound,
-        "order_threshold": ORDER_THRESHOLD, "passed": refinement_passed(report),
+        "order_threshold": ORDER_THRESHOLD, "passed": report.passed,
     }, f"identity_{args.identity}.json")
     os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, f"identity_{args.identity}.json"))
     for lv in report.levels:
         print(f"  n={lv.n:4d}  Linf={lv.linf:.3e}  L2={lv.l2:.3e}  excluded={lv.excluded}")
-    order = "floor" if report.at_floor else f"{report.order:.2f}"
+    order = "floor" if report.order is None else f"{report.order:.2f}"
     print(f"verify {args.identity} on {entry.name}: order={order} "
-          f"Linf={report.linf:.3e} -> {'PASS' if payload['passed'] else 'FAIL'}")
+          f"Linf={finest.linf:.3e} -> {'PASS' if payload['passed'] else 'FAIL'}")
     return 0 if payload["passed"] else 4
 
 
@@ -225,21 +225,21 @@ def cmd_flow(args):
     report, final = descend(grid, cfg)
 
     # the trace first: flow_report.json reads its last row
-    columns = TRACE_CSV_HEADER.split(",")
-    trace = [_rounded(dict(zip(columns, row)), f"trace.csv at iteration {row[0]}")
+    trace = [_rounded(row._asdict(), f"trace.csv at iteration {row.iteration}")
              for row in report.trace]
+    first, last = report.trace[0], report.trace[-1]
     probe = theorem_probe(report, final)
     payload = _rounded({
         "converged": report.converged, "iterations": report.iterations,
-        "energy_initial": report.trace[0][1], "energy_final": report.trace[-1][1],
+        "energy_initial": first.energy, "energy_final": last.energy,
         "final_max_H": report.final_max_H,
-        "beta": {"max": report.beta_max, "spread": report.trace[-1][3]},
+        "beta": {"max": report.beta_max, "spread": last.beta_spread},
         "message": report.message, "format_version": FORMAT_VERSION,
         "surface": grid.label, "probe": probe,
     }, "flow_report.json")
     os.makedirs(args.out, exist_ok=True)
     _write_json(payload, os.path.join(args.out, "flow_report.json"))
-    rows = [TRACE_CSV_HEADER]
+    rows = [",".join(TraceRow._fields)]
     for row in trace:
         rows.append(",".join(FLOAT_FMT % x if isinstance(x, float) else str(x)
                              for x in row.values()))

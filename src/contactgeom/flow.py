@@ -28,7 +28,8 @@ the step.
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,19 +63,28 @@ class FlowConfig:
             raise RangeError("max_iter must be non-negative")
 
 
+class TraceRow(NamedTuple):
+    """One row of a descent's trace: the grid after `iteration` steps."""
+
+    iteration: int
+    energy: float
+    max_H: float
+    beta_spread: float
+
+
 @dataclass
 class FlowReport:
     """Energy trajectory and final-state statistics of one descent run."""
 
     converged: bool
     iterations: int
-    trace: list          # (iter, E, max|H|, beta spread); row 0 the initial grid
+    trace: list          # [TraceRow, ...]; row 0 the initial grid
     beta_max: float
     message: str = ""
 
     @property
     def final_max_H(self):
-        return self.trace[-1][2]
+        return self.trace[-1].max_H
 
 
 def _check_step(grid, moved):
@@ -87,7 +97,7 @@ def _check_step(grid, moved):
     return cand
 
 
-@lru_cache(maxsize=None)
+@cache
 def _flat_symbol(mu, mv):
     """max((4 - 2(p^2 + q^2))^2, 4) on the mu x mv Fourier modes, read-only."""
     p = np.fft.fftfreq(mu) * mu
@@ -179,8 +189,8 @@ def descend(grid, config=None):
         raise RangeError("descent needs a compact (doubly periodic) surface")
 
     an = build_analysis(grid)
-    w = grid.calc.quad_weights()
-    traj = [(0, an.energy, an.max_H, _beta_spread(an))]
+    w = grid.calc.quad_weights
+    traj = [TraceRow(0, an.energy, an.max_H, _beta_spread(an))]
     converged = an.max_H < cfg.tol
     it = 0
     message = "already at tolerance" if converged else ""
@@ -210,7 +220,7 @@ def descend(grid, config=None):
         an, t = found
         s, g_prev = t * direction, g
         it += 1
-        traj.append((it, an.energy, an.max_H, _beta_spread(an)))
+        traj.append(TraceRow(it, an.energy, an.max_H, _beta_spread(an)))
         converged = an.max_H < cfg.tol
 
     if converged and not message:

@@ -29,7 +29,7 @@ truncation constants deliver on 64-node axes.
 """
 
 import math
-from functools import lru_cache
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +96,7 @@ def diff_matrix(n, h, m, periodic):
     return D
 
 
-@lru_cache(maxsize=None)
+@cache
 def _end_correction():
     """(QUAD_END_NODES,) weights, in units of the step h, that the trapezoid
     rule on a chart axis adds on its first nodes (and, reversed, on its
@@ -127,7 +127,7 @@ class RowBlock(NamedTuple):
     W: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@cache
 def row_blocks(n, h, m, periodic):
     """diff_matrix(n, h, m, periodic) as a tuple of RowBlocks.
 
@@ -176,7 +176,6 @@ class GridCalc:
         self.Dv = row_blocks(spec.n_v, spec.h_v, 1, pv)
         self.Duu = row_blocks(spec.n_u, spec.h_u, 2, pu)
         self.Dvv = row_blocks(spec.n_v, spec.h_v, 2, pv)
-        self._quad_weights = None
 
     def du(self, F):
         return _apply(self.Du, F, 0)
@@ -190,15 +189,15 @@ class GridCalc:
     def dvv(self, F):
         return _apply(self.Dvv, F, 1)
 
+    @cached_property
     def quad_weights(self):
         """Tensor-product quadrature weights (_axis_weights on each axis),
-        formed on the first call and shared read-only after."""
-        if self._quad_weights is None:
-            s = self.spec
-            self._quad_weights = np.outer(self._axis_weights(s.n_u, s.h_u, s.topology_u),
-                                          self._axis_weights(s.n_v, s.h_v, s.topology_v))
-            self._quad_weights.flags.writeable = False
-        return self._quad_weights
+        formed on the first read and shared read-only after."""
+        s = self.spec
+        w = np.outer(self._axis_weights(s.n_u, s.h_u, s.topology_u),
+                     self._axis_weights(s.n_v, s.h_v, s.topology_v))
+        w.flags.writeable = False
+        return w
 
     @staticmethod
     def _axis_weights(n, h, topology):

@@ -107,8 +107,8 @@ def test_criterion_04_curvature_identity_refinement(cliff):
         cliff_levels.append(float(np.max(np.abs(build_analysis(g).res_curvature))))
     cliff_ok = max(cliff_linf, *cliff_levels) <= 1e-8
     order_ok = rep.order is not None and rep.order >= 1.7
-    decreasing = all(rep.levels[i][1] > rep.levels[i + 1][1]
-                     for i in range(len(rep.levels) - 1))
+    decreasing = all(coarse.linf > fine.linf
+                     for coarse, fine in zip(rep.levels, rep.levels[1:]))
     ok = order_ok and decreasing and cliff_ok
     assert _line(4, "curvature identity", ok,
                  f"sphere order = {rep.order:.2f} (>= 1.7), "
@@ -118,16 +118,16 @@ def test_criterion_04_curvature_identity_refinement(cliff):
 
 def test_criterion_05_laplacian_identity_refinement():
     rep = refinement_study(geodesic_sphere(), "laplacian", [32, 64, 128])
-    order_ok = rep.at_floor or (rep.order is not None and rep.order >= 1.7)
+    order_ok = rep.order is None or rep.order >= 1.7
     b1 = RNG.normal(size=4096)
     b2 = RNG.normal(size=4096)
     gap = np.max(np.abs((b1 + 2.0) ** 2 + b2 ** 2
                         - (b1 ** 2 + b2 ** 2 + 4.0 * (b1 + 1.0))))
     ok = order_ok and gap < 1e-12
-    order = "floor" if rep.at_floor else f"{rep.order:.2f}"
+    order = "floor" if rep.order is None else f"{rep.order:.2f}"
     assert _line(5, "Laplacian identity", ok,
                  f"sphere order = {order} (>= 1.7), band-excluded = "
-                 f"{rep.n_excluded}, algebraic-equivalence gap = {gap:.1e}")
+                 f"{rep.levels[-1].excluded}, algebraic-equivalence gap = {gap:.1e}")
 
 
 def test_criterion_06_connection_identity(cliff):

@@ -19,8 +19,8 @@ from contactgeom import (DegenerateContact, DegenerateParametrization,
                          gaussian_curvature_intrinsic,
                          laplace_beltrami, refinement_study, sample,
                          shape_operator, verify_identity)
-from contactgeom.calculus import (IDENTITIES, _along_legs, observed_order,
-                                  refinement_passed, tan_pole_distance)
+from contactgeom.calculus import (IDENTITIES, ORDER_THRESHOLD, IdentityReport, Level,
+                                  _along_legs, observed_order, tan_pole_distance)
 from contactgeom.catalog import clifford, geodesic_sphere, perturb, r_torus
 from contactgeom.cli import main
 from contactgeom.gridops import GridCalc
@@ -279,7 +279,7 @@ def test_laplace_linear_field_flat_chart():
 def test_laplace_self_adjoint_periodic():
     grid = clifford().sample(n=32)
     metric = grid.geometry[2]
-    w = grid.calc.quad_weights()
+    w = grid.calc.quad_weights
     a = RNG.normal(size=(32, 32))
     b = RNG.normal(size=(32, 32))
     la = laplace_beltrami(a, metric, grid)
@@ -336,7 +336,7 @@ def test_curvature_identity_clifford(cliff64):
 def test_curvature_identity_sphere_refines():
     rep = refinement_study(geodesic_sphere(), "curvature", [32, 64, 128])
     assert rep.order is not None and rep.order >= 1.7
-    assert refinement_passed(rep)
+    assert rep.passed
 
 
 def test_curvature_identity_gauge_invariant():
@@ -360,13 +360,13 @@ def test_laplacian_identity_clifford_exact(cliff64):
     grid, an = cliff64
     rep = verify_identity(an, "laplacian")
     assert rep.linf < 1e-12
-    assert rep.n_excluded == 0
+    assert rep.excluded == 0
 
 
 def test_laplacian_identity_sphere_refines():
     rep = refinement_study(geodesic_sphere(), "laplacian", [32, 64, 128])
     assert rep.order is not None and rep.order >= 1.7
-    assert refinement_passed(rep)
+    assert rep.passed
 
 
 def test_laplacian_forms_agree_algebraically():
@@ -387,7 +387,7 @@ def test_connection_identity_clifford(cliff64):
 def test_connection_identity_sphere_refines():
     rep = refinement_study(geodesic_sphere(), "connection", [32, 64, 128])
     assert rep.order is not None and rep.order >= 1.7
-    assert rep.linf < 1e-4
+    assert rep.levels[-1].linf < 1e-4
 
 
 def _warned(f, x):
@@ -456,10 +456,10 @@ def test_refinement_wide_band_excludes_pole_rows(identity, monkeypatch):
         grid = geodesic_sphere().sample(n=n)
         rep = verify_identity(build_analysis(grid), identity)
         res, keep = _band_residuals_reference(grid, 0.3)[identity]
-        assert rep.n_excluded == int(np.sum(~keep))
+        assert rep.excluded == int(np.sum(~keep))
         assert rep.linf == float(np.max(np.abs(res[keep])))
         assert rep.l2 == float(np.sqrt(np.mean(res[keep] ** 2)))
-        excluded.append(rep.n_excluded)
+        excluded.append(rep.excluded)
     assert excluded == ([128, 384, 1280] if IDENTITIES[identity].off_band
                         else [0, 0, 0])
 
@@ -474,9 +474,9 @@ def test_tilted_clifford_identities_converge(identity, theta):
     # curvature identity, the +2 of (beta_1 + 2) dropped, tan(beta) beta_2
     # doubled in the connection identity) stops the convergence
     rep = refinement_study(_tilted_clifford(theta), identity, [32, 48, 64])
-    assert rep.n_excluded == 0
+    assert rep.levels[-1].excluded == 0
     assert rep.order is not None and rep.order >= 4.0, rep.levels
-    assert rep.linf <= IDENTITIES[identity].bound
+    assert rep.levels[-1].linf <= IDENTITIES[identity].bound
 
 
 def test_connection_constant_angle_r_torus():
@@ -575,6 +575,38 @@ def test_refinement_needs_three_levels():
         refinement_study(geodesic_sphere(), "curvature", [32, 64])
 
 
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_refinement_levels_are_verify_identity_results(identity):
+    # the study re-packs nothing: each level is the single-grid Level
+    entry = geodesic_sphere()
+    rep = refinement_study(entry, identity, [32, 48, 64])
+    assert rep.name == identity and len(rep.levels) == 3
+    for n, lv in zip((32, 48, 64), rep.levels):
+        an = build_analysis(entry.sample(entry.default_spec(n)))
+        assert lv == verify_identity(an, identity)
+        assert type(lv) is Level and lv.n == n
+    assert rep.order == observed_order([32, 48, 64], [lv.linf for lv in rep.levels])
+
+
+def test_identity_report_holds_only_its_levels_and_order():
+    assert IdentityReport._fields == ("name", "levels", "order")
+    assert Level._fields == ("n", "linf", "l2", "excluded", "node", "interior_linf")
+
+
+def test_passed_reads_the_order_and_the_finest_level():
+    bound = IDENTITIES["gauss"].bound
+
+    def report(order, finest):
+        levels = [Level(n, linf, 0.0, 0, (0, 0), None)
+                  for n, linf in ((32, 1.0), (64, 1.0), (128, finest))]
+        return IdentityReport("gauss", levels, order)
+
+    assert report(ORDER_THRESHOLD, bound).passed is True
+    assert report(None, bound).passed is True            # at the roundoff floor
+    assert report(ORDER_THRESHOLD - 0.01, bound).passed is False
+    assert report(6.0, 2.0 * bound).passed is False      # only the finest level counts
+
+
 # ------------------------------------------------------------ edge report
 
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
@@ -584,10 +616,6 @@ def test_sphere_linf_sits_on_a_chart_edge_row(identity):
     for lv in rep.levels:
         assert lv.node[0] in (0, lv.n - 1), lv
         assert 0.0 <= lv.interior_linf < lv.linf, lv
-    # the top-level norms all describe the finest level
-    last = rep.levels[-1]
-    assert (rep.linf, rep.l2, rep.n_excluded, rep.node, rep.interior_linf) == \
-        (last.linf, last.l2, last.excluded, last.node, last.interior_linf)
 
 
 def test_interior_linf_on_periodic_axes_is_the_linf(cliff64):
@@ -624,7 +652,7 @@ def test_verify_writes_the_edge_report(tmp_path):
                  "--refine", "32,48,64", "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "identity_curvature.json").read_text())
     for lv in rep["levels"]:
-        assert set(lv) == {"n", "linf", "l2", "excluded", "node", "interior_linf"}
+        assert set(lv) == set(Level._fields)
         row = lv["node"][0]
         assert min(row, lv["n"] - 1 - row) < calculus.EDGE_ROWS, lv
         assert lv["interior_linf"] < lv["linf"]
@@ -810,7 +838,7 @@ def _state(grid):
     metric = grid.geometry[2]
     shape = shape_operator(grid, frames)
     H = np.where(frames.mask, 0.0, shape.H)
-    E = float(np.sum(H ** 2 * metric.sqrt_det * grid.calc.quad_weights()))
+    E = float(np.sum(H ** 2 * metric.sqrt_det * grid.calc.quad_weights))
     return frames, metric, shape, E, float(np.max(np.abs(H)))
 
 

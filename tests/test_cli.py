@@ -19,7 +19,7 @@ from contactgeom import (ContactGeomError, OffSphere, ParseError, RangeError,
 from contactgeom.calculus import (IdentityReport, Level, ShapeOperatorField,
                                   build_analysis, refinement_study)
 from contactgeom.cli import main
-from contactgeom.flow import FlowConfig, descend
+from contactgeom.flow import FlowConfig, TraceRow, descend
 from contactgeom.sampleio import FIELDS_CSV_HEADER, read_samples, write_samples
 from contactgeom.surface import GridSpec, SurfaceGrid
 
@@ -592,11 +592,25 @@ def test_flow_zero_steps_exit_5(tmp_path):
     assert rep["probe"]["status"] == "inconclusive"
 
 
+def test_flow_files_are_the_trace_rows(tmp_path):
+    assert run(["flow", "--surface", "clifford", "--param", "eps=0.05",
+                "--grid", "16x16", "--steps", "2", "--out", str(tmp_path)]) == 5
+    header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert header.split(",") == list(TraceRow._fields)
+    first, last = ({k: float(v) for k, v in zip(TraceRow._fields, line.split(","))}
+                   for line in (lines[0], lines[-1]))
+    rep = json.loads((tmp_path / "flow_report.json").read_text())
+    assert len(lines) == rep["iterations"] + 1 == 3
+    assert rep["energy_initial"] == first["energy"]
+    assert rep["energy_final"] == last["energy"]
+    assert rep["final_max_H"] == last["max_H"]
+    assert rep["beta"]["spread"] == last["beta_spread"]
+    assert last["iteration"] == rep["iterations"]
+
+
 def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
     def nan_study(entry, identity, levels):
-        return IdentityReport(identity, math.nan, 0.0,
-                              levels=[Level(32, math.nan, 0.0, 0, (0, 0), 0.0)],
-                              order=2.0)
+        return IdentityReport(identity, [Level(32, math.nan, 0.0, 0, (0, 0), 0.0)], 2.0)
 
     monkeypatch.setattr(cli, "refinement_study", nan_study)
     with pytest.raises(ValueError, match="identity_gauss.json"):
@@ -606,8 +620,7 @@ def test_verify_and_flow_outputs_are_finite_checked(tmp_path, monkeypatch):
 
     def nan_trace(*args, **kwargs):
         report, final = descend(*args, **kwargs)
-        it, E, maxH, _ = report.trace[-1]
-        report.trace[-1] = (it, E, maxH, math.nan)
+        report.trace[-1] = report.trace[-1]._replace(beta_spread=math.nan)
         return report, final
 
     monkeypatch.setattr(cli, "descend", nan_trace)

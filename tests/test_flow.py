@@ -98,7 +98,7 @@ def test_nodal_gradient_matches_directional_differences():
             an = build_analysis(grid)
             psi = _smooth_displacement(grid, seed)
             dE = np.sum(an.willmore_G * an.metric.sqrt_det
-                        * grid.calc.quad_weights() * psi)
+                        * grid.calc.quad_weights * psi)
             delta = 1e-5
             Ep, Em = (build_analysis(grid.with_points(
                 _moved_points(grid.points, an.frames.e3, s * delta * psi))).energy
@@ -118,7 +118,7 @@ def test_willmore_gradient_r_torus_closed_form():
         assert np.ptp(an.willmore_G) < 1e-11
         dE_dc = (4.0 * np.pi ** 2 * np.cos(2 * r) * (1.0 + np.sin(2 * r) ** 2)
                  / np.sin(2 * r) ** 2)
-        total = np.sum(an.willmore_G * an.metric.sqrt_det * grid.calc.quad_weights())
+        total = np.sum(an.willmore_G * an.metric.sqrt_det * grid.calc.quad_weights)
         assert abs(total - dE_dc) < 1e-5 * abs(dE_dc)
 
 

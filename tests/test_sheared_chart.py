@@ -52,7 +52,7 @@ def _takahashi(an):
 
 def _gauss_bonnet(an):
     """|integral of K_int dA|: zero on a torus (Gauss-Bonnet)."""
-    return abs(float(np.sum(an.K_int * an.metric.sqrt_det * an.grid.calc.quad_weights())))
+    return abs(float(np.sum(an.K_int * an.metric.sqrt_det * an.grid.calc.quad_weights)))
 
 
 ORACLES = {
