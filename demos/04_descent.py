@@ -7,11 +7,12 @@ taking a product torus off Clifford to r = pi/4, and pulling a bumped flat
 torus back to minimality with the implication chain checked on the result.
 
 The full descent is limited-memory BFGS over the nodal displacement psi.
-Its first step is the flat-torus preconditioned gradient times STEP_SCALE;
-from the second step on, the stored (step, gradient change) pairs rescale
-and bend the direction, so the energy drops by orders of magnitude per
-step once a pair or two are held.  The last part starts the same descent
-on a product torus away from Clifford (r = 0.70).
+Its first step is the flat-torus preconditioned gradient times STEP_SCALE
+= 4, Newton's step at the Clifford torus, so the first step already takes
+most of the bump off and drops the energy by orders of magnitude; from the
+second step on, the stored (step, gradient change) pairs rescale and bend
+the direction.  The last part starts the same descent on a product torus
+away from Clifford (r = 0.70).
 """
 
 import numpy as np

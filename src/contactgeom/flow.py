@@ -14,15 +14,22 @@ read as SurfaceAnalysis.willmore_G and paired with psi node by node as
 g = G sqrt(det g) w (w the quadrature weights).  The step direction is
 limited-memory BFGS over psi (Nocedal & Wright, Numerical Optimization,
 Sec. 7.2): the two-loop recursion on the last LBFGS_MEMORY pairs
-(s, y) = (accepted step, change of g), stored only when s.y > 0, with the
-fixed flat-torus preconditioner, times STEP_SCALE, as the initial inverse
-Hessian, scaled by s.y / y.H0 y of the newest pair once the memory holds
-one.  An uphill direction or a stalled line search clears the memory and
-retries from the preconditioned gradient.  Each grid the descent reaches
-is one SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves
-the surface along its current normals (surface._moved_points); the moved
+(s, y) = (accepted step, change of g), stored only when s.y > 0.  Its
+initial inverse Hessian is the fixed flat-torus preconditioner times
+STEP_SCALE, which is Newton's inverse Hessian at the Clifford torus, so a
+start near Clifford lands close to it in one step; once the memory holds a
+pair, H0 is scaled by s.y / y.H0 y of the newest one.  A direction formed
+with an empty memory is shortened, where it is steeper, to the slope
+max|grad psi| = NEWTON_SLOPE, so a start far from Clifford does not take
+Newton's step from a model that does not hold there.  An uphill direction
+or a stalled line search clears the memory and retries from the
+preconditioned gradient.  Each grid the descent reaches is one
+SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves the
+surface along its current normals (surface._moved_points); the moved
 grid's tangents are formed once, and a collapsed parametrization halves
-the step.
+the step.  A search stalls after MAX_HALVINGS trials, or sooner once
+t max|d| is below float64's eps, where a trial moves each coordinate of a
+point by less than eps, about one ulp.
 """
 
 import math
@@ -37,10 +44,24 @@ from .calculus import build_analysis
 from .errors import DegenerateParametrization, RangeError
 from .surface import _moved_points, tangent_fields
 
-# scale of the initial inverse Hessian, sized so that the line search accepts
-# the first full step (t = 1), which is taken with an empty memory; later
-# steps rescale it by s.y / y.H0 y
-STEP_SCALE = (2.0 * math.pi / 16) ** 2
+# scale of the initial inverse Hessian H0 = STEP_SCALE * _precondition(. / w),
+# which makes H0 Newton's inverse Hessian at the Clifford torus.  At a minimal
+# surface G changes by dG = 1/2 J^2 psi, J = Lap_g + |A|^2 + 2 (Simons 1968;
+# Weiner 1978), so the nodal gradient g = G sqrt(det g) w changes by
+# 1/2 sqrt(det g) w J^2 psi.  On Clifford sqrt(det g) = 1/2 and _precondition
+# is J^-2 off its clipped null modes, so the inverse is
+# (2 / sqrt(det g)) _precondition(. / w) = 4 _precondition(. / w).  The
+# constant sizes only the steps taken with an empty memory (the first step
+# and restarts): the s.y / y.H0 y scaling cancels it afterwards.
+STEP_SCALE = 4.0
+# bound on the slope max|grad psi| of a step taken with an empty memory:
+# Newton's step holds only while H is nearly linear in psi.  The moved
+# surface's normal tilts by arctan|grad psi| from e3, and the terms the
+# linear model drops are of relative order |grad psi|^2, at most 4 % here.
+# Newton's first step from the bumps clifford+bump(1,2)x0.045..0.055 has
+# slope 0.13..0.15 and is not shortened; from bump(3,1)x0.1 it has 0.37 and
+# from the Hopf tori 2.6..3.3.  A constant psi (the product tori) has none.
+NEWTON_SLOPE = 0.2
 ARMIJO = 1e-4
 LBFGS_MEMORY = 5  # (s, y) pairs the L-BFGS descent keeps
 MAX_HALVINGS = 60
@@ -131,8 +152,11 @@ def _lbfgs_direction(g, w, memory):
     """-H g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4).
 
     memory holds (s, y, s.y) pairs, oldest first.  The initial inverse
-    Hessian is STEP_SCALE * _precondition(. / w), scaled by s.y / y.H0 y of
-    the newest pair when the memory holds one.
+    Hessian is H0 = STEP_SCALE * _precondition(. / w), Newton's at the
+    Clifford torus.  When the memory holds a pair, H0 is scaled by
+    s.y / y.H0 y of the newest one, which cancels STEP_SCALE; so the
+    constant sizes only the directions formed with an empty memory, the
+    first step and restarts (descend holds those to NEWTON_SLOPE).
     """
     def h0(v):
         return STEP_SCALE * _precondition(v / w)
@@ -152,14 +176,34 @@ def _lbfgs_direction(g, w, memory):
     return -r
 
 
+def _within_newton_slope(direction, an):
+    """direction, shortened if need be to max|grad direction| = NEWTON_SLOPE.
+
+    |grad f|^2 = (G f_u^2 - 2 F f_u f_v + E f_v^2) / det g, at the valid nodes.
+    """
+    m = an.metric
+    fu, fv = an.grid.calc.du(direction), an.grid.calc.dv(direction)
+    grad2 = (m.G * fu ** 2 - 2.0 * m.F * fu * fv + m.E * fv ** 2) / m.det
+    slope = math.sqrt(float(np.max(grad2[an.valid])))
+    if slope <= NEWTON_SLOPE:
+        return direction
+    return direction * (NEWTON_SLOPE / slope)
+
+
 def _line_search(an, direction, slope):
     """Armijo backtracking from t = 1: (SurfaceAnalysis, t) or None if stalled.
 
     Each trial moves the nodes along their normals by t * direction; a
-    collapsed parametrization is absorbed as a step halving.
+    collapsed parametrization is absorbed as a step halving.  The search
+    stalls after MAX_HALVINGS trials, or sooner once t * max|direction| is
+    below eps: such a trial moves each coordinate of a point by less than
+    eps, about one ulp.
     """
     t = 1.0
+    reach = float(np.max(np.abs(direction)))  # the largest move at t = 1
     for _ in range(MAX_HALVINGS):
+        if t * reach < np.finfo(float).eps:
+            break
         moved = _moved_points(an.grid.points, an.frames.e3, t * direction)
         try:
             cand = build_analysis(_check_step(an.grid, moved))
@@ -209,6 +253,8 @@ def descend(grid, config=None):
                 memory.append((s, y, sy))
         while True:
             direction = _lbfgs_direction(g, w, memory)
+            if not memory:
+                direction = _within_newton_slope(direction, an)
             slope = float(np.sum(g * direction))
             found = _line_search(an, direction, slope) if slope < 0 else None
             if found is not None or not memory:

@@ -234,11 +234,24 @@ def test_theorem_probe_pass_chain(flow_run):
     assert probe["K_inf"] < 5e-3
 
 
-def test_nodal_descent_converges_at_64():
-    # a 16x16 control space stalled here at max|H| ~ 5.5e-3
-    grid = perturb(clifford(), (1, 2), 0.05).sample(n=64)
+@pytest.mark.parametrize("n, eps", [(32, 0.045), (32, 0.05), (32, 0.055),
+                                    (64, 0.05)])
+def test_bump_descent_takes_three_steps(monkeypatch, n, eps):
+    # the first step is Newton's at Clifford, so across the benchmark's band
+    # the descent makes 3 steps of one accepted trial each: 4 analyses
+    analysed = []
+    build = flow.build_analysis
+
+    def counted(grid):
+        analysed.append(grid)
+        return build(grid)
+
+    monkeypatch.setattr(flow, "build_analysis", counted)
+    grid = perturb(clifford(), (1, 2), eps).sample(n=n)
     rep, final = descend(grid, FlowConfig())
     assert rep.converged
+    assert rep.iterations == 3
+    assert len(analysed) == 4
     assert theorem_probe(rep, final)["status"] == "pass"
 
 
@@ -291,6 +304,36 @@ def test_first_direction_is_the_scaled_preconditioned_gradient(monkeypatch):
     assert _close(d, _preconditioned_gradient(build_analysis(grid)))
 
 
+@pytest.mark.parametrize("mode, tol", [((1, 2), 1e-2), ((2, 3), 3e-2),
+                                       ((3, 1), 3e-2)])
+def test_first_direction_is_newtons_step_at_clifford(mode, tol):
+    # H0 = STEP_SCALE * P(. / w) inverts the Hessian of E at the Clifford
+    # torus, so from a small bump the first direction takes the bump off;
+    # the scale (2 pi / 16)^2 would take off 4 % of it
+    n, eps = 32, 1e-3
+    grid = perturb(clifford(), mode, eps).sample(n=n)
+    an = build_analysis(grid)
+    w = grid.calc.quad_weights
+    d = flow._lbfgs_direction(an.willmore_G * an.metric.sqrt_det * w, w, [])
+    u = 2.0 * np.pi * np.arange(n) / n
+    bump = eps * np.outer(np.sin(mode[0] * u), np.sin(mode[1] * u))
+    assert np.max(np.abs(d + bump)) < tol * eps
+
+
+def test_line_search_stops_at_the_roundoff_of_the_points(monkeypatch):
+    # trial k moves a point by at most 2^-k * 1e-10, below eps from k = 19 on
+    trials = []
+
+    def recorded(points, e3, psi):
+        trials.append(psi)
+        return _moved_points(points, e3, psi)
+
+    monkeypatch.setattr(flow, "_moved_points", recorded)
+    an = build_analysis(clifford().sample(n=16))
+    assert flow._line_search(an, np.full((16, 16), 1e-10), -1e30) is None
+    assert len(trials) == 19
+
+
 def test_every_direction_descends(monkeypatch):
     formed = _record_directions(monkeypatch)
     grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
@@ -311,15 +354,55 @@ def _hopf_torus(a):
     return point
 
 
-def test_descent_from_a_hopf_torus():
+def _hopf_grid(a, n=32):
     period = (0.0, 2.0 * np.pi)
-    spec = GridSpec(32, 32, period, period, "periodic", "periodic")
-    grid = sample(_hopf_torus(0.1), spec)
+    return sample(_hopf_torus(a),
+                  GridSpec(n, n, period, period, "periodic", "periodic"))
+
+
+def test_descent_from_a_hopf_torus():
+    grid = _hopf_grid(0.1)
     assert build_analysis(grid).max_H > 0.5
     rep, final = descend(grid, FlowConfig(tol=1e-6))
     assert rep.converged
     assert rep.iterations <= 60
     assert theorem_probe(rep, final)["status"] == "pass"
+
+
+def test_newtons_step_is_held_to_its_slope_from_a_hopf_torus():
+    # Newton's first step from here has slope 3.1 and reaches 1.1; held to
+    # NEWTON_SLOPE the descent reaches tol 1e-5 in 41 steps, where the
+    # unheld step's descent ends its 400-step cap at max|H| 2.7e-5
+    rep, final = descend(_hopf_grid(0.2, n=64), FlowConfig(tol=1e-5,
+                                                          max_iter=150))
+    assert rep.converged
+    assert theorem_probe(rep, final)["status"] == "pass"
+
+
+def test_empty_memory_direction_is_held_to_newton_slope():
+    # the held direction is the unheld one shortened to slope NEWTON_SLOPE;
+    # across the benchmark's bump band the slope is under it (0.15 at 0.055)
+    an = build_analysis(_hopf_grid(0.15))
+    w = an.grid.calc.quad_weights
+    d = flow._lbfgs_direction(an.willmore_G * an.metric.sqrt_det * w, w, [])
+    held = flow._within_newton_slope(d, an)
+    a, b = calculus.frame_gradient(held, an.frames, an.grid)
+    assert abs(np.sqrt(np.max(a ** 2 + b ** 2)) - flow.NEWTON_SLOPE) < 1e-9
+    assert _close(held / np.max(np.abs(held)), d / np.max(np.abs(d)))
+    bump = build_analysis(perturb(clifford(), (1, 2), 0.055).sample(n=32))
+    d = flow._lbfgs_direction(bump.willmore_G * bump.metric.sqrt_det * w, w, [])
+    assert flow._within_newton_slope(d, bump) is d
+
+
+@pytest.mark.parametrize("mode", ["m=3,n=1", "m=1,n=3"])
+def test_flow_from_a_steep_bump_passes_the_probe(mode, tmp_path):
+    # Newton's unheld first step (slope 0.37) ended this start at |K| 9.2e-3
+    params = [a for p in mode.split(",") for a in ("--param", p)]
+    out = tmp_path / "out"
+    assert main(["flow", "--surface", "clifford", "--param", "eps=0.1", *params,
+                 "--grid", "32x32", "--out", str(out)]) == 0
+    rep = json.loads((out / "flow_report.json").read_text())
+    assert rep["converged"] and rep["probe"]["status"] == "pass"
 
 
 def test_full_descent_from_a_product_torus(tmp_path, monkeypatch):
