@@ -27,9 +27,8 @@ preconditioned gradient.  Each grid the descent reaches is one
 SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves the
 surface along its current normals (surface._moved_points); the moved
 grid's tangents are formed once, and a collapsed parametrization halves
-the step.  A search stalls after MAX_HALVINGS trials, or sooner once
-t max|d| is below float64's eps, where a trial moves each coordinate of a
-point by less than eps, about one ulp.
+the step.  A search stalls once t max|d| is below float64's eps, where a
+trial moves each coordinate of a point by less than eps, about one ulp.
 """
 
 import math
@@ -64,7 +63,6 @@ STEP_SCALE = 4.0
 NEWTON_SLOPE = 0.2
 ARMIJO = 1e-4
 LBFGS_MEMORY = 5  # (s, y) pairs the L-BFGS descent keeps
-MAX_HALVINGS = 60
 # theorem_probe: constant-angle bound on the beta spread, flatness bound on |K|
 PROBE_BETA_TOL = 5e-3
 PROBE_K_TOL = 5e-3
@@ -98,10 +96,13 @@ class FlowReport:
     """Energy trajectory and final-state statistics of one descent run."""
 
     converged: bool
-    iterations: int
     trace: list          # [TraceRow, ...]; row 0 the initial grid
     beta_max: float
     message: str = ""
+
+    @property
+    def iterations(self):
+        return len(self.trace) - 1
 
     @property
     def final_max_H(self):
@@ -195,15 +196,13 @@ def _line_search(an, direction, slope):
 
     Each trial moves the nodes along their normals by t * direction; a
     collapsed parametrization is absorbed as a step halving.  The search
-    stalls after MAX_HALVINGS trials, or sooner once t * max|direction| is
-    below eps: such a trial moves each coordinate of a point by less than
-    eps, about one ulp.
+    stalls once t * max|direction| is below eps: such a trial moves each
+    coordinate of a point by less than eps, about one ulp.  A direction of
+    reach 1 gets 53 trials; a NaN reach gets none.
     """
     t = 1.0
     reach = float(np.max(np.abs(direction)))  # the largest move at t = 1
-    for _ in range(MAX_HALVINGS):
-        if t * reach < np.finfo(float).eps:
-            break
+    while t * reach >= np.finfo(float).eps:
         moved = _moved_points(an.grid.points, an.frames.e3, t * direction)
         try:
             cand = build_analysis(_check_step(an.grid, moved))
@@ -225,7 +224,8 @@ def descend(grid, config=None):
     and steps that would collapse the grid are absorbed as automatic step
     reductions.  The memory is cleared when a direction is not a descent
     direction or its line search stalls; the search stalls for good only
-    from the preconditioned gradient.
+    from the preconditioned gradient.  A zero gradient has slope 0, so no
+    search starts and the run ends as a stall.
     """
     cfg = config if config is not None else FlowConfig()
     spec = grid.spec
@@ -234,18 +234,12 @@ def descend(grid, config=None):
 
     an = build_analysis(grid)
     w = grid.calc.quad_weights
-    traj = [TraceRow(0, an.energy, an.max_H, _beta_spread(an))]
-    converged = an.max_H < cfg.tol
-    it = 0
-    message = "already at tolerance" if converged else ""
+    trace = [TraceRow(0, an.energy, an.max_H, _beta_spread(an))]
     memory = deque(maxlen=LBFGS_MEMORY)
     s = g_prev = None
 
-    while not converged and it < cfg.max_iter:
+    while not an.max_H < cfg.tol and len(trace) <= cfg.max_iter:
         g = an.willmore_G * an.metric.sqrt_det * w  # dE/dpsi node by node
-        if float(np.sum(g ** 2)) == 0.0:
-            message = "zero gradient"
-            break
         if s is not None:
             y = g - g_prev
             sy = float(np.sum(s * y))
@@ -261,20 +255,21 @@ def descend(grid, config=None):
                 break
             memory.clear()  # restart from the preconditioned gradient
         if found is None:
-            message = "line search stalled"
             break
         an, t = found
         s, g_prev = t * direction, g
-        it += 1
-        traj.append(TraceRow(it, an.energy, an.max_H, _beta_spread(an)))
-        converged = an.max_H < cfg.tol
+        trace.append(TraceRow(len(trace), an.energy, an.max_H,
+                              _beta_spread(an)))
 
-    if converged and not message:
-        message = f"max|H| below {cfg.tol:g}"
-    elif not converged and not message:
+    converged = bool(an.max_H < cfg.tol)
+    if converged:
+        message = ("already at tolerance" if len(trace) == 1
+                   else f"max|H| below {cfg.tol:g}")
+    elif len(trace) > cfg.max_iter:
         message = "iteration cap reached"
-
-    report = FlowReport(converged=bool(converged), iterations=it, trace=traj,
+    else:
+        message = "line search stalled"
+    report = FlowReport(converged=converged, trace=trace,
                         beta_max=float(np.max(np.abs(an.frames.beta[an.valid]))),
                         message=message)
     return report, an

@@ -1,5 +1,7 @@
 """Catalog entries, perturbations, and sample-file round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -184,10 +186,19 @@ def test_sample_file_off_sphere_names_node(tmp_path):
 
 
 def test_sample_file_bad_header(tmp_path):
+    # each header fault is named at line 1
     path = tmp_path / "bad.s3"
-    path.write_text("NOTAFORMAT\n")
-    with pytest.raises(ParseError):
-        read_samples(str(path))
+    for text, msg in [
+            ("NOTAFORMAT\n", "header"),
+            ("", "empty file"),
+            ("S3SAMPLES v2 8 8 periodic periodic 0 1 0 1\n",
+             "unsupported format version 'v2'"),
+            ("S3SAMPLES v1 8.0 8 periodic periodic 0 1 0 1\n",
+             "node counts must be integers")]:
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(msg)) as err:
+            read_samples(str(path))
+        assert err.value.line == 1, text
 
 
 def _sample_file_lines(fmt, tmp_path, grid=None):

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the suite's filterwarnings, which do not reach a subprocess
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
@@ -21,8 +23,8 @@ def test_demos_are_found():
 def _run(demo, tmp_path):
     # TMPDIR keeps the files a demo writes under pytest's tmp_path
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, str(demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -62,7 +64,8 @@ def test_readme_quickstart_runs(tmp_path):
     block = re.search(r"## Library quickstart\n+```python\n(.*?)```", readme, re.S)
     assert block and "build_analysis" in block.group(1)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", block.group(1)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, "-c", block.group(1)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "'status': 'pass'" in proc.stdout

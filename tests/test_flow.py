@@ -135,6 +135,28 @@ def test_flow_step_too_large():
     assert exc.node == (int(found.group(2)), int(found.group(3)))
 
 
+def test_line_search_halves_a_collapsed_trial(monkeypatch):
+    # the first trial, psi = 1, collapses the flat torus as above; the search
+    # halves it and goes on until t * max|psi| is below eps: 53 trials at
+    # t = 1 .. 2^-52, none of which lowers the energy of the minimal torus
+    outcomes = []
+
+    def recorded(grid, moved):
+        try:
+            cand = _check_step(grid, moved)
+        except DegenerateParametrization:
+            outcomes.append("collapsed")
+            raise
+        outcomes.append("moved")
+        return cand
+
+    monkeypatch.setattr(flow, "_check_step", recorded)
+    an = build_analysis(clifford().sample(n=16))
+    assert flow._line_search(an, np.ones((16, 16)), -1.0) is None
+    assert outcomes[0] == "collapsed"
+    assert len(outcomes) == 53
+
+
 def test_line_search_trial_differentiates_moved_points_once(monkeypatch):
     # the Gram check and the trial's state share one tangent computation
     moved_arrays = []
@@ -214,6 +236,7 @@ def test_descend_zero_steps_not_converged():
     rep, _ = descend(grid, FlowConfig(max_iter=0, tol=1e-3))
     assert not rep.converged
     assert rep.iterations == 0
+    assert rep.message == "iteration cap reached"
 
 
 def test_full_descent_from_bump(flow_run):
@@ -456,6 +479,19 @@ def test_line_search_stalls_only_from_preconditioned_gradient(monkeypatch):
     assert _close(formed[3][2], _preconditioned_gradient(started[3]))
 
 
+@pytest.mark.parametrize("surface, max_iter, tol, converged, iterations, message", [
+    (clifford(), 500, 1e-3, True, 0, "already at tolerance"),
+    (perturb(clifford(), (1, 2), 0.05), 500, 1e-3, True, 5, "max|H| below 0.001"),
+    (perturb(clifford(), (1, 2), 0.05), 1, 1e-12, False, 1, "iteration cap reached"),
+])
+def test_descent_stop_messages(surface, max_iter, tol, converged, iterations, message):
+    # the stop is read from the analysis the descent ends on and its trace
+    rep, _ = descend(surface.sample(n=16), FlowConfig(max_iter=max_iter, tol=tol))
+    assert (rep.converged, rep.iterations, rep.message) == (converged, iterations,
+                                                            message)
+    assert rep.trace[-1].iteration == iterations
+
+
 def test_uphill_direction_clears_the_memory(monkeypatch):
     formed = _record_directions(monkeypatch, flip=True)
     started = _record_searches(monkeypatch, stall=lambda k: False)
@@ -472,8 +508,8 @@ def test_uphill_direction_clears_the_memory(monkeypatch):
 
 def test_theorem_probe_not_applicable_on_sphere():
     an = build_analysis(geodesic_sphere().sample(n=32))
-    rep = FlowReport(converged=True, iterations=0,
-                     trace=[(0, an.energy, an.max_H, 0.0)], beta_max=0.0)
+    rep = FlowReport(converged=True, trace=[(0, an.energy, an.max_H, 0.0)],
+                     beta_max=0.0)
     probe = theorem_probe(rep, an)
     assert probe["status"] == "not_applicable"
 
