@@ -176,14 +176,17 @@ def gaussian_curvature_intrinsic(metric, grid):
     return m1 / EG_FF ** 2
 
 
-def frame_gradient(fieldvals, frames, grid):
-    """The pair (d f(e1), d f(e2)) from parameter-space derivatives and frame coords."""
-    calc = grid.calc
-    return tuple(_along_frame(frames, calc.du(fieldvals), calc.dv(fieldvals)))
+def frame_gradient(fieldvals, frames, grid, partials=None):
+    """The pair (d f(e1), d f(e2)) from parameter-space derivatives and frame
+    coords; partials is the pair (f_u, f_v) where the caller has formed it."""
+    if partials is None:
+        partials = grid.calc.du(fieldvals), grid.calc.dv(fieldvals)
+    return tuple(_along_frame(frames, *partials))
 
 
-def laplace_beltrami(fieldvals, metric, grid):
-    """Conservative Laplace-Beltrami: (1/sqrt g) d_i(sqrt g g^ij d_j f).
+def laplace_beltrami(fieldvals, metric, grid, partials=None):
+    """Conservative Laplace-Beltrami: (1/sqrt g) d_i(sqrt g g^ij d_j f);
+    partials is the pair (f_u, f_v) where the caller has formed it.
 
     g^uu = G/det, g^uv = -F/det and g^vv = E/det are formed on each call and
     the fluxes sg (g^uu fu + g^uv fv) and sg (g^uv fu + g^vv fv) built in
@@ -194,8 +197,10 @@ def laplace_beltrami(fieldvals, metric, grid):
     calc = grid.calc
     d = metric.det
     sg = metric.sqrt_det
-    fu = calc.du(fieldvals)
-    fv = calc.dv(fieldvals)
+    if partials is None:
+        partials = calc.du(fieldvals), calc.dv(fieldvals)
+    fu, fv = partials
+    del partials
     iuv = np.negative(metric.F)
     iuv /= d
     pu = np.divide(metric.G, d)
@@ -309,12 +314,22 @@ class SurfaceAnalysis:
 
     @cached_property
     def grad_beta(self):
-        """The pair (beta_1, beta_2) = (d beta(e1), d beta(e2))."""
-        return frame_gradient(self.frames.beta, self.frames, self.grid)
+        """The pair (beta_1, beta_2) = (d beta(e1), d beta(e2)), from the
+        partials of beta that lap_beta left, or from its own."""
+        return frame_gradient(self.frames.beta, self.frames, self.grid,
+                              partials=vars(self).pop("_beta_partials", None))
 
     @cached_property
     def lap_beta(self):
-        return laplace_beltrami(self.frames.beta, self.metric, self.grid)
+        """Lap(beta).  Formed before grad_beta, it leaves the partials of
+        beta it forms for grad_beta, so each stencil is applied to beta
+        once; formed after, it forms and frees its own."""
+        beta = self.frames.beta
+        partials = None
+        if "grad_beta" not in vars(self):
+            calc = self.grid.calc
+            partials = self._beta_partials = calc.du(beta), calc.dv(beta)
+        return laplace_beltrami(beta, self.metric, self.grid, partials=partials)
 
     @cached_property
     def tan_band(self):
@@ -334,8 +349,9 @@ class SurfaceAnalysis:
 
     @cached_property
     def res_laplacian(self):
+        lap_beta = self.lap_beta
         beta1, beta2 = self.grad_beta
-        return self.lap_beta + self.tan_beta * ((beta1 + 2.0) ** 2 + beta2 ** 2)
+        return lap_beta + self.tan_beta * ((beta1 + 2.0) ** 2 + beta2 ** 2)
 
     @cached_property
     def res_connection(self):

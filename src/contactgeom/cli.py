@@ -145,8 +145,11 @@ def cmd_analyze(args):
     frames = an.frames
     mask = frames.mask
     mean_H = float(np.mean(np.abs(an.H[an.valid])))
-    curv = verify_identity(an, "curvature")
+    # K_int, at the Brioschi peak, while few fields are alive; then the
+    # laplacian, whose lap_beta leaves beta's partials for grad_beta
+    an.K_int
     lap = verify_identity(an, "laplacian")
+    curv = verify_identity(an, "curvature")
 
     # each residual column is 0 where its identity's norms leave the node
     # out; nothing reads the residuals again, so they are zeroed in place

@@ -12,16 +12,30 @@ not kept.  Applying an operator is one small gemm per block, written into
 one preallocated output, so the work grows like n^2 * BLOCK_ROWS rather
 than n^3.
 
+BLOCK_ROWS is 16, about the band's width: a stencil reaches 7 or 8
+columns, so a block of b rows does about (b + 6) / 7 times the band's
+multiply-adds, 3x at 16 rows against 10x at 64.  Measured in-process (one
+BLAS thread, scalar fields, best of 7 x 20 calls, 2-CPU container), 64
+rows with the gemm along v on transposed views -> 16 rows with the
+row-major gemm below: 512^2 periodic du 0.94 -> 0.44 ms and dv 1.26 ->
+0.52 ms, 512^2 chart du 0.89 -> 0.38 ms and dv 1.16 -> 0.40 ms, 256^2
+periodic du 0.23 -> 0.09 ms and dv 0.26 -> 0.10 ms.  8 rows ran dv
+slower (0.53 ms at 512^2 chart, 0.12 ms at 256^2 periodic), and 32 rows
+were slower on every axis and size.
+
 Layout: a field is a scalar (n_u, n_v) array or a (4, n_u, n_v) array
 of 4-vectors, components first (the `ambient` convention).  It enters as
 one C-contiguous block (a strided one is copied into it), and the result
 is a new C-contiguous block of the same shape.  One routine, `_apply`,
 applies every operator along either axis: one gemm per component and per
-block, W times the block's columns of the component, on the transposed
-views of the component and its output along v.  So a component's bits
-depend neither on the field's strides nor on its other components:
-component k of a vector stencil is the scalar stencil of component k by
-construction, on both axes.
+block.  Along u it is W times the block's rows of the component; along v
+it is the block's columns of the component times WT, W's transpose kept
+C-contiguous beside it, written into the block's columns of the output.
+So both gemms run on row-major operands, where the gemm along v on
+transposed views cost 1.2-1.5x the one along u.  A component's bits depend
+neither on the field's strides nor on its other components: component k
+of a vector stencil is the scalar stencil of component k by construction,
+on both axes.
 
 The default design accuracy is 6th order for first and second derivatives
 alike: the identity-verification tolerances sit below what 4th-order
@@ -38,9 +52,9 @@ STENCIL_ACC = 6
 # central stencil of first and second derivatives: STENCIL_ACC + 1 points
 # give order STENCIL_ACC for both
 CENTRAL_OFFSETS = np.arange(-(STENCIL_ACC // 2), STENCIL_ACC // 2 + 1)
-# rows per block of a banded operator; an axis of n nodes has
-# ceil(n / BLOCK_ROWS) near-equal blocks
-BLOCK_ROWS = 64
+# rows per block of a banded operator, about the band's width; an axis of
+# n nodes has ceil(n / BLOCK_ROWS) near-equal blocks
+BLOCK_ROWS = 16
 # nodes at each end of a chart axis that carry the quadrature's end
 # correction: its one-sided derivatives up to f^(5) are exact through degree 7
 QUAD_END_NODES = 8
@@ -119,12 +133,14 @@ def _end_correction():
 
 
 class RowBlock(NamedTuple):
-    """Rows r0:r1 of an operator: W holds their weights on the columns cols."""
+    """Rows r0:r1 of an operator: W holds their weights on the columns cols,
+    and WT is W's transpose, C-contiguous, for the gemm along v."""
 
     r0: int
     r1: int
     cols: object  # slice, or a sorted index array where a periodic axis wraps
     W: np.ndarray
+    WT: np.ndarray
 
 
 @cache
@@ -132,7 +148,9 @@ def row_blocks(n, h, m, periodic):
     """diff_matrix(n, h, m, periodic) as a tuple of RowBlocks.
 
     Blocks with the same weights (the interior ones, where only the
-    central stencil is used) share one W array.
+    central stencil is used) share one W array and one WT array.  Both
+    are read-only: the tuple is cached, so one write would change every
+    later stencil with these arguments.
     """
     D = diff_matrix(n, h, m, periodic)
     nb = -(-n // BLOCK_ROWS)
@@ -141,10 +159,12 @@ def row_blocks(n, h, m, periodic):
     for r0, r1 in zip(edges[:-1], edges[1:]):
         cols = np.flatnonzero(np.any(D[r0:r1] != 0.0, axis=0))
         W = np.ascontiguousarray(D[r0:r1, cols])
-        W = weights.setdefault((W.shape, W.tobytes()), W)
+        W, WT = weights.setdefault((W.shape, W.tobytes()),
+                                   (W, np.ascontiguousarray(W.T)))
+        W.flags.writeable = WT.flags.writeable = False
         if cols[-1] - cols[0] + 1 == len(cols):
             cols = slice(int(cols[0]), int(cols[-1]) + 1)
-        blocks.append(RowBlock(r0, r1, cols, W))
+        blocks.append(RowBlock(r0, r1, cols, W, WT))
     return tuple(blocks)
 
 
@@ -154,10 +174,12 @@ def _apply(blocks, F, axis):
     out = np.empty_like(F)
     n_u, n_v = F.shape[-2:]
     for src, dst in zip(F.reshape(-1, n_u, n_v), out.reshape(-1, n_u, n_v)):
-        if axis:
-            src, dst = src.T, dst.T
         for b in blocks:
-            np.matmul(b.W, src[b.cols], out=dst[b.r0:b.r1])
+            if axis:
+                a, x, y = src[:, b.cols], b.WT, dst[:, b.r0:b.r1]
+            else:
+                a, x, y = b.W, src[b.cols], dst[b.r0:b.r1]
+            np.matmul(a, x, out=y)
     return out
 
 

@@ -947,6 +947,45 @@ def test_analysis_forms_each_field_once(kernel_calls):
     assert an.K_int is an.K_int
 
 
+@pytest.fixture
+def stencil_args(monkeypatch):
+    """The fields each GridCalc.du and GridCalc.dv call is given, by name."""
+    args = {"du": [], "dv": []}
+
+    def recorded(name):
+        fn = getattr(GridCalc, name)
+
+        def wrapper(self, F):
+            args[name].append(F)
+            return fn(self, F)
+        return wrapper
+
+    for name in args:
+        monkeypatch.setattr(GridCalc, name, recorded(name))
+    return args
+
+
+def _applied_to(args, field):
+    return {name: sum(F is field for F in fs) for name, fs in args.items()}
+
+
+def test_laplacian_residual_differentiates_beta_once(stencil_args):
+    # lap_beta and grad_beta read one pair of partials of beta
+    an = build_analysis(geodesic_sphere().sample(n=32))
+    beta = an.frames.beta
+    an.res_laplacian
+    assert _applied_to(stencil_args, beta) == {"du": 1, "dv": 1}
+    assert "_beta_partials" not in vars(an)
+
+
+def test_analyze_differentiates_beta_once(kernel_calls, stencil_args, tmp_path):
+    _, analyses = kernel_calls
+    assert main(["analyze", "--surface", "clifford", "--param", "eps=0.05",
+                 "--grid", "16x16", "--out", str(tmp_path)]) == 0
+    an, = analyses
+    assert _applied_to(stencil_args, an.frames.beta) == {"du": 1, "dv": 1}
+
+
 def _traced_peak_fields(fn, spec):
     """The traced peak of fn(), in scalar fields of spec's grid (8 n_u n_v
     bytes); the stencils, cached per grid shape, are built untraced first,

@@ -14,7 +14,7 @@ from contactgeom import FlowConfig, clifford, descend, perturb
 from contactgeom.calculus import build_analysis
 from contactgeom.catalog import build, names
 from contactgeom.gridops import (BLOCK_ROWS, CENTRAL_OFFSETS, GridCalc, diff_matrix,
-                                  fd_weights)
+                                  fd_weights, row_blocks)
 from contactgeom.sampleio import read_samples, write_samples
 from contactgeom.surface import GridSpec, sample
 from test_calculus import _cap
@@ -114,7 +114,7 @@ def test_vector_stencil_is_the_scalar_stencil_of_each_component(n, topology):
 
 
 @pytest.mark.parametrize("topology", ["periodic", "chart"])
-@pytest.mark.parametrize("n", [32, 64, 65, 193, 256, 512])
+@pytest.mark.parametrize("n", [16, 17, 32, 64, 65, 193, 256, 512])
 def test_stencils_match_dense_diff_matrix_within_gamma_bound(n, topology):
     # row blocks and the dense matrix sum the same at most 8 products in
     # possibly different orders; vector fields up to 256 nodes, scalar ones
@@ -151,7 +151,7 @@ def test_off_by_one_block_windows_break_the_bound(topology):
     assert all(count > n for count in violations.values()), violations
 
 
-@pytest.mark.parametrize("n", [8, 9, 193, 512])
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 193, 512])
 def test_chart_stencils_are_exact_on_polynomials(n):
     # an oracle independent of diff_matrix, checked on every row, the rows on
     # both sides of each block edge included: the 7-point central and the
@@ -159,7 +159,7 @@ def test_chart_stencils_are_exact_on_polynomials(n):
     # samples t^(j mod 7), t = (i - c) / s with s a power of two, so every
     # sample is t^d rounded once.  At the GridSpec floor (8, 9) the one-sided
     # windows of both ends overlap, the 8-point one spans the whole axis, and
-    # the axis is one block
+    # the axis is one block; 16 is the last one-block axis, 17 the first of two
     spec = GridSpec(n, n, (0.2, np.pi - 0.2), (-1.0, 2.0), "chart", "chart")
     calc = GridCalc(spec)
     assert (len(calc.Du) > 1) == (len(calc.Dv) > 1) == (n > BLOCK_ROWS)
@@ -182,15 +182,18 @@ def test_chart_stencils_are_exact_on_polynomials(n):
         assert bad.size == 0, (name, bad[:5])
 
 
-@pytest.mark.parametrize("n", [193, 512])
+@pytest.mark.parametrize("n", [32, 193, 512])
 def test_periodic_stencils_match_their_symbol_on_cosines(n):
     # a periodic stencil with weights w_j maps cos(k u) to
     # sigma_c(k) cos(k u) - sigma_s(k) sin(k u), sigma_c(k) = sum w_j cos(k j h)
     # and sigma_s(k) = sum w_j sin(k j h).  Samples and symbols are formed in
     # long double, so a sample is cos(k u) rounded once; the second term of
-    # the bound is the long double error of the samples
+    # the bound is the long double error of the samples.  At 32, the flow's
+    # grid, the axis is two blocks and both wrap
     spec = GridSpec(n, n)
     calc = GridCalc(spec)
+    if n == 32:
+        assert [isinstance(b.cols, slice) for b in calc.Du] == [False, False]
     pi = 4 * np.arctan(np.longdouble(1))
     k = (np.arange(n) % 3 + 1)[None, :]
     theta = 2 * pi * ((np.arange(n)[:, None] * k) % n) / n
@@ -206,3 +209,27 @@ def test_periodic_stencils_match_their_symbol_on_cosines(n):
                + 8 * np.finfo(np.longdouble).eps * _along(D, np.ones_like(f), axis))
         bad = np.argwhere(np.abs(op(f) - want) > tol)
         assert bad.size == 0, (name, bad[:5])
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("m", [1, 2])
+def test_interior_blocks_share_one_weight_pair(m, periodic):
+    # a 512-node axis is 32 blocks of 16 rows; the 30 between the end blocks
+    # hold the central stencil alone and share one W and one WT, so the
+    # transposes add one small array per operator, not one per block
+    blocks = row_blocks(512, 0.1, m, periodic)
+    assert len(blocks) == 512 // BLOCK_ROWS
+    interior = blocks[1:-1]
+    assert len({id(b.W) for b in interior}) == len({id(b.WT) for b in interior}) == 1
+    for b in blocks:
+        assert b.WT.flags.c_contiguous
+        assert b.WT.tobytes() == np.ascontiguousarray(b.W.T).tobytes()
+
+
+def test_cached_stencil_weights_are_read_only():
+    # row_blocks is cached per (n, h, m, topology), so a write into one of its
+    # arrays would change every later stencil with those arguments
+    for b in row_blocks(512, 0.1, 1, False):
+        for weights in (b.W, b.WT):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 1.0

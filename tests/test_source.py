@@ -470,10 +470,10 @@ def test_contractions_live_in_ambient():
 @pytest.mark.parametrize("topology", [("periodic", "periodic"), ("chart", "periodic")])
 def test_a_512_grid_holds_under_1_mib_of_stencil_weights(topology):
     # the four dense 512 x 512 operators took 8 MiB; the row blocks keep the
-    # band only, and identical interior blocks share one array
+    # band only, and identical interior blocks share one W and one WT array
     calc = GridCalc(GridSpec(512, 512, (0.2, 3.0), (0.0, 6.0), *topology))
-    weights = {id(b.W): b.W.nbytes for op in (calc.Du, calc.Dv, calc.Duu, calc.Dvv)
-               for b in op}
+    weights = {id(w): w.nbytes for op in (calc.Du, calc.Dv, calc.Duu, calc.Dvv)
+               for b in op for w in (b.W, b.WT)}
     assert 0 < sum(weights.values()) < 2 ** 20
 
 
