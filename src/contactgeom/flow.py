@@ -22,9 +22,8 @@ pair, H0 is scaled by s.y / y.H0 y of the newest one.  A direction formed
 with an empty memory is shortened, where it is steeper, to the slope
 max|grad psi| = NEWTON_SLOPE, so a start far from Clifford does not take
 Newton's step from a model that does not hold there.  An uphill direction
-or a stalled line search clears the memory and retries from the
-preconditioned gradient.  Each grid the descent reaches is one
-SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves the
+or a stalled line search ends the run.  Each grid the descent reaches is
+one SurfaceAnalysis.  Each Armijo backtracking trial, from t = 1, moves the
 surface along its current normals (surface._moved_points); the moved
 grid's tangents are formed once, and a collapsed parametrization halves
 the step.  A search stalls once t max|d| is below float64's eps, where a
@@ -50,8 +49,8 @@ from .surface import _moved_points, tangent_fields
 # 1/2 sqrt(det g) w J^2 psi.  On Clifford sqrt(det g) = 1/2 and _precondition
 # is J^-2 off its clipped null modes, so the inverse is
 # (2 / sqrt(det g)) _precondition(. / w) = 4 _precondition(. / w).  The
-# constant sizes only the steps taken with an empty memory (the first step
-# and restarts): the s.y / y.H0 y scaling cancels it afterwards.
+# constant sizes only the first step, the one taken with an empty memory:
+# the s.y / y.H0 y scaling cancels it afterwards.
 STEP_SCALE = 4.0
 # bound on the slope max|grad psi| of a step taken with an empty memory:
 # Newton's step holds only while H is nearly linear in psi.  The moved
@@ -156,8 +155,8 @@ def _lbfgs_direction(g, w, memory):
     Hessian is H0 = STEP_SCALE * _precondition(. / w), Newton's at the
     Clifford torus.  When the memory holds a pair, H0 is scaled by
     s.y / y.H0 y of the newest one, which cancels STEP_SCALE; so the
-    constant sizes only the directions formed with an empty memory, the
-    first step and restarts (descend holds those to NEWTON_SLOPE).
+    constant sizes only the directions formed with an empty memory
+    (descend holds those to NEWTON_SLOPE).
     """
     def h0(v):
         return STEP_SCALE * _precondition(v / w)
@@ -222,10 +221,10 @@ def descend(grid, config=None):
     SurfaceAnalysis of the final grid); the final grid is its .grid.
     Non-convergence is reported with converged=False rather than raised,
     and steps that would collapse the grid are absorbed as automatic step
-    reductions.  The memory is cleared when a direction is not a descent
-    direction or its line search stalls; the search stalls for good only
-    from the preconditioned gradient.  A zero gradient has slope 0, so no
-    search starts and the run ends as a stall.
+    reductions.  Each iteration forms one direction and runs at most one
+    line search along it.  A direction that is not a descent direction, or
+    a search that stalls, ends the run as a stall, with or without memory;
+    a zero gradient has slope 0, so no search starts.
     """
     cfg = config if config is not None else FlowConfig()
     spec = grid.spec
@@ -245,15 +244,11 @@ def descend(grid, config=None):
             sy = float(np.sum(s * y))
             if sy > 0.0:  # keeps every H in the recursion positive definite
                 memory.append((s, y, sy))
-        while True:
-            direction = _lbfgs_direction(g, w, memory)
-            if not memory:
-                direction = _within_newton_slope(direction, an)
-            slope = float(np.sum(g * direction))
-            found = _line_search(an, direction, slope) if slope < 0 else None
-            if found is not None or not memory:
-                break
-            memory.clear()  # restart from the preconditioned gradient
+        direction = _lbfgs_direction(g, w, memory)
+        if not memory:
+            direction = _within_newton_slope(direction, an)
+        slope = float(np.sum(g * direction))
+        found = _line_search(an, direction, slope) if slope < 0 else None
         if found is None:
             break
         an, t = found

@@ -362,7 +362,7 @@ def test_every_direction_descends(monkeypatch):
     grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
     rep, _ = descend(grid, FlowConfig(max_iter=8, tol=1e-12))
     assert rep.iterations == 8
-    assert len(formed) == 8  # no restart was needed
+    assert len(formed) == 8  # one direction per iteration
     assert max(held for _, held, _ in formed) == flow.LBFGS_MEMORY
     assert all(float(np.sum(g * d)) < 0 for g, _, d in formed)
 
@@ -453,30 +453,22 @@ def test_full_descent_from_a_product_torus(tmp_path, monkeypatch):
         assert np.max(np.abs(z[0] ** 2 + z[1] ** 2 - 0.5)) < 1e-6, r0
 
 
-def test_stalled_search_restarts_from_preconditioned_gradient(monkeypatch):
-    formed = _record_directions(monkeypatch)
-    started = _record_searches(monkeypatch, stall=lambda k: k == 3)
-    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
-    rep, _ = descend(grid, FlowConfig(max_iter=4, tol=1e-12))
-    assert rep.iterations == 4
-    assert rep.message == "iteration cap reached"
-    assert formed[2][1] > 0           # the stalled search had a memory
-    assert started[3] is started[2]   # and was retried on the same grid
-    assert formed[3][1] == 0          # from the cleared memory
-    assert _close(formed[3][2], _preconditioned_gradient(started[3]))
-    assert formed[4][1] == 1          # which refills from the next pair
-
-
-def test_line_search_stalls_only_from_preconditioned_gradient(monkeypatch):
-    formed = _record_directions(monkeypatch)
-    started = _record_searches(monkeypatch, stall=lambda k: k >= 3)
+@pytest.mark.parametrize("flip, stall, iterations, searches", [
+    (False, lambda k: k == 3, 2, 3),  # the third search stalls, memory held
+    (True, lambda k: False, 1, 1),    # the first direction from a memory is uphill
+], ids=["stalled_search", "uphill_direction"])
+def test_a_stalled_direction_ends_the_run(monkeypatch, flip, stall, iterations,
+                                          searches):
+    formed = _record_directions(monkeypatch, flip=flip)
+    started = _record_searches(monkeypatch, stall=stall)
     grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
     rep, _ = descend(grid, FlowConfig(max_iter=10, tol=1e-12))
     assert rep.message == "line search stalled"
-    assert rep.iterations == 2
-    assert len(started) == 4
-    assert [held for _, held, _ in formed[2:]] == [2, 0]
-    assert _close(formed[3][2], _preconditioned_gradient(started[3]))
+    assert rep.iterations == iterations
+    assert len(formed) == iterations + 1    # one direction per iteration
+    assert formed[-1][1] > 0                # the last one from a memory
+    assert len(started) == searches         # none along an uphill one
+    assert len({id(an) for an in started}) == len(started)  # none retried
 
 
 @pytest.mark.parametrize("surface, max_iter, tol, converged, iterations, message", [
@@ -492,18 +484,24 @@ def test_descent_stop_messages(surface, max_iter, tol, converged, iterations, me
     assert rep.trace[-1].iteration == iterations
 
 
-def test_uphill_direction_clears_the_memory(monkeypatch):
-    formed = _record_directions(monkeypatch, flip=True)
-    started = _record_searches(monkeypatch, stall=lambda k: False)
-    grid = perturb(clifford(), (1, 2), 0.05).sample(n=32)
-    rep, _ = descend(grid, FlowConfig(max_iter=4, tol=1e-12))
-    assert rep.iterations == 4
-    assert len(started) == 4          # no search along an uphill direction
-    searched = [d for _, held, d in formed if held == 0]
-    assert len(searched) == 4
-    assert all(_close(d, _preconditioned_gradient(an))
-               for d, an in zip(searched, started))
-    assert np.all(np.diff([E for _, E, _, _ in rep.trace]) < 0)
+def test_descent_stalls_at_the_roundoff_floor(tmp_path):
+    # from this start no search is forced to stall: max|H| falls below 1e-8,
+    # then the searches reach the roundoff of the points before tol 1e-10.
+    # The iteration count depends on the last bits of BLAS, so it is bounded,
+    # not pinned
+    grid = perturb(clifford(), (1, 2), 0.055).sample(n=32)
+    rep, _ = descend(grid, FlowConfig(tol=1e-10))
+    assert (rep.converged, rep.message) == (False, "line search stalled")
+    assert rep.iterations < FlowConfig.max_iter
+    assert rep.final_max_H < 1e-8
+    out = tmp_path / "out"
+    assert main(["flow", "--surface", "clifford", "--param", "eps=0.055",
+                 "--grid", "32x32", "--tol", "1e-10", "--out", str(out)]) == 5
+    rep = json.loads((out / "flow_report.json").read_text())
+    assert rep["message"] == "line search stalled"
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert len(lines) == rep["iterations"] + 2  # header and the initial grid
+    assert all(np.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
 
 
 def test_theorem_probe_not_applicable_on_sphere():

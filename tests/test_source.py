@@ -453,6 +453,34 @@ def test_stencils_apply_through_one_matmul():
     assert _gemms(planted) == ["f:2", "f:2", "g:4"]
 
 
+def _loop_depths(func, name):
+    """Number of loops around each call to name in func, in source order."""
+    depths = []
+
+    def visit(node, depth):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _callee(child) == name:
+                depths.append(depth)
+            visit(child, depth + isinstance(child, (ast.For, ast.While)))
+
+    visit(func, 0)
+    return depths
+
+
+def test_descent_runs_one_line_search_per_iteration():
+    # flow.descend forms one direction per iteration and searches along it
+    # at most once; a stalled search ends the run, so no retry loop nests
+    # the search and no L-BFGS memory is cleared
+    tree = _tree(ROOT / "src" / "contactgeom" / "flow.py")
+    assert _loop_depths(dict(_functions(tree))["descend"], "_line_search") == [1]
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) == "clear"] == []
+    # the guard counts the loops around each call site
+    planted = ast.parse("def f(a):\n    while a:\n        while True:\n"
+                        "            a = _line_search(a)\n    return _line_search(a)\n")
+    assert _loop_depths(planted.body[0], "_line_search") == [2, 0]
+
+
 def test_contractions_live_in_ambient():
     # ambient.dot and ambient.kahler are the one einsum each over the
     # leading component axis of a (4, ...) field, which adds each node's
